@@ -90,6 +90,9 @@ def cmd_compute(args) -> int:
         return 2
     try:
         poly = llt(shape, args.n, engine=args.engine)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except EngineMismatch as exc:
         print("engine mismatch:", file=sys.stderr)
         print(f"  tableaux: {exc.tableaux_value.serialize()}", file=sys.stderr)

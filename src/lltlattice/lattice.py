@@ -47,6 +47,16 @@ def bits_of(mask: int, k: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(k))
 
 
+def _t_exponent(present: int, L: int) -> int:
+    """Sum over colors i leaving right of the colors larger than i present."""
+    texp = 0
+    while L:
+        b = (L & -L).bit_length() - 1
+        texp += (present >> (b + 1)).bit_count()
+        L &= L - 1
+    return texp
+
+
 def face_weight_exponents(k: int, I: int, J: int, K: int, L: int):
     """(x-exponent, t-exponent) of an admissible plain face, else None."""
     if I & J:
@@ -54,14 +64,7 @@ def face_weight_exponents(k: int, I: int, J: int, K: int, L: int):
     present = I | J
     if (K | L) != present or (K & L):
         return None
-    xexp = L.bit_count()
-    texp = 0
-    rem = L
-    while rem:
-        b = (rem & -rem).bit_length() - 1
-        texp += (present >> (b + 1)).bit_count()
-        rem &= rem - 1
-    return xexp, texp
+    return L.bit_count(), _t_exponent(present, L)
 
 
 def l_weight(k: int, I, J, K, L, vars: VarSet | None = None, x_slot: int = 0) -> LaurentPoly:
@@ -175,41 +178,42 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
 # -- row machinery -------------------------------------------------------------
 
 
-def _color_tops(bottoms: tuple[int, ...], ncols: int, exit_right: bool):
-    """Valid top-column choices for one color given its bottom columns.
+def _color_tops(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
+                exit_right: bool, last: bool):
+    """Top-column choices for one color from which its paths can still finish.
 
     Paths pair up in order and move weakly right; consecutive paths may not
     share a face, and only the rightmost path may leave through the right
-    edge.
+    edge.  So the j-th path never passes caps[j], the color's j-th top
+    column, and on the last row it ends there; paths beyond len(caps) leave
+    through the right edge in some row and are uncapped.
     """
-    m = len(bottoms)
-    if exit_right:
-        if m == 0:
-            return
-        spans = [(bottoms[i], bottoms[i + 1] - 1) for i in range(m - 1)]
-    else:
-        spans = [(bottoms[i], bottoms[i + 1] - 1) for i in range(m - 1)]
-        if m:
-            spans.append((bottoms[m - 1], ncols - 1))
-    yield from product(*[range(lo, hi + 1) for lo, hi in spans])
+    m = len(bottoms) - exit_right
+    if m < 0:
+        return
+    ends = bottoms[1:] + (ncols,)
+    ranges = []
+    for j in range(m):
+        lo, hi = bottoms[j], ends[j] - 1
+        if j < len(caps):
+            hi = min(hi, caps[j])
+            if last:
+                lo = max(lo, caps[j])
+        ranges.append(range(lo, hi + 1))
+    yield from product(*ranges)
 
 
-def _row_scan(k: int, bottom: tuple[int, ...], top: tuple[int, ...], right_mask: int):
+def _row_scan(bottom: tuple[int, ...], top: tuple[int, ...], right_mask: int):
     """Walk a row left to right; return (x-exp, t-exp, horizontal labels)."""
     ncols = len(bottom)
     carry = 0
     xexp = texp = 0
     horiz = [0] * (ncols + 1)
     for c in range(ncols):
-        I, K = bottom[c], top[c]
-        present = I | carry
-        L = present & ~K
+        present = bottom[c] | carry
+        L = present & ~top[c]
         xexp += L.bit_count()
-        rem = L
-        while rem:
-            b = (rem & -rem).bit_length() - 1
-            texp += (present >> (b + 1)).bit_count()
-            rem &= rem - 1
+        texp += _t_exponent(present, L)
         carry = L
         horiz[c + 1] = L
     if carry != right_mask:
@@ -217,12 +221,16 @@ def _row_scan(k: int, bottom: tuple[int, ...], top: tuple[int, ...], right_mask:
     return xexp, texp, tuple(horiz)
 
 
-def _row_transitions(k: int, ncols: int, bottom: tuple[int, ...], right_mask: int):
-    """All admissible (top labels, x-exp, t-exp, horizontals) above a row."""
+def _row_transitions(spec: LatticeSpec, row: int, bottom: tuple[int, ...]):
+    """Admissible (top labels, x-exp, t-exp, horizontals) above a row whose
+    top labels can still reach spec.top; on the last row that is spec.top."""
+    ncols, right_mask = spec.ncols, spec.right[row - 1]
     per_color = []
-    for bit in range(k):
+    for bit in range(spec.k):
         bottoms = tuple(c for c in range(ncols) if (bottom[c] >> bit) & 1)
-        choices = list(_color_tops(bottoms, ncols, bool((right_mask >> bit) & 1)))
+        caps = tuple(c for c in range(ncols) if (spec.top[c] >> bit) & 1)
+        choices = list(_color_tops(bottoms, caps, ncols, bool((right_mask >> bit) & 1),
+                                   row == spec.n))
         if not choices:
             return
         per_color.append(choices)
@@ -232,7 +240,7 @@ def _row_transitions(k: int, ncols: int, bottom: tuple[int, ...], right_mask: in
             for c in tops:
                 top[c] |= 1 << bit
         tvec = tuple(top)
-        xexp, texp, horiz = _row_scan(k, bottom, tvec, right_mask)
+        xexp, texp, horiz = _row_scan(bottom, tvec, right_mask)
         yield tvec, xexp, texp, horiz
 
 
@@ -262,8 +270,7 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
         xslot = row - 1
         nxt: dict[tuple[int, ...], dict[tuple, int]] = {}
         for bvec, terms in states.items():
-            for tvec, xexp, texp, _ in _row_transitions(spec.k, spec.ncols, bvec,
-                                                        spec.right[row - 1]):
+            for tvec, xexp, texp, _ in _row_transitions(spec, row, bvec):
                 xadj, tadj = _row_weight_adjusted(spec, xexp, texp)
                 bucket = nxt.setdefault(tvec, {})
                 for e, c in terms.items():
@@ -371,10 +378,8 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
             if verts[-1] == spec.top:
                 out.append(LatticeConfig(spec, tuple(verts), tuple(horiz)))
             return
-        for tvec, _, _, h in sorted(
-            _row_transitions(spec.k, spec.ncols, verts[-1], spec.right[row - 1]),
-            key=lambda item: item[0],
-        ):
+        for tvec, _, _, h in sorted(_row_transitions(spec, row, verts[-1]),
+                                    key=lambda item: item[0]):
             verts.append(tvec)
             horiz.append(h)
             rec(row + 1)

@@ -290,6 +290,8 @@ def llt(shape: SkewShapeTuple | ShapeTuple, n: int, engine: str = "tableaux") ->
     """
     if not isinstance(shape, SkewShapeTuple):
         shape = SkewShapeTuple.straight(check_shape_tuple(shape))
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if engine == "tableaux":
         return llt_coinv(shape, n)
     from .lattice import build_lattice, partition_function

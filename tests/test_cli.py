@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -51,6 +53,14 @@ def test_compute_parse_error_exit_2():
     out = run_cli("compute", "--beta", "1,2", "--n", "2")
     assert out.returncode == 2
     assert "error" in out.stderr
+
+
+@pytest.mark.parametrize("engine", ["tableaux", "lattice", "both"])
+def test_compute_n0_exit_2(engine):
+    out = run_cli("compute", "--beta", "2,1", "--n", "0", "--engine", engine)
+    assert out.returncode == 2
+    assert out.stderr == "error: n must be at least 1\n"
+    assert out.stdout == ""
 
 
 def test_compute_engine_choices():

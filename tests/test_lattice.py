@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import random_skew_tuple, random_straight_tuple
 from lltlattice.lattice import (
     LatticeConfig,
+    _row_transitions,
     build_box_lattice,
     build_lattice,
     config_to_ssyt,
@@ -154,6 +157,63 @@ def test_enumeration_sums_to_partition_function():
         for config in enumerate_configs(spec):
             total = total + config.weight()
         assert total == partition_function(spec)
+
+
+@st.composite
+def skew_tuples(draw):
+    beta, gamma = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        b = tuple(sorted(parts, reverse=True))
+        g = tuple(sorted((draw(st.integers(0, v)) for v in b), reverse=True))
+        beta.append(b)
+        gamma.append(g)
+    return SkewShapeTuple(tuple(beta), tuple(gamma))
+
+
+@given(skew_tuples(), st.integers(1, 3))
+@settings(max_examples=100)
+def test_partition_function_equals_tableaux_property(shape, n):
+    assert partition_function(build_lattice(shape, n)) == llt_coinv(shape, n)
+
+
+def _reachable_levels(spec):
+    """DP states level by level, and the number of transitions made."""
+    levels, made = [{spec.bottom}], 0
+    for row in range(1, spec.n + 1):
+        nxt = set()
+        for bvec in levels[-1]:
+            for tvec, _, _, _ in _row_transitions(spec, row, bvec):
+                nxt.add(tvec)
+                made += 1
+        levels.append(nxt)
+    return levels, made
+
+
+def test_worst_criterion_3_shape():
+    # the shape with the most DP transitions among the 200 of acceptance
+    # criterion 3; the untargeted DP made 287,696 transitions on it
+    shape = SkewShapeTuple(((2, 0, 0), (2, 1, 1), (3, 3, 0)), ((2, 0, 0), (0, 0, 0), (1, 0, 0)))
+    spec = build_lattice(shape, 3)
+    result = partition_function(spec)
+    assert result == llt_coinv(shape, 3)
+    assert len(result.terms) == 26
+    levels, made = _reachable_levels(spec)
+    assert [len(level) for level in levels] == [1, 18, 45, 1]
+    assert made == 260
+
+
+@pytest.mark.parametrize("spec", [
+    build_lattice(SECOND, 2),
+    build_box_lattice(((2, 1), (1, 0)), 4, 2),
+    build_box_lattice(((2, 1, 0), (1, 1, 0)), 5, 3, gray=True, right_exit=True),
+], ids=["plain", "box", "gray-right-exit"])
+def test_last_row_yields_only_the_top(spec):
+    levels, _ = _reachable_levels(spec)
+    assert levels[-1] == {spec.top}
+    for bvec in levels[-2]:
+        tops = {t for t, _, _, _ in _row_transitions(spec, spec.n, bvec)}
+        assert tops <= {spec.top}
 
 
 def test_per_color_conservation_of_configs():
