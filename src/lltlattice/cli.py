@@ -15,12 +15,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import identities
+from . import identities, yangbaxter
 from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
     bandwidth,
     column_range,
+    complement,
     d_stat,
     dtilde_stat,
     inv_stat,
@@ -30,7 +31,6 @@ from .shapes import (
     parse_shape_text,
 )
 from .tableaux import EngineMismatch, llt
-from .yangbaxter import lstar_ybe_check, ybe_check
 
 QUICK_SHAPES = [
     ("3;2", "0;0"),
@@ -84,12 +84,7 @@ def _parse_shape(args) -> SkewShapeTuple:
 
 def cmd_compute(args) -> int:
     try:
-        shape = _parse_shape(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        poly = llt(shape, args.n, engine=args.engine)
+        poly = llt(_parse_shape(args), args.n, engine=args.engine)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -141,28 +136,102 @@ def cmd_stats(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+def _at_least(args, name: str, low: int) -> int:
+    value = getattr(args, name)
+    if value < low:
+        raise ValueError(f"--{name} must be at least {low}")
+    return value
+
+
+def _ybe_kwargs(args) -> dict:
+    kwargs = {"k": _at_least(args, "k", 0), "mode": args.mode}
+    if args.mode == "numeric":
+        kwargs.update(seed=args.seed, trials=_at_least(args, "trials", 1))
+    return kwargs
+
+
+def _shape_kwargs(args) -> dict:
+    return {"shape": _parse_shape(args), "n": _at_least(args, "n", 1)}
+
+
+def _mu_kwargs(args) -> dict:
+    if ";" in args.mu:
+        raise ValueError("--mu takes a single partition")
+    return {"mu": parse_shape_text(args.mu)[0], "n": _at_least(args, "n", 1)}
+
+
+def _box_lam(args, Ms):
+    """--lam and --n; complement() raises unless lam fits every (M - n)^n box."""
+    lam = parse_shape_text(args.lam)
+    n = _at_least(args, "n", 1)
+    for M in Ms:
+        complement(lam, M, n)
+    return lam, n
+
+
+def _box_kwargs(args) -> dict:
+    lam, n = _box_lam(args, (args.M,))
+    return {"lam": lam, "M": args.M, "n": n}
+
+
+def _lstar_kwargs(args) -> dict:
+    Ms = tuple(int(v) for v in args.M_list.split(","))
+    lam, n = _box_lam(args, Ms)
+    return {"lam": lam, "n": n, "Ms": Ms}
+
+
+def _cauchy_kwargs(args) -> dict:
+    return {
+        "n": _at_least(args, "n", 1),
+        "k": _at_least(args, "k", 1),
+        "D": _at_least(args, "degree", 0),
+    }
+
+
+def _skew_cauchy_kwargs(args) -> dict:
+    kwargs = _cauchy_kwargs(args)
+    mu = parse_shape_text(args.mu)
+    if len(mu) != kwargs["k"] or any(len(p) != kwargs["n"] for p in mu):
+        raise ValueError("--mu must be a k-tuple of partitions with n parts")
+    if sum(map(sum, mu)) > kwargs["D"]:
+        raise ValueError("--mu must have size at most --degree")
+    return {"mu": mu, **kwargs}
+
+
+def _with_engine(build):
+    return lambda args: {**build(args), "engine": args.engine}
+
+
+# identity -> (module, verifier name, builder of its kwargs from the parsed
+# arguments).  A builder raises ValueError on a bad parameter before any case
+# runs; None marks an identity that only `verify all` runs.  The verifier is
+# looked up by name on each call, so wrappers set on the module take effect.
+VERIFY = {
+    "ybe": (yangbaxter, "ybe_check", _ybe_kwargs),
+    "lstar-ybe": (yangbaxter, "lstar_ybe_check", _ybe_kwargs),
+    "symmetry": (identities, "verify_symmetry", _with_engine(_shape_kwargs)),
+    "inv-coinv": (identities, "verify_inv_coinv", _shape_kwargs),
+    "hl": (identities, "verify_hl", _with_engine(_mu_kwargs)),
+    "modified-hl": (identities, "verify_modified_hl", _mu_kwargs),
+    "box-skew": (identities, "verify_box_skew", _with_engine(_box_kwargs)),
+    "complement": (identities, "verify_complement", _with_engine(_box_kwargs)),
+    "lstar": (identities, "verify_lstar", _with_engine(_lstar_kwargs)),
+    "cauchy": (identities, "verify_cauchy", _with_engine(_cauchy_kwargs)),
+    "skew-cauchy": (identities, "verify_skew_cauchy", _skew_cauchy_kwargs),
+    "cauchy-rot": (identities, "verify_cauchy_rot", _cauchy_kwargs),
+    "engine-equivalence": (identities, "verify_engine_equivalence", None),
+}
+
+
 def _verify_case(task):
     """Top-level dispatcher so cases stay picklable for the worker pool."""
     name, kwargs = task
-    fn = {
-        "ybe": ybe_check,
-        "lstar-ybe": lstar_ybe_check,
-        "symmetry": identities.verify_symmetry,
-        "inv-coinv": identities.verify_inv_coinv,
-        "hl": identities.verify_hl,
-        "modified-hl": identities.verify_modified_hl,
-        "box-skew": identities.verify_box_skew,
-        "complement": identities.verify_complement,
-        "lstar": identities.verify_lstar,
-        "cauchy": identities.verify_cauchy,
-        "skew-cauchy": identities.verify_skew_cauchy,
-        "cauchy-rot": identities.verify_cauchy_rot,
-        "engine-equivalence": identities.verify_engine_equivalence,
-    }[name]
-    return fn(**kwargs)
+    module, verifier, _ = VERIFY[name]
+    return getattr(module, verifier)(**kwargs)
 
 
 def _run_cases(cases, workers: int):
+    workers = min(workers, len(cases), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_case, cases))
@@ -229,61 +298,18 @@ def _emit_report(report, fmt: str):
 
 
 def cmd_verify(args) -> int:
-    workers = args.workers or int(os.environ.get("LLTLATTICE_WORKERS", "1"))
     try:
+        workers = str(args.workers or os.environ.get("LLTLATTICE_WORKERS", "1"))
+        if not workers.isdecimal() or int(workers) < 1:
+            raise ValueError(f"the worker count must be a positive integer, not {workers!r}")
         if args.identity == "all":
             cases = _all_cases(args.seed, args.quick)
-        elif args.identity in ("ybe", "lstar-ybe"):
-            cases = [
-                (
-                    args.identity,
-                    {"k": args.k, "mode": args.mode, "seed": args.seed, "trials": args.trials}
-                    if args.mode == "numeric"
-                    else {"k": args.k, "mode": args.mode},
-                )
-            ]
-        elif args.identity in ("symmetry", "inv-coinv"):
-            shape = _parse_shape(args)
-            case_kwargs = {"shape": shape, "n": args.n}
-            if args.identity == "symmetry":
-                case_kwargs["engine"] = args.engine
-            cases = [(args.identity, case_kwargs)]
-        elif args.identity in ("hl", "modified-hl"):
-            mu = parse_shape_text(args.mu)[0] if ";" not in args.mu else None
-            if mu is None:
-                raise ValueError("--mu takes a single partition")
-            case_kwargs = {"mu": mu, "n": args.n}
-            if args.identity == "hl":
-                case_kwargs["engine"] = args.engine
-            cases = [(args.identity, case_kwargs)]
-        elif args.identity in ("box-skew", "complement"):
-            lam = parse_shape_text(args.lam)
-            cases = [
-                (args.identity,
-                 {"lam": lam, "M": args.M, "n": args.n, "engine": args.engine})
-            ]
-        elif args.identity == "lstar":
-            lam = parse_shape_text(args.lam)
-            Ms = tuple(int(v) for v in args.M_list.split(","))
-            cases = [("lstar", {"lam": lam, "n": args.n, "Ms": Ms, "engine": args.engine})]
-        elif args.identity == "cauchy":
-            cases = [
-                ("cauchy",
-                 {"n": args.n, "k": args.k, "D": args.degree, "engine": args.engine})
-            ]
-        elif args.identity == "cauchy-rot":
-            cases = [("cauchy-rot", {"n": args.n, "k": args.k, "D": args.degree})]
-        elif args.identity == "skew-cauchy":
-            mu = parse_shape_text(args.mu)
-            cases = [
-                ("skew-cauchy", {"mu": mu, "n": args.n, "k": args.k, "D": args.degree})
-            ]
         else:
-            raise ValueError(f"unknown identity {args.identity!r}")
-    except (ValueError, AttributeError) as exc:
+            cases = [(args.identity, VERIFY[args.identity][2](args))]
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = _run_cases(cases, workers)
+    reports = _run_cases(cases, int(workers))
     for report in reports:
         _emit_report(report, args.format)
     n_failed = sum(0 if r.passed else 1 for r in reports)
@@ -315,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="machine-verify an identity")
     pv.add_argument(
         "identity",
-        choices=(
-            "ybe", "lstar-ybe", "symmetry", "inv-coinv", "hl", "modified-hl",
-            "box-skew", "complement", "lstar", "cauchy", "skew-cauchy",
-            "cauchy-rot", "all",
-        ),
+        choices=[name for name, (_, _, build) in VERIFY.items() if build] + ["all"],
     )
     pv.add_argument("--k", type=int, default=2)
     pv.add_argument("--n", type=int, default=2)

@@ -19,6 +19,7 @@ from .shapes import (
     Partition,
     ShapeTuple,
     SkewShapeTuple,
+    _binom2,
     check_partition,
     check_shape_tuple,
     complement,
@@ -206,14 +207,14 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     Ms = sorted(set(int(M) for M in Ms))
     base = _llt_cached(_as_skew(lam), n, engine)
     vars = base.vars
-    c2 = (n * (n - 1) // 2) * (k * (k - 1) // 2)
+    c2 = _binom2(n) * _binom2(k)
     target = _x_rho_power(vars, n, k, textra=c2 + d_stat(lam)) * base
     pairs = []
     for M in Ms:
         zright = partition_function(build_box_lattice(lam, M, n, gray=True, right_exit=True))
         pairs.append((f"right-exit gray row, M={M}", zright, target))
         ztop = partition_function(build_box_lattice(lam, M, n, gray=True, right_exit=False))
-        shift_t = -((n + 1) * n // 2) * (k * (k - 1) // 2)
+        shift_t = -_binom2(n + 1) * _binom2(k)
         factor = _x_rho_power(vars, n, k, extra_all=-n * k, textra=shift_t)
         pairs.append((f"top-exit vs right-exit, M={M}", zright, ztop * factor))
     return _check_pairs(

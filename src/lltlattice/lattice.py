@@ -25,14 +25,11 @@ from .algebra import LaurentPoly, VarSet
 from .shapes import (
     ShapeTuple,
     SkewShapeTuple,
+    _binom2,
     boundary_vector,
     check_shape_tuple,
     column_range,
 )
-
-
-def _binom2(m: int) -> int:
-    return m * (m - 1) // 2
 
 
 def mask_of(bits) -> int:
@@ -41,6 +38,11 @@ def mask_of(bits) -> int:
         if b:
             m |= 1 << i
     return m
+
+
+def masks(*labels) -> tuple[int, ...]:
+    """Edge labels as bitmasks; each label is a mask or a 0/1 tuple."""
+    return tuple(v if isinstance(v, int) else mask_of(v) for v in labels)
 
 
 def bits_of(mask: int, k: int) -> tuple[int, ...]:
@@ -67,37 +69,36 @@ def face_weight_exponents(k: int, I: int, J: int, K: int, L: int):
     return L.bit_count(), _t_exponent(present, L)
 
 
-def l_weight(k: int, I, J, K, L, vars: VarSet | None = None, x_slot: int = 0) -> LaurentPoly:
-    """Face weight as a polynomial; labels are 0/1 tuples or masks.
+def _gray(k: int, faces: int, xexp: int, texp: int) -> tuple[int, int]:
+    """Exponents of `faces` gray faces whose plain exponents sum to
+    (xexp, texp): x -> 1/(x t^(k-1)), then x^k t^C(k,2) per face."""
+    return k * faces - xexp, faces * _binom2(k) + texp - (k - 1) * xexp
 
-    Inadmissible faces get weight 0.
-    """
+
+def _face_weight(k: int, labels, vars: VarSet | None, x_slot: int, gray: bool) -> LaurentPoly:
     if vars is None:
         vars = VarSet(nx=1)
-    I, J, K, L = (v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
-    data = face_weight_exponents(k, I, J, K, L)
+    data = face_weight_exponents(k, *masks(*labels))
     if data is None:
         return LaurentPoly.zero(vars)
-    xexp, texp = data
+    xexp, texp = _gray(k, 1, *data) if gray else data
     exps = [0] * vars.total
     exps[x_slot] = xexp
     exps[vars.t_index] = texp
     return LaurentPoly.monomial(vars, 1, exps)
 
 
+def l_weight(k: int, I, J, K, L, vars: VarSet | None = None, x_slot: int = 0) -> LaurentPoly:
+    """Face weight as a polynomial; labels are 0/1 tuples or masks.
+
+    Inadmissible faces get weight 0.
+    """
+    return _face_weight(k, (I, J, K, L), vars, x_slot, gray=False)
+
+
 def lstar_weight(k: int, I, J, K, L, vars: VarSet | None = None, x_slot: int = 0) -> LaurentPoly:
     """Gray face weight x^k t^C(k,2) L_{1/(x t^(k-1))}(I,J;K,L)."""
-    if vars is None:
-        vars = VarSet(nx=1)
-    I, J, K, L = (v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
-    data = face_weight_exponents(k, I, J, K, L)
-    if data is None:
-        return LaurentPoly.zero(vars)
-    xexp, texp = data
-    exps = [0] * vars.total
-    exps[x_slot] = k - xexp
-    exps[vars.t_index] = _binom2(k) + texp - (k - 1) * xexp
-    return LaurentPoly.monomial(vars, 1, exps)
+    return _face_weight(k, (I, J, K, L), vars, x_slot, gray=True)
 
 
 @dataclass(frozen=True)
@@ -244,16 +245,6 @@ def _row_transitions(spec: LatticeSpec, row: int, bottom: tuple[int, ...]):
         yield tvec, xexp, texp, horiz
 
 
-def _row_weight_adjusted(spec: LatticeSpec, xexp: int, texp: int) -> tuple[int, int]:
-    if not spec.gray:
-        return xexp, texp
-    k, ncols = spec.k, spec.ncols
-    return (
-        k * ncols - xexp,
-        ncols * _binom2(k) + texp - (k - 1) * xexp,
-    )
-
-
 def partition_function(spec: LatticeSpec) -> LaurentPoly:
     """Exact partition function by row-to-row dynamic programming.
 
@@ -271,12 +262,13 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
         nxt: dict[tuple[int, ...], dict[tuple, int]] = {}
         for bvec, terms in states.items():
             for tvec, xexp, texp, _ in _row_transitions(spec, row, bvec):
-                xadj, tadj = _row_weight_adjusted(spec, xexp, texp)
+                if spec.gray:
+                    xexp, texp = _gray(spec.k, spec.ncols, xexp, texp)
                 bucket = nxt.setdefault(tvec, {})
                 for e, c in terms.items():
                     ne = list(e)
-                    ne[xslot] += xadj
-                    ne[tslot] += tadj
+                    ne[xslot] += xexp
+                    ne[tslot] += texp
                     key = tuple(ne)
                     bucket[key] = bucket.get(key, 0) + c
         states = nxt
@@ -318,9 +310,10 @@ class LatticeConfig:
                     raise ValueError(f"inadmissible face at row {row}, column {c + spec.r}")
                 xe += data[0]
                 te += data[1]
-            xa, ta = _row_weight_adjusted(spec, xe, te)
-            xexps.append(xa)
-            ttotal += ta
+            if spec.gray:
+                xe, te = _gray(spec.k, spec.ncols, xe, te)
+            xexps.append(xe)
+            ttotal += te
         return xexps, ttotal
 
     def coinv(self) -> int:

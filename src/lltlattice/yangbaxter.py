@@ -23,16 +23,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .algebra import LaurentPoly, VarSet
-from .lattice import mask_of
+from .lattice import l_weight, lstar_weight, masks
 
 YBE_VARS = VarSet(nx=1, ny=1, has_t=True)
 _X, _Y, _T = 0, 1, 2
-
-
-def _binom2(m: int) -> int:
-    return m * (m - 1) // 2
 
 
 def _mono(xe: int = 0, ye: int = 0, te: int = 0, coeff: int = 1) -> LaurentPoly:
@@ -59,7 +56,7 @@ _TYPE_OF = {
 
 def r_weight(k: int, I, J, K, L) -> LaurentPoly:
     """Closed-form crossing weight; 0 when some color breaks the type table."""
-    I, J, K, L = (v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
+    I, J, K, L = masks(I, J, K, L)
     types = []
     for i in range(k):
         pat = ((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1)
@@ -84,31 +81,6 @@ def r_weight(k: int, I, J, K, L) -> LaurentPoly:
     return weight
 
 
-def l_weight_xyt(k: int, I, J, K, L, spectral: str = "x") -> LaurentPoly:
-    """Plain face weight as a polynomial in (x, y, t); spectral picks x or y."""
-    from .lattice import face_weight_exponents
-
-    I, J, K, L = (v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
-    data = face_weight_exponents(k, I, J, K, L)
-    if data is None:
-        return _zero()
-    xe, te = data
-    if spectral == "x":
-        return _mono(xe, 0, te)
-    return _mono(0, xe, te)
-
-
-def lstar_weight_xyt(k: int, I, J, K, L) -> LaurentPoly:
-    from .lattice import face_weight_exponents
-
-    I, J, K, L = (v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
-    data = face_weight_exponents(k, I, J, K, L)
-    if data is None:
-        return _zero()
-    xe, te = data
-    return _mono(k - xe, 0, _binom2(k) + te - (k - 1) * xe)
-
-
 # -- the E/F tables and the color recursion ------------------------------------
 
 _L_PICTURES = (
@@ -118,13 +90,7 @@ _L_PICTURES = (
     (1, 0, 1, 0),  # passes through vertically
     (0, 1, 1, 0),  # enters left, leaves top
 )
-_R_PICTURES = (
-    (0, 1, 0, 1),  # type 1
-    (0, 1, 1, 0),  # type 2
-    (1, 0, 0, 1),  # type 3
-    (1, 1, 1, 1),  # type 4
-    (0, 0, 0, 0),  # type 5
-)
+_R_PICTURES = tuple(sorted(_TYPE_OF, key=_TYPE_OF.get))  # types 1..5
 
 
 def ef_weight(kind: str, picture) -> LaurentPoly:
@@ -160,12 +126,7 @@ def _recursive_l_table(k: int) -> dict:
     prev = _recursive_l_table(k - 1)
     bit = 1 << (k - 1)
     out: dict = {}
-    f_weights = {
-        (1, 0, 0, 1): _mono(1),
-        (0, 1, 0, 1): _mono(1),
-        (1, 0, 1, 0): _one(),
-        (0, 1, 1, 0): _one(),
-    }
+    f_weights = {pic: ef_weight("F", pic) for pic in _L_PICTURES[1:]}
     for (I, J, K, L), w in prev.items():
         out[(I, J, K, L)] = w  # E branch: the new color is absent
         wt = _shift_x_to_xt(w)
@@ -181,13 +142,8 @@ def _recursive_r_table(k: int) -> dict:
         return {(0, 0, 0, 0): _one()}
     prev = _recursive_r_table(k - 1)
     bit = 1 << (k - 1)
-    etilde = _one() - _mono(-1, 1)
-    ftilde_weights = {
-        (0, 1, 1, 0): _mono(-1, 1),
-        (1, 0, 0, 1): _one(),
-        (1, 1, 1, 1): _mono(-1, 1),
-        (0, 0, 0, 0): _one(),
-    }
+    etilde = ef_weight("Etilde", _R_PICTURES[0])
+    ftilde_weights = {pic: ef_weight("Ftilde", pic) for pic in _R_PICTURES[1:]}
     out: dict = {}
     for (I, J, K, L), w in prev.items():
         # Etilde branch: new color in type 1, smaller colors at spectral y/(xt)
@@ -202,98 +158,72 @@ def _recursive_r_table(k: int) -> dict:
     return {key: w for key, w in out.items() if not w.is_zero()}
 
 
-def l_recursive(k: int):
-    """Face-weight oracle for k colors built from the tensor recursion."""
-    table = _recursive_l_table(k)
-
+def _table_oracle(table: dict):
     def weight(I, J, K, L) -> LaurentPoly:
-        key = tuple(v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
-        return table.get(key, _zero())
+        return table.get(masks(I, J, K, L), _zero())
 
     return weight
+
+
+def l_recursive(k: int):
+    """Face-weight oracle for k colors built from the tensor recursion."""
+    return _table_oracle(_recursive_l_table(k))
 
 
 def r_recursive(k: int):
-    table = _recursive_r_table(k)
-
-    def weight(I, J, K, L) -> LaurentPoly:
-        key = tuple(v if isinstance(v, int) else mask_of(v) for v in (I, J, K, L))
-        return table.get(key, _zero())
-
-    return weight
+    return _table_oracle(_recursive_r_table(k))
 
 
 # -- both sides of the intertwining equation -----------------------------------
 
 
-@lru_cache(maxsize=None)
-def _l_entry_rows(k: int, spectral: str) -> dict:
-    """(I, J) -> {(K, L): weight} over all nonzero plain face weights."""
+def _entry_rows(k: int, pictures, weight) -> dict:
+    """(I, J) -> {(K, L): weight} over the nonzero weights of the labels
+    whose colors each follow one of the single-color pictures."""
+    outs: dict = {}
+    for i, j, kk, l in pictures:
+        outs.setdefault((i, j), []).append((kk, l))
     rows: dict = {}
     size = 1 << k
     for I in range(size):
         for J in range(size):
-            if I & J:
-                continue
-            present = I | J
+            per_color = [outs.get(((I >> i) & 1, (J >> i) & 1), ()) for i in range(k)]
             sub = {}
-            free = [i for i in range(k) if (present >> i) & 1]
-            for pick in range(1 << len(free)):
-                K = 0
-                for idx, i in enumerate(free):
-                    if (pick >> idx) & 1:
-                        K |= 1 << i
-                L = present & ~K
-                sub[(K, L)] = l_weight_xyt(k, I, J, K, L, spectral)
-            rows[(I, J)] = sub
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _lstar_entry_rows(k: int) -> dict:
-    rows = {}
-    for (I, J), sub in _l_entry_rows(k, "x").items():
-        rows[(I, J)] = {kl: lstar_weight_xyt(k, I, J, *kl) for kl in sub}
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _r_entry_rows(k: int, barred_x: bool = False) -> dict:
-    """(I, J) -> {(K, L): weight} over all nonzero crossing weights.
-
-    With barred_x the x line carries 1/(x t^(k-1)).
-    """
-    rows: dict = {}
-    size = 1 << k
-    for I in range(size):
-        for J in range(size):
-            sub = {}
-            per_color = []
-            for i in range(k):
-                pats = [
-                    (kk, l)
-                    for (ii, jj, kk, l) in _TYPE_OF
-                    if ii == ((I >> i) & 1) and jj == ((J >> i) & 1)
-                ]
-                per_color.append(pats)
-            from itertools import product as _product
-
-            for combo in _product(*per_color):
+            for combo in product(*per_color):
                 K = L = 0
                 for i, (kk, l) in enumerate(combo):
                     K |= kk << i
                     L |= l << i
-                w = r_weight(k, I, J, K, L)
+                w = weight(k, I, J, K, L)
                 if not w.is_zero():
                     sub[(K, L)] = w
             rows[(I, J)] = sub
-    if barred_x:
-        xbar = {_X: (1, (-1, 0, -(k - 1)))}
-        rows = {
-            ij: {kl: w.substitute(xbar) for kl, w in sub.items()}
-            for ij, sub in rows.items()
-        }
     return rows
+
+
+@lru_cache(maxsize=None)
+def _l_entry_rows(k: int, spectral: str) -> dict:
+    """Nonzero plain face weights on the x or the y line."""
+    slot = _X if spectral == "x" else _Y
+    return _entry_rows(k, _L_PICTURES, lambda *face: l_weight(*face, YBE_VARS, slot))
+
+
+@lru_cache(maxsize=None)
+def _lstar_entry_rows(k: int) -> dict:
+    return _entry_rows(k, _L_PICTURES, lambda *face: lstar_weight(*face, YBE_VARS))
+
+
+@lru_cache(maxsize=None)
+def _r_entry_rows(k: int, barred_x: bool = False) -> dict:
+    """Nonzero crossing weights; with barred_x the x line carries
+    1/(x t^(k-1))."""
+    xbar = {_X: (1, (-1, 0, -(k - 1)))}
+
+    def weight(*crossing) -> LaurentPoly:
+        w = r_weight(*crossing)
+        return w.substitute(xbar) if barred_x else w
+
+    return _entry_rows(k, _R_PICTURES, weight)
 
 
 def _contract_sides(k: int, lx_rows, ly_rows, r_rows, to_value):
@@ -345,9 +275,7 @@ def ybe_droite(k: int, boundary) -> LaurentPoly:
 
 
 def _one_boundary(k: int, boundary, starred: bool):
-    I1, I2, I3, J1, J2, J3 = (
-        v if isinstance(v, int) else mask_of(v) for v in boundary
-    )
+    I1, I2, I3, J1, J2, J3 = masks(*boundary)
     lx = _lstar_entry_rows(k) if starred else _l_entry_rows(k, "x")
     ly = _l_entry_rows(k, "y")
     rr = _r_entry_rows(k, barred_x=starred)

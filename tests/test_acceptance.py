@@ -45,8 +45,8 @@ from lltlattice.shapes import (
 )
 from lltlattice.tableaux import coinv, complement_bijection, enumerate_ssyt, llt_coinv
 from lltlattice.yangbaxter import (
+    YBE_VARS,
     l_recursive,
-    l_weight_xyt,
     r_recursive,
     r_weight,
     ybe_check,
@@ -199,7 +199,7 @@ def test_criterion_5_recursion_consistency():
             for J in range(size):
                 for K in range(size):
                     for L in range(size):
-                        assert lw(I, J, K, L) == l_weight_xyt(k, I, J, K, L, "x")
+                        assert lw(I, J, K, L) == l_weight(k, I, J, K, L, YBE_VARS)
                         assert rw(I, J, K, L) == r_weight(k, I, J, K, L)
     assert time.time() - started < 60
     _announce(5, "recursion equals closed forms, k in {1,2,3}", started)

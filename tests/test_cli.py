@@ -1,8 +1,16 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+from lltlattice import cli, identities
+from lltlattice.algebra import LaurentPoly, VarSet
+from lltlattice.identities import IdentityReport
+from lltlattice.shapes import SkewShapeTuple
+from lltlattice.tableaux import EngineMismatch
 
 
 def run_cli(*args):
@@ -133,3 +141,124 @@ def test_verify_workers_match_serial():
 def test_verify_bad_identity_exit_2():
     out = run_cli("verify", "nonsense")
     assert out.returncode == 2
+
+
+# First stdout line of `lltlattice verify <identity>` with default
+# parameters, as printed before the verify registry replaced the per-identity
+# dispatch.  The defaults of skew-cauchy are rejected (see below).
+DEFAULT_VERIFY_LINES = {
+    "ybe": "PASS ybe k=2 mode=symbolic checked=4096",
+    "lstar-ybe": "PASS lstar-ybe k=2 mode=symbolic checked=4096",
+    "symmetry": 'PASS symmetry {"engine": "tableaux", "n": 2, "shape": "1;1/0;0"}',
+    "inv-coinv": 'PASS inv-coinv {"m": 1, "n": 2, "shape": "1;1/0;0"}',
+    "hl": 'PASS hl {"engine": "tableaux", "mu": [2, 1], "n": 2}',
+    "modified-hl": 'PASS modified-hl {"mu": [2, 1], "n": 2}',
+    "box-skew": 'PASS box-skew {"M": 4, "engine": "tableaux", "lam": [[1, 0], [1, 1]], "n": 2}',
+    "complement": 'PASS complement {"M": 4, "engine": "tableaux", "lam": [[1, 0], [1, 1]], "n": 2}',
+    "lstar": 'PASS lstar {"M": [3, 4, 5], "lam": [[1, 0], [1, 1]], "n": 2}',
+    "cauchy": 'PASS cauchy {"D": 3, "engine": "tableaux", "k": 2, "n": 2}',
+    "cauchy-rot": 'PASS cauchy-rot {"D": 3, "k": 2, "n": 2}',
+}
+
+
+@pytest.mark.parametrize("identity", sorted(DEFAULT_VERIFY_LINES))
+def test_verify_default_output_golden(identity, capsys):
+    assert cli.main(["verify", identity]) == 0
+    out = capsys.readouterr().out
+    assert out == DEFAULT_VERIFY_LINES[identity] + "\nsummary: 1/1 passed\n"
+
+
+def _identity_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = sub.choices["verify"]
+    return next(a for a in verify._actions if a.dest == "identity").choices
+
+
+def test_verify_registry_is_complete():
+    built = [name for name, (_, _, build) in cli.VERIFY.items() if build is not None]
+    assert list(_identity_choices()) == built + ["all"]
+    assert {name for name, _ in cli._all_cases(1, quick=False)} == set(cli.VERIFY)
+    assert set(DEFAULT_VERIFY_LINES) | {"skew-cauchy"} == set(built)
+    for module, verifier, _ in cli.VERIFY.values():
+        assert callable(getattr(module, verifier))
+
+
+BAD_VERIFY = [
+    (["verify", "cauchy", "--n", "0", "--k", "1", "--degree", "2"], "--n must be at least 1"),
+    (["verify", "symmetry", "--n", "0"], "--n must be at least 1"),
+    (["verify", "hl", "--n", "0"], "--n must be at least 1"),
+    (["verify", "box-skew", "--n", "0"], "--n must be at least 1"),
+    (["verify", "skew-cauchy", "--n", "0"], "--n must be at least 1"),
+    (["verify", "ybe", "--k", "-1"], "--k must be at least 0"),
+    (["verify", "cauchy-rot", "--n", "1", "--k", "1", "-D", "-1"], "--degree must be at least 0"),
+    (["verify", "lstar", "--M-list", "2"], "part 1 exceeds box width 0"),
+    (["verify", "cauchy", "--k", "0"], "--k must be at least 1"),
+    (["verify", "ybe", "--mode", "numeric", "--trials", "0"], "--trials must be at least 1"),
+    (["verify", "skew-cauchy"], "--mu must be a k-tuple of partitions with n parts"),
+    (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
+    (["verify", "symmetry", "--workers", "-3"],
+     "the worker count must be a positive integer, not '-3'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_VERIFY, ids=[" ".join(a) for a, _ in BAD_VERIFY])
+def test_verify_bad_parameters_exit_2(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_bad_workers_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("LLTLATTICE_WORKERS", "abc")
+    assert cli.main(["verify", "symmetry"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the worker count must be a positive integer, not 'abc'\n"
+
+
+def test_verify_failure_exit_1(monkeypatch, capsys):
+    vars = VarSet(nx=1)
+
+    def failing(shape, n, engine="tableaux"):
+        witness = {
+            "context": "forced",
+            "lhs": LaurentPoly.one(vars).to_json_dict(),
+            "rhs": LaurentPoly.zero(vars).to_json_dict(),
+        }
+        return IdentityReport("symmetry", {"n": n}, "FAIL", witness)
+
+    monkeypatch.setattr(identities, "verify_symmetry", failing)
+    assert cli.main(["verify", "symmetry"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == 'FAIL symmetry {"n": 2}'
+    assert lines[1] == "  context: forced"
+    assert lines[-1] == "summary: 0/1 passed"
+
+
+def test_compute_engine_mismatch_exit_3(monkeypatch, capsys):
+    def mismatch(shape, n, engine):
+        one = LaurentPoly.one(VarSet(nx=n))
+        raise EngineMismatch(shape, n, one, one + one)
+
+    monkeypatch.setattr(cli, "llt", mismatch)
+    assert cli.main(["compute", "--beta", "1", "--n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("engine mismatch:\n  tableaux: ")
+
+
+def test_verify_pool_is_clamped(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert cli.main(["verify", "inv-coinv", "--workers", "4"]) == 0
+    monkeypatch.setenv("LLTLATTICE_WORKERS", "4")
+    assert cli.main(["verify", "inv-coinv"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    shape = SkewShapeTuple(((1,), (1,)), ((0,), (0,)))
+    reports = cli._run_cases([("inv-coinv", {"shape": shape, "n": 2})] * 3, 4)
+    assert [r.status for r in reports] == ["PASS"] * 3

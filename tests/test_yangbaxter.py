@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from lltlattice.algebra import LaurentPoly, VarSet
+from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
     YBE_VARS,
     ef_weight,
     l_recursive,
-    l_weight_xyt,
-    lstar_weight_xyt,
     lstar_ybe_check,
     r_recursive,
     r_weight,
@@ -125,7 +124,7 @@ def test_l_recursion_matches_closed_form(k):
         for J in range(size):
             for K in range(size):
                 for L in range(size):
-                    assert weight(I, J, K, L) == l_weight_xyt(k, I, J, K, L, "x")
+                    assert weight(I, J, K, L) == l_weight(k, I, J, K, L, YBE_VARS)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -277,8 +276,8 @@ def test_lstar_weight_consistency():
                 L = present & ~K
                 xbar = {0: (1, (-1, 0, -(k - 1)))}
                 scale = mono(k, 0, k * (k - 1) // 2)
-                direct = lstar_weight_xyt(k, I, J, K, L)
-                via_sub = scale * l_weight_xyt(k, I, J, K, L, "x").substitute(xbar)
+                direct = lstar_weight(k, I, J, K, L, YBE_VARS)
+                via_sub = scale * l_weight(k, I, J, K, L, YBE_VARS).substitute(xbar)
                 assert direct == via_sub
 
 
