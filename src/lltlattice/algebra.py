@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -188,10 +189,14 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
+        small, big = sorted((self.terms, other.terms), key=len)
+        if len(small) == 1:  # a monomial shift is injective: no like terms, nothing cancels
+            ((e1, c1),) = small.items()
+            return LaurentPoly(self.vars, {tuple(map(add, e1, e)): c1 * c for e, c in big.items()})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = out.get(e, 0) + c1 * c2
                 if c:
                     out[e] = c

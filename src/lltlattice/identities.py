@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from operator import add
 
-from .algebra import LaurentPoly, VarSet
+from .algebra import LaurentPoly, VarSet, poly_sum
 from .lattice import build_box_lattice, build_lattice, partition_function
 from .shapes import (
     Partition,
@@ -242,27 +243,28 @@ def _embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
 
 
 def cauchy_kernel_truncated(n: int, k: int, D: int, vars: VarSet | None = None) -> LaurentPoly:
-    """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D."""
+    """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D.
+
+    ``graded[d]`` holds the running product's terms of x-degree d.  Times
+    1/(1 - u), u = x_i y_j t^m, it becomes Q with Q[d] = P[d] + u Q[d - 1]:
+    only monomial shifts, and no term above D is ever formed.
+    """
+    if D < 0:
+        raise ValueError("degree bound must be nonnegative")
     if vars is None:
         vars = VarSet(nx=n, ny=n, has_t=True)
-    out = LaurentPoly.one(vars)
+    graded = [{(0,) * vars.total: 1}] + [{} for _ in range(D)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for m in range(k):
-                exps = [0] * vars.total
-                exps[vars.x_index(i)] = 1
-                exps[vars.y_index(j)] = 1
-                exps[vars.t_index] = m
-                unit = LaurentPoly.monomial(vars, 1, exps)
-                series = LaurentPoly.one(vars)
-                power = LaurentPoly.one(vars)
-                for _ in range(D):
-                    power = (power * unit).truncate_x(D)
-                    if power.is_zero():
-                        break
-                    series = series + power
-                out = (out * series).truncate_x(D)
-    return out
+                step = [0] * vars.total
+                step[vars.x_index(i)] = step[vars.y_index(j)] = 1
+                step[vars.t_index] = m
+                for below, grade in zip(graded, graded[1:]):
+                    for e, c in below.items():
+                        e = tuple(map(add, e, step))
+                        grade[e] = grade.get(e, 0) + c
+    return poly_sum(vars, (LaurentPoly(vars, grade) for grade in graded))
 
 
 def partitions_fixed_length(n: int, max_size: int):
@@ -305,11 +307,11 @@ def shape_tuples_bounded(k: int, n: int, D: int):
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
     big = VarSet(nx=n, ny=n, has_t=True)
-    lhs = LaurentPoly.zero(big)
+    terms = []
     for lam in shape_tuples_bounded(k, n, D):
         P = _llt_cached(_as_skew(lam), n, engine)
-        term = _embed(P, big, False) * _embed(P, big, True)
-        lhs = lhs + LaurentPoly.t(big, d_stat(lam)) * term
+        terms.append(LaurentPoly.t(big, d_stat(lam)) * _embed(P, big, False) * _embed(P, big, True))
+    lhs = poly_sum(big, terms)
     rhs = cauchy_kernel_truncated(n, k, D, big)
     return _check_pairs(
         "cauchy", {"n": n, "k": k, "D": D, "engine": engine}, [("sum vs kernel", lhs, rhs)]
@@ -324,13 +326,14 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     if sum(sum(p) for p in mu) > D:
         raise ValueError("need |mu| <= D")
     big = VarSet(nx=n, ny=n, has_t=True)
-    lhs = LaurentPoly.zero(big)
+    terms = []
     for lam in shape_tuples_bounded(k, n, D):
         if any(lv < mv for lp, mp in zip(lam, mu) for lv, mv in zip(lp, mp)):
             continue
         P = _llt_cached(_as_skew(lam), n)
         Q = _llt_cached(SkewShapeTuple(lam, mu), n)
-        lhs = lhs + LaurentPoly.t(big, d_stat(lam)) * _embed(P, big, False) * _embed(Q, big, True)
+        terms.append(LaurentPoly.t(big, d_stat(lam)) * _embed(P, big, False) * _embed(Q, big, True))
+    lhs = poly_sum(big, terms)
     base = LaurentPoly.t(big, d_stat(mu)) * _embed(_llt_cached(_as_skew(mu), n), big, False)
     rhs = (base * cauchy_kernel_truncated(n, k, D, big)).truncate_x(D)
     pairs = [
@@ -347,13 +350,13 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
 def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
     big = VarSet(nx=n, ny=n, has_t=True)
-    lhs = LaurentPoly.zero(big)
+    terms = []
     pairs = []
     for lam in shape_tuples_bounded(k, n, D):
         P = _llt_cached(_as_skew(lam), n)
         rot = rotate(lam)
         R = _llt_cached(rot, n)
-        lhs = lhs + _embed(P, big, False) * _embed(R, big, True)
+        terms.append(_embed(P, big, False) * _embed(R, big, True))
         width = max((p[0] for p in lam if p), default=0)
         comp = complement(lam, width + n, n)
         rel_rhs = LaurentPoly.t(P.vars, d_stat(comp)) * P
@@ -366,7 +369,7 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
             )
         )
     rhs = cauchy_kernel_truncated(n, k, D, big)
-    pairs.insert(0, ("rotated sum vs kernel", lhs, rhs))
+    pairs.insert(0, ("rotated sum vs kernel", poly_sum(big, terms), rhs))
     return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs)
 
 

@@ -27,6 +27,7 @@ from .shapes import (
     SkewShapeTuple,
     _binom2,
     boundary_vector,
+    check_fits_box,
     check_shape_tuple,
     column_range,
 )
@@ -160,8 +161,7 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
     k = len(lam)
     if any(len(p) != n for p in lam):
         raise ValueError("every component needs exactly n parts")
-    if any(p[0] > M - n for p in lam if p):
-        raise ValueError("bandwidth must be smaller than M")
+    check_fits_box(lam, M, n)
     r, s = 1 - n, M - n
     bottom = tuple(mask_of(boundary_vector(lam, i)) for i in range(r, s + 1))
     full = (1 << k) - 1

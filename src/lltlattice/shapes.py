@@ -231,6 +231,13 @@ def inv_stat(beta) -> int:
 # -- dualities ----------------------------------------------------------------
 
 
+def check_fits_box(lam: ShapeTuple, M: int, n: int) -> None:
+    """Raise unless every part of lam fits in the (M - n)-column box."""
+    for p in lam:
+        if p and p[0] > M - n:
+            raise ValueError(f"part {p[0]} exceeds box width {M - n}")
+
+
 def complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
     """Complement in an (M-n) x n box, components in reversed order."""
     lam = check_shape_tuple(lam)
@@ -238,8 +245,7 @@ def complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
     for p in lam:
         if len(p) != n:
             raise ValueError(f"{p} must have exactly {n} parts")
-        if p and p[0] > width:
-            raise ValueError(f"part {p[0]} exceeds box width {width}")
+    check_fits_box(lam, M, n)
     return tuple(
         tuple(width - p[n - j] for j in range(1, n + 1)) for p in reversed(lam)
     )
@@ -299,8 +305,7 @@ def dtilde_stat(lam: ShapeTuple, M: int, n: int | None = None, k: int | None = N
         n = len(lam[0])
     if k != len(lam) or any(len(p) != n for p in lam):
         raise ValueError("dtilde_stat needs a k-tuple of partitions with n parts each")
-    if any(p and p[0] > M - n for p in lam):
-        raise ValueError("parts exceed the box")
+    check_fits_box(lam, M, n)
     size = sum(sum(p) for p in lam)
     return (k - 1) * size - n * (M - n) * _binom2(k)
 

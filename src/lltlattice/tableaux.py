@@ -19,6 +19,7 @@ from .shapes import (
     Partition,
     ShapeTuple,
     SkewShapeTuple,
+    check_fits_box,
     check_partition,
     check_shape_tuple,
     complement,
@@ -268,9 +269,8 @@ def complement_bijection(T: TableauTuple, M: int) -> TableauTuple:
     n = len(lam[0])
     if any(len(p) != n for p in lam):
         raise ValueError("all components must have the same number of parts")
+    check_fits_box(lam, M, n)
     N = M - n
-    if any(p[0] > N for p in lam if p):
-        raise ValueError("parts exceed the box")
     pieces = [_complement_one(T.rows[i], lam[i], n, N) for i in range(shape.k)]
     pieces.reverse()
     new_shape = SkewShapeTuple.straight(complement(lam, M, n))

@@ -196,6 +196,24 @@ def test_eval_is_ring_morphism(a, b, c):
     assert lhs == rhs
 
 
+monomials = st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=1).map(
+    lambda d: LaurentPoly(V2, d)
+)
+
+
+@given(monomials, polys)
+@settings(max_examples=60, deadline=None)
+def test_monomial_shift_matches_termwise_product(m, p):
+    ((e, c),) = m.terms.items()
+    termwise = poly_sum(
+        V2, (LaurentPoly.monomial(V2, c * c2, [a + b for a, b in zip(e, e2)])
+             for e2, c2 in p.terms.items())
+    )
+    for product in (m * p, p * m):
+        assert product == termwise
+        assert 0 not in product.terms.values()
+
+
 @given(st.lists(polys, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_poly_sum_matches_fold(ps):

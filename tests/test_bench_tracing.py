@@ -1,0 +1,38 @@
+"""The benchmark's tracer patches library names from outside; it must find
+every one of them, and must put back exactly what it replaced."""
+
+import sys
+from pathlib import Path
+
+from lltlattice import identities
+from lltlattice.algebra import LaurentPoly
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from spans import Tracer  # noqa: E402
+
+PATCHED = [
+    (identities, "llt"),
+    (identities, "cauchy_kernel_truncated"),
+    (identities, "verify_cauchy"),
+    (LaurentPoly, "__mul__"),
+    (LaurentPoly, "__rmul__"),
+    (LaurentPoly, "__add__"),
+    (LaurentPoly, "truncate_x"),
+]
+
+
+def test_tracer_installs_and_uninstalls():
+    before = {(owner, attr): vars(owner)[attr] for owner, attr in PATCHED}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for owner, attr in PATCHED:
+            assert vars(owner)[attr] is not before[owner, attr], attr
+        assert identities.verify_cauchy(1, 2, 2).passed
+    finally:
+        tracer.uninstall()
+    for owner, attr in PATCHED:
+        assert vars(owner)[attr] is before[owner, attr], attr
+    assert tracer.agg["identities.cauchy_kernel_truncated"][0] == 1
+    assert tracer.agg["identities.verify_cauchy"][0] == 1
+    assert tracer.counters["algebra.mul_term_pairs"] > 0

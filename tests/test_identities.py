@@ -112,6 +112,49 @@ def test_cauchy_one_variable_geometric():
     assert kernel == expected
 
 
+def _reference_kernel(n, k, D):
+    """The kernel as plain LaurentPoly products of geometric series, each
+    product truncated with truncate_x: no code shared with the graded one."""
+    vars = VarSet(nx=n, ny=n, has_t=True)
+    out = LaurentPoly.one(vars)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for m in range(k):
+                unit = LaurentPoly.x(vars, i) * LaurentPoly.y(vars, j) * LaurentPoly.t(vars, m)
+                series = LaurentPoly.one(vars)
+                power = LaurentPoly.one(vars)
+                for _ in range(D):
+                    power = (power * unit).truncate_x(D)
+                    series = series + power
+                out = (out * series).truncate_x(D)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cauchy_kernel_matches_reference(n, k):
+    for D in range(5):
+        assert cauchy_kernel_truncated(n, k, D) == _reference_kernel(n, k, D)
+
+
+@pytest.mark.parametrize("nkD, count", [((3, 2, 3), 527), ((2, 2, 4), 225), ((1, 3, 5), 36)])
+def test_cauchy_kernel_term_counts(nkD, count):
+    assert len(cauchy_kernel_truncated(*nkD).terms) == count
+
+
+def test_cauchy_kernel_rejects_negative_degree():
+    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+        cauchy_kernel_truncated(2, 2, -1)
+
+
+def test_cauchy_kernel_degree_zero_is_one():
+    assert cauchy_kernel_truncated(3, 2, 0) == LaurentPoly.one(VarSet(3, 3, True))
+
+
+def test_cauchy_kernel_k_zero_is_one():
+    assert cauchy_kernel_truncated(2, 0, 4) == LaurentPoly.one(VarSet(2, 2, True))
+
+
 @pytest.mark.parametrize("nkD", [(1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)])
 def test_cauchy_parameter_grid(nkD):
     n, k, D = nkD

@@ -218,3 +218,20 @@ def test_shape_json_mirror():
     assert shape_from_json_dict(data) == WORKED_SKEW
     straight = shape_from_json_dict({"beta": [[2, 1]]})
     assert straight.gamma == ((0, 0),)
+
+
+def test_box_width_rule_is_shared():
+    from lltlattice.lattice import build_box_lattice
+    from lltlattice.tableaux import TableauTuple, complement_bijection
+
+    lam = ((2, 0), (1, 1))
+    T = TableauTuple(SkewShapeTuple.straight(lam), (((1, 1),), ((1,), (2,))))
+    calls = [
+        lambda: complement(lam, 3, 2),
+        lambda: dtilde_stat(lam, 3),
+        lambda: build_box_lattice(lam, 3, 2),
+        lambda: complement_bijection(T, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^part 2 exceeds box width 1$"):
+            call()
