@@ -71,7 +71,7 @@ def _check_pairs(name: str, params: dict, pairs, details: dict | None = None) ->
     return IdentityReport(name, params, "PASS", None, det)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _llt_cached(shape: SkewShapeTuple, n: int, engine: str = "tableaux") -> LaurentPoly:
     return llt(shape, n, engine)
 
@@ -323,7 +323,8 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     mu = check_shape_tuple(mu)
     if len(mu) != k or any(len(p) != n for p in mu):
         raise ValueError("mu must be a k-tuple of partitions with n parts")
-    if sum(sum(p) for p in mu) > D:
+    size = sum(sum(p) for p in mu)
+    if size > D:
         raise ValueError("need |mu| <= D")
     big = VarSet(nx=n, ny=n, has_t=True)
     terms = []
@@ -335,7 +336,8 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
         terms.append(LaurentPoly.t(big, d_stat(lam)) * _embed(P, big, False) * _embed(Q, big, True))
     lhs = poly_sum(big, terms)
     base = LaurentPoly.t(big, d_stat(mu)) * _embed(_llt_cached(_as_skew(mu), n), big, False)
-    rhs = (base * cauchy_kernel_truncated(n, k, D, big)).truncate_x(D)
+    # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive
+    rhs = base * cauchy_kernel_truncated(n, k, D - size, big)
     pairs = [
         ("skew sum vs kernel", lhs, rhs),
         ("y-degree-0 slice", lhs.truncate_y(0), base),

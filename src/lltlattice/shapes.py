@@ -12,22 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import ge
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 ShapeTuple = tuple[Partition, ...]
 
 
 def check_partition(parts) -> Partition:
-    p = tuple(int(v) for v in parts)
-    if any(v < 0 for v in p):
+    p = tuple(map(int, parts))
+    if p and min(p) < 0:
         raise ValueError(f"negative part in {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if not all(map(ge, p, p[1:])):
         raise ValueError(f"parts not weakly decreasing: {p}")
     return p
 
 
 def check_shape_tuple(shapes) -> ShapeTuple:
-    tup = tuple(check_partition(p) for p in shapes)
+    tup = tuple(map(check_partition, shapes))
     if not tup:
         raise ValueError("shape tuple must have at least one component")
     return tup
@@ -134,8 +136,7 @@ def bandwidth(shape: SkewShapeTuple) -> int:
 # -- triples ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """One triple of a skew tuple.
 
     The cells u, w sit in row ``row`` of component ``b`` at columns ``q`` and
@@ -154,7 +155,7 @@ class Triple:
     w_inside: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def triples(shape: SkewShapeTuple) -> tuple[Triple, ...]:
     """All triples, enumerated directly from the definition.
 

@@ -7,12 +7,23 @@ increase, columns strictly increase bottom to top, entries lie in [n].
 The coinversion statistic counts triples with entries a <= b <= c; the
 inversion statistic counts attacking inversions.  Their sum over one shape is
 the shape's total triple count, independent of the filling.
+
+``llt_coinv`` builds no tableau tuple and sorts nothing: it takes each
+component's fillings once, tabulates the coinversion triples of every pair
+of components over pairs of fillings, and counts packed monomials while it
+folds the components (a shape with only a handful of tuples counts each
+tuple's triples directly instead).  ``enumerate_ssyt``, ``coinv`` and
+``llt_inv`` work tableau by tableau; ``llt_inv`` is the independent route
+that the inv/coinv relation is checked against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from math import prod
+from itertools import accumulate, chain, combinations_with_replacement, product
+from operator import add, gt, sub
 
 from .algebra import LaurentPoly, VarSet
 from .shapes import (
@@ -57,55 +68,52 @@ class TableauTuple:
         return tuple(self.entry(i, row, col) for (_, row, i, col) in cells)
 
 
-def _component_fillings(beta: Partition, gamma: Partition, n: int):
-    """All SSYT fillings of one skew component, rows bottom to top."""
-    nrows = len(beta)
-    results: list[tuple[tuple[int, ...], ...]] = []
-    rows: list[tuple[int, ...]] = []
+def _component_fillings(beta: Partition, gamma: Partition, n: int) -> list[tuple[int, ...]]:
+    """All SSYT fillings of one skew component, each a flat tuple of entries
+    in ``SkewShapeTuple.cells`` order (rows bottom to top, left to right).
 
-    def fill_row(r: int):
-        if r == nrows:
-            results.append(tuple(rows))
-            return
-        lo, hi = gamma[r], beta[r]
-        width = hi - lo
-        if width == 0:
-            rows.append(())
-            fill_row(r + 1)
-            rows.pop()
-            return
-        below = rows[r - 1] if r > 0 else None
-        row: list[int] = []
+    Built row by row: each weakly increasing row goes on top of the
+    fillings whose top row it exceeds strictly, column by column.
+    """
+    fillings: list[tuple[int, ...]] = [()]
+    end = below_lo = below_hi = 0     # end: flat position after the row below
+    for lo, hi in zip(gamma, beta):
+        rows = list(combinations_with_replacement(range(1, n + 1), hi - lo))
+        start, stop = max(lo, below_lo), min(hi, below_hi)   # shared columns
+        if start >= stop:
+            fillings = [f + row for f in fillings for row in rows]
+        else:
+            fits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            out = []
+            for f in fillings:
+                under = f[end - below_hi + start:end - below_hi + stop]
+                if under not in fits:
+                    fits[under] = [
+                        row for row in rows if all(map(gt, row[start - lo:stop - lo], under))
+                    ]
+                out += [f + row for row in fits[under]]
+            fillings = out
+        end, below_lo, below_hi = end + hi - lo, lo, hi
+    return fillings
 
-        def fill_cell(c: int):
-            if c == width:
-                rows.append(tuple(row))
-                fill_row(r + 1)
-                rows.pop()
-                return
-            col = lo + c + 1
-            start = row[-1] if row else 1
-            if below is not None and gamma[r - 1] < col <= beta[r - 1]:
-                start = max(start, below[col - gamma[r - 1] - 1] + 1)
-            for v in range(start, n + 1):
-                row.append(v)
-                fill_cell(c + 1)
-                row.pop()
 
-        fill_cell(0)
-
-    fill_row(0)
-    return results
+def _tableau_tuples(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
+    """Every tableau tuple exactly once, in product order of the components."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    per_comp = []
+    for beta, gamma in zip(shape.beta, shape.gamma):
+        ends = list(accumulate(map(sub, beta, gamma), initial=0))
+        per_comp.append([
+            tuple(map(f.__getitem__, map(slice, ends, ends[1:])))
+            for f in _component_fillings(beta, gamma, n)
+        ])
+    return [TableauTuple(shape, combo) for combo in product(*per_comp)]
 
 
 def enumerate_ssyt(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
     """Every tableau tuple exactly once, sorted by reading-order sequence."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    per_comp = [
-        _component_fillings(shape.beta[i], shape.gamma[i], n) for i in range(shape.k)
-    ]
-    out = [TableauTuple(shape, combo) for combo in product(*per_comp)]
+    out = _tableau_tuples(shape, n)
     out.sort(key=TableauTuple.reading_sequence)
     return out
 
@@ -160,23 +168,147 @@ def inv(T: TableauTuple) -> int:
     return attacking_inversions(T)
 
 
-def _generating_function(shape: SkewShapeTuple, n: int, stat) -> LaurentPoly:
-    vars = VarSet(nx=n)
-    acc: dict[tuple, int] = {}
-    for T in enumerate_ssyt(shape, n):
-        e = tuple(T.weight_exponents(n)) + (stat(T),)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(vars, acc)
+def _pair_triples(shape: SkewShapeTuple) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """``triples(shape)`` as flat cell positions, grouped by components a < b.
+
+    A position indexes ``shape.cells(i)``; each triple becomes
+    (pos_v in a, pos_u in b, pos_w in b), with -1 for a u or w outside.
+    """
+    # first[i][row - 1] + col: the position of cell (row, col) of component i
+    first = [
+        [end - g - 1 for end, g in zip(accumulate(map(sub, beta, gamma), initial=0), gamma)]
+        for beta, gamma in zip(shape.beta, shape.gamma)
+    ]
+    pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for a, v_row, v_col, b, row, q, u_inside, w_inside in triples(shape):
+        pos_u = first[b][row - 1] + q
+        pairs.setdefault((a, b), []).append((
+            first[a][v_row - 1] + v_col,
+            pos_u if u_inside else -1,
+            pos_u + 1 if w_inside else -1,
+        ))
+    return pairs
+
+
+def _coinv_table(fa: list, fb: list, trips, n: int, unit: int) -> list[list[int]]:
+    """``unit`` times C_ab: row i, column j counts the triples of the pair
+    (a, b) that are coinversions when a holds fa[i] and b holds fb[j].
+
+    ``cols[pos_v][v][j]`` is unit times the number of triples at pos_v whose
+    interval [u, w] (sentinels 1 and n) holds v when b holds fb[j]; a row of
+    the table sums one such column per pos_v.
+    """
+    cols: dict[int, list[list[int]]] = {}
+    for pos_v, pos_u, pos_w in trips:
+        if pos_v not in cols:
+            cols[pos_v] = [[0] * len(fb) for _ in range(n + 1)]
+        col = cols[pos_v]
+        for j, f in enumerate(fb):
+            lo = f[pos_u] if pos_u >= 0 else 1
+            hi = f[pos_w] if pos_w >= 0 else n
+            for v in range(lo, hi + 1):
+                col[v][j] += unit
+    positions, columns = list(cols), list(cols.values())
+    rows: dict[tuple[int, ...], list[int]] = {}   # by the entries at the v cells
+    table = []
+    for f in fa:
+        at_v = tuple(map(f.__getitem__, positions))
+        if at_v not in rows:
+            rows[at_v] = list(map(sum, zip(*map(list.__getitem__, columns, at_v))))
+        table.append(rows[at_v])
+    return table
+
+
+def _fold(b: int, key: int, later: list[list[int]], tables: dict):
+    """Yield the keys of every completion of a choice for components < b,
+    one iterable per choice for all components but the last.
+
+    ``later[c - b][j]`` is what filling j of component c adds to ``key``:
+    its weight plus its table entries against the fillings already chosen.
+    """
+    if len(later) == 1:
+        yield map(key.__add__, later[0])
+        return
+    rows = [tables.get((b, c)) for c in range(b + 1, b + len(later))]
+    for j, step in enumerate(later[0]):
+        yield from _fold(b + 1, key + step, [
+            keys if row is None else list(map(add, keys, row[j]))
+            for keys, row in zip(later[1:], rows)
+        ], tables)
+
+
+# Up to this many tableau tuples, counting each tuple's triples directly
+# costs less than building the pairwise tables (one-tuple shapes make up most
+# of the Cauchy drivers' calls).
+_FEW_TUPLES = 8
+
+
+def _count_directly(fillings, pairs, weights, unit: int, n: int) -> Counter:
+    """Packed keys of every tableau tuple, its coinversions counted one by one."""
+    flat = [(a, b, *trip) for (a, b), trips in pairs.items() for trip in trips]
+    return Counter(
+        sum(ws) + unit * sum(
+            (fs[b][u] if u >= 0 else 1) <= fs[a][v] <= (fs[b][w] if w >= 0 else n)
+            for a, b, v, u, w in flat
+        )
+        for fs, ws in zip(product(*fillings), product(*weights))
+    )
+
+
+def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:
+    """Packed keys of every tableau tuple, from the pairwise tables C_ab."""
+    # fold the components with the most fillings innermost, where the
+    # counting runs over whole lists at C speed
+    order = sorted(range(len(fillings)), key=lambda i: len(fillings[i]))
+    at = {c: pos for pos, c in enumerate(order)}
+    tables = {}
+    for (a, b), trips in pairs.items():
+        table = _coinv_table(fillings[a], fillings[b], trips, n, unit)
+        if at[a] > at[b]:
+            a, b, table = b, a, [list(col) for col in zip(*table)]
+        tables[at[a], at[b]] = table
+    return Counter(chain.from_iterable(_fold(0, 0, [weights[c] for c in order], tables)))
 
 
 def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
-    """Coinversion LLT polynomial: sum of t^coinv(T) x^T."""
-    return _generating_function(shape, n, coinv)
+    """Coinversion LLT polynomial: sum of t^coinv(T) x^T.
+
+    A tableau tuple is one filling per component, and every triple couples
+    a cell of an earlier component a with cells of a later component b, so
+    coinv(T) is a sum of C_ab[f_a][f_b] over pairs a < b.  Each monomial is
+    one integer, ``bits`` per x-exponent and t above them; the fold over the
+    components adds each filling's weight and its table entries to the
+    running key, and counts the keys of full tuples.  A shape with at most
+    ``_FEW_TUPLES`` tuples skips the tables and counts each tuple directly.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    vars = VarSet(nx=n)
+    fillings = [_component_fillings(b, g, n) for b, g in zip(shape.beta, shape.gamma)]
+    if not all(fillings):
+        return LaurentPoly.zero(vars)
+    bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
+    shifts = range(0, bits * n, bits)
+    power = [0] + [1 << s for s in shifts]
+    unit = 1 << bits * n
+    weights = [[sum(map(power.__getitem__, f)) for f in fs] for fs in fillings]
+    few = prod(map(len, fillings)) <= _FEW_TUPLES
+    counts = (_count_directly if few else _count_by_tables)(
+        fillings, _pair_triples(shape), weights, unit, n
+    )
+    mask = (1 << bits) - 1
+    terms = {
+        (*[key >> s & mask for s in shifts], key >> bits * n): count
+        for key, count in counts.items()
+    }
+    return LaurentPoly(vars, terms)
 
 
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
-    """Inversion LLT polynomial: sum of t^inv(T) x^T."""
-    return _generating_function(shape, n, inv)
+    """Inversion LLT polynomial: sum of t^inv(T) x^T, tableau by tableau."""
+    return LaurentPoly(VarSet(nx=n), Counter(
+        (*T.weight_exponents(n), inv(T)) for T in _tableau_tuples(shape, n)
+    ))
 
 
 # -- transformed Hall-Littlewood polynomials ----------------------------------

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from lltlattice import identities
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import (
+    _as_skew,
+    _embed,
+    _llt_cached,
     cauchy_kernel_truncated,
     partitions_fixed_length,
     random_skew_tuple,
@@ -20,7 +24,8 @@ from lltlattice.identities import (
     verify_skew_cauchy,
     verify_symmetry,
 )
-from lltlattice.shapes import SkewShapeTuple
+from lltlattice.shapes import SkewShapeTuple, d_stat, triples
+from lltlattice.tableaux import llt
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -165,6 +170,38 @@ def test_cauchy_parameter_grid(nkD):
 def test_skew_cauchy():
     assert verify_skew_cauchy(((0, 0), (0, 0)), 2, 2, 2).passed  # reduces to plain
     assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
+
+
+@pytest.mark.parametrize("nkD", [(1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3), (1, 3, 4)],
+                         ids=lambda nkD: "-".join(map(str, nkD)))
+def test_skew_cauchy_kernel_cut_matches_truncated_product(nkD):
+    # base is homogeneous of x-degree |mu|, so cutting the kernel at D - |mu|
+    # forms exactly the terms that truncating the full product at D keeps
+    n, k, D = nkD
+    big = VarSet(nx=n, ny=n)
+    for mu in shape_tuples_bounded(k, n, D):
+        base = LaurentPoly.t(big, d_stat(mu)) * _embed(llt(_as_skew(mu), n), big, False)
+        full = (base * cauchy_kernel_truncated(n, k, D, big)).truncate_x(D)
+        size = sum(map(sum, mu))
+        assert base * cauchy_kernel_truncated(n, k, D - size, big) == full
+
+
+def test_skew_cauchy_cuts_kernel_at_remaining_degree(monkeypatch):
+    degrees = []
+    kernel = identities.cauchy_kernel_truncated
+
+    def spy(n, k, D, vars=None):
+        degrees.append(D)
+        return kernel(n, k, D, vars)
+
+    monkeypatch.setattr(identities, "cauchy_kernel_truncated", spy)
+    assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
+    assert degrees == [2]
+
+
+@pytest.mark.parametrize("cached", [triples, _llt_cached], ids=["triples", "_llt_cached"])
+def test_caches_are_bounded(cached):
+    assert cached.cache_info().maxsize is not None
 
 
 def test_skew_cauchy_rejects_oversized_mu():

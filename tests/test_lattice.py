@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet
@@ -272,6 +272,16 @@ def test_bijection_roundtrip_random():
             checked += 1
 
 
+@given(skew_tuples(), st.integers(1, 3), st.data())
+@settings(max_examples=60)
+def test_bijection_roundtrip_property(shape, n, data):
+    tableaux = enumerate_ssyt(shape, n)
+    assume(tableaux)
+    T = data.draw(st.sampled_from(tableaux))
+    config = ssyt_to_config(T, n)
+    assert config_to_ssyt(config) == T
+
+
 def test_bijection_preserves_weights():
     for shape, n in ((FIRST, 2), (SECOND, 2)):
         vars = VarSet(nx=n)
@@ -322,6 +332,22 @@ def test_rotate_config_involution():
         back = rotate_config(rotated)
         assert back.verticals == config.verticals
         assert back.horizontals == config.horizontals
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+@settings(max_examples=60)
+def test_rotate_config_involution_property(k, n, data):
+    lam = tuple(
+        tuple(sorted(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), reverse=True))
+        for _ in range(k)
+    )
+    M = max(p[0] for p in lam) + n + data.draw(st.integers(0, 1))
+    configs = enumerate_configs(build_box_lattice(lam, M, n))
+    assume(configs)
+    config = data.draw(st.sampled_from(configs))
+    back = rotate_config(rotate_config(config))
+    assert back.verticals == config.verticals
+    assert back.horizontals == config.horizontals
 
 
 def test_rotate_config_coinv_difference():

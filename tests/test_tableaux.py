@@ -1,12 +1,18 @@
 import random
+from collections import Counter
 from itertools import permutations
+from math import comb, prod
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
+from lltlattice import tableaux
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.shapes import SkewShapeTuple, inv_stat, m_bruteforce
 from lltlattice.tableaux import (
     TableauTuple,
+    _component_fillings,
     attacking_inversions,
     coinv,
     complement_bijection,
@@ -117,6 +123,89 @@ def test_llt_coinv_goldens():
     assert P1 == golden_first(P1.vars)
     P2 = llt_coinv(SECOND, 2)
     assert P2 == golden_second(P2.vars)
+
+
+def _reference_llt_coinv(shape, n):
+    """Sum of t^coinv(T) x^T over the enumerated, sorted tableau tuples."""
+    return LaurentPoly(VarSet(nx=n), Counter(
+        (*T.weight_exponents(n), coinv(T)) for T in enumerate_ssyt(shape, n)
+    ))
+
+
+@st.composite
+def small_skew_tuples(draw):
+    """k <= 3 components, up to 3 rows, parts <= 3; empty shapes included."""
+    beta, gamma = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        b = tuple(sorted(draw(st.lists(st.integers(0, 3), max_size=3)), reverse=True))
+        g = tuple(sorted((draw(st.integers(0, v)) for v in b), reverse=True))
+        beta.append(b)
+        gamma.append(g)
+    return SkewShapeTuple(tuple(beta), tuple(gamma))
+
+
+@given(small_skew_tuples(), st.integers(1, 4))
+@example(SkewShapeTuple(((), (0, 0)), ((), (0, 0))), 2)            # no cells at all
+@example(SkewShapeTuple(((1, 1, 1), (2,)), ((0, 0, 0), (0,))), 2)  # column taller than n
+def test_llt_coinv_equals_per_tableau_sum(shape, n):
+    # keep the per-tableau reference affordable
+    assume(prod(len(_component_fillings(b, g, n)) for b, g in zip(shape.beta, shape.gamma)) <= 3000)
+    P = llt_coinv(shape, n)
+    assert P == _reference_llt_coinv(shape, n)
+    # a skew shape has a filling in [n] exactly when no column is taller than n
+    tall = any(
+        sum(g < c <= b for b, g in zip(beta, gamma)) > n
+        for beta, gamma in zip(shape.beta, shape.gamma)
+        for c in range(1, max(beta, default=0) + 1)
+    )
+    assert P.is_zero() == tall
+
+
+@pytest.mark.parametrize("few", [0, 10**9], ids=["tables", "direct"])
+def test_llt_coinv_both_counting_paths(monkeypatch, few):
+    # every shape goes through the pairwise tables, or every shape through
+    # the per-tuple count
+    monkeypatch.setattr(tableaux, "_FEW_TUPLES", few)
+    rng = random.Random(5)
+    from lltlattice.identities import random_skew_tuple
+
+    for _ in range(30):
+        shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
+        n = rng.randint(1, 3)
+        assert llt_coinv(shape, n) == _reference_llt_coinv(shape, n)
+
+
+def _jacobi_trudi_count(beta, gamma, n):
+    """Fillings of beta/gamma with entries in [n]: det h_{b_i - g_j - i + j}(1^n)."""
+    m = len(beta)
+
+    def h(d):
+        return comb(n + d - 1, d) if d >= 0 else 0
+
+    return sum(
+        (-1) ** inv_stat(sigma)
+        * prod(h(beta[i] - gamma[sigma[i]] - i + sigma[i]) for i in range(m))
+        for sigma in permutations(range(m))
+    )
+
+
+def test_llt_coinv_golden_three_components_n5():
+    shape = SkewShapeTuple.straight(((3, 2), (2, 1), (2, 0)))
+    P = llt_coinv(shape, 5)
+    assert len(P.terms) == 4958
+    expected = prod(_jacobi_trudi_count(b, g, 5) for b, g in zip(shape.beta, shape.gamma))
+    assert expected == 175 * 40 * 15
+    assert sum(P.terms.values()) == expected
+
+
+def test_llt_coinv_does_not_enumerate(monkeypatch):
+    def refuse(self):
+        raise AssertionError("llt_coinv sorted tableau tuples")
+
+    monkeypatch.setattr(TableauTuple, "reading_sequence", refuse)
+    P = llt_coinv(SECOND, 2)
+    assert P == golden_second(P.vars)
+    assert llt_coinv(EX2, 3) != LaurentPoly.zero(VarSet(nx=3))
 
 
 def test_llt_coinv_two_cells():
