@@ -206,18 +206,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = LaurentPoly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- structure queries -------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
@@ -227,24 +215,11 @@ class LaurentPoly:
     def coeff(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def x_degree(self) -> int:
-        """Max total degree in the x-variables (0 for the zero polynomial)."""
-        nx = self.vars.nx
-        if not self.terms:
-            return 0
-        return max(sum(e[:nx]) for e in self.terms)
-
     def min_t_power(self) -> int:
         ti = self.vars.t_index
         if not self.terms:
             return 0
         return min(e[ti] for e in self.terms)
-
-    def max_t_power(self) -> int:
-        ti = self.vars.t_index
-        if not self.terms:
-            return 0
-        return max(e[ti] for e in self.terms)
 
     # -- the operations the rest of the library leans on --------------------
 

@@ -76,10 +76,8 @@ def format_grouped(p: LaurentPoly) -> str:
 def _parse_shape(args) -> SkewShapeTuple:
     beta = parse_shape_text(args.beta)
     if args.gamma:
-        gamma = parse_shape_text(args.gamma)
-    else:
-        gamma = tuple((0,) * len(b) for b in beta)
-    return SkewShapeTuple(beta, gamma)
+        return SkewShapeTuple(beta, parse_shape_text(args.gamma))
+    return SkewShapeTuple.straight(beta)
 
 
 def cmd_compute(args) -> int:

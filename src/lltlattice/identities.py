@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from operator import add
 
 from .algebra import LaurentPoly, VarSet, poly_sum
@@ -76,18 +76,12 @@ def _llt_cached(shape: SkewShapeTuple, n: int, engine: str = "tableaux") -> Laur
     return llt(shape, n, engine)
 
 
-def _as_skew(shape) -> SkewShapeTuple:
-    if isinstance(shape, SkewShapeTuple):
-        return shape
-    return SkewShapeTuple.straight(check_shape_tuple(shape))
-
-
 # -- single-shape identities ----------------------------------------------------
 
 
 def verify_symmetry(shape, n: int, engine: str = "tableaux") -> IdentityReport:
     """The LLT polynomial is invariant under adjacent x-transpositions."""
-    shape = _as_skew(shape)
+    shape = SkewShapeTuple.straight(shape)
     P = llt(shape, n, engine)
     pairs = []
     for i in range(1, n):
@@ -100,7 +94,7 @@ def verify_symmetry(shape, n: int, engine: str = "tableaux") -> IdentityReport:
 
 def verify_inv_coinv(shape, n: int) -> IdentityReport:
     """Coinversion polynomial = t^m (inversion polynomial at 1/t)."""
-    shape = _as_skew(shape)
+    shape = SkewShapeTuple.straight(shape)
     L = llt_coinv(shape, n)
     G = llt_inv(shape, n)
     m = m_bruteforce(shape)
@@ -118,14 +112,14 @@ def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:
     H = hl_transformed(mu, n)
     pairs = []
     rev = tuple((p,) for p in reversed(mu))
-    pairs.append(("reversed rows", _llt_cached(_as_skew(rev), n, engine), H))
+    pairs.append(("reversed rows", _llt_cached(SkewShapeTuple.straight(rev), n, engine), H))
     seen = set()
     for beta in permutations(mu):
         if beta in seen:
             continue
         seen.add(beta)
         rows = tuple((p,) for p in beta)
-        lhs = _llt_cached(_as_skew(rows), n, engine)
+        lhs = _llt_cached(SkewShapeTuple.straight(rows), n, engine)
         rhs = LaurentPoly.t(H.vars, inv_stat(beta)) * H
         pairs.append((f"rearrangement {beta}", lhs, rhs))
     return _check_pairs("hl", {"mu": list(mu), "n": n, "engine": engine}, pairs)
@@ -135,7 +129,7 @@ def verify_modified_hl(mu, n: int) -> IdentityReport:
     """Inversion polynomial of the row tuple = modified Hall-Littlewood."""
     mu = check_partition(mu)
     rows = tuple((p,) for p in mu)
-    lhs = llt_inv(_as_skew(rows), n)
+    lhs = llt_inv(SkewShapeTuple.straight(rows), n)
     rhs = hl_modified(mu, n)
     return _check_pairs("modified-hl", {"mu": list(mu), "n": n}, [("G vs Htilde", lhs, rhs)])
 
@@ -178,9 +172,9 @@ def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> Identity
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
     lam = check_shape_tuple(lam)
     k = len(lam)
-    lhs = _llt_cached(_as_skew(lam), n, engine)
+    lhs = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
     comp = complement(lam, M, n)
-    inverted = _llt_cached(_as_skew(comp), n, engine).invert_x()
+    inverted = _llt_cached(SkewShapeTuple.straight(comp), n, engine).invert_x()
     exps = [k * (M - n)] * n + [dtilde_stat(lam, M)]
     rhs = LaurentPoly.monomial(lhs.vars, 1, exps) * inverted
     return _check_pairs(
@@ -206,7 +200,7 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     lam = check_shape_tuple(lam)
     k = len(lam)
     Ms = sorted(set(int(M) for M in Ms))
-    base = _llt_cached(_as_skew(lam), n, engine)
+    base = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
     vars = base.vars
     c2 = _binom2(n) * _binom2(k)
     target = _x_rho_power(vars, n, k, textra=c2 + d_stat(lam)) * base
@@ -229,20 +223,22 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
 # -- Cauchy identities ------------------------------------------------------------
 
 
-def _embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
-    """Re-house an n-variable polynomial in the (x, y, t) ring."""
-    n = p.vars.nx
-    terms = {}
-    for e, c in p.terms.items():
-        exps = [0] * big.total
-        for i in range(n):
-            exps[big.y_index(i + 1) if into_y else big.x_index(i + 1)] = e[i]
-        exps[big.t_index] = e[-1]
-        terms[tuple(exps)] = c
-    return LaurentPoly(big, terms)
+def _xy_sum(n: int, summands) -> LaurentPoly:
+    """Sum of t^a P(X) Q(Y) over ``(a, P, Q)``, with P and Q in x_1..x_n and t.
+
+    X and Y are disjoint, so each product term is one concatenation: P's
+    x-exponents, then Q's x-exponents as y, then a plus both t-exponents.
+    """
+    acc: dict[tuple, int] = {}
+    for a, P, Q in summands:
+        for e1, c1 in P.terms.items():
+            for e2, c2 in Q.terms.items():
+                e = e1[:n] + e2[:n] + (a + e1[n] + e2[n],)
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return LaurentPoly(VarSet(nx=n, ny=n), acc)
 
 
-def cauchy_kernel_truncated(n: int, k: int, D: int, vars: VarSet | None = None) -> LaurentPoly:
+def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D.
 
     ``graded[d]`` holds the running product's terms of x-degree d.  Times
@@ -251,8 +247,7 @@ def cauchy_kernel_truncated(n: int, k: int, D: int, vars: VarSet | None = None) 
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    if vars is None:
-        vars = VarSet(nx=n, ny=n, has_t=True)
+    vars = VarSet(nx=n, ny=n)
     graded = [{(0,) * vars.total: 1}] + [{} for _ in range(D)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -269,19 +264,10 @@ def cauchy_kernel_truncated(n: int, k: int, D: int, vars: VarSet | None = None) 
 
 def partitions_fixed_length(n: int, max_size: int):
     """All partitions with exactly n declared parts and size <= max_size."""
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], remaining: int, cap: int):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(cap, remaining), -1, -1):
-            prefix.append(v)
-            rec(prefix, remaining - v, v)
-            prefix.pop()
-
-    rec([], max_size, max_size)
-    return out
+    return [
+        p for p in combinations_with_replacement(range(max_size, -1, -1), n)
+        if sum(p) <= max_size
+    ]
 
 
 def shape_tuples_bounded(k: int, n: int, D: int):
@@ -306,13 +292,12 @@ def shape_tuples_bounded(k: int, n: int, D: int):
 
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
-    big = VarSet(nx=n, ny=n, has_t=True)
-    terms = []
+    summands = []
     for lam in shape_tuples_bounded(k, n, D):
-        P = _llt_cached(_as_skew(lam), n, engine)
-        terms.append(LaurentPoly.t(big, d_stat(lam)) * _embed(P, big, False) * _embed(P, big, True))
-    lhs = poly_sum(big, terms)
-    rhs = cauchy_kernel_truncated(n, k, D, big)
+        P = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
+        summands.append((d_stat(lam), P, P))
+    lhs = _xy_sum(n, summands)
+    rhs = cauchy_kernel_truncated(n, k, D)
     return _check_pairs(
         "cauchy", {"n": n, "k": k, "D": D, "engine": engine}, [("sum vs kernel", lhs, rhs)]
     )
@@ -326,18 +311,18 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     size = sum(sum(p) for p in mu)
     if size > D:
         raise ValueError("need |mu| <= D")
-    big = VarSet(nx=n, ny=n, has_t=True)
-    terms = []
+    summands = []
     for lam in shape_tuples_bounded(k, n, D):
         if any(lv < mv for lp, mp in zip(lam, mu) for lv, mv in zip(lp, mp)):
             continue
-        P = _llt_cached(_as_skew(lam), n)
+        P = _llt_cached(SkewShapeTuple.straight(lam), n)
         Q = _llt_cached(SkewShapeTuple(lam, mu), n)
-        terms.append(LaurentPoly.t(big, d_stat(lam)) * _embed(P, big, False) * _embed(Q, big, True))
-    lhs = poly_sum(big, terms)
-    base = LaurentPoly.t(big, d_stat(mu)) * _embed(_llt_cached(_as_skew(mu), n), big, False)
+        summands.append((d_stat(lam), P, Q))
+    lhs = _xy_sum(n, summands)
+    L_mu = _llt_cached(SkewShapeTuple.straight(mu), n)
+    base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
     # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive
-    rhs = base * cauchy_kernel_truncated(n, k, D - size, big)
+    rhs = base * cauchy_kernel_truncated(n, k, D - size)
     pairs = [
         ("skew sum vs kernel", lhs, rhs),
         ("y-degree-0 slice", lhs.truncate_y(0), base),
@@ -351,14 +336,14 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
 
 def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
-    big = VarSet(nx=n, ny=n, has_t=True)
-    terms = []
+    rhs = cauchy_kernel_truncated(n, k, D)
+    summands = []
     pairs = []
     for lam in shape_tuples_bounded(k, n, D):
-        P = _llt_cached(_as_skew(lam), n)
+        P = _llt_cached(SkewShapeTuple.straight(lam), n)
         rot = rotate(lam)
         R = _llt_cached(rot, n)
-        terms.append(_embed(P, big, False) * _embed(R, big, True))
+        summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)
         comp = complement(lam, width + n, n)
         rel_rhs = LaurentPoly.t(P.vars, d_stat(comp)) * P
@@ -366,12 +351,11 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
         pairs.append(
             (
                 f"d(comp)=d(lam) at {lam}",
-                LaurentPoly.const(big, d_stat(comp)),
-                LaurentPoly.const(big, d_stat(lam)),
+                LaurentPoly.const(rhs.vars, d_stat(comp)),
+                LaurentPoly.const(rhs.vars, d_stat(lam)),
             )
         )
-    rhs = cauchy_kernel_truncated(n, k, D, big)
-    pairs.insert(0, ("rotated sum vs kernel", poly_sum(big, terms), rhs))
+    pairs.insert(0, ("rotated sum vs kernel", _xy_sum(n, summands), rhs))
     return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs)
 
 

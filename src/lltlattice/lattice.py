@@ -17,7 +17,6 @@ is tracked as one exponent vector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -355,9 +354,6 @@ class LatticeConfig:
             lines.append(" " + "--".join(f"{s:>3}" for s in segs))
             lines.append(vline(row - 1))
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:

@@ -57,7 +57,10 @@ class SkewShapeTuple:
 
     @classmethod
     def straight(cls, beta) -> "SkewShapeTuple":
-        beta = check_shape_tuple(beta)
+        """beta/0 for a tuple of partitions; a SkewShapeTuple is returned as is."""
+        if isinstance(beta, cls):
+            return beta
+        beta = tuple(map(tuple, beta))
         return cls(beta, tuple((0,) * len(b) for b in beta))
 
     @property
@@ -99,11 +102,9 @@ def shape_to_json_dict(shape: SkewShapeTuple) -> dict:
 def shape_from_json_dict(data: dict) -> SkewShapeTuple:
     """JSON mirror of the text format; gamma defaults to all zeros."""
     beta = tuple(tuple(int(v) for v in p) for p in data["beta"])
-    if "gamma" in data and data["gamma"] is not None:
-        gamma = tuple(tuple(int(v) for v in p) for p in data["gamma"])
-    else:
-        gamma = tuple((0,) * len(p) for p in beta)
-    return SkewShapeTuple(beta, gamma)
+    if data.get("gamma") is not None:
+        return SkewShapeTuple(beta, tuple(tuple(int(v) for v in p) for p in data["gamma"]))
+    return SkewShapeTuple.straight(beta)
 
 
 # -- boundary data for the lattice ------------------------------------------
@@ -260,8 +261,7 @@ def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
     accepted and treated as beta/0; rotating the result again returns the
     straight tuple exactly.
     """
-    if not isinstance(shape, SkewShapeTuple):
-        shape = SkewShapeTuple.straight(shape)
+    shape = SkewShapeTuple.straight(shape)
     w = max((p[0] for p in shape.beta if p), default=0)
 
     def comp(p: Partition) -> Partition:
@@ -274,18 +274,15 @@ def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
     return SkewShapeTuple(beta, gamma)
 
 
-def d_stat(lam: ShapeTuple, n: int | None = None, k: int | None = None) -> int:
+def d_stat(lam: ShapeTuple) -> int:
     """Coinversion offset of the 180-degree rotation bijection.
 
     Can be negative (e.g. ((1,0),(0,0)) gives -1); the generating functions
     it shifts always carry a compensating power of t.
     """
     lam = check_shape_tuple(lam)
-    if k is None:
-        k = len(lam)
-    if n is None:
-        n = len(lam[0])
-    if k != len(lam) or any(len(p) != n for p in lam):
+    k, n = len(lam), len(lam[0])
+    if any(len(p) != n for p in lam):
         raise ValueError("d_stat needs a k-tuple of partitions with n parts each")
     count = 0
     for a in range(k):
@@ -297,14 +294,11 @@ def d_stat(lam: ShapeTuple, n: int | None = None, k: int | None = None) -> int:
     return _binom2(n) * _binom2(k) - count
 
 
-def dtilde_stat(lam: ShapeTuple, M: int, n: int | None = None, k: int | None = None) -> int:
+def dtilde_stat(lam: ShapeTuple, M: int) -> int:
     """Coinversion offset of the column-complement bijection (may be negative)."""
     lam = check_shape_tuple(lam)
-    if k is None:
-        k = len(lam)
-    if n is None:
-        n = len(lam[0])
-    if k != len(lam) or any(len(p) != n for p in lam):
+    k, n = len(lam), len(lam[0])
+    if any(len(p) != n for p in lam):
         raise ValueError("dtilde_stat needs a k-tuple of partitions with n parts each")
     check_fits_box(lam, M, n)
     size = sum(sum(p) for p in lam)
@@ -313,8 +307,3 @@ def dtilde_stat(lam: ShapeTuple, M: int, n: int | None = None, k: int | None = N
 
 def _binom2(m: int) -> int:
     return m * (m - 1) // 2
-
-
-def staircase(m: int) -> Partition:
-    """(m-1, ..., 1, 0)."""
-    return tuple(range(m - 1, -1, -1))

@@ -32,7 +32,6 @@ from .shapes import (
     SkewShapeTuple,
     check_fits_box,
     check_partition,
-    check_shape_tuple,
     complement,
     triples,
 )
@@ -314,26 +313,6 @@ def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
 # -- transformed Hall-Littlewood polynomials ----------------------------------
 
 
-def _weakly_decreasing_columns(height: int, n: int):
-    """All sequences of given height with entries in [n], decreasing upward."""
-    if height == 0:
-        return [()]
-    cols = []
-
-    def rec(prefix):
-        if len(prefix) == height:
-            cols.append(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else n
-        for v in range(1, hi + 1):
-            prefix.append(v)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return cols
-
-
 def hl_transformed(mu: Partition, n: int) -> LaurentPoly:
     """Transformed Hall-Littlewood polynomial H_mu(x_1..x_n; t).
 
@@ -347,7 +326,9 @@ def hl_transformed(mu: Partition, n: int) -> LaurentPoly:
     ncols = len(heights)
     vars = VarSet(nx=n)
     acc: dict[tuple, int] = {}
-    for cols in product(*[_weakly_decreasing_columns(h, n) for h in heights]):
+    # a column's entries in [n], weakly decreasing upward
+    columns = [combinations_with_replacement(range(n, 0, -1), h) for h in heights]
+    for cols in product(*columns):
         stat = 0
         for c1 in range(ncols):
             for c2 in range(c1 + 1, ncols):
@@ -420,8 +401,7 @@ def llt(shape: SkewShapeTuple | ShapeTuple, n: int, engine: str = "tableaux") ->
     engine: "tableaux", "lattice", or "both" (computes both and insists they
     agree before returning).
     """
-    if not isinstance(shape, SkewShapeTuple):
-        shape = SkewShapeTuple.straight(check_shape_tuple(shape))
+    shape = SkewShapeTuple.straight(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
     if engine == "tableaux":

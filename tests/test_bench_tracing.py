@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 from lltlattice import identities
-from lltlattice.algebra import LaurentPoly
+from lltlattice.algebra import LaurentPoly, VarSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from spans import Tracer  # noqa: E402
@@ -29,6 +29,10 @@ def test_tracer_installs_and_uninstalls():
         for owner, attr in PATCHED:
             assert vars(owner)[attr] is not before[owner, attr], attr
         assert identities.verify_cauchy(1, 2, 2).passed
+        # the Cauchy sums multiply no polynomials; one explicit product
+        # exercises the multiplication counter
+        x = LaurentPoly.x(VarSet(nx=1), 1)
+        assert (x + 1) * (x + 1) == LaurentPoly(x.vars, {(2, 0): 1, (1, 0): 2, (0, 0): 1})
     finally:
         tracer.uninstall()
     for owner, attr in PATCHED:

@@ -5,9 +5,8 @@ import pytest
 from lltlattice import identities
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import (
-    _as_skew,
-    _embed,
     _llt_cached,
+    _xy_sum,
     cauchy_kernel_truncated,
     partitions_fixed_length,
     random_skew_tuple,
@@ -24,7 +23,7 @@ from lltlattice.identities import (
     verify_skew_cauchy,
     verify_symmetry,
 )
-from lltlattice.shapes import SkewShapeTuple, d_stat, triples
+from lltlattice.shapes import SkewShapeTuple, d_stat, rotate, triples
 from lltlattice.tableaux import llt
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
@@ -160,6 +159,45 @@ def test_cauchy_kernel_k_zero_is_one():
     assert cauchy_kernel_truncated(2, 0, 4) == LaurentPoly.one(VarSet(2, 2, True))
 
 
+def _reference_embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
+    """Re-house an n-variable polynomial in the (x, y, t) ring."""
+    n = p.vars.nx
+    terms = {}
+    for e, c in p.terms.items():
+        exps = [0] * big.total
+        for i in range(n):
+            exps[big.y_index(i + 1) if into_y else big.x_index(i + 1)] = e[i]
+        exps[big.t_index] = e[-1]
+        terms[tuple(exps)] = c
+    return LaurentPoly(big, terms)
+
+
+@pytest.mark.parametrize("n, k, D", [(1, 1, 3), (1, 3, 2), (2, 2, 2), (3, 1, 2), (2, 2, 0)])
+def test_xy_sum_matches_embedded_products(n, k, D):
+    big = VarSet(nx=n, ny=n)
+    summands = []
+    expected = LaurentPoly.zero(big)
+    for i, lam in enumerate(shape_tuples_bounded(k, n, D)):
+        P = llt(SkewShapeTuple.straight(lam), n)
+        Q = llt(rotate(lam), n) if i % 2 else P
+        a = d_stat(lam) - i     # negative and positive shifts both
+        summands.append((a, P, Q))
+        expected = expected + LaurentPoly.t(big, a) * _reference_embed(
+            P, big, False
+        ) * _reference_embed(Q, big, True)
+    assert _xy_sum(n, summands) == expected
+    assert _xy_sum(n, []) == LaurentPoly.zero(big)
+
+
+def test_cauchy_multiplies_no_polynomials(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("verify_cauchy multiplied two polynomials")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    assert verify_cauchy(3, 2, 3).passed
+
+
 @pytest.mark.parametrize("nkD", [(1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)])
 def test_cauchy_parameter_grid(nkD):
     n, k, D = nkD
@@ -178,21 +216,21 @@ def test_skew_cauchy_kernel_cut_matches_truncated_product(nkD):
     # base is homogeneous of x-degree |mu|, so cutting the kernel at D - |mu|
     # forms exactly the terms that truncating the full product at D keeps
     n, k, D = nkD
-    big = VarSet(nx=n, ny=n)
     for mu in shape_tuples_bounded(k, n, D):
-        base = LaurentPoly.t(big, d_stat(mu)) * _embed(llt(_as_skew(mu), n), big, False)
-        full = (base * cauchy_kernel_truncated(n, k, D, big)).truncate_x(D)
+        L_mu = llt(mu, n)
+        base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
+        full = (base * cauchy_kernel_truncated(n, k, D)).truncate_x(D)
         size = sum(map(sum, mu))
-        assert base * cauchy_kernel_truncated(n, k, D - size, big) == full
+        assert base * cauchy_kernel_truncated(n, k, D - size) == full
 
 
 def test_skew_cauchy_cuts_kernel_at_remaining_degree(monkeypatch):
     degrees = []
     kernel = identities.cauchy_kernel_truncated
 
-    def spy(n, k, D, vars=None):
+    def spy(n, k, D):
         degrees.append(D)
-        return kernel(n, k, D, vars)
+        return kernel(n, k, D)
 
     monkeypatch.setattr(identities, "cauchy_kernel_truncated", spy)
     assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
@@ -226,6 +264,15 @@ def test_fail_reports_witness():
 def test_partition_enumeration_helpers():
     ps = partitions_fixed_length(2, 2)
     assert set(ps) == {(0, 0), (1, 0), (1, 1), (2, 0)}
+    # lexicographically decreasing: shape_tuples_bounded, and with it every
+    # Cauchy sum and the rotated driver's pair order, follow this order
+    assert ps == [(2, 0), (1, 1), (1, 0), (0, 0)]
+    assert partitions_fixed_length(3, 3) == [
+        (3, 0, 0), (2, 1, 0), (2, 0, 0), (1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)
+    ]
+    assert partitions_fixed_length(0, 2) == [()]
+    assert partitions_fixed_length(2, 0) == [(0, 0)]
+    assert shape_tuples_bounded(2, 1, 1) == [((1,), (0,)), ((0,), (1,)), ((0,), (0,))]
     tuples = shape_tuples_bounded(2, 1, 2)
     assert ((2,), (0,)) in tuples and ((1,), (1,)) in tuples
     assert all(sum(sum(p) for p in t) <= 2 for t in tuples)

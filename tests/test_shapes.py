@@ -178,6 +178,27 @@ def test_rotate_involution():
         assert rotate(rotate(lam)) == straight
 
 
+def test_straight_is_the_one_coercion():
+    shape = SkewShapeTuple.straight([[2, 1], [1, 1]])
+    assert shape == SkewShapeTuple(((2, 1), (1, 1)), ((0, 0), (0, 0)))
+    assert SkewShapeTuple.straight(shape) is shape
+    assert SkewShapeTuple.straight(WORKED_SKEW) is WORKED_SKEW
+    assert rotate(rotate(WORKED_SKEW)) == WORKED_SKEW
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((), "^shape tuple must have at least one component$"),
+    (((1, 2),), r"^parts not weakly decreasing: \(1, 2\)$"),
+    (((1, -1),), r"^negative part in \(1, -1\)$"),
+])
+def test_straight_rejects_bad_input(bad, message):
+    from lltlattice.tableaux import llt
+
+    for coerce in (SkewShapeTuple.straight, rotate, lambda s: llt(s, 2)):
+        with pytest.raises(ValueError, match=message):
+            coerce(bad)
+
+
 def test_d_stat_values():
     assert d_stat(((0, 0), (0, 0))) == 0
     assert d_stat(((2, 1),)) == 0  # k = 1
@@ -187,8 +208,12 @@ def test_d_stat_values():
 
 
 def test_d_stat_rejects_ragged():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d_stat needs a k-tuple of partitions with n parts each$"):
         d_stat(((1, 0), (1,)))
+    with pytest.raises(
+        ValueError, match="^dtilde_stat needs a k-tuple of partitions with n parts each$"
+    ):
+        dtilde_stat(((1, 0), (1,)), 4)
 
 
 def test_dtilde_values():
