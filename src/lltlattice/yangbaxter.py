@@ -231,32 +231,35 @@ def _contract_sides(k: int, lx_rows, ly_rows, r_rows, to_value):
 
     Returns (gauche, droite): maps from (I1,I2,I3,J1,J2,J3) to values, zero
     entries dropped.  ``to_value`` turns a symbolic weight into the working
-    value (identity for symbolic runs, evaluation for numeric ones).
+    value (identity for symbolic runs, evaluation for numeric ones); it is
+    applied once to every table entry, before the contraction.
     """
+    lx, ly, rr = (
+        {pair: {out: to_value(w) for out, w in outs.items()} for pair, outs in rows.items()}
+        for rows in (lx_rows, ly_rows, r_rows)
+    )
     size = 1 << k
     gauche: dict = {}
-    for (I2, I1), outs in r_rows.items():
-        for (K2, K1), rw in outs.items():
-            rv = to_value(rw)
+    for (I2, I1), outs in rr.items():
+        for (K2, K1), rv in outs.items():
             for I3 in range(size):
-                for (K3, J1), lw in lx_rows.get((I3, K1), {}).items():
-                    lv = to_value(lw)
-                    for (J3, J2), lyw in ly_rows.get((K3, K2), {}).items():
+                for (K3, J1), lv in lx.get((I3, K1), {}).items():
+                    rl = rv * lv
+                    for (J3, J2), lyv in ly.get((K3, K2), {}).items():
                         key = (I1, I2, I3, J1, J2, J3)
-                        val = rv * lv * to_value(lyw)
+                        val = rl * lyv
                         if key in gauche:
                             val = gauche[key] + val
                         gauche[key] = val
     droite: dict = {}
-    for (I3, I2), outs in ly_rows.items():
-        for (L3, L2), lyw in outs.items():
-            lyv = to_value(lyw)
+    for (I3, I2), outs in ly.items():
+        for (L3, L2), lyv in outs.items():
             for I1 in range(size):
-                for (J3, L1), lw in lx_rows.get((L3, I1), {}).items():
-                    lv = to_value(lw)
-                    for (J2, J1), rw in r_rows.get((L2, L1), {}).items():
+                for (J3, L1), lv in lx.get((L3, I1), {}).items():
+                    yl = lyv * lv
+                    for (J2, J1), rv in rr.get((L2, L1), {}).items():
                         key = (I1, I2, I3, J1, J2, J3)
-                        val = lyv * lv * to_value(rw)
+                        val = yl * rv
                         if key in droite:
                             val = droite[key] + val
                         droite[key] = val

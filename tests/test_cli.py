@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,18 @@ def test_verify_default_output_golden(identity, capsys):
     assert cli.main(["verify", identity]) == 0
     out = capsys.readouterr().out
     assert out == DEFAULT_VERIFY_LINES[identity] + "\nsummary: 1/1 passed\n"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "txt"), ("json", "jsonl")])
+def test_verify_all_quick_output_golden(fmt, golden, capsys):
+    # the quick suite runs numeric YBE at k = 3, which no single-identity
+    # golden above reaches
+    assert cli.main(["verify", "all", "--quick", "--seed", "5", "--format", fmt]) == 0
+    expected = (GOLDEN / f"verify_all_quick_seed5.{golden}").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def _identity_choices():

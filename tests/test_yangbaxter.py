@@ -1,11 +1,20 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from lltlattice import cli, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
     YBE_VARS,
+    _contract_sides,
+    _l_entry_rows,
+    _lstar_entry_rows,
+    _one_boundary,
+    _r_entry_rows,
+    _sample_point,
     ef_weight,
     l_recursive,
     lstar_ybe_check,
@@ -80,8 +89,6 @@ def test_r_weight_zero_cases():
 def test_r_weight_factorizes_over_colors():
     # the total weight is the product of the per-color table entries with
     # their delta shifts
-    import itertools
-
     for combo in itertools.product(range(5), repeat=3):
         states = [_RSTATES[c] for c in combo]
         I = tuple(s[0] for s in states)
@@ -210,23 +217,49 @@ def test_ybe_numeric_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def _tables(k, starred):
+    lx = _lstar_entry_rows(k) if starred else _l_entry_rows(k, "x")
+    return lx, _l_entry_rows(k, "y"), _r_entry_rows(k, barred_x=starred)
+
+
 def test_ybe_gauche_matches_sparse_contraction():
     # the per-boundary sum and the bulk contraction are independent routes
-    from lltlattice.yangbaxter import _contract_sides, _l_entry_rows, _r_entry_rows
+    zero = LaurentPoly.zero(YBE_VARS)
+    for k, starred in itertools.product((1, 2), (False, True)):
+        g, d = _contract_sides(k, *_tables(k, starred), lambda w: w)
+        for boundary in itertools.product(range(1 << k), repeat=6):
+            gauche, droite = _one_boundary(k, boundary, starred)
+            assert gauche == g.get(boundary, zero), (k, starred, boundary)
+            assert droite == d.get(boundary, zero), (k, starred, boundary)
 
-    k = 2
-    g, d = _contract_sides(
-        k, _l_entry_rows(k, "x"), _l_entry_rows(k, "y"), _r_entry_rows(k), lambda w: w
-    )
-    import random
 
-    rng = random.Random(2)
-    for _ in range(25):
-        boundary = tuple(rng.randrange(4) for _ in range(6))
-        expected = g.get(boundary, LaurentPoly.zero(YBE_VARS))
-        assert ybe_gauche(k, boundary) == expected
-        expected_d = d.get(boundary, LaurentPoly.zero(YBE_VARS))
-        assert ybe_droite(k, boundary) == expected_d
+@pytest.mark.parametrize("starred", [False, True])
+@pytest.mark.parametrize("k, entries", [(1, 15), (2, 75), (3, 375)])
+def test_contraction_converts_each_weight_once(k, entries, starred):
+    tables = _tables(k, starred)
+    assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
+    calls = []
+
+    def to_value(w):
+        calls.append(w)
+        return w
+
+    _contract_sides(k, *tables, to_value)
+    assert len(calls) == entries
+
+
+@pytest.mark.parametrize("starred", [False, True])
+@pytest.mark.parametrize("k", [1, 2])
+def test_numeric_contraction_evaluates_symbolic_one(k, starred):
+    tables = _tables(k, starred)
+    symbolic = _contract_sides(k, *tables, lambda w: w)
+    for s in range(3):
+        point = _sample_point(random.Random(s))
+        numeric = _contract_sides(k, *tables, lambda w: w.eval_rational(point))
+        for num, sym in zip(numeric, symbolic):
+            for key in set(num) | set(sym):
+                expected = sym[key].eval_rational(point) if key in sym else 0
+                assert num.get(key, 0) == expected, (point, key)
 
 
 # -- the gray-face variant -------------------------------------------------------
@@ -240,8 +273,6 @@ def test_lstar_all_zero_boundary():
 
 
 def _lstar_sides(k, boundary):
-    from lltlattice.yangbaxter import _one_boundary
-
     return _one_boundary(k, boundary, starred=True)
 
 
@@ -252,8 +283,6 @@ def test_lstar_ybe_symbolic():
 
 def test_lstar_side_is_substituted_plain_side():
     # gray side = x^k t^C(k,2) times the plain side at x -> 1/(x t^(k-1))
-    import random
-
     k = 2
     xbar = {0: (1, (-1, 0, -(k - 1)))}
     scale = mono(k, 0, k * (k - 1) // 2)
@@ -282,12 +311,61 @@ def test_lstar_weight_consistency():
 
 
 def test_numeric_point_constraints():
-    import random
-
-    from lltlattice.yangbaxter import _sample_point
-
     rng = random.Random(11)
     for _ in range(50):
         x, y, t = _sample_point(rng)
         assert x != 0 and y != 0 and x != y
         assert t not in (Fraction(0), Fraction(1))
+
+
+# -- a wrong crossing weight is reported -------------------------------------------
+
+
+@pytest.fixture
+def doubled_r_entry(monkeypatch):
+    """Double the one crossing weight of row (I, J) = (1, 0) at k = 2."""
+    original = yangbaxter._r_entry_rows
+
+    def broken(k, barred_x=False):
+        rows = original(k, barred_x)
+        if k != 2:
+            return rows
+        ((out, w),) = rows[(1, 0)].items()
+        return {**rows, (1, 0): {out: w + w}}
+
+    monkeypatch.setattr(yangbaxter, "_r_entry_rows", broken)
+
+
+_FIRST_BOUNDARY = {
+    "I1": [0, 0], "I2": [0, 0], "I3": [1, 0], "J1": [1, 0], "J2": [0, 0], "J3": [0, 0]
+}
+_POINT = {"x": "2/5", "y": "3", "t": "7/10"}
+
+
+@pytest.mark.parametrize(
+    "check, mode, failed, gauche, droite",
+    [
+        (ybe_check, "symbolic", 26, "x1", "x1 + y1"),
+        (ybe_check, "numeric", 52, "2/5", "17/5"),
+        (lstar_ybe_check, "symbolic", 26, "x1", "x1^2*y1*t + x1"),
+        (lstar_ybe_check, "numeric", 52, "2/5", "92/125"),
+    ],
+)
+def test_ybe_reports_first_failure(doubled_r_entry, check, mode, failed, gauche, droite):
+    rep = check(2, mode=mode, seed=3, trials=2)
+    assert rep.status == "FAIL" and rep.failed == failed
+    expected = {"boundary": _FIRST_BOUNDARY, "gauche": gauche, "droite": droite}
+    if mode == "numeric":
+        expected["point"] = _POINT
+    assert rep.first_failure == expected
+
+
+def test_ybe_failure_exit_1(doubled_r_entry, capsys):
+    assert cli.main(["verify", "ybe"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "FAIL ybe k=2 mode=symbolic checked=4096 failed=26",
+        '  first failure: {"boundary": {"I1": [0, 0], "I2": [0, 0], "I3": [1, 0], '
+        '"J1": [1, 0], "J2": [0, 0], "J3": [0, 0]}, "droite": "x1 + y1", "gauche": "x1"}',
+        "summary: 0/1 passed",
+    ]
