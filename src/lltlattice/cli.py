@@ -80,6 +80,13 @@ def _parse_shape(args) -> SkewShapeTuple:
     return SkewShapeTuple.straight(beta)
 
 
+def _engine_mismatch(exc: EngineMismatch) -> int:
+    print("engine mismatch:", file=sys.stderr)
+    print(f"  tableaux: {exc.tableaux_value.serialize()}", file=sys.stderr)
+    print(f"  lattice:  {exc.lattice_value.serialize()}", file=sys.stderr)
+    return 3
+
+
 def cmd_compute(args) -> int:
     try:
         poly = llt(_parse_shape(args), args.n, engine=args.engine)
@@ -87,10 +94,7 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineMismatch as exc:
-        print("engine mismatch:", file=sys.stderr)
-        print(f"  tableaux: {exc.tableaux_value.serialize()}", file=sys.stderr)
-        print(f"  lattice:  {exc.lattice_value.serialize()}", file=sys.stderr)
-        return 3
+        return _engine_mismatch(exc)
     if args.format == "json":
         print(poly.serialize())
     else:
@@ -307,7 +311,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = _run_cases(cases, int(workers))
+    try:
+        reports = _run_cases(cases, int(workers))
+    except EngineMismatch as exc:
+        return _engine_mismatch(exc)
     for report in reports:
         _emit_report(report, args.format)
     n_failed = sum(0 if r.passed else 1 for r in reports)

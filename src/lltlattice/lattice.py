@@ -45,10 +45,6 @@ def masks(*labels) -> tuple[int, ...]:
     return tuple(v if isinstance(v, int) else mask_of(v) for v in labels)
 
 
-def bits_of(mask: int, k: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(k))
-
-
 def _t_exponent(present: int, L: int) -> int:
     """Sum over colors i leaving right of the colors larger than i present."""
     texp = 0
@@ -323,37 +319,6 @@ class LatticeConfig:
         vars = VarSet(nx=self.spec.n)
         xexps, texp = self.weight_exponents()
         return LaurentPoly.monomial(vars, 1, tuple(xexps) + (texp,))
-
-    def to_json_dict(self) -> dict:
-        k = self.spec.k
-        return {
-            "k": k,
-            "n": self.spec.n,
-            "columns": [self.spec.r + c for c in range(self.spec.ncols)],
-            "verticals": [[list(bits_of(m, k)) for m in level] for level in self.verticals],
-            "horizontals": [[list(bits_of(m, k)) for m in row] for row in self.horizontals],
-        }
-
-    def ascii_art(self) -> str:
-        """Rows top to bottom; vertical edges as color digits, faces as dots."""
-        spec = self.spec
-        lines = []
-
-        def vline(level):
-            cells = []
-            for m in self.verticals[level]:
-                cells.append("".join(str(i + 1) for i in range(spec.k) if (m >> i) & 1) or ".")
-            return "  " + "  ".join(f"{c:>3}" for c in cells)
-
-        lines.append(vline(spec.n))
-        for row in range(spec.n, 0, -1):
-            hrow = self.horizontals[row - 1]
-            segs = []
-            for c in range(spec.ncols + 1):
-                segs.append("".join(str(i + 1) for i in range(spec.k) if (hrow[c] >> i) & 1) or "-")
-            lines.append(" " + "--".join(f"{s:>3}" for s in segs))
-            lines.append(vline(row - 1))
-        return "\n".join(lines)
 
 
 def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:

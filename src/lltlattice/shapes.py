@@ -92,21 +92,6 @@ def parse_shape_text(text: str) -> ShapeTuple:
     return check_shape_tuple(tuple(tuple(int(v) for v in c.split(",")) for c in comps))
 
 
-def shape_to_json_dict(shape: SkewShapeTuple) -> dict:
-    return {
-        "beta": [list(p) for p in shape.beta],
-        "gamma": [list(p) for p in shape.gamma],
-    }
-
-
-def shape_from_json_dict(data: dict) -> SkewShapeTuple:
-    """JSON mirror of the text format; gamma defaults to all zeros."""
-    beta = tuple(tuple(int(v) for v in p) for p in data["beta"])
-    if data.get("gamma") is not None:
-        return SkewShapeTuple(beta, tuple(tuple(int(v) for v in p) for p in data["gamma"]))
-    return SkewShapeTuple.straight(beta)
-
-
 # -- boundary data for the lattice ------------------------------------------
 
 

@@ -113,49 +113,32 @@ def ef_weight(kind: str, picture) -> LaurentPoly:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _shift_x_to_xt(p: LaurentPoly) -> LaurentPoly:
-    """Substitute x -> x*t."""
-    return p.substitute({_X: (1, (1, 0, 1))})
+# picture -> (its nonzero single-color factor, whether the smaller colors see
+# x -> xt): on faces E keeps x and F shifts it, on crossings Etilde shifts x
+# and Ftilde keeps it.
+_BRANCHES = {
+    "L": {_L_PICTURES[0]: (ef_weight("E", _L_PICTURES[0]), False)}
+    | {pic: (ef_weight("F", pic), True) for pic in _L_PICTURES[1:]},
+    "R": {_R_PICTURES[0]: (ef_weight("Etilde", _R_PICTURES[0]), True)}
+    | {pic: (ef_weight("Ftilde", pic), False) for pic in _R_PICTURES[1:]},
+}
 
 
 @lru_cache(maxsize=None)
-def _recursive_l_table(k: int) -> dict:
-    """All nonzero k-color face weights built by the one-color-at-a-time rule."""
+def _recursive_table(k: int, kind: str) -> dict:
+    """All nonzero k-color face ("L") or crossing ("R") weights, built by the
+    one-color-at-a-time rule: the new color k follows one single-color
+    picture and the colors below it see x or xt."""
     if k == 0:
         return {(0, 0, 0, 0): _one()}
-    prev = _recursive_l_table(k - 1)
     bit = 1 << (k - 1)
     out: dict = {}
-    f_weights = {pic: ef_weight("F", pic) for pic in _L_PICTURES[1:]}
-    for (I, J, K, L), w in prev.items():
-        out[(I, J, K, L)] = w  # E branch: the new color is absent
-        wt = _shift_x_to_xt(w)
-        for (i, j, kk, l), f in f_weights.items():
+    for (I, J, K, L), w in _recursive_table(k - 1, kind).items():
+        shifted = w.substitute({_X: (1, (1, 0, 1))})
+        for (i, j, kk, l), (f, shift) in _BRANCHES[kind].items():
             key = (I | (bit * i), J | (bit * j), K | (bit * kk), L | (bit * l))
-            out[key] = wt * f
+            out[key] = (shifted if shift else w) * f
     return out
-
-
-@lru_cache(maxsize=None)
-def _recursive_r_table(k: int) -> dict:
-    if k == 0:
-        return {(0, 0, 0, 0): _one()}
-    prev = _recursive_r_table(k - 1)
-    bit = 1 << (k - 1)
-    etilde = ef_weight("Etilde", _R_PICTURES[0])
-    ftilde_weights = {pic: ef_weight("Ftilde", pic) for pic in _R_PICTURES[1:]}
-    out: dict = {}
-    for (I, J, K, L), w in prev.items():
-        # Etilde branch: new color in type 1, smaller colors at spectral y/(xt)
-        key1 = (I, J | bit, K, L | bit)
-        out[key1] = _shift_x_to_xt(w) * etilde
-        for (i, j, kk, l), f in ftilde_weights.items():
-            key = (I | (bit * i), J | (bit * j), K | (bit * kk), L | (bit * l))
-            val = w * f
-            if key in out:
-                val = out[key] + val
-            out[key] = val
-    return {key: w for key, w in out.items() if not w.is_zero()}
 
 
 def _table_oracle(table: dict):
@@ -167,11 +150,11 @@ def _table_oracle(table: dict):
 
 def l_recursive(k: int):
     """Face-weight oracle for k colors built from the tensor recursion."""
-    return _table_oracle(_recursive_l_table(k))
+    return _table_oracle(_recursive_table(k, "L"))
 
 
 def r_recursive(k: int):
-    return _table_oracle(_recursive_r_table(k))
+    return _table_oracle(_recursive_table(k, "R"))
 
 
 # -- both sides of the intertwining equation -----------------------------------
@@ -202,28 +185,22 @@ def _entry_rows(k: int, pictures, weight) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _l_entry_rows(k: int, spectral: str) -> dict:
-    """Nonzero plain face weights on the x or the y line."""
-    slot = _X if spectral == "x" else _Y
-    return _entry_rows(k, _L_PICTURES, lambda *face: l_weight(*face, YBE_VARS, slot))
-
-
-@lru_cache(maxsize=None)
-def _lstar_entry_rows(k: int) -> dict:
-    return _entry_rows(k, _L_PICTURES, lambda *face: lstar_weight(*face, YBE_VARS))
-
-
-@lru_cache(maxsize=None)
-def _r_entry_rows(k: int, barred_x: bool = False) -> dict:
-    """Nonzero crossing weights; with barred_x the x line carries
+def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
+    """Entry rows of the x-line face, the y-line face and the crossing.
+    Starred, the x-line face is gray and the crossing's x line carries
     1/(x t^(k-1))."""
+    face = lstar_weight if starred else l_weight
     xbar = {_X: (1, (-1, 0, -(k - 1)))}
 
-    def weight(*crossing) -> LaurentPoly:
-        w = r_weight(*crossing)
-        return w.substitute(xbar) if barred_x else w
+    def crossing(*labels) -> LaurentPoly:
+        w = r_weight(*labels)
+        return w.substitute(xbar) if starred else w
 
-    return _entry_rows(k, _R_PICTURES, weight)
+    return (
+        _entry_rows(k, _L_PICTURES, lambda *labels: face(*labels, YBE_VARS, _X)),
+        _entry_rows(k, _L_PICTURES, lambda *labels: l_weight(*labels, YBE_VARS, _Y)),
+        _entry_rows(k, _R_PICTURES, crossing),
+    )
 
 
 def _contract_sides(k: int, lx_rows, ly_rows, r_rows, to_value):
@@ -268,37 +245,18 @@ def _contract_sides(k: int, lx_rows, ly_rows, r_rows, to_value):
     return gauche, droite
 
 
+@lru_cache(maxsize=None)
+def _symbolic_sides(k: int) -> tuple[dict, dict]:
+    return _contract_sides(k, *_tables(k, False), lambda w: w)
+
+
 def ybe_gauche(k: int, boundary) -> LaurentPoly:
     """Left side of the intertwining sum for one boundary, symbolically."""
-    return _one_boundary(k, boundary, starred=False)[0]
+    return _symbolic_sides(k)[0].get(masks(*boundary), _zero())
 
 
 def ybe_droite(k: int, boundary) -> LaurentPoly:
-    return _one_boundary(k, boundary, starred=False)[1]
-
-
-def _one_boundary(k: int, boundary, starred: bool):
-    I1, I2, I3, J1, J2, J3 = masks(*boundary)
-    lx = _lstar_entry_rows(k) if starred else _l_entry_rows(k, "x")
-    ly = _l_entry_rows(k, "y")
-    rr = _r_entry_rows(k, barred_x=starred)
-    g = _zero()
-    for (K2, K1), rw in rr.get((I2, I1), {}).items():
-        for (K3, J1p), lw in lx.get((I3, K1), {}).items():
-            if J1p != J1:
-                continue
-            lyw = ly.get((K3, K2), {}).get((J3, J2))
-            if lyw is not None:
-                g = g + rw * lw * lyw
-    d = _zero()
-    for (L3, L2), lyw in ly.get((I3, I2), {}).items():
-        for (J3p, L1), lw in lx.get((L3, I1), {}).items():
-            if J3p != J3:
-                continue
-            rw = rr.get((L2, L1), {}).get((J2, J1))
-            if rw is not None:
-                d = d + lyw * lw * rw
-    return g, d
+    return _symbolic_sides(k)[1].get(masks(*boundary), _zero())
 
 
 @dataclass
@@ -367,12 +325,10 @@ def _compare_sides(k: int, gauche: dict, droite: dict, describe):
 
 
 def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bool) -> YbeReport:
-    lx = _lstar_entry_rows(k) if starred else _l_entry_rows(k, "x")
-    ly = _l_entry_rows(k, "y")
-    rr = _r_entry_rows(k, barred_x=starred)
+    tables = _tables(k, starred)
     checked = 1 << (6 * k)
     if mode == "symbolic":
-        gauche, droite = _contract_sides(k, lx, ly, rr, lambda w: w)
+        gauche, droite = _contract_sides(k, *tables, lambda w: w)
         failed, first = _compare_sides(
             k, gauche, droite, lambda v: "0" if v is None else v.to_text()
         )
@@ -385,7 +341,7 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
     points = [_sample_point(rng) for _ in range(trials)]
     for point in points:
         gauche, droite = _contract_sides(
-            k, lx, ly, rr, lambda w: w.eval_rational(point)
+            k, *tables, lambda w: w.eval_rational(point)
         )
         failed, f = _compare_sides(
             k, gauche, droite, lambda v: "0" if v is None else str(v)

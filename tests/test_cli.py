@@ -262,6 +262,22 @@ def test_compute_engine_mismatch_exit_3(monkeypatch, capsys):
     assert captured.err.startswith("engine mismatch:\n  tableaux: ")
 
 
+def test_verify_engine_mismatch_exit_3(monkeypatch, capsys):
+    def mismatch(shape, n, engine):
+        one = LaurentPoly.one(VarSet(nx=n))
+        raise EngineMismatch(shape, n, one, one + one)
+
+    monkeypatch.setattr(cli, "llt", mismatch)
+    assert cli.main(["compute", "--beta", "1;1", "--n", "2"]) == 3
+    compute_err = capsys.readouterr().err
+    monkeypatch.setattr(identities, "llt", mismatch)
+    assert cli.main(["verify", "symmetry", "--engine", "both"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == compute_err
+    assert captured.err.startswith("engine mismatch:\n  tableaux: ")
+
+
 def test_verify_pool_is_clamped(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")

@@ -1,6 +1,8 @@
-"""Every module-level import in the package's modules is used by the module."""
+"""Every module-level import in the package's modules is used by the module,
+and every private module-level function or class is used by the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,44 @@ def test_no_unused_module_imports(path):
 def test_guard_sees_an_unused_import():
     source = "from .shapes import check_partition, check_shape_tuple\ncheck_partition(())\n"
     assert _unused_imports(source) == ["line 1: check_shape_tuple"]
+
+
+def _references(node) -> Counter:
+    """Names that Name, Attribute and import-alias nodes under node refer to."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            refs[sub.name] += 1
+    return refs
+
+
+def _dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes that nothing outside their
+    own definition refers to."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and refs[node.name] == _references(node)[node.name]
+    ]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert _dead_helpers(sources) == []
+
+
+def test_guard_sees_a_dead_helper():
+    sources = {
+        "a.py": "def _used():\n    return _used()\n\ndef _dead(n):\n    return _dead(n - 1)\n",
+        "b.py": "from .a import _used\n",
+    }
+    assert _dead_helpers(sources) == ["a.py: _dead"]

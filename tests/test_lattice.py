@@ -372,12 +372,3 @@ def test_rotate_config_rejects_non_box():
     config = enumerate_configs(spec)[0]
     with pytest.raises(ValueError):
         rotate_config(config)
-
-
-def test_config_json_and_art():
-    config = enumerate_configs(build_lattice(FIRST, 2))[0]
-    data = config.to_json_dict()
-    assert data["k"] == 2 and data["n"] == 2
-    assert len(data["verticals"]) == 3
-    art = config.ascii_art()
-    assert isinstance(art, str) and art.count("\n") == 4

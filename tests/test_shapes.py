@@ -235,16 +235,6 @@ def test_d_stat_invariant_under_complement():
         assert d_stat(comp) == d_stat(lam)
 
 
-def test_shape_json_mirror():
-    from lltlattice.shapes import shape_from_json_dict, shape_to_json_dict
-
-    data = shape_to_json_dict(WORKED_SKEW)
-    assert data == {"beta": [[3, 3], [3, 1]], "gamma": [[2, 1], [1, 0]]}
-    assert shape_from_json_dict(data) == WORKED_SKEW
-    straight = shape_from_json_dict({"beta": [[2, 1]]})
-    assert straight.gamma == ((0, 0),)
-
-
 def test_box_width_rule_is_shared():
     from lltlattice.lattice import build_box_lattice
     from lltlattice.tableaux import TableauTuple, complement_bijection

@@ -10,11 +10,9 @@ from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
     YBE_VARS,
     _contract_sides,
-    _l_entry_rows,
-    _lstar_entry_rows,
-    _one_boundary,
-    _r_entry_rows,
+    _recursive_table,
     _sample_point,
+    _tables,
     ef_weight,
     l_recursive,
     lstar_ybe_check,
@@ -123,6 +121,11 @@ def test_ef_weight_tables():
         ef_weight("Qtilde", (0, 0, 0, 0))
 
 
+def _nonzero_closed_form(k, closed_form):
+    labels = itertools.product(range(1 << k), repeat=4)
+    return {label for label in labels if not closed_form(k, *label).is_zero()}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_l_recursion_matches_closed_form(k):
     weight = l_recursive(k)
@@ -132,6 +135,11 @@ def test_l_recursion_matches_closed_form(k):
             for K in range(size):
                 for L in range(size):
                     assert weight(I, J, K, L) == l_weight(k, I, J, K, L, YBE_VARS)
+    # the oracle reads a missing key as zero; the table itself stores none
+    table = _recursive_table(k, "L")
+    assert not any(w.is_zero() for w in table.values())
+    closed_form = lambda *face: l_weight(*face, YBE_VARS)
+    assert set(table) == _nonzero_closed_form(k, closed_form)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -143,6 +151,9 @@ def test_r_recursion_matches_closed_form(k):
             for K in range(size):
                 for L in range(size):
                     assert weight(I, J, K, L) == r_weight(k, I, J, K, L)
+    table = _recursive_table(k, "R")
+    assert not any(w.is_zero() for w in table.values())
+    assert set(table) == _nonzero_closed_form(k, r_weight)
 
 
 def test_recursion_base_case():
@@ -217,9 +228,24 @@ def test_ybe_numeric_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def _tables(k, starred):
-    lx = _lstar_entry_rows(k) if starred else _l_entry_rows(k, "x")
-    return lx, _l_entry_rows(k, "y"), _r_entry_rows(k, barred_x=starred)
+def _one_boundary(k, boundary, starred):
+    """Both sides for one boundary, summed face by face: the reference the
+    bulk contraction is checked against."""
+    I1, I2, I3, J1, J2, J3 = boundary
+    lx, ly, rr = _tables(k, starred)
+    g = LaurentPoly.zero(YBE_VARS)
+    for (K2, K1), rw in rr[(I2, I1)].items():
+        for (K3, J1p), lw in lx[(I3, K1)].items():
+            lyw = ly[(K3, K2)].get((J3, J2))
+            if J1p == J1 and lyw is not None:
+                g = g + rw * lw * lyw
+    d = LaurentPoly.zero(YBE_VARS)
+    for (L3, L2), lyw in ly[(I3, I2)].items():
+        for (J3p, L1), lw in lx[(L3, I1)].items():
+            rw = rr[(L2, L1)].get((J2, J1))
+            if J3p == J3 and rw is not None:
+                d = d + lyw * lw * rw
+    return g, d
 
 
 def test_ybe_gauche_matches_sparse_contraction():
@@ -231,6 +257,9 @@ def test_ybe_gauche_matches_sparse_contraction():
             gauche, droite = _one_boundary(k, boundary, starred)
             assert gauche == g.get(boundary, zero), (k, starred, boundary)
             assert droite == d.get(boundary, zero), (k, starred, boundary)
+            if not starred:
+                assert ybe_gauche(k, boundary) == gauche, (k, boundary)
+                assert ybe_droite(k, boundary) == droite, (k, boundary)
 
 
 @pytest.mark.parametrize("starred", [False, True])
@@ -324,16 +353,16 @@ def test_numeric_point_constraints():
 @pytest.fixture
 def doubled_r_entry(monkeypatch):
     """Double the one crossing weight of row (I, J) = (1, 0) at k = 2."""
-    original = yangbaxter._r_entry_rows
+    original = yangbaxter._tables
 
-    def broken(k, barred_x=False):
-        rows = original(k, barred_x)
+    def broken(k, starred):
+        lx, ly, rr = original(k, starred)
         if k != 2:
-            return rows
-        ((out, w),) = rows[(1, 0)].items()
-        return {**rows, (1, 0): {out: w + w}}
+            return lx, ly, rr
+        ((out, w),) = rr[(1, 0)].items()
+        return lx, ly, {**rr, (1, 0): {out: w + w}}
 
-    monkeypatch.setattr(yangbaxter, "_r_entry_rows", broken)
+    monkeypatch.setattr(yangbaxter, "_tables", broken)
 
 
 _FIRST_BOUNDARY = {
