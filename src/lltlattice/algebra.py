@@ -66,6 +66,8 @@ class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.
 
     ``terms`` maps exponent tuples (length ``vars.total``) to nonzero ints.
+    The constructor is the one place zero coefficients are dropped: every
+    operation accumulates its terms and builds its result through it.
     Instances are treated as immutable; do not mutate ``terms`` after
     construction.
     """
@@ -159,11 +161,7 @@ class LaurentPoly:
         self._check_same_vars(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            c = out.get(exps, 0) + coeff
-            if c:
-                out[exps] = c
-            elif exps in out:
-                del out[exps]
+            out[exps] = out.get(exps, 0) + coeff
         return LaurentPoly(self.vars, out)
 
     __radd__ = __add__
@@ -197,11 +195,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -256,11 +250,7 @@ class LaurentPoly:
                     if se:
                         new[idx] += se * power
             key = tuple(new)
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.vars, out)
 
     def invert_t(self) -> "LaurentPoly":
@@ -373,9 +363,5 @@ def poly_sum(vars: VarSet, polys: Iterable[LaurentPoly]) -> LaurentPoly:
     acc: dict = {}
     for p in polys:
         for e, c in p.terms.items():
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            elif e in acc:
-                del acc[e]
+            acc[e] = acc.get(e, 0) + c
     return LaurentPoly(vars, acc)

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import identities, yangbaxter
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, VarSet
 from .shapes import (
     SkewShapeTuple,
     bandwidth,
@@ -44,32 +44,16 @@ def format_grouped(p: LaurentPoly) -> str:
     """Render with the t-degree outermost, monomials in canonical order."""
     if p.is_zero():
         return "0"
-    ti = p.vars.t_index
+    ti = p.vars.t_index  # t is the last variable
     groups: dict[int, dict] = {}
     for e, c in p.terms.items():
-        inner = e[:ti] + e[ti + 1:] + (0,)
-        groups.setdefault(e[ti], {})[inner] = c
-    names = p.vars.names()
-    names = names[:ti] + names[ti + 1:] + ["t"]
+        groups.setdefault(e[ti], {})[e[:ti]] = c
+    inner_vars = VarSet(p.vars.nx, p.vars.ny, has_t=False)
     chunks = []
     for texp in sorted(groups):
-        inner_terms = sorted(groups[texp].items(), reverse=True)
-        monos = []
-        for e, c in inner_terms:
-            factors = [
-                name if pw == 1 else f"{name}^{pw}"
-                for name, pw in zip(names, e)
-                if pw
-            ]
-            body = "*".join(factors) if factors else "1"
-            monos.append(body if c == 1 else f"{c}*{body}" if c != -1 else f"-{body}")
-        inner = " + ".join(monos).replace("+ -", "- ")
-        if texp == 0:
-            chunks.append(f"({inner})")
-        elif texp == 1:
-            chunks.append(f"t*({inner})")
-        else:
-            chunks.append(f"t^{texp}*({inner})")
+        inner = LaurentPoly(inner_vars, groups[texp]).to_text()
+        prefix = "" if texp == 0 else "t*" if texp == 1 else f"t^{texp}*"
+        chunks.append(f"{prefix}({inner})")
     return " + ".join(chunks)
 
 
@@ -146,7 +130,10 @@ def _at_least(args, name: str, low: int) -> int:
 
 
 def _ybe_kwargs(args) -> dict:
-    kwargs = {"k": _at_least(args, "k", 0), "mode": args.mode}
+    k = _at_least(args, "k", 0)
+    if k > 5:  # 2^(6k) boundaries: k = 5 takes about 20 s, k = 6 runs out of memory
+        raise ValueError("--k must be at most 5")
+    kwargs = {"k": k, "mode": args.mode}
     if args.mode == "numeric":
         kwargs.update(seed=args.seed, trials=_at_least(args, "trials", 1))
     return kwargs
@@ -301,7 +288,8 @@ def _emit_report(report, fmt: str):
 
 def cmd_verify(args) -> int:
     try:
-        workers = str(args.workers or os.environ.get("LLTLATTICE_WORKERS", "1"))
+        env = os.environ.get("LLTLATTICE_WORKERS", "1")
+        workers = env if args.workers is None else str(args.workers)
         if not workers.isdecimal() or int(workers) < 1:
             raise ValueError(f"the worker count must be a positive integer, not {workers!r}")
         if args.identity == "all":
@@ -362,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=3)
     pv.add_argument("--seed", type=int, default=1, help="seed for all randomness")
     pv.add_argument("--quick", action="store_true", help="minimal parameters")
-    pv.add_argument("--workers", type=int, default=0, help="worker processes (env LLTLATTICE_WORKERS)")
+    pv.add_argument("--workers", type=int, default=None, help="worker processes (env LLTLATTICE_WORKERS)")
     pv.add_argument("--format", choices=("json", "text"), default="text")
     pv.set_defaults(func=cmd_verify)
 

@@ -21,8 +21,8 @@ from .shapes import (
     ShapeTuple,
     SkewShapeTuple,
     _binom2,
+    check_box_tuple,
     check_partition,
-    check_shape_tuple,
     complement,
     d_stat,
     dtilde_stat,
@@ -145,7 +145,7 @@ def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
 
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
-    lam = check_shape_tuple(lam)
+    lam = check_box_tuple(lam, n, M)
     skew = _box_skew_shape(lam, M, n)
     lhs = llt(skew, n, engine)
     comp = complement(lam, M, n)
@@ -170,7 +170,7 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
 
 def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
-    lam = check_shape_tuple(lam)
+    lam = check_box_tuple(lam, n, M)
     k = len(lam)
     lhs = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
     comp = complement(lam, M, n)
@@ -197,7 +197,7 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     (x^rho)^k t^(C(n,2)C(k,2)+d(lam)) L_lam, and differs from the top-exit
     gray lattice (box top boundary) by the displayed monomial.
     """
-    lam = check_shape_tuple(lam)
+    lam = check_box_tuple(lam, n)
     k = len(lam)
     Ms = sorted(set(int(M) for M in Ms))
     base = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
@@ -305,9 +305,9 @@ def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityR
 
 def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     """Skew Cauchy identity; tuples not containing mu contribute nothing."""
-    mu = check_shape_tuple(mu)
-    if len(mu) != k or any(len(p) != n for p in mu):
-        raise ValueError("mu must be a k-tuple of partitions with n parts")
+    mu = check_box_tuple(mu, n)
+    if len(mu) != k:
+        raise ValueError(f"mu must have {k} components")
     size = sum(sum(p) for p in mu)
     if size > D:
         raise ValueError("need |mu| <= D")

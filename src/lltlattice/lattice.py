@@ -26,8 +26,7 @@ from .shapes import (
     SkewShapeTuple,
     _binom2,
     boundary_vector,
-    check_fits_box,
-    check_shape_tuple,
+    check_box_tuple,
     column_range,
 )
 
@@ -152,11 +151,8 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
     With right_exit the paths leave through the right edge (top empty);
     otherwise the top boundary is the k-fold (M-n)^n box.
     """
-    lam = check_shape_tuple(lam)
+    lam = check_box_tuple(lam, n, M)
     k = len(lam)
-    if any(len(p) != n for p in lam):
-        raise ValueError("every component needs exactly n parts")
-    check_fits_box(lam, M, n)
     r, s = 1 - n, M - n
     bottom = tuple(mask_of(boundary_vector(lam, i)) for i in range(r, s + 1))
     full = (1 << k) - 1

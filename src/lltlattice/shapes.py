@@ -218,23 +218,25 @@ def inv_stat(beta) -> int:
 # -- dualities ----------------------------------------------------------------
 
 
-def check_fits_box(lam: ShapeTuple, M: int, n: int) -> None:
-    """Raise unless every part of lam fits in the (M - n)-column box."""
+def check_box_tuple(lam, n: int | None = None, M: int | None = None) -> ShapeTuple:
+    """A k-tuple of partitions with n parts each (default: as many as the first),
+    inside the (M - n)^n box when M is given."""
+    lam = check_shape_tuple(lam)
+    n = len(lam[0]) if n is None else n
     for p in lam:
-        if p and p[0] > M - n:
+        if len(p) != n:
+            raise ValueError(f"{p} must have exactly {n} parts")
+    for p in lam:
+        if M is not None and p and p[0] > M - n:
             raise ValueError(f"part {p[0]} exceeds box width {M - n}")
+    return lam
 
 
 def complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
     """Complement in an (M-n) x n box, components in reversed order."""
-    lam = check_shape_tuple(lam)
-    width = M - n
-    for p in lam:
-        if len(p) != n:
-            raise ValueError(f"{p} must have exactly {n} parts")
-    check_fits_box(lam, M, n)
+    lam = check_box_tuple(lam, n, M)
     return tuple(
-        tuple(width - p[n - j] for j in range(1, n + 1)) for p in reversed(lam)
+        tuple(M - n - p[n - j] for j in range(1, n + 1)) for p in reversed(lam)
     )
 
 
@@ -265,10 +267,8 @@ def d_stat(lam: ShapeTuple) -> int:
     Can be negative (e.g. ((1,0),(0,0)) gives -1); the generating functions
     it shifts always carry a compensating power of t.
     """
-    lam = check_shape_tuple(lam)
+    lam = check_box_tuple(lam)
     k, n = len(lam), len(lam[0])
-    if any(len(p) != n for p in lam):
-        raise ValueError("d_stat needs a k-tuple of partitions with n parts each")
     count = 0
     for a in range(k):
         for b in range(a + 1, k):
@@ -281,11 +281,8 @@ def d_stat(lam: ShapeTuple) -> int:
 
 def dtilde_stat(lam: ShapeTuple, M: int) -> int:
     """Coinversion offset of the column-complement bijection (may be negative)."""
-    lam = check_shape_tuple(lam)
+    lam = check_box_tuple(lam, M=M)
     k, n = len(lam), len(lam[0])
-    if any(len(p) != n for p in lam):
-        raise ValueError("dtilde_stat needs a k-tuple of partitions with n parts each")
-    check_fits_box(lam, M, n)
     size = sum(sum(p) for p in lam)
     return (k - 1) * size - n * (M - n) * _binom2(k)
 

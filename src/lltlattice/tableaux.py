@@ -30,7 +30,7 @@ from .shapes import (
     Partition,
     ShapeTuple,
     SkewShapeTuple,
-    check_fits_box,
+    check_box_tuple,
     check_partition,
     complement,
     triples,
@@ -378,11 +378,8 @@ def complement_bijection(T: TableauTuple, M: int) -> TableauTuple:
     shape = T.shape
     if not shape.is_straight():
         raise ValueError("complement bijection needs a straight shape tuple")
-    lam = shape.beta
+    lam = check_box_tuple(shape.beta, M=M)
     n = len(lam[0])
-    if any(len(p) != n for p in lam):
-        raise ValueError("all components must have the same number of parts")
-    check_fits_box(lam, M, n)
     N = M - n
     pieces = [_complement_one(T.rows[i], lam[i], n, N) for i in range(shape.k)]
     pieces.reverse()

@@ -325,6 +325,12 @@ def _compare_sides(k: int, gauche: dict, droite: dict, describe):
 
 
 def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bool) -> YbeReport:
+    if k < 0:
+        raise ValueError(f"k must be at least 0, not {k}")
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "numeric" and trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     tables = _tables(k, starred)
     checked = 1 << (6 * k)
     if mode == "symbolic":
@@ -333,8 +339,6 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
             k, gauche, droite, lambda v: "0" if v is None else v.to_text()
         )
         return YbeReport(name, k, "symbolic", checked, failed, first)
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     failed_total = 0
     first = None

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet, poly_sum
@@ -221,3 +221,35 @@ def test_poly_sum_matches_fold(ps):
     for p in ps:
         folded = folded + p
     assert poly_sum(V2, ps) == folded
+
+
+# Exponents 0 or 1 and small coefficients, so like terms collide and cancel.
+colliding = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * 3),
+    st.sampled_from([-2, -1, 1, 2]),
+    max_size=4,
+).map(lambda d: LaurentPoly(V2, d))
+
+
+@given(colliding, colliding)
+@example(  # x1 + t and x1*t - t: every operation below cancels a term
+    LaurentPoly(V2, {(1, 0, 0): 1, (0, 0, 1): 1}),
+    LaurentPoly(V2, {(1, 0, 1): 1, (0, 0, 1): -1}),
+)
+@settings(max_examples=80, deadline=None)
+def test_no_result_stores_a_zero_coefficient(a, b):
+    results = [
+        a + b,
+        a - b,
+        a - a,
+        a * b,
+        (a + b) * (a - b),
+        poly_sum(V2, [a, b, -a]),
+        a.invert_t(),
+        a.swap_vars(0, 2),
+        b.substitute({0: (1, (0, 0, 0))}),  # x1 -> 1 collides terms
+        (a - b).substitute({0: (-1, (0, 0, 0))}),  # x1 -> -1
+    ]
+    assert (a - a).is_zero()
+    for r in results:
+        assert 0 not in r.terms.values()

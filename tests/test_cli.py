@@ -212,6 +212,9 @@ BAD_VERIFY = [
     (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
     (["verify", "symmetry", "--workers", "-3"],
      "the worker count must be a positive integer, not '-3'"),
+    (["verify", "symmetry", "--workers", "0"], "the worker count must be a positive integer, not '0'"),
+    (["verify", "ybe", "--k", "6"], "--k must be at most 5"),
+    (["verify", "lstar-ybe", "--k", "6"], "--k must be at most 5"),
 ]
 
 

@@ -208,11 +208,9 @@ def test_d_stat_values():
 
 
 def test_d_stat_rejects_ragged():
-    with pytest.raises(ValueError, match="^d_stat needs a k-tuple of partitions with n parts each$"):
+    with pytest.raises(ValueError, match=r"^\(1,\) must have exactly 2 parts$"):
         d_stat(((1, 0), (1,)))
-    with pytest.raises(
-        ValueError, match="^dtilde_stat needs a k-tuple of partitions with n parts each$"
-    ):
+    with pytest.raises(ValueError, match=r"^\(1,\) must have exactly 2 parts$"):
         dtilde_stat(((1, 0), (1,)), 4)
 
 
@@ -249,4 +247,22 @@ def test_box_width_rule_is_shared():
     ]
     for call in calls:
         with pytest.raises(ValueError, match="^part 2 exceeds box width 1$"):
+            call()
+
+
+def test_part_count_rule_is_shared():
+    from lltlattice.lattice import build_box_lattice
+    from lltlattice.tableaux import TableauTuple, complement_bijection
+
+    lam = ((1, 0), (1,))
+    T = TableauTuple(SkewShapeTuple(lam, ((0, 0), (0,))), (((1,), ()), ((1,),)))
+    calls = [
+        lambda: complement(lam, 4, 2),
+        lambda: d_stat(lam),
+        lambda: dtilde_stat(lam, 4),
+        lambda: build_box_lattice(lam, 4, 2),
+        lambda: complement_bijection(T, 4),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^\(1,\) must have exactly 2 parts$"):
             call()

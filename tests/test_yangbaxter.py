@@ -228,6 +228,26 @@ def test_ybe_numeric_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+BAD_CHECKS = [
+    (ybe_check, {"k": 1, "mode": "numeric", "trials": 0}, "trials must be at least 1, not 0"),
+    (lstar_ybe_check, {"k": 2, "mode": "numeric", "trials": -3},
+     "trials must be at least 1, not -3"),
+    (ybe_check, {"k": -1}, "k must be at least 0, not -1"),
+    (lstar_ybe_check, {"k": 1, "mode": "exact"}, "unknown mode 'exact'"),
+]
+
+
+@pytest.mark.parametrize("check, kwargs, message", BAD_CHECKS)
+def test_ybe_check_rejects_bad_parameters(monkeypatch, check, kwargs, message):
+    # rejected before any table is built, and never a vacuous PASS
+    def no_tables(*args):
+        raise AssertionError("the tables were built")
+
+    monkeypatch.setattr(yangbaxter, "_tables", no_tables)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(**kwargs)
+
+
 def _one_boundary(k, boundary, starred):
     """Both sides for one boundary, summed face by face: the reference the
     bulk contraction is checked against."""
