@@ -23,7 +23,6 @@ from .tableaux import (
     hl_modified,
     hl_transformed,
     inv,
-    llt,
     llt_coinv,
     llt_inv,
 )
@@ -40,6 +39,7 @@ from .lattice import (
     rotate_config,
     ssyt_to_config,
 )
+from .identities import llt
 from .yangbaxter import (
     ef_weight,
     l_recursive,

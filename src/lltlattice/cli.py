@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,8 +21,8 @@ from .algebra import LaurentPoly, VarSet
 from .shapes import (
     SkewShapeTuple,
     bandwidth,
+    check_box_tuple,
     column_range,
-    complement,
     d_stat,
     dtilde_stat,
     inv_stat,
@@ -30,14 +31,7 @@ from .shapes import (
     n_stat,
     parse_shape_text,
 )
-from .tableaux import EngineMismatch, llt
-
-QUICK_SHAPES = [
-    ("3;2", "0;0"),
-    ("3,3;3,1", "2,1;1,0"),
-    ("1;1", "0;0"),
-    ("2,1", "0,0"),
-]
+from .identities import EngineMismatch, llt
 
 
 def format_grouped(p: LaurentPoly) -> str:
@@ -144,28 +138,27 @@ def _shape_kwargs(args) -> dict:
 
 
 def _mu_kwargs(args) -> dict:
-    if ";" in args.mu:
+    mu = "2,1" if args.mu is None else args.mu
+    if ";" in mu:
         raise ValueError("--mu takes a single partition")
-    return {"mu": parse_shape_text(args.mu)[0], "n": _at_least(args, "n", 1)}
+    return {"mu": parse_shape_text(mu)[0], "n": _at_least(args, "n", 1)}
 
 
-def _box_lam(args, Ms):
-    """--lam and --n; complement() raises unless lam fits every (M - n)^n box."""
+def _box_lam(args, M: int):
+    """--lam and --n, with lam inside the (M - n)^n box."""
     lam = parse_shape_text(args.lam)
     n = _at_least(args, "n", 1)
-    for M in Ms:
-        complement(lam, M, n)
-    return lam, n
+    return check_box_tuple(lam, n, M), n
 
 
 def _box_kwargs(args) -> dict:
-    lam, n = _box_lam(args, (args.M,))
+    lam, n = _box_lam(args, args.M)
     return {"lam": lam, "M": args.M, "n": n}
 
 
 def _lstar_kwargs(args) -> dict:
     Ms = tuple(int(v) for v in args.M_list.split(","))
-    lam, n = _box_lam(args, Ms)
+    lam, n = _box_lam(args, min(Ms))  # what fits the narrowest box fits them all
     return {"lam": lam, "n": n, "Ms": Ms}
 
 
@@ -179,12 +172,20 @@ def _cauchy_kwargs(args) -> dict:
 
 def _skew_cauchy_kwargs(args) -> dict:
     kwargs = _cauchy_kwargs(args)
-    mu = parse_shape_text(args.mu)
-    if len(mu) != kwargs["k"] or any(len(p) != kwargs["n"] for p in mu):
+    n, k = kwargs["n"], kwargs["k"]
+    if args.mu is None:  # one box, in the first component
+        mu = ((1,) + (0,) * (n - 1),) + ((0,) * n,) * (k - 1)
+    else:
+        mu = parse_shape_text(args.mu)
+    if len(mu) != k or any(len(p) != n for p in mu):
         raise ValueError("--mu must be a k-tuple of partitions with n parts")
     if sum(map(sum, mu)) > kwargs["D"]:
         raise ValueError("--mu must have size at most --degree")
     return {"mu": mu, **kwargs}
+
+
+def _equivalence_kwargs(args) -> dict:
+    return {"trials": _at_least(args, "trials", 1), "seed": args.seed}
 
 
 def _with_engine(build):
@@ -193,8 +194,8 @@ def _with_engine(build):
 
 # identity -> (module, verifier name, builder of its kwargs from the parsed
 # arguments).  A builder raises ValueError on a bad parameter before any case
-# runs; None marks an identity that only `verify all` runs.  The verifier is
-# looked up by name on each call, so wrappers set on the module take effect.
+# runs.  The verifier is looked up by name on each call, so wrappers set on
+# the module take effect.
 VERIFY = {
     "ybe": (yangbaxter, "ybe_check", _ybe_kwargs),
     "lstar-ybe": (yangbaxter, "lstar_ybe_check", _ybe_kwargs),
@@ -208,7 +209,7 @@ VERIFY = {
     "cauchy": (identities, "verify_cauchy", _with_engine(_cauchy_kwargs)),
     "skew-cauchy": (identities, "verify_skew_cauchy", _skew_cauchy_kwargs),
     "cauchy-rot": (identities, "verify_cauchy_rot", _cauchy_kwargs),
-    "engine-equivalence": (identities, "verify_engine_equivalence", None),
+    "engine-equivalence": (identities, "verify_engine_equivalence", _equivalence_kwargs),
 }
 
 
@@ -227,44 +228,28 @@ def _run_cases(cases, workers: int):
     return [_verify_case(c) for c in cases]
 
 
-def _all_cases(seed: int, quick: bool):
-    import random
-
+def _suite(seed: int, quick: bool) -> list[str]:
+    """`verify all`: the arguments of one `lltlattice verify <identity>` each."""
     rng = random.Random(seed)
-    cases = [
-        ("ybe", {"k": 1, "mode": "symbolic"}),
-        ("ybe", {"k": 2, "mode": "symbolic"}),
-        ("ybe", {"k": 3, "mode": "numeric", "seed": seed, "trials": 3}),
-        ("lstar-ybe", {"k": 1, "mode": "symbolic"}),
-        ("lstar-ybe", {"k": 2, "mode": "symbolic"}),
+    shapes = ["3;2/0;0", "3,3;3,1/2,1;1,0", "1;1/0;0", "2,1/0,0"] + [
+        identities.random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3).text()
+        for _ in range(3 if quick else 12)
     ]
-    for beta, gamma in QUICK_SHAPES:
-        shape = SkewShapeTuple(parse_shape_text(beta), parse_shape_text(gamma))
-        cases.append(("symmetry", {"shape": shape, "n": 2}))
-        cases.append(("inv-coinv", {"shape": shape, "n": 2}))
-    n_random = 3 if quick else 12
-    for _ in range(n_random):
-        shape = identities.random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
-        cases.append(("symmetry", {"shape": shape, "n": 2}))
-        cases.append(("inv-coinv", {"shape": shape, "n": 2}))
-    for mu in ([2, 1], [3, 2]) if quick else ([2, 1], [3, 2], [2, 2, 1], [3, 1]):
-        cases.append(("hl", {"mu": tuple(mu), "n": 2}))
-        cases.append(("modified-hl", {"mu": tuple(mu), "n": 2}))
-    cases.append(("box-skew", {"lam": ((1, 0), (1, 1)), "M": 4, "n": 2}))
-    cases.append(("complement", {"lam": ((2, 1), (1, 0)), "M": 4, "n": 2}))
-    cases.append(("lstar", {"lam": ((1, 0), (0, 0)), "n": 2, "Ms": (3, 4, 5)}))
+    commands = ["ybe --k 1", "ybe --k 2", f"ybe --k 3 --mode numeric --seed {seed} --trials 3"]
+    commands += ["lstar-ybe --k 1", "lstar-ybe --k 2"]
+    for shape in shapes:
+        flags = "--beta {} --gamma {} --n 2".format(*shape.split("/"))
+        commands += [f"symmetry {flags}", f"inv-coinv {flags}"]
+    for mu in ("2,1", "3,2") if quick else ("2,1", "3,2", "2,2,1", "3,1"):
+        commands += [f"hl --mu {mu} --n 2", f"modified-hl --mu {mu} --n 2"]
+    commands += ["box-skew --lam 1,0;1,1 --M 4 --n 2", "complement --lam 2,1;1,0 --M 4 --n 2"]
+    commands += ["lstar --lam 1,0;0,0 --n 2"]
     if quick:
-        cases.append(("cauchy", {"n": 1, "k": 1, "D": 4}))
-        cases.append(("cauchy-rot", {"n": 1, "k": 2, "D": 3}))
-    else:
-        for n, k, D in ((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)):
-            cases.append(("cauchy", {"n": n, "k": k, "D": D}))
-            cases.append(("cauchy-rot", {"n": n, "k": k, "D": D}))
-        cases.append(
-            ("skew-cauchy", {"mu": ((1, 0), (0, 0)), "n": 2, "k": 2, "D": 3})
-        )
-        cases.append(("engine-equivalence", {"trials": 25, "seed": seed}))
-    return cases
+        return commands + ["cauchy --n 1 --k 1 -D 4", "cauchy-rot --n 1 --k 2 -D 3"]
+    for nkD in ("--n 1 --k 1 -D 4", "--n 2 --k 1 -D 4", "--n 1 --k 2 -D 4", "--n 2 --k 2 -D 3"):
+        commands += [f"cauchy {nkD}", f"cauchy-rot {nkD}"]
+    commands += ["skew-cauchy --mu 1,0;0,0 --n 2 --k 2 -D 3"]
+    return commands + [f"engine-equivalence --trials 25 --seed {seed}"]
 
 
 def _emit_report(report, fmt: str):
@@ -293,9 +278,11 @@ def cmd_verify(args) -> int:
         if not workers.isdecimal() or int(workers) < 1:
             raise ValueError(f"the worker count must be a positive integer, not {workers!r}")
         if args.identity == "all":
-            cases = _all_cases(args.seed, args.quick)
+            parse = build_parser().parse_args
+            runs = [parse(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
         else:
-            cases = [(args.identity, VERIFY[args.identity][2](args))]
+            runs = [args]
+        cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -332,10 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_stats)
 
     pv = sub.add_parser("verify", help="machine-verify an identity")
-    pv.add_argument(
-        "identity",
-        choices=[name for name, (_, _, build) in VERIFY.items() if build] + ["all"],
-    )
+    pv.add_argument("identity", choices=[*VERIFY, "all"])
     pv.add_argument("--k", type=int, default=2)
     pv.add_argument("--n", type=int, default=2)
     pv.add_argument("--M", type=int, default=4)
@@ -343,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--degree", "-D", type=int, default=3, help="x-degree truncation bound")
     pv.add_argument("--beta", default="1;1")
     pv.add_argument("--gamma", default=None)
-    pv.add_argument("--mu", default="2,1")
+    pv.add_argument("--mu", default=None, help="hl: default 2,1; skew-cauchy: default one box")
     pv.add_argument("--lam", default="1,0;1,1")
     pv.add_argument("--engine", choices=("tableaux", "lattice", "both"), default="tableaux")
     pv.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")

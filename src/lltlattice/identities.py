@@ -1,16 +1,17 @@
 """Verification drivers: each named identity reduced to exact polynomial equality.
 
-Every verifier returns an IdentityReport; FAIL always carries the two
-offending polynomials.  All randomness flows from an explicit seed.  The
-Cauchy-type identities are checked after truncating both sides at a total
-x-degree bound D, which is exact because each summand is homogeneous.
+``llt`` sits here, above both engines: it picks the tableau count or the
+lattice partition function, or runs both and raises ``EngineMismatch`` when
+they differ.  Every verifier returns an IdentityReport; FAIL always carries
+the two offending polynomials.  All randomness flows from an explicit seed.
+The Cauchy-type identities are checked after truncating both sides at a
+total x-degree bound D, which is exact because each summand is homogeneous.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from operator import add
 
@@ -30,7 +31,7 @@ from .shapes import (
     m_bruteforce,
     rotate,
 )
-from .tableaux import hl_modified, hl_transformed, llt, llt_coinv, llt_inv
+from .tableaux import hl_modified, hl_transformed, llt_coinv, llt_inv
 
 
 @dataclass
@@ -71,9 +72,38 @@ def _check_pairs(name: str, params: dict, pairs, details: dict | None = None) ->
     return IdentityReport(name, params, "PASS", None, det)
 
 
-@lru_cache(maxsize=1024)
-def _llt_cached(shape: SkewShapeTuple, n: int, engine: str = "tableaux") -> LaurentPoly:
-    return llt(shape, n, engine)
+class EngineMismatch(AssertionError):
+    def __init__(self, shape, n, tableaux_value, lattice_value):
+        self.shape = shape
+        self.n = n
+        self.tableaux_value = tableaux_value
+        self.lattice_value = lattice_value
+        super().__init__(
+            f"engines disagree on {shape.text()} with n={n}: "
+            f"tableaux={tableaux_value.to_text()} lattice={lattice_value.to_text()}"
+        )
+
+
+def llt(shape: SkewShapeTuple | ShapeTuple, n: int, engine: str = "tableaux") -> LaurentPoly:
+    """Coinversion LLT polynomial by the chosen engine.
+
+    engine: "tableaux", "lattice", or "both" (computes both and insists they
+    agree before returning).
+    """
+    shape = SkewShapeTuple.straight(shape)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if engine == "tableaux":
+        return llt_coinv(shape, n)
+    if engine == "lattice":
+        return partition_function(build_lattice(shape, n))
+    if engine == "both":
+        a = llt_coinv(shape, n)
+        b = partition_function(build_lattice(shape, n))
+        if a != b:
+            raise EngineMismatch(shape, n, a, b)
+        return a
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 # -- single-shape identities ----------------------------------------------------
@@ -110,16 +140,13 @@ def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:
     """Single-row tuples recover transformed Hall-Littlewood polynomials."""
     mu = check_partition(mu)
     H = hl_transformed(mu, n)
-    pairs = []
-    rev = tuple((p,) for p in reversed(mu))
-    pairs.append(("reversed rows", _llt_cached(SkewShapeTuple.straight(rev), n, engine), H))
-    seen = set()
-    for beta in permutations(mu):
-        if beta in seen:
-            continue
-        seen.add(beta)
-        rows = tuple((p,) for p in beta)
-        lhs = _llt_cached(SkewShapeTuple.straight(rows), n, engine)
+    # one polynomial per distinct rearrangement; the reversed rows are one
+    L = {
+        beta: llt(tuple((p,) for p in beta), n, engine)
+        for beta in dict.fromkeys(permutations(mu))
+    }
+    pairs = [("reversed rows", L[mu[::-1]], H)]
+    for beta, lhs in L.items():
         rhs = LaurentPoly.t(H.vars, inv_stat(beta)) * H
         pairs.append((f"rearrangement {beta}", lhs, rhs))
     return _check_pairs("hl", {"mu": list(mu), "n": n, "engine": engine}, pairs)
@@ -172,9 +199,9 @@ def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> Identity
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
     lam = check_box_tuple(lam, n, M)
     k = len(lam)
-    lhs = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
+    lhs = llt(lam, n, engine)
     comp = complement(lam, M, n)
-    inverted = _llt_cached(SkewShapeTuple.straight(comp), n, engine).invert_x()
+    inverted = llt(comp, n, engine).invert_x()
     exps = [k * (M - n)] * n + [dtilde_stat(lam, M)]
     rhs = LaurentPoly.monomial(lhs.vars, 1, exps) * inverted
     return _check_pairs(
@@ -200,7 +227,7 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     lam = check_box_tuple(lam, n)
     k = len(lam)
     Ms = sorted(set(int(M) for M in Ms))
-    base = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
+    base = llt(lam, n, engine)
     vars = base.vars
     c2 = _binom2(n) * _binom2(k)
     target = _x_rho_power(vars, n, k, textra=c2 + d_stat(lam)) * base
@@ -294,7 +321,7 @@ def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityR
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
     summands = []
     for lam in shape_tuples_bounded(k, n, D):
-        P = _llt_cached(SkewShapeTuple.straight(lam), n, engine)
+        P = llt(lam, n, engine)
         summands.append((d_stat(lam), P, P))
     lhs = _xy_sum(n, summands)
     rhs = cauchy_kernel_truncated(n, k, D)
@@ -315,11 +342,11 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     for lam in shape_tuples_bounded(k, n, D):
         if any(lv < mv for lp, mp in zip(lam, mu) for lv, mv in zip(lp, mp)):
             continue
-        P = _llt_cached(SkewShapeTuple.straight(lam), n)
-        Q = _llt_cached(SkewShapeTuple(lam, mu), n)
+        P = llt(lam, n)
+        Q = llt(SkewShapeTuple(lam, mu), n)
         summands.append((d_stat(lam), P, Q))
     lhs = _xy_sum(n, summands)
-    L_mu = _llt_cached(SkewShapeTuple.straight(mu), n)
+    L_mu = llt(mu, n)
     base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
     # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive
     rhs = base * cauchy_kernel_truncated(n, k, D - size)
@@ -340,9 +367,8 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     summands = []
     pairs = []
     for lam in shape_tuples_bounded(k, n, D):
-        P = _llt_cached(SkewShapeTuple.straight(lam), n)
-        rot = rotate(lam)
-        R = _llt_cached(rot, n)
+        P = llt(lam, n)
+        R = llt(rotate(lam), n)
         summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)
         comp = complement(lam, width + n, n)

@@ -29,6 +29,7 @@ from .shapes import (
     check_box_tuple,
     column_range,
 )
+from .tableaux import TableauTuple
 
 
 def mask_of(bits) -> int:
@@ -128,9 +129,6 @@ class LatticeSpec:
     @property
     def ncols(self) -> int:
         return self.s - self.r + 1
-
-    def col_index(self, column: int) -> int:
-        return column - self.r
 
 
 def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
@@ -370,8 +368,6 @@ def ssyt_to_config(T, n: int) -> LatticeConfig:
 
 def config_to_ssyt(config: LatticeConfig):
     """Invert the path encoding; raises ValueError on a malformed config."""
-    from .tableaux import TableauTuple
-
     spec = config.spec
     shape = spec.shape
     if shape is None:

@@ -28,11 +28,11 @@ from operator import add, gt, sub
 from .algebra import LaurentPoly, VarSet
 from .shapes import (
     Partition,
-    ShapeTuple,
     SkewShapeTuple,
     check_box_tuple,
     check_partition,
     complement,
+    n_stat,
     triples,
 )
 
@@ -349,8 +349,6 @@ def hl_transformed(mu: Partition, n: int) -> LaurentPoly:
 
 def hl_modified(mu: Partition, n: int) -> LaurentPoly:
     """Modified Hall-Littlewood polynomial t^{n(mu)} H_mu(X; 1/t)."""
-    from .shapes import n_stat
-
     H = hl_transformed(mu, n)
     shift = LaurentPoly.t(H.vars, n_stat(mu))
     return shift * H.invert_t()
@@ -390,39 +388,3 @@ def complement_bijection(T: TableauTuple, M: int) -> TableauTuple:
 def schur(lam: Partition, n: int) -> LaurentPoly:
     """Schur polynomial of one straight shape (one-component LLT at any t)."""
     return llt_coinv(SkewShapeTuple.straight((check_partition(lam),)), n)
-
-
-def llt(shape: SkewShapeTuple | ShapeTuple, n: int, engine: str = "tableaux") -> LaurentPoly:
-    """Coinversion LLT polynomial by the chosen engine.
-
-    engine: "tableaux", "lattice", or "both" (computes both and insists they
-    agree before returning).
-    """
-    shape = SkewShapeTuple.straight(shape)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if engine == "tableaux":
-        return llt_coinv(shape, n)
-    from .lattice import build_lattice, partition_function
-
-    if engine == "lattice":
-        return partition_function(build_lattice(shape, n))
-    if engine == "both":
-        a = llt_coinv(shape, n)
-        b = partition_function(build_lattice(shape, n))
-        if a != b:
-            raise EngineMismatch(shape, n, a, b)
-        return a
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-class EngineMismatch(AssertionError):
-    def __init__(self, shape, n, tableaux_value, lattice_value):
-        self.shape = shape
-        self.n = n
-        self.tableaux_value = tableaux_value
-        self.lattice_value = lattice_value
-        super().__init__(
-            f"engines disagree on {shape.text()} with n={n}: "
-            f"tableaux={tableaux_value.to_text()} lattice={lattice_value.to_text()}"
-        )

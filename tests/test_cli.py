@@ -9,9 +9,8 @@ import pytest
 
 from lltlattice import cli, identities
 from lltlattice.algebra import LaurentPoly, VarSet
-from lltlattice.identities import IdentityReport
+from lltlattice.identities import EngineMismatch, IdentityReport
 from lltlattice.shapes import SkewShapeTuple
-from lltlattice.tableaux import EngineMismatch
 
 
 def run_cli(*args):
@@ -146,7 +145,7 @@ def test_verify_bad_identity_exit_2():
 
 # First stdout line of `lltlattice verify <identity>` with default
 # parameters, as printed before the verify registry replaced the per-identity
-# dispatch.  The defaults of skew-cauchy are rejected (see below).
+# dispatch; skew-cauchy (one box by default) and engine-equivalence came later.
 DEFAULT_VERIFY_LINES = {
     "ybe": "PASS ybe k=2 mode=symbolic checked=4096",
     "lstar-ybe": "PASS lstar-ybe k=2 mode=symbolic checked=4096",
@@ -159,6 +158,8 @@ DEFAULT_VERIFY_LINES = {
     "lstar": 'PASS lstar {"M": [3, 4, 5], "lam": [[1, 0], [1, 1]], "n": 2}',
     "cauchy": 'PASS cauchy {"D": 3, "engine": "tableaux", "k": 2, "n": 2}',
     "cauchy-rot": 'PASS cauchy-rot {"D": 3, "k": 2, "n": 2}',
+    "skew-cauchy": 'PASS skew-cauchy {"D": 3, "k": 2, "mu": [[1, 0], [0, 0]], "n": 2}',
+    "engine-equivalence": 'PASS engine-equivalence {"seed": 1, "trials": 3}',
 }
 
 
@@ -181,6 +182,13 @@ def test_verify_all_quick_output_golden(fmt, golden, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_verify_all_output_golden(capsys):
+    # the full suite: 12 random shapes, the Cauchy grid, skew-cauchy and
+    # engine-equivalence, none of which the quick suite runs
+    assert cli.main(["verify", "all", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_all_seed1.txt").read_text()
+
+
 def _identity_choices():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -189,12 +197,17 @@ def _identity_choices():
 
 
 def test_verify_registry_is_complete():
-    built = [name for name, (_, _, build) in cli.VERIFY.items() if build is not None]
-    assert list(_identity_choices()) == built + ["all"]
-    assert {name for name, _ in cli._all_cases(1, quick=False)} == set(cli.VERIFY)
-    assert set(DEFAULT_VERIFY_LINES) | {"skew-cauchy"} == set(built)
-    for module, verifier, _ in cli.VERIFY.values():
-        assert callable(getattr(module, verifier))
+    for module, verifier, build in cli.VERIFY.values():
+        assert callable(getattr(module, verifier)) and callable(build)
+    assert list(_identity_choices()) == [*cli.VERIFY, "all"]
+    assert set(DEFAULT_VERIFY_LINES) == set(cli.VERIFY)
+    parse = cli.build_parser().parse_args
+    for quick in (False, True):
+        runs = [parse(["verify", *c.split()]) for c in cli._suite(1, quick)]
+        if not quick:
+            assert {run.identity for run in runs} == set(cli.VERIFY)
+        for run in runs:
+            assert isinstance(cli.VERIFY[run.identity][2](run), dict)
 
 
 BAD_VERIFY = [
@@ -208,7 +221,7 @@ BAD_VERIFY = [
     (["verify", "lstar", "--M-list", "2"], "part 1 exceeds box width 0"),
     (["verify", "cauchy", "--k", "0"], "--k must be at least 1"),
     (["verify", "ybe", "--mode", "numeric", "--trials", "0"], "--trials must be at least 1"),
-    (["verify", "skew-cauchy"], "--mu must be a k-tuple of partitions with n parts"),
+    (["verify", "skew-cauchy", "--mu", "2,1"], "--mu must be a k-tuple of partitions with n parts"),
     (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
     (["verify", "symmetry", "--workers", "-3"],
      "the worker count must be a positive integer, not '-3'"),

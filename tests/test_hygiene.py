@@ -1,5 +1,6 @@
 """Every module-level import in the package's modules is used by the module,
-and every private module-level function or class is used by the package."""
+every private module-level function or class is used by the package, and no
+function imports anything."""
 
 import ast
 from collections import Counter
@@ -74,3 +75,30 @@ def test_guard_sees_a_dead_helper():
         "b.py": "from .a import _used\n",
     }
     assert _dead_helpers(sources) == ["a.py: _dead"]
+
+
+def _function_imports(source: str) -> list[str]:
+    """Imports inside function bodies, which would hide a module's
+    dependencies (and any import cycle) from its header."""
+    found = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(func):
+                if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(sub.lineno, func.name)
+    return [f"line {line}: {name}" for line, name in sorted(found.items())]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert _function_imports(path.read_text()) == []
+
+
+def test_guard_sees_an_import_inside_a_function():
+    source = (
+        "import random\n\n"
+        "def llt(shape):\n"
+        "    from .lattice import build_lattice\n"
+        "    return build_lattice(shape)\n"
+    )
+    assert _function_imports(source) == ["line 4: llt"]

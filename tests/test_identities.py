@@ -5,9 +5,9 @@ import pytest
 from lltlattice import identities
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import (
-    _llt_cached,
     _xy_sum,
     cauchy_kernel_truncated,
+    llt,
     partitions_fixed_length,
     random_skew_tuple,
     shape_tuples_bounded,
@@ -24,7 +24,6 @@ from lltlattice.identities import (
     verify_symmetry,
 )
 from lltlattice.shapes import SkewShapeTuple, d_stat, rotate, triples
-from lltlattice.tableaux import llt
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -237,7 +236,7 @@ def test_skew_cauchy_cuts_kernel_at_remaining_degree(monkeypatch):
     assert degrees == [2]
 
 
-@pytest.mark.parametrize("cached", [triples, _llt_cached], ids=["triples", "_llt_cached"])
+@pytest.mark.parametrize("cached", [triples], ids=["triples"])
 def test_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 

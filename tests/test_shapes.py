@@ -192,7 +192,7 @@ def test_straight_is_the_one_coercion():
     (((1, -1),), r"^negative part in \(1, -1\)$"),
 ])
 def test_straight_rejects_bad_input(bad, message):
-    from lltlattice.tableaux import llt
+    from lltlattice.identities import llt
 
     for coerce in (SkewShapeTuple.straight, rotate, lambda s: llt(s, 2)):
         with pytest.raises(ValueError, match=message):
