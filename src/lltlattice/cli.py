@@ -180,7 +180,8 @@ def _skew_cauchy_kwargs(args) -> dict:
     if len(mu) != k or any(len(p) != n for p in mu):
         raise ValueError("--mu must be a k-tuple of partitions with n parts")
     if sum(map(sum, mu)) > kwargs["D"]:
-        raise ValueError("--mu must have size at most --degree")
+        raise ValueError("--degree must be at least 1 when --mu is not given"
+                         if args.mu is None else "--mu must have size at most --degree")
     return {"mu": mu, **kwargs}
 
 

@@ -25,9 +25,9 @@ from .shapes import (
     ShapeTuple,
     SkewShapeTuple,
     _binom2,
-    boundary_vector,
     check_box_tuple,
     column_range,
+    label_columns,
 )
 from .tableaux import TableauTuple
 
@@ -131,11 +131,25 @@ class LatticeSpec:
         return self.s - self.r + 1
 
 
+def _labels(columns, width: int, first: int = 0) -> tuple[int, ...]:
+    """Label masks of positions first..first+width-1 from each color's positions."""
+    out = [0] * width
+    for color, cols in enumerate(columns):
+        for c in cols:
+            out[c - first] |= 1 << color
+    return tuple(out)
+
+
+def _color_columns(labels: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Per color, the columns whose label carries it: the DP's state form."""
+    return tuple(tuple(c for c, m in enumerate(labels) if (m >> bit) & 1) for bit in range(k))
+
+
 def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     """The lattice whose partition function is the LLT polynomial of shape."""
     r, s = column_range(shape)
-    bottom = tuple(mask_of(boundary_vector(shape.gamma, i)) for i in range(r, s + 1))
-    top = tuple(mask_of(boundary_vector(shape.beta, i)) for i in range(r, s + 1))
+    bottom, top = (_labels(map(label_columns, mu), s - r + 1, r)
+                   for mu in (shape.gamma, shape.beta))
     return LatticeSpec(
         k=shape.k, n=n, r=r, s=s, bottom=bottom, top=top,
         right=(0,) * n, shape=shape,
@@ -152,14 +166,13 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
     lam = check_box_tuple(lam, n, M)
     k = len(lam)
     r, s = 1 - n, M - n
-    bottom = tuple(mask_of(boundary_vector(lam, i)) for i in range(r, s + 1))
+    bottom = _labels(map(label_columns, lam), M, r)
     full = (1 << k) - 1
     if right_exit:
         top = (0,) * M
         right = (full,) * n
     else:
-        box = tuple((M - n,) * n for _ in range(k))
-        top = tuple(mask_of(boundary_vector(box, i)) for i in range(r, s + 1))
+        top = _labels([label_columns((M - n,) * n)] * k, M, r)
         right = (0,) * n
     return LatticeSpec(k=k, n=n, r=r, s=s, bottom=bottom, top=top,
                        right=right, gray=gray)
@@ -168,19 +181,23 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
 # -- row machinery -------------------------------------------------------------
 
 
-def _color_tops(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
-                exit_right: bool, last: bool):
-    """Top-column choices for one color from which its paths can still finish.
+def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
+                 exit_right: int, last: bool) -> list[tuple[tuple[int, ...], int, int]]:
+    """One color's moves across a row from which its paths can still finish,
+    as (tops, right, present).
 
     Paths pair up in order and move weakly right; consecutive paths may not
     share a face, and only the rightmost path may leave through the right
     edge.  So the j-th path never passes caps[j], the color's j-th top
     column, and on the last row it ends there; paths beyond len(caps) leave
-    through the right edge in some row and are uncapped.
+    through the right edge in some row and are uncapped.  right and present
+    are column bitmasks of the faces where the color leaves right and where
+    it is present: [b, e) and [b, min(e, ncols-1)] for a path from bottom
+    column b to top column e, with e = ncols for the path that leaves right.
     """
     m = len(bottoms) - exit_right
     if m < 0:
-        return
+        return []
     ends = bottoms[1:] + (ncols,)
     ranges = []
     for j in range(m):
@@ -190,70 +207,73 @@ def _color_tops(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
             if last:
                 lo = max(lo, caps[j])
         ranges.append(range(lo, hi + 1))
-    yield from product(*ranges)
+    moves = []
+    for tops in product(*ranges):
+        right = present = 0
+        for b, e in zip(bottoms, tops + (ncols,)):
+            right |= (1 << e) - (1 << b)
+            present |= (1 << min(e + 1, ncols)) - (1 << b)
+        moves.append((tops, right, present))
+    return moves
 
 
-def _row_scan(bottom: tuple[int, ...], top: tuple[int, ...], right_mask: int):
-    """Walk a row left to right; return (x-exp, t-exp, horizontal labels)."""
-    ncols = len(bottom)
-    carry = 0
-    xexp = texp = 0
-    horiz = [0] * (ncols + 1)
-    for c in range(ncols):
-        present = bottom[c] | carry
-        L = present & ~top[c]
-        xexp += L.bit_count()
-        texp += _t_exponent(present, L)
-        carry = L
-        horiz[c + 1] = L
-    if carry != right_mask:
-        raise AssertionError("row scan ended with the wrong right label")
-    return xexp, texp, tuple(horiz)
+def _row_transitions(spec: LatticeSpec):
+    """The row step of spec: step(row, state) yields (tops, x-exp, t-exp,
+    rights) for every admissible row above state whose tops can still reach
+    spec.top (on the last row, reach it).  States and tops hold each color's
+    columns, rights each color's right mask; the weight is plain: x counts
+    the right steps, and t, for each pair of colors i < j, the faces where i
+    leaves right and j is present.  Each color's moves are computed once per
+    step function, keyed by color, bottoms, exit bit and last row or not.
+    """
+    ncols, caps = spec.ncols, _color_columns(spec.top, spec.k)
+    moves: dict[tuple, list] = {}
 
+    def step(row: int, state: tuple[tuple[int, ...], ...]):
+        exits, last = spec.right[row - 1], row == spec.n
+        per_color = []
+        for bit, bottoms in enumerate(state):
+            key = (bit, bottoms, (exits >> bit) & 1, last)
+            choices = moves.get(key)
+            if choices is None:
+                choices = moves[key] = _color_moves(bottoms, caps[bit], ncols, key[2], last)
+            if not choices:
+                return
+            per_color.append(choices)
+        for combo in product(*per_color):
+            tops, rights, presents = zip(*combo)
+            xexp = texp = 0
+            for i, right in enumerate(rights):
+                xexp += right.bit_count()
+                for present in presents[i + 1:]:
+                    texp += (right & present).bit_count()
+            yield tops, xexp, texp, rights
 
-def _row_transitions(spec: LatticeSpec, row: int, bottom: tuple[int, ...]):
-    """Admissible (top labels, x-exp, t-exp, horizontals) above a row whose
-    top labels can still reach spec.top; on the last row that is spec.top."""
-    ncols, right_mask = spec.ncols, spec.right[row - 1]
-    per_color = []
-    for bit in range(spec.k):
-        bottoms = tuple(c for c in range(ncols) if (bottom[c] >> bit) & 1)
-        caps = tuple(c for c in range(ncols) if (spec.top[c] >> bit) & 1)
-        choices = list(_color_tops(bottoms, caps, ncols, bool((right_mask >> bit) & 1),
-                                   row == spec.n))
-        if not choices:
-            return
-        per_color.append(choices)
-    for combo in product(*per_color):
-        top = [0] * ncols
-        for bit, tops in enumerate(combo):
-            for c in tops:
-                top[c] |= 1 << bit
-        tvec = tuple(top)
-        xexp, texp, horiz = _row_scan(bottom, tvec, right_mask)
-        yield tvec, xexp, texp, horiz
+    return step
 
 
 def partition_function(spec: LatticeSpec) -> LaurentPoly:
     """Exact partition function by row-to-row dynamic programming.
 
-    The DP state after row i is the vector of vertical edge labels between
-    rows i and i+1; values are polynomials in x_1..x_i and t.
+    The DP state after row i is the vertical edge labels between rows i and
+    i+1, held as each color's occupied columns; values are polynomials in
+    x_1..x_i and t.
     """
     vars = VarSet(nx=spec.n)
     width = vars.total
     tslot = vars.t_index
-    states: dict[tuple[int, ...], dict[tuple, int]] = {
-        spec.bottom: {(0,) * width: 1}
+    step = _row_transitions(spec)
+    states: dict[tuple, dict[tuple, int]] = {
+        _color_columns(spec.bottom, spec.k): {(0,) * width: 1}
     }
     for row in range(1, spec.n + 1):
         xslot = row - 1
-        nxt: dict[tuple[int, ...], dict[tuple, int]] = {}
-        for bvec, terms in states.items():
-            for tvec, xexp, texp, _ in _row_transitions(spec, row, bvec):
+        nxt: dict[tuple, dict[tuple, int]] = {}
+        for state, terms in states.items():
+            for tops, xexp, texp, _ in step(row, state):
                 if spec.gray:
                     xexp, texp = _gray(spec.k, spec.ncols, xexp, texp)
-                bucket = nxt.setdefault(tvec, {})
+                bucket = nxt.setdefault(tops, {})
                 for e, c in terms.items():
                     ne = list(e)
                     ne[xslot] += xexp
@@ -263,7 +283,7 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
         states = nxt
         if not states:
             break
-    return LaurentPoly(vars, states.get(spec.top, {}))
+    return LaurentPoly(vars, states.get(_color_columns(spec.top, spec.k), {}))
 
 
 @dataclass(frozen=True)
@@ -318,23 +338,21 @@ class LatticeConfig:
 def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
     """Every lattice configuration exactly once, in a deterministic order."""
     out: list[LatticeConfig] = []
-    verts = [spec.bottom]
-    horiz: list[tuple[int, ...]] = []
+    step, ncols = _row_transitions(spec), spec.ncols
 
-    def rec(row: int):
+    def rec(row: int, state, verts: tuple, horiz: tuple):
         if row > spec.n:
             if verts[-1] == spec.top:
-                out.append(LatticeConfig(spec, tuple(verts), tuple(horiz)))
+                out.append(LatticeConfig(spec, verts, horiz))
             return
-        for tvec, _, _, h in sorted(_row_transitions(spec, row, verts[-1]),
-                                    key=lambda item: item[0]):
-            verts.append(tvec)
-            horiz.append(h)
-            rec(row + 1)
-            verts.pop()
-            horiz.pop()
+        # boundary c+1 carries color i iff bit c of color i's right mask is set
+        for tvec, h, tops in sorted(
+                (_labels(tops, ncols), _labels([[c for c in range(ncols) if (m >> c) & 1]
+                                                 for m in rights], ncols + 1, -1), tops)
+                for tops, _, _, rights in step(row, state)):
+            rec(row + 1, tops, verts + (tvec,), horiz + (h,))
 
-    rec(1)
+    rec(1, _color_columns(spec.bottom, spec.k), (spec.bottom,), ())
     return out
 
 

@@ -223,6 +223,8 @@ BAD_VERIFY = [
     (["verify", "ybe", "--mode", "numeric", "--trials", "0"], "--trials must be at least 1"),
     (["verify", "skew-cauchy", "--mu", "2,1"], "--mu must be a k-tuple of partitions with n parts"),
     (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
+    (["verify", "skew-cauchy", "--mu", "2,0;0,0", "-D", "1"], "--mu must have size at most --degree"),
+    (["verify", "skew-cauchy", "-D", "0"], "--degree must be at least 1 when --mu is not given"),
     (["verify", "symmetry", "--workers", "-3"],
      "the worker count must be a positive integer, not '-3'"),
     (["verify", "symmetry", "--workers", "0"], "the worker count must be a positive integer, not '0'"),

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,10 @@ from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import random_skew_tuple, random_straight_tuple
 from lltlattice.lattice import (
     LatticeConfig,
+    LatticeSpec,
+    _color_columns,
+    _gray,
+    _labels,
     _row_transitions,
     build_box_lattice,
     build_lattice,
@@ -179,12 +184,13 @@ def test_partition_function_equals_tableaux_property(shape, n):
 
 def _reachable_levels(spec):
     """DP states level by level, and the number of transitions made."""
-    levels, made = [{spec.bottom}], 0
+    step = _row_transitions(spec)
+    levels, made = [{_color_columns(spec.bottom, spec.k)}], 0
     for row in range(1, spec.n + 1):
         nxt = set()
-        for bvec in levels[-1]:
-            for tvec, _, _, _ in _row_transitions(spec, row, bvec):
-                nxt.add(tvec)
+        for state in levels[-1]:
+            for tops, _, _, _ in step(row, state):
+                nxt.add(tops)
                 made += 1
         levels.append(nxt)
     return levels, made
@@ -203,6 +209,13 @@ def test_worst_criterion_3_shape():
     assert made == 260
 
 
+def test_anchor_reachable_levels():
+    spec = build_lattice(SkewShapeTuple.straight(((3, 2), (2, 1), (2, 0))), 7)
+    levels, made = _reachable_levels(spec)
+    assert [len(level) for level in levels] == [1, 36, 135, 135, 135, 135, 135, 1]
+    assert made == 10_062
+
+
 @pytest.mark.parametrize("spec", [
     build_lattice(SECOND, 2),
     build_box_lattice(((2, 1), (1, 0)), 4, 2),
@@ -210,10 +223,92 @@ def test_worst_criterion_3_shape():
 ], ids=["plain", "box", "gray-right-exit"])
 def test_last_row_yields_only_the_top(spec):
     levels, _ = _reachable_levels(spec)
-    assert levels[-1] == {spec.top}
-    for bvec in levels[-2]:
-        tops = {t for t, _, _, _ in _row_transitions(spec, spec.n, bvec)}
-        assert tops <= {spec.top}
+    top = _color_columns(spec.top, spec.k)
+    assert levels[-1] == {top}
+    step = _row_transitions(spec)
+    for state in levels[-2]:
+        assert {t for t, _, _, _ in step(spec.n, state)} <= {top}
+
+
+def _random_specs(rng, count):
+    for _ in range(count):
+        shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
+        yield build_lattice(shape, rng.randint(1, 3))
+        k, n = rng.randint(1, 3), rng.randint(1, 3)
+        lam = random_straight_tuple(rng, k, n, 2)
+        M = max((p[0] for p in lam), default=0) + n + rng.randint(0, 1)
+        for gray, right_exit in product((False, True), repeat=2):
+            yield build_box_lattice(lam, M, n, gray=gray, right_exit=right_exit)
+
+
+def test_row_weight_matches_face_weights():
+    # every transition's (x, t) is the sum of face_weight_exponents over the
+    # row's faces, rebuilt from the vertical and horizontal labels
+    checked = 0
+    for spec in _random_specs(random.Random(47), 30):
+        step, ncols = _row_transitions(spec), spec.ncols
+        levels, _ = _reachable_levels(spec)
+        for row, states in enumerate(levels[:-1], start=1):
+            for state in states:
+                below = _labels(state, ncols)
+                for tops, xexp, texp, rights in step(row, state):
+                    above = _labels(tops, ncols)
+                    horiz = [0] * (ncols + 1)
+                    for bit, right in enumerate(rights):
+                        for c in range(ncols):
+                            horiz[c + 1] |= ((right >> c) & 1) << bit
+                    assert horiz[ncols] == spec.right[row - 1]
+                    xe = te = 0
+                    for c in range(ncols):
+                        face = face_weight_exponents(spec.k, below[c], horiz[c],
+                                                     above[c], horiz[c + 1])
+                        xe, te = xe + face[0], te + face[1]
+                    if spec.gray:
+                        xe, te = _gray(spec.k, ncols, xe, te)
+                        xexp, texp = _gray(spec.k, ncols, xexp, texp)
+                    assert (xexp, texp) == (xe, te)
+                    checked += 1
+    assert checked == 14_278
+
+
+def _reference_partition_function(spec):
+    """Sum over every labelling, row by row and face by face, with
+    face_weight_exponents as the only rule."""
+    k, ncols, vars = spec.k, spec.ncols, VarSet(nx=spec.n)
+    states = {spec.bottom: LaurentPoly.one(vars)}
+    for row in range(1, spec.n + 1):
+        nxt = {}
+        for below, poly in states.items():
+            rows = [((), 0, 0, 0)]  # (tops so far, carry, x-exp, t-exp)
+            for c in range(ncols):
+                rows = [(tops + (K,), L, xe + w[0], te + w[1])
+                        for tops, J, xe, te in rows
+                        for K, L in product(range(1 << k), repeat=2)
+                        if (w := face_weight_exponents(k, below[c], J, K, L))]
+            for tops, carry, xe, te in rows:
+                if carry == spec.right[row - 1]:
+                    exps = [0] * vars.total
+                    exps[row - 1], exps[vars.t_index] = (
+                        _gray(k, ncols, xe, te) if spec.gray else (xe, te))
+                    nxt[tops] = nxt.get(tops, LaurentPoly.zero(vars)) + poly * (
+                        LaurentPoly.monomial(vars, 1, exps))
+        states = nxt
+    return states.get(spec.top, LaurentPoly.zero(vars))
+
+
+def test_right_labels_that_differ_by_row():
+    # color 1 leaves through the right edge on row 1 and color 2 on row 3 of
+    # 4; color 2 can keep its columns over rows 1-3, so a move memo keyed
+    # without the exit bit would give row 3 the moves of row 1
+    for gray in (False, True):
+        spec = LatticeSpec(k=2, n=4, r=0, s=3, bottom=(3, 3, 0, 0), top=(0, 1, 2, 0),
+                           right=(1, 0, 2, 0), gray=gray)
+        configs = enumerate_configs(spec)
+        total = LaurentPoly.zero(VarSet(nx=4))
+        for config in configs:
+            total = total + config.weight()
+        assert configs
+        assert total == partition_function(spec) == _reference_partition_function(spec)
 
 
 def test_per_color_conservation_of_configs():
