@@ -67,9 +67,9 @@ class LaurentPoly:
 
     ``terms`` maps exponent tuples (length ``vars.total``) to nonzero ints.
     The constructor is the one place zero coefficients are dropped: every
-    operation accumulates its terms and builds its result through it.
-    Instances are treated as immutable; do not mutate ``terms`` after
-    construction.
+    operation accumulates its terms and builds its result through it.  Only
+    ``_trusted`` skips it, for counts that cannot be zero.  Instances are
+    treated as immutable; do not mutate ``terms`` after construction.
     """
 
     __slots__ = ("vars", "terms")
@@ -93,6 +93,15 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, vars: VarSet, terms: dict[tuple, int]) -> "LaurentPoly":
+        """Take ownership of ``terms`` as is: every key an exponent tuple of
+        length ``vars.total``, every value a positive count."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", vars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @classmethod
     def zero(cls, vars: VarSet) -> "LaurentPoly":

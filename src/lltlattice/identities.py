@@ -22,6 +22,8 @@ from .shapes import (
     ShapeTuple,
     SkewShapeTuple,
     _binom2,
+    _complement,
+    _d_stat,
     check_box_tuple,
     check_partition,
     complement,
@@ -317,12 +319,17 @@ def shape_tuples_bounded(k: int, n: int, D: int):
     return out
 
 
+# The Cauchy drivers build each generated lam/0 (or lam/mu) once, unchecked:
+# shape_tuples_bounded yields valid k-tuples of n-part partitions.
+
+
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
     summands = []
+    zero = ((0,) * n,) * k
     for lam in shape_tuples_bounded(k, n, D):
-        P = llt(lam, n, engine)
-        summands.append((d_stat(lam), P, P))
+        P = llt(SkewShapeTuple._trusted(lam, zero), n, engine)
+        summands.append((_d_stat(lam), P, P))
     lhs = _xy_sum(n, summands)
     rhs = cauchy_kernel_truncated(n, k, D)
     return _check_pairs(
@@ -339,12 +346,13 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     if size > D:
         raise ValueError("need |mu| <= D")
     summands = []
+    zero = ((0,) * n,) * k
     for lam in shape_tuples_bounded(k, n, D):
         if any(lv < mv for lp, mp in zip(lam, mu) for lv, mv in zip(lp, mp)):
             continue
-        P = llt(lam, n)
-        Q = llt(SkewShapeTuple(lam, mu), n)
-        summands.append((d_stat(lam), P, Q))
+        P = llt(SkewShapeTuple._trusted(lam, zero), n)
+        Q = llt(SkewShapeTuple._trusted(lam, mu), n)
+        summands.append((_d_stat(lam), P, Q))
     lhs = _xy_sum(n, summands)
     L_mu = llt(mu, n)
     base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
@@ -366,19 +374,21 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     rhs = cauchy_kernel_truncated(n, k, D)
     summands = []
     pairs = []
+    zero = ((0,) * n,) * k
     for lam in shape_tuples_bounded(k, n, D):
-        P = llt(lam, n)
-        R = llt(rotate(lam), n)
+        shape = SkewShapeTuple._trusted(lam, zero)
+        P = llt(shape, n)
+        R = llt(rotate(shape), n)
         summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)
-        comp = complement(lam, width + n, n)
-        rel_rhs = LaurentPoly.t(P.vars, d_stat(comp)) * P
+        d_comp = _d_stat(_complement(lam, width + n, n))
+        rel_rhs = LaurentPoly.t(P.vars, d_comp) * P
         pairs.append((f"rotation relation at {lam}", R, rel_rhs))
         pairs.append(
             (
                 f"d(comp)=d(lam) at {lam}",
-                LaurentPoly.const(rhs.vars, d_stat(comp)),
-                LaurentPoly.const(rhs.vars, d_stat(lam)),
+                LaurentPoly.const(rhs.vars, d_comp),
+                LaurentPoly.const(rhs.vars, _d_stat(lam)),
             )
         )
     pairs.insert(0, ("rotated sum vs kernel", _xy_sum(n, summands), rhs))

@@ -111,6 +111,9 @@ class LatticeSpec:
     right: tuple[int, ...]
     gray: bool = False
     shape: SkewShapeTuple | None = field(default=None, compare=False)
+    # per color, the columns of bottom and of top that carry it: the DP's
+    # first and last states
+    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ncols = self.s - self.r + 1
@@ -118,13 +121,11 @@ class LatticeSpec:
             raise ValueError("boundary length does not match the column range")
         if len(self.right) != self.n:
             raise ValueError("need one right label per row")
-        for bit in range(self.k):
-            flow = sum((m >> bit) & 1 for m in self.bottom)
-            out = sum((m >> bit) & 1 for m in self.top) + sum(
-                (m >> bit) & 1 for m in self.right
-            )
-            if flow != out:
+        bottom, top = _color_columns(self.bottom, self.k), _color_columns(self.top, self.k)
+        for bit, (flow, out) in enumerate(zip(bottom, top)):
+            if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):
                 raise ValueError(f"color {bit + 1} is not conserved by the boundary")
+        object.__setattr__(self, "columns", (bottom, top))
 
     @property
     def ncols(self) -> int:
@@ -226,7 +227,7 @@ def _row_transitions(spec: LatticeSpec):
     leaves right and j is present.  Each color's moves are computed once per
     step function, keyed by color, bottoms, exit bit and last row or not.
     """
-    ncols, caps = spec.ncols, _color_columns(spec.top, spec.k)
+    ncols, caps = spec.ncols, spec.columns[1]
     moves: dict[tuple, list] = {}
 
     def step(row: int, state: tuple[tuple[int, ...], ...]):
@@ -263,9 +264,8 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
     width = vars.total
     tslot = vars.t_index
     step = _row_transitions(spec)
-    states: dict[tuple, dict[tuple, int]] = {
-        _color_columns(spec.bottom, spec.k): {(0,) * width: 1}
-    }
+    bottom, top = spec.columns
+    states: dict[tuple, dict[tuple, int]] = {bottom: {(0,) * width: 1}}
     for row in range(1, spec.n + 1):
         xslot = row - 1
         nxt: dict[tuple, dict[tuple, int]] = {}
@@ -283,7 +283,8 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
         states = nxt
         if not states:
             break
-    return LaurentPoly(vars, states.get(_color_columns(spec.top, spec.k), {}))
+    # every coefficient counts configurations, so none is zero
+    return LaurentPoly._trusted(vars, states.get(top, {}))
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,7 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
                 for tops, _, _, rights in step(row, state)):
             rec(row + 1, tops, verts + (tvec,), horiz + (h,))
 
-    rec(1, _color_columns(spec.bottom, spec.k), (spec.bottom,), ())
+    rec(1, spec.columns[0], (spec.bottom,), ())
     return out
 
 

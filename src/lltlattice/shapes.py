@@ -56,6 +56,16 @@ class SkewShapeTuple:
         object.__setattr__(self, "gamma", gamma)
 
     @classmethod
+    def _trusted(cls, beta: ShapeTuple, gamma: ShapeTuple) -> "SkewShapeTuple":
+        """A tuple whose checks already hold: beta and gamma are tuples of
+        partitions with matching lengths and containment (a shape the
+        caller generated or derived from a checked one)."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "beta", beta)
+        object.__setattr__(shape, "gamma", gamma)
+        return shape
+
+    @classmethod
     def straight(cls, beta) -> "SkewShapeTuple":
         """beta/0 for a tuple of partitions; a SkewShapeTuple is returned as is."""
         if isinstance(beta, cls):
@@ -107,11 +117,11 @@ def boundary_vector(mu: ShapeTuple, i: int) -> tuple[int, ...]:
 
 def column_range(shape: SkewShapeTuple) -> tuple[int, int]:
     """(r, s): leftmost gamma label and rightmost beta label."""
-    gcols = [c for g in shape.gamma for c in label_columns(g)]
-    bcols = [c for b in shape.beta for c in label_columns(b)]
-    if not gcols:
+    if not any(shape.gamma):
         return (0, 0)
-    return (min(gcols), max(bcols))
+    # labels strictly decrease along a partition: its last is its least
+    return (min(g[-1] - len(g) + 1 for g in shape.gamma if g),
+            max(b[0] for b in shape.beta if b))
 
 
 def bandwidth(shape: SkewShapeTuple) -> int:
@@ -234,7 +244,11 @@ def check_box_tuple(lam, n: int | None = None, M: int | None = None) -> ShapeTup
 
 def complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
     """Complement in an (M-n) x n box, components in reversed order."""
-    lam = check_box_tuple(lam, n, M)
+    return _complement(check_box_tuple(lam, n, M), M, n)
+
+
+def _complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
+    """``complement`` of a box tuple known to be valid."""
     return tuple(
         tuple(M - n - p[n - j] for j in range(1, n + 1)) for p in reversed(lam)
     )
@@ -258,7 +272,7 @@ def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
     k = shape.k
     beta = tuple(comp(shape.gamma[k - 1 - i]) for i in range(k))
     gamma = tuple(comp(shape.beta[k - 1 - i]) for i in range(k))
-    return SkewShapeTuple(beta, gamma)
+    return SkewShapeTuple._trusted(beta, gamma)
 
 
 def d_stat(lam: ShapeTuple) -> int:
@@ -267,7 +281,11 @@ def d_stat(lam: ShapeTuple) -> int:
     Can be negative (e.g. ((1,0),(0,0)) gives -1); the generating functions
     it shifts always carry a compensating power of t.
     """
-    lam = check_box_tuple(lam)
+    return _d_stat(check_box_tuple(lam))
+
+
+def _d_stat(lam: ShapeTuple) -> int:
+    """``d_stat`` of a box tuple known to be valid."""
     k, n = len(lam), len(lam[0])
     count = 0
     for a in range(k):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from itertools import accumulate, chain, combinations_with_replacement, product
 from operator import add, gt, sub
@@ -67,12 +68,14 @@ class TableauTuple:
         return tuple(self.entry(i, row, col) for (_, row, i, col) in cells)
 
 
-def _component_fillings(beta: Partition, gamma: Partition, n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=1024)
+def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tuple[int, ...], ...]:
     """All SSYT fillings of one skew component, each a flat tuple of entries
     in ``SkewShapeTuple.cells`` order (rows bottom to top, left to right).
 
     Built row by row: each weakly increasing row goes on top of the
-    fillings whose top row it exceeds strictly, column by column.
+    fillings whose top row it exceeds strictly, column by column.  Cached
+    per component, so the value is a tuple that no caller can change.
     """
     fillings: list[tuple[int, ...]] = [()]
     end = below_lo = below_hi = 0     # end: flat position after the row below
@@ -93,7 +96,7 @@ def _component_fillings(beta: Partition, gamma: Partition, n: int) -> list[tuple
                 out += [f + row for row in fits[under]]
             fillings = out
         end, below_lo, below_hi = end + hi - lo, lo, hi
-    return fillings
+    return tuple(fillings)
 
 
 def _tableau_tuples(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
@@ -167,29 +170,50 @@ def inv(T: TableauTuple) -> int:
     return attacking_inversions(T)
 
 
-def _pair_triples(shape: SkewShapeTuple) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-    """``triples(shape)`` as flat cell positions, grouped by components a < b.
+def _row_starts(beta: Partition, gamma: Partition) -> list[int]:
+    """starts[row - 1] + col is the flat position of cell (row, col)."""
+    ends = accumulate(map(sub, beta, gamma), initial=0)
+    return [end - g - 1 for end, g in zip(ends, gamma)]
 
-    A position indexes ``shape.cells(i)``; each triple becomes
-    (pos_v in a, pos_u in b, pos_w in b), with -1 for a u or w outside.
+
+@lru_cache(maxsize=1024)
+def _pair_positions(beta_a: Partition, gamma_a: Partition,
+                    beta_b: Partition, gamma_b: Partition) -> tuple[tuple[int, int, int], ...]:
+    """The triples of components a < b as (pos_v in a, pos_u in b, pos_w in
+    b), with -1 for a u or w outside; they depend on the two components only.
+
+    As in ``triples``: each row of b gives the pairs (u, w) = ((row, q),
+    (row, q+1)) for q from gamma_row to beta_row, and each cell v of a on
+    the content line of w completes a triple.
     """
-    # first[i][row - 1] + col: the position of cell (row, col) of component i
-    first = [
-        [end - g - 1 for end, g in zip(accumulate(map(sub, beta, gamma), initial=0), gamma)]
-        for beta, gamma in zip(shape.beta, shape.gamma)
-    ]
-    pairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for a, v_row, v_col, b, row, q, u_inside, w_inside in triples(shape):
-        pos_u = first[b][row - 1] + q
-        pairs.setdefault((a, b), []).append((
-            first[a][v_row - 1] + v_col,
-            pos_u if u_inside else -1,
-            pos_u + 1 if w_inside else -1,
-        ))
+    rows_a = list(zip(range(1, len(beta_a) + 1), gamma_a, beta_a, _row_starts(beta_a, gamma_a)))
+    out = []
+    for row, lo, hi, start in zip(range(1, len(beta_b) + 1), gamma_b, beta_b,
+                                  _row_starts(beta_b, gamma_b)):
+        for q in range(lo, hi + 1):
+            pos_u = start + q if q > lo else -1
+            pos_w = start + q + 1 if q < hi else -1
+            for v_row, v_lo, v_hi, v_start in rows_a:
+                v_col = q + 1 - row + v_row     # on the content line of w
+                if v_lo < v_col <= v_hi:
+                    out.append((v_start + v_col, pos_u, pos_w))
+    return tuple(out)
+
+
+def _pair_triples(shape: SkewShapeTuple) -> dict[tuple[int, int], tuple[tuple[int, int, int], ...]]:
+    """``triples(shape)`` as flat cell positions, grouped by components a < b
+    that share at least one triple (see ``_pair_positions``)."""
+    comps = list(zip(shape.beta, shape.gamma))
+    pairs = {}
+    for b, (beta_b, gamma_b) in enumerate(comps):
+        for a, (beta_a, gamma_a) in enumerate(comps[:b]):
+            trips = _pair_positions(beta_a, gamma_a, beta_b, gamma_b)
+            if trips:
+                pairs[a, b] = trips
     return pairs
 
 
-def _coinv_table(fa: list, fb: list, trips, n: int, unit: int) -> list[list[int]]:
+def _coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:
     """``unit`` times C_ab: row i, column j counts the triples of the pair
     (a, b) that are coinversions when a holds fa[i] and b holds fb[j].
 
@@ -296,11 +320,10 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
         fillings, _pair_triples(shape), weights, unit, n
     )
     mask = (1 << bits) - 1
-    terms = {
+    return LaurentPoly._trusted(vars, {
         (*[key >> s & mask for s in shifts], key >> bits * n): count
         for key, count in counts.items()
-    }
-    return LaurentPoly(vars, terms)
+    })
 
 
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:

@@ -124,7 +124,9 @@ _BRANCHES = {
 }
 
 
-@lru_cache(maxsize=None)
+# The three caches below hold one value per k (k <= 5 in practice) and per
+# kind or flavor, so these bounds keep every key the checks use.
+@lru_cache(maxsize=12)
 def _recursive_table(k: int, kind: str) -> dict:
     """All nonzero k-color face ("L") or crossing ("R") weights, built by the
     one-color-at-a-time rule: the new color k follows one single-color
@@ -184,7 +186,7 @@ def _entry_rows(k: int, pictures, weight) -> dict:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=12)
 def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
     """Entry rows of the x-line face, the y-line face and the crossing.
     Starred, the x-line face is gray and the crossing's x line carries
@@ -245,7 +247,7 @@ def _contract_sides(k: int, lx_rows, ly_rows, r_rows, to_value):
     return gauche, droite
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=6)
 def _symbolic_sides(k: int) -> tuple[dict, dict]:
     return _contract_sides(k, *_tables(k, False), lambda w: w)
 

@@ -1,8 +1,11 @@
 """Every module-level import in the package's modules is used by the module,
-every private module-level function or class is used by the package, and no
-function imports anything."""
+every private module-level function or class is used by the package, no
+function imports anything, and every functools cache is bounded."""
 
 import ast
+import functools
+import gc
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -102,3 +105,56 @@ def test_guard_sees_an_import_inside_a_function():
         "    return build_lattice(shape)\n"
     )
     assert _function_imports(source) == ["line 4: llt"]
+
+
+LRU_CACHE = type(functools.cache(lambda: None))
+
+
+def _caches(package: str) -> dict[str, int | None]:
+    """module.function -> maxsize of every live functools cache that a module
+    of package defines, found as the benchmark child finds the caches it
+    empties: among the garbage collector's objects."""
+    return {
+        f"{obj.__module__}.{obj.__qualname__}": obj.cache_parameters()["maxsize"]
+        for obj in gc.get_objects()
+        if isinstance(obj, LRU_CACHE) and obj.__module__.startswith(package)
+    }
+
+
+def _decorated_caches(sources: dict[str, str]) -> set[str]:
+    """module.function of every function the sources decorate with
+    ``functools.cache`` or ``lru_cache``."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "id", getattr(dec, "attr", None)) in ("cache", "lru_cache"):
+                        found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_every_cache_is_bounded():
+    modules = [path for path in MODULES if path.name != "__main__.py"]   # it runs the CLI
+    for path in modules:
+        importlib.import_module(f"lltlattice.{path.stem}")
+    caches = _caches("lltlattice")
+    sources = {f"lltlattice.{path.stem}": path.read_text() for path in modules}
+    assert set(caches) == _decorated_caches(sources)
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+def test_guard_sees_an_unbounded_cache():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n\n"
+        "@cache\ndef loose(k):\n    return k\n\n"
+        "@functools.lru_cache(maxsize=4)\ndef tight(k):\n    return k\n"
+    )
+    namespace = {"__name__": "guardcheck.caches"}
+    exec(source, namespace)
+    assert _caches("guardcheck") == {"guardcheck.caches.loose": None, "guardcheck.caches.tight": 4}
+    assert _decorated_caches({"guardcheck.caches": source}) == {
+        "guardcheck.caches.loose", "guardcheck.caches.tight"
+    }

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lltlattice import identities
+from lltlattice import identities, shapes
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import (
     _xy_sum,
@@ -23,7 +23,7 @@ from lltlattice.identities import (
     verify_skew_cauchy,
     verify_symmetry,
 )
-from lltlattice.shapes import SkewShapeTuple, d_stat, rotate, triples
+from lltlattice.shapes import SkewShapeTuple, d_stat, rotate
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -236,9 +236,19 @@ def test_skew_cauchy_cuts_kernel_at_remaining_degree(monkeypatch):
     assert degrees == [2]
 
 
-@pytest.mark.parametrize("cached", [triples], ids=["triples"])
-def test_caches_are_bounded(cached):
-    assert cached.cache_info().maxsize is not None
+def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
+    # the driver builds every lam itself: llt, rotate, complement and d_stat
+    # take it (and its rotation and complement) without checking it again
+    calls = []
+    check = shapes.check_shape_tuple
+
+    def spy(shape):
+        calls.append(shape)
+        return check(shape)
+
+    monkeypatch.setattr(shapes, "check_shape_tuple", spy)
+    assert verify_cauchy_rot(2, 2, 3).passed
+    assert len(calls) <= len(shape_tuples_bounded(2, 2, 3))
 
 
 def test_skew_cauchy_rejects_oversized_mu():

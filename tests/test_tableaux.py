@@ -1,7 +1,8 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations, product
 from math import comb, prod
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from lltlattice import tableaux
 from lltlattice.algebra import LaurentPoly, VarSet
-from lltlattice.shapes import SkewShapeTuple, inv_stat, m_bruteforce
+from lltlattice.identities import random_skew_tuple, shape_tuples_bounded
+from lltlattice.lattice import build_box_lattice, build_lattice, partition_function
+from lltlattice.shapes import SkewShapeTuple, inv_stat, m_bruteforce, triples
 from lltlattice.tableaux import (
     TableauTuple,
     _component_fillings,
+    _pair_triples,
     attacking_inversions,
     coinv,
     complement_bijection,
@@ -108,8 +112,6 @@ def test_constant_filling_has_no_inversions():
 
 def test_inv_triple_count_matches_attacking_pairs():
     rng = random.Random(11)
-    from lltlattice.identities import random_skew_tuple
-
     for _ in range(25):
         shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
         n = rng.randint(1, 3)
@@ -167,12 +169,89 @@ def test_llt_coinv_both_counting_paths(monkeypatch, few):
     # the per-tuple count
     monkeypatch.setattr(tableaux, "_FEW_TUPLES", few)
     rng = random.Random(5)
-    from lltlattice.identities import random_skew_tuple
-
     for _ in range(30):
         shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
         n = rng.randint(1, 3)
         assert llt_coinv(shape, n) == _reference_llt_coinv(shape, n)
+
+
+def _reference_pair_triples(shape):
+    """``triples(shape)`` as flat positions (pos_v in a, pos_u in b, pos_w
+    in b), grouped by components a < b, from the Triple records."""
+    first = [
+        [end - g - 1 for end, g in zip(accumulate(map(sub, beta, gamma), initial=0), gamma)]
+        for beta, gamma in zip(shape.beta, shape.gamma)
+    ]
+    pairs = {}
+    for a, v_row, v_col, b, row, q, u_inside, w_inside in triples(shape):
+        pos_u = first[b][row - 1] + q
+        pairs.setdefault((a, b), []).append((
+            first[a][v_row - 1] + v_col,
+            pos_u if u_inside else -1,
+            pos_u + 1 if w_inside else -1,
+        ))
+    return pairs
+
+
+@given(small_skew_tuples())
+@example(SkewShapeTuple(((2, 1),), ((1, 0),)))                      # one component
+@example(SkewShapeTuple(((0, 0), (2, 1)), ((0, 0), (1, 0))))        # rows with no cells
+@example(SkewShapeTuple(((2, 2), (3, 1)), ((2, 1), (1, 1))))        # gamma = beta rows
+@example(SkewShapeTuple(((1,), (2, 2), (3, 1, 1)), ((0,), (2, 0), (1, 1, 0))))
+def test_pair_positions_match_triples(shape):
+    pairs = _pair_triples(shape)
+    reference = _reference_pair_triples(shape)
+    assert {pair: Counter(trips) for pair, trips in pairs.items()} == {
+        pair: Counter(trips) for pair, trips in reference.items()
+    }
+
+
+def test_llt_coinv_golden_without_triple_records(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("llt_coinv built Triple records")
+
+    monkeypatch.setattr(tableaux, "triples", refuse)
+    for cached in (tableaux._component_fillings, tableaux._pair_positions):
+        cached.cache_clear()
+    P = llt_coinv(SkewShapeTuple.straight(((3, 2), (2, 1), (2, 0))), 5)
+    assert len(P.terms) == 4958
+    assert sum(P.terms.values()) == 175 * 40 * 15
+
+
+def test_trusted_results_equal_checked_construction():
+    # llt_coinv and partition_function build their results without the
+    # constructor's checks; the checks would change nothing
+    rng = random.Random(41)
+    results = []
+    for _ in range(40):
+        shape = random_skew_tuple(rng)
+        n = rng.randint(1, 3)
+        results += [llt_coinv(shape, n), partition_function(build_lattice(shape, n))]
+    for gray, right_exit in product((False, True), repeat=2):
+        spec = build_box_lattice(((1, 0), (2, 1)), 5, 2, gray=gray, right_exit=right_exit)
+        results.append(partition_function(spec))
+    for P in results:
+        checked = LaurentPoly(P.vars, dict(P.terms))
+        assert list(P.terms.items()) == list(checked.terms.items())
+    assert sum(not P.is_zero() for P in results) > 60
+
+
+def test_memoized_values_survive_a_sweep():
+    # every value computed on warm caches equals the value computed cold,
+    # also for a shape repeated after the sweep: no cached value is mutated
+    def cold(shape, n):
+        for cached in (tableaux._component_fillings, tableaux._pair_positions):
+            cached.cache_clear()
+        return llt_coinv(shape, n)
+
+    rng = random.Random(43)
+    sweep = [(SkewShapeTuple.straight(lam), 2) for lam in shape_tuples_bounded(3, 2, 3)]
+    sweep += [(random_skew_tuple(rng), rng.randint(1, 3)) for _ in range(40)]
+    expected = [cold(shape, n) for shape, n in sweep]
+    cold(*sweep[0])
+    assert [llt_coinv(shape, n) for shape, n in sweep] == expected
+    assert llt_coinv(*sweep[0]) == expected[0]
+    assert isinstance(_component_fillings((2, 1), (0, 0), 3), tuple)
 
 
 def _jacobi_trudi_count(beta, gamma, n):
@@ -246,8 +325,6 @@ def test_llt_empty_shape():
 
 def test_llt_at_t_one_is_product_of_skew_schurs():
     rng = random.Random(23)
-    from lltlattice.identities import random_skew_tuple
-
     for _ in range(10):
         shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=2)
         n = 2
