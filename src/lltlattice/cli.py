@@ -2,19 +2,16 @@
 
 Exit codes: 0 success, 1 some verification failed, 2 bad parameters or parse
 error, 3 cross-engine mismatch.  All randomness flows from --seed (default 1),
-so identical invocations produce byte-identical output.  LLTLATTICE_WORKERS
-(or --workers) sets the worker-pool size for independent verification cases;
-results are emitted in deterministic order regardless of completion order.
+so identical invocations produce byte-identical output.  ``verify all`` runs
+its cases one after another, in suite order, in this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import identities, yangbaxter
 from .algebra import LaurentPoly, VarSet
@@ -215,18 +212,14 @@ VERIFY = {
 
 
 def _verify_case(task):
-    """Top-level dispatcher so cases stay picklable for the worker pool."""
+    """Run one (identity, kwargs) case.
+
+    ``cmd_verify`` calls it by its module-global name, once per case, so a
+    wrapper set on the module (such as a timing span) sees every case.
+    """
     name, kwargs = task
     module, verifier, _ = VERIFY[name]
     return getattr(module, verifier)(**kwargs)
-
-
-def _run_cases(cases, workers: int):
-    workers = min(workers, len(cases), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_case, cases))
-    return [_verify_case(c) for c in cases]
 
 
 def _suite(seed: int, quick: bool) -> list[str]:
@@ -274,10 +267,6 @@ def _emit_report(report, fmt: str):
 
 def cmd_verify(args) -> int:
     try:
-        env = os.environ.get("LLTLATTICE_WORKERS", "1")
-        workers = env if args.workers is None else str(args.workers)
-        if not workers.isdecimal() or int(workers) < 1:
-            raise ValueError(f"the worker count must be a positive integer, not {workers!r}")
         if args.identity == "all":
             parse = build_parser().parse_args
             runs = [parse(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
@@ -288,7 +277,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports = _run_cases(cases, int(workers))
+        reports = [_verify_case(case) for case in cases]
     except EngineMismatch as exc:
         return _engine_mismatch(exc)
     for report in reports:
@@ -335,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=3)
     pv.add_argument("--seed", type=int, default=1, help="seed for all randomness")
     pv.add_argument("--quick", action="store_true", help="minimal parameters")
-    pv.add_argument("--workers", type=int, default=None, help="worker processes (env LLTLATTICE_WORKERS)")
     pv.add_argument("--format", choices=("json", "text"), default="text")
     pv.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
 from operator import add
 
-from .algebra import LaurentPoly, VarSet, poly_sum
+from .algebra import LaurentPoly, VarSet
 from .lattice import build_box_lattice, build_lattice, partition_function
 from .shapes import (
     Partition,
@@ -175,24 +175,22 @@ def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
     lam = check_box_tuple(lam, n, M)
-    skew = _box_skew_shape(lam, M, n)
-    lhs = llt(skew, n, engine)
-    comp = complement(lam, M, n)
-    rhs = LaurentPoly.t(lhs.vars, d_stat(lam)) * llt(comp, n, engine)
-    pairs = [("box/lam vs complement", lhs, rhs)]
-    details = {"d": d_stat(lam), "d_complement": d_stat(comp)}
+    comp = _complement(lam, M, n)
+    d, d_comp = _d_stat(lam), _d_stat(comp)
+    lhs = llt(_box_skew_shape(lam, M, n), n, engine)
+    rhs = LaurentPoly.t(lhs.vars, d) * llt(comp, n, engine)
     report = _check_pairs(
         "box-skew",
         {"lam": [list(p) for p in lam], "M": M, "n": n, "engine": engine},
-        pairs,
-        details,
+        [("box/lam vs complement", lhs, rhs)],
+        {"d": d, "d_complement": d_comp},
     )
-    if report.passed and d_stat(comp) != d_stat(lam):
+    if report.passed and d_comp != d:
         report.status = "FAIL"
         report.witness = {
             "context": "d(complement) != d(lam)",
-            "lhs": LaurentPoly.const(lhs.vars, d_stat(comp)).to_json_dict(),
-            "rhs": LaurentPoly.const(lhs.vars, d_stat(lam)).to_json_dict(),
+            "lhs": LaurentPoly.const(lhs.vars, d_comp).to_json_dict(),
+            "rhs": LaurentPoly.const(lhs.vars, d).to_json_dict(),
         }
     return report
 
@@ -229,23 +227,20 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     lam = check_box_tuple(lam, n)
     k = len(lam)
     Ms = sorted(set(int(M) for M in Ms))
+    d = _d_stat(lam)
     base = llt(lam, n, engine)
     vars = base.vars
-    c2 = _binom2(n) * _binom2(k)
-    target = _x_rho_power(vars, n, k, textra=c2 + d_stat(lam)) * base
+    target = _x_rho_power(vars, n, k, textra=_binom2(n) * _binom2(k) + d) * base
+    shift_t = -_binom2(n + 1) * _binom2(k)
+    factor = _x_rho_power(vars, n, k, extra_all=-n * k, textra=shift_t)
     pairs = []
     for M in Ms:
         zright = partition_function(build_box_lattice(lam, M, n, gray=True, right_exit=True))
         pairs.append((f"right-exit gray row, M={M}", zright, target))
         ztop = partition_function(build_box_lattice(lam, M, n, gray=True, right_exit=False))
-        shift_t = -_binom2(n + 1) * _binom2(k)
-        factor = _x_rho_power(vars, n, k, extra_all=-n * k, textra=shift_t)
         pairs.append((f"top-exit vs right-exit, M={M}", zright, ztop * factor))
     return _check_pairs(
-        "lstar",
-        {"lam": [list(p) for p in lam], "n": n, "M": Ms},
-        pairs,
-        {"d": d_stat(lam)},
+        "lstar", {"lam": [list(p) for p in lam], "n": n, "M": Ms}, pairs, {"d": d}
     )
 
 
@@ -272,7 +267,9 @@ def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
 
     ``graded[d]`` holds the running product's terms of x-degree d.  Times
     1/(1 - u), u = x_i y_j t^m, it becomes Q with Q[d] = P[d] + u Q[d - 1]:
-    only monomial shifts, and no term above D is ever formed.
+    only monomial shifts, and no term above D is ever formed.  The grades
+    share no key and every coefficient is a positive count, so merging them
+    gives the product's terms as they are.
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -288,7 +285,10 @@ def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
                     for e, c in below.items():
                         e = tuple(map(add, e, step))
                         grade[e] = grade.get(e, 0) + c
-    return poly_sum(vars, (LaurentPoly(vars, grade) for grade in graded))
+    terms: dict[tuple, int] = {}
+    for grade in graded:
+        terms |= grade
+    return LaurentPoly._trusted(vars, terms)
 
 
 def partitions_fixed_length(n: int, max_size: int):
@@ -300,23 +300,15 @@ def partitions_fixed_length(n: int, max_size: int):
 
 
 def shape_tuples_bounded(k: int, n: int, D: int):
-    """k-tuples of n-part partitions with total size <= D."""
-    singles = partitions_fixed_length(n, D)
-    out: list[ShapeTuple] = []
-
-    def rec(prefix: list[Partition], budget: int):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for p in singles:
-            s = sum(p)
-            if s <= budget:
-                prefix.append(p)
-                rec(prefix, budget - s)
-                prefix.pop()
-
-    rec([], D)
-    return out
+    """k-tuples of n-part partitions with total size <= D, ordered as the
+    product of ``partitions_fixed_length(n, D)`` with itself."""
+    singles = [(p, sum(p)) for p in partitions_fixed_length(n, D)]
+    sized: list[tuple[ShapeTuple, int]] = [((), 0)]
+    for _ in range(k):  # extend each tuple by one component, keeping its size
+        sized = [
+            (lam + (p,), size + s) for lam, size in sized for p, s in singles if size + s <= D
+        ]
+    return [lam for lam, _ in sized]
 
 
 # The Cauchy drivers build each generated lam/0 (or lam/mu) once, unchecked:

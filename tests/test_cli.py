@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,6 @@ import pytest
 from lltlattice import cli, identities
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import EngineMismatch, IdentityReport
-from lltlattice.shapes import SkewShapeTuple
 
 
 def run_cli(*args):
@@ -132,12 +130,6 @@ def test_verify_deterministic_output():
     assert a.stdout == b.stdout
 
 
-def test_verify_workers_match_serial():
-    a = run_cli("verify", "all", "--quick", "--seed", "5", "--format", "json")
-    c = run_cli("verify", "all", "--quick", "--seed", "5", "--format", "json", "--workers", "2")
-    assert a.stdout == c.stdout
-
-
 def test_verify_bad_identity_exit_2():
     out = run_cli("verify", "nonsense")
     assert out.returncode == 2
@@ -225,9 +217,6 @@ BAD_VERIFY = [
     (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
     (["verify", "skew-cauchy", "--mu", "2,0;0,0", "-D", "1"], "--mu must have size at most --degree"),
     (["verify", "skew-cauchy", "-D", "0"], "--degree must be at least 1 when --mu is not given"),
-    (["verify", "symmetry", "--workers", "-3"],
-     "the worker count must be a positive integer, not '-3'"),
-    (["verify", "symmetry", "--workers", "0"], "the worker count must be a positive integer, not '0'"),
     (["verify", "ybe", "--k", "6"], "--k must be at most 5"),
     (["verify", "lstar-ybe", "--k", "6"], "--k must be at most 5"),
 ]
@@ -241,12 +230,22 @@ def test_verify_bad_parameters_exit_2(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_verify_bad_workers_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("LLTLATTICE_WORKERS", "abc")
-    assert cli.main(["verify", "symmetry"]) == 2
+def test_verify_workers_flag_is_gone(capsys):
+    assert cli.main(["verify", "all", "--workers", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the worker count must be a positive integer, not 'abc'\n"
+    assert "unrecognized arguments: --workers 2" in captured.err
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, lltlattice.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_verify_failure_exit_1(monkeypatch, capsys):
@@ -294,18 +293,3 @@ def test_verify_engine_mismatch_exit_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == compute_err
     assert captured.err.startswith("engine mismatch:\n  tableaux: ")
-
-
-def test_verify_pool_is_clamped(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    assert cli.main(["verify", "inv-coinv", "--workers", "4"]) == 0
-    monkeypatch.setenv("LLTLATTICE_WORKERS", "4")
-    assert cli.main(["verify", "inv-coinv"]) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    shape = SkewShapeTuple(((1,), (1,)), ((0,), (0,)))
-    reports = cli._run_cases([("inv-coinv", {"shape": shape, "n": 2})] * 3, 4)
-    assert [r.status for r in reports] == ["PASS"] * 3

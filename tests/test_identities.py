@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -285,6 +286,14 @@ def test_partition_enumeration_helpers():
     tuples = shape_tuples_bounded(2, 1, 2)
     assert ((2,), (0,)) in tuples and ((1,), (1,)) in tuples
     assert all(sum(sum(p) for p in t) <= 2 for t in tuples)
+    for k in range(4):
+        for n in range(3):
+            for D in range(4):
+                product_order = [
+                    lam for lam in product(partitions_fixed_length(n, D), repeat=k)
+                    if sum(map(sum, lam)) <= D
+                ]
+                assert shape_tuples_bounded(k, n, D) == product_order
 
 
 def test_engine_equivalence_driver():
