@@ -62,14 +62,71 @@ class VarSet:
         return out
 
 
+class _Packing:
+    """Exponent vectors packed into one int, for the hot loops.
+
+    Field i is worth 2^(i * width), so the key of a monomial is the exact
+    integer sum of e_i * 2^(i * width), and adding keys multiplies monomials.
+    Every field but the last holds values in [low, low + 2^width), with
+    low = 0, or -2^(width - 1) when ``signed``; a value outside would carry
+    into the next field, so ``encode`` refuses it.  The last field takes
+    whatever is left of the key and is unbounded.
+    """
+
+    __slots__ = ("shifts", "top", "mask", "low")
+
+    def __init__(self, fields: int, width: int, signed: bool = False):
+        self.top = width * (fields - 1)
+        self.shifts = range(0, self.top, width)
+        self.mask = (1 << width) - 1
+        self.low = -(1 << width - 1) if signed else 0
+
+    def encode(self, terms: Mapping[tuple, int], factors: int) -> dict[int, int]:
+        """{key: coefficient} from {exponent tuple: coefficient}.  Every
+        bounded exponent times ``factors`` must fit its field, else
+        ValueError: then a product of ``factors`` such monomials cannot
+        carry into the next field."""
+        low, high, shifts, top = self.low, self.low + self.mask, self.shifts, self.top
+        out = {}
+        for exps, coeff in terms.items():
+            *bounded, last = exps
+            if len(bounded) != len(shifts):
+                raise ValueError(f"expected {len(shifts) + 1} exponents, got {len(exps)}")
+            for e in bounded:
+                if not low <= e * factors <= high:
+                    raise ValueError(
+                        f"exponent {e} times {factors} does not fit a "
+                        f"{self.mask.bit_length()}-bit field"
+                    )
+            out[sum(e << s for e, s in zip(bounded, shifts)) + (last << top)] = coeff
+        return out
+
+    def decode(self, counts: Mapping[int, int]) -> dict[tuple, int]:
+        """{exponent tuple: coefficient} from {key: coefficient}."""
+        shifts, mask, low, top = self.shifts, self.mask, self.low, self.top
+        if not low:   # plain digits: the hot path of the tableau engine
+            return {
+                (*[key >> s & mask for s in shifts], key >> top): coeff
+                for key, coeff in counts.items()
+            }
+        # -low in every bounded field (a geometric sum); adding it to a key
+        # turns each bounded field into a plain digit
+        bias = -low * ((1 << top) - 1) // mask
+        return {
+            (*[(key >> s & mask) + low for s in shifts], key >> top): coeff
+            for key, coeff in zip(map(bias.__add__, counts), counts.values())
+        }
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.
 
     ``terms`` maps exponent tuples (length ``vars.total``) to nonzero ints.
     The constructor is the one place zero coefficients are dropped: every
     operation accumulates its terms and builds its result through it.  Only
-    ``_trusted`` skips it, for counts that cannot be zero.  Instances are
-    treated as immutable; do not mutate ``terms`` after construction.
+    ``_trusted`` and ``_from_packed`` skip it, for terms that cannot be
+    zero.  Instances are treated as immutable; do not mutate ``terms`` after
+    construction.
     """
 
     __slots__ = ("vars", "terms")
@@ -97,11 +154,19 @@ class LaurentPoly:
     @classmethod
     def _trusted(cls, vars: VarSet, terms: dict[tuple, int]) -> "LaurentPoly":
         """Take ownership of ``terms`` as is: every key an exponent tuple of
-        length ``vars.total``, every value a positive count."""
+        length ``vars.total``, every value a nonzero coefficient."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vars", vars)
         object.__setattr__(poly, "terms", terms)
         return poly
+
+    @classmethod
+    def _from_packed(
+        cls, vars: VarSet, counts: Mapping[int, int], packing: _Packing
+    ) -> "LaurentPoly":
+        """Decode {packed key: nonzero coefficient} with ``packing``, which
+        must have one field per variable of ``vars``."""
+        return cls._trusted(vars, packing.decode(counts))
 
     @classmethod
     def zero(cls, vars: VarSet) -> "LaurentPoly":

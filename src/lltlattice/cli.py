@@ -122,7 +122,7 @@ def _at_least(args, name: str, low: int) -> int:
 
 def _ybe_kwargs(args) -> dict:
     k = _at_least(args, "k", 0)
-    if k > 5:  # 2^(6k) boundaries: k = 5 takes about 20 s, k = 6 runs out of memory
+    if k > 5:  # 2^(6k) boundaries: k = 5 takes about 5 s and 0.5 GB, k = 6 runs out of memory
         raise ValueError("--k must be at most 5")
     kwargs = {"k": k, "mode": args.mode}
     if args.mode == "numeric":

@@ -26,7 +26,7 @@ from math import prod
 from itertools import accumulate, chain, combinations_with_replacement, product
 from operator import add, gt, sub
 
-from .algebra import LaurentPoly, VarSet
+from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
     Partition,
     SkewShapeTuple,
@@ -299,9 +299,9 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     A tableau tuple is one filling per component, and every triple couples
     a cell of an earlier component a with cells of a later component b, so
     coinv(T) is a sum of C_ab[f_a][f_b] over pairs a < b.  Each monomial is
-    one integer, ``bits`` per x-exponent and t above them; the fold over the
-    components adds each filling's weight and its table entries to the
-    running key, and counts the keys of full tuples.  A shape with at most
+    one ``_Packing`` key, ``bits`` per x-exponent and t above them; the fold
+    over the components adds each filling's weight and its table entries to
+    the running key, and counts the keys of full tuples.  A shape with at most
     ``_FEW_TUPLES`` tuples skips the tables and counts each tuple directly.
     """
     if n < 1:
@@ -311,19 +311,15 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     if not all(fillings):
         return LaurentPoly.zero(vars)
     bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
-    shifts = range(0, bits * n, bits)
-    power = [0] + [1 << s for s in shifts]
-    unit = 1 << bits * n
+    packing = _Packing(n + 1, bits)
+    power = [0] + [1 << s for s in packing.shifts]
+    unit = 1 << packing.top
     weights = [[sum(map(power.__getitem__, f)) for f in fs] for fs in fillings]
     few = prod(map(len, fillings)) <= _FEW_TUPLES
     counts = (_count_directly if few else _count_by_tables)(
         fillings, _pair_triples(shape), weights, unit, n
     )
-    mask = (1 << bits) - 1
-    return LaurentPoly._trusted(vars, {
-        (*[key >> s & mask for s in shifts], key >> bits * n): count
-        for key, count in counts.items()
-    })
+    return LaurentPoly._from_packed(vars, counts, packing)
 
 
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:

@@ -1,10 +1,13 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lltlattice.algebra import LaurentPoly, VarSet, poly_sum
+from lltlattice.algebra import LaurentPoly, VarSet, _Packing, poly_sum
+from lltlattice.yangbaxter import _PACKING as YBE_PACKING
 
 V2 = VarSet(nx=2)  # x1, x2, t
 V1 = VarSet(nx=1)
@@ -253,3 +256,77 @@ def test_no_result_stores_a_zero_coefficient(a, b):
     assert (a - a).is_zero()
     for r in results:
         assert 0 not in r.terms.values()
+
+
+# -- the packed-monomial codec ---------------------------------------------------
+
+
+@st.composite
+def packings(draw):
+    """A packing at the widths its callers use: the YBE contraction's signed
+    (x, y, t), or ``llt_coinv``'s unsigned x_1..x_n under t for a shape of
+    up to 60 cells."""
+    if draw(st.booleans()):
+        return YBE_PACKING
+    n, cells = draw(st.integers(1, 6)), draw(st.integers(0, 60))
+    return _Packing(n + 1, (cells + 1).bit_length())   # as llt_coinv builds it
+
+
+def exponent_vectors(packing, factors=1):
+    """Exponent vectors whose bounded fields fit ``factors`` times over; the
+    last field is unbounded."""
+    low, high = -(-packing.low // factors), (packing.low + packing.mask) // factors
+    bounded = [st.integers(low, high)] * len(packing.shifts)
+    return st.tuples(*bounded, st.integers(-10**6, 10**6))
+
+
+def test_packing_field_ranges():
+    assert (YBE_PACKING.low, YBE_PACKING.low + YBE_PACKING.mask) == (-128, 127)
+    assert (_Packing(3, 4).low, _Packing(3, 4).mask) == (0, 15)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packing_round_trip(data):
+    packing = data.draw(packings())
+    terms = data.draw(st.dictionaries(exponent_vectors(packing), coeffs.filter(bool), max_size=4))
+    assert packing.decode(packing.encode(terms, 1)) == terms
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sum_of_packed_monomials_is_their_product(data):
+    packing = data.draw(packings())
+    vectors = data.draw(st.lists(exponent_vectors(packing, 3), min_size=1, max_size=3))
+    keys = [key for e in vectors for key in packing.encode({e: 1}, 3)]
+    assert packing.decode({sum(keys): 5}) == {tuple(map(sum, zip(*vectors))): 5}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_exponent_outside_its_field_raises(data):
+    packing = data.draw(packings())
+    factors = data.draw(st.sampled_from([1, 3]))
+    e = list(data.draw(exponent_vectors(packing, factors)))
+    field = data.draw(st.integers(0, len(packing.shifts) - 1))
+    low, high = packing.low, packing.low + packing.mask
+    over = data.draw(st.integers(high // factors + 1, high + 300))
+    under = data.draw(st.integers(low - 300, -(-low // factors) - 1))
+    e[field] = data.draw(st.sampled_from([over, under]))
+    with pytest.raises(ValueError, match="does not fit"):
+        packing.encode({tuple(e): 1}, factors)
+    if factors == 1:   # packed by hand, the value carries into the next field
+        raw = sum(v << s for v, s in zip(e, packing.shifts)) + (e[-1] << packing.top)
+        assert packing.decode({raw: 1}) != {tuple(e): 1}
+
+
+def test_packing_rejects_a_wrong_length():
+    with pytest.raises(ValueError, match="expected 3 exponents, got 2"):
+        YBE_PACKING.encode({(1, 2): 1}, 1)
+
+
+def test_from_packed_decodes_signed_fields():
+    key = 1 + (2 << 8) - (3 << 16)   # exponents (1, 2, -3), packed by hand
+    assert LaurentPoly._from_packed(V2, {key: -4}, YBE_PACKING) == (
+        LaurentPoly.monomial(V2, -4, (1, 2, -3))
+    )

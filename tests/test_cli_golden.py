@@ -5,7 +5,9 @@ Each command's stdout is in ``golden/cli/<slug>.txt`` and its exit code in
 ``cli-verify`` benchmark workload runs (copied here, so the tests do not
 depend on ``bench/``); the two ``compute`` commands pin the grouped text
 renderer on a large straight shape and on a skew shape whose coefficients
-are 2 and 3.
+are 2 and 3.  The last four pin YBE runs that ``verify all`` does not make:
+both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
+in JSON, and the k = 0 edge case in numeric mode.
 """
 
 import json
@@ -29,6 +31,10 @@ COMMANDS = [
     "verify skew-cauchy --mu 1,0;0,0 --n 2 --k 2 -D 3",
     "compute --beta 3,2;2,1;2,0 --n 4",
     "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2",
+    "verify ybe --k 3",
+    "verify lstar-ybe --k 3",
+    "verify lstar-ybe --k 2 --mode numeric --trials 3 --seed 3 --format json",
+    "verify ybe --k 0 --mode numeric",
 ]
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"

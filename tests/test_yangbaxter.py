@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from lltlattice import cli, yangbaxter
-from lltlattice.algebra import LaurentPoly, VarSet
+from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
     YBE_VARS,
     _contract_sides,
     _recursive_table,
     _sample_point,
+    _side_poly,
     _tables,
     ef_weight,
     l_recursive,
@@ -252,7 +253,7 @@ def _one_boundary(k, boundary, starred):
     """Both sides for one boundary, summed face by face: the reference the
     bulk contraction is checked against."""
     I1, I2, I3, J1, J2, J3 = boundary
-    lx, ly, rr = _tables(k, starred)
+    lx, ly, rr = yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
     g = LaurentPoly.zero(YBE_VARS)
     for (K2, K1), rw in rr[(I2, I1)].items():
         for (K3, J1p), lw in lx[(I3, K1)].items():
@@ -270,13 +271,14 @@ def _one_boundary(k, boundary, starred):
 
 def test_ybe_gauche_matches_sparse_contraction():
     # the per-boundary sum and the bulk contraction are independent routes
-    zero = LaurentPoly.zero(YBE_VARS)
     for k, starred in itertools.product((1, 2), (False, True)):
-        g, d = _contract_sides(k, *_tables(k, starred), lambda w: w)
+        g, d = _contract_sides(k, *_tables(k, starred))
+        # no stored zero coefficient and no empty boundary
+        assert all(side and 0 not in side.values() for side in (*g.values(), *d.values()))
         for boundary in itertools.product(range(1 << k), repeat=6):
             gauche, droite = _one_boundary(k, boundary, starred)
-            assert gauche == g.get(boundary, zero), (k, starred, boundary)
-            assert droite == d.get(boundary, zero), (k, starred, boundary)
+            assert gauche == _side_poly(g, boundary), (k, starred, boundary)
+            assert droite == _side_poly(d, boundary), (k, starred, boundary)
             if not starred:
                 assert ybe_gauche(k, boundary) == gauche, (k, boundary)
                 assert ybe_droite(k, boundary) == droite, (k, boundary)
@@ -284,31 +286,57 @@ def test_ybe_gauche_matches_sparse_contraction():
 
 @pytest.mark.parametrize("starred", [False, True])
 @pytest.mark.parametrize("k, entries", [(1, 15), (2, 75), (3, 375)])
-def test_contraction_converts_each_weight_once(k, entries, starred):
+def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred):
     tables = _tables(k, starred)
     assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
     calls = []
+    encode = _Packing.encode
 
-    def to_value(w):
-        calls.append(w)
-        return w
+    def counting(packing, terms, factors):
+        calls.append(terms)
+        return encode(packing, terms, factors)
 
-    _contract_sides(k, *tables, to_value)
+    monkeypatch.setattr(_Packing, "encode", counting)
+    _contract_sides(k, *tables)
     assert len(calls) == entries
 
 
-@pytest.mark.parametrize("starred", [False, True])
-@pytest.mark.parametrize("k", [1, 2])
-def test_numeric_contraction_evaluates_symbolic_one(k, starred):
-    tables = _tables(k, starred)
-    symbolic = _contract_sides(k, *tables, lambda w: w)
-    for s in range(3):
-        point = _sample_point(random.Random(s))
-        numeric = _contract_sides(k, *tables, lambda w: w.eval_rational(point))
-        for num, sym in zip(numeric, symbolic):
-            for key in set(num) | set(sym):
-                expected = sym[key].eval_rational(point) if key in sym else 0
-                assert num.get(key, 0) == expected, (point, key)
+def _reference_report(k, starred, seed, trials):
+    """(failed, first failure) of evaluating the per-boundary reference at
+    every boundary and every sample point, in boundary order."""
+    sides = [(b, *_one_boundary(k, b, starred)) for b in itertools.product(range(1 << k), repeat=6)]
+    rng = random.Random(seed)
+    failed, first = 0, None
+    for point in [_sample_point(rng) for _ in range(trials)]:
+        for boundary, g, d in sides:
+            gv, dv = g.eval_rational(point), d.eval_rational(point)
+            if gv != dv:
+                failed += 1
+                if first is None:
+                    first = {
+                        "boundary": {
+                            name: [(label >> i) & 1 for i in range(k)]
+                            for name, label in zip(("I1", "I2", "I3", "J1", "J2", "J3"), boundary)
+                        },
+                        "gauche": str(gv),
+                        "droite": str(dv),
+                        "point": dict(zip("xyt", map(str, point))),
+                    }
+    return failed, first
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "check, starred", [(ybe_check, False), (lstar_ybe_check, True)], ids=["ybe", "lstar-ybe"]
+)
+def test_numeric_check_matches_evaluating_every_boundary(doubled_r_entry, check, starred, seed):
+    # numeric mode evaluates only where the symbolic sides differ; against a
+    # wrong crossing weight it must report what evaluating all 4,096
+    # boundaries reports
+    rep = check(2, mode="numeric", seed=seed, trials=2)
+    failed, first = _reference_report(2, starred, seed, 2)
+    assert failed > 0
+    assert (rep.failed, rep.first_failure) == (failed, first)
 
 
 # -- the gray-face variant -------------------------------------------------------
