@@ -104,7 +104,9 @@ class _Packing:
     def decode(self, counts: Mapping[int, int]) -> dict[tuple, int]:
         """{exponent tuple: coefficient} from {key: coefficient}."""
         shifts, mask, low, top = self.shifts, self.mask, self.low, self.top
-        if not low:   # plain digits: the hot path of the tableau engine
+        if not low:
+            # plain digits; the biased form below costs tableaux-ladder and
+            # cauchy-sweep about 6% (BENCH_ybe_contraction.json)
             return {
                 (*[key >> s & mask for s in shifts], key >> top): coeff
                 for key, coeff in counts.items()
@@ -124,9 +126,8 @@ class LaurentPoly:
     ``terms`` maps exponent tuples (length ``vars.total``) to nonzero ints.
     The constructor is the one place zero coefficients are dropped: every
     operation accumulates its terms and builds its result through it.  Only
-    ``_trusted`` and ``_from_packed`` skip it, for terms that cannot be
-    zero.  Instances are treated as immutable; do not mutate ``terms`` after
-    construction.
+    ``_trusted`` skips it, for terms that cannot be zero.  Instances are
+    treated as immutable; do not mutate ``terms`` after construction.
     """
 
     __slots__ = ("vars", "terms")
@@ -159,14 +160,6 @@ class LaurentPoly:
         object.__setattr__(poly, "vars", vars)
         object.__setattr__(poly, "terms", terms)
         return poly
-
-    @classmethod
-    def _from_packed(
-        cls, vars: VarSet, counts: Mapping[int, int], packing: _Packing
-    ) -> "LaurentPoly":
-        """Decode {packed key: nonzero coefficient} with ``packing``, which
-        must have one field per variable of ``vars``."""
-        return cls._trusted(vars, packing.decode(counts))
 
     @classmethod
     def zero(cls, vars: VarSet) -> "LaurentPoly":

@@ -293,6 +293,12 @@ def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:
     return Counter(chain.from_iterable(_fold(0, 0, [weights[c] for c in order], tables)))
 
 
+@lru_cache(maxsize=64)
+def _coinv_packing(n: int, bits: int) -> _Packing:
+    """x_1..x_n at ``bits`` apiece, t above them; built once per width."""
+    return _Packing(n + 1, bits)
+
+
 def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Coinversion LLT polynomial: sum of t^coinv(T) x^T.
 
@@ -311,7 +317,7 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     if not all(fillings):
         return LaurentPoly.zero(vars)
     bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
-    packing = _Packing(n + 1, bits)
+    packing = _coinv_packing(n, bits)
     power = [0] + [1 << s for s in packing.shifts]
     unit = 1 << packing.top
     weights = [[sum(map(power.__getitem__, f)) for f in fs] for fs in fillings]
@@ -319,7 +325,7 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     counts = (_count_directly if few else _count_by_tables)(
         fillings, _pair_triples(shape), weights, unit, n
     )
-    return LaurentPoly._from_packed(vars, counts, packing)
+    return LaurentPoly._trusted(vars, packing.decode(counts))
 
 
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:

@@ -279,7 +279,7 @@ def _symbolic_sides(k: int) -> tuple[dict, dict]:
 
 
 def _side_poly(side: dict, boundary) -> LaurentPoly:
-    return LaurentPoly._from_packed(YBE_VARS, side.get(boundary, {}), _PACKING)
+    return LaurentPoly._trusted(YBE_VARS, _PACKING.decode(side.get(boundary, {})))
 
 
 def ybe_gauche(k: int, boundary) -> LaurentPoly:

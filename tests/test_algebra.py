@@ -325,8 +325,8 @@ def test_packing_rejects_a_wrong_length():
         YBE_PACKING.encode({(1, 2): 1}, 1)
 
 
-def test_from_packed_decodes_signed_fields():
+def test_decode_reads_signed_fields():
     key = 1 + (2 << 8) - (3 << 16)   # exponents (1, 2, -3), packed by hand
-    assert LaurentPoly._from_packed(V2, {key: -4}, YBE_PACKING) == (
-        LaurentPoly.monomial(V2, -4, (1, 2, -3))
-    )
+    assert YBE_PACKING.decode({key: -4}) == {(1, 2, -3): -4}
+    key = -1 - (2 << 8) + (3 << 16)  # exponents (-1, -2, 3)
+    assert YBE_PACKING.decode({key: 7}) == {(-1, -2, 3): 7}
