@@ -58,16 +58,16 @@ class IdentityReport:
 
 
 def _check_pairs(name: str, params: dict, pairs, details: dict | None = None) -> IdentityReport:
-    """PASS iff every (context, lhs, rhs) pair is an exact equality."""
+    """PASS iff every (context, lhs, rhs) pair is an exact equality; the
+    two sides are polynomials or integers."""
     count = 0
     for context, lhs, rhs in pairs:
         count += 1
         if lhs != rhs:
-            witness = {
-                "context": context,
-                "lhs": lhs.to_json_dict(),
-                "rhs": rhs.to_json_dict(),
-            }
+            witness = {"context": context, "lhs": lhs, "rhs": rhs}
+            for side in ("lhs", "rhs"):
+                if isinstance(witness[side], LaurentPoly):
+                    witness[side] = witness[side].to_json_dict()
             return IdentityReport(name, params, "FAIL", witness, details or {})
     det = dict(details or {})
     det["equalities_checked"] = count
@@ -374,15 +374,9 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
         summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)
         d_comp = _d_stat(_complement(lam, width + n, n))
-        rel_rhs = LaurentPoly.t(P.vars, d_comp) * P
-        pairs.append((f"rotation relation at {lam}", R, rel_rhs))
-        pairs.append(
-            (
-                f"d(comp)=d(lam) at {lam}",
-                LaurentPoly.const(rhs.vars, d_comp),
-                LaurentPoly.const(rhs.vars, _d_stat(lam)),
-            )
-        )
+        # the relation below shifts by d(comp), so its own check comes first
+        pairs.append((f"d(comp)=d(lam) at {lam}", d_comp, _d_stat(lam)))
+        pairs.append((f"rotation relation at {lam}", R, LaurentPoly.t(P.vars, d_comp) * P))
     pairs.insert(0, ("rotated sum vs kernel", _xy_sum(n, summands), rhs))
     return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs)
 

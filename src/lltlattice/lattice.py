@@ -40,9 +40,13 @@ def mask_of(bits) -> int:
     return m
 
 
-def masks(*labels) -> tuple[int, ...]:
-    """Edge labels as bitmasks; each label is a mask or a 0/1 tuple."""
-    return tuple(v if isinstance(v, int) else mask_of(v) for v in labels)
+def masks(k: int, *labels) -> tuple[int, ...]:
+    """Edge labels as bitmasks; each label is a mask or a 0/1 tuple naming
+    colors among 1..k, else ValueError."""
+    out = tuple(v if isinstance(v, int) else mask_of(v) for v in labels)
+    if k < 0 or any(m >> k for m in out):
+        raise ValueError(f"edge labels {labels} are not sets of colors among 1..{k}")
+    return out
 
 
 def _t_exponent(present: int, L: int) -> int:
@@ -67,34 +71,30 @@ def face_weight_exponents(k: int, I: int, J: int, K: int, L: int):
 
 def _gray(k: int, faces: int, xexp: int, texp: int) -> tuple[int, int]:
     """Exponents of `faces` gray faces whose plain exponents sum to
-    (xexp, texp): x -> 1/(x t^(k-1)), then x^k t^C(k,2) per face."""
+    (xexp, texp): x -> 1/(x t^(k-1)), then x^k t^C(k,2) per face.  With
+    no faces this is the bare substitution, applied to one monomial."""
     return k * faces - xexp, faces * _binom2(k) + texp - (k - 1) * xexp
 
 
-def _face_weight(k: int, labels, vars: VarSet | None, x_slot: int, gray: bool) -> LaurentPoly:
-    if vars is None:
-        vars = VarSet(nx=1)
-    data = face_weight_exponents(k, *masks(*labels))
+def _face_weight(k: int, labels, gray: bool) -> LaurentPoly:
+    vars = VarSet(nx=1)
+    data = face_weight_exponents(k, *masks(k, *labels))
     if data is None:
         return LaurentPoly.zero(vars)
-    xexp, texp = _gray(k, 1, *data) if gray else data
-    exps = [0] * vars.total
-    exps[x_slot] = xexp
-    exps[vars.t_index] = texp
-    return LaurentPoly.monomial(vars, 1, exps)
+    return LaurentPoly.monomial(vars, 1, _gray(k, 1, *data) if gray else data)
 
 
-def l_weight(k: int, I, J, K, L, vars: VarSet | None = None, x_slot: int = 0) -> LaurentPoly:
-    """Face weight as a polynomial; labels are 0/1 tuples or masks.
+def l_weight(k: int, I, J, K, L) -> LaurentPoly:
+    """Face weight in x and t; labels are 0/1 tuples or masks.
 
     Inadmissible faces get weight 0.
     """
-    return _face_weight(k, (I, J, K, L), vars, x_slot, gray=False)
+    return _face_weight(k, (I, J, K, L), gray=False)
 
 
-def lstar_weight(k: int, I, J, K, L, vars: VarSet | None = None, x_slot: int = 0) -> LaurentPoly:
+def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
     """Gray face weight x^k t^C(k,2) L_{1/(x t^(k-1))}(I,J;K,L)."""
-    return _face_weight(k, (I, J, K, L), vars, x_slot, gray=True)
+    return _face_weight(k, (I, J, K, L), gray=True)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ admissible patterns (I,J,K,L) and their factors are
 
 where d counts the colors above this one in type 1; the pattern (1,0,1,0)
 is forbidden.  The checkers cover every boundary at once by one sparse
-contraction of the three-face sums on packed monomials.  Numeric mode then
+contraction of the three-face sums on packed monomials, over tables that
+hold each weight packed straight from the closed forms (`lattice`'s face
+exponents, the crossing expansion `r_weight` wraps).  Numeric mode then
 evaluates the two sides at exact rational points, but only at the
 boundaries where they differ symbolically: at a point with nonzero x, y and
 t evaluation is a ring homomorphism, so equal sides have equal values, and
@@ -29,10 +31,10 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import LaurentPoly, VarSet, _Packing
-from .lattice import l_weight, lstar_weight, masks
+from .lattice import _gray, face_weight_exponents, masks
 
 YBE_VARS = VarSet(nx=1, ny=1, has_t=True)
-_X, _Y, _T = 0, 1, 2
+_X = 0
 
 
 def _mono(xe: int = 0, ye: int = 0, te: int = 0, coeff: int = 1) -> LaurentPoly:
@@ -57,31 +59,40 @@ _TYPE_OF = {
 }
 
 
-def r_weight(k: int, I, J, K, L) -> LaurentPoly:
-    """Closed-form crossing weight; 0 when some color breaks the type table."""
-    I, J, K, L = masks(I, J, K, L)
-    types = []
-    for i in range(k):
-        pat = ((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1)
-        ty = _TYPE_OF.get(pat)
+def _crossing_terms(k: int, I: int, J: int, K: int, L: int, bar: bool) -> dict:
+    """{(x, y, t) exponents: coefficient} of R(I,J;K,L), the product of the
+    colors' factors expanded; empty when some color breaks the type table.
+    With ``bar`` the x line carries 1/(x t^(k-1)): y/(x t^d) becomes
+    x y t^(k-1-d)."""
+    terms = {(0, 0, 0): 1}
+    delta = 0  # the type-1 colors above color i
+    for i in reversed(range(k)):
+        ty = _TYPE_OF.get(((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1))
         if ty is None:
-            return _zero()
-        types.append(ty)
-    weight = _one()
-    for i in range(k):
-        delta = sum(1 for j in range(i + 1, k) if types[j] == 1)
-        alg = sum(
-            ((J >> j) & 1) - ((I >> j) & 1) + ((L >> j) & 1) - ((K >> j) & 1)
-            for j in range(i + 1, k)
-        )
+            return {}
+        above = i + 1
+        alg = ((J >> above).bit_count() - (I >> above).bit_count()
+               + (L >> above).bit_count() - (K >> above).bit_count())
         if alg != 2 * delta:
             raise AssertionError("delta mismatch between type count and label algebra")
-        ty = types[i]
+        if ty in (3, 5):
+            continue
+        # the factor y/(x t^delta); barred, through lattice's substitution
+        xe, te = _gray(k, 0, -1, -delta) if bar else (-1, -delta)
+        shifted = {(a + xe, b + 1, c + te): coeff for (a, b, c), coeff in terms.items()}
         if ty == 1:
-            weight = weight * (_one() - _mono(-1, 1, -delta))
-        elif ty in (2, 4):
-            weight = weight * _mono(-1, 1, -delta)
-    return weight
+            # times 1 - y/(x t^delta); a monomial both parts hold adds up
+            for exps, coeff in shifted.items():
+                terms[exps] = terms.get(exps, 0) - coeff
+            delta += 1
+        else:
+            terms = shifted
+    return terms
+
+
+def r_weight(k: int, I, J, K, L) -> LaurentPoly:
+    """Closed-form crossing weight; 0 when some color breaks the type table."""
+    return LaurentPoly(YBE_VARS, _crossing_terms(k, *masks(k, I, J, K, L), bar=False))
 
 
 # -- the E/F tables and the color recursion ------------------------------------
@@ -146,28 +157,35 @@ def _recursive_table(k: int, kind: str) -> dict:
     return out
 
 
-def _table_oracle(table: dict):
+def _table_oracle(k: int, table: dict):
     def weight(I, J, K, L) -> LaurentPoly:
-        return table.get(masks(I, J, K, L), _zero())
+        return table.get(masks(k, I, J, K, L), _zero())
 
     return weight
 
 
 def l_recursive(k: int):
     """Face-weight oracle for k colors built from the tensor recursion."""
-    return _table_oracle(_recursive_table(k, "L"))
+    return _table_oracle(k, _recursive_table(k, "L"))
 
 
 def r_recursive(k: int):
-    return _table_oracle(_recursive_table(k, "R"))
+    return _table_oracle(k, _recursive_table(k, "R"))
 
 
 # -- both sides of the intertwining equation -----------------------------------
 
 
-def _entry_rows(k: int, pictures, weight) -> dict:
-    """(I, J) -> {(K, L): weight} over the nonzero weights of the labels
-    whose colors each follow one of the single-color pictures."""
+# (x, y, t) in one int, 8 bits apiece for x and y; a side's term multiplies
+# three table weights, so every table exponent must fit three times over
+_PACKING = _Packing(3, 8, signed=True)
+
+
+def _entry_rows(k: int, pictures, terms) -> dict:
+    """(I, J) -> [((K, L), weight)] over the labels whose colors each follow
+    one of the single-color pictures, all of which weigh nonzero.  A weight
+    is the tuple of (packed monomial, coefficient) pairs of the exponent
+    terms ``terms(I, J, K, L)``."""
     outs: dict = {}
     for i, j, kk, l in pictures:
         outs.setdefault((i, j), []).append((kk, l))
@@ -176,16 +194,11 @@ def _entry_rows(k: int, pictures, weight) -> dict:
     for I in range(size):
         for J in range(size):
             per_color = [outs.get(((I >> i) & 1, (J >> i) & 1), ()) for i in range(k)]
-            sub = {}
+            rows[(I, J)] = row = []
             for combo in product(*per_color):
-                K = L = 0
-                for i, (kk, l) in enumerate(combo):
-                    K |= kk << i
-                    L |= l << i
-                w = weight(k, I, J, K, L)
-                if not w.is_zero():
-                    sub[(K, L)] = w
-            rows[(I, J)] = sub
+                K = sum(kk << i for i, (kk, _) in enumerate(combo))
+                L = sum(l << i for i, (_, l) in enumerate(combo))
+                row.append(((K, L), tuple(_PACKING.encode(terms(I, J, K, L), 3).items())))
     return rows
 
 
@@ -194,23 +207,20 @@ def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
     """Entry rows of the x-line face, the y-line face and the crossing.
     Starred, the x-line face is gray and the crossing's x line carries
     1/(x t^(k-1))."""
-    face = lstar_weight if starred else l_weight
-    xbar = {_X: (1, (-1, 0, -(k - 1)))}
 
-    def crossing(*labels) -> LaurentPoly:
-        w = r_weight(*labels)
-        return w.substitute(xbar) if starred else w
+    def face(y_line: bool, gray: bool):
+        def terms(*labels) -> dict:
+            xe, te = face_weight_exponents(k, *labels)  # admissible by picture
+            xe, te = _gray(k, 1, xe, te) if gray else (xe, te)
+            return {(0, xe, te) if y_line else (xe, 0, te): 1}
+
+        return terms
 
     return (
-        _entry_rows(k, _L_PICTURES, lambda *labels: face(*labels, YBE_VARS, _X)),
-        _entry_rows(k, _L_PICTURES, lambda *labels: l_weight(*labels, YBE_VARS, _Y)),
-        _entry_rows(k, _R_PICTURES, crossing),
+        _entry_rows(k, _L_PICTURES, face(False, starred)),
+        _entry_rows(k, _L_PICTURES, face(True, False)),
+        _entry_rows(k, _R_PICTURES, lambda *labels: _crossing_terms(k, *labels, starred)),
     )
-
-
-# (x, y, t) in one int, 8 bits apiece for x and y; a side's term multiplies
-# three table weights, so every table exponent must fit three times over
-_PACKING = _Packing(3, 8, signed=True)
 
 
 def _add_shifted(sides: dict, boundary, terms, shift: int, scale: int):
@@ -231,42 +241,28 @@ def _add_shifted(sides: dict, boundary, terms, shift: int, scale: int):
         del sides[boundary]
 
 
-def _contract_sides(k: int, lx_rows, ly_rows, r_rows):
+def _contract_sides(k: int, lx, ly, rr):
     """Sparse evaluation of both sides over every boundary at once.
 
     Returns (gauche, droite): maps from (I1,I2,I3,J1,J2,J3) to {packed
     monomial: coefficient}, with no zero coefficient and no empty boundary.
-    Each table weight is packed once.  A face weight is a monomial, so it
-    becomes one (key, coefficient) pair that shifts and scales the terms of
-    a crossing weight.
+    The tables come packed.  A face weight is one monomial: one (key,
+    coefficient) pair that shifts and scales the terms of a crossing weight.
     """
-
-    def packed(rows, face: bool) -> dict:
-        out = {}
-        for pair, outs in rows.items():
-            out[pair] = entries = []
-            for labels, w in outs.items():
-                terms = list(_PACKING.encode(w.terms, 3).items())
-                if face:
-                    (terms,) = terms
-                entries.append((labels, terms))
-        return out
-
-    lx, ly, rr = packed(lx_rows, True), packed(ly_rows, True), packed(r_rows, False)
     size = 1 << k
     gauche: dict = {}
     for (I2, I1), outs in rr.items():
         for (K2, K1), r_terms in outs:
             for I3 in range(size):
-                for (K3, J1), (lkey, lc) in lx.get((I3, K1), ()):
+                for (K3, J1), ((lkey, lc),) in lx.get((I3, K1), ()):
                     rl = [(key + lkey, c * lc) for key, c in r_terms]
-                    for (J3, J2), (ykey, yc) in ly.get((K3, K2), ()):
+                    for (J3, J2), ((ykey, yc),) in ly.get((K3, K2), ()):
                         _add_shifted(gauche, (I1, I2, I3, J1, J2, J3), rl, ykey, yc)
     droite: dict = {}
     for (I3, I2), outs in ly.items():
-        for (L3, L2), (ykey, yc) in outs:
+        for (L3, L2), ((ykey, yc),) in outs:
             for I1 in range(size):
-                for (J3, L1), (lkey, lc) in lx.get((L3, I1), ()):
+                for (J3, L1), ((lkey, lc),) in lx.get((L3, I1), ()):
                     shift, scale = ykey + lkey, yc * lc
                     for (J2, J1), r_terms in rr.get((L2, L1), ()):
                         _add_shifted(droite, (I1, I2, I3, J1, J2, J3), r_terms, shift, scale)
@@ -284,11 +280,11 @@ def _side_poly(side: dict, boundary) -> LaurentPoly:
 
 def ybe_gauche(k: int, boundary) -> LaurentPoly:
     """Left side of the intertwining sum for one boundary, symbolically."""
-    return _side_poly(_symbolic_sides(k)[0], masks(*boundary))
+    return _side_poly(_symbolic_sides(k)[0], masks(k, *boundary))
 
 
 def ybe_droite(k: int, boundary) -> LaurentPoly:
-    return _side_poly(_symbolic_sides(k)[1], masks(*boundary))
+    return _side_poly(_symbolic_sides(k)[1], masks(k, *boundary))
 
 
 @dataclass

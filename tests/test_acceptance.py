@@ -45,7 +45,6 @@ from lltlattice.shapes import (
 )
 from lltlattice.tableaux import coinv, complement_bijection, enumerate_ssyt, llt_coinv
 from lltlattice.yangbaxter import (
-    YBE_VARS,
     l_recursive,
     r_recursive,
     r_weight,
@@ -190,7 +189,7 @@ def test_criterion_4_yang_baxter():
     _announce(4, "Yang-Baxter symbolic k<=2, numeric k=3, base cases", started)
 
 
-def test_criterion_5_recursion_consistency():
+def test_criterion_5_recursion_consistency(in_ybe_ring):
     started = time.time()
     for k in (1, 2, 3):
         lw, rw = l_recursive(k), r_recursive(k)
@@ -199,7 +198,7 @@ def test_criterion_5_recursion_consistency():
             for J in range(size):
                 for K in range(size):
                     for L in range(size):
-                        assert lw(I, J, K, L) == l_weight(k, I, J, K, L, YBE_VARS)
+                        assert lw(I, J, K, L) == in_ybe_ring(l_weight(k, I, J, K, L))
                         assert rw(I, J, K, L) == r_weight(k, I, J, K, L)
     assert time.time() - started < 60
     _announce(5, "recursion equals closed forms, k in {1,2,3}", started)

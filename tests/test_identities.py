@@ -252,6 +252,17 @@ def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
     assert len(calls) <= len(shape_tuples_bounded(2, 2, 3))
 
 
+def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
+    # a wrong complement breaks d(comp) = d(lam) at the first lam; the
+    # witness holds both values, and no rotation relation is checked first
+    monkeypatch.setattr(identities, "_complement", lambda lam, M, n: ((0, 0), (1, 1)))
+    lam = shape_tuples_bounded(2, 2, 3)[0]
+    assert d_stat(lam) != d_stat(((0, 0), (1, 1))) == 1
+    report = verify_cauchy_rot(2, 2, 3)
+    assert report.status == "FAIL"
+    assert report.witness == {"context": f"d(comp)=d(lam) at {lam}", "lhs": 1, "rhs": d_stat(lam)}
+
+
 def test_skew_cauchy_rejects_oversized_mu():
     with pytest.raises(ValueError):
         verify_skew_cauchy(((2, 2), (0, 0)), 2, 2, 3)

@@ -49,6 +49,9 @@ def test_l_weight_forbidden():
     assert l_weight(1, (1,), (1,), (1,), (1,)).is_zero()
     # conservation failure
     assert l_weight(1, (1,), (0,), (0,), (0,)).is_zero()
+    # no labels are sets of colors among 1..k for k < 0
+    with pytest.raises(ValueError, match=r"among 1\.\.-1$"):
+        l_weight(-1, 0, 0, 0, 0)
 
 
 # the two-color face states, per color: absent, vertical, horizontal,

@@ -8,6 +8,7 @@ from lltlattice import cli, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
+    _PACKING,
     YBE_VARS,
     _contract_sides,
     _recursive_table,
@@ -87,22 +88,55 @@ def test_r_weight_zero_cases():
 
 def test_r_weight_factorizes_over_colors():
     # the total weight is the product of the per-color table entries with
-    # their delta shifts
-    for combo in itertools.product(range(5), repeat=3):
-        states = [_RSTATES[c] for c in combo]
-        I = tuple(s[0] for s in states)
-        J = tuple(s[1] for s in states)
-        K = tuple(s[2] for s in states)
-        L = tuple(s[3] for s in states)
-        total = r_weight(3, I, J, K, L)
-        prod = one()
-        for i, s in enumerate(states):
-            delta = sum(1 for j in range(i + 1, 3) if states[j] == (0, 1, 0, 1))
-            if s == (0, 1, 0, 1):
-                prod = prod * (one() - mono(-1, 1, -delta))
-            elif s in ((0, 1, 1, 0), (1, 1, 1, 1)):
-                prod = prod * mono(-1, 1, -delta)
-        assert total == prod
+    # their delta shifts.  At k = 4, four type-1 colors have d = 3, 2, 1, 0,
+    # and the pairs with d-sets {0, 3} and {1, 2} give one monomial twice:
+    # its coefficient is 2, not 1
+    for k in (3, 4):
+        coefficients = set()
+        for combo in itertools.product(range(5), repeat=k):
+            states = [_RSTATES[c] for c in combo]
+            I = tuple(s[0] for s in states)
+            J = tuple(s[1] for s in states)
+            K = tuple(s[2] for s in states)
+            L = tuple(s[3] for s in states)
+            total = r_weight(k, I, J, K, L)
+            prod = one()
+            for i, s in enumerate(states):
+                delta = sum(1 for j in range(i + 1, k) if states[j] == (0, 1, 0, 1))
+                if s == (0, 1, 0, 1):
+                    prod = prod * (one() - mono(-1, 1, -delta))
+                elif s in ((0, 1, 1, 0), (1, 1, 1, 1)):
+                    prod = prod * mono(-1, 1, -delta)
+            assert total == prod
+            coefficients |= set(total.terms.values())
+        assert (2 in coefficients) == (k == 4)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_starred_crossing_is_substituted_r_weight(k):
+    # the tables bar the crossing's x line on each spectral monomial; the
+    # polynomial substitution x -> 1/(x t^(k-1)) is the reference
+    xbar = {0: (1, (-1, 0, -(k - 1)))}
+    rows = _tables(k, True)[2]
+    assert sum(map(len, rows.values())) == 5 ** k
+    for (I, J), outs in rows.items():
+        for (K, L), w in outs:
+            assert _decoded(w) == r_weight(k, I, J, K, L).substitute(xbar), (I, J, K, L)
+
+
+# each entry point at k = 1 with a label that names color 2
+@pytest.mark.parametrize("weigh", [
+    pytest.param(lambda: r_weight(1, 2, 0, 2, 0), id="r_weight"),
+    pytest.param(lambda: l_weight(1, 2, 0, 0, 2), id="l_weight"),
+    pytest.param(lambda: lstar_weight(1, 0, (0, 1), 0, 2), id="lstar_weight"),
+    pytest.param(lambda: ybe_gauche(1, (2, 0, 0, 0, 0, 0)), id="ybe_gauche"),
+    pytest.param(lambda: ybe_droite(1, (0, 0, 0, 0, 0, (0, 1))), id="ybe_droite"),
+    pytest.param(lambda: l_recursive(1)(2, 0, 0, 2), id="l_recursive"),
+    pytest.param(lambda: r_recursive(1)(0, 2, 0, 2), id="r_recursive"),
+])
+def test_label_naming_a_color_above_k_is_rejected(weigh):
+    with pytest.raises(ValueError, match=r"are not sets of colors among 1\.\.1$"):
+        weigh()
 
 
 def test_ef_weight_tables():
@@ -128,19 +162,18 @@ def _nonzero_closed_form(k, closed_form):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_l_recursion_matches_closed_form(k):
+def test_l_recursion_matches_closed_form(k, in_ybe_ring):
     weight = l_recursive(k)
     size = 1 << k
     for I in range(size):
         for J in range(size):
             for K in range(size):
                 for L in range(size):
-                    assert weight(I, J, K, L) == l_weight(k, I, J, K, L, YBE_VARS)
+                    assert weight(I, J, K, L) == in_ybe_ring(l_weight(k, I, J, K, L))
     # the oracle reads a missing key as zero; the table itself stores none
     table = _recursive_table(k, "L")
     assert not any(w.is_zero() for w in table.values())
-    closed_form = lambda *face: l_weight(*face, YBE_VARS)
-    assert set(table) == _nonzero_closed_form(k, closed_form)
+    assert set(table) == _nonzero_closed_form(k, l_weight)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -249,11 +282,19 @@ def test_ybe_check_rejects_bad_parameters(monkeypatch, check, kwargs, message):
         check(**kwargs)
 
 
+def _decoded(weight):
+    """A packed table weight as a polynomial."""
+    return LaurentPoly(YBE_VARS, _PACKING.decode(dict(weight)))
+
+
 def _one_boundary(k, boundary, starred):
-    """Both sides for one boundary, summed face by face: the reference the
-    bulk contraction is checked against."""
+    """Both sides for one boundary, summed face by face over decoded
+    polynomials: the reference the bulk contraction is checked against."""
     I1, I2, I3, J1, J2, J3 = boundary
-    lx, ly, rr = yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
+    lx, ly, rr = (
+        {pair: {labels: _decoded(w) for labels, w in outs} for pair, outs in rows.items()}
+        for rows in yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
+    )
     g = LaurentPoly.zero(YBE_VARS)
     for (K2, K1), rw in rr[(I2, I1)].items():
         for (K3, J1p), lw in lx[(I3, K1)].items():
@@ -287,8 +328,8 @@ def test_ybe_gauche_matches_sparse_contraction():
 @pytest.mark.parametrize("starred", [False, True])
 @pytest.mark.parametrize("k, entries", [(1, 15), (2, 75), (3, 375)])
 def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred):
-    tables = _tables(k, starred)
-    assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
+    # building the tables packs each weight once, and the contraction packs
+    # nothing; the weights come from exponent terms, never from polynomials
     calls = []
     encode = _Packing.encode
 
@@ -296,9 +337,18 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
         calls.append(terms)
         return encode(packing, terms, factors)
 
+    def no_poly(*args):
+        raise AssertionError("a polynomial operation ran")
+
     monkeypatch.setattr(_Packing, "encode", counting)
-    _contract_sides(k, *tables)
+    for op in ("__init__", "__mul__", "substitute"):
+        monkeypatch.setattr(LaurentPoly, op, no_poly)
+    tables = _tables.__wrapped__(k, starred)   # uncached: built here
+    monkeypatch.undo()
+    assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
     assert len(calls) == entries
+    monkeypatch.setattr(_Packing, "encode", no_poly)
+    _contract_sides(k, *tables)
 
 
 def _reference_report(k, starred, seed, trials):
@@ -371,7 +421,7 @@ def test_lstar_side_is_substituted_plain_side():
         assert gray == scale * plain.substitute(xbar)
 
 
-def test_lstar_weight_consistency():
+def test_lstar_weight_consistency(in_ybe_ring):
     k = 2
     for I in range(4):
         for J in range(4):
@@ -382,8 +432,8 @@ def test_lstar_weight_consistency():
                 L = present & ~K
                 xbar = {0: (1, (-1, 0, -(k - 1)))}
                 scale = mono(k, 0, k * (k - 1) // 2)
-                direct = lstar_weight(k, I, J, K, L, YBE_VARS)
-                via_sub = scale * l_weight(k, I, J, K, L, YBE_VARS).substitute(xbar)
+                direct = in_ybe_ring(lstar_weight(k, I, J, K, L))
+                via_sub = scale * in_ybe_ring(l_weight(k, I, J, K, L)).substitute(xbar)
                 assert direct == via_sub
 
 
@@ -407,8 +457,8 @@ def doubled_r_entry(monkeypatch):
         lx, ly, rr = original(k, starred)
         if k != 2:
             return lx, ly, rr
-        ((out, w),) = rr[(1, 0)].items()
-        return lx, ly, {**rr, (1, 0): {out: w + w}}
+        ((out, w),) = rr[(1, 0)]
+        return lx, ly, {**rr, (1, 0): [(out, tuple((key, 2 * c) for key, c in w))]}
 
     monkeypatch.setattr(yangbaxter, "_tables", broken)
 
