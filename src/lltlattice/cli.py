@@ -49,9 +49,9 @@ def format_grouped(p: LaurentPoly) -> str:
 
 
 def _parse_shape(args) -> SkewShapeTuple:
-    beta = parse_shape_text(args.beta)
+    beta = parse_shape_text(args.beta, "--beta")
     if args.gamma:
-        return SkewShapeTuple(beta, parse_shape_text(args.gamma))
+        return SkewShapeTuple(beta, parse_shape_text(args.gamma, "--gamma"))
     return SkewShapeTuple.straight(beta)
 
 
@@ -122,8 +122,8 @@ def _at_least(args, name: str, low: int) -> int:
 
 def _ybe_kwargs(args) -> dict:
     k = _at_least(args, "k", 0)
-    if k > 5:  # 2^(6k) boundaries: k = 5 takes about 5 s and 0.5 GB, k = 6 runs out of memory
-        raise ValueError("--k must be at most 5")
+    if k > 6:  # 2^(6k) boundaries: k = 6 takes about 50 s and 40 MB; each k up is 64x slower
+        raise ValueError("--k must be at most 6")
     kwargs = {"k": k, "mode": args.mode}
     if args.mode == "numeric":
         kwargs.update(seed=args.seed, trials=_at_least(args, "trials", 1))
@@ -138,24 +138,26 @@ def _mu_kwargs(args) -> dict:
     mu = "2,1" if args.mu is None else args.mu
     if ";" in mu:
         raise ValueError("--mu takes a single partition")
-    return {"mu": parse_shape_text(mu)[0], "n": _at_least(args, "n", 1)}
+    return {"mu": parse_shape_text(mu, "--mu")[0], "n": _at_least(args, "n", 1)}
 
 
-def _box_lam(args, M: int):
-    """--lam and --n, with lam inside the (M - n)^n box."""
-    lam = parse_shape_text(args.lam)
+def _box_lam(args, M: int, M_flag: str):
+    """--lam and --n, with lam inside the (M - n)^n box; ``M_flag`` names M."""
+    lam = parse_shape_text(args.lam, "--lam")
     n = _at_least(args, "n", 1)
+    if M < n:
+        raise ValueError(f"{M_flag} must be at least --n")
     return check_box_tuple(lam, n, M), n
 
 
 def _box_kwargs(args) -> dict:
-    lam, n = _box_lam(args, args.M)
+    lam, n = _box_lam(args, args.M, "--M")
     return {"lam": lam, "M": args.M, "n": n}
 
 
 def _lstar_kwargs(args) -> dict:
     Ms = tuple(int(v) for v in args.M_list.split(","))
-    lam, n = _box_lam(args, min(Ms))  # what fits the narrowest box fits them all
+    lam, n = _box_lam(args, min(Ms), "--M-list values")  # what fits the narrowest fits all
     return {"lam": lam, "n": n, "Ms": Ms}
 
 
@@ -173,7 +175,7 @@ def _skew_cauchy_kwargs(args) -> dict:
     if args.mu is None:  # one box, in the first component
         mu = ((1,) + (0,) * (n - 1),) + ((0,) * n,) * (k - 1)
     else:
-        mu = parse_shape_text(args.mu)
+        mu = parse_shape_text(args.mu, "--mu")
     if len(mu) != k or any(len(p) != n for p in mu):
         raise ValueError("--mu must be a k-tuple of partitions with n parts")
     if sum(map(sum, mu)) > kwargs["D"]:

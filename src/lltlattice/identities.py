@@ -187,11 +187,7 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
     )
     if report.passed and d_comp != d:
         report.status = "FAIL"
-        report.witness = {
-            "context": "d(complement) != d(lam)",
-            "lhs": LaurentPoly.const(lhs.vars, d_comp).to_json_dict(),
-            "rhs": LaurentPoly.const(lhs.vars, d).to_json_dict(),
-        }
+        report.witness = {"context": "d(complement) != d(lam)", "lhs": d_comp, "rhs": d}
     return report
 
 

@@ -96,10 +96,13 @@ class SkewShapeTuple:
         return f"{beta}/{gamma}"
 
 
-def parse_shape_text(text: str) -> ShapeTuple:
-    """Parse "3,3;3,1" into ((3,3),(3,1))."""
-    comps = [c.strip() for c in text.split(";")]
-    return check_shape_tuple(tuple(tuple(int(v) for v in c.split(",")) for c in comps))
+def parse_shape_text(text: str, flag: str) -> ShapeTuple:
+    """Parse "3,3;3,1", the value of ``flag``, into ((3,3),(3,1))."""
+    try:
+        parts = tuple(tuple(map(int, c.split(","))) for c in text.split(";"))
+    except ValueError:
+        raise ValueError(f"{flag} parts must be integers, not {text!r}") from None
+    return check_shape_tuple(parts)
 
 
 # -- boundary data for the lattice ------------------------------------------

@@ -12,10 +12,11 @@ admissible patterns (I,J,K,L) and their factors are
     type 5  (0,0,0,0)   1
 
 where d counts the colors above this one in type 1; the pattern (1,0,1,0)
-is forbidden.  The checkers cover every boundary at once by one sparse
-contraction of the three-face sums on packed monomials, over tables that
-hold each weight packed straight from the closed forms (`lattice`'s face
-exponents, the crossing expansion `r_weight` wraps).  Numeric mode then
+is forbidden.  The checkers cover every boundary one block of incoming
+labels at a time, by a sparse contraction of the three-face sums on packed
+monomials over tables that hold each weight packed straight from the closed
+forms (`lattice`'s face exponents, the crossing expansion `r_weight` wraps).
+Each block's two sides are compared and dropped.  Numeric mode then
 evaluates the two sides at exact rational points, but only at the
 boundaries where they differ symbolically: at a point with nonzero x, y and
 t evaluation is a ring homomorphism, so equal sides have equal values, and
@@ -138,9 +139,9 @@ _BRANCHES = {
 }
 
 
-# The three caches below hold one value per k (k <= 5 in practice) and per
+# The two caches below hold one value per k (k <= 6 through the CLI) and per
 # kind or flavor, so these bounds keep every key the checks use.
-@lru_cache(maxsize=12)
+@lru_cache(maxsize=14)
 def _recursive_table(k: int, kind: str) -> dict:
     """All nonzero k-color face ("L") or crossing ("R") weights, built by the
     one-color-at-a-time rule: the new color k follows one single-color
@@ -202,7 +203,7 @@ def _entry_rows(k: int, pictures, terms) -> dict:
     return rows
 
 
-@lru_cache(maxsize=12)
+@lru_cache(maxsize=14)
 def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
     """Entry rows of the x-line face, the y-line face and the crossing.
     Starred, the x-line face is gray and the crossing's x line carries
@@ -241,50 +242,43 @@ def _add_shifted(sides: dict, boundary, terms, shift: int, scale: int):
         del sides[boundary]
 
 
-def _contract_sides(k: int, lx, ly, rr):
-    """Sparse evaluation of both sides over every boundary at once.
-
-    Returns (gauche, droite): maps from (I1,I2,I3,J1,J2,J3) to {packed
-    monomial: coefficient}, with no zero coefficient and no empty boundary.
-    The tables come packed.  A face weight is one monomial: one (key,
-    coefficient) pair that shifts and scales the terms of a crossing weight.
-    """
-    size = 1 << k
-    gauche: dict = {}
-    for (I2, I1), outs in rr.items():
-        for (K2, K1), r_terms in outs:
-            for I3 in range(size):
-                for (K3, J1), ((lkey, lc),) in lx.get((I3, K1), ()):
-                    rl = [(key + lkey, c * lc) for key, c in r_terms]
-                    for (J3, J2), ((ykey, yc),) in ly.get((K3, K2), ()):
-                        _add_shifted(gauche, (I1, I2, I3, J1, J2, J3), rl, ykey, yc)
-    droite: dict = {}
-    for (I3, I2), outs in ly.items():
-        for (L3, L2), ((ykey, yc),) in outs:
-            for I1 in range(size):
-                for (J3, L1), ((lkey, lc),) in lx.get((L3, I1), ()):
-                    shift, scale = ykey + lkey, yc * lc
-                    for (J2, J1), r_terms in rr.get((L2, L1), ()):
-                        _add_shifted(droite, (I1, I2, I3, J1, J2, J3), r_terms, shift, scale)
-    return gauche, droite
+def _gauche_block(lx, ly, rr, I1: int, I2: int, I3: int) -> dict:
+    """The left side at incoming labels (I1, I2, I3): (J1, J2, J3) -> {packed
+    monomial: coefficient}, with no zero coefficient and no empty boundary.  A
+    face weight is one (key, coefficient) pair, shifting a crossing weight."""
+    block: dict = {}
+    for (K2, K1), r_terms in rr[(I2, I1)]:
+        for (K3, J1), ((lkey, lc),) in lx[(I3, K1)]:
+            rl = [(key + lkey, c * lc) for key, c in r_terms]
+            for (J3, J2), ((ykey, yc),) in ly[(K3, K2)]:
+                _add_shifted(block, (J1, J2, J3), rl, ykey, yc)
+    return block
 
 
-@lru_cache(maxsize=6)
-def _symbolic_sides(k: int) -> tuple[dict, dict]:
-    return _contract_sides(k, *_tables(k, False))
+def _droite_block(lx, ly, rr, I1: int, I2: int, I3: int) -> dict:
+    """The right side at the same incoming labels, in the same form."""
+    block: dict = {}
+    for (L3, L2), ((ykey, yc),) in ly[(I3, I2)]:
+        for (J3, L1), ((lkey, lc),) in lx[(L3, I1)]:
+            shift, scale = ykey + lkey, yc * lc
+            for (J2, J1), r_terms in rr[(L2, L1)]:
+                _add_shifted(block, (J1, J2, J3), r_terms, shift, scale)
+    return block
 
 
-def _side_poly(side: dict, boundary) -> LaurentPoly:
-    return LaurentPoly._trusted(YBE_VARS, _PACKING.decode(side.get(boundary, {})))
+def _side_poly(side: dict) -> LaurentPoly:
+    return LaurentPoly._trusted(YBE_VARS, _PACKING.decode(side))
 
 
 def ybe_gauche(k: int, boundary) -> LaurentPoly:
     """Left side of the intertwining sum for one boundary, symbolically."""
-    return _side_poly(_symbolic_sides(k)[0], masks(k, *boundary))
+    I1, I2, I3, *outgoing = masks(k, *boundary)
+    return _side_poly(_gauche_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
 
 
 def ybe_droite(k: int, boundary) -> LaurentPoly:
-    return _side_poly(_symbolic_sides(k)[1], masks(k, *boundary))
+    I1, I2, I3, *outgoing = masks(k, *boundary)
+    return _side_poly(_droite_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
 
 
 @dataclass
@@ -349,26 +343,31 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "numeric" and trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
-    gauche, droite = _contract_sides(k, *_tables(k, starred))
-    differ = [] if gauche == droite else sorted(
-        key for key in gauche.keys() | droite.keys() if gauche.get(key) != droite.get(key)
-    )
+    # block by block in sorted boundary order, keeping only the (boundary,
+    # gauche, droite) triples that differ
+    tables = _tables(k, starred)
+    differ = []
+    for incoming in product(range(1 << k), repeat=3):
+        gauche, droite = _gauche_block(*tables, *incoming), _droite_block(*tables, *incoming)
+        if gauche != droite:
+            differ += [
+                ((*incoming, *J), gauche.get(J, {}), droite.get(J, {}))
+                for J in sorted(gauche.keys() | droite.keys()) if gauche.get(J) != droite.get(J)
+            ]
     checked = 1 << (6 * k)
     if mode == "symbolic":
         first = None
         if differ:
-            key = differ[0]
-            g, d = _side_poly(gauche, key), _side_poly(droite, key)
-            first = _witness(k, key, g.to_text(), d.to_text())
+            key, g, d = differ[0]
+            first = _witness(k, key, _side_poly(g).to_text(), _side_poly(d).to_text())
         return YbeReport(name, k, "symbolic", checked, len(differ), first)
     # Evaluation at a point with nonzero x, y and t is a ring homomorphism, so
     # sides that are equal symbolically are equal there: only the boundaries
     # in `differ` can fail at a point.
     rng = random.Random(seed)
     points = [_sample_point(rng) for _ in range(trials)]
-    sides = [(key, _side_poly(gauche, key), _side_poly(droite, key)) for key in differ]
-    failed = 0
-    first = None
+    sides = [(key, _side_poly(g), _side_poly(d)) for key, g, d in differ]
+    failed, first = 0, None
     for point in points:
         for key, g, d in sides:
             gv, dv = g.eval_rational(point), d.eval_rational(point)

@@ -61,6 +61,15 @@ def test_compute_parse_error_exit_2():
     assert "error" in out.stderr
 
 
+@pytest.mark.parametrize("flag, text", [("--beta", ""), ("--gamma", "0;")])
+def test_compute_names_a_shape_flag_with_a_non_integer_part(flag, text, capsys):
+    shape = {"--beta": "1;1", "--gamma": "0;0", flag: text}
+    assert cli.main(["compute", *(f"{k}={v}" for k, v in shape.items()), "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} parts must be integers, not {text!r}\n"
+
+
 @pytest.mark.parametrize("engine", ["tableaux", "lattice", "both"])
 def test_compute_n0_exit_2(engine):
     out = run_cli("compute", "--beta", "2,1", "--n", "0", "--engine", engine)
@@ -217,8 +226,16 @@ BAD_VERIFY = [
     (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
     (["verify", "skew-cauchy", "--mu", "2,0;0,0", "-D", "1"], "--mu must have size at most --degree"),
     (["verify", "skew-cauchy", "-D", "0"], "--degree must be at least 1 when --mu is not given"),
-    (["verify", "ybe", "--k", "6"], "--k must be at most 5"),
-    (["verify", "lstar-ybe", "--k", "6"], "--k must be at most 5"),
+    (["verify", "ybe", "--k", "7"], "--k must be at most 6"),
+    (["verify", "lstar-ybe", "--k", "7"], "--k must be at most 6"),
+    (["verify", "box-skew", "--M", "1"], "--M must be at least --n"),
+    (["verify", "complement", "--M", "1"], "--M must be at least --n"),
+    (["verify", "lstar", "--M-list", "4,1"], "--M-list values must be at least --n"),
+    (["verify", "symmetry", "--beta", ""], "--beta parts must be integers, not ''"),
+    (["verify", "inv-coinv", "--gamma", "1;x"], "--gamma parts must be integers, not '1;x'"),
+    (["verify", "hl", "--mu", "2,,1"], "--mu parts must be integers, not '2,,1'"),
+    (["verify", "skew-cauchy", "--mu", "1,0;"], "--mu parts must be integers, not '1,0;'"),
+    (["verify", "box-skew", "--lam", "1.5"], "--lam parts must be integers, not '1.5'"),
 ]
 
 

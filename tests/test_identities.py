@@ -263,6 +263,21 @@ def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
     assert report.witness == {"context": f"d(comp)=d(lam) at {lam}", "lhs": 1, "rhs": d_stat(lam)}
 
 
+def test_box_skew_reports_a_d_mismatch(monkeypatch):
+    # a wrong d(complement) leaves the polynomial relation true; the witness
+    # holds both d values as integers
+    lam, M, n = ((1, 0), (1, 1)), 4, 2
+    comp = shapes.complement(lam, M, n)
+    assert comp != lam and verify_box_skew(lam, M, n).passed
+    real = identities._d_stat
+    monkeypatch.setattr(identities, "_d_stat", lambda shape: real(shape) + (shape == comp))
+    report = verify_box_skew(lam, M, n)
+    assert report.status == "FAIL"
+    assert report.witness == {
+        "context": "d(complement) != d(lam)", "lhs": d_stat(comp) + 1, "rhs": d_stat(lam)
+    }
+
+
 def test_skew_cauchy_rejects_oversized_mu():
     with pytest.raises(ValueError):
         verify_skew_cauchy(((2, 2), (0, 0)), 2, 2, 3)

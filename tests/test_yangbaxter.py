@@ -10,7 +10,8 @@ from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
     _PACKING,
     YBE_VARS,
-    _contract_sides,
+    _droite_block,
+    _gauche_block,
     _recursive_table,
     _sample_point,
     _side_poly,
@@ -287,14 +288,19 @@ def _decoded(weight):
     return LaurentPoly(YBE_VARS, _PACKING.decode(dict(weight)))
 
 
-def _one_boundary(k, boundary, starred):
-    """Both sides for one boundary, summed face by face over decoded
-    polynomials: the reference the bulk contraction is checked against."""
-    I1, I2, I3, J1, J2, J3 = boundary
-    lx, ly, rr = (
+def _decoded_tables(k, starred):
+    """The checks' tables with every weight decoded, once per reference run."""
+    return tuple(
         {pair: {labels: _decoded(w) for labels, w in outs} for pair, outs in rows.items()}
         for rows in yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
     )
+
+
+def _one_boundary(tables, boundary):
+    """Both sides for one boundary, summed face by face over decoded
+    polynomials: the reference the block contraction is checked against."""
+    I1, I2, I3, J1, J2, J3 = boundary
+    lx, ly, rr = tables
     g = LaurentPoly.zero(YBE_VARS)
     for (K2, K1), rw in rr[(I2, I1)].items():
         for (K3, J1p), lw in lx[(I3, K1)].items():
@@ -310,19 +316,26 @@ def _one_boundary(k, boundary, starred):
     return g, d
 
 
+def _label_triples(k):
+    return itertools.product(range(1 << k), repeat=3)
+
+
 def test_ybe_gauche_matches_sparse_contraction():
-    # the per-boundary sum and the bulk contraction are independent routes
+    # the per-boundary sum and the block contraction are independent routes
     for k, starred in itertools.product((1, 2), (False, True)):
-        g, d = _contract_sides(k, *_tables(k, starred))
-        # no stored zero coefficient and no empty boundary
-        assert all(side and 0 not in side.values() for side in (*g.values(), *d.values()))
-        for boundary in itertools.product(range(1 << k), repeat=6):
-            gauche, droite = _one_boundary(k, boundary, starred)
-            assert gauche == _side_poly(g, boundary), (k, starred, boundary)
-            assert droite == _side_poly(d, boundary), (k, starred, boundary)
-            if not starred:
-                assert ybe_gauche(k, boundary) == gauche, (k, boundary)
-                assert ybe_droite(k, boundary) == droite, (k, boundary)
+        tables, reference = _tables(k, starred), _decoded_tables(k, starred)
+        for incoming in _label_triples(k):
+            g, d = _gauche_block(*tables, *incoming), _droite_block(*tables, *incoming)
+            # no stored zero coefficient and no empty boundary
+            assert all(side and 0 not in side.values() for side in (*g.values(), *d.values()))
+            for outgoing in _label_triples(k):
+                boundary = (*incoming, *outgoing)
+                gauche, droite = _one_boundary(reference, boundary)
+                assert gauche == _side_poly(g.get(outgoing, {})), (k, starred, boundary)
+                assert droite == _side_poly(d.get(outgoing, {})), (k, starred, boundary)
+                if not starred:
+                    assert ybe_gauche(k, boundary) == gauche, (k, boundary)
+                    assert ybe_droite(k, boundary) == droite, (k, boundary)
 
 
 @pytest.mark.parametrize("starred", [False, True])
@@ -348,19 +361,23 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
     assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
     assert len(calls) == entries
     monkeypatch.setattr(_Packing, "encode", no_poly)
-    _contract_sides(k, *tables)
+    for incoming in _label_triples(k):
+        _gauche_block(*tables, *incoming)
+        _droite_block(*tables, *incoming)
 
 
-def _reference_report(k, starred, seed, trials):
-    """(failed, first failure) of evaluating the per-boundary reference at
-    every boundary and every sample point, in boundary order."""
-    sides = [(b, *_one_boundary(k, b, starred)) for b in itertools.product(range(1 << k), repeat=6)]
-    rng = random.Random(seed)
+def _reference_report(k, starred, points=None):
+    """(failed, first failure) of walking the per-boundary reference over
+    every boundary in order: comparing the polynomials, or with ``points``
+    their values at each point in turn."""
+    tables = _decoded_tables(k, starred)
+    sides = [(b, *_one_boundary(tables, b)) for b in itertools.product(range(1 << k), repeat=6)]
     failed, first = 0, None
-    for point in [_sample_point(rng) for _ in range(trials)]:
+    for point in [None] if points is None else points:
         for boundary, g, d in sides:
-            gv, dv = g.eval_rational(point), d.eval_rational(point)
-            if gv != dv:
+            if point is not None:
+                g, d = g.eval_rational(point), d.eval_rational(point)
+            if g != d:
                 failed += 1
                 if first is None:
                     first = {
@@ -368,10 +385,11 @@ def _reference_report(k, starred, seed, trials):
                             name: [(label >> i) & 1 for i in range(k)]
                             for name, label in zip(("I1", "I2", "I3", "J1", "J2", "J3"), boundary)
                         },
-                        "gauche": str(gv),
-                        "droite": str(dv),
-                        "point": dict(zip("xyt", map(str, point))),
+                        "gauche": g.to_text() if point is None else str(g),
+                        "droite": d.to_text() if point is None else str(d),
                     }
+                    if point is not None:
+                        first["point"] = dict(zip("xyt", map(str, point)))
     return failed, first
 
 
@@ -384,7 +402,24 @@ def test_numeric_check_matches_evaluating_every_boundary(doubled_r_entry, check,
     # wrong crossing weight it must report what evaluating all 4,096
     # boundaries reports
     rep = check(2, mode="numeric", seed=seed, trials=2)
-    failed, first = _reference_report(2, starred, seed, 2)
+    rng = random.Random(seed)
+    failed, first = _reference_report(2, starred, [_sample_point(rng) for _ in range(2)])
+    assert failed > 0
+    assert (rep.failed, rep.first_failure) == (failed, first)
+
+
+# doubling row (0, 0) makes two boundaries of the first failing block differ,
+# which pins the order inside a block too
+@pytest.mark.parametrize("doubled_r_entry", [(1, 0), (0, 0)], indirect=True, ids=["row10", "row00"])
+@pytest.mark.parametrize(
+    "check, starred", [(ybe_check, False), (lstar_ybe_check, True)], ids=["ybe", "lstar-ybe"]
+)
+def test_symbolic_check_matches_walking_every_boundary(doubled_r_entry, check, starred):
+    # the blocks are contracted one at a time; against a wrong crossing weight
+    # the count and the first failure must be those of walking all 4,096
+    # boundaries in order
+    rep = check(2, mode="symbolic")
+    failed, first = _reference_report(2, starred)
     assert failed > 0
     assert (rep.failed, rep.first_failure) == (failed, first)
 
@@ -400,7 +435,7 @@ def test_lstar_all_zero_boundary():
 
 
 def _lstar_sides(k, boundary):
-    return _one_boundary(k, boundary, starred=True)
+    return _one_boundary(_decoded_tables(k, True), boundary)
 
 
 def test_lstar_ybe_symbolic():
@@ -449,16 +484,18 @@ def test_numeric_point_constraints():
 
 
 @pytest.fixture
-def doubled_r_entry(monkeypatch):
-    """Double the one crossing weight of row (I, J) = (1, 0) at k = 2."""
+def doubled_r_entry(monkeypatch, request):
+    """Double the one crossing weight of row (I, J) = (1, 0) at k = 2, or of
+    the row a test passes as the fixture's parameter."""
     original = yangbaxter._tables
+    row = getattr(request, "param", (1, 0))
 
     def broken(k, starred):
         lx, ly, rr = original(k, starred)
         if k != 2:
             return lx, ly, rr
-        ((out, w),) = rr[(1, 0)]
-        return lx, ly, {**rr, (1, 0): [(out, tuple((key, 2 * c) for key, c in w))]}
+        ((out, w),) = rr[row]
+        return lx, ly, {**rr, row: [(out, tuple((key, 2 * c) for key, c in w))]}
 
     monkeypatch.setattr(yangbaxter, "_tables", broken)
 
