@@ -1,9 +1,9 @@
 """Command-line surface: compute, verify, stats.
 
-Exit codes: 0 success, 1 some verification failed, 2 bad parameters or parse
-error, 3 cross-engine mismatch.  All randomness flows from --seed (default 1),
-so identical invocations produce byte-identical output.  ``verify all`` runs
-its cases one after another, in suite order, in this process.
+Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
+3 cross-engine mismatch.  All randomness flows from --seed (default 1), so
+identical invocations give byte-identical output.  The parser is built once, at
+import; ``verify all`` parses its suite through it and runs the cases in order.
 """
 
 from __future__ import annotations
@@ -156,7 +156,10 @@ def _box_kwargs(args) -> dict:
 
 
 def _lstar_kwargs(args) -> dict:
-    Ms = tuple(int(v) for v in args.M_list.split(","))
+    try:
+        Ms = tuple(int(v) for v in args.M_list.split(","))
+    except ValueError:
+        raise ValueError(f"--M-list values must be integers, not {args.M_list!r}") from None
     lam, n = _box_lam(args, min(Ms), "--M-list values")  # what fits the narrowest fits all
     return {"lam": lam, "n": n, "Ms": Ms}
 
@@ -269,11 +272,8 @@ def _emit_report(report, fmt: str):
 
 def cmd_verify(args) -> int:
     try:
-        if args.identity == "all":
-            parse = build_parser().parse_args
-            runs = [parse(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
-        else:
-            runs = [args]
+        runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
+                if args.identity == "all" else [args])
         cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -332,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     return args.func(args)

@@ -231,6 +231,9 @@ BAD_VERIFY = [
     (["verify", "box-skew", "--M", "1"], "--M must be at least --n"),
     (["verify", "complement", "--M", "1"], "--M must be at least --n"),
     (["verify", "lstar", "--M-list", "4,1"], "--M-list values must be at least --n"),
+    (["verify", "lstar", "--M-list", "3,x"], "--M-list values must be integers, not '3,x'"),
+    (["verify", "lstar", "--M-list", ""], "--M-list values must be integers, not ''"),
+    (["verify", "lstar", "--M-list", "3,,4"], "--M-list values must be integers, not '3,,4'"),
     (["verify", "symmetry", "--beta", ""], "--beta parts must be integers, not ''"),
     (["verify", "inv-coinv", "--gamma", "1;x"], "--gamma parts must be integers, not '1;x'"),
     (["verify", "hl", "--mu", "2,,1"], "--mu parts must be integers, not '2,,1'"),

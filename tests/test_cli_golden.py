@@ -8,9 +8,13 @@ renderer on a large straight shape and on a skew shape whose coefficients
 are 2 and 3.  The last four pin YBE runs that ``verify all`` does not make:
 both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
 in JSON, and the k = 0 edge case in numeric mode.
+
+The parser is built once, at import, so the last two tests run many
+commands through it in one process and check that no call rebuilds it.
 """
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -38,14 +42,69 @@ COMMANDS = [
 ]
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+SUITES = {  # verify all runs, with their goldens from tests/test_cli.py
+    "verify all --quick --seed 5": "verify_all_quick_seed5.txt",
+    "verify all --quick --format json --seed 5": "verify_all_quick_seed5.jsonl",
+}
 
 
 def slug(command: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", command).strip("_")
 
 
+def golden(command: str) -> tuple[str, int]:
+    """The pinned (stdout, exit code) of a golden command."""
+    if command in SUITES:
+        return (GOLDEN.parent / SUITES[command]).read_text(), 0
+    return (GOLDEN / f"{slug(command)}.txt").read_text(), EXIT_CODES[command]
+
+
+def run(command: str, capsys) -> tuple[str, str, int]:
+    code = cli.main(command.split())
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_stdout_golden(command, capsys):
-    code = cli.main(command.split())
-    assert capsys.readouterr().out == (GOLDEN / f"{slug(command)}.txt").read_text()
-    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[command]
+    out, _, code = run(command, capsys)
+    assert (out, code) == golden(command)
+
+
+# Commands without a golden file, with their exit codes: each must print the
+# same thing every time it runs.
+INTERLEAVED = {
+    "verify ybe --k 7": 2,  # a parameter builder rejects it
+    "verify nope": 2,  # argparse rejects it
+    "--help": 0,
+}
+
+
+def test_reused_parser_gives_identical_output(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    goldens = [*COMMANDS, "verify all --quick --format json --seed 5"]
+    order = 2 * [*goldens, *INTERLEAVED]
+    random.Random(17).shuffle(order)
+    first = {}
+    for command in order:
+        out, err, code = run(command, capsys)
+        if command in INTERLEAVED:
+            assert code == INTERLEAVED[command]
+            assert first.setdefault(command, (out, err)) == (out, err), command
+        else:
+            assert (out, code) == golden(command), command
+
+
+def test_no_call_rebuilds_the_parser(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("build_parser() called after import")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    for command in [
+        "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2",
+        "verify ybe --k 2 --mode symbolic",
+        "verify all --quick --seed 5",
+    ]:
+        out, _, code = run(command, capsys)
+        assert (out, code) == golden(command), command
