@@ -1,7 +1,8 @@
 """Command-line surface: compute, verify, stats.
 
 Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
-3 cross-engine mismatch.  All randomness flows from --seed (default 1), so
+3 cross-engine mismatch.  Commands raise; only ``main`` maps a ``ValueError``
+to 2 and an ``EngineMismatch`` to 3.  All randomness flows from --seed, so
 identical invocations give byte-identical output.  The parser is built once, at
 import; ``verify all`` parses its suite through it and runs the cases in order.
 """
@@ -55,21 +56,8 @@ def _parse_shape(args) -> SkewShapeTuple:
     return SkewShapeTuple.straight(beta)
 
 
-def _engine_mismatch(exc: EngineMismatch) -> int:
-    print("engine mismatch:", file=sys.stderr)
-    print(f"  tableaux: {exc.tableaux_value.serialize()}", file=sys.stderr)
-    print(f"  lattice:  {exc.lattice_value.serialize()}", file=sys.stderr)
-    return 3
-
-
 def cmd_compute(args) -> int:
-    try:
-        poly = llt(_parse_shape(args), args.n, engine=args.engine)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineMismatch as exc:
-        return _engine_mismatch(exc)
+    poly = llt(**_shape_kwargs(args), engine=args.engine)
     if args.format == "json":
         print(poly.serialize())
     else:
@@ -78,11 +66,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        shape = _parse_shape(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shape = _parse_shape(args)
     r, s = column_range(shape)
     out = {
         "shape": shape.text(),
@@ -101,11 +85,10 @@ def cmd_stats(args) -> int:
         if len(lengths) == 1:
             out["d"] = d_stat(shape.beta)
             if args.M is not None:
-                try:
-                    out["dtilde"] = dtilde_stat(shape.beta, args.M)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
+                (parts,) = lengths
+                if args.M < parts:
+                    raise ValueError(f"--M must be at least the number of parts ({parts})")
+                out["dtilde"] = dtilde_stat(shape.beta, args.M)
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -271,17 +254,10 @@ def _emit_report(report, fmt: str):
 
 
 def cmd_verify(args) -> int:
-    try:
-        runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
-                if args.identity == "all" else [args])
-        cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = [_verify_case(case) for case in cases]
-    except EngineMismatch as exc:
-        return _engine_mismatch(exc)
+    runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
+            if args.identity == "all" else [args])
+    cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
+    reports = [_verify_case(case) for case in cases]
     for report in reports:
         _emit_report(report, args.format)
     n_failed = sum(0 if r.passed else 1 for r in reports)
@@ -340,7 +316,16 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EngineMismatch as exc:
+        print("engine mismatch:", file=sys.stderr)
+        print(f"  tableaux: {exc.tableaux_value.serialize()}", file=sys.stderr)
+        print(f"  lattice:  {exc.lattice_value.serialize()}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import subprocess
 import sys
@@ -74,7 +75,7 @@ def test_compute_names_a_shape_flag_with_a_non_integer_part(flag, text, capsys):
 def test_compute_n0_exit_2(engine):
     out = run_cli("compute", "--beta", "2,1", "--n", "0", "--engine", engine)
     assert out.returncode == 2
-    assert out.stderr == "error: n must be at least 1\n"
+    assert out.stderr == "error: --n must be at least 1\n"
     assert out.stdout == ""
 
 
@@ -108,6 +109,24 @@ def test_stats_empty():
     out = run_cli("stats", "--beta", "0", "--gamma", "0")
     data = json.loads(out.stdout)
     assert data["m"] == 0 and data["band"] == 0
+
+
+@pytest.mark.parametrize("beta, M, message", [
+    ("2;1", "0", "--M must be at least the number of parts (1)"),
+    ("2;1", "-3", "--M must be at least the number of parts (1)"),
+    ("2,1;1,0", "1", "--M must be at least the number of parts (2)"),
+    ("2;1", "1", "part 2 exceeds box width 0"),
+])
+def test_stats_bad_M_exit_2(beta, M, message, capsys):
+    assert cli.main(["stats", "--beta", beta, "--M", M]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_stats_dtilde(capsys):
+    assert cli.main(["stats", "--beta", "2,1;1,0", "--M", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["dtilde"] == -2
 
 
 def test_verify_ybe():
@@ -313,3 +332,34 @@ def test_verify_engine_mismatch_exit_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == compute_err
     assert captured.err.startswith("engine mismatch:\n  tableaux: ")
+
+
+@pytest.mark.parametrize("argv", [["verify", "symmetry"], ["verify", "all", "--quick", "--seed", "5"]])
+def test_verify_error_after_the_builders_exit_2(argv, monkeypatch, capsys):
+    def boom(shape, n, engine="tableaux"):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(identities, "verify_symmetry", boom)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
+
+
+def test_main_alone_maps_errors_to_exit_codes():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("cmd_compute", "cmd_stats", "cmd_verify"):
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(functions[name])), name
+
+    def mismatch_handlers(root):  # lines of the except clauses that name EngineMismatch
+        return {
+            handler.lineno
+            for handler in ast.walk(root)
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+            and "EngineMismatch" in {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+        }
+
+    assert mismatch_handlers(functions["main"])
+    assert mismatch_handlers(tree) == mismatch_handlers(functions["main"])
+    assert "_engine_mismatch" not in functions
