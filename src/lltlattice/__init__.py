@@ -33,6 +33,7 @@ from .lattice import (
     build_lattice,
     config_to_ssyt,
     enumerate_configs,
+    gray_rows,
     l_weight,
     lstar_weight,
     partition_function,

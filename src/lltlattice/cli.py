@@ -67,6 +67,9 @@ def cmd_compute(args) -> int:
 
 def cmd_stats(args) -> int:
     shape = _parse_shape(args)
+    lengths = {len(p) for p in shape.beta}
+    if args.M is not None and not (shape.is_straight() and len(lengths) == 1):
+        raise ValueError("--M needs a straight shape with equal part counts")
     r, s = column_range(shape)
     out = {
         "shape": shape.text(),
@@ -81,7 +84,6 @@ def cmd_stats(args) -> int:
             comp = tuple(p[0] for p in shape.beta)
             out["inv"] = inv_stat(comp)
             out["n_mu"] = n_stat(tuple(sorted(comp, reverse=True)))
-        lengths = {len(p) for p in shape.beta}
         if len(lengths) == 1:
             out["d"] = d_stat(shape.beta)
             if args.M is not None:

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations
 from operator import add
 
 from .algebra import LaurentPoly, VarSet
-from .lattice import build_box_lattice, build_lattice, partition_function
+from .lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from .shapes import (
     Partition,
     ShapeTuple,
@@ -231,9 +231,9 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     factor = _x_rho_power(vars, n, k, extra_all=-n * k, textra=shift_t)
     pairs = []
     for M in Ms:
-        zright = partition_function(build_box_lattice(lam, M, n, gray=True, right_exit=True))
+        zright, ztop = (gray_rows(partition_function(build_box_lattice(lam, M, n, right)), k, M)
+                        for right in (True, False))
         pairs.append((f"right-exit gray row, M={M}", zright, target))
-        ztop = partition_function(build_box_lattice(lam, M, n, gray=True, right_exit=False))
         pairs.append((f"top-exit vs right-exit, M={M}", zright, ztop * factor))
     return _check_pairs(
         "lstar", {"lam": [list(p) for p in lam], "n": n, "M": Ms}, pairs, {"d": d}

@@ -10,9 +10,10 @@ enters twice.  The weight of an admissible face is
     x^(# colors leaving right) * prod over colors i leaving right of
     t^(# colors larger than i present in the face)
 
-and the gray variant rescales each face by x^k t^C(k,2) after substituting
-x -> 1/(x t^(k-1)).  Both weights are monomials, so a configuration's weight
-is tracked as one exponent vector.
+so a configuration's weight is one monomial, tracked as an exponent vector.
+The gray face weight is x^k t^C(k,2) times the plain one at x -> 1/(x t^(k-1)),
+so a lattice of gray rows is not a second model: ``gray_rows`` maps the plain
+partition function onto it.
 """
 
 from __future__ import annotations
@@ -76,12 +77,21 @@ def _gray(k: int, faces: int, xexp: int, texp: int) -> tuple[int, int]:
     return k * faces - xexp, faces * _binom2(k) + texp - (k - 1) * xexp
 
 
-def _face_weight(k: int, labels, gray: bool) -> LaurentPoly:
-    vars = VarSet(nx=1)
-    data = face_weight_exponents(k, *masks(k, *labels))
-    if data is None:
-        return LaurentPoly.zero(vars)
-    return LaurentPoly.monomial(vars, 1, _gray(k, 1, *data) if gray else data)
+def gray_rows(P: LaurentPoly, k: int, faces: int) -> LaurentPoly:
+    """P with every x row sent through _gray as a row of `faces` faces.
+
+    Gray rows are the substituted plain rows, so on a lattice of rows
+    `faces` columns wide this maps the plain partition function to the gray
+    one.  The map is injective on monomials, so no two terms merge.
+    """
+    nx, tslot = P.vars.nx, P.vars.t_index
+    out = {}
+    for e, c in P.terms.items():
+        new = list(e)
+        for i in range(nx):
+            new[i], new[tslot] = _gray(k, faces, e[i], new[tslot])
+        out[tuple(new)] = c
+    return LaurentPoly._trusted(P.vars, out)
 
 
 def l_weight(k: int, I, J, K, L) -> LaurentPoly:
@@ -89,18 +99,20 @@ def l_weight(k: int, I, J, K, L) -> LaurentPoly:
 
     Inadmissible faces get weight 0.
     """
-    return _face_weight(k, (I, J, K, L), gray=False)
+    vars = VarSet(nx=1)
+    data = face_weight_exponents(k, *masks(k, I, J, K, L))
+    return LaurentPoly.zero(vars) if data is None else LaurentPoly.monomial(vars, 1, data)
 
 
 def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
     """Gray face weight x^k t^C(k,2) L_{1/(x t^(k-1))}(I,J;K,L)."""
-    return _face_weight(k, (I, J, K, L), gray=True)
+    return gray_rows(l_weight(k, I, J, K, L), k, 1)
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Boundary data of a lattice: per-column bottom/top labels, per-row right
-    labels (left labels are always empty), and the weight flavor."""
+    """Boundary data of a lattice: per-column bottom/top labels and per-row
+    right labels (left labels are always empty)."""
 
     k: int
     n: int
@@ -109,7 +121,6 @@ class LatticeSpec:
     bottom: tuple[int, ...]
     top: tuple[int, ...]
     right: tuple[int, ...]
-    gray: bool = False
     shape: SkewShapeTuple | None = field(default=None, compare=False)
     # per color, the columns of bottom and of top that carry it: the DP's
     # first and last states
@@ -157,8 +168,7 @@ def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     )
 
 
-def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
-                      right_exit: bool = False) -> LatticeSpec:
+def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False) -> LatticeSpec:
     """Lattice on the full M-column window 1-n..M-n with bottom boundary lam.
 
     With right_exit the paths leave through the right edge (top empty);
@@ -175,8 +185,7 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, gray: bool = False,
     else:
         top = _labels([label_columns((M - n,) * n)] * k, M, r)
         right = (0,) * n
-    return LatticeSpec(k=k, n=n, r=r, s=s, bottom=bottom, top=top,
-                       right=right, gray=gray)
+    return LatticeSpec(k=k, n=n, r=r, s=s, bottom=bottom, top=top, right=right)
 
 
 # -- row machinery -------------------------------------------------------------
@@ -271,8 +280,6 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
         nxt: dict[tuple, dict[tuple, int]] = {}
         for state, terms in states.items():
             for tops, xexp, texp, _ in step(row, state):
-                if spec.gray:
-                    xexp, texp = _gray(spec.k, spec.ncols, xexp, texp)
                 bucket = nxt.setdefault(tops, {})
                 for e, c in terms.items():
                     ne = list(e)
@@ -307,24 +314,17 @@ class LatticeConfig:
         )
 
     def weight_exponents(self) -> tuple[list[int], int]:
-        """Per-row x exponents and the t exponent, after any gray rescaling."""
+        """Per-row x exponents and the t exponent."""
         spec = self.spec
-        xexps = []
-        ttotal = 0
+        xexps, texp = [0] * spec.n, 0
         for row in range(1, spec.n + 1):
-            xe = te = 0
             for c in range(spec.ncols):
-                I, J, K, L = self.face(row, c)
-                data = face_weight_exponents(spec.k, I, J, K, L)
+                data = face_weight_exponents(spec.k, *self.face(row, c))
                 if data is None:
                     raise ValueError(f"inadmissible face at row {row}, column {c + spec.r}")
-                xe += data[0]
-                te += data[1]
-            if spec.gray:
-                xe, te = _gray(spec.k, spec.ncols, xe, te)
-            xexps.append(xe)
-            ttotal += te
-        return xexps, ttotal
+                xexps[row - 1] += data[0]
+                texp += data[1]
+        return xexps, texp
 
     def coinv(self) -> int:
         """The t exponent of the configuration weight."""
@@ -440,8 +440,8 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
     preserved (row i maps to row n+1-i).
     """
     spec = config.spec
-    if spec.gray or any(spec.right):
-        raise ValueError("rotation is defined for plain lattices with empty right edge")
+    if any(spec.right):
+        raise ValueError("rotation is defined for lattices with empty right edge")
     k, n, ncols = spec.k, spec.n, spec.ncols
     full = (1 << k) - 1
     box_top = tuple(
@@ -460,8 +460,6 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
         tuple(_reverse_colors(config.horizontals[n - row][ncols - b], k) for b in range(ncols + 1))
         for row in range(1, n + 1)
     )
-    new_spec = LatticeSpec(
-        k=k, n=n, r=spec.r, s=spec.s, bottom=verts[0], top=verts[n],
-        right=(0,) * n, gray=False,
-    )
+    new_spec = LatticeSpec(k=k, n=n, r=spec.r, s=spec.s, bottom=verts[0], top=verts[n],
+                           right=(0,) * n)
     return LatticeConfig(new_spec, verts, horiz)

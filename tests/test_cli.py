@@ -124,6 +124,17 @@ def test_stats_bad_M_exit_2(beta, M, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "stats --beta 3,3;3,1 --gamma 2,1;1,0 --M 0",  # skew
+    "stats --beta 2,1;1 --M -5",  # unequal part counts
+])
+def test_stats_M_needs_a_straight_equal_length_shape(argv, capsys):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --M needs a straight shape with equal part counts\n"
+
+
 def test_stats_dtilde(capsys):
     assert cli.main(["stats", "--beta", "2,1;1,0", "--M", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["dtilde"] == -2

@@ -5,9 +5,11 @@ Each command's stdout is in ``golden/cli/<slug>.txt`` and its exit code in
 ``cli-verify`` benchmark workload runs (copied here, so the tests do not
 depend on ``bench/``); the two ``compute`` commands pin the grouped text
 renderer on a large straight shape and on a skew shape whose coefficients
-are 2 and 3.  The last four pin YBE runs that ``verify all`` does not make:
+are 2 and 3.  The next four pin YBE runs that ``verify all`` does not make:
 both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
-in JSON, and the k = 0 edge case in numeric mode.
+in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
+rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
+JSON, and two at k = 3, n = 3 in text.
 
 The parser is built once, at import, so the last two tests run many
 commands through it in one process and check that no call rebuilds it.
@@ -39,6 +41,8 @@ COMMANDS = [
     "verify lstar-ybe --k 3",
     "verify lstar-ybe --k 2 --mode numeric --trials 3 --seed 3 --format json",
     "verify ybe --k 0 --mode numeric",
+    "verify lstar --lam 2,1;1,0 --n 2 --M-list 4,5,6 --format json",
+    "verify lstar --lam 1,1,0;1,0,0 --n 3 --M-list 4,5",
 ]
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"

@@ -11,7 +11,6 @@ from lltlattice.lattice import (
     LatticeConfig,
     LatticeSpec,
     _color_columns,
-    _gray,
     _labels,
     _row_transitions,
     build_box_lattice,
@@ -19,6 +18,7 @@ from lltlattice.lattice import (
     config_to_ssyt,
     enumerate_configs,
     face_weight_exponents,
+    gray_rows,
     l_weight,
     lstar_weight,
     mask_of,
@@ -222,8 +222,8 @@ def test_anchor_reachable_levels():
 @pytest.mark.parametrize("spec", [
     build_lattice(SECOND, 2),
     build_box_lattice(((2, 1), (1, 0)), 4, 2),
-    build_box_lattice(((2, 1, 0), (1, 1, 0)), 5, 3, gray=True, right_exit=True),
-], ids=["plain", "box", "gray-right-exit"])
+    build_box_lattice(((2, 1, 0), (1, 1, 0)), 5, 3, right_exit=True),
+], ids=["plain", "box", "right-exit"])
 def test_last_row_yields_only_the_top(spec):
     levels, _ = _reachable_levels(spec)
     top = _color_columns(spec.top, spec.k)
@@ -240,8 +240,8 @@ def _random_specs(rng, count):
         k, n = rng.randint(1, 3), rng.randint(1, 3)
         lam = random_straight_tuple(rng, k, n, 2)
         M = max((p[0] for p in lam), default=0) + n + rng.randint(0, 1)
-        for gray, right_exit in product((False, True), repeat=2):
-            yield build_box_lattice(lam, M, n, gray=gray, right_exit=right_exit)
+        for right_exit in (False, True):
+            yield build_box_lattice(lam, M, n, right_exit=right_exit)
 
 
 def test_row_weight_matches_face_weights():
@@ -266,12 +266,9 @@ def test_row_weight_matches_face_weights():
                         face = face_weight_exponents(spec.k, below[c], horiz[c],
                                                      above[c], horiz[c + 1])
                         xe, te = xe + face[0], te + face[1]
-                    if spec.gray:
-                        xe, te = _gray(spec.k, ncols, xe, te)
-                        xexp, texp = _gray(spec.k, ncols, xexp, texp)
                     assert (xexp, texp) == (xe, te)
                     checked += 1
-    assert checked == 14_278
+    assert checked == 7_376
 
 
 def _reference_partition_function(spec):
@@ -291,8 +288,7 @@ def _reference_partition_function(spec):
             for tops, carry, xe, te in rows:
                 if carry == spec.right[row - 1]:
                     exps = [0] * vars.total
-                    exps[row - 1], exps[vars.t_index] = (
-                        _gray(k, ncols, xe, te) if spec.gray else (xe, te))
+                    exps[row - 1], exps[vars.t_index] = xe, te
                     nxt[tops] = nxt.get(tops, LaurentPoly.zero(vars)) + poly * (
                         LaurentPoly.monomial(vars, 1, exps))
         states = nxt
@@ -303,15 +299,14 @@ def test_right_labels_that_differ_by_row():
     # color 1 leaves through the right edge on row 1 and color 2 on row 3 of
     # 4; color 2 can keep its columns over rows 1-3, so a move memo keyed
     # without the exit bit would give row 3 the moves of row 1
-    for gray in (False, True):
-        spec = LatticeSpec(k=2, n=4, r=0, s=3, bottom=(3, 3, 0, 0), top=(0, 1, 2, 0),
-                           right=(1, 0, 2, 0), gray=gray)
-        configs = enumerate_configs(spec)
-        total = LaurentPoly.zero(VarSet(nx=4))
-        for config in configs:
-            total = total + config.weight()
-        assert configs
-        assert total == partition_function(spec) == _reference_partition_function(spec)
+    spec = LatticeSpec(k=2, n=4, r=0, s=3, bottom=(3, 3, 0, 0), top=(0, 1, 2, 0),
+                       right=(1, 0, 2, 0))
+    configs = enumerate_configs(spec)
+    total = LaurentPoly.zero(VarSet(nx=4))
+    for config in configs:
+        total = total + config.weight()
+    assert configs
+    assert total == partition_function(spec) == _reference_partition_function(spec)
 
 
 def test_per_color_conservation_of_configs():
@@ -324,18 +319,49 @@ def test_per_color_conservation_of_configs():
                 assert I & J == 0
 
 
-def test_dp_matches_enumeration_gray():
+def test_gray_rows_sums_gray_face_weights():
+    # a gray lattice face by face: each configuration weighs the product of
+    # lstar_weight over its faces, with x moved to the row's variable
     rng = random.Random(37)
     for _ in range(10):
         k, n = rng.randint(1, 2), rng.randint(1, 2)
         lam = random_straight_tuple(rng, k, n, 2)
         M = max((p[0] for p in lam), default=0) + n + 1
+        vars = VarSet(nx=n)
         for right_exit in (False, True):
-            spec = build_box_lattice(lam, M, n, gray=True, right_exit=right_exit)
-            total = LaurentPoly.zero(VarSet(nx=n))
-            for config in enumerate_configs(spec):
-                total = total + config.weight()
-            assert total == partition_function(spec)
+            spec = build_box_lattice(lam, M, n, right_exit=right_exit)
+            configs = enumerate_configs(spec)
+            total = LaurentPoly.zero(vars)
+            for config in configs:
+                exps = [0] * vars.total
+                for row, c in product(range(1, n + 1), range(M)):
+                    [((xe, te), coeff)] = lstar_weight(k, *config.face(row, c)).terms.items()
+                    assert coeff == 1
+                    exps[row - 1] += xe
+                    exps[vars.t_index] += te
+                total = total + LaurentPoly.monomial(vars, 1, exps)
+            assert configs
+            assert total == gray_rows(partition_function(spec), k, M)
+
+
+def test_gray_rows_is_the_row_substitution():
+    # second route, through LaurentPoly.substitute: x_i -> 1/(x_i t^(k-1)),
+    # then x_i^k t^C(k,2) once per face of each row
+    rng = random.Random(53)
+    for _ in range(60):
+        n, k, faces = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
+        vars = VarSet(nx=n)
+        P = LaurentPoly(vars, {tuple(rng.randint(-3, 3) for _ in range(vars.total)):
+                               rng.randint(-4, 4) for _ in range(rng.randint(0, 8))})
+        assignment = {}
+        for i in range(n):
+            exps = [0] * vars.total
+            exps[i], exps[vars.t_index] = -1, 1 - k
+            assignment[i] = (1, tuple(exps))
+        scale = LaurentPoly.monomial(vars, 1, [k * faces] * n + [n * faces * k * (k - 1) // 2])
+        gray = gray_rows(P, k, faces)
+        assert gray == scale * P.substitute(assignment)
+        assert len(gray.terms) == len(P.terms)
 
 
 # -- the bijection --------------------------------------------------------------
@@ -468,5 +494,8 @@ def test_rotate_config_coinv_difference():
 def test_rotate_config_rejects_non_box():
     spec = build_lattice(FIRST, 2)
     config = enumerate_configs(spec)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a full box"):
         rotate_config(config)
+    spec = build_box_lattice(((1, 0), (1, 0)), 3, 2, right_exit=True)
+    with pytest.raises(ValueError, match="empty right edge"):
+        rotate_config(enumerate_configs(spec)[0])

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations
 from math import comb, prod
 from operator import sub
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lltlattice import tableaux
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import random_skew_tuple, shape_tuples_bounded
-from lltlattice.lattice import build_box_lattice, build_lattice, partition_function
+from lltlattice.lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from lltlattice.shapes import SkewShapeTuple, inv_stat, m_bruteforce, triples
 from lltlattice.tableaux import (
     TableauTuple,
@@ -219,17 +219,17 @@ def test_llt_coinv_golden_without_triple_records(monkeypatch):
 
 
 def test_trusted_results_equal_checked_construction():
-    # llt_coinv and partition_function build their results without the
-    # constructor's checks; the checks would change nothing
+    # llt_coinv, partition_function and gray_rows build their results without
+    # the constructor's checks; the checks would change nothing
     rng = random.Random(41)
     results = []
     for _ in range(40):
         shape = random_skew_tuple(rng)
         n = rng.randint(1, 3)
         results += [llt_coinv(shape, n), partition_function(build_lattice(shape, n))]
-    for gray, right_exit in product((False, True), repeat=2):
-        spec = build_box_lattice(((1, 0), (2, 1)), 5, 2, gray=gray, right_exit=right_exit)
-        results.append(partition_function(spec))
+    for right_exit in (False, True):
+        P = partition_function(build_box_lattice(((1, 0), (2, 1)), 5, 2, right_exit=right_exit))
+        results += [P, gray_rows(P, 2, 5)]
     for P in results:
         checked = LaurentPoly(P.vars, dict(P.terms))
         assert list(P.terms.items()) == list(checked.terms.items())
