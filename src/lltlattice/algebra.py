@@ -1,9 +1,9 @@
 """Exact sparse Laurent polynomial arithmetic over arbitrary-precision integers.
 
 Polynomials live in a fixed variable set: x_1..x_nx, then y_1..y_ny, then
-(optionally) t, always in that order.  A polynomial is a map from exponent
-vectors (one integer per variable, negatives allowed) to nonzero integer
-coefficients; the zero polynomial has no terms.  All arithmetic is exact and
+t, always in that order: every variable set ends in t.  A polynomial is a
+map from exponent vectors (one integer per variable, negatives allowed) to
+nonzero integer coefficients; the zero polynomial has no terms.  All arithmetic is exact and
 every operation returns a canonical value (no stored zero coefficients), so
 two polynomials are equal iff their term maps are equal.
 
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class VarSet:
 
     nx: int
     ny: int = 0
-    has_t: bool = True
 
     def __post_init__(self):
         if self.nx < 0 or self.ny < 0:
@@ -34,7 +33,7 @@ class VarSet:
 
     @property
     def total(self) -> int:
-        return self.nx + self.ny + (1 if self.has_t else 0)
+        return self.nx + self.ny + 1
 
     def x_index(self, i: int) -> int:
         """Slot of x_i (1-based i)."""
@@ -50,16 +49,12 @@ class VarSet:
 
     @property
     def t_index(self) -> int:
-        if not self.has_t:
-            raise IndexError("variable set has no t")
         return self.nx + self.ny
 
     def names(self) -> list[str]:
         out = [f"x{i}" for i in range(1, self.nx + 1)]
         out += [f"y{j}" for j in range(1, self.ny + 1)]
-        if self.has_t:
-            out.append("t")
-        return out
+        return out + ["t"]
 
 
 class _Packing:
@@ -380,7 +375,7 @@ class LaurentPoly:
 
     def to_json_dict(self) -> dict:
         return {
-            "vars": {"nx": self.vars.nx, "ny": self.vars.ny, "t": self.vars.has_t},
+            "vars": {"nx": self.vars.nx, "ny": self.vars.ny, "t": True},
             "terms": [{"c": str(c), "e": list(e)} for e, c in self.sorted_terms()],
         }
 
@@ -390,7 +385,9 @@ class LaurentPoly:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentPoly":
         v = data["vars"]
-        vars = VarSet(nx=int(v["nx"]), ny=int(v.get("ny", 0)), has_t=bool(v.get("t", True)))
+        if not v.get("t", True):
+            raise ValueError("the variable set must end in t")
+        vars = VarSet(nx=int(v["nx"]), ny=int(v.get("ny", 0)))
         terms = {tuple(item["e"]): int(item["c"]) for item in data["terms"]}
         return cls(vars, terms)
 
@@ -423,12 +420,3 @@ class LaurentPoly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def poly_sum(vars: VarSet, polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """Exact sum of many polynomials (associative, order-independent)."""
-    acc: dict = {}
-    for p in polys:
-        for e, c in p.terms.items():
-            acc[e] = acc.get(e, 0) + c
-    return LaurentPoly(vars, acc)

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import identities, yangbaxter
-from .algebra import LaurentPoly, VarSet
+from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
     bandwidth,
@@ -39,11 +39,10 @@ def format_grouped(p: LaurentPoly) -> str:
     ti = p.vars.t_index  # t is the last variable
     groups: dict[int, dict] = {}
     for e, c in p.terms.items():
-        groups.setdefault(e[ti], {})[e[:ti]] = c
-    inner_vars = VarSet(p.vars.nx, p.vars.ny, has_t=False)
+        groups.setdefault(e[ti], {})[(*e[:ti], 0)] = c  # t^0 is not printed
     chunks = []
     for texp in sorted(groups):
-        inner = LaurentPoly(inner_vars, groups[texp]).to_text()
+        inner = LaurentPoly(p.vars, groups[texp]).to_text()
         prefix = "" if texp == 0 else "t*" if texp == 1 else f"t^{texp}*"
         chunks.append(f"{prefix}({inner})")
     return " + ".join(chunks)
@@ -126,17 +125,22 @@ def _mu_kwargs(args) -> dict:
     return {"mu": parse_shape_text(mu, "--mu")[0], "n": _at_least(args, "n", 1)}
 
 
-def _box_lam(args, M: int, M_flag: str):
-    """--lam and --n, with lam inside the (M - n)^n box; ``M_flag`` names M."""
+def _box_lam(args, M: int, M_flag: str, M_given: str):
+    """--lam and --n, with lam inside the (M - n)^n box.  ``M_flag`` names M
+    when it is below --n, and ``M_given`` (the flag with its value) when lam
+    does not fit."""
     lam = parse_shape_text(args.lam, "--lam")
     n = _at_least(args, "n", 1)
     if M < n:
         raise ValueError(f"{M_flag} must be at least --n")
-    return check_box_tuple(lam, n, M), n
+    try:
+        return check_box_tuple(lam, n, M), n
+    except ValueError as exc:
+        raise ValueError(f"--lam does not fit {M_given} with --n {n}: {exc}") from None
 
 
 def _box_kwargs(args) -> dict:
-    lam, n = _box_lam(args, args.M, "--M")
+    lam, n = _box_lam(args, args.M, "--M", f"--M {args.M}")
     return {"lam": lam, "M": args.M, "n": n}
 
 
@@ -145,7 +149,8 @@ def _lstar_kwargs(args) -> dict:
         Ms = tuple(int(v) for v in args.M_list.split(","))
     except ValueError:
         raise ValueError(f"--M-list values must be integers, not {args.M_list!r}") from None
-    lam, n = _box_lam(args, min(Ms), "--M-list values")  # what fits the narrowest fits all
+    # what fits the narrowest box fits all
+    lam, n = _box_lam(args, min(Ms), "--M-list values", f"--M-list {args.M_list}")
     return {"lam": lam, "n": n, "Ms": Ms}
 
 

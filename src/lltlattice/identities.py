@@ -175,7 +175,7 @@ def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
     lam = check_box_tuple(lam, n, M)
-    comp = _complement(lam, M, n)
+    comp = _complement(lam, M - n)
     d, d_comp = _d_stat(lam), _d_stat(comp)
     lhs = llt(_box_skew_shape(lam, M, n), n, engine)
     rhs = LaurentPoly.t(lhs.vars, d) * llt(comp, n, engine)
@@ -369,7 +369,7 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
         R = llt(rotate(shape), n)
         summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)
-        d_comp = _d_stat(_complement(lam, width + n, n))
+        d_comp = _d_stat(_complement(lam, width))
         # the relation below shifts by d(comp), so its own check comes first
         pairs.append((f"d(comp)=d(lam) at {lam}", d_comp, _d_stat(lam)))
         pairs.append((f"rotation relation at {lam}", R, LaurentPoly.t(P.vars, d_comp) * P))

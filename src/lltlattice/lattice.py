@@ -369,10 +369,8 @@ def ssyt_to_config(T, n: int) -> LatticeConfig:
     horiz = [[0] * (ncols + 1) for _ in range(n)]
     for i in range(shape.k):
         bit = 1 << i
-        beta, gamma = shape.beta[i], shape.gamma[i]
-        for rho in range(1, len(beta) + 1):
-            col = gamma[rho - 1] - rho + 1 - spec.r
-            entries = T.rows[i][rho - 1]
+        for start, entries in zip(label_columns(shape.gamma[i]), T.rows[i], strict=True):
+            col = start - spec.r
             level = 0
             for e in entries:
                 for h in range(level, e):
@@ -395,10 +393,9 @@ def config_to_ssyt(config: LatticeConfig):
     rows_out = []
     for i in range(shape.k):
         bit = 1 << i
-        beta, gamma = shape.beta[i], shape.gamma[i]
         comp_rows = []
-        for rho in range(1, len(beta) + 1):
-            col = gamma[rho - 1] - rho + 1 - spec.r
+        for start, end in zip(label_columns(shape.gamma[i]), label_columns(shape.beta[i])):
+            col = start - spec.r
             if not (config.verticals[0][col] & bit):
                 raise ValueError("path start missing at the bottom boundary")
             entries = []
@@ -411,9 +408,9 @@ def config_to_ssyt(config: LatticeConfig):
                     if not (config.verticals[row][col] & bit):
                         raise ValueError("path breaks off inside the lattice")
                     row += 1
-            if col != beta[rho - 1] - rho + 1 - spec.r:
+            if col != end - spec.r:
                 raise ValueError("path exits at the wrong top column")
-            if len(entries) != beta[rho - 1] - gamma[rho - 1]:
+            if len(entries) != end - start:
                 raise ValueError("wrong number of crossings")
             comp_rows.append(tuple(entries))
         rows_out.append(tuple(comp_rows))

@@ -247,14 +247,13 @@ def check_box_tuple(lam, n: int | None = None, M: int | None = None) -> ShapeTup
 
 def complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
     """Complement in an (M-n) x n box, components in reversed order."""
-    return _complement(check_box_tuple(lam, n, M), M, n)
+    return _complement(check_box_tuple(lam, n, M), M - n)
 
 
-def _complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
-    """``complement`` of a box tuple known to be valid."""
-    return tuple(
-        tuple(M - n - p[n - j] for j in range(1, n + 1)) for p in reversed(lam)
-    )
+def _complement(lam: ShapeTuple, width: int) -> ShapeTuple:
+    """The complement inside a box ``width`` columns wide of partitions that
+    fit it: components reversed, each partition reversed, width - part."""
+    return tuple(tuple(width - v for v in reversed(p)) for p in reversed(lam))
 
 
 def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
@@ -267,15 +266,7 @@ def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
     """
     shape = SkewShapeTuple.straight(shape)
     w = max((p[0] for p in shape.beta if p), default=0)
-
-    def comp(p: Partition) -> Partition:
-        m = len(p)
-        return tuple(w - p[m - j] for j in range(1, m + 1))
-
-    k = shape.k
-    beta = tuple(comp(shape.gamma[k - 1 - i]) for i in range(k))
-    gamma = tuple(comp(shape.beta[k - 1 - i]) for i in range(k))
-    return SkewShapeTuple._trusted(beta, gamma)
+    return SkewShapeTuple._trusted(_complement(shape.gamma, w), _complement(shape.beta, w))
 
 
 def d_stat(lam: ShapeTuple) -> int:

@@ -30,9 +30,9 @@ from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
     Partition,
     SkewShapeTuple,
+    _complement,
     check_box_tuple,
     check_partition,
-    complement,
     n_stat,
     triples,
 )
@@ -57,15 +57,18 @@ class TableauTuple:
                     out[e - 1] += 1
         return out
 
-    def reading_sequence(self) -> tuple[int, ...]:
-        """Entries in reading order: by adjusted content, then SW to NE."""
+    def _reading_cells(self) -> list[tuple[int, int, int, int]]:
+        """(adjusted content, row, component, col) of every cell, in reading
+        order: by adjusted content, then SW to NE."""
         k = self.shape.k
-        cells = []
-        for i in range(k):
-            for (row, col) in self.shape.cells(i):
-                cells.append(((col - row) * k + i, row, i, col))
-        cells.sort()
-        return tuple(self.entry(i, row, col) for (_, row, i, col) in cells)
+        return sorted(
+            ((col - row) * k + i, row, i, col)
+            for i in range(k) for (row, col) in self.shape.cells(i)
+        )
+
+    def reading_sequence(self) -> tuple[int, ...]:
+        """Entries in reading order."""
+        return tuple(self.entry(i, row, col) for (_, row, i, col) in self._reading_cells())
 
 
 @lru_cache(maxsize=1024)
@@ -150,15 +153,10 @@ def inv_triples(T: TableauTuple) -> int:
 def attacking_inversions(T: TableauTuple) -> int:
     """Attacking pairs whose larger entry comes first in reading order."""
     k = T.shape.k
-    cells = []
-    for i in range(k):
-        for (row, col) in T.shape.cells(i):
-            adj = (col - row) * k + i
-            cells.append((adj, row, T.entry(i, row, col)))
-    cells.sort(key=lambda t: (t[0], t[1]))
+    cells = [(adj, T.entry(i, row, col)) for adj, row, i, col in T._reading_cells()]
     total = 0
-    for idx, (adj1, _, e1) in enumerate(cells):
-        for adj2, _, e2 in cells[idx + 1:]:
+    for idx, (adj1, e1) in enumerate(cells):
+        for adj2, e2 in cells[idx + 1:]:
             if adj2 - adj1 >= k:
                 break
             if e1 > e2:
@@ -382,18 +380,19 @@ def hl_modified(mu: Partition, n: int) -> LaurentPoly:
 # -- the column-complement bijection ------------------------------------------
 
 
-def _complement_one(rows: tuple[tuple[int, ...], ...], lam: Partition, n: int, N: int):
-    """Column-complement a single straight tableau inside an N x n box."""
+def _complement_one(rows: tuple[tuple[int, ...], ...], lam: Partition, new_lam: Partition,
+                    N: int) -> tuple[tuple[int, ...], ...]:
+    """Column-complement a single straight tableau inside an N x n box; its
+    shape lam becomes new_lam."""
+    n = len(lam)
     new_cols = []
     for c in range(N, 0, -1):
         col_entries = {rows[r][c - 1] for r in range(n) if lam[r] >= c}
         new_cols.append(sorted(set(range(1, n + 1)) - col_entries))
-    new_lam = tuple(N - lam[n - j] for j in range(1, n + 1))
-    new_rows = tuple(
+    return tuple(
         tuple(new_cols[c][r] for c in range(new_lam[r]) if len(new_cols[c]) > r)
         for r in range(n)
     )
-    return new_rows, new_lam
 
 
 def complement_bijection(T: TableauTuple, M: int) -> TableauTuple:
@@ -402,12 +401,11 @@ def complement_bijection(T: TableauTuple, M: int) -> TableauTuple:
     if not shape.is_straight():
         raise ValueError("complement bijection needs a straight shape tuple")
     lam = check_box_tuple(shape.beta, M=M)
-    n = len(lam[0])
-    N = M - n
-    pieces = [_complement_one(T.rows[i], lam[i], n, N) for i in range(shape.k)]
-    pieces.reverse()
-    new_shape = SkewShapeTuple.straight(complement(lam, M, n))
-    return TableauTuple(new_shape, tuple(rows for rows, _ in pieces))
+    N = M - len(lam[0])
+    comp = _complement(lam, N)
+    rows = tuple(_complement_one(old, p, new, N)
+                 for old, p, new in zip(reversed(T.rows), reversed(lam), comp))
+    return TableauTuple(SkewShapeTuple.straight(comp), rows)
 
 
 def schur(lam: Partition, n: int) -> LaurentPoly:

@@ -12,7 +12,9 @@ admissible patterns (I,J,K,L) and their factors are
     type 5  (0,0,0,0)   1
 
 where d counts the colors above this one in type 1; the pattern (1,0,1,0)
-is forbidden.  The checkers cover every boundary one block of incoming
+is forbidden.  One picture table per kind holds each single-color weight
+(d = 0): the crossing expansion, ``ef_weight`` and the color recursion all
+read it.  The checkers cover every boundary one block of incoming
 labels at a time, by a sparse contraction of the three-face sums on packed
 monomials over tables that hold each weight packed straight from the closed
 forms (`lattice`'s face exponents, the crossing expansion `r_weight` wraps).
@@ -34,60 +36,62 @@ from itertools import product
 from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import _gray, face_weight_exponents, masks
 
-YBE_VARS = VarSet(nx=1, ny=1, has_t=True)
+YBE_VARS = VarSet(nx=1, ny=1)
 _X = 0
-
-
-def _mono(xe: int = 0, ye: int = 0, te: int = 0, coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(YBE_VARS, coeff, (xe, ye, te))
-
-
-def _one() -> LaurentPoly:
-    return LaurentPoly.one(YBE_VARS)
 
 
 def _zero() -> LaurentPoly:
     return LaurentPoly.zero(YBE_VARS)
 
 
-# single-color R patterns
-_TYPE_OF = {
-    (0, 0, 0, 0): 5,
-    (0, 1, 0, 1): 1,
-    (0, 1, 1, 0): 2,
-    (1, 0, 0, 1): 3,
-    (1, 1, 1, 1): 4,
+# Each single-color picture (I, J, K, L) with its tabulated weight, as
+# {(x, y, t) exponents: coefficient}.  The first picture of each table is the
+# one E (on faces) or Etilde (on crossings) weighs; the others are F's or
+# Ftilde's.
+_L_PICTURES = {
+    (0, 0, 0, 0): {(0, 0, 0): 1},  # empty
+    (1, 0, 0, 1): {(1, 0, 0): 1},  # enters bottom, leaves right
+    (0, 1, 0, 1): {(1, 0, 0): 1},  # passes through horizontally
+    (1, 0, 1, 0): {(0, 0, 0): 1},  # passes through vertically
+    (0, 1, 1, 0): {(0, 0, 0): 1},  # enters left, leaves top
 }
+_R_PICTURES = {  # crossings in type order 1..5, weights in y/x
+    (0, 1, 0, 1): {(0, 0, 0): 1, (-1, 1, 0): -1},
+    (0, 1, 1, 0): {(-1, 1, 0): 1},
+    (1, 0, 0, 1): {(0, 0, 0): 1},
+    (1, 1, 1, 1): {(-1, 1, 0): 1},
+    (0, 0, 0, 0): {(0, 0, 0): 1},
+}
+_TYPE_OF = {pic: ty for ty, pic in enumerate(_R_PICTURES, start=1)}
 
 
 def _crossing_terms(k: int, I: int, J: int, K: int, L: int, bar: bool) -> dict:
     """{(x, y, t) exponents: coefficient} of R(I,J;K,L), the product of the
     colors' factors expanded; empty when some color breaks the type table.
+    A color's factor is its picture's weight with y/x read as y/(x t^d).
     With ``bar`` the x line carries 1/(x t^(k-1)): y/(x t^d) becomes
     x y t^(k-1-d)."""
     terms = {(0, 0, 0): 1}
     delta = 0  # the type-1 colors above color i
     for i in reversed(range(k)):
-        ty = _TYPE_OF.get(((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1))
-        if ty is None:
+        pic = ((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1)
+        factor = _R_PICTURES.get(pic)
+        if factor is None:
             return {}
         above = i + 1
         alg = ((J >> above).bit_count() - (I >> above).bit_count()
                + (L >> above).bit_count() - (K >> above).bit_count())
         if alg != 2 * delta:
             raise AssertionError("delta mismatch between type count and label algebra")
-        if ty in (3, 5):
-            continue
-        # the factor y/(x t^delta); barred, through lattice's substitution
+        # y/(x t^delta); barred, through lattice's substitution
         xe, te = _gray(k, 0, -1, -delta) if bar else (-1, -delta)
-        shifted = {(a + xe, b + 1, c + te): coeff for (a, b, c), coeff in terms.items()}
-        if ty == 1:
-            # times 1 - y/(x t^delta); a monomial both parts hold adds up
-            for exps, coeff in shifted.items():
-                terms[exps] = terms.get(exps, 0) - coeff
-            delta += 1
-        else:
-            terms = shifted
+        expanded: dict = {}
+        for (_, p, _), f in factor.items():  # f (y/x)^p
+            for (a, b, c), coeff in terms.items():
+                exps = (a + p * xe, b + p, c + p * te)
+                expanded[exps] = expanded.get(exps, 0) + coeff * f
+        terms = expanded
+        delta += _TYPE_OF[pic] == 1
     return terms
 
 
@@ -98,45 +102,29 @@ def r_weight(k: int, I, J, K, L) -> LaurentPoly:
 
 # -- the E/F tables and the color recursion ------------------------------------
 
-_L_PICTURES = (
-    (0, 0, 0, 0),  # empty
-    (1, 0, 0, 1),  # enters bottom, leaves right
-    (0, 1, 0, 1),  # passes through horizontally
-    (1, 0, 1, 0),  # passes through vertically
-    (0, 1, 1, 0),  # enters left, leaves top
-)
-_R_PICTURES = tuple(sorted(_TYPE_OF, key=_TYPE_OF.get))  # types 1..5
+_KINDS = {"E": "L", "F": "L", "Etilde": "R", "Ftilde": "R"}
+
+# kind -> picture -> (its weight, whether the smaller colors see x -> xt): on
+# faces E keeps x and F shifts it, on crossings Etilde shifts x and Ftilde
+# keeps it.
+_BRANCHES = {
+    kind: {pic: (LaurentPoly(YBE_VARS, w), (i == 0) == (kind == "R"))
+           for i, (pic, w) in enumerate(pictures.items())}
+    for kind, pictures in (("L", _L_PICTURES), ("R", _R_PICTURES))
+}
 
 
 def ef_weight(kind: str, picture) -> LaurentPoly:
     """Tabulated single-color weight for kind in E, F, Etilde, Ftilde."""
     pic = tuple(picture)
-    if kind in ("E", "F"):
-        if pic not in _L_PICTURES:
-            raise ValueError(f"unknown single-color face picture {pic}")
-        idx = _L_PICTURES.index(pic)
-        if kind == "E":
-            return _one() if idx == 0 else _zero()
-        return (_zero(), _mono(1), _mono(1), _one(), _one())[idx]
-    if kind in ("Etilde", "Ftilde"):
-        if pic not in _R_PICTURES:
-            raise ValueError(f"unknown single-color crossing picture {pic}")
-        idx = _R_PICTURES.index(pic)
-        if kind == "Etilde":
-            return _one() - _mono(-1, 1) if idx == 0 else _zero()
-        return (_zero(), _mono(-1, 1), _one(), _mono(-1, 1), _one())[idx]
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-# picture -> (its nonzero single-color factor, whether the smaller colors see
-# x -> xt): on faces E keeps x and F shifts it, on crossings Etilde shifts x
-# and Ftilde keeps it.
-_BRANCHES = {
-    "L": {_L_PICTURES[0]: (ef_weight("E", _L_PICTURES[0]), False)}
-    | {pic: (ef_weight("F", pic), True) for pic in _L_PICTURES[1:]},
-    "R": {_R_PICTURES[0]: (ef_weight("Etilde", _R_PICTURES[0]), True)}
-    | {pic: (ef_weight("Ftilde", pic), False) for pic in _R_PICTURES[1:]},
-}
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    branches = _BRANCHES[_KINDS[kind]]
+    if pic not in branches:
+        what = "face" if _KINDS[kind] == "L" else "crossing"
+        raise ValueError(f"unknown single-color {what} picture {pic}")
+    first = pic == next(iter(branches))
+    return branches[pic][0] if first == (kind in ("E", "Etilde")) else _zero()
 
 
 # The two caches below hold one value per k (k <= 6 through the CLI) and per
@@ -147,7 +135,7 @@ def _recursive_table(k: int, kind: str) -> dict:
     one-color-at-a-time rule: the new color k follows one single-color
     picture and the colors below it see x or xt."""
     if k == 0:
-        return {(0, 0, 0, 0): _one()}
+        return {(0, 0, 0, 0): LaurentPoly.one(YBE_VARS)}
     bit = 1 << (k - 1)
     out: dict = {}
     for (I, J, K, L), w in _recursive_table(k - 1, kind).items():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lltlattice.algebra import LaurentPoly, VarSet, _Packing, poly_sum
+from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.yangbaxter import _PACKING as YBE_PACKING
 
 V2 = VarSet(nx=2)  # x1, x2, t
@@ -141,6 +141,17 @@ def test_serialize_zero():
     assert data["vars"] == {"nx": 2, "ny": 0, "t": True}
 
 
+def test_parse_requires_t():
+    # every variable set ends in t; a missing key means t is there
+    p = LaurentPoly.monomial(V2, 3, (1, 0, 2))
+    data = p.to_json_dict()
+    del data["vars"]["t"]
+    assert LaurentPoly.from_json_dict(data) == p
+    data["vars"]["t"] = False
+    with pytest.raises(ValueError, match="^the variable set must end in t$"):
+        LaurentPoly.from_json_dict(data)
+
+
 def test_serialize_order():
     p = LaurentPoly.monomial(V2, 1, (1, 1, 1)) + LaurentPoly.monomial(V2, 1, (1, 1, 0))
     data = json.loads(p.serialize())
@@ -208,22 +219,12 @@ monomials = st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=1).m
 @settings(max_examples=60, deadline=None)
 def test_monomial_shift_matches_termwise_product(m, p):
     ((e, c),) = m.terms.items()
-    termwise = poly_sum(
-        V2, (LaurentPoly.monomial(V2, c * c2, [a + b for a, b in zip(e, e2)])
-             for e2, c2 in p.terms.items())
-    )
+    termwise = LaurentPoly.zero(V2)
+    for e2, c2 in p.terms.items():
+        termwise = termwise + LaurentPoly.monomial(V2, c * c2, [a + b for a, b in zip(e, e2)])
     for product in (m * p, p * m):
         assert product == termwise
         assert 0 not in product.terms.values()
-
-
-@given(st.lists(polys, max_size=5))
-@settings(max_examples=40, deadline=None)
-def test_poly_sum_matches_fold(ps):
-    folded = LaurentPoly.zero(V2)
-    for p in ps:
-        folded = folded + p
-    assert poly_sum(V2, ps) == folded
 
 
 # Exponents 0 or 1 and small coefficients, so like terms collide and cancel.
@@ -247,7 +248,6 @@ def test_no_result_stores_a_zero_coefficient(a, b):
         a - a,
         a * b,
         (a + b) * (a - b),
-        poly_sum(V2, [a, b, -a]),
         a.invert_t(),
         a.swap_vars(0, 2),
         b.substitute({0: (1, (0, 0, 0))}),  # x1 -> 1 collides terms

@@ -249,7 +249,13 @@ BAD_VERIFY = [
     (["verify", "skew-cauchy", "--n", "0"], "--n must be at least 1"),
     (["verify", "ybe", "--k", "-1"], "--k must be at least 0"),
     (["verify", "cauchy-rot", "--n", "1", "--k", "1", "-D", "-1"], "--degree must be at least 0"),
-    (["verify", "lstar", "--M-list", "2"], "part 1 exceeds box width 0"),
+    (["verify", "lstar", "--M-list", "2"],
+     "--lam does not fit --M-list 2 with --n 2: part 1 exceeds box width 0"),
+    (["verify", "box-skew", "--lam", "2,1;1,0", "--M", "3", "--n", "2"],
+     "--lam does not fit --M 3 with --n 2: part 2 exceeds box width 1"),
+    (["verify", "lstar", "--lam", "2,1;1,0", "--M-list", "3,4", "--n", "2"],
+     "--lam does not fit --M-list 3,4 with --n 2: part 2 exceeds box width 1"),
+    (["verify", "hl", "--mu", "2,1;1"], "--mu takes a single partition"),
     (["verify", "cauchy", "--k", "0"], "--k must be at least 1"),
     (["verify", "ybe", "--mode", "numeric", "--trials", "0"], "--trials must be at least 1"),
     (["verify", "skew-cauchy", "--mu", "2,1"], "--mu must be a k-tuple of partitions with n parts"),
@@ -301,13 +307,15 @@ def test_cli_import_loads_no_process_pool():
 def test_verify_failure_exit_1(monkeypatch, capsys):
     vars = VarSet(nx=1)
 
-    def failing(shape, n, engine="tableaux"):
-        witness = {
+    def witness():
+        return {
             "context": "forced",
             "lhs": LaurentPoly.one(vars).to_json_dict(),
             "rhs": LaurentPoly.zero(vars).to_json_dict(),
         }
-        return IdentityReport("symmetry", {"n": n}, "FAIL", witness)
+
+    def failing(shape, n, engine="tableaux"):
+        return IdentityReport("symmetry", {"n": n}, "FAIL", witness())
 
     monkeypatch.setattr(identities, "verify_symmetry", failing)
     assert cli.main(["verify", "symmetry"]) == 1
@@ -315,6 +323,12 @@ def test_verify_failure_exit_1(monkeypatch, capsys):
     assert lines[0] == 'FAIL symmetry {"n": 2}'
     assert lines[1] == "  context: forced"
     assert lines[-1] == "summary: 0/1 passed"
+    assert cli.main(["verify", "symmetry", "--format", "json"]) == 1
+    report, summary = capsys.readouterr().out.splitlines()
+    assert json.loads(report) == {
+        "identity": "symmetry", "params": {"n": 2}, "status": "FAIL", "witness": witness(),
+    }
+    assert summary == "summary: 0/1 passed"
 
 
 def test_compute_engine_mismatch_exit_3(monkeypatch, capsys):

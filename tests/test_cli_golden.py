@@ -3,9 +3,9 @@
 Each command's stdout is in ``golden/cli/<slug>.txt`` and its exit code in
 ``golden/cli/exit_codes.json``.  The ten ``verify`` commands are the ones the
 ``cli-verify`` benchmark workload runs (copied here, so the tests do not
-depend on ``bench/``); the two ``compute`` commands pin the grouped text
+depend on ``bench/``); the three ``compute`` commands pin the grouped text
 renderer on a large straight shape and on a skew shape whose coefficients
-are 2 and 3.  The next four pin YBE runs that ``verify all`` does not make:
+are 2 and 3, and the JSON form of the skew one.  The next four pin YBE runs that ``verify all`` does not make:
 both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
 in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
 rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
@@ -37,6 +37,7 @@ COMMANDS = [
     "verify skew-cauchy --mu 1,0;0,0 --n 2 --k 2 -D 3",
     "compute --beta 3,2;2,1;2,0 --n 4",
     "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2",
+    "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2 --format json",
     "verify ybe --k 3",
     "verify lstar-ybe --k 3",
     "verify lstar-ybe --k 2 --mode numeric --trials 3 --seed 3 --format json",
@@ -107,6 +108,7 @@ def test_no_call_rebuilds_the_parser(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", rebuild)
     for command in [
         "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2",
+    "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2 --format json",
         "verify ybe --k 2 --mode symbolic",
         "verify all --quick --seed 5",
     ]:

@@ -110,7 +110,7 @@ def test_cauchy_one_variable_geometric():
     assert verify_cauchy(1, 1, 3).passed
     kernel = cauchy_kernel_truncated(1, 1, 3)
     expected = LaurentPoly(
-        VarSet(1, 1, True),
+        VarSet(1, 1),
         {(a, a, 0): 1 for a in range(4)},
     )
     assert kernel == expected
@@ -119,7 +119,7 @@ def test_cauchy_one_variable_geometric():
 def _reference_kernel(n, k, D):
     """The kernel as plain LaurentPoly products of geometric series, each
     product truncated with truncate_x: no code shared with the graded one."""
-    vars = VarSet(nx=n, ny=n, has_t=True)
+    vars = VarSet(nx=n, ny=n)
     out = LaurentPoly.one(vars)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -152,11 +152,11 @@ def test_cauchy_kernel_rejects_negative_degree():
 
 
 def test_cauchy_kernel_degree_zero_is_one():
-    assert cauchy_kernel_truncated(3, 2, 0) == LaurentPoly.one(VarSet(3, 3, True))
+    assert cauchy_kernel_truncated(3, 2, 0) == LaurentPoly.one(VarSet(3, 3))
 
 
 def test_cauchy_kernel_k_zero_is_one():
-    assert cauchy_kernel_truncated(2, 0, 4) == LaurentPoly.one(VarSet(2, 2, True))
+    assert cauchy_kernel_truncated(2, 0, 4) == LaurentPoly.one(VarSet(2, 2))
 
 
 def _reference_embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
@@ -255,7 +255,7 @@ def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
 def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
     # a wrong complement breaks d(comp) = d(lam) at the first lam; the
     # witness holds both values, and no rotation relation is checked first
-    monkeypatch.setattr(identities, "_complement", lambda lam, M, n: ((0, 0), (1, 1)))
+    monkeypatch.setattr(identities, "_complement", lambda lam, width: ((0, 0), (1, 1)))
     lam = shape_tuples_bounded(2, 2, 3)[0]
     assert d_stat(lam) != d_stat(((0, 0), (1, 1))) == 1
     report = verify_cauchy_rot(2, 2, 3)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -533,3 +534,14 @@ def test_ybe_failure_exit_1(doubled_r_entry, capsys):
         '"J1": [1, 0], "J2": [0, 0], "J3": [0, 0]}, "droite": "x1 + y1", "gauche": "x1"}',
         "summary: 0/1 passed",
     ]
+
+
+def test_ybe_failure_exit_1_json(doubled_r_entry, capsys):
+    assert cli.main(["verify", "ybe", "--format", "json"]) == 1
+    report, summary = capsys.readouterr().out.splitlines()
+    assert json.loads(report) == {
+        "identity": "ybe", "k": 2, "mode": "symbolic", "status": "FAIL",
+        "checked": 4096, "failed": 26,
+        "first_failure": {"boundary": _FIRST_BOUNDARY, "gauche": "x1", "droite": "x1 + y1"},
+    }
+    assert summary == "summary: 0/1 passed"
