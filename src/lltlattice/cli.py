@@ -18,11 +18,11 @@ from . import identities, yangbaxter
 from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
+    _dtilde_stat,
     bandwidth,
     check_box_tuple,
     column_range,
     d_stat,
-    dtilde_stat,
     inv_stat,
     m_bruteforce,
     m_formula,
@@ -89,7 +89,8 @@ def cmd_stats(args) -> int:
                 (parts,) = lengths
                 if args.M < parts:
                     raise ValueError(f"--M must be at least the number of parts ({parts})")
-                out["dtilde"] = dtilde_stat(shape.beta, args.M)
+                beta = _fit("--beta", shape.beta, f"--M {args.M}", M=args.M)
+                out["dtilde"] = _dtilde_stat(beta, args.M)
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -125,6 +126,14 @@ def _mu_kwargs(args) -> dict:
     return {"mu": parse_shape_text(mu, "--mu")[0], "n": _at_least(args, "n", 1)}
 
 
+def _fit(flag: str, lam, given: str, n: int | None = None, M: int | None = None):
+    """``check_box_tuple(lam, n, M)``, its error naming ``flag`` and what lam must fit."""
+    try:
+        return check_box_tuple(lam, n, M)
+    except ValueError as exc:
+        raise ValueError(f"{flag} does not fit {given}: {exc}") from None
+
+
 def _box_lam(args, M: int, M_flag: str, M_given: str):
     """--lam and --n, with lam inside the (M - n)^n box.  ``M_flag`` names M
     when it is below --n, and ``M_given`` (the flag with its value) when lam
@@ -133,10 +142,7 @@ def _box_lam(args, M: int, M_flag: str, M_given: str):
     n = _at_least(args, "n", 1)
     if M < n:
         raise ValueError(f"{M_flag} must be at least --n")
-    try:
-        return check_box_tuple(lam, n, M), n
-    except ValueError as exc:
-        raise ValueError(f"--lam does not fit {M_given} with --n {n}: {exc}") from None
+    return _fit("--lam", lam, f"{M_given} with --n {n}", n, M), n
 
 
 def _box_kwargs(args) -> dict:
@@ -168,9 +174,9 @@ def _skew_cauchy_kwargs(args) -> dict:
     if args.mu is None:  # one box, in the first component
         mu = ((1,) + (0,) * (n - 1),) + ((0,) * n,) * (k - 1)
     else:
-        mu = parse_shape_text(args.mu, "--mu")
-    if len(mu) != k or any(len(p) != n for p in mu):
-        raise ValueError("--mu must be a k-tuple of partitions with n parts")
+        mu = _fit("--mu", parse_shape_text(args.mu, "--mu"), f"--n {n}", n)
+    if len(mu) != k:
+        raise ValueError(f"--mu must have --k {k} components")
     if sum(map(sum, mu)) > kwargs["D"]:
         raise ValueError("--degree must be at least 1 when --mu is not given"
                          if args.mu is None else "--mu must have size at most --degree")
@@ -182,7 +188,8 @@ def _equivalence_kwargs(args) -> dict:
 
 
 def _with_engine(build):
-    return lambda args: {**build(args), "engine": args.engine}
+    """``build`` for a verifier that takes an engine: tableaux by default."""
+    return lambda args: {**build(args), "engine": args.engine or "tableaux"}
 
 
 # identity -> (module, verifier name, builder of its kwargs from the parsed
@@ -264,6 +271,9 @@ def cmd_verify(args) -> int:
     runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
             if args.identity == "all" else [args])
     cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
+    # only the builders wrapped by _with_engine pass an engine on
+    if args.engine and (args.identity == "all" or "engine" not in cases[0][1]):
+        raise ValueError(f"verify {args.identity} does not take --engine")
     reports = [_verify_case(case) for case in cases]
     for report in reports:
         _emit_report(report, args.format)
@@ -304,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--gamma", default=None)
     pv.add_argument("--mu", default=None, help="hl: default 2,1; skew-cauchy: default one box")
     pv.add_argument("--lam", default="1,0;1,1")
-    pv.add_argument("--engine", choices=("tableaux", "lattice", "both"), default="tableaux")
+    pv.add_argument("--engine", choices=("tableaux", "lattice", "both"),
+                    help="symmetry, hl, box-skew, complement, lstar, cauchy: default tableaux")
     pv.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")
     pv.add_argument("--trials", type=int, default=3)
     pv.add_argument("--seed", type=int, default=1, help="seed for all randomness")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
-from operator import add
+from itertools import chain, combinations_with_replacement, permutations
+from operator import add, ge
 
 from .algebra import LaurentPoly, VarSet
 from .lattice import build_box_lattice, build_lattice, gray_rows, partition_function
@@ -24,11 +24,10 @@ from .shapes import (
     _binom2,
     _complement,
     _d_stat,
+    _dtilde_stat,
     check_box_tuple,
     check_partition,
-    complement,
     d_stat,
-    dtilde_stat,
     inv_stat,
     m_bruteforce,
     rotate,
@@ -194,17 +193,16 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
 def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
     lam = check_box_tuple(lam, n, M)
-    k = len(lam)
+    dtilde = _dtilde_stat(lam, M)
     lhs = llt(lam, n, engine)
-    comp = complement(lam, M, n)
-    inverted = llt(comp, n, engine).invert_x()
-    exps = [k * (M - n)] * n + [dtilde_stat(lam, M)]
+    inverted = llt(_complement(lam, M - n), n, engine).invert_x()
+    exps = [len(lam) * (M - n)] * n + [dtilde]
     rhs = LaurentPoly.monomial(lhs.vars, 1, exps) * inverted
     return _check_pairs(
         "complement",
         {"lam": [list(p) for p in lam], "M": M, "n": n, "engine": engine},
         [("lam vs complement at 1/x", lhs, rhs)],
-        {"dtilde": dtilde_stat(lam, M)},
+        {"dtilde": dtilde},
     )
 
 
@@ -307,18 +305,20 @@ def shape_tuples_bounded(k: int, n: int, D: int):
     return [lam for lam, _ in sized]
 
 
-# The Cauchy drivers build each generated lam/0 (or lam/mu) once, unchecked:
-# shape_tuples_bounded yields valid k-tuples of n-part partitions.
+def _cauchy_terms(n: int, k: int, D: int, engine: str = "tableaux", mu=None):
+    """(lam, lam/0, L_lam) for each lam of ``shape_tuples_bounded(k, n, D)``
+    (each lam containing ``mu`` when given): the Cauchy drivers' one loop.
+    Each lam/0 is built once, unchecked, as every such lam is valid."""
+    zero = ((0,) * n,) * k
+    for lam in shape_tuples_bounded(k, n, D):
+        if mu is None or all(map(ge, chain(*lam), chain(*mu))):
+            shape = SkewShapeTuple._trusted(lam, zero)
+            yield lam, shape, llt(shape, n, engine)
 
 
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
-    summands = []
-    zero = ((0,) * n,) * k
-    for lam in shape_tuples_bounded(k, n, D):
-        P = llt(SkewShapeTuple._trusted(lam, zero), n, engine)
-        summands.append((_d_stat(lam), P, P))
-    lhs = _xy_sum(n, summands)
+    lhs = _xy_sum(n, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(n, k, D, engine)])
     rhs = cauchy_kernel_truncated(n, k, D)
     return _check_pairs(
         "cauchy", {"n": n, "k": k, "D": D, "engine": engine}, [("sum vs kernel", lhs, rhs)]
@@ -333,15 +333,10 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     size = sum(sum(p) for p in mu)
     if size > D:
         raise ValueError("need |mu| <= D")
-    summands = []
-    zero = ((0,) * n,) * k
-    for lam in shape_tuples_bounded(k, n, D):
-        if any(lv < mv for lp, mp in zip(lam, mu) for lv, mv in zip(lp, mp)):
-            continue
-        P = llt(SkewShapeTuple._trusted(lam, zero), n)
-        Q = llt(SkewShapeTuple._trusted(lam, mu), n)
-        summands.append((_d_stat(lam), P, Q))
-    lhs = _xy_sum(n, summands)
+    lhs = _xy_sum(n, [
+        (_d_stat(lam), P, llt(SkewShapeTuple._trusted(lam, mu), n))
+        for lam, _, P in _cauchy_terms(n, k, D, mu=mu)
+    ])
     L_mu = llt(mu, n)
     base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
     # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive
@@ -362,10 +357,7 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     rhs = cauchy_kernel_truncated(n, k, D)
     summands = []
     pairs = []
-    zero = ((0,) * n,) * k
-    for lam in shape_tuples_bounded(k, n, D):
-        shape = SkewShapeTuple._trusted(lam, zero)
-        P = llt(shape, n)
+    for lam, shape, P in _cauchy_terms(n, k, D):
         R = llt(rotate(shape), n)
         summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)

@@ -337,7 +337,7 @@ class LatticeConfig:
 
 
 def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
-    """Every lattice configuration exactly once, in a deterministic order."""
+    """Every lattice configuration exactly once, in the row step's order."""
     out: list[LatticeConfig] = []
     step, ncols = _row_transitions(spec), spec.ncols
 
@@ -346,12 +346,10 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
             if verts[-1] == spec.top:
                 out.append(LatticeConfig(spec, verts, horiz))
             return
-        # boundary c+1 carries color i iff bit c of color i's right mask is set
-        for tvec, h, tops in sorted(
-                (_labels(tops, ncols), _labels([[c for c in range(ncols) if (m >> c) & 1]
-                                                 for m in rights], ncols + 1, -1), tops)
-                for tops, _, _, rights in step(row, state)):
-            rec(row + 1, tops, verts + (tvec,), horiz + (h,))
+        for tops, _, _, rights in step(row, state):
+            # boundary c+1 carries color i iff bit c of color i's right mask is set
+            h = _labels([[c for c in range(ncols) if (m >> c) & 1] for m in rights], ncols + 1, -1)
+            rec(row + 1, tops, verts + (_labels(tops, ncols),), horiz + (h,))
 
     rec(1, spec.columns[0], (spec.bottom,), ())
     return out

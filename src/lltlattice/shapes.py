@@ -293,7 +293,11 @@ def _d_stat(lam: ShapeTuple) -> int:
 
 def dtilde_stat(lam: ShapeTuple, M: int) -> int:
     """Coinversion offset of the column-complement bijection (may be negative)."""
-    lam = check_box_tuple(lam, M=M)
+    return _dtilde_stat(check_box_tuple(lam, M=M), M)
+
+
+def _dtilde_stat(lam: ShapeTuple, M: int) -> int:
+    """``dtilde_stat`` of a box tuple known to fit the (M - n)^n box."""
     k, n = len(lam), len(lam[0])
     size = sum(sum(p) for p in lam)
     return (k - 1) * size - n * (M - n) * _binom2(k)

@@ -57,19 +57,6 @@ class TableauTuple:
                     out[e - 1] += 1
         return out
 
-    def _reading_cells(self) -> list[tuple[int, int, int, int]]:
-        """(adjusted content, row, component, col) of every cell, in reading
-        order: by adjusted content, then SW to NE."""
-        k = self.shape.k
-        return sorted(
-            ((col - row) * k + i, row, i, col)
-            for i in range(k) for (row, col) in self.shape.cells(i)
-        )
-
-    def reading_sequence(self) -> tuple[int, ...]:
-        """Entries in reading order."""
-        return tuple(self.entry(i, row, col) for (_, row, i, col) in self._reading_cells())
-
 
 @lru_cache(maxsize=1024)
 def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tuple[int, ...], ...]:
@@ -102,7 +89,7 @@ def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tupl
     return tuple(fillings)
 
 
-def _tableau_tuples(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
+def enumerate_ssyt(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
     """Every tableau tuple exactly once, in product order of the components."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -114,13 +101,6 @@ def _tableau_tuples(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
             for f in _component_fillings(beta, gamma, n)
         ])
     return [TableauTuple(shape, combo) for combo in product(*per_comp)]
-
-
-def enumerate_ssyt(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
-    """Every tableau tuple exactly once, sorted by reading-order sequence."""
-    out = _tableau_tuples(shape, n)
-    out.sort(key=TableauTuple.reading_sequence)
-    return out
 
 
 def _triple_entries(T: TableauTuple, tr):
@@ -151,12 +131,16 @@ def inv_triples(T: TableauTuple) -> int:
 
 
 def attacking_inversions(T: TableauTuple) -> int:
-    """Attacking pairs whose larger entry comes first in reading order."""
+    """Attacking pairs whose larger entry comes first in reading order: by
+    adjusted content (col - row) k + component, then SW to NE."""
     k = T.shape.k
-    cells = [(adj, T.entry(i, row, col)) for adj, row, i, col in T._reading_cells()]
+    cells = sorted(
+        ((col - row) * k + i, row, T.entry(i, row, col))
+        for i in range(k) for (row, col) in T.shape.cells(i)
+    )
     total = 0
-    for idx, (adj1, e1) in enumerate(cells):
-        for adj2, e2 in cells[idx + 1:]:
+    for idx, (adj1, _, e1) in enumerate(cells):
+        for adj2, _, e2 in cells[idx + 1:]:
             if adj2 - adj1 >= k:
                 break
             if e1 > e2:
@@ -329,7 +313,7 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Inversion LLT polynomial: sum of t^inv(T) x^T, tableau by tableau."""
     return LaurentPoly(VarSet(nx=n), Counter(
-        (*T.weight_exponents(n), inv(T)) for T in _tableau_tuples(shape, n)
+        (*T.weight_exponents(n), inv(T)) for T in enumerate_ssyt(shape, n)
     ))
 
 

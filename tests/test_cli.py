@@ -115,7 +115,8 @@ def test_stats_empty():
     ("2;1", "0", "--M must be at least the number of parts (1)"),
     ("2;1", "-3", "--M must be at least the number of parts (1)"),
     ("2,1;1,0", "1", "--M must be at least the number of parts (2)"),
-    ("2;1", "1", "part 2 exceeds box width 0"),
+    ("2;1", "1", "--beta does not fit --M 1: part 2 exceeds box width 0"),
+    ("2,2;1,0", "3", "--beta does not fit --M 3: part 2 exceeds box width 1"),
 ])
 def test_stats_bad_M_exit_2(beta, M, message, capsys):
     assert cli.main(["stats", "--beta", beta, "--M", M]) == 2
@@ -201,6 +202,15 @@ def test_verify_default_output_golden(identity, capsys):
     assert out == DEFAULT_VERIFY_LINES[identity] + "\nsummary: 1/1 passed\n"
 
 
+@pytest.mark.parametrize("identity", ["symmetry", "hl", "box-skew", "complement", "lstar", "cauchy"])
+def test_verify_engine_reaches_the_verifier(identity):
+    # the identities that read --engine accept it and pass it on; without the
+    # flag they run tableaux, as the default lines above show
+    argv = ["verify", identity, "--engine", "lattice"]
+    assert cli.main(argv) == 0
+    assert cli.VERIFY[identity][2](cli._PARSER.parse_args(argv))["engine"] == "lattice"
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -258,7 +268,12 @@ BAD_VERIFY = [
     (["verify", "hl", "--mu", "2,1;1"], "--mu takes a single partition"),
     (["verify", "cauchy", "--k", "0"], "--k must be at least 1"),
     (["verify", "ybe", "--mode", "numeric", "--trials", "0"], "--trials must be at least 1"),
-    (["verify", "skew-cauchy", "--mu", "2,1"], "--mu must be a k-tuple of partitions with n parts"),
+    (["verify", "skew-cauchy", "--mu", "2,1"], "--mu must have --k 2 components"),
+    (["verify", "skew-cauchy", "--mu", "1,0;0,0", "--k", "3"], "--mu must have --k 3 components"),
+    (["verify", "skew-cauchy", "--mu", "1;0", "--n", "2"],
+     "--mu does not fit --n 2: (1,) must have exactly 2 parts"),
+    (["verify", "skew-cauchy", "--mu", "1,0,0;0,0,0", "--n", "2"],
+     "--mu does not fit --n 2: (1, 0, 0) must have exactly 2 parts"),
     (["verify", "skew-cauchy", "--mu", "1,0;0,0", "-D", "0"], "--mu must have size at most --degree"),
     (["verify", "skew-cauchy", "--mu", "2,0;0,0", "-D", "1"], "--mu must have size at most --degree"),
     (["verify", "skew-cauchy", "-D", "0"], "--degree must be at least 1 when --mu is not given"),
@@ -275,6 +290,13 @@ BAD_VERIFY = [
     (["verify", "hl", "--mu", "2,,1"], "--mu parts must be integers, not '2,,1'"),
     (["verify", "skew-cauchy", "--mu", "1,0;"], "--mu parts must be integers, not '1,0;'"),
     (["verify", "box-skew", "--lam", "1.5"], "--lam parts must be integers, not '1.5'"),
+] + [  # only symmetry, hl, box-skew, complement, lstar and cauchy read --engine
+    (["verify", identity, "--engine", engine], f"verify {identity} does not take --engine")
+    for identity, engine in [
+        ("ybe", "both"), ("lstar-ybe", "lattice"), ("inv-coinv", "both"),
+        ("modified-hl", "lattice"), ("skew-cauchy", "both"), ("cauchy-rot", "both"),
+        ("engine-equivalence", "lattice"), ("all", "tableaux"),
+    ]
 ]
 
 

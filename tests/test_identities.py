@@ -252,6 +252,26 @@ def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
     assert len(calls) <= len(shape_tuples_bounded(2, 2, 3))
 
 
+@pytest.mark.parametrize("verify, args, calls", [
+    (verify_cauchy, (2, 2, 3), 16),  # L_lam once for each of the 16 lam
+    (verify_cauchy_rot, (2, 2, 3), 32),  # L_lam and its rotation
+    # L_lam and L_lam/mu for the 10 lam containing mu, then L_mu
+    (verify_skew_cauchy, (((1, 0), (0, 0)), 2, 2, 3), 21),
+], ids=["cauchy", "cauchy-rot", "skew-cauchy"])
+def test_cauchy_drivers_llt_calls(verify, args, calls, monkeypatch):
+    # the shared shape loop computes L_lam only where a driver needs it
+    seen = []
+    real = identities.llt
+
+    def spy(*a, **kw):
+        seen.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(identities, "llt", spy)
+    assert verify(*args).passed
+    assert len(seen) == calls
+
+
 def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
     # a wrong complement breaks d(comp) = d(lam) at the first lam; the
     # witness holds both values, and no rotation relation is checked first
@@ -261,6 +281,24 @@ def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
     report = verify_cauchy_rot(2, 2, 3)
     assert report.status == "FAIL"
     assert report.witness == {"context": f"d(comp)=d(lam) at {lam}", "lhs": 1, "rhs": d_stat(lam)}
+
+
+def test_complement_checks_lam_once(monkeypatch):
+    # the driver checks lam itself; its complement and d-tilde take it as valid
+    lam, M, n = ((2, 1), (1, 0)), 4, 2
+    dtilde = shapes.dtilde_stat(lam, M)
+    calls = []
+    check = shapes.check_box_tuple
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in (identities, shapes):
+        monkeypatch.setattr(module, "check_box_tuple", spy)
+    report = verify_complement(lam, M, n, engine="both")
+    assert report.passed and report.details == {"dtilde": dtilde, "equalities_checked": 1}
+    assert len(calls) == 1
 
 
 def test_box_skew_reports_a_d_mismatch(monkeypatch):
