@@ -315,29 +315,22 @@ class LaurentPoly:
             out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.vars, out)
 
+    def _map_exponents(self, move) -> "LaurentPoly":
+        """The polynomial whose terms are ``move(e): c``; ``move`` must be one-to-one."""
+        return LaurentPoly._trusted(self.vars, {move(e): c for e, c in self.terms.items()})
+
     def invert_t(self) -> "LaurentPoly":
-        ti = self.vars.t_index
-        exps = [0] * self.vars.total
-        exps[ti] = -1
-        return self.substitute({ti: (1, tuple(exps))})
+        return self._map_exponents(lambda e: (*e[:-1], -e[-1]))  # t is the last variable
 
     def swap_vars(self, slot_a: int, slot_b: int) -> "LaurentPoly":
-        width = self.vars.total
-        ea = [0] * width
-        ea[slot_b] = 1
-        eb = [0] * width
-        eb[slot_a] = 1
-        return self.substitute({slot_a: (1, tuple(ea)), slot_b: (1, tuple(eb))})
+        slots = range(self.vars.total)  # indexing it checks and normalizes a slot
+        swap = {slots[slot_a]: slot_b, slots[slot_b]: slot_a}
+        return self._map_exponents(lambda e: tuple(e[swap.get(i, i)] for i in slots))
 
     def invert_x(self) -> "LaurentPoly":
         """Apply x_i -> 1/x_i for every x-variable."""
-        width = self.vars.total
-        assignment = {}
-        for slot in range(self.vars.nx):
-            exps = [0] * width
-            exps[slot] = -1
-            assignment[slot] = (1, tuple(exps))
-        return self.substitute(assignment)
+        nx = self.vars.nx
+        return self._map_exponents(lambda e: (*(-v for v in e[:nx]), *e[nx:]))
 
     def eval_rational(self, values: Sequence) -> Fraction:
         """Exact value at a rational point, one value per variable.

@@ -188,28 +188,47 @@ def _equivalence_kwargs(args) -> dict:
 
 
 def _with_engine(build):
-    """``build`` for a verifier that takes an engine: tableaux by default."""
-    return lambda args: {**build(args), "engine": args.engine or "tableaux"}
+    """``build`` for a verifier that takes an engine."""
+    return lambda args: {**build(args), "engine": args.engine}
 
+
+# Every verify flag, by its dest: its option strings and argparse keywords.
+_VERIFY_FLAGS = {
+    "k": (["--k"], dict(type=int, default=2)),
+    "n": (["--n"], dict(type=int, default=2)),
+    "M": (["--M"], dict(type=int, default=4)),
+    "M_list": (["--M-list"], dict(default="3,4,5", help="comma list of M values")),
+    "degree": (["--degree", "-D"], dict(type=int, default=3, help="x-degree truncation bound")),
+    "beta": (["--beta"], dict(default="1;1")),
+    "gamma": (["--gamma"], dict()),
+    "mu": (["--mu"], dict(help="hl, modified-hl: default 2,1; skew-cauchy: default one box")),
+    "lam": (["--lam"], dict(default="1,0;1,1")),
+    "engine": (["--engine"], dict(choices=("tableaux", "lattice", "both"), default="tableaux")),
+    "mode": (["--mode"], dict(choices=("symbolic", "numeric"), default="symbolic")),
+    "trials": (["--trials"], dict(type=int, default=3)),
+    "seed": (["--seed"], dict(type=int, default=1, help="seed for all randomness")),
+    "quick": (["--quick"], dict(action="store_true", help="minimal parameters")),
+    "format": (["--format"], dict(choices=("json", "text"), default="text")),
+}
 
 # identity -> (module, verifier name, builder of its kwargs from the parsed
-# arguments).  A builder raises ValueError on a bad parameter before any case
-# runs.  The verifier is looked up by name on each call, so wrappers set on
-# the module take effect.
+# arguments, the flags that builder reads).  A builder raises ValueError on a
+# bad parameter before any case runs.  The verifier is looked up by name on
+# each call, so wrappers set on the module take effect.
 VERIFY = {
-    "ybe": (yangbaxter, "ybe_check", _ybe_kwargs),
-    "lstar-ybe": (yangbaxter, "lstar_ybe_check", _ybe_kwargs),
-    "symmetry": (identities, "verify_symmetry", _with_engine(_shape_kwargs)),
-    "inv-coinv": (identities, "verify_inv_coinv", _shape_kwargs),
-    "hl": (identities, "verify_hl", _with_engine(_mu_kwargs)),
-    "modified-hl": (identities, "verify_modified_hl", _mu_kwargs),
-    "box-skew": (identities, "verify_box_skew", _with_engine(_box_kwargs)),
-    "complement": (identities, "verify_complement", _with_engine(_box_kwargs)),
-    "lstar": (identities, "verify_lstar", _with_engine(_lstar_kwargs)),
-    "cauchy": (identities, "verify_cauchy", _with_engine(_cauchy_kwargs)),
-    "skew-cauchy": (identities, "verify_skew_cauchy", _skew_cauchy_kwargs),
-    "cauchy-rot": (identities, "verify_cauchy_rot", _cauchy_kwargs),
-    "engine-equivalence": (identities, "verify_engine_equivalence", _equivalence_kwargs),
+    "ybe": (yangbaxter, "ybe_check", _ybe_kwargs, "k mode seed trials"),
+    "lstar-ybe": (yangbaxter, "lstar_ybe_check", _ybe_kwargs, "k mode seed trials"),
+    "symmetry": (identities, "verify_symmetry", _with_engine(_shape_kwargs), "beta gamma n engine"),
+    "inv-coinv": (identities, "verify_inv_coinv", _shape_kwargs, "beta gamma n"),
+    "hl": (identities, "verify_hl", _with_engine(_mu_kwargs), "mu n engine"),
+    "modified-hl": (identities, "verify_modified_hl", _mu_kwargs, "mu n"),
+    "box-skew": (identities, "verify_box_skew", _with_engine(_box_kwargs), "lam M n engine"),
+    "complement": (identities, "verify_complement", _with_engine(_box_kwargs), "lam M n engine"),
+    "lstar": (identities, "verify_lstar", _with_engine(_lstar_kwargs), "lam M_list n engine"),
+    "cauchy": (identities, "verify_cauchy", _with_engine(_cauchy_kwargs), "n k degree engine"),
+    "skew-cauchy": (identities, "verify_skew_cauchy", _skew_cauchy_kwargs, "n k degree mu"),
+    "cauchy-rot": (identities, "verify_cauchy_rot", _cauchy_kwargs, "n k degree"),
+    "engine-equivalence": (identities, "verify_engine_equivalence", _equivalence_kwargs, "trials seed"),
 }
 
 
@@ -220,7 +239,7 @@ def _verify_case(task):
     wrapper set on the module (such as a timing span) sees every case.
     """
     name, kwargs = task
-    module, verifier, _ = VERIFY[name]
+    module, verifier = VERIFY[name][:2]
     return getattr(module, verifier)(**kwargs)
 
 
@@ -271,9 +290,6 @@ def cmd_verify(args) -> int:
     runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.seed, args.quick)]
             if args.identity == "all" else [args])
     cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
-    # only the builders wrapped by _with_engine pass an engine on
-    if args.engine and (args.identity == "all" or "engine" not in cases[0][1]):
-        raise ValueError(f"verify {args.identity} does not take --engine")
     reports = [_verify_case(case) for case in cases]
     for report in reports:
         _emit_report(report, args.format)
@@ -304,24 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_stats)
 
     pv = sub.add_parser("verify", help="machine-verify an identity")
-    pv.add_argument("identity", choices=[*VERIFY, "all"])
-    pv.add_argument("--k", type=int, default=2)
-    pv.add_argument("--n", type=int, default=2)
-    pv.add_argument("--M", type=int, default=4)
-    pv.add_argument("--M-list", default="3,4,5", help="comma list of M values for lstar")
-    pv.add_argument("--degree", "-D", type=int, default=3, help="x-degree truncation bound")
-    pv.add_argument("--beta", default="1;1")
-    pv.add_argument("--gamma", default=None)
-    pv.add_argument("--mu", default=None, help="hl: default 2,1; skew-cauchy: default one box")
-    pv.add_argument("--lam", default="1,0;1,1")
-    pv.add_argument("--engine", choices=("tableaux", "lattice", "both"),
-                    help="symmetry, hl, box-skew, complement, lstar, cauchy: default tableaux")
-    pv.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")
-    pv.add_argument("--trials", type=int, default=3)
-    pv.add_argument("--seed", type=int, default=1, help="seed for all randomness")
-    pv.add_argument("--quick", action="store_true", help="minimal parameters")
-    pv.add_argument("--format", choices=("json", "text"), default="text")
     pv.set_defaults(func=cmd_verify)
+    identity = pv.add_subparsers(dest="identity", required=True)
+    flags = {name: entry[3] for name, entry in VERIFY.items()} | {"all": "seed quick"}
+    for name, dests in flags.items():  # no abbreviations: --M on lstar is not --M-list
+        pi = identity.add_parser(name, allow_abbrev=False)
+        for names, kwargs in (_VERIFY_FLAGS[dest] for dest in [*dests.split(), "format"]):
+            pi.add_argument(*names, **kwargs)
 
     return parser
 

@@ -234,7 +234,7 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
         pairs.append((f"right-exit gray row, M={M}", zright, target))
         pairs.append((f"top-exit vs right-exit, M={M}", zright, ztop * factor))
     return _check_pairs(
-        "lstar", {"lam": [list(p) for p in lam], "n": n, "M": Ms}, pairs, {"d": d}
+        "lstar", {"lam": [list(p) for p in lam], "n": n, "M": Ms, "engine": engine}, pairs, {"d": d}
     )
 
 

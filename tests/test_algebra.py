@@ -67,6 +67,33 @@ def test_substitute_swap():
     assert q == LaurentPoly.monomial(V2, 1, (1, 2, 0))
 
 
+V_XY = VarSet(nx=2, ny=2)  # x1, x2, y1, y2, t
+laurent_xy = st.dictionaries(
+    st.tuples(*[st.integers(min_value=-2, max_value=2)] * V_XY.total),
+    st.sampled_from([-3, -1, 1, 2]),
+    max_size=6,
+).map(lambda d: LaurentPoly(V_XY, d))
+
+
+def _unit(slot: int, power: int = 1) -> tuple[int, tuple]:
+    exps = [0] * V_XY.total
+    exps[slot] = power
+    return 1, tuple(exps)
+
+
+@given(laurent_xy)
+@settings(max_examples=60, deadline=None)
+def test_exponent_maps_match_substitute(p):
+    # invert_t, invert_x and swap_vars move exponents directly; substitute is
+    # the general route they must agree with
+    ti = V_XY.t_index
+    assert p.invert_t() == p.substitute({ti: _unit(ti, -1)})
+    assert p.invert_x() == p.substitute({i: _unit(i, -1) for i in range(V_XY.nx)})
+    for a in range(V_XY.total):
+        for b in range(V_XY.total):
+            assert p.swap_vars(a, b) == p.substitute({a: _unit(b), b: _unit(a)})
+
+
 def test_substitute_signed_monomial():
     # x -> -x t: x^2 picks up t^2, x^3 flips sign
     p = LaurentPoly.monomial(V1, 1, (3, 0))

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -177,7 +178,8 @@ def test_verify_bad_identity_exit_2():
 
 # First stdout line of `lltlattice verify <identity>` with default
 # parameters, as printed before the verify registry replaced the per-identity
-# dispatch; skew-cauchy (one box by default) and engine-equivalence came later.
+# dispatch; skew-cauchy (one box by default) and engine-equivalence came later,
+# and lstar's params later gained the engine it reads.
 DEFAULT_VERIFY_LINES = {
     "ybe": "PASS ybe k=2 mode=symbolic checked=4096",
     "lstar-ybe": "PASS lstar-ybe k=2 mode=symbolic checked=4096",
@@ -187,7 +189,7 @@ DEFAULT_VERIFY_LINES = {
     "modified-hl": 'PASS modified-hl {"mu": [2, 1], "n": 2}',
     "box-skew": 'PASS box-skew {"M": 4, "engine": "tableaux", "lam": [[1, 0], [1, 1]], "n": 2}',
     "complement": 'PASS complement {"M": 4, "engine": "tableaux", "lam": [[1, 0], [1, 1]], "n": 2}',
-    "lstar": 'PASS lstar {"M": [3, 4, 5], "lam": [[1, 0], [1, 1]], "n": 2}',
+    "lstar": 'PASS lstar {"M": [3, 4, 5], "engine": "tableaux", "lam": [[1, 0], [1, 1]], "n": 2}',
     "cauchy": 'PASS cauchy {"D": 3, "engine": "tableaux", "k": 2, "n": 2}',
     "cauchy-rot": 'PASS cauchy-rot {"D": 3, "k": 2, "n": 2}',
     "skew-cauchy": 'PASS skew-cauchy {"D": 3, "k": 2, "mu": [[1, 0], [0, 0]], "n": 2}',
@@ -230,17 +232,17 @@ def test_verify_all_output_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "verify_all_seed1.txt").read_text()
 
 
-def _identity_choices():
-    parser = cli.build_parser()
+def _identity_parsers(parser=cli._PARSER) -> dict[str, argparse.ArgumentParser]:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     verify = sub.choices["verify"]
     return next(a for a in verify._actions if a.dest == "identity").choices
 
 
 def test_verify_registry_is_complete():
-    for module, verifier, build in cli.VERIFY.values():
+    for module, verifier, build, flags in cli.VERIFY.values():
         assert callable(getattr(module, verifier)) and callable(build)
-    assert list(_identity_choices()) == [*cli.VERIFY, "all"]
+        assert set(flags.split()) <= set(cli._VERIFY_FLAGS)
+    assert list(_identity_parsers(cli.build_parser())) == [*cli.VERIFY, "all"]
     assert set(DEFAULT_VERIFY_LINES) == set(cli.VERIFY)
     parse = cli.build_parser().parse_args
     for quick in (False, True):
@@ -249,6 +251,59 @@ def test_verify_registry_is_complete():
             assert {run.identity for run in runs} == set(cli.VERIFY)
         for run in runs:
             assert isinstance(cli.VERIFY[run.identity][2](run), dict)
+
+
+class _Reads:
+    """A parsed namespace that records the names read from it."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+# extra arguments that take each builder down each of its branches
+BUILDER_BRANCHES = {
+    "ybe": [[], ["--mode", "numeric"]],
+    "lstar-ybe": [[], ["--mode", "numeric"]],
+    "skew-cauchy": [[], ["--mu", "1,0;0,0"]],
+}
+
+
+@pytest.mark.parametrize("identity", list(cli.VERIFY))
+def test_verify_declares_the_flags_its_builder_reads(identity):
+    _, _, build, flags = cli.VERIFY[identity]
+    read = set()
+    for extra in BUILDER_BRANCHES.get(identity, [[]]):
+        args = _Reads(cli._PARSER.parse_args(["verify", identity, *extra]))
+        build(args)
+        read |= args.read
+    assert read == set(flags.split())
+    declared = {action.dest for action in _identity_parsers()[identity]._actions}
+    assert declared == read | {"help", "format"}
+
+
+def _refusal(flag_args) -> str:
+    """argparse's stderr for arguments that no parser on the way declares."""
+    return (f"{cli._PARSER.format_usage()}"
+            f"lltlattice: error: unrecognized arguments: {' '.join(flag_args)}\n")
+
+
+def _undeclared_flags():
+    """(identity, flag arguments) for every verify flag that an identity (or
+    `all`) does not declare, once per choice of a flag with choices."""
+    for identity, parser in _identity_parsers().items():
+        declared = {action.dest for action in parser._actions}
+        for dest, (names, kwargs) in cli._VERIFY_FLAGS.items():
+            if dest in declared:
+                continue
+            if kwargs.get("action") == "store_true":
+                yield identity, [names[0]]
+            else:
+                for value in kwargs.get("choices", [str(kwargs.get("default", 1))]):
+                    yield identity, [names[0], value]
 
 
 BAD_VERIFY = [
@@ -290,22 +345,53 @@ BAD_VERIFY = [
     (["verify", "hl", "--mu", "2,,1"], "--mu parts must be integers, not '2,,1'"),
     (["verify", "skew-cauchy", "--mu", "1,0;"], "--mu parts must be integers, not '1,0;'"),
     (["verify", "box-skew", "--lam", "1.5"], "--lam parts must be integers, not '1.5'"),
-] + [  # only symmetry, hl, box-skew, complement, lstar and cauchy read --engine
-    (["verify", identity, "--engine", engine], f"verify {identity} does not take --engine")
-    for identity, engine in [
-        ("ybe", "both"), ("lstar-ybe", "lattice"), ("inv-coinv", "both"),
-        ("modified-hl", "lattice"), ("skew-cauchy", "both"), ("cauchy-rot", "both"),
-        ("engine-equivalence", "lattice"), ("all", "tableaux"),
-    ]
+]
+# (argv, stderr): the builders' errors, then every flag an identity does not
+# declare, which argparse refuses (the rows for --engine among them)
+VERIFY_ERRORS = [(argv, f"error: {message}\n") for argv, message in BAD_VERIFY] + [
+    (["verify", identity, *flag], _refusal(flag)) for identity, flag in _undeclared_flags()
 ]
 
 
-@pytest.mark.parametrize("argv, message", BAD_VERIFY, ids=[" ".join(a) for a, _ in BAD_VERIFY])
-def test_verify_bad_parameters_exit_2(argv, message, capsys):
+@pytest.mark.parametrize("argv, err", VERIFY_ERRORS, ids=[" ".join(a) for a, _ in VERIFY_ERRORS])
+def test_verify_bad_parameters_exit_2(argv, err, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == err
+
+
+def test_verify_refusal_stderr(capsys):
+    assert cli.main(["verify", "ybe", "--engine", "both"]) == 2
+    assert capsys.readouterr().err == (
+        "usage: lltlattice [-h] {compute,stats,verify} ...\n"
+        "lltlattice: error: unrecognized arguments: --engine both\n"
+    )
+
+
+@pytest.mark.parametrize("command, unread", [
+    ("verify hl --beta 3,1", "--beta 3,1"),  # hl reads --mu
+    ("verify lstar --M 6", "--M 6"),  # lstar reads --M-list, not an abbreviation of it
+    ("verify symmetry --mode numeric", "--mode numeric"),
+    ("verify cauchy --lam 2,1 --n 1 --k 1 -D 2", "--lam 2,1"),
+    ("verify all --quick --lam 9", "--lam 9"),
+    ("verify cauchy --deg 2", "--deg 2"),  # no abbreviation of --degree
+])
+def test_verify_flag_of_another_identity_exit_2(command, unread, capsys):
+    assert cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _refusal(unread.split())
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("lltlattice ")]
+    assert len(lines) >= 10
+    for line in lines:
+        args = cli._PARSER.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.func in (cli.cmd_compute, cli.cmd_stats, cli.cmd_verify), line
 
 
 def test_verify_workers_flag_is_gone(capsys):
