@@ -4,7 +4,6 @@ polynomial algebra, and machine verification of their identities."""
 from .algebra import LaurentPoly, VarSet
 from .shapes import (
     SkewShapeTuple,
-    boundary_vector,
     column_range,
     complement,
     d_stat,

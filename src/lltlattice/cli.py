@@ -305,28 +305,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("compute", help="compute one LLT polynomial")
+    # no command takes abbreviations: --M on lstar is not --M-list
+    pc = sub.add_parser("compute", help="compute one LLT polynomial", allow_abbrev=False)
     pc.add_argument("--beta", required=True, help='e.g. "3,3;3,1"')
     pc.add_argument("--gamma", default=None, help='e.g. "2,1;1,0" (default: zeros)')
     pc.add_argument("--n", type=int, required=True, help="number of x variables")
     pc.add_argument("--engine", choices=("tableaux", "lattice", "both"), default="both")
     pc.add_argument("--format", choices=("json", "text"), default="text")
-    pc.set_defaults(func=cmd_compute)
+    pc.set_defaults(func=cmd_compute, parser=pc)
 
-    ps = sub.add_parser("stats", help="combinatorial statistics of a shape")
+    ps = sub.add_parser("stats", help="combinatorial statistics of a shape", allow_abbrev=False)
     ps.add_argument("--beta", required=True)
     ps.add_argument("--gamma", default=None)
     ps.add_argument("--M", type=int, default=None, help="box columns for dtilde")
-    ps.set_defaults(func=cmd_stats)
+    ps.set_defaults(func=cmd_stats, parser=ps)
 
     pv = sub.add_parser("verify", help="machine-verify an identity")
     pv.set_defaults(func=cmd_verify)
     identity = pv.add_subparsers(dest="identity", required=True)
     flags = {name: entry[3] for name, entry in VERIFY.items()} | {"all": "seed quick"}
-    for name, dests in flags.items():  # no abbreviations: --M on lstar is not --M-list
+    for name, dests in flags.items():
         pi = identity.add_parser(name, allow_abbrev=False)
         for names, kwargs in (_VERIFY_FLAGS[dest] for dest in [*dests.split(), "format"]):
             pi.add_argument(*names, **kwargs)
+        pi.set_defaults(parser=pi)
 
     return parser
 
@@ -336,7 +338,9 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:  # refused with the usage of the command that does not declare them
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -19,7 +19,9 @@ partition function onto it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from .algebra import LaurentPoly, VarSet
 from .shapes import (
@@ -44,8 +46,9 @@ def mask_of(bits) -> int:
 def masks(k: int, *labels) -> tuple[int, ...]:
     """Edge labels as bitmasks; each label is a mask or a 0/1 tuple naming
     colors among 1..k, else ValueError."""
-    out = tuple(v if isinstance(v, int) else mask_of(v) for v in labels)
-    if k < 0 or any(m >> k for m in out):
+    # from a list: tuple() of a generator resizes and piles spare tuples on free lists
+    out = tuple([v if isinstance(v, int) else mask_of(v) for v in labels])
+    if k < 0 or reduce(or_, out, 0) >> k:  # a negative label makes the OR negative
         raise ValueError(f"edge labels {labels} are not sets of colors among 1..{k}")
     return out
 
@@ -60,7 +63,7 @@ def _t_exponent(present: int, L: int) -> int:
     return texp
 
 
-def face_weight_exponents(k: int, I: int, J: int, K: int, L: int):
+def face_weight_exponents(I: int, J: int, K: int, L: int):
     """(x-exponent, t-exponent) of an admissible plain face, else None."""
     if I & J:
         return None
@@ -100,7 +103,7 @@ def l_weight(k: int, I, J, K, L) -> LaurentPoly:
     Inadmissible faces get weight 0.
     """
     vars = VarSet(nx=1)
-    data = face_weight_exponents(k, *masks(k, I, J, K, L))
+    data = face_weight_exponents(*masks(k, I, J, K, L))
     return LaurentPoly.zero(vars) if data is None else LaurentPoly.monomial(vars, 1, data)
 
 
@@ -111,36 +114,33 @@ def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Boundary data of a lattice: per-column bottom/top labels and per-row
-    right labels (left labels are always empty)."""
+    """Boundary data of a lattice: bottom and top labels of the columns
+    r, r+1, ..., and one right label per row (left labels are always empty)."""
 
     k: int
-    n: int
     r: int
-    s: int
     bottom: tuple[int, ...]
     top: tuple[int, ...]
     right: tuple[int, ...]
-    shape: SkewShapeTuple | None = field(default=None, compare=False)
+    n: int = field(init=False, compare=False)  # rows: one per right label
     # per color, the columns of bottom and of top that carry it: the DP's
     # first and last states
     columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ncols = self.s - self.r + 1
-        if len(self.bottom) != ncols or len(self.top) != ncols:
-            raise ValueError("boundary length does not match the column range")
-        if len(self.right) != self.n:
-            raise ValueError("need one right label per row")
+        if len(self.bottom) != len(self.top):
+            raise ValueError("bottom and top boundaries differ in length")
+        masks(self.k, *self.bottom, *self.top, *self.right)
         bottom, top = _color_columns(self.bottom, self.k), _color_columns(self.top, self.k)
         for bit, (flow, out) in enumerate(zip(bottom, top)):
             if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):
                 raise ValueError(f"color {bit + 1} is not conserved by the boundary")
+        object.__setattr__(self, "n", len(self.right))
         object.__setattr__(self, "columns", (bottom, top))
 
     @property
     def ncols(self) -> int:
-        return self.s - self.r + 1
+        return len(self.bottom)
 
 
 def _labels(columns, width: int, first: int = 0) -> tuple[int, ...]:
@@ -162,10 +162,7 @@ def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     r, s = column_range(shape)
     bottom, top = (_labels(map(label_columns, mu), s - r + 1, r)
                    for mu in (shape.gamma, shape.beta))
-    return LatticeSpec(
-        k=shape.k, n=n, r=r, s=s, bottom=bottom, top=top,
-        right=(0,) * n, shape=shape,
-    )
+    return LatticeSpec(k=shape.k, r=r, bottom=bottom, top=top, right=(0,) * n)
 
 
 def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False) -> LatticeSpec:
@@ -176,7 +173,7 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False)
     """
     lam = check_box_tuple(lam, n, M)
     k = len(lam)
-    r, s = 1 - n, M - n
+    r = 1 - n
     bottom = _labels(map(label_columns, lam), M, r)
     full = (1 << k) - 1
     if right_exit:
@@ -185,7 +182,7 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False)
     else:
         top = _labels([label_columns((M - n,) * n)] * k, M, r)
         right = (0,) * n
-    return LatticeSpec(k=k, n=n, r=r, s=s, bottom=bottom, top=top, right=right)
+    return LatticeSpec(k=k, r=r, bottom=bottom, top=top, right=right)
 
 
 # -- row machinery -------------------------------------------------------------
@@ -319,7 +316,7 @@ class LatticeConfig:
         xexps, texp = [0] * spec.n, 0
         for row in range(1, spec.n + 1):
             for c in range(spec.ncols):
-                data = face_weight_exponents(spec.k, *self.face(row, c))
+                data = face_weight_exponents(*self.face(row, c))
                 if data is None:
                     raise ValueError(f"inadmissible face at row {row}, column {c + spec.r}")
                 xexps[row - 1] += data[0]
@@ -342,9 +339,8 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
     step, ncols = _row_transitions(spec), spec.ncols
 
     def rec(row: int, state, verts: tuple, horiz: tuple):
-        if row > spec.n:
-            if verts[-1] == spec.top:
-                out.append(LatticeConfig(spec, verts, horiz))
+        if row > spec.n:  # the last row's caps end every path on spec.top
+            out.append(LatticeConfig(spec, verts, horiz))
             return
         for tops, _, _, rights in step(row, state):
             # boundary c+1 carries color i iff bit c of color i's right mask is set
@@ -383,17 +379,19 @@ def ssyt_to_config(T, n: int) -> LatticeConfig:
 
 def config_to_ssyt(config: LatticeConfig):
     """Invert the path encoding; raises ValueError on a malformed config."""
-    spec = config.spec
-    shape = spec.shape
-    if shape is None:
-        raise ValueError("configuration's lattice does not carry a shape")
-    n = spec.n
+    spec, n = config.spec, config.spec.n
+    # right to left, a color's bottom (top) columns are the labels of parts
+    # 1, 2, ... of gamma (beta); part m is label + m - 1, as label_columns says
+    starts, ends = ([cols[::-1] for cols in side] for side in spec.columns)
+    beta, gamma = (tuple(tuple(spec.r + c + m for m, c in enumerate(cols)) for cols in side)
+                   for side in (ends, starts))
+    shape = SkewShapeTuple(beta, gamma)
     rows_out = []
     for i in range(shape.k):
         bit = 1 << i
         comp_rows = []
-        for start, end in zip(label_columns(shape.gamma[i]), label_columns(shape.beta[i])):
-            col = start - spec.r
+        # one entry per step right: a path that ends at `end` fills its row
+        for col, end in zip(starts[i], ends[i]):
             if not (config.verticals[0][col] & bit):
                 raise ValueError("path start missing at the bottom boundary")
             entries = []
@@ -406,10 +404,8 @@ def config_to_ssyt(config: LatticeConfig):
                     if not (config.verticals[row][col] & bit):
                         raise ValueError("path breaks off inside the lattice")
                     row += 1
-            if col != end - spec.r:
+            if col != end:
                 raise ValueError("path exits at the wrong top column")
-            if len(entries) != end - start:
-                raise ValueError("wrong number of crossings")
             comp_rows.append(tuple(entries))
         rows_out.append(tuple(comp_rows))
     return TableauTuple(shape, tuple(rows_out))
@@ -455,6 +451,5 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
         tuple(_reverse_colors(config.horizontals[n - row][ncols - b], k) for b in range(ncols + 1))
         for row in range(1, n + 1)
     )
-    new_spec = LatticeSpec(k=k, n=n, r=spec.r, s=spec.s, bottom=verts[0], top=verts[n],
-                           right=(0,) * n)
+    new_spec = LatticeSpec(k=k, r=spec.r, bottom=verts[0], top=verts[n], right=(0,) * n)
     return LatticeConfig(new_spec, verts, horiz)

@@ -113,11 +113,6 @@ def label_columns(p: Partition) -> tuple[int, ...]:
     return tuple(p[m - 1] - m + 1 for m in range(1, len(p) + 1))
 
 
-def boundary_vector(mu: ShapeTuple, i: int) -> tuple[int, ...]:
-    """Bit j is 1 iff i = mu^(j)_m - m + 1 for some declared part m."""
-    return tuple(1 if i in label_columns(p) else 0 for p in mu)
-
-
 def column_range(shape: SkewShapeTuple) -> tuple[int, int]:
     """(r, s): leftmost gamma label and rightmost beta label."""
     if not any(shape.gamma):

@@ -199,7 +199,7 @@ def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
 
     def face(y_line: bool, gray: bool):
         def terms(*labels) -> dict:
-            xe, te = face_weight_exponents(k, *labels)  # admissible by picture
+            xe, te = face_weight_exponents(*labels)  # admissible by picture
             xe, te = _gray(k, 1, xe, te) if gray else (xe, te)
             return {(0, xe, te) if y_line else (xe, 0, te): 1}
 

@@ -107,7 +107,7 @@ def test_criterion_2_face_weight_goldens():
     vars = VarSet(nx=3)
     product = LaurentPoly.one(vars)
     for I, J, K, L, xi in faces:
-        xe, te = face_weight_exponents(3, mask_of(I), mask_of(J), mask_of(K), mask_of(L))
+        xe, te = face_weight_exponents(mask_of(I), mask_of(J), mask_of(K), mask_of(L))
         exps = [0, 0, 0, te]
         exps[xi - 1] = xe
         product = product * LaurentPoly.monomial(vars, 1, exps)

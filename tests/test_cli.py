@@ -285,10 +285,16 @@ def test_verify_declares_the_flags_its_builder_reads(identity):
     assert declared == read | {"help", "format"}
 
 
-def _refusal(flag_args) -> str:
-    """argparse's stderr for arguments that no parser on the way declares."""
-    return (f"{cli._PARSER.format_usage()}"
-            f"lltlattice: error: unrecognized arguments: {' '.join(flag_args)}\n")
+def _refusal(command, flag_args) -> str:
+    """argparse's stderr for flag arguments that the command (such as
+    ["verify", "ybe"]) does not declare: the usage of the command's own
+    parser, then the arguments."""
+    parser = cli._PARSER
+    for name in command:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+                      ).choices[name]
+    return (f"{parser.format_usage()}"
+            f"{parser.prog}: error: unrecognized arguments: {' '.join(flag_args)}\n")
 
 
 def _undeclared_flags():
@@ -349,7 +355,8 @@ BAD_VERIFY = [
 # (argv, stderr): the builders' errors, then every flag an identity does not
 # declare, which argparse refuses (the rows for --engine among them)
 VERIFY_ERRORS = [(argv, f"error: {message}\n") for argv, message in BAD_VERIFY] + [
-    (["verify", identity, *flag], _refusal(flag)) for identity, flag in _undeclared_flags()
+    (["verify", identity, *flag], _refusal(["verify", identity], flag))
+    for identity, flag in _undeclared_flags()
 ]
 
 
@@ -364,8 +371,10 @@ def test_verify_bad_parameters_exit_2(argv, err, capsys):
 def test_verify_refusal_stderr(capsys):
     assert cli.main(["verify", "ybe", "--engine", "both"]) == 2
     assert capsys.readouterr().err == (
-        "usage: lltlattice [-h] {compute,stats,verify} ...\n"
-        "lltlattice: error: unrecognized arguments: --engine both\n"
+        "usage: lltlattice verify ybe [-h] [--k K] [--mode {symbolic,numeric}]\n"
+        "                             [--seed SEED] [--trials TRIALS]\n"
+        "                             [--format {json,text}]\n"
+        "lltlattice verify ybe: error: unrecognized arguments: --engine both\n"
     )
 
 
@@ -381,7 +390,20 @@ def test_verify_flag_of_another_identity_exit_2(command, unread, capsys):
     assert cli.main(command.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == _refusal(unread.split())
+    assert captured.err == _refusal(command.split()[:2], unread.split())
+
+
+@pytest.mark.parametrize("command, unread", [
+    ("compute --beta 2,1 --n 2 --form json --eng tableaux", "--form json --eng tableaux"),
+    ("stats --beta 2 --gam 0", "--gam 0"),
+])
+def test_abbreviated_flag_exit_2(command, unread, capsys):
+    # compute and stats spell their flags in full, as verify does
+    assert cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _refusal(command.split()[:1], unread.split())
+    assert captured.err.startswith(f"usage: lltlattice {command.split()[0]} [-h] --beta BETA")
 
 
 def test_readme_cli_lines_parse():

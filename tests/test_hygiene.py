@@ -1,5 +1,6 @@
 """Every module-level import in the package's modules is used by the module,
-every private module-level function or class is used by the package, no
+every private module-level function or class is used by the package, every
+public one that the package does not use is listed with its reason, no
 function imports anything, and every functools cache is bounded."""
 
 import ast
@@ -10,6 +11,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from lltlattice import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lltlattice"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -52,24 +55,25 @@ def _references(node) -> Counter:
     return refs
 
 
-def _dead_helpers(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions and classes that nothing outside their
-    own definition refers to."""
+def _unreferenced(sources: dict[str, str], private: bool, named=()) -> list[str]:
+    """Private (or public) module-level functions and classes that nothing
+    outside their own definition refers to; a name in `named` counts as
+    referred to."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    refs = sum((_references(tree) for tree in trees.values()), Counter(named))
     return [
         f"{name}: {node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and refs[node.name] == _references(node)[node.name]
     ]
 
 
 def test_no_dead_private_helpers():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    assert _dead_helpers(sources) == []
+    assert _unreferenced(sources, private=True) == []
 
 
 def test_guard_sees_a_dead_helper():
@@ -77,7 +81,51 @@ def test_guard_sees_a_dead_helper():
         "a.py": "def _used():\n    return _used()\n\ndef _dead(n):\n    return _dead(n - 1)\n",
         "b.py": "from .a import _used\n",
     }
-    assert _dead_helpers(sources) == ["a.py: _dead"]
+    assert _unreferenced(sources, private=True) == ["a.py: _dead"]
+
+
+# Public functions and classes that no module of the package calls (its
+# __init__ only re-exports), each with why it stays: a reference the tests
+# compare against, a lemma of the paper, or a library entry point.
+UNCALLED_PUBLIC = {
+    "identities.py: random_straight_tuple": "entry point: random box tuples, the tests' inputs",
+    "lattice.py: lstar_weight": "reference: the paper's gray face weight, for gray_rows",
+    "lattice.py: enumerate_configs": "reference: the configurations partition_function counts",
+    "lattice.py: ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
+    "lattice.py: config_to_ssyt": "lemma: configurations back to tableau tuples",
+    "lattice.py: rotate_config": "lemma: the 180-degree rotation of box configurations",
+    "shapes.py: complement": "entry point: the box complement of a checked tuple",
+    "shapes.py: dtilde_stat": "entry point: the statistic d-tilde of a checked tuple",
+    "tableaux.py: coinv": "reference: one tuple's coinv by triples, for llt_coinv's tables",
+    "tableaux.py: inv_triples": "reference: one tuple's inv by triples, for inv",
+    "tableaux.py: complement_bijection": "lemma: the column-complement bijection",
+    "tableaux.py: schur": "reference: one-component LLT polynomials are Schur polynomials",
+    "yangbaxter.py: r_weight": "entry point: the closed-form crossing weight",
+    "yangbaxter.py: ef_weight": "lemma: the single-color E, F, Etilde and Ftilde weights",
+    "yangbaxter.py: l_recursive": "lemma: the color recursion of the face weight",
+    "yangbaxter.py: r_recursive": "lemma: the color recursion of the crossing weight",
+    "yangbaxter.py: ybe_gauche": "reference: one boundary's left side, for the block sums",
+    "yangbaxter.py: ybe_droite": "reference: one boundary's right side, for the block sums",
+}
+
+
+def test_uncalled_public_names_are_listed():
+    # the verify identities name their verifiers by string
+    verifiers = {verifier for _, verifier, _, _ in cli.VERIFY.values()}
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert sorted(_unreferenced(sources, private=False, named=verifiers)) == sorted(UNCALLED_PUBLIC)
+    kinds = {reason.partition(":")[0] for reason in UNCALLED_PUBLIC.values()}
+    assert kinds <= {"reference", "lemma", "entry point"}
+
+
+def test_guard_sees_an_uncalled_public_name():
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef lemma(n):\n    return lemma(n - 1)\n\n"
+                "def verify_x():\n    return 0\n",
+        "b.py": "from .a import used\nVERIFY = {'x': 'verify_x'}\n",
+    }
+    assert _unreferenced(sources, private=False, named={"verify_x"}) == ["a.py: lemma"]
+    assert _unreferenced(sources, private=False) == ["a.py: lemma", "a.py: verify_x"]
 
 
 def _function_imports(source: str) -> list[str]:

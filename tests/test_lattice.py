@@ -105,11 +105,11 @@ def test_lstar_weight_examples():
 
 def test_build_lattice_worked_example():
     spec = build_lattice(SECOND, 2)
-    assert (spec.r, spec.s) == (-1, 3)
+    assert (spec.r, spec.r + spec.ncols - 1) == (-1, 3)
     assert spec.ncols == 5
     assert spec.n == 2
     spec1 = build_lattice(FIRST, 2)
-    assert (spec1.r, spec1.s) == (0, 3)
+    assert (spec1.r, spec1.r + spec1.ncols - 1) == (0, 3)
     for bit in range(spec.k):
         bottom = sum((m >> bit) & 1 for m in spec.bottom)
         top = sum((m >> bit) & 1 for m in spec.top)
@@ -120,7 +120,6 @@ def test_configuration_weight_golden():
     # the four-face two-row configuration with weight x1^3 x2^2 x3^2 t^8;
     # the displayed grid carries x2 and x3 on its top row, so the product is
     # assembled face by face here
-    k = 3
     faces = [
         # (I, J, K, L, variable index 1-based)
         ((1, 0, 0), (0, 1, 1), (0, 0, 1), (1, 1, 0), 1),
@@ -131,7 +130,7 @@ def test_configuration_weight_golden():
     vars = VarSet(nx=3)
     product = LaurentPoly.one(vars)
     for I, J, K, L, xi in faces:
-        xe, te = face_weight_exponents(k, mask_of(I), mask_of(J), mask_of(K), mask_of(L))
+        xe, te = face_weight_exponents(mask_of(I), mask_of(J), mask_of(K), mask_of(L))
         exps = [0, 0, 0, te]
         exps[xi - 1] = xe
         product = product * LaurentPoly.monomial(vars, 1, exps)
@@ -263,7 +262,7 @@ def test_row_weight_matches_face_weights():
                     assert horiz[ncols] == spec.right[row - 1]
                     xe = te = 0
                     for c in range(ncols):
-                        face = face_weight_exponents(spec.k, below[c], horiz[c],
+                        face = face_weight_exponents(below[c], horiz[c],
                                                      above[c], horiz[c + 1])
                         xe, te = xe + face[0], te + face[1]
                     assert (xexp, texp) == (xe, te)
@@ -284,7 +283,7 @@ def _reference_partition_function(spec):
                 rows = [(tops + (K,), L, xe + w[0], te + w[1])
                         for tops, J, xe, te in rows
                         for K, L in product(range(1 << k), repeat=2)
-                        if (w := face_weight_exponents(k, below[c], J, K, L))]
+                        if (w := face_weight_exponents(below[c], J, K, L))]
             for tops, carry, xe, te in rows:
                 if carry == spec.right[row - 1]:
                     exps = [0] * vars.total
@@ -299,14 +298,35 @@ def test_right_labels_that_differ_by_row():
     # color 1 leaves through the right edge on row 1 and color 2 on row 3 of
     # 4; color 2 can keep its columns over rows 1-3, so a move memo keyed
     # without the exit bit would give row 3 the moves of row 1
-    spec = LatticeSpec(k=2, n=4, r=0, s=3, bottom=(3, 3, 0, 0), top=(0, 1, 2, 0),
-                       right=(1, 0, 2, 0))
+    spec = LatticeSpec(k=2, r=0, bottom=(3, 3, 0, 0), top=(0, 1, 2, 0), right=(1, 0, 2, 0))
     configs = enumerate_configs(spec)
     total = LaurentPoly.zero(VarSet(nx=4))
     for config in configs:
         total = total + config.weight()
     assert configs
     assert total == partition_function(spec) == _reference_partition_function(spec)
+
+
+@pytest.mark.parametrize("bottom, top, right, message", [
+    ((2, 0), (0, 2), (0,), "not sets of colors among 1..1"),
+    ((3, 0), (0, 3), (0,), "not sets of colors among 1..1"),
+    ((-1, 0), (0, -1), (0,), "not sets of colors among 1..1"),
+    ((1, 0), (0, 1, 0), (0,), "differ in length"),
+    ((1, 0), (0, 1), (1,), "color 1 is not conserved"),
+], ids=["color-2", "colors-1-2", "negative", "lengths", "conservation"])
+def test_lattice_spec_refuses_bad_boundaries(bottom, top, right, message):
+    # k = 1: a label naming color 2, or a negative label, is not a set of colors
+    with pytest.raises(ValueError, match=message):
+        LatticeSpec(k=1, r=0, bottom=bottom, top=top, right=right)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rows_are_the_right_labels(n):
+    lam = ((1,) + (0,) * (n - 1), (0,) * n)
+    box, right_exit = (build_box_lattice(lam, n + 2, n, right_exit=e) for e in (False, True))
+    rotated = rotate_config(enumerate_configs(box)[0]).spec
+    for spec in (build_lattice(SECOND, n), box, right_exit, rotated):
+        assert spec.n == len(spec.right) == n
 
 
 def test_per_color_conservation_of_configs():
@@ -427,6 +447,16 @@ def test_config_to_ssyt_rejects_malformed():
     )
     with pytest.raises(ValueError):
         config_to_ssyt(broken)
+
+
+def test_config_to_ssyt_reads_the_shape_off_the_boundary():
+    box = build_box_lattice(((1, 0), (1, 0)), 3, 2)
+    shapes = {config_to_ssyt(config).shape for config in enumerate_configs(box)}
+    assert shapes == {SkewShapeTuple(((1, 1), (1, 1)), ((1, 0), (1, 0)))}
+    # with right exits the top carries no labels, so beta has no parts
+    spec = build_box_lattice(((1, 0), (1, 0)), 3, 2, right_exit=True)
+    with pytest.raises(ValueError, match="must have the same number of parts"):
+        config_to_ssyt(enumerate_configs(spec)[0])
 
 
 # -- rotation -------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from lltlattice.shapes import (
     SkewShapeTuple,
     bandwidth,
-    boundary_vector,
     check_partition,
     column_range,
     complement,
@@ -33,29 +32,20 @@ def test_partition_validation():
         SkewShapeTuple(((2, 1),), ((2, 2),))
 
 
-def test_boundary_vector_zero_parts():
-    mu = ((0,), (0,))
-    assert boundary_vector(mu, 0) == (1, 1)
-    for i in (-2, -1, 1, 2, 5):
-        assert boundary_vector(mu, i) == (0, 0)
+def test_label_columns_zero_parts():
+    # a zero part sits at column 0: both colors of ((0,), (0,)) start there
+    assert [label_columns(p) for p in ((0,), (0,))] == [(0,), (0,)]
 
 
-def test_boundary_vector_worked_example():
+def test_column_range_worked_example():
     assert column_range(WORKED_SKEW) == (-1, 3)
     assert bandwidth(WORKED_SKEW) == 4
 
 
-def test_boundary_vector_table():
+def test_label_columns_table():
     # ((3,1),(2,2)): color 1 occupies columns {3, 0}, color 2 columns {2, 1}
-    mu = ((3, 1), (2, 2))
-    table = {i: boundary_vector(mu, i) for i in range(-1, 4)}
-    assert table == {
-        -1: (0, 0),
-        0: (1, 0),
-        1: (0, 1),
-        2: (0, 1),
-        3: (1, 0),
-    }
+    assert label_columns((3, 1)) == (3, 0)
+    assert label_columns((2, 2)) == (2, 1)
 
 
 def test_label_columns_distinct():
