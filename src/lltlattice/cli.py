@@ -298,12 +298,22 @@ def cmd_verify(args) -> int:
     return 1 if n_failed else 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Refuses, with its own usage, the arguments it does not declare itself."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lltlattice",
         description="Coinversion LLT polynomials and their verified identities",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     # no command takes abbreviations: --M on lstar is not --M-list
     pc = sub.add_parser("compute", help="compute one LLT polynomial", allow_abbrev=False)
@@ -312,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True, help="number of x variables")
     pc.add_argument("--engine", choices=("tableaux", "lattice", "both"), default="both")
     pc.add_argument("--format", choices=("json", "text"), default="text")
-    pc.set_defaults(func=cmd_compute, parser=pc)
+    pc.set_defaults(func=cmd_compute)
 
     ps = sub.add_parser("stats", help="combinatorial statistics of a shape", allow_abbrev=False)
     ps.add_argument("--beta", required=True)
     ps.add_argument("--gamma", default=None)
     ps.add_argument("--M", type=int, default=None, help="box columns for dtilde")
-    ps.set_defaults(func=cmd_stats, parser=ps)
+    ps.set_defaults(func=cmd_stats)
 
     pv = sub.add_parser("verify", help="machine-verify an identity")
     pv.set_defaults(func=cmd_verify)
@@ -328,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         pi = identity.add_parser(name, allow_abbrev=False)
         for names, kwargs in (_VERIFY_FLAGS[dest] for dest in [*dests.split(), "format"]):
             pi.add_argument(*names, **kwargs)
-        pi.set_defaults(parser=pi)
 
     return parser
 
@@ -338,9 +347,7 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     try:
-        args, extra = _PARSER.parse_known_args(argv)
-        if extra:  # refused with the usage of the command that does not declare them
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

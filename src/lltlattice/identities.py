@@ -6,16 +6,21 @@ they differ.  Every verifier returns an IdentityReport; FAIL always carries
 the two offending polynomials.  All randomness flows from an explicit seed.
 The Cauchy-type identities are checked after truncating both sides at a
 total x-degree bound D, which is exact because each summand is homogeneous.
+Their sides are int keys of one layout, ``_XYPacking``: x_1..x_n, y_1..y_n
+at ``max(D, 1).bit_length()`` bits each, t unbounded on top.  No x- or
+y-exponent of a side exceeds D, so no field carries and a product of two
+monomials is one int sum; each side is decoded to a polynomial once.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, permutations
-from operator import add, ge
+from operator import ge, lshift
 
-from .algebra import LaurentPoly, VarSet
+from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from .shapes import (
     Partition,
@@ -32,7 +37,7 @@ from .shapes import (
     m_bruteforce,
     rotate,
 )
-from .tableaux import hl_modified, hl_transformed, llt_coinv, llt_inv
+from .tableaux import _coinv_counts, hl_modified, hl_transformed, llt_coinv, llt_inv
 
 
 @dataclass
@@ -56,15 +61,19 @@ class IdentityReport:
         return out
 
 
-def _check_pairs(name: str, params: dict, pairs, details: dict | None = None) -> IdentityReport:
-    """PASS iff every (context, lhs, rhs) pair is an exact equality; the
-    two sides are polynomials or integers."""
+def _check_pairs(name: str, params: dict, pairs, details: dict | None = None,
+                 decode=None) -> IdentityReport:
+    """PASS iff every (context, lhs, rhs) pair is an exact equality; the two
+    sides are polynomials, integers, or packed counts that ``decode`` turns
+    into polynomials for a witness."""
     count = 0
     for context, lhs, rhs in pairs:
         count += 1
         if lhs != rhs:
             witness = {"context": context, "lhs": lhs, "rhs": rhs}
             for side in ("lhs", "rhs"):
+                if isinstance(witness[side], dict):
+                    witness[side] = decode(witness[side])
                 if isinstance(witness[side], LaurentPoly):
                     witness[side] = witness[side].to_json_dict()
             return IdentityReport(name, params, "FAIL", witness, details or {})
@@ -241,48 +250,62 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
 # -- Cauchy identities ------------------------------------------------------------
 
 
-def _xy_sum(n: int, summands) -> LaurentPoly:
-    """Sum of t^a P(X) Q(Y) over ``(a, P, Q)``, with P and Q in x_1..x_n and t.
+class _XYPacking(_Packing):
+    """The Cauchy drivers' key layout (see the module docstring)."""
 
-    X and Y are disjoint, so each product term is one concatenation: P's
-    x-exponents, then Q's x-exponents as y, then a plus both t-exponents.
-    """
-    acc: dict[tuple, int] = {}
+    def __init__(self, n: int, D: int):
+        super().__init__(2 * n + 1, max(D, 1).bit_length())
+        self.n = n
+
+    def poly(self, counts) -> LaurentPoly:
+        return LaurentPoly._trusted(VarSet(nx=self.n, ny=self.n), self.decode(counts))
+
+
+def _llt_counts(shape: SkewShapeTuple, xy: _XYPacking, engine: str = "tableaux") -> dict:
+    """L_shape as counts of ``xy`` keys in the x fields: the tableau engine's own, or
+    ``llt``'s polynomial encoded (so "both" still raises EngineMismatch)."""
+    if engine == "tableaux":
+        return _coinv_counts(shape, xy.n, xy)
+    return {sum(map(lshift, e[:-1], xy.shifts)) + (e[-1] << xy.top): c
+            for e, c in llt(shape, xy.n, engine).terms.items()}
+
+
+def _xy_sum(xy: _XYPacking, summands) -> dict:
+    """Sum of t^a P(X) Q(Y) over ``(a, P, Q)``, P and Q counted by ``_llt_counts``;
+    a Q key moves to the y fields by adding its x fields times 2^(n w) - 1."""
+    top = xy.top
+    xmask = (1 << top // 2) - 1   # the x fields, n w bits
+    acc: defaultdict[int, int] = defaultdict(int)
     for a, P, Q in summands:
-        for e1, c1 in P.terms.items():
-            for e2, c2 in Q.terms.items():
-                e = e1[:n] + e2[:n] + (a + e1[n] + e2[n],)
-                acc[e] = acc.get(e, 0) + c1 * c2
-    return LaurentPoly(VarSet(nx=n, ny=n), acc)
+        Q = [(key + (key & xmask) * xmask + (a << top), c) for key, c in Q.items()]
+        for kx, cx in P.items():
+            for ky, cy in Q:
+                acc[kx + ky] += cx * cy
+    return acc
 
 
 def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D.
 
-    ``graded[d]`` holds the running product's terms of x-degree d.  Times
+    ``graded[d]`` holds the running product's keys of x-degree d.  Times
     1/(1 - u), u = x_i y_j t^m, it becomes Q with Q[d] = P[d] + u Q[d - 1]:
-    only monomial shifts, and no term above D is ever formed.  The grades
-    share no key and every coefficient is a positive count, so merging them
-    gives the product's terms as they are.
+    only key shifts, and no term above D is ever formed.  The grades share
+    no key and every coefficient is a positive count, so merging them gives
+    the product's terms as they are.
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    vars = VarSet(nx=n, ny=n)
-    graded = [{(0,) * vars.total: 1}] + [{} for _ in range(D)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    xy = _XYPacking(n, D)
+    graded = [{0: 1}] + [{} for _ in range(D)]
+    for x_at in xy.shifts[:n]:
+        for y_at in xy.shifts[n:]:
             for m in range(k):
-                step = [0] * vars.total
-                step[vars.x_index(i)] = step[vars.y_index(j)] = 1
-                step[vars.t_index] = m
+                step = (1 << x_at) + (1 << y_at) + (m << xy.top)
                 for below, grade in zip(graded, graded[1:]):
                     for e, c in below.items():
-                        e = tuple(map(add, e, step))
+                        e += step
                         grade[e] = grade.get(e, 0) + c
-    terms: dict[tuple, int] = {}
-    for grade in graded:
-        terms |= grade
-    return LaurentPoly._trusted(vars, terms)
+    return xy.poly({e: c for grade in graded for e, c in grade.items()})
 
 
 def partitions_fixed_length(n: int, max_size: int):
@@ -305,23 +328,24 @@ def shape_tuples_bounded(k: int, n: int, D: int):
     return [lam for lam, _ in sized]
 
 
-def _cauchy_terms(n: int, k: int, D: int, engine: str = "tableaux", mu=None):
-    """(lam, lam/0, L_lam) for each lam of ``shape_tuples_bounded(k, n, D)``
+def _cauchy_terms(xy: _XYPacking, k: int, D: int, engine: str = "tableaux", mu=None):
+    """(lam, lam/0, L_lam counts) for each lam of ``shape_tuples_bounded(k, n, D)``
     (each lam containing ``mu`` when given): the Cauchy drivers' one loop.
     Each lam/0 is built once, unchecked, as every such lam is valid."""
-    zero = ((0,) * n,) * k
-    for lam in shape_tuples_bounded(k, n, D):
+    zero = ((0,) * xy.n,) * k
+    for lam in shape_tuples_bounded(k, xy.n, D):
         if mu is None or all(map(ge, chain(*lam), chain(*mu))):
             shape = SkewShapeTuple._trusted(lam, zero)
-            yield lam, shape, llt(shape, n, engine)
+            yield lam, shape, _llt_counts(shape, xy, engine)
 
 
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
-    lhs = _xy_sum(n, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(n, k, D, engine)])
+    xy = _XYPacking(n, D)
+    lhs = _xy_sum(xy, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(xy, k, D, engine)])
     rhs = cauchy_kernel_truncated(n, k, D)
     return _check_pairs(
-        "cauchy", {"n": n, "k": k, "D": D, "engine": engine}, [("sum vs kernel", lhs, rhs)]
+        "cauchy", {"n": n, "k": k, "D": D, "engine": engine}, [("sum vs kernel", xy.poly(lhs), rhs)]
     )
 
 
@@ -333,12 +357,13 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     size = sum(sum(p) for p in mu)
     if size > D:
         raise ValueError("need |mu| <= D")
-    lhs = _xy_sum(n, [
-        (_d_stat(lam), P, llt(SkewShapeTuple._trusted(lam, mu), n))
-        for lam, _, P in _cauchy_terms(n, k, D, mu=mu)
-    ])
-    L_mu = llt(mu, n)
-    base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
+    xy = _XYPacking(n, D)
+    lhs = xy.poly(_xy_sum(xy, [
+        (_d_stat(lam), P, _llt_counts(SkewShapeTuple._trusted(lam, mu), xy))
+        for lam, _, P in _cauchy_terms(xy, k, D, mu=mu)
+    ]))
+    L_mu = _llt_counts(SkewShapeTuple.straight(mu), xy)
+    base = xy.poly(_xy_sum(xy, [(d_stat(mu), L_mu, {0: 1})]))
     # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive
     rhs = base * cauchy_kernel_truncated(n, k, D - size)
     pairs = [
@@ -354,19 +379,22 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
 
 def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
+    xy = _XYPacking(n, D)
     rhs = cauchy_kernel_truncated(n, k, D)
     summands = []
     pairs = []
-    for lam, shape, P in _cauchy_terms(n, k, D):
-        R = llt(rotate(shape), n)
+    for lam, shape, P in _cauchy_terms(xy, k, D):
+        R = _llt_counts(rotate(shape), xy)
         summands.append((0, P, R))
         width = max((p[0] for p in lam if p), default=0)
         d_comp = _d_stat(_complement(lam, width))
         # the relation below shifts by d(comp), so its own check comes first
         pairs.append((f"d(comp)=d(lam) at {lam}", d_comp, _d_stat(lam)))
-        pairs.append((f"rotation relation at {lam}", R, LaurentPoly.t(P.vars, d_comp) * P))
-    pairs.insert(0, ("rotated sum vs kernel", _xy_sum(n, summands), rhs))
-    return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs)
+        shift = d_comp << xy.top
+        pairs.append((f"rotation relation at {lam}", R, {key + shift: c for key, c in P.items()}))
+    pairs.insert(0, ("rotated sum vs kernel", xy.poly(_xy_sum(xy, summands)), rhs))
+    return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs, decode=lambda R: LaurentPoly(
+        VarSet(nx=n), {(*e[:n], e[-1]): c for e, c in xy.decode(R).items()}))  # in x and t
 
 
 # -- randomized regression surfaces ----------------------------------------------

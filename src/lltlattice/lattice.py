@@ -130,7 +130,19 @@ class LatticeSpec:
     def __post_init__(self):
         if len(self.bottom) != len(self.top):
             raise ValueError("bottom and top boundaries differ in length")
-        masks(self.k, *self.bottom, *self.top, *self.right)
+        try:
+            masks(self.k, *self.bottom, *self.top, *self.right)
+        except ValueError:  # name the side, and the column or row, of the first bad label
+            for side, place, first, labels in (("bottom", "column", self.r, self.bottom),
+                                               ("top", "column", self.r, self.top),
+                                               ("right", "row", 1, self.right)):
+                for at, label in enumerate(labels, first):
+                    try:
+                        masks(self.k, label)
+                    except ValueError:
+                        raise ValueError(f"{side} label {label} at {place} {at} is not a set of "
+                                         f"colors among 1..{self.k}") from None
+            raise
         bottom, top = _color_columns(self.bottom, self.k), _color_columns(self.top, self.k)
         for bit, (flow, out) in enumerate(zip(bottom, top)):
             if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):

@@ -275,39 +275,37 @@ def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:
     return Counter(chain.from_iterable(_fold(0, 0, [weights[c] for c in order], tables)))
 
 
-@lru_cache(maxsize=64)
-def _coinv_packing(n: int, bits: int) -> _Packing:
-    """x_1..x_n at ``bits`` apiece, t above them; built once per width."""
-    return _Packing(n + 1, bits)
-
-
-def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
-    """Coinversion LLT polynomial: sum of t^coinv(T) x^T.
+def _coinv_counts(shape: SkewShapeTuple, n: int, packing: _Packing) -> Counter:
+    """Keys of ``packing`` for t^coinv(T) x^T, one per tableau tuple T,
+    counted: x_i sits in the i-th field of ``packing`` and t in its top field.
 
     A tableau tuple is one filling per component, and every triple couples
     a cell of an earlier component a with cells of a later component b, so
-    coinv(T) is a sum of C_ab[f_a][f_b] over pairs a < b.  Each monomial is
-    one ``_Packing`` key, ``bits`` per x-exponent and t above them; the fold
-    over the components adds each filling's weight and its table entries to
-    the running key, and counts the keys of full tuples.  A shape with at most
+    coinv(T) is a sum of C_ab[f_a][f_b] over pairs a < b.  The fold over the
+    components adds each filling's weight and its table entries to the
+    running key, and counts the keys of full tuples.  A shape with at most
     ``_FEW_TUPLES`` tuples skips the tables and counts each tuple directly.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    vars = VarSet(nx=n)
     fillings = [_component_fillings(b, g, n) for b, g in zip(shape.beta, shape.gamma)]
     if not all(fillings):
-        return LaurentPoly.zero(vars)
-    bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
-    packing = _coinv_packing(n, bits)
-    power = [0] + [1 << s for s in packing.shifts]
-    unit = 1 << packing.top
+        return Counter()
+    power = [0] + [1 << s for s in packing.shifts[:n]]
     weights = [[sum(map(power.__getitem__, f)) for f in fs] for fs in fillings]
     few = prod(map(len, fillings)) <= _FEW_TUPLES
-    counts = (_count_directly if few else _count_by_tables)(
-        fillings, _pair_triples(shape), weights, unit, n
+    return (_count_directly if few else _count_by_tables)(
+        fillings, _pair_triples(shape), weights, 1 << packing.top, n
     )
-    return LaurentPoly._trusted(vars, packing.decode(counts))
+
+
+def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
+    """Coinversion LLT polynomial: sum of t^coinv(T) x^T, counted by
+    ``_coinv_counts`` with x_1..x_n at ``bits`` apiece and t above them."""
+    bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
+    packing = _Packing(n + 1, bits)
+    counts = _coinv_counts(shape, n, packing)   # n is checked before any field is used
+    return LaurentPoly._trusted(VarSet(nx=n), packing.decode(counts))
 
 
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:

@@ -29,6 +29,8 @@ def test_tracer_installs_and_uninstalls():
         for owner, attr in PATCHED:
             assert vars(owner)[attr] is not before[owner, attr], attr
         assert identities.verify_cauchy(1, 2, 2).passed
+        assert identities.verify_cauchy_rot(1, 2, 2).passed
+        assert identities.verify_skew_cauchy(((1,), (0,)), 1, 2, 2).passed
         # the Cauchy sums multiply no polynomials; one explicit product
         # exercises the multiplication counter
         x = LaurentPoly.x(VarSet(nx=1), 1)
@@ -37,6 +39,11 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr in PATCHED:
         assert vars(owner)[attr] is before[owner, attr], attr
-    assert tracer.agg["identities.cauchy_kernel_truncated"][0] == 1
-    assert tracer.agg["identities.verify_cauchy"][0] == 1
+    # each Cauchy driver builds its kernel exactly once
+    kernel = tracer.name_ids["identities.cauchy_kernel_truncated"]
+    callers = [tracer.names[tracer.spans[span[3]][0]] for span in tracer.spans if span[0] == kernel]
+    drivers = ["identities.verify_cauchy", "identities.verify_cauchy_rot",
+               "identities.verify_skew_cauchy"]
+    assert callers == drivers
+    assert [tracer.agg[name][0] for name in drivers] == [1, 1, 1]
     assert tracer.counters["algebra.mul_term_pairs"] > 0

@@ -368,6 +368,17 @@ def test_verify_bad_parameters_exit_2(argv, err, capsys):
     assert captured.err == err
 
 
+@pytest.mark.parametrize("command, refused_by", [
+    ("--foo compute --beta 1 --n 1", []),   # the top-level parser, not compute's
+    ("verify --foo ybe", ["verify"]),
+])
+def test_flag_before_the_command_is_refused_above_it(command, refused_by, capsys):
+    assert cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _refusal(refused_by, ["--foo"])
+
+
 def test_verify_refusal_stderr(capsys):
     assert cli.main(["verify", "ybe", "--engine", "both"]) == 2
     assert capsys.readouterr().err == (

@@ -9,7 +9,8 @@ are 2 and 3, and the JSON form of the skew one.  The next four pin YBE runs that
 both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
 in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
 rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
-JSON, and two at k = 3, n = 3 in text.
+JSON, and two at k = 3, n = 3 in text.  The last command gives a flag that
+the top-level parser refuses: it prints nothing and exits 2.
 
 The parser is built once, at import, so the last two tests run many
 commands through it in one process and check that no call rebuilds it.
@@ -44,6 +45,7 @@ COMMANDS = [
     "verify ybe --k 0 --mode numeric",
     "verify lstar --lam 2,1;1,0 --n 2 --M-list 4,5,6 --format json",
     "verify lstar --lam 1,1,0;1,0,0 --n 3 --M-list 4,5",
+    "--foo compute --beta 1 --n 1",
 ]
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"

@@ -1,12 +1,15 @@
 import random
-from itertools import product
+from itertools import chain, product
+from operator import add, ge
 
 import pytest
 
-from lltlattice import identities, shapes
+from lltlattice import identities, lattice, shapes
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import (
+    _llt_counts,
     _xy_sum,
+    _XYPacking,
     cauchy_kernel_truncated,
     llt,
     partitions_fixed_length,
@@ -134,11 +137,46 @@ def _reference_kernel(n, k, D):
     return out
 
 
+def _tuple_xy_sum(n, summands):
+    """Sum of t^a P(X) Q(Y) over (a, P, Q), P and Q in x_1..x_n and t: each
+    product term concatenates P's x-exponents, Q's as y, then the t sum.
+    The drivers' sums on exponent tuples, kept as their reference."""
+    acc = {}
+    for a, P, Q in summands:
+        for e1, c1 in P.terms.items():
+            for e2, c2 in Q.terms.items():
+                e = e1[:n] + e2[:n] + (a + e1[n] + e2[n],)
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return LaurentPoly(VarSet(nx=n, ny=n), acc)
+
+
+def _tuple_kernel(n, k, D):
+    """The graded kernel on exponent tuples: grade d of the running product
+    times 1/(1 - u) is grade d plus u times the new grade d - 1."""
+    vars = VarSet(nx=n, ny=n)
+    graded = [{(0,) * vars.total: 1}] + [{} for _ in range(D)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for m in range(k):
+                step = [0] * vars.total
+                step[vars.x_index(i)] = step[vars.y_index(j)] = 1
+                step[vars.t_index] = m
+                for below, grade in zip(graded, graded[1:]):
+                    for e, c in below.items():
+                        e = tuple(map(add, e, step))
+                        grade[e] = grade.get(e, 0) + c
+    terms = {}
+    for grade in graded:
+        terms |= grade
+    return LaurentPoly(vars, terms)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cauchy_kernel_matches_reference(n, k):
     for D in range(5):
         assert cauchy_kernel_truncated(n, k, D) == _reference_kernel(n, k, D)
+        assert cauchy_kernel_truncated(n, k, D) == _tuple_kernel(n, k, D)
 
 
 @pytest.mark.parametrize("nkD, count", [((3, 2, 3), 527), ((2, 2, 4), 225), ((1, 3, 5), 36)])
@@ -175,18 +213,20 @@ def _reference_embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
 @pytest.mark.parametrize("n, k, D", [(1, 1, 3), (1, 3, 2), (2, 2, 2), (3, 1, 2), (2, 2, 0)])
 def test_xy_sum_matches_embedded_products(n, k, D):
     big = VarSet(nx=n, ny=n)
+    xy = _XYPacking(n, D)
     summands = []
     expected = LaurentPoly.zero(big)
     for i, lam in enumerate(shape_tuples_bounded(k, n, D)):
-        P = llt(SkewShapeTuple.straight(lam), n)
-        Q = llt(rotate(lam), n) if i % 2 else P
+        shape = SkewShapeTuple.straight(lam)
+        other = rotate(lam) if i % 2 else shape
+        P, Q = llt(shape, n), llt(other, n)
         a = d_stat(lam) - i     # negative and positive shifts both
-        summands.append((a, P, Q))
+        summands.append((a, _llt_counts(shape, xy), _llt_counts(other, xy)))
         expected = expected + LaurentPoly.t(big, a) * _reference_embed(
             P, big, False
         ) * _reference_embed(Q, big, True)
-    assert _xy_sum(n, summands) == expected
-    assert _xy_sum(n, []) == LaurentPoly.zero(big)
+    assert xy.poly(_xy_sum(xy, summands)) == expected
+    assert xy.poly(_xy_sum(xy, [])) == LaurentPoly.zero(big)
 
 
 def test_cauchy_multiplies_no_polynomials(monkeypatch):
@@ -218,7 +258,7 @@ def test_skew_cauchy_kernel_cut_matches_truncated_product(nkD):
     n, k, D = nkD
     for mu in shape_tuples_bounded(k, n, D):
         L_mu = llt(mu, n)
-        base = _xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
+        base = _tuple_xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
         full = (base * cauchy_kernel_truncated(n, k, D)).truncate_x(D)
         size = sum(map(sum, mu))
         assert base * cauchy_kernel_truncated(n, k, D - size) == full
@@ -259,17 +299,125 @@ def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
     (verify_skew_cauchy, (((1, 0), (0, 0)), 2, 2, 3), 21),
 ], ids=["cauchy", "cauchy-rot", "skew-cauchy"])
 def test_cauchy_drivers_llt_calls(verify, args, calls, monkeypatch):
-    # the shared shape loop computes L_lam only where a driver needs it
+    # the shared shape loop computes L_lam only where a driver needs it, and
+    # every L the drivers take comes through the one per-lam seam
     seen = []
-    real = identities.llt
+    real = identities._llt_counts
 
     def spy(*a, **kw):
         seen.append(a)
         return real(*a, **kw)
 
-    monkeypatch.setattr(identities, "llt", spy)
+    monkeypatch.setattr(identities, "_llt_counts", spy)
+    monkeypatch.setattr(identities, "llt", None)   # the tableau route never calls it
     assert verify(*args).passed
     assert len(seen) == calls
+
+
+# Every (n, k, D) that this file runs a Cauchy driver or kernel at.  The
+# k = 1 cases with n = 2 hold lam = ((D, 0),), whose L_lam(X) L_lam(Y) has
+# the term x1^D y1^D: there an x- and a y-exponent reach D exactly, so a
+# packed field too narrow for D carries and the sides differ.
+CAUCHY_CASES = [(1, 1, 0), (1, 1, 3), (1, 1, 4), (1, 2, 3), (1, 2, 4), (1, 3, 2), (1, 3, 4),
+                (2, 1, 3), (2, 1, 4), (2, 2, 0), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 3)]
+
+
+@pytest.fixture
+def first_sides(monkeypatch):
+    """The (lhs, rhs) of the first pair of every report built while it is live."""
+    sides = []
+    real = identities._check_pairs
+
+    def spy(name, params, pairs, *args, **kwargs):
+        sides.append(pairs[0][1:])
+        return real(name, params, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "_check_pairs", spy)
+    return sides
+
+
+@pytest.mark.parametrize("n, k, D", CAUCHY_CASES)
+def test_cauchy_sides_match_tuple_reference(n, k, D, first_sides):
+    lams = shape_tuples_bounded(k, n, D)
+    L = {lam: llt(lam, n) for lam in lams}
+    kernel = _tuple_kernel(n, k, D)
+    mu = shape_tuples_bounded(k, n, min(D, 1))[0]   # one box, or none at D = 0
+    inside = [lam for lam in lams if all(map(ge, chain(*lam), chain(*mu)))]
+    base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), LaurentPoly.one(VarSet(nx=n)))])
+    assert verify_cauchy(n, k, D).passed
+    assert verify_cauchy_rot(n, k, D).passed
+    assert verify_skew_cauchy(mu, n, k, D).passed
+    assert first_sides == [
+        (_tuple_xy_sum(n, [(d_stat(lam), L[lam], L[lam]) for lam in lams]), kernel),
+        (_tuple_xy_sum(n, [(0, L[lam], llt(rotate(lam), n)) for lam in lams]), kernel),
+        (_tuple_xy_sum(n, [(d_stat(lam), L[lam], llt(SkewShapeTuple(lam, mu), n)) for lam in inside]),
+         base * _tuple_kernel(n, k, D - sum(map(sum, mu)))),
+    ]
+    if k == 1 and n == 2 and D:
+        assert first_sides[0][0].terms[(D, 0, D, 0, 0)] == 1
+
+
+@pytest.mark.parametrize("engine", ["lattice", "both"])
+def test_cauchy_engines_give_the_tableaux_report(engine, first_sides):
+    for nkD in [(1, 2, 3), (2, 1, 4), (2, 2, 3)]:
+        expected = verify_cauchy(*nkD).to_json_dict()
+        expected["params"]["engine"] = engine
+        assert verify_cauchy(*nkD, engine=engine).to_json_dict() == expected
+        assert first_sides[-1] == first_sides[-2]
+
+
+def test_cauchy_both_engines_still_raise_a_mismatch(monkeypatch):
+    real = lattice.partition_function
+    monkeypatch.setattr(identities, "partition_function", lambda spec: real(spec) + 1)
+    assert verify_cauchy(1, 1, 2, engine="lattice").status == "FAIL"
+    with pytest.raises(identities.EngineMismatch):
+        verify_cauchy(1, 1, 2, engine="both")
+
+
+def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
+    n, k, D = 2, 2, 3
+    lams = shape_tuples_bounded(k, n, D)
+    extra = LaurentPoly.t(VarSet(nx=n, ny=n))   # not a term of any kernel
+
+    def wrong(n, k, D):
+        return cauchy_kernel_truncated(n, k, D) + extra
+
+    monkeypatch.setattr(identities, "cauchy_kernel_truncated", wrong)
+    mu = ((1, 0), (0, 0))
+    inside = [lam for lam in lams if all(map(ge, chain(*lam), chain(*mu)))]
+    base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), LaurentPoly.one(VarSet(nx=n)))])
+    expected = {
+        verify_cauchy: ("sum vs kernel", [(d_stat(lam), llt(lam, n), llt(lam, n)) for lam in lams],
+                        wrong(n, k, D)),
+        verify_cauchy_rot: ("rotated sum vs kernel", [(0, llt(lam, n), llt(rotate(lam), n))
+                                                      for lam in lams], wrong(n, k, D)),
+        verify_skew_cauchy: ("skew sum vs kernel", [
+            (d_stat(lam), llt(lam, n), llt(SkewShapeTuple(lam, mu), n)) for lam in inside
+        ], base * wrong(n, k, D - 1)),
+    }
+    for verify, (context, summands, rhs) in expected.items():
+        report = verify(mu, n, k, D) if verify is verify_skew_cauchy else verify(n, k, D)
+        assert report.status == "FAIL"
+        assert report.witness == {"context": context,
+                                  "lhs": _tuple_xy_sum(n, summands).to_json_dict(),
+                                  "rhs": rhs.to_json_dict()}
+
+
+def test_cauchy_rot_relation_witness_is_in_x_and_t(monkeypatch):
+    # d(comp) and d(lam) both one too high: their check passes and the
+    # rotation relation fails at the first lam; its witness is decoded in
+    # x_1..x_n and t, as L_lam is
+    real = identities._d_stat
+    monkeypatch.setattr(identities, "_d_stat", lambda lam: real(lam) + 1)
+    n, lam = 2, shape_tuples_bounded(2, 2, 3)[0]
+    P = llt(lam, n)
+    report = verify_cauchy_rot(n, 2, 3)
+    assert report.status == "FAIL"
+    assert report.witness == {
+        "context": f"rotation relation at {lam}",
+        "lhs": llt(rotate(lam), n).to_json_dict(),
+        "rhs": (LaurentPoly.t(P.vars, d_stat(lam) + 1) * P).to_json_dict(),
+    }
 
 
 def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):

@@ -308,9 +308,9 @@ def test_right_labels_that_differ_by_row():
 
 
 @pytest.mark.parametrize("bottom, top, right, message", [
-    ((2, 0), (0, 2), (0,), "not sets of colors among 1..1"),
-    ((3, 0), (0, 3), (0,), "not sets of colors among 1..1"),
-    ((-1, 0), (0, -1), (0,), "not sets of colors among 1..1"),
+    ((2, 0), (0, 2), (0,), "^bottom label 2 at column 0 is not a set of colors among 1..1$"),
+    ((3, 0), (0, 3), (0,), "^bottom label 3 at column 0 is not a set of colors among 1..1$"),
+    ((-1, 0), (0, -1), (0,), "^bottom label -1 at column 0 is not a set of colors among 1..1$"),
     ((1, 0), (0, 1, 0), (0,), "differ in length"),
     ((1, 0), (0, 1), (1,), "color 1 is not conserved"),
 ], ids=["color-2", "colors-1-2", "negative", "lengths", "conservation"])
@@ -318,6 +318,17 @@ def test_lattice_spec_refuses_bad_boundaries(bottom, top, right, message):
     # k = 1: a label naming color 2, or a negative label, is not a set of colors
     with pytest.raises(ValueError, match=message):
         LatticeSpec(k=1, r=0, bottom=bottom, top=top, right=right)
+
+
+@pytest.mark.parametrize("bottom, top, right, message", [
+    ((3, 4, 0), (1, 2, 0), (0, 0), "bottom label 4 at column 3"),
+    ((3, 1, 0), (1, 2, 5), (0, 0), "top label 5 at column 4"),
+    ((3, 1, 0), (1, 2, 1), (0, 4), "right label 4 at row 2"),
+], ids=["bottom", "top", "right"])
+def test_lattice_spec_names_the_side_and_place_of_a_bad_label(bottom, top, right, message):
+    # k = 2 and the columns start at r = 2: columns 2, 3, 4, rows 1, 2
+    with pytest.raises(ValueError, match=f"^{message} is not a set of colors among 1..2$"):
+        LatticeSpec(k=2, r=2, bottom=bottom, top=top, right=right)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
