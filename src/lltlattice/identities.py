@@ -3,7 +3,7 @@
 ``llt`` sits here, above both engines: it picks the tableau count or the
 lattice partition function, or runs both and raises ``EngineMismatch`` when
 they differ.  Every verifier returns an IdentityReport; FAIL always carries
-the two offending polynomials.  All randomness flows from an explicit seed.
+the two offending polynomials.  Inputs are fixed or enumerated, never drawn.
 The Cauchy-type identities are checked after truncating both sides at a
 total x-degree bound D, which is exact because each summand is homogeneous.
 Their sides are int keys of one layout, ``_XYPacking``: x_1..x_n, y_1..y_n
@@ -14,16 +14,14 @@ monomials is one int sum; each side is decoded to a polynomial once.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations, product
 from operator import ge, lshift
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from .shapes import (
-    Partition,
     ShapeTuple,
     SkewShapeTuple,
     _binom2,
@@ -339,8 +337,16 @@ def _cauchy_terms(xy: _XYPacking, k: int, D: int, engine: str = "tableaux", mu=N
             yield lam, shape, _llt_counts(shape, xy, engine)
 
 
+def _check_cauchy_params(n: int, k: int, D: int) -> None:
+    """The Cauchy drivers' one check, made before any work."""
+    for name, value, low in (("n", n, 1), ("k", k, 1), ("D", D, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}")
+
+
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
+    _check_cauchy_params(n, k, D)
     xy = _XYPacking(n, D)
     lhs = _xy_sum(xy, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(xy, k, D, engine)])
     rhs = cauchy_kernel_truncated(n, k, D)
@@ -351,6 +357,7 @@ def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityR
 
 def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     """Skew Cauchy identity; tuples not containing mu contribute nothing."""
+    _check_cauchy_params(n, k, D)
     mu = check_box_tuple(mu, n)
     if len(mu) != k:
         raise ValueError(f"mu must have {k} components")
@@ -379,6 +386,7 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
 
 def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
+    _check_cauchy_params(n, k, D)
     xy = _XYPacking(n, D)
     rhs = cauchy_kernel_truncated(n, k, D)
     summands = []
@@ -397,47 +405,33 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
         VarSet(nx=n), {(*e[:n], e[-1]): c for e, c in xy.decode(R).items()}))  # in x and t
 
 
-# -- randomized regression surfaces ----------------------------------------------
+# -- engine equivalence ------------------------------------------------------------
+
+# The family ``verify_engine_equivalence`` checks: every tuple of 1 or 2 skew
+# shapes beta/gamma, each with 1 or 2 declared rows and parts <= 2, at
+# n = 1, 2, 3 (26 shapes, 702 tuples, 2,106 equalities).
+_FAMILY_COMPONENTS = (1, 2)
+_FAMILY_MAX_ROWS = 2
+_FAMILY_MAX_PART = 2
+_FAMILY_N = (1, 2, 3)
 
 
-def random_partition(rng: random.Random, max_rows: int, max_part: int) -> Partition:
-    nrows = rng.randint(1, max_rows)
-    return tuple(sorted((rng.randint(0, max_part) for _ in range(nrows)), reverse=True))
+def _family_tuples():
+    """The family's skew tuples, each part list as in ``partitions_fixed_length``."""
+    singles = []
+    for rows in range(1, _FAMILY_MAX_ROWS + 1):
+        parts = combinations_with_replacement(range(_FAMILY_MAX_PART, -1, -1), rows)
+        singles += [(b, g) for b, g in product(parts, repeat=2) if all(map(ge, b, g))]
+    for k in _FAMILY_COMPONENTS:
+        for combo in product(singles, repeat=k):
+            yield SkewShapeTuple._trusted(*zip(*combo))
 
 
-def random_skew_tuple(rng: random.Random, max_k: int = 3, max_rows: int = 3,
-                      max_part: int = 3) -> SkewShapeTuple:
-    k = rng.randint(1, max_k)
-    beta = []
-    gamma = []
-    for _ in range(k):
-        b = random_partition(rng, max_rows, max_part)
-        # the i-th largest of values bounded by the (sorted) parts stays bounded
-        g = tuple(sorted((rng.randint(0, v) for v in b), reverse=True))
-        beta.append(b)
-        gamma.append(g)
-    return SkewShapeTuple(tuple(beta), tuple(gamma))
-
-
-def random_straight_tuple(rng: random.Random, k: int, n: int, max_part: int) -> ShapeTuple:
-    return tuple(
-        tuple(sorted((rng.randint(0, max_part) for _ in range(n)), reverse=True))
-        for _ in range(k)
-    )
-
-
-def verify_engine_equivalence(trials: int, seed: int) -> IdentityReport:
-    """Tableau and lattice engines agree on random skew tuples."""
-    rng = random.Random(seed)
-    pairs = []
-    for idx in range(trials):
-        shape = random_skew_tuple(rng)
-        n = rng.randint(1, 3)
-        pairs.append(
-            (
-                f"case {idx}: {shape.text()}, n={n}",
-                llt_coinv(shape, n),
-                partition_function(build_lattice(shape, n)),
-            )
-        )
-    return _check_pairs("engine-equivalence", {"trials": trials, "seed": seed}, pairs)
+def verify_engine_equivalence() -> IdentityReport:
+    """Tableau and lattice engines agree on every tuple of the fixed family."""
+    pairs = ((f"{shape.text()}, n={n}", llt_coinv(shape, n),
+              partition_function(build_lattice(shape, n)))
+             for shape in _family_tuples() for n in _FAMILY_N)
+    params = {"components": list(_FAMILY_COMPONENTS), "max_part": _FAMILY_MAX_PART,
+              "max_rows": _FAMILY_MAX_ROWS, "n": list(_FAMILY_N)}
+    return _check_pairs("engine-equivalence", params, pairs)

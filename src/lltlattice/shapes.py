@@ -102,7 +102,10 @@ def parse_shape_text(text: str, flag: str) -> ShapeTuple:
         parts = tuple(tuple(map(int, c.split(","))) for c in text.split(";"))
     except ValueError:
         raise ValueError(f"{flag} parts must be integers, not {text!r}") from None
-    return check_shape_tuple(parts)
+    try:
+        return check_shape_tuple(parts)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 # -- boundary data for the lattice ------------------------------------------

@@ -72,6 +72,21 @@ def test_compute_names_a_shape_flag_with_a_non_integer_part(flag, text, capsys):
     assert captured.err == f"error: {flag} parts must be integers, not {text!r}\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    ("compute --beta -1 --n 1", "--beta: negative part in (-1,)"),
+    ("verify hl --mu 1,2", "--mu: parts not weakly decreasing: (1, 2)"),
+    ("stats --beta 2 --gamma 3",
+     "--gamma does not fit --beta: containment fails: (3,) is not inside (2,)"),
+    ("verify symmetry --beta 2;1 --gamma 0",
+     "--gamma does not fit --beta: beta and gamma must have the same number of components"),
+])
+def test_shape_flag_errors_name_their_flag(command, message, capsys):
+    assert cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("engine", ["tableaux", "lattice", "both"])
 def test_compute_n0_exit_2(engine):
     out = run_cli("compute", "--beta", "2,1", "--n", "0", "--engine", engine)
@@ -160,14 +175,14 @@ def test_verify_cauchy_json():
 
 
 def test_verify_quick_suite():
-    out = run_cli("verify", "all", "--quick", "--seed", "5")
+    out = run_cli("verify", "all", "--quick")
     assert out.returncode == 0
     assert out.stdout.strip().splitlines()[-1].startswith("summary:")
 
 
 def test_verify_deterministic_output():
-    a = run_cli("verify", "all", "--quick", "--seed", "5", "--format", "json")
-    b = run_cli("verify", "all", "--quick", "--seed", "5", "--format", "json")
+    a = run_cli("verify", "all", "--quick", "--format", "json")
+    b = run_cli("verify", "all", "--quick", "--format", "json")
     assert a.stdout == b.stdout
 
 
@@ -179,7 +194,8 @@ def test_verify_bad_identity_exit_2():
 # First stdout line of `lltlattice verify <identity>` with default
 # parameters, as printed before the verify registry replaced the per-identity
 # dispatch; skew-cauchy (one box by default) and engine-equivalence came later,
-# and lstar's params later gained the engine it reads.
+# lstar's params later gained the engine it reads, and engine-equivalence
+# later checked a fixed family instead of seeded random draws.
 DEFAULT_VERIFY_LINES = {
     "ybe": "PASS ybe k=2 mode=symbolic checked=4096",
     "lstar-ybe": "PASS lstar-ybe k=2 mode=symbolic checked=4096",
@@ -193,7 +209,8 @@ DEFAULT_VERIFY_LINES = {
     "cauchy": 'PASS cauchy {"D": 3, "engine": "tableaux", "k": 2, "n": 2}',
     "cauchy-rot": 'PASS cauchy-rot {"D": 3, "k": 2, "n": 2}',
     "skew-cauchy": 'PASS skew-cauchy {"D": 3, "k": 2, "mu": [[1, 0], [0, 0]], "n": 2}',
-    "engine-equivalence": 'PASS engine-equivalence {"seed": 1, "trials": 3}',
+    "engine-equivalence": ('PASS engine-equivalence '
+                           '{"components": [1, 2], "max_part": 2, "max_rows": 2, "n": [1, 2, 3]}'),
 }
 
 
@@ -220,16 +237,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_verify_all_quick_output_golden(fmt, golden, capsys):
     # the quick suite runs numeric YBE at k = 3, which no single-identity
     # golden above reaches
-    assert cli.main(["verify", "all", "--quick", "--seed", "5", "--format", fmt]) == 0
-    expected = (GOLDEN / f"verify_all_quick_seed5.{golden}").read_text()
+    assert cli.main(["verify", "all", "--quick", "--format", fmt]) == 0
+    expected = (GOLDEN / f"verify_all_quick.{golden}").read_text()
     assert capsys.readouterr().out == expected
 
 
 def test_verify_all_output_golden(capsys):
-    # the full suite: 12 random shapes, the Cauchy grid, skew-cauchy and
+    # the full suite: 9 more shapes, the Cauchy grid, skew-cauchy and
     # engine-equivalence, none of which the quick suite runs
-    assert cli.main(["verify", "all", "--seed", "1"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "verify_all_seed1.txt").read_text()
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_all.txt").read_text()
 
 
 def _identity_parsers(parser=cli._PARSER) -> dict[str, argparse.ArgumentParser]:
@@ -246,7 +263,7 @@ def test_verify_registry_is_complete():
     assert set(DEFAULT_VERIFY_LINES) == set(cli.VERIFY)
     parse = cli.build_parser().parse_args
     for quick in (False, True):
-        runs = [parse(["verify", *c.split()]) for c in cli._suite(1, quick)]
+        runs = [parse(["verify", *c.split()]) for c in cli._suite(quick)]
         if not quick:
             assert {run.identity for run in runs} == set(cli.VERIFY)
         for run in runs:
@@ -500,7 +517,7 @@ def test_verify_engine_mismatch_exit_3(monkeypatch, capsys):
     assert captured.err.startswith("engine mismatch:\n  tableaux: ")
 
 
-@pytest.mark.parametrize("argv", [["verify", "symmetry"], ["verify", "all", "--quick", "--seed", "5"]])
+@pytest.mark.parametrize("argv", [["verify", "symmetry"], ["verify", "all", "--quick"]])
 def test_verify_error_after_the_builders_exit_2(argv, monkeypatch, capsys):
     def boom(shape, n, engine="tableaux"):
         raise ValueError("boom")

@@ -9,8 +9,10 @@ are 2 and 3, and the JSON form of the skew one.  The next four pin YBE runs that
 both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
 in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
 rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
-JSON, and two at k = 3, n = 3 in text.  The last command gives a flag that
-the top-level parser refuses: it prints nothing and exits 2.
+JSON, and two at k = 3, n = 3 in text.  The last three commands give a flag
+that their parser does not declare: one the top-level parser refuses, and the
+seed and trial count that ``verify all`` and ``engine-equivalence`` no longer
+take.  Each prints nothing and exits 2.
 
 The parser is built once, at import, so the last two tests run many
 commands through it in one process and check that no call rebuilds it.
@@ -46,13 +48,15 @@ COMMANDS = [
     "verify lstar --lam 2,1;1,0 --n 2 --M-list 4,5,6 --format json",
     "verify lstar --lam 1,1,0;1,0,0 --n 3 --M-list 4,5",
     "--foo compute --beta 1 --n 1",
+    "verify all --seed 5",
+    "verify engine-equivalence --trials 3",
 ]
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 SUITES = {  # verify all runs, with their goldens from tests/test_cli.py
-    "verify all --quick --seed 5": "verify_all_quick_seed5.txt",
-    "verify all --quick --format json --seed 5": "verify_all_quick_seed5.jsonl",
+    "verify all --quick": "verify_all_quick.txt",
+    "verify all --quick --format json": "verify_all_quick.jsonl",
 }
 
 
@@ -90,7 +94,7 @@ INTERLEAVED = {
 
 def test_reused_parser_gives_identical_output(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
-    goldens = [*COMMANDS, "verify all --quick --format json --seed 5"]
+    goldens = [*COMMANDS, "verify all --quick --format json"]
     order = 2 * [*goldens, *INTERLEAVED]
     random.Random(17).shuffle(order)
     first = {}
@@ -112,7 +116,7 @@ def test_no_call_rebuilds_the_parser(monkeypatch, capsys):
         "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2",
     "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2 --format json",
         "verify ybe --k 2 --mode symbolic",
-        "verify all --quick --seed 5",
+        "verify all --quick",
     ]:
         out, _, code = run(command, capsys)
         assert (out, code) == golden(command), command

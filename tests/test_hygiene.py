@@ -88,7 +88,6 @@ def test_guard_sees_a_dead_helper():
 # __init__ only re-exports), each with why it stays: a reference the tests
 # compare against, a lemma of the paper, or a library entry point.
 UNCALLED_PUBLIC = {
-    "identities.py: random_straight_tuple": "entry point: random box tuples, the tests' inputs",
     "lattice.py: lstar_weight": "reference: the paper's gray face weight, for gray_rows",
     "lattice.py: enumerate_configs": "reference: the configurations partition_function counts",
     "lattice.py: ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
@@ -126,6 +125,31 @@ def test_guard_sees_an_uncalled_public_name():
     }
     assert _unreferenced(sources, private=False, named={"verify_x"}) == ["a.py: lemma"]
     assert _unreferenced(sources, private=False) == ["a.py: lemma", "a.py: verify_x"]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_only_yangbaxter_imports_random():
+    # numeric Yang-Baxter is the one seeded check; every other input is fixed
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "random" in _imported_modules(path.read_text())]
+    assert importers == ["yangbaxter.py"]
+
+
+def test_guard_sees_a_random_import():
+    for source in ("import random\n", "from random import Random\n",
+                   "def f():\n    import random.x as r\n"):
+        assert _imported_modules(source) == {"random"}
+    assert _imported_modules("from . import random\nfrom .shapes import rotate\n") == set()
 
 
 def _function_imports(source: str) -> list[str]:

@@ -13,7 +13,6 @@ from lltlattice.identities import (
     cauchy_kernel_truncated,
     llt,
     partitions_fixed_length,
-    random_skew_tuple,
     shape_tuples_bounded,
     verify_box_skew,
     verify_cauchy,
@@ -28,6 +27,7 @@ from lltlattice.identities import (
     verify_symmetry,
 )
 from lltlattice.shapes import SkewShapeTuple, d_stat, rotate
+from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -87,8 +87,6 @@ def test_complement_identity():
 
 def test_complement_random():
     rng = random.Random(23)
-    from lltlattice.identities import random_straight_tuple
-
     for _ in range(6):
         k, n = rng.randint(1, 2), rng.randint(1, 2)
         lam = random_straight_tuple(rng, k, n, 2)
@@ -509,7 +507,37 @@ def test_partition_enumeration_helpers():
 
 
 def test_engine_equivalence_driver():
-    assert verify_engine_equivalence(10, seed=3).passed
+    report = verify_engine_equivalence()
+    assert report.passed
+    assert report.params == {"components": [1, 2], "max_part": 2, "max_rows": 2, "n": [1, 2, 3]}
+    assert report.details == {"equalities_checked": 2106}
+
+
+def test_engine_equivalence_names_the_failing_tuple(monkeypatch):
+    shape, n = SkewShapeTuple(((2, 1), (1,)), ((1, 0), (0,))), 2
+    bad = lattice.build_lattice(shape, n)
+    real = identities.partition_function
+    monkeypatch.setattr(identities, "partition_function",
+                        lambda spec: real(spec) + real(spec) if spec == bad else real(spec))
+    report = verify_engine_equivalence()
+    assert report.status == "FAIL"
+    assert report.witness["context"] == "2,1;1/1,0;0, n=2"
+    assert report.witness["lhs"] == llt(shape, n).to_json_dict()
+
+
+@pytest.mark.parametrize("verify, mu", [(verify_cauchy, ()), (verify_cauchy_rot, ()),
+                                        (verify_skew_cauchy, (((0,),),))],
+                         ids=["cauchy", "cauchy-rot", "skew-cauchy"])
+@pytest.mark.parametrize("n, k, D, message", [
+    (0, 1, 2, "n must be at least 1"),
+    (1, 0, 2, "k must be at least 1"),
+    (1, 1, -1, "D must be at least 0"),
+])
+def test_cauchy_drivers_refuse_bad_parameters(verify, mu, n, k, D, message):
+    # checked before any work: a skew-cauchy mu of 1 part would otherwise fail
+    # against n = 0 and against k = 0 first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify(*mu, n, k, D)
 
 
 def test_cross_engine_verifiers():

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet
-from lltlattice.identities import random_skew_tuple, random_straight_tuple
 from lltlattice.lattice import (
     LatticeConfig,
     LatticeSpec,
@@ -28,6 +27,7 @@ from lltlattice.lattice import (
 )
 from lltlattice.shapes import SkewShapeTuple, d_stat
 from lltlattice.tableaux import TableauTuple, coinv, enumerate_ssyt, llt_coinv
+from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lltlattice import tableaux
 from lltlattice.algebra import LaurentPoly, VarSet
-from lltlattice.identities import random_skew_tuple, shape_tuples_bounded
+from lltlattice.identities import shape_tuples_bounded
 from lltlattice.lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from lltlattice.shapes import SkewShapeTuple, inv_stat, m_bruteforce, triples
 from lltlattice.tableaux import (
@@ -29,6 +29,7 @@ from lltlattice.tableaux import (
     llt_inv,
     schur,
 )
+from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -411,8 +412,6 @@ def test_complement_bijection_worked_example():
 
 def test_complement_bijection_involution():
     rng = random.Random(17)
-    from lltlattice.identities import random_straight_tuple
-
     for _ in range(20):
         k, n = rng.randint(1, 3), rng.randint(1, 3)
         lam = random_straight_tuple(rng, k, n, 2)
@@ -435,7 +434,6 @@ def test_complement_bijection_weight():
 
 
 def test_complement_bijection_coinv_difference():
-    from lltlattice.identities import random_straight_tuple
     from lltlattice.shapes import dtilde_stat
 
     rng = random.Random(29)
