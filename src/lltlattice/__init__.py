@@ -16,7 +16,6 @@ from .shapes import (
 )
 from .tableaux import (
     TableauTuple,
-    coinv,
     complement_bijection,
     enumerate_ssyt,
     hl_modified,
@@ -33,8 +32,6 @@ from .lattice import (
     config_to_ssyt,
     enumerate_configs,
     gray_rows,
-    l_weight,
-    lstar_weight,
     partition_function,
     rotate_config,
     ssyt_to_config,
@@ -47,8 +44,6 @@ from .yangbaxter import (
     r_recursive,
     r_weight,
     ybe_check,
-    ybe_droite,
-    ybe_gauche,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -41,12 +41,6 @@ class VarSet:
             raise IndexError(f"x_{i} not in variable set")
         return i - 1
 
-    def y_index(self, j: int) -> int:
-        """Slot of y_j (1-based j)."""
-        if not 1 <= j <= self.ny:
-            raise IndexError(f"y_{j} not in variable set")
-        return self.nx + j - 1
-
     @property
     def t_index(self) -> int:
         return self.nx + self.ny
@@ -179,14 +173,6 @@ class LaurentPoly:
         return cls(vars, {tuple(exps): 1})
 
     @classmethod
-    def x(cls, vars: VarSet, i: int, power: int = 1) -> "LaurentPoly":
-        return cls.variable(vars, vars.x_index(i), power)
-
-    @classmethod
-    def y(cls, vars: VarSet, j: int, power: int = 1) -> "LaurentPoly":
-        return cls.variable(vars, vars.y_index(j), power)
-
-    @classmethod
     def t(cls, vars: VarSet, power: int = 1) -> "LaurentPoly":
         return cls.variable(vars, vars.t_index, power)
 
@@ -267,15 +253,6 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in canonical order (lexicographically decreasing exponents)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def coeff(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
-    def min_t_power(self) -> int:
-        ti = self.vars.t_index
-        if not self.terms:
-            return 0
-        return min(e[ti] for e in self.terms)
 
     # -- the operations the rest of the library leans on --------------------
 
@@ -374,19 +351,6 @@ class LaurentPoly:
 
     def serialize(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentPoly":
-        v = data["vars"]
-        if not v.get("t", True):
-            raise ValueError("the variable set must end in t")
-        vars = VarSet(nx=int(v["nx"]), ny=int(v.get("ny", 0)))
-        terms = {tuple(item["e"]): int(item["c"]) for item in data["terms"]}
-        return cls(vars, terms)
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        return cls.from_json_dict(json.loads(text))
 
     def to_text(self) -> str:
         """Human-readable form, terms in canonical order."""

@@ -172,6 +172,13 @@ def verify_modified_hl(mu, n: int) -> IdentityReport:
 # -- box and complement dualities ------------------------------------------------
 
 
+def _check_box_width(M: int, n: int) -> None:
+    """The box drivers' check that an (M - n)^n box exists, made before any
+    other."""
+    if M < n:
+        raise ValueError(f"M must be at least n, not M = {M} with n = {n}")
+
+
 def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
     width = M - n
     box = tuple((width,) * n for _ in lam)
@@ -180,6 +187,7 @@ def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
 
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
+    _check_box_width(M, n)
     lam = check_box_tuple(lam, n, M)
     comp = _complement(lam, M - n)
     d, d_comp = _d_stat(lam), _d_stat(comp)
@@ -199,6 +207,7 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
 
 def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
+    _check_box_width(M, n)
     lam = check_box_tuple(lam, n, M)
     dtilde = _dtilde_stat(lam, M)
     lhs = llt(lam, n, engine)
@@ -225,9 +234,13 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     (x^rho)^k t^(C(n,2)C(k,2)+d(lam)) L_lam, and differs from the top-exit
     gray lattice (box top boundary) by the displayed monomial.
     """
+    Ms = sorted(set(int(M) for M in Ms))
+    if not Ms:
+        raise ValueError("the M list must hold at least one M")
+    for M in Ms:
+        _check_box_width(M, n)
     lam = check_box_tuple(lam, n)
     k = len(lam)
-    Ms = sorted(set(int(M) for M in Ms))
     d = _d_stat(lam)
     base = llt(lam, n, engine)
     vars = base.vars

@@ -97,21 +97,6 @@ def gray_rows(P: LaurentPoly, k: int, faces: int) -> LaurentPoly:
     return LaurentPoly._trusted(P.vars, out)
 
 
-def l_weight(k: int, I, J, K, L) -> LaurentPoly:
-    """Face weight in x and t; labels are 0/1 tuples or masks.
-
-    Inadmissible faces get weight 0.
-    """
-    vars = VarSet(nx=1)
-    data = face_weight_exponents(*masks(k, I, J, K, L))
-    return LaurentPoly.zero(vars) if data is None else LaurentPoly.monomial(vars, 1, data)
-
-
-def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
-    """Gray face weight x^k t^C(k,2) L_{1/(x t^(k-1))}(I,J;K,L)."""
-    return gray_rows(l_weight(k, I, J, K, L), k, 1)
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Boundary data of a lattice: bottom and top labels of the columns

@@ -5,15 +5,20 @@ declared number of parts; trailing zeros are significant.  A k-tuple of skew
 shapes is a pair of such tuples (beta, gamma) with componentwise containment.
 Cells use French convention: row 1 at the bottom, cell (row, col) has content
 col - row, and columns strictly increase going up.
+
+A triple of components a < b is a pair of adjacent positions u, w in one row
+of b (either may lie just outside the shape) with a cell v of a on the
+content line of w.  ``_pair_triples`` is the package's one enumeration of
+triples: ``m_bruteforce`` counts them, and the tableau engine counts the
+coinversions among them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import ge
-from typing import NamedTuple
+from itertools import accumulate, combinations
+from operator import ge, sub
 
 Partition = tuple[int, ...]
 ShapeTuple = tuple[Partition, ...]
@@ -133,70 +138,55 @@ def bandwidth(shape: SkewShapeTuple) -> int:
 # -- triples ------------------------------------------------------------------
 
 
-class Triple(NamedTuple):
-    """One triple of a skew tuple.
-
-    The cells u, w sit in row ``row`` of component ``b`` at columns ``q`` and
-    ``q+1``; v is the cell of the earlier component ``a`` on the content line
-    of w.  ``u_inside``/``w_inside`` say whether u/w carry entries; otherwise
-    their entry roles are the sentinels 0 and infinity.
-    """
-
-    a: int
-    v_row: int
-    v_col: int
-    b: int
-    row: int
-    q: int
-    u_inside: bool
-    w_inside: bool
+def _row_starts(beta: Partition, gamma: Partition) -> list[int]:
+    """starts[row - 1] + col is the flat position of cell (row, col)."""
+    ends = accumulate(map(sub, beta, gamma), initial=0)
+    return [end - g - 1 for end, g in zip(ends, gamma)]
 
 
 @lru_cache(maxsize=1024)
-def triples(shape: SkewShapeTuple) -> tuple[Triple, ...]:
-    """All triples, enumerated directly from the definition.
+def _pair_positions(beta_a: Partition, gamma_a: Partition,
+                    beta_b: Partition, gamma_b: Partition) -> tuple[tuple[int, int, int], ...]:
+    """The triples of components a < b as (pos_v in a, pos_u in b, pos_w in
+    b), each a flat cell position in ``SkewShapeTuple.cells`` order; they
+    depend on the two components only.
 
-    For components a < b, each row of b contributes the adjacent pairs
-    (u, w) = ((row, q), (row, q+1)) for q from gamma_row to beta_row; u is
-    outside the shape at q = gamma_row (column 0 included when gamma_row = 0)
-    and w is outside at q = beta_row.  Every cell v of component a on the
-    content line of w completes a triple.
+    Each row of b gives the adjacent pairs (u, w) = ((row, q), (row, q+1))
+    for q from gamma_row to beta_row; u is outside the shape at q =
+    gamma_row (column 0 included when gamma_row = 0) and w is outside at q =
+    beta_row, and an outside u or w is -1.  Each cell v of a on the content
+    line of w completes a triple.
     """
-    k = shape.k
-    by_content: list[dict[int, list[tuple[int, int]]]] = []
-    for i in range(k):
-        d: dict[int, list[tuple[int, int]]] = {}
-        for (row, col) in shape.cells(i):
-            d.setdefault(col - row, []).append((row, col))
-        by_content.append(d)
-
+    rows_a = list(zip(range(1, len(beta_a) + 1), gamma_a, beta_a, _row_starts(beta_a, gamma_a)))
     out = []
-    for b in range(k):
-        betab, gammab = shape.beta[b], shape.gamma[b]
-        for row in range(1, len(betab) + 1):
-            lo, hi = gammab[row - 1], betab[row - 1]
-            for q in range(lo, hi + 1):
-                w_content = q + 1 - row
-                for a in range(b):
-                    for (vr, vc) in by_content[a].get(w_content, ()):
-                        out.append(
-                            Triple(
-                                a=a,
-                                v_row=vr,
-                                v_col=vc,
-                                b=b,
-                                row=row,
-                                q=q,
-                                u_inside=q > lo,
-                                w_inside=q + 1 <= hi,
-                            )
-                        )
+    for row, lo, hi, start in zip(range(1, len(beta_b) + 1), gamma_b, beta_b,
+                                  _row_starts(beta_b, gamma_b)):
+        for q in range(lo, hi + 1):
+            pos_u = start + q if q > lo else -1
+            pos_w = start + q + 1 if q < hi else -1
+            for v_row, v_lo, v_hi, v_start in rows_a:
+                v_col = q + 1 - row + v_row     # on the content line of w
+                if v_lo < v_col <= v_hi:
+                    out.append((v_start + v_col, pos_u, pos_w))
     return tuple(out)
+
+
+def _pair_triples(shape: SkewShapeTuple) -> dict[tuple[int, int], tuple[tuple[int, int, int], ...]]:
+    """All triples of the tuple as flat cell positions, grouped by the
+    components a < b that share at least one triple (see ``_pair_positions``)."""
+    comps = list(zip(shape.beta, shape.gamma))
+    pairs = {}
+    for b, (beta_b, gamma_b) in enumerate(comps):
+        for a, (beta_a, gamma_a) in enumerate(comps[:b]):
+            trips = _pair_positions(beta_a, gamma_a, beta_b, gamma_b)
+            if trips:
+                pairs[a, b] = trips
+    return pairs
 
 
 def m_bruteforce(shape: SkewShapeTuple) -> int:
     """Total number of triples, by direct enumeration."""
-    return len(triples(shape))
+    return sum(map(len, _pair_triples(shape).values()))
 
 
 def m_formula(beta: ShapeTuple) -> int:

@@ -9,12 +9,13 @@ inversion statistic counts attacking inversions.  Their sum over one shape is
 the shape's total triple count, independent of the filling.
 
 ``llt_coinv`` builds no tableau tuple and sorts nothing: it takes each
-component's fillings once, tabulates the coinversion triples of every pair
-of components over pairs of fillings, and counts packed monomials while it
-folds the components (a shape with only a handful of tuples counts each
-tuple's triples directly instead).  ``enumerate_ssyt``, ``coinv`` and
-``llt_inv`` work tableau by tableau; ``llt_inv`` is the independent route
-that the inv/coinv relation is checked against.
+component's fillings once, reads each pair of components' triples from
+``shapes._pair_triples`` (the package's one enumeration of triples),
+tabulates their coinversions over pairs of fillings, and counts packed
+monomials while it folds the components (a shape with only a handful of
+tuples counts each tuple's triples directly instead).  ``enumerate_ssyt``
+and ``llt_inv`` work tableau by tableau; ``llt_inv`` is the independent
+route that the inv/coinv relation is checked against.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .shapes import (
     Partition,
     SkewShapeTuple,
     _complement,
+    _pair_triples,
     check_box_tuple,
     check_partition,
     n_stat,
-    triples,
 )
 
 INF = float("inf")
@@ -103,33 +104,6 @@ def enumerate_ssyt(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
     return [TableauTuple(shape, combo) for combo in product(*per_comp)]
 
 
-def _triple_entries(T: TableauTuple, tr):
-    a = T.entry(tr.b, tr.row, tr.q) if tr.u_inside else 0
-    c = T.entry(tr.b, tr.row, tr.q + 1) if tr.w_inside else INF
-    b = T.entry(tr.a, tr.v_row, tr.v_col)
-    return a, b, c
-
-
-def coinv(T: TableauTuple) -> int:
-    """Number of coinversion triples (a <= b <= c)."""
-    total = 0
-    for tr in triples(T.shape):
-        a, b, c = _triple_entries(T, tr)
-        if a <= b <= c:
-            total += 1
-    return total
-
-
-def inv_triples(T: TableauTuple) -> int:
-    """Number of inversion triples (b < a <= c or a <= c < b)."""
-    total = 0
-    for tr in triples(T.shape):
-        a, b, c = _triple_entries(T, tr)
-        if b < a <= c or a <= c < b:
-            total += 1
-    return total
-
-
 def attacking_inversions(T: TableauTuple) -> int:
     """Attacking pairs whose larger entry comes first in reading order: by
     adjusted content (col - row) k + component, then SW to NE."""
@@ -150,49 +124,6 @@ def attacking_inversions(T: TableauTuple) -> int:
 
 def inv(T: TableauTuple) -> int:
     return attacking_inversions(T)
-
-
-def _row_starts(beta: Partition, gamma: Partition) -> list[int]:
-    """starts[row - 1] + col is the flat position of cell (row, col)."""
-    ends = accumulate(map(sub, beta, gamma), initial=0)
-    return [end - g - 1 for end, g in zip(ends, gamma)]
-
-
-@lru_cache(maxsize=1024)
-def _pair_positions(beta_a: Partition, gamma_a: Partition,
-                    beta_b: Partition, gamma_b: Partition) -> tuple[tuple[int, int, int], ...]:
-    """The triples of components a < b as (pos_v in a, pos_u in b, pos_w in
-    b), with -1 for a u or w outside; they depend on the two components only.
-
-    As in ``triples``: each row of b gives the pairs (u, w) = ((row, q),
-    (row, q+1)) for q from gamma_row to beta_row, and each cell v of a on
-    the content line of w completes a triple.
-    """
-    rows_a = list(zip(range(1, len(beta_a) + 1), gamma_a, beta_a, _row_starts(beta_a, gamma_a)))
-    out = []
-    for row, lo, hi, start in zip(range(1, len(beta_b) + 1), gamma_b, beta_b,
-                                  _row_starts(beta_b, gamma_b)):
-        for q in range(lo, hi + 1):
-            pos_u = start + q if q > lo else -1
-            pos_w = start + q + 1 if q < hi else -1
-            for v_row, v_lo, v_hi, v_start in rows_a:
-                v_col = q + 1 - row + v_row     # on the content line of w
-                if v_lo < v_col <= v_hi:
-                    out.append((v_start + v_col, pos_u, pos_w))
-    return tuple(out)
-
-
-def _pair_triples(shape: SkewShapeTuple) -> dict[tuple[int, int], tuple[tuple[int, int, int], ...]]:
-    """``triples(shape)`` as flat cell positions, grouped by components a < b
-    that share at least one triple (see ``_pair_positions``)."""
-    comps = list(zip(shape.beta, shape.gamma))
-    pairs = {}
-    for b, (beta_b, gamma_b) in enumerate(comps):
-        for a, (beta_a, gamma_a) in enumerate(comps[:b]):
-            trips = _pair_positions(beta_a, gamma_a, beta_b, gamma_b)
-            if trips:
-                pairs[a, b] = trips
-    return pairs
 
 
 def _coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:

@@ -258,17 +258,6 @@ def _side_poly(side: dict) -> LaurentPoly:
     return LaurentPoly._trusted(YBE_VARS, _PACKING.decode(side))
 
 
-def ybe_gauche(k: int, boundary) -> LaurentPoly:
-    """Left side of the intertwining sum for one boundary, symbolically."""
-    I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _side_poly(_gauche_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
-
-
-def ybe_droite(k: int, boundary) -> LaurentPoly:
-    I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _side_poly(_droite_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
-
-
 @dataclass
 class YbeReport:
     name: str

@@ -26,7 +26,6 @@ from lltlattice.lattice import (
     build_lattice,
     enumerate_configs,
     face_weight_exponents,
-    l_weight,
     mask_of,
     partition_function,
     rotate_config,
@@ -40,15 +39,9 @@ from lltlattice.shapes import (
     m_formula,
     n_stat,
 )
-from lltlattice.tableaux import coinv, complement_bijection, enumerate_ssyt, llt_coinv
-from lltlattice.yangbaxter import (
-    l_recursive,
-    r_recursive,
-    r_weight,
-    ybe_check,
-    ybe_droite,
-    ybe_gauche,
-)
+from lltlattice.tableaux import complement_bijection, enumerate_ssyt, llt_coinv
+from lltlattice.yangbaxter import l_recursive, r_recursive, r_weight, ybe_check
+from reference import coinv, l_weight, ybe_droite, ybe_gauche
 from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))

@@ -33,7 +33,7 @@ def test_tracer_installs_and_uninstalls():
         assert identities.verify_skew_cauchy(((1,), (0,)), 1, 2, 2).passed
         # the Cauchy sums multiply no polynomials; one explicit product
         # exercises the multiplication counter
-        x = LaurentPoly.x(VarSet(nx=1), 1)
+        x = LaurentPoly.variable(VarSet(nx=1), 0)
         assert (x + 1) * (x + 1) == LaurentPoly(x.vars, {(2, 0): 1, (1, 0): 2, (0, 0): 1})
     finally:
         tracer.uninstall()

@@ -1,7 +1,8 @@
 """Every module-level import in the package's modules is used by the module,
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
-function imports anything, and every functools cache is bounded."""
+function imports anything, no module imports the tests' helpers, and every
+functools cache is bounded."""
 
 import ast
 import functools
@@ -85,26 +86,22 @@ def test_guard_sees_a_dead_helper():
 
 
 # Public functions and classes that no module of the package calls (its
-# __init__ only re-exports), each with why it stays: a reference the tests
-# compare against, a lemma of the paper, or a library entry point.
+# __init__ only re-exports), each with why it stays: a lemma of the paper or
+# a library entry point.  References that only the tests compare against
+# live in tests/reference.py.
 UNCALLED_PUBLIC = {
-    "lattice.py: lstar_weight": "reference: the paper's gray face weight, for gray_rows",
-    "lattice.py: enumerate_configs": "reference: the configurations partition_function counts",
+    "lattice.py: enumerate_configs": "lemma: the configurations partition_function counts",
     "lattice.py: ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
     "lattice.py: config_to_ssyt": "lemma: configurations back to tableau tuples",
     "lattice.py: rotate_config": "lemma: the 180-degree rotation of box configurations",
     "shapes.py: complement": "entry point: the box complement of a checked tuple",
     "shapes.py: dtilde_stat": "entry point: the statistic d-tilde of a checked tuple",
-    "tableaux.py: coinv": "reference: one tuple's coinv by triples, for llt_coinv's tables",
-    "tableaux.py: inv_triples": "reference: one tuple's inv by triples, for inv",
     "tableaux.py: complement_bijection": "lemma: the column-complement bijection",
-    "tableaux.py: schur": "reference: one-component LLT polynomials are Schur polynomials",
+    "tableaux.py: schur": "entry point: one-component LLT polynomials are Schur polynomials",
     "yangbaxter.py: r_weight": "entry point: the closed-form crossing weight",
     "yangbaxter.py: ef_weight": "lemma: the single-color E, F, Etilde and Ftilde weights",
     "yangbaxter.py: l_recursive": "lemma: the color recursion of the face weight",
     "yangbaxter.py: r_recursive": "lemma: the color recursion of the crossing weight",
-    "yangbaxter.py: ybe_gauche": "reference: one boundary's left side, for the block sums",
-    "yangbaxter.py: ybe_droite": "reference: one boundary's right side, for the block sums",
 }
 
 
@@ -114,7 +111,7 @@ def test_uncalled_public_names_are_listed():
     sources = {path.name: path.read_text() for path in MODULES}
     assert sorted(_unreferenced(sources, private=False, named=verifiers)) == sorted(UNCALLED_PUBLIC)
     kinds = {reason.partition(":")[0] for reason in UNCALLED_PUBLIC.values()}
-    assert kinds <= {"reference", "lemma", "entry point"}
+    assert kinds <= {"lemma", "entry point"}
 
 
 def test_guard_sees_an_uncalled_public_name():
@@ -143,6 +140,14 @@ def test_only_yangbaxter_imports_random():
     importers = [path.name for path in sorted(SRC.glob("*.py"))
                  if "random" in _imported_modules(path.read_text())]
     assert importers == ["yangbaxter.py"]
+
+
+def test_no_module_imports_the_test_helpers():
+    # the definition-level references and the random shape generators are
+    # tests/reference.py and tests/shapegen.py, for the tests alone
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if _imported_modules(path.read_text()) & {"reference", "shapegen"}]
+    assert importers == []
 
 
 def test_guard_sees_a_random_import():

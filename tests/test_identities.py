@@ -125,7 +125,8 @@ def _reference_kernel(n, k, D):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for m in range(k):
-                unit = LaurentPoly.x(vars, i) * LaurentPoly.y(vars, j) * LaurentPoly.t(vars, m)
+                unit = (LaurentPoly.variable(vars, i - 1) * LaurentPoly.variable(vars, n + j - 1)
+                        * LaurentPoly.t(vars, m))
                 series = LaurentPoly.one(vars)
                 power = LaurentPoly.one(vars)
                 for _ in range(D):
@@ -157,7 +158,7 @@ def _tuple_kernel(n, k, D):
         for j in range(1, n + 1):
             for m in range(k):
                 step = [0] * vars.total
-                step[vars.x_index(i)] = step[vars.y_index(j)] = 1
+                step[vars.x_index(i)] = step[vars.nx + j - 1] = 1
                 step[vars.t_index] = m
                 for below, grade in zip(graded, graded[1:]):
                     for e, c in below.items():
@@ -202,7 +203,7 @@ def _reference_embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
     for e, c in p.terms.items():
         exps = [0] * big.total
         for i in range(n):
-            exps[big.y_index(i + 1) if into_y else big.x_index(i + 1)] = e[i]
+            exps[big.nx + i if into_y else big.x_index(i + 1)] = e[i]
         exps[big.t_index] = e[-1]
         terms[tuple(exps)] = c
     return LaurentPoly(big, terms)
@@ -538,6 +539,23 @@ def test_cauchy_drivers_refuse_bad_parameters(verify, mu, n, k, D, message):
     # against n = 0 and against k = 0 first
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify(*mu, n, k, D)
+
+
+def test_lstar_refuses_an_empty_M_list():
+    with pytest.raises(ValueError, match="^the M list must hold at least one M$"):
+        verify_lstar(((1, 0),), 2, ())
+
+
+@pytest.mark.parametrize("verify, args", [
+    (verify_box_skew, (((1, 0),), 1, 2)),
+    (verify_complement, (((1, 0),), 1, 2)),
+    (verify_lstar, (((1, 0),), 2, (3, 1))),
+], ids=["box-skew", "complement", "lstar"])
+def test_box_drivers_refuse_M_below_n(verify, args):
+    # checked before lam is fitted to the box, which would name a box of
+    # width M - n = -1
+    with pytest.raises(ValueError, match="^M must be at least n, not M = 1 with n = 2$"):
+        verify(*args)
 
 
 def test_cross_engine_verifiers():

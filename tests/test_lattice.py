@@ -18,15 +18,14 @@ from lltlattice.lattice import (
     enumerate_configs,
     face_weight_exponents,
     gray_rows,
-    l_weight,
-    lstar_weight,
     mask_of,
     partition_function,
     rotate_config,
     ssyt_to_config,
 )
 from lltlattice.shapes import SkewShapeTuple, d_stat
-from lltlattice.tableaux import TableauTuple, coinv, enumerate_ssyt, llt_coinv
+from lltlattice.tableaux import TableauTuple, enumerate_ssyt, llt_coinv
+from reference import coinv, l_weight, lstar_weight
 from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))

@@ -17,8 +17,8 @@ from lltlattice.shapes import (
     m_formula,
     n_stat,
     rotate,
-    triples,
 )
+from reference import triples
 
 WORKED_SKEW = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
 

@@ -7,7 +7,6 @@ import pytest
 
 from lltlattice import cli, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
-from lltlattice.lattice import l_weight, lstar_weight
 from lltlattice.yangbaxter import (
     _PACKING,
     YBE_VARS,
@@ -23,9 +22,8 @@ from lltlattice.yangbaxter import (
     r_recursive,
     r_weight,
     ybe_check,
-    ybe_droite,
-    ybe_gauche,
 )
+from reference import l_weight, lstar_weight, ybe_droite, ybe_gauche
 
 
 def mono(xe=0, ye=0, te=0, c=1):
