@@ -173,8 +173,10 @@ def verify_modified_hl(mu, n: int) -> IdentityReport:
 
 
 def _check_box_width(M: int, n: int) -> None:
-    """The box drivers' check that an (M - n)^n box exists, made before any
-    other."""
+    """The box drivers' checks that n is positive and that an (M - n)^n box
+    exists, made before any other."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if M < n:
         raise ValueError(f"M must be at least n, not M = {M} with n = {n}")
 

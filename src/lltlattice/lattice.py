@@ -222,13 +222,13 @@ def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
 
 
 def _row_transitions(spec: LatticeSpec):
-    """The row step of spec: step(row, state) yields (tops, x-exp, t-exp,
-    rights) for every admissible row above state whose tops can still reach
-    spec.top (on the last row, reach it).  States and tops hold each color's
-    columns, rights each color's right mask; the weight is plain: x counts
-    the right steps, and t, for each pair of colors i < j, the faces where i
-    leaves right and j is present.  Each color's moves are computed once per
-    step function, keyed by color, bottoms, exit bit and last row or not.
+    """The row step of spec: step(row, state) yields (tops, x-exp, t-exp)
+    for every admissible row above state whose tops can still reach spec.top
+    (on the last row, reach it).  States and tops hold each color's columns;
+    the weight is plain: x counts the right steps, and t, for each pair of
+    colors i < j, the faces where i leaves right and j is present.  Each
+    color's moves are computed once per step function, keyed by color,
+    bottoms, exit bit and last row or not.
     """
     ncols, caps = spec.ncols, spec.columns[1]
     moves: dict[tuple, list] = {}
@@ -251,7 +251,7 @@ def _row_transitions(spec: LatticeSpec):
                 xexp += right.bit_count()
                 for present in presents[i + 1:]:
                     texp += (right & present).bit_count()
-            yield tops, xexp, texp, rights
+            yield tops, xexp, texp
 
     return step
 
@@ -273,7 +273,7 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
         xslot = row - 1
         nxt: dict[tuple, dict[tuple, int]] = {}
         for state, terms in states.items():
-            for tops, xexp, texp, _ in step(row, state):
+            for tops, xexp, texp in step(row, state):
                 bucket = nxt.setdefault(tops, {})
                 for e, c in terms.items():
                     ne = list(e)
@@ -290,34 +290,42 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """A fully labelled lattice: vertical labels on n+1 levels (level 0 is
-    the bottom boundary) and horizontal labels on n rows, ncols+1 boundaries
-    each (boundary 0 is the left edge)."""
+    """A fully labelled lattice, held as its vertical labels on n+1 levels
+    (level 0 is the bottom boundary, level n the top).  They fix the
+    horizontal labels: the left edge is empty and every face conserves
+    colors, so each face passes right the colors that enter it and do not
+    leave through its top."""
 
     spec: LatticeSpec
     verticals: tuple[tuple[int, ...], ...]
-    horizontals: tuple[tuple[int, ...], ...]
 
-    def face(self, row: int, col_index: int) -> tuple[int, int, int, int]:
-        """(I, J, K, L) of the face at 1-based row and 0-based column index."""
-        return (
-            self.verticals[row - 1][col_index],
-            self.horizontals[row - 1][col_index],
-            self.verticals[row][col_index],
-            self.horizontals[row - 1][col_index + 1],
-        )
+    def faces(self, row: int):
+        """(I, J, K, L) of each face of the 1-based row, left to right."""
+        J = 0
+        for I, K in zip(self.verticals[row - 1], self.verticals[row], strict=True):
+            L = (I | J) & ~K
+            yield I, J, K, L
+            J = L
 
     def weight_exponents(self) -> tuple[list[int], int]:
-        """Per-row x exponents and the t exponent."""
+        """Per-row x exponents and the t exponent; ValueError unless levels 0
+        and n are the spec's bottom and top, every face is admissible and
+        each row passes its right label out of the right edge."""
         spec = self.spec
+        if self.verticals[:1] + self.verticals[spec.n:] != (spec.bottom, spec.top):
+            raise ValueError(f"levels 0..{spec.n} do not run from the bottom boundary to the top")
         xexps, texp = [0] * spec.n, 0
         for row in range(1, spec.n + 1):
-            for c in range(spec.ncols):
-                data = face_weight_exponents(*self.face(row, c))
+            L = 0
+            for c, (I, J, K, L) in enumerate(self.faces(row)):
+                data = face_weight_exponents(I, J, K, L)
                 if data is None:
                     raise ValueError(f"inadmissible face at row {row}, column {c + spec.r}")
                 xexps[row - 1] += data[0]
                 texp += data[1]
+            if L != spec.right[row - 1]:
+                raise ValueError(f"row {row} passes {L} out of the right edge, "
+                                 f"not its right label {spec.right[row - 1]}")
         return xexps, texp
 
     def coinv(self) -> int:
@@ -335,16 +343,14 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
     out: list[LatticeConfig] = []
     step, ncols = _row_transitions(spec), spec.ncols
 
-    def rec(row: int, state, verts: tuple, horiz: tuple):
+    def rec(row: int, state, verts: tuple):
         if row > spec.n:  # the last row's caps end every path on spec.top
-            out.append(LatticeConfig(spec, verts, horiz))
+            out.append(LatticeConfig(spec, verts))
             return
-        for tops, _, _, rights in step(row, state):
-            # boundary c+1 carries color i iff bit c of color i's right mask is set
-            h = _labels([[c for c in range(ncols) if (m >> c) & 1] for m in rights], ncols + 1, -1)
-            rec(row + 1, tops, verts + (_labels(tops, ncols),), horiz + (h,))
+        for tops, _, _ in step(row, state):
+            rec(row + 1, tops, verts + (_labels(tops, ncols),))
 
-    rec(1, spec.columns[0], (spec.bottom,), ())
+    rec(1, spec.columns[0], (spec.bottom,))
     return out
 
 
@@ -352,60 +358,38 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
 
 
 def ssyt_to_config(T, n: int) -> LatticeConfig:
-    """Row-by-row path encoding of a tableau tuple."""
+    """Row-by-row path encoding of a tableau tuple: the path of a row of
+    component i carries color i, and at level h it stands at its start
+    column plus the number of the row's entries that are at most h."""
     shape = T.shape
     spec = build_lattice(shape, n)
-    ncols = spec.ncols
-    vert = [[0] * ncols for _ in range(n + 1)]
-    horiz = [[0] * (ncols + 1) for _ in range(n)]
+    vert = [[0] * spec.ncols for _ in range(n + 1)]
     for i in range(shape.k):
-        bit = 1 << i
         for start, entries in zip(label_columns(shape.gamma[i]), T.rows[i], strict=True):
-            col = start - spec.r
-            level = 0
-            for e in entries:
-                for h in range(level, e):
-                    vert[h][col] |= bit
-                horiz[e - 1][col + 1] |= bit
-                level = e
-                col += 1
-            for h in range(level, n + 1):
-                vert[h][col] |= bit
-    return LatticeConfig(spec, tuple(tuple(v) for v in vert), tuple(tuple(h) for h in horiz))
+            for h in range(n + 1):
+                vert[h][start - spec.r + sum(e <= h for e in entries)] |= 1 << i
+    return LatticeConfig(spec, tuple(map(tuple, vert)))
 
 
 def config_to_ssyt(config: LatticeConfig):
-    """Invert the path encoding; raises ValueError on a malformed config."""
+    """Invert the path encoding; ValueError if weight_exponents refuses the
+    config.  Paths of one color never meet, so the m-th from the right is
+    row m of its component, which gains one entry h per column it moves
+    right on row h."""
+    config.weight_exponents()
     spec, n = config.spec, config.spec.n
+    levels = [[cols[::-1] for cols in _color_columns(v, spec.k)] for v in config.verticals]
     # right to left, a color's bottom (top) columns are the labels of parts
     # 1, 2, ... of gamma (beta); part m is label + m - 1, as label_columns says
-    starts, ends = ([cols[::-1] for cols in side] for side in spec.columns)
-    beta, gamma = (tuple(tuple(spec.r + c + m for m, c in enumerate(cols)) for cols in side)
-                   for side in (ends, starts))
+    beta, gamma = (tuple(tuple(spec.r + c + m for m, c in enumerate(cols)) for cols in level)
+                   for level in (levels[n], levels[0]))
     shape = SkewShapeTuple(beta, gamma)
-    rows_out = []
+    rows = []
     for i in range(shape.k):
-        bit = 1 << i
-        comp_rows = []
-        # one entry per step right: a path that ends at `end` fills its row
-        for col, end in zip(starts[i], ends[i]):
-            if not (config.verticals[0][col] & bit):
-                raise ValueError("path start missing at the bottom boundary")
-            entries = []
-            row = 1
-            while row <= n:
-                if config.horizontals[row - 1][col + 1] & bit:
-                    entries.append(row)
-                    col += 1
-                else:
-                    if not (config.verticals[row][col] & bit):
-                        raise ValueError("path breaks off inside the lattice")
-                    row += 1
-            if col != end:
-                raise ValueError("path exits at the wrong top column")
-            comp_rows.append(tuple(entries))
-        rows_out.append(tuple(comp_rows))
-    return TableauTuple(shape, tuple(rows_out))
+        paths = zip(*(level[i] for level in levels), strict=True)  # each path's column per level
+        rows.append(tuple(tuple(h for h in range(1, n + 1) for _ in range(path[h] - path[h - 1]))
+                          for path in paths))
+    return TableauTuple(shape, tuple(rows))
 
 
 # -- 180-degree rotation of box configurations ---------------------------------
@@ -432,21 +416,13 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
         raise ValueError("rotation is defined for lattices with empty right edge")
     k, n, ncols = spec.k, spec.n, spec.ncols
     full = (1 << k) - 1
-    box_top = tuple(
-        full if ncols - n <= c <= ncols - 1 else 0 for c in range(ncols)
-    )
+    box_top = tuple(full if c >= ncols - n else 0 for c in range(ncols))
     empty_bottom = tuple(full if c < n else 0 for c in range(ncols))
     # accept both the (lam, box) family and its rotated (empty, complement)
     # image, so the map is an involution
     if spec.r != 1 - n or (spec.top != box_top and spec.bottom != empty_bottom):
         raise ValueError("top boundary is not a full box")
-    verts = tuple(
-        tuple(_reverse_colors(config.verticals[n - h][ncols - 1 - c], k) for c in range(ncols))
-        for h in range(n + 1)
-    )
-    horiz = tuple(
-        tuple(_reverse_colors(config.horizontals[n - row][ncols - b], k) for b in range(ncols + 1))
-        for row in range(1, n + 1)
-    )
+    verts = tuple(tuple(_reverse_colors(m, k) for m in reversed(level))
+                  for level in reversed(config.verticals))
     new_spec = LatticeSpec(k=k, r=spec.r, bottom=verts[0], top=verts[n], right=(0,) * n)
-    return LatticeConfig(new_spec, verts, horiz)
+    return LatticeConfig(new_spec, verts)

@@ -558,6 +558,17 @@ def test_box_drivers_refuse_M_below_n(verify, args):
         verify(*args)
 
 
+@pytest.mark.parametrize("verify, args", [
+    (verify_box_skew, (((1, 0),), 4, 0)),
+    (verify_complement, (((1, 0),), 4, 0)),
+    (verify_lstar, (((1, 0),), 0, (3,))),
+], ids=["box-skew", "complement", "lstar"])
+def test_box_drivers_refuse_n_below_1(verify, args):
+    # checked before M and before lam is fitted to an n-row box
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        verify(*args)
+
+
 def test_cross_engine_verifiers():
     assert verify_hl((2, 1), 2, engine="both").passed
     assert verify_complement(((1, 0), (1, 1)), 4, 2, engine="both").passed

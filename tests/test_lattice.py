@@ -154,15 +154,27 @@ def test_enumerate_configs_counts():
 
 
 def test_enumeration_sums_to_partition_function():
+    # plain lattices, then box lattices whose paths leave through the top or
+    # through the right edge, where weight() checks each row's derived right
+    # label against spec.right
     rng = random.Random(31)
+    specs = []
     for _ in range(20):
         shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
-        n = rng.randint(1, 3)
-        spec = build_lattice(shape, n)
-        total = LaurentPoly.zero(VarSet(nx=n))
+        specs.append(build_lattice(shape, rng.randint(1, 3)))
+    for _ in range(10):
+        k, n = rng.randint(1, 3), rng.randint(1, 3)
+        lam = random_straight_tuple(rng, k, n, 2)
+        M = max((p[0] for p in lam), default=0) + n + rng.randint(0, 1)
+        specs += [build_box_lattice(lam, M, n, right_exit=e) for e in (False, True)]
+    exits = 0
+    for spec in specs:
+        total = LaurentPoly.zero(VarSet(nx=spec.n))
         for config in enumerate_configs(spec):
             total = total + config.weight()
+            exits += any(spec.right)
         assert total == partition_function(spec)
+    assert exits == 403
 
 
 @st.composite
@@ -190,7 +202,7 @@ def _reachable_levels(spec):
     for row in range(1, spec.n + 1):
         nxt = set()
         for state in levels[-1]:
-            for tops, _, _, _ in step(row, state):
+            for tops, _, _ in step(row, state):
                 nxt.add(tops)
                 made += 1
         levels.append(nxt)
@@ -228,7 +240,7 @@ def test_last_row_yields_only_the_top(spec):
     assert levels[-1] == {top}
     step = _row_transitions(spec)
     for state in levels[-2]:
-        assert {t for t, _, _, _ in step(spec.n, state)} <= {top}
+        assert {t for t, _, _ in step(spec.n, state)} <= {top}
 
 
 def _random_specs(rng, count):
@@ -244,7 +256,8 @@ def _random_specs(rng, count):
 
 def test_row_weight_matches_face_weights():
     # every transition's (x, t) is the sum of face_weight_exponents over the
-    # row's faces, rebuilt from the vertical and horizontal labels
+    # row's faces, rebuilt from the vertical labels and the horizontal ones
+    # that conservation gives them, from the empty left edge rightwards
     checked = 0
     for spec in _random_specs(random.Random(47), 30):
         step, ncols = _row_transitions(spec), spec.ncols
@@ -252,12 +265,11 @@ def test_row_weight_matches_face_weights():
         for row, states in enumerate(levels[:-1], start=1):
             for state in states:
                 below = _labels(state, ncols)
-                for tops, xexp, texp, rights in step(row, state):
+                for tops, xexp, texp in step(row, state):
                     above = _labels(tops, ncols)
                     horiz = [0] * (ncols + 1)
-                    for bit, right in enumerate(rights):
-                        for c in range(ncols):
-                            horiz[c + 1] |= ((right >> c) & 1) << bit
+                    for c in range(ncols):
+                        horiz[c + 1] = (below[c] | horiz[c]) & ~above[c]
                     assert horiz[ncols] == spec.right[row - 1]
                     xe = te = 0
                     for c in range(ncols):
@@ -343,8 +355,7 @@ def test_per_color_conservation_of_configs():
     spec = build_lattice(SECOND, 2)
     for config in enumerate_configs(spec):
         for row in range(1, spec.n + 1):
-            for c in range(spec.ncols):
-                I, J, K, L = config.face(row, c)
+            for I, J, K, L in config.faces(row):
                 assert I | J == K | L
                 assert I & J == 0
 
@@ -364,11 +375,12 @@ def test_gray_rows_sums_gray_face_weights():
             total = LaurentPoly.zero(vars)
             for config in configs:
                 exps = [0] * vars.total
-                for row, c in product(range(1, n + 1), range(M)):
-                    [((xe, te), coeff)] = lstar_weight(k, *config.face(row, c)).terms.items()
-                    assert coeff == 1
-                    exps[row - 1] += xe
-                    exps[vars.t_index] += te
+                for row in range(1, n + 1):
+                    for face in config.faces(row):
+                        [((xe, te), coeff)] = lstar_weight(k, *face).terms.items()
+                        assert coeff == 1
+                        exps[row - 1] += xe
+                        exps[vars.t_index] += te
                 total = total + LaurentPoly.monomial(vars, 1, exps)
             assert configs
             assert total == gray_rows(partition_function(spec), k, M)
@@ -453,10 +465,30 @@ def test_config_to_ssyt_rejects_malformed():
     broken = LatticeConfig(
         config.spec,
         config.verticals[:1] + (tuple(0 for _ in config.verticals[1]),) + config.verticals[2:],
-        config.horizontals,
     )
     with pytest.raises(ValueError):
         config_to_ssyt(broken)
+
+
+# k = 1 on columns 0, 1 over two rows: _STEP's path steps right on some row,
+# and _EXIT's leaves through the right edge on row 2
+_STEP = LatticeSpec(k=1, r=0, bottom=(1, 0), top=(0, 1), right=(0, 0))
+_EXIT = LatticeSpec(k=1, r=0, bottom=(1, 0), top=(0, 0), right=(0, 1))
+_OFF_BOUNDARY = "^levels 0..2 do not run from the bottom boundary to the top$"
+
+
+@pytest.mark.parametrize("spec, verticals, message", [
+    (_STEP, ((0, 1), (0, 1), (0, 1)), _OFF_BOUNDARY),
+    (_STEP, ((1, 0), (1, 0), (1, 0)), _OFF_BOUNDARY),
+    (_STEP, ((1, 0), (0, 1)), _OFF_BOUNDARY),
+    (_EXIT, ((1, 0), (0, 0), (0, 0)), "^row 1 passes 1 out of the right edge, not its right label 0$"),
+], ids=["bottom", "top", "levels", "right-edge"])
+def test_configs_off_their_spec_are_refused(spec, verticals, message):
+    # every face of these is admissible: only the boundary is wrong
+    config = LatticeConfig(spec, verticals)
+    for read in (LatticeConfig.weight_exponents, config_to_ssyt):
+        with pytest.raises(ValueError, match=message):
+            read(config)
 
 
 def test_config_to_ssyt_reads_the_shape_off_the_boundary():
@@ -495,7 +527,6 @@ def test_rotate_config_involution():
         rotated = rotate_config(config)
         back = rotate_config(rotated)
         assert back.verticals == config.verticals
-        assert back.horizontals == config.horizontals
 
 
 @given(st.integers(1, 3), st.integers(1, 2), st.data())
@@ -511,7 +542,6 @@ def test_rotate_config_involution_property(k, n, data):
     config = data.draw(st.sampled_from(configs))
     back = rotate_config(rotate_config(config))
     assert back.verticals == config.verticals
-    assert back.horizontals == config.horizontals
 
 
 def test_rotate_config_coinv_difference():
