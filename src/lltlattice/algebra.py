@@ -52,20 +52,21 @@ class VarSet:
 
 
 class _Packing:
-    """Exponent vectors packed into one int, for the hot loops.
+    """Exponent vectors of one ``VarSet`` packed into ints, for the hot loops.
 
-    Field i is worth 2^(i * width), so the key of a monomial is the exact
-    integer sum of e_i * 2^(i * width), and adding keys multiplies monomials.
-    Every field but the last holds values in [low, low + 2^width), with
-    low = 0, or -2^(width - 1) when ``signed``; a value outside would carry
-    into the next field, so ``encode`` refuses it.  The last field takes
-    whatever is left of the key and is unbounded.
+    Field i, worth 2^(i * width), holds the i-th variable's exponent e_i: a
+    monomial's key is the exact integer sum of e_i * 2^(i * width), so adding
+    keys multiplies monomials.  Every field but the last holds values in
+    [low, low + 2^width), with low = 0, or -2^(width - 1) when ``signed``; a
+    value outside would carry into the next field, so ``encode`` refuses it.
+    The last field takes whatever is left of the key and is unbounded.
     """
 
-    __slots__ = ("shifts", "top", "mask", "low")
+    __slots__ = ("vars", "shifts", "top", "mask", "low")
 
-    def __init__(self, fields: int, width: int, signed: bool = False):
-        self.top = width * (fields - 1)
+    def __init__(self, vars: VarSet, width: int, signed: bool = False):
+        self.vars = vars
+        self.top = width * (vars.total - 1)
         self.shifts = range(0, self.top, width)
         self.mask = (1 << width) - 1
         self.low = -(1 << width - 1) if signed else 0
@@ -107,6 +108,10 @@ class _Packing:
             (*[(key >> s & mask) + low for s in shifts], key >> top): coeff
             for key, coeff in zip(map(bias.__add__, counts), counts.values())
         }
+
+    def poly(self, counts: Mapping[int, int]) -> "LaurentPoly":
+        """The polynomial of {key: coefficient}, every coefficient nonzero."""
+        return LaurentPoly._trusted(self.vars, self.decode(counts))
 
 
 class LaurentPoly:
@@ -235,10 +240,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        small, big = sorted((self.terms, other.terms), key=len)
-        if len(small) == 1:  # a monomial shift is injective: no like terms, nothing cancels
-            ((e1, c1),) = small.items()
-            return LaurentPoly(self.vars, {tuple(map(add, e1, e)): c1 * c for e, c in big.items()})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

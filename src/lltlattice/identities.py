@@ -6,7 +6,7 @@ they differ.  Every verifier returns an IdentityReport; FAIL always carries
 the two offending polynomials.  Inputs are fixed or enumerated, never drawn.
 The Cauchy-type identities are checked after truncating both sides at a
 total x-degree bound D, which is exact because each summand is homogeneous.
-Their sides are int keys of one layout, ``_XYPacking``: x_1..x_n, y_1..y_n
+Their sides are int keys of one layout, ``_xy_packing``: x_1..x_n, y_1..y_n
 at ``max(D, 1).bit_length()`` bits each, t unbounded on top.  No x- or
 y-exponent of a side exceeds D, so no field carries and a product of two
 monomials is one int sum; each side is decoded to a polynomial once.
@@ -172,13 +172,11 @@ def verify_modified_hl(mu, n: int) -> IdentityReport:
 # -- box and complement dualities ------------------------------------------------
 
 
-def _check_box_width(M: int, n: int) -> None:
-    """The box drivers' checks that n is positive and that an (M - n)^n box
-    exists, made before any other."""
+def _check_box_n(n: int) -> None:
+    """The box drivers' check that n is positive, made before any other;
+    ``check_box_tuple`` then checks that the (M - n)^n box exists."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if M < n:
-        raise ValueError(f"M must be at least n, not M = {M} with n = {n}")
 
 
 def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
@@ -189,7 +187,7 @@ def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
 
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
-    _check_box_width(M, n)
+    _check_box_n(n)
     lam = check_box_tuple(lam, n, M)
     comp = _complement(lam, M - n)
     d, d_comp = _d_stat(lam), _d_stat(comp)
@@ -209,7 +207,7 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
 
 def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
-    _check_box_width(M, n)
+    _check_box_n(n)
     lam = check_box_tuple(lam, n, M)
     dtilde = _dtilde_stat(lam, M)
     lhs = llt(lam, n, engine)
@@ -239,9 +237,8 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     Ms = sorted(set(int(M) for M in Ms))
     if not Ms:
         raise ValueError("the M list must hold at least one M")
-    for M in Ms:
-        _check_box_width(M, n)
-    lam = check_box_tuple(lam, n)
+    _check_box_n(n)
+    lam = check_box_tuple(lam, n, Ms[0])   # what fits the narrowest box fits all
     k = len(lam)
     d = _d_stat(lam)
     base = llt(lam, n, engine)
@@ -263,27 +260,21 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
 # -- Cauchy identities ------------------------------------------------------------
 
 
-class _XYPacking(_Packing):
+def _xy_packing(n: int, D: int) -> _Packing:
     """The Cauchy drivers' key layout (see the module docstring)."""
-
-    def __init__(self, n: int, D: int):
-        super().__init__(2 * n + 1, max(D, 1).bit_length())
-        self.n = n
-
-    def poly(self, counts) -> LaurentPoly:
-        return LaurentPoly._trusted(VarSet(nx=self.n, ny=self.n), self.decode(counts))
+    return _Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())
 
 
-def _llt_counts(shape: SkewShapeTuple, xy: _XYPacking, engine: str = "tableaux") -> dict:
+def _llt_counts(shape: SkewShapeTuple, xy: _Packing, engine: str = "tableaux") -> dict:
     """L_shape as counts of ``xy`` keys in the x fields: the tableau engine's own, or
     ``llt``'s polynomial encoded (so "both" still raises EngineMismatch)."""
     if engine == "tableaux":
-        return _coinv_counts(shape, xy.n, xy)
+        return _coinv_counts(shape, xy)
     return {sum(map(lshift, e[:-1], xy.shifts)) + (e[-1] << xy.top): c
-            for e, c in llt(shape, xy.n, engine).terms.items()}
+            for e, c in llt(shape, xy.vars.nx, engine).terms.items()}
 
 
-def _xy_sum(xy: _XYPacking, summands) -> dict:
+def _xy_sum(xy: _Packing, summands) -> dict:
     """Sum of t^a P(X) Q(Y) over ``(a, P, Q)``, P and Q counted by ``_llt_counts``;
     a Q key moves to the y fields by adding its x fields times 2^(n w) - 1."""
     top = xy.top
@@ -308,7 +299,7 @@ def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    xy = _XYPacking(n, D)
+    xy = _xy_packing(n, D)
     graded = [{0: 1}] + [{} for _ in range(D)]
     for x_at in xy.shifts[:n]:
         for y_at in xy.shifts[n:]:
@@ -341,12 +332,12 @@ def shape_tuples_bounded(k: int, n: int, D: int):
     return [lam for lam, _ in sized]
 
 
-def _cauchy_terms(xy: _XYPacking, k: int, D: int, engine: str = "tableaux", mu=None):
+def _cauchy_terms(xy: _Packing, k: int, D: int, engine: str = "tableaux", mu=None):
     """(lam, lam/0, L_lam counts) for each lam of ``shape_tuples_bounded(k, n, D)``
     (each lam containing ``mu`` when given): the Cauchy drivers' one loop.
     Each lam/0 is built once, unchecked, as every such lam is valid."""
-    zero = ((0,) * xy.n,) * k
-    for lam in shape_tuples_bounded(k, xy.n, D):
+    zero = ((0,) * xy.vars.nx,) * k
+    for lam in shape_tuples_bounded(k, xy.vars.nx, D):
         if mu is None or all(map(ge, chain(*lam), chain(*mu))):
             shape = SkewShapeTuple._trusted(lam, zero)
             yield lam, shape, _llt_counts(shape, xy, engine)
@@ -362,7 +353,7 @@ def _check_cauchy_params(n: int, k: int, D: int) -> None:
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
     _check_cauchy_params(n, k, D)
-    xy = _XYPacking(n, D)
+    xy = _xy_packing(n, D)
     lhs = _xy_sum(xy, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(xy, k, D, engine)])
     rhs = cauchy_kernel_truncated(n, k, D)
     return _check_pairs(
@@ -379,7 +370,7 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     size = sum(sum(p) for p in mu)
     if size > D:
         raise ValueError("need |mu| <= D")
-    xy = _XYPacking(n, D)
+    xy = _xy_packing(n, D)
     lhs = xy.poly(_xy_sum(xy, [
         (_d_stat(lam), P, _llt_counts(SkewShapeTuple._trusted(lam, mu), xy))
         for lam, _, P in _cauchy_terms(xy, k, D, mu=mu)
@@ -402,7 +393,7 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
 def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
     _check_cauchy_params(n, k, D)
-    xy = _XYPacking(n, D)
+    xy = _xy_packing(n, D)
     rhs = cauchy_kernel_truncated(n, k, D)
     summands = []
     pairs = []

@@ -156,6 +156,8 @@ def _color_columns(labels: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ..
 
 def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     """The lattice whose partition function is the LLT polynomial of shape."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     r, s = column_range(shape)
     bottom, top = (_labels(map(label_columns, mu), s - r + 1, r)
                    for mu in (shape.gamma, shape.beta))
@@ -415,12 +417,12 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
     if any(spec.right):
         raise ValueError("rotation is defined for lattices with empty right edge")
     k, n, ncols = spec.k, spec.n, spec.ncols
-    full = (1 << k) - 1
-    box_top = tuple(full if c >= ncols - n else 0 for c in range(ncols))
-    empty_bottom = tuple(full if c < n else 0 for c in range(ncols))
+    if spec.r != 1 - n or ncols < n or not k:  # no box is narrower than n columns or colorless
+        raise ValueError("top boundary is not a full box")
     # accept both the (lam, box) family and its rotated (empty, complement)
     # image, so the map is an involution
-    if spec.r != 1 - n or (spec.top != box_top and spec.bottom != empty_bottom):
+    empty = build_box_lattice(((0,) * n,) * k, ncols, n)
+    if spec.top != empty.top and spec.bottom != empty.bottom:
         raise ValueError("top boundary is not a full box")
     verts = tuple(tuple(_reverse_colors(m, k) for m in reversed(level))
                   for level in reversed(config.verticals))

@@ -221,9 +221,11 @@ def inv_stat(beta) -> int:
 
 def check_box_tuple(lam, n: int | None = None, M: int | None = None) -> ShapeTuple:
     """A k-tuple of partitions with n parts each (default: as many as the first),
-    inside the (M - n)^n box when M is given."""
+    inside the (M - n)^n box when M is given; that box needs M >= n."""
     lam = check_shape_tuple(lam)
     n = len(lam[0]) if n is None else n
+    if M is not None and M < n:
+        raise ValueError(f"M must be at least n, not M = {M} with n = {n}")
     for p in lam:
         if len(p) != n:
             raise ValueError(f"{p} must have exactly {n} parts")

@@ -206,9 +206,10 @@ def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:
     return Counter(chain.from_iterable(_fold(0, 0, [weights[c] for c in order], tables)))
 
 
-def _coinv_counts(shape: SkewShapeTuple, n: int, packing: _Packing) -> Counter:
-    """Keys of ``packing`` for t^coinv(T) x^T, one per tableau tuple T,
-    counted: x_i sits in the i-th field of ``packing`` and t in its top field.
+def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
+    """Keys of ``packing`` for t^coinv(T) x^T, one per tableau tuple T with
+    entries in [n], n = ``packing.vars.nx``, counted: x_i sits in the i-th
+    field of ``packing`` and t in its top field.
 
     A tableau tuple is one filling per component, and every triple couples
     a cell of an earlier component a with cells of a later component b, so
@@ -217,8 +218,7 @@ def _coinv_counts(shape: SkewShapeTuple, n: int, packing: _Packing) -> Counter:
     running key, and counts the keys of full tuples.  A shape with at most
     ``_FEW_TUPLES`` tuples skips the tables and counts each tuple directly.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = packing.vars.nx
     fillings = [_component_fillings(b, g, n) for b, g in zip(shape.beta, shape.gamma)]
     if not all(fillings):
         return Counter()
@@ -233,17 +233,17 @@ def _coinv_counts(shape: SkewShapeTuple, n: int, packing: _Packing) -> Counter:
 def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Coinversion LLT polynomial: sum of t^coinv(T) x^T, counted by
     ``_coinv_counts`` with x_1..x_n at ``bits`` apiece and t above them."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
-    packing = _Packing(n + 1, bits)
-    counts = _coinv_counts(shape, n, packing)   # n is checked before any field is used
-    return LaurentPoly._trusted(VarSet(nx=n), packing.decode(counts))
+    packing = _Packing(VarSet(nx=n), bits)
+    return packing.poly(_coinv_counts(shape, packing))
 
 
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Inversion LLT polynomial: sum of t^inv(T) x^T, tableau by tableau."""
-    return LaurentPoly(VarSet(nx=n), Counter(
-        (*T.weight_exponents(n), inv(T)) for T in enumerate_ssyt(shape, n)
-    ))
+    tableaux = enumerate_ssyt(shape, n)   # checks n before the VarSet is built
+    return LaurentPoly(VarSet(nx=n), Counter((*T.weight_exponents(n), inv(T)) for T in tableaux))
 
 
 # -- transformed Hall-Littlewood polynomials ----------------------------------
@@ -258,6 +258,8 @@ def hl_transformed(mu: Partition, n: int) -> LaurentPoly:
     entry read as +infinity at l = 1.
     """
     mu = check_partition(mu)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     heights = [v for v in mu if v > 0]          # column C of the conjugate has height mu_C
     ncols = len(heights)
     vars = VarSet(nx=n)

@@ -167,7 +167,7 @@ def r_recursive(k: int):
 
 # (x, y, t) in one int, 8 bits apiece for x and y; a side's term multiplies
 # three table weights, so every table exponent must fit three times over
-_PACKING = _Packing(3, 8, signed=True)
+_PACKING = _Packing(YBE_VARS, 8, signed=True)
 
 
 def _entry_rows(k: int, pictures, terms) -> dict:
@@ -254,10 +254,6 @@ def _droite_block(lx, ly, rr, I1: int, I2: int, I3: int) -> dict:
     return block
 
 
-def _side_poly(side: dict) -> LaurentPoly:
-    return LaurentPoly._trusted(YBE_VARS, _PACKING.decode(side))
-
-
 @dataclass
 class YbeReport:
     name: str
@@ -336,14 +332,14 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
         first = None
         if differ:
             key, g, d = differ[0]
-            first = _witness(k, key, _side_poly(g).to_text(), _side_poly(d).to_text())
+            first = _witness(k, key, _PACKING.poly(g).to_text(), _PACKING.poly(d).to_text())
         return YbeReport(name, k, "symbolic", checked, len(differ), first)
     # Evaluation at a point with nonzero x, y and t is a ring homomorphism, so
     # sides that are equal symbolically are equal there: only the boundaries
     # in `differ` can fail at a point.
     rng = random.Random(seed)
     points = [_sample_point(rng) for _ in range(trials)]
-    sides = [(key, _side_poly(g), _side_poly(d)) for key, g, d in differ]
+    sides = [(key, _PACKING.poly(g), _PACKING.poly(d)) for key, g, d in differ]
     failed, first = 0, None
     for point in points:
         for key, g, d in sides:

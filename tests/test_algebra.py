@@ -294,7 +294,7 @@ def packings(draw):
     if draw(st.booleans()):
         return YBE_PACKING
     n, cells = draw(st.integers(1, 6)), draw(st.integers(0, 60))
-    return _Packing(n + 1, (cells + 1).bit_length())   # as llt_coinv builds it
+    return _Packing(VarSet(nx=n), (cells + 1).bit_length())   # as llt_coinv builds it
 
 
 def exponent_vectors(packing, factors=1):
@@ -307,7 +307,7 @@ def exponent_vectors(packing, factors=1):
 
 def test_packing_field_ranges():
     assert (YBE_PACKING.low, YBE_PACKING.low + YBE_PACKING.mask) == (-128, 127)
-    assert (_Packing(3, 4).low, _Packing(3, 4).mask) == (0, 15)
+    assert (_Packing(VarSet(nx=2), 4).low, _Packing(VarSet(nx=2), 4).mask) == (0, 15)
 
 
 @given(st.data())

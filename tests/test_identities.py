@@ -8,8 +8,8 @@ from lltlattice import identities, lattice, shapes
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import (
     _llt_counts,
+    _xy_packing,
     _xy_sum,
-    _XYPacking,
     cauchy_kernel_truncated,
     llt,
     partitions_fixed_length,
@@ -27,6 +27,15 @@ from lltlattice.identities import (
     verify_symmetry,
 )
 from lltlattice.shapes import SkewShapeTuple, d_stat, rotate
+from lltlattice.tableaux import (
+    TableauTuple,
+    enumerate_ssyt,
+    hl_modified,
+    hl_transformed,
+    llt_coinv,
+    llt_inv,
+    schur,
+)
 from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
@@ -212,7 +221,7 @@ def _reference_embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
 @pytest.mark.parametrize("n, k, D", [(1, 1, 3), (1, 3, 2), (2, 2, 2), (3, 1, 2), (2, 2, 0)])
 def test_xy_sum_matches_embedded_products(n, k, D):
     big = VarSet(nx=n, ny=n)
-    xy = _XYPacking(n, D)
+    xy = _xy_packing(n, D)
     summands = []
     expected = LaurentPoly.zero(big)
     for i, lam in enumerate(shape_tuples_bounded(k, n, D)):
@@ -567,6 +576,39 @@ def test_box_drivers_refuse_n_below_1(verify, args):
     # checked before M and before lam is fitted to an n-row box
     with pytest.raises(ValueError, match="^n must be at least 1$"):
         verify(*args)
+
+
+def test_lstar_fits_lam_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(identities, "llt", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^part 3 exceeds box width 1$"):
+        verify_lstar(((3, 0),), 2, (3,))
+    assert calls == []
+
+
+ONE_BOX = SkewShapeTuple.straight(((1,),))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda n: llt(FIRST, n),
+    lambda n: llt_coinv(FIRST, n),
+    lambda n: llt_inv(FIRST, n),
+    lambda n: enumerate_ssyt(FIRST, n),
+    lambda n: schur((2, 1), n),
+    lambda n: hl_transformed((2, 1), n),
+    lambda n: hl_modified((2, 1), n),
+    lambda n: lattice.build_lattice(ONE_BOX, n),
+    lambda n: lattice.ssyt_to_config(TableauTuple(ONE_BOX, (((1,),),)), n),
+    lambda n: verify_symmetry(FIRST, n),
+    lambda n: verify_hl((2, 1), n),
+    lambda n: verify_modified_hl((2, 1), n),
+], ids=["llt", "llt_coinv", "llt_inv", "enumerate_ssyt", "schur", "hl_transformed",
+        "hl_modified", "build_lattice", "ssyt_to_config", "verify_symmetry", "verify_hl",
+        "verify_modified_hl"])
+def test_variable_count_below_1_is_refused(call, n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        call(n)
 
 
 def test_cross_engine_verifiers():

@@ -569,3 +569,7 @@ def test_rotate_config_rejects_non_box():
     spec = build_box_lattice(((1, 0), (1, 0)), 3, 2, right_exit=True)
     with pytest.raises(ValueError, match="empty right edge"):
         rotate_config(enumerate_configs(spec)[0])
+    # one column at n = 2 and r = 1 - n: no (M - n)^n box is that narrow
+    narrow = LatticeSpec(k=1, r=-1, bottom=(1,), top=(1,), right=(0, 0))
+    with pytest.raises(ValueError, match="^top boundary is not a full box$"):
+        rotate_config(LatticeConfig(narrow, ((1,),) * 3))

@@ -240,6 +240,25 @@ def test_box_width_rule_is_shared():
             call()
 
 
+def test_box_height_rule_is_shared():
+    # checked before the parts are fitted, which would name a box of width
+    # M - n = -1
+    from lltlattice.lattice import build_box_lattice
+    from lltlattice.tableaux import TableauTuple, complement_bijection
+
+    lam = ((1, 0),)
+    T = TableauTuple(SkewShapeTuple.straight(lam), (((1,), ()),))
+    calls = [
+        lambda: complement(lam, 1, 2),
+        lambda: dtilde_stat(lam, 1),
+        lambda: build_box_lattice(lam, 1, 2),
+        lambda: complement_bijection(T, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^M must be at least n, not M = 1 with n = 2$"):
+            call()
+
+
 def test_part_count_rule_is_shared():
     from lltlattice.lattice import build_box_lattice
     from lltlattice.tableaux import TableauTuple, complement_bijection

@@ -14,7 +14,6 @@ from lltlattice.yangbaxter import (
     _gauche_block,
     _recursive_table,
     _sample_point,
-    _side_poly,
     _tables,
     ef_weight,
     l_recursive,
@@ -330,8 +329,8 @@ def test_ybe_gauche_matches_sparse_contraction():
             for outgoing in _label_triples(k):
                 boundary = (*incoming, *outgoing)
                 gauche, droite = _one_boundary(reference, boundary)
-                assert gauche == _side_poly(g.get(outgoing, {})), (k, starred, boundary)
-                assert droite == _side_poly(d.get(outgoing, {})), (k, starred, boundary)
+                assert gauche == _PACKING.poly(g.get(outgoing, {})), (k, starred, boundary)
+                assert droite == _PACKING.poly(d.get(outgoing, {})), (k, starred, boundary)
                 if not starred:
                     assert ybe_gauche(k, boundary) == gauche, (k, boundary)
                     assert ybe_droite(k, boundary) == droite, (k, boundary)
