@@ -20,7 +20,6 @@ from .tableaux import (
     enumerate_ssyt,
     hl_modified,
     hl_transformed,
-    inv,
     llt_coinv,
     llt_inv,
 )

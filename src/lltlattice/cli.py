@@ -18,11 +18,10 @@ from . import identities, yangbaxter
 from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
-    _dtilde_stat,
-    bandwidth,
     check_box_tuple,
     column_range,
     d_stat,
+    dtilde_stat,
     inv_stat,
     m_bruteforce,
     m_formula,
@@ -75,7 +74,7 @@ def cmd_stats(args) -> int:
         "shape": shape.text(),
         "r": r,
         "s": s,
-        "band": bandwidth(shape),
+        "band": s - r,
         "m": m_bruteforce(shape),
     }
     if shape.is_straight():
@@ -90,8 +89,7 @@ def cmd_stats(args) -> int:
                 (parts,) = lengths
                 if args.M < parts:
                     raise ValueError(f"--M must be at least the number of parts ({parts})")
-                beta = _fit("--beta", f"--M {args.M}", check_box_tuple, shape.beta, None, args.M)
-                out["dtilde"] = _dtilde_stat(beta, args.M)
+                out["dtilde"] = _fit("--beta", f"--M {args.M}", dtilde_stat, shape.beta, args.M)
     print(json.dumps(out, sort_keys=True))
     return 0
 

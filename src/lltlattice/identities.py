@@ -29,6 +29,7 @@ from .shapes import (
     _d_stat,
     _dtilde_stat,
     check_box_tuple,
+    check_n,
     check_partition,
     d_stat,
     inv_stat,
@@ -99,8 +100,6 @@ def llt(shape: SkewShapeTuple | ShapeTuple, n: int, engine: str = "tableaux") ->
     agree before returning).
     """
     shape = SkewShapeTuple.straight(shape)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if engine == "tableaux":
         return llt_coinv(shape, n)
     if engine == "lattice":
@@ -172,13 +171,6 @@ def verify_modified_hl(mu, n: int) -> IdentityReport:
 # -- box and complement dualities ------------------------------------------------
 
 
-def _check_box_n(n: int) -> None:
-    """The box drivers' check that n is positive, made before any other;
-    ``check_box_tuple`` then checks that the (M - n)^n box exists."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-
 def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
     width = M - n
     box = tuple((width,) * n for _ in lam)
@@ -187,7 +179,6 @@ def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
 
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
-    _check_box_n(n)
     lam = check_box_tuple(lam, n, M)
     comp = _complement(lam, M - n)
     d, d_comp = _d_stat(lam), _d_stat(comp)
@@ -207,7 +198,6 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
 
 def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """lam equals the box monomial times t^dtilde times complement at 1/x."""
-    _check_box_n(n)
     lam = check_box_tuple(lam, n, M)
     dtilde = _dtilde_stat(lam, M)
     lhs = llt(lam, n, engine)
@@ -237,7 +227,6 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     Ms = sorted(set(int(M) for M in Ms))
     if not Ms:
         raise ValueError("the M list must hold at least one M")
-    _check_box_n(n)
     lam = check_box_tuple(lam, n, Ms[0])   # what fits the narrowest box fits all
     k = len(lam)
     d = _d_stat(lam)
@@ -345,7 +334,8 @@ def _cauchy_terms(xy: _Packing, k: int, D: int, engine: str = "tableaux", mu=Non
 
 def _check_cauchy_params(n: int, k: int, D: int) -> None:
     """The Cauchy drivers' one check, made before any work."""
-    for name, value, low in (("n", n, 1), ("k", k, 1), ("D", D, 0)):
+    check_n(n)
+    for name, value, low in (("k", k, 1), ("D", D, 0)):
         if value < low:
             raise ValueError(f"{name} must be at least {low}")
 

@@ -29,6 +29,7 @@ from .shapes import (
     SkewShapeTuple,
     _binom2,
     check_box_tuple,
+    check_n,
     column_range,
     label_columns,
 )
@@ -113,10 +114,12 @@ class LatticeSpec:
     columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.bottom) != len(self.top):
+        width = len(self.bottom)
+        if width != len(self.top):
             raise ValueError("bottom and top boundaries differ in length")
+        given = (*self.bottom, *self.top, *self.right)
         try:
-            masks(self.k, *self.bottom, *self.top, *self.right)
+            ints = masks(self.k, *given)
         except ValueError:  # name the side, and the column or row, of the first bad label
             for side, place, first, labels in (("bottom", "column", self.r, self.bottom),
                                                ("top", "column", self.r, self.top),
@@ -128,6 +131,8 @@ class LatticeSpec:
                         raise ValueError(f"{side} label {label} at {place} {at} is not a set of "
                                          f"colors among 1..{self.k}") from None
             raise
+        if ints != given:  # some labels were 0/1 tuples: keep their masks
+            vars(self).update(bottom=ints[:width], top=ints[width:2 * width], right=ints[2 * width:])
         bottom, top = _color_columns(self.bottom, self.k), _color_columns(self.top, self.k)
         for bit, (flow, out) in enumerate(zip(bottom, top)):
             if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):
@@ -156,8 +161,7 @@ def _color_columns(labels: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ..
 
 def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     """The lattice whose partition function is the LLT polynomial of shape."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_n(n)
     r, s = column_range(shape)
     bottom, top = (_labels(map(label_columns, mu), s - r + 1, r)
                    for mu in (shape.gamma, shape.beta))

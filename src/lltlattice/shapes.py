@@ -33,6 +33,13 @@ def check_partition(parts) -> Partition:
     return p
 
 
+def check_n(n: int) -> int:
+    """The one rule on a variable count: n is at least 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return n
+
+
 def check_shape_tuple(shapes) -> ShapeTuple:
     tup = tuple(map(check_partition, shapes))
     if not tup:
@@ -130,11 +137,6 @@ def column_range(shape: SkewShapeTuple) -> tuple[int, int]:
             max(b[0] for b in shape.beta if b))
 
 
-def bandwidth(shape: SkewShapeTuple) -> int:
-    r, s = column_range(shape)
-    return s - r
-
-
 # -- triples ------------------------------------------------------------------
 
 
@@ -220,10 +222,10 @@ def inv_stat(beta) -> int:
 
 
 def check_box_tuple(lam, n: int | None = None, M: int | None = None) -> ShapeTuple:
-    """A k-tuple of partitions with n parts each (default: as many as the first),
-    inside the (M - n)^n box when M is given; that box needs M >= n."""
+    """A k-tuple of partitions with n >= 1 parts each (default: as many as the
+    first), inside the (M - n)^n box when M is given; that box needs M >= n."""
     lam = check_shape_tuple(lam)
-    n = len(lam[0]) if n is None else n
+    n = check_n(len(lam[0]) if n is None else n)
     if M is not None and M < n:
         raise ValueError(f"M must be at least n, not M = {M} with n = {n}")
     for p in lam:

@@ -34,6 +34,7 @@ from .shapes import (
     _complement,
     _pair_triples,
     check_box_tuple,
+    check_n,
     check_partition,
     n_stat,
 )
@@ -92,8 +93,7 @@ def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tupl
 
 def enumerate_ssyt(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
     """Every tableau tuple exactly once, in product order of the components."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_n(n)
     per_comp = []
     for beta, gamma in zip(shape.beta, shape.gamma):
         ends = list(accumulate(map(sub, beta, gamma), initial=0))
@@ -120,10 +120,6 @@ def attacking_inversions(T: TableauTuple) -> int:
             if e1 > e2:
                 total += 1
     return total
-
-
-def inv(T: TableauTuple) -> int:
-    return attacking_inversions(T)
 
 
 def _coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:
@@ -233,8 +229,7 @@ def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
 def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Coinversion LLT polynomial: sum of t^coinv(T) x^T, counted by
     ``_coinv_counts`` with x_1..x_n at ``bits`` apiece and t above them."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_n(n)
     bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
     packing = _Packing(VarSet(nx=n), bits)
     return packing.poly(_coinv_counts(shape, packing))
@@ -243,7 +238,8 @@ def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
 def llt_inv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Inversion LLT polynomial: sum of t^inv(T) x^T, tableau by tableau."""
     tableaux = enumerate_ssyt(shape, n)   # checks n before the VarSet is built
-    return LaurentPoly(VarSet(nx=n), Counter((*T.weight_exponents(n), inv(T)) for T in tableaux))
+    return LaurentPoly(VarSet(nx=n), Counter((*T.weight_exponents(n), attacking_inversions(T))
+                                             for T in tableaux))
 
 
 # -- transformed Hall-Littlewood polynomials ----------------------------------
@@ -258,8 +254,7 @@ def hl_transformed(mu: Partition, n: int) -> LaurentPoly:
     entry read as +infinity at l = 1.
     """
     mu = check_partition(mu)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_n(n)
     heights = [v for v in mu if v > 0]          # column C of the conjugate has height mu_C
     ncols = len(heights)
     vars = VarSet(nx=n)

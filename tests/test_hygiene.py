@@ -1,19 +1,21 @@
 """Every module-level import in the package's modules is used by the module,
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
-function imports anything, no module imports the tests' helpers, and every
-functools cache is bounded."""
+function imports anything, no module imports the tests' helpers, every
+functools cache is bounded, and one function owns the rule that n is at
+least 1."""
 
 import ast
 import functools
 import gc
 import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from lltlattice import cli
+from lltlattice import cli, shapes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lltlattice"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -95,7 +97,6 @@ UNCALLED_PUBLIC = {
     "lattice.py: config_to_ssyt": "lemma: configurations back to tableau tuples",
     "lattice.py: rotate_config": "lemma: the 180-degree rotation of box configurations",
     "shapes.py: complement": "entry point: the box complement of a checked tuple",
-    "shapes.py: dtilde_stat": "entry point: the statistic d-tilde of a checked tuple",
     "tableaux.py: complement_bijection": "lemma: the column-complement bijection",
     "tableaux.py: schur": "entry point: one-component LLT polynomials are Schur polynomials",
     "yangbaxter.py: r_weight": "entry point: the closed-form crossing weight",
@@ -122,6 +123,14 @@ def test_guard_sees_an_uncalled_public_name():
     }
     assert _unreferenced(sources, private=False, named={"verify_x"}) == ["a.py: lemma"]
     assert _unreferenced(sources, private=False) == ["a.py: lemma", "a.py: verify_x"]
+
+
+def test_variable_count_rule_has_one_owner():
+    # every check that n is at least 1 calls shapes.check_n
+    text = '"n must be at least 1"'
+    counts = {path.name: path.read_text().count(text) for path in SRC.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"shapes.py": 1}
+    assert text in inspect.getsource(shapes.check_n)
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -603,9 +603,14 @@ ONE_BOX = SkewShapeTuple.straight(((1,),))
     lambda n: verify_symmetry(FIRST, n),
     lambda n: verify_hl((2, 1), n),
     lambda n: verify_modified_hl((2, 1), n),
+    # a box tuple whose components have no parts has n = 0 rows
+    lambda n: lattice.build_box_lattice(((),), 0, n),
+    lambda n: shapes.complement(((),), 0, n),
+    lambda n: d_stat(((),)),
+    lambda n: shapes.dtilde_stat(((),), n),
 ], ids=["llt", "llt_coinv", "llt_inv", "enumerate_ssyt", "schur", "hl_transformed",
         "hl_modified", "build_lattice", "ssyt_to_config", "verify_symmetry", "verify_hl",
-        "verify_modified_hl"])
+        "verify_modified_hl", "build_box_lattice", "complement", "d_stat", "dtilde_stat"])
 def test_variable_count_below_1_is_refused(call, n):
     with pytest.raises(ValueError, match="^n must be at least 1$"):
         call(n)

@@ -331,6 +331,17 @@ def test_lattice_spec_refuses_bad_boundaries(bottom, top, right, message):
         LatticeSpec(k=1, r=0, bottom=bottom, top=top, right=right)
 
 
+@pytest.mark.parametrize("k, given, masks", [
+    (1, (((1,),), ((1,),), (0,)), ((1,), (1,), (0,))),
+    (2, (((1, 1), 0), (0, (0, 1)), ((1, 0),)), ((3, 0), (0, 2), (1,))),
+], ids=["one-color", "two-colors"])
+def test_lattice_spec_keeps_the_masks_of_0_1_tuple_labels(k, given, masks):
+    spec, plain = (LatticeSpec(k, 0, *labels) for labels in (given, masks))
+    assert (spec.bottom, spec.top, spec.right) == masks
+    assert spec == plain
+    assert partition_function(spec) == partition_function(plain) != 0
+
+
 @pytest.mark.parametrize("bottom, top, right, message", [
     ((3, 4, 0), (1, 2, 0), (0, 0), "bottom label 4 at column 3"),
     ((3, 1, 0), (1, 2, 5), (0, 0), "top label 5 at column 4"),

@@ -5,7 +5,6 @@ import pytest
 
 from lltlattice.shapes import (
     SkewShapeTuple,
-    bandwidth,
     check_partition,
     column_range,
     complement,
@@ -39,7 +38,6 @@ def test_label_columns_zero_parts():
 
 def test_column_range_worked_example():
     assert column_range(WORKED_SKEW) == (-1, 3)
-    assert bandwidth(WORKED_SKEW) == 4
 
 
 def test_label_columns_table():

@@ -21,7 +21,6 @@ from lltlattice.tableaux import (
     enumerate_ssyt,
     hl_modified,
     hl_transformed,
-    inv,
     llt_coinv,
     llt_inv,
     schur,
@@ -91,7 +90,7 @@ def test_coinv_single_shape_is_zero():
     shape = SkewShapeTuple(((3, 2),), ((0, 0),))
     for T in enumerate_ssyt(shape, 3):
         assert coinv(T) == 0
-        assert inv(T) == 0
+        assert attacking_inversions(T) == 0
 
 
 def test_coinv_superstandard_pair():
@@ -99,13 +98,13 @@ def test_coinv_superstandard_pair():
     both_ones = TableauTuple(shape, (((1,),), ((1,),)))
     assert coinv(both_ones) == 1
     decreasing = TableauTuple(shape, (((2,),), ((1,),)))
-    assert inv(decreasing) == 1
+    assert attacking_inversions(decreasing) == 1
     assert coinv(decreasing) == 0
 
 
 def test_constant_filling_has_no_inversions():
     for T in enumerate_ssyt(FIRST, 1):
-        assert inv(T) == 0
+        assert attacking_inversions(T) == 0
 
 
 def test_inv_triple_count_matches_attacking_pairs():
