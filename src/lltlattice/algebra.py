@@ -194,9 +194,6 @@ class LaurentPoly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"LaurentPoly({self.to_text()})"
 
@@ -229,13 +226,8 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero(self.vars)
             return LaurentPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented

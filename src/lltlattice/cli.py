@@ -49,7 +49,7 @@ def format_grouped(p: LaurentPoly) -> str:
 
 def _parse_shape(args) -> SkewShapeTuple:
     beta = parse_shape_text(args.beta, "--beta")
-    if args.gamma:
+    if args.gamma is not None:
         gamma = parse_shape_text(args.gamma, "--gamma")
         return _fit("--gamma", "--beta", SkewShapeTuple, beta, gamma)
     return SkewShapeTuple.straight(beta)

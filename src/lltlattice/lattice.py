@@ -108,7 +108,7 @@ class LatticeSpec:
     bottom: tuple[int, ...]
     top: tuple[int, ...]
     right: tuple[int, ...]
-    n: int = field(init=False, compare=False)  # rows: one per right label
+    n: int = field(init=False, compare=False)  # rows: one per right label, at least one
     # per color, the columns of bottom and of top that carry it: the DP's
     # first and last states
     columns: tuple = field(init=False, repr=False, compare=False)
@@ -137,7 +137,7 @@ class LatticeSpec:
         for bit, (flow, out) in enumerate(zip(bottom, top)):
             if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):
                 raise ValueError(f"color {bit + 1} is not conserved by the boundary")
-        object.__setattr__(self, "n", len(self.right))
+        object.__setattr__(self, "n", check_n(len(self.right)))
         object.__setattr__(self, "columns", (bottom, top))
 
     @property
@@ -205,9 +205,7 @@ def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
     it is present: [b, e) and [b, min(e, ncols-1)] for a path from bottom
     column b to top column e, with e = ncols for the path that leaves right.
     """
-    m = len(bottoms) - exit_right
-    if m < 0:
-        return []
+    m = len(bottoms) - exit_right  # >= 0: the spec conserves each color
     ends = bottoms[1:] + (ncols,)
     ranges = []
     for j in range(m):
@@ -333,10 +331,6 @@ class LatticeConfig:
                 raise ValueError(f"row {row} passes {L} out of the right edge, "
                                  f"not its right label {spec.right[row - 1]}")
         return xexps, texp
-
-    def coinv(self) -> int:
-        """The t exponent of the configuration weight."""
-        return self.weight_exponents()[1]
 
     def weight(self) -> LaurentPoly:
         vars = VarSet(nx=self.spec.n)

@@ -40,10 +40,6 @@ YBE_VARS = VarSet(nx=1, ny=1)
 _X = 0
 
 
-def _zero() -> LaurentPoly:
-    return LaurentPoly.zero(YBE_VARS)
-
-
 # Each single-color picture (I, J, K, L) with its tabulated weight, as
 # {(x, y, t) exponents: coefficient}.  The first picture of each table is the
 # one E (on faces) or Etilde (on crossings) weighs; the others are F's or
@@ -124,7 +120,7 @@ def ef_weight(kind: str, picture) -> LaurentPoly:
         what = "face" if _KINDS[kind] == "L" else "crossing"
         raise ValueError(f"unknown single-color {what} picture {pic}")
     first = pic == next(iter(branches))
-    return branches[pic][0] if first == (kind in ("E", "Etilde")) else _zero()
+    return branches[pic][0] if first == (kind in ("E", "Etilde")) else LaurentPoly.zero(YBE_VARS)
 
 
 # The two caches below hold one value per k (k <= 6 through the CLI) and per
@@ -148,7 +144,7 @@ def _recursive_table(k: int, kind: str) -> dict:
 
 def _table_oracle(k: int, table: dict):
     def weight(I, J, K, L) -> LaurentPoly:
-        return table.get(masks(k, I, J, K, L), _zero())
+        return table.get(masks(k, I, J, K, L), LaurentPoly.zero(YBE_VARS))
 
     return weight
 

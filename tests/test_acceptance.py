@@ -278,7 +278,7 @@ def test_criterion_9_duality_suite():
         spec = build_box_lattice(lam, M, n)
         expected = d_stat(lam)
         for config in enumerate_configs(spec)[:4]:
-            assert config.coinv() - rotate_config(config).coinv() == expected
+            assert config.weight_exponents()[1] - rotate_config(config).weight_exponents()[1] == expected
             checked += 1
 
     checked = 0

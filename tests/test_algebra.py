@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
+from lltlattice.cli import format_grouped
 from lltlattice.yangbaxter import _PACKING as YBE_PACKING
 
 V2 = VarSet(nx=2)  # x1, x2, t
@@ -168,6 +169,39 @@ def test_truncate_geometric():
         power = power * xy
         geom = geom + power
     assert geom.truncate_x(2) == series
+
+
+BAD_CALLS = [  # (id, call, error, message)
+    ("negative-count", lambda: VarSet(nx=-1), ValueError, "^variable counts must be nonnegative$"),
+    ("x-index", lambda: V1.x_index(2), IndexError, "^x_2 not in variable set$"),
+    ("short-exponents", lambda: LaurentPoly(V1, {(1,): 1}), ValueError,
+     r"^exponent vector \(1,\) has length 1, expected 2$"),
+    ("setattr", lambda: setattr(x1(V1), "terms", {}), AttributeError, "^LaurentPoly is immutable$"),
+    ("substitute-sign", lambda: x1(V1).substitute({0: (2, (1, 0))}), ValueError,
+     r"^substitution coefficient must be \+1 or -1$"),
+    ("substitute-width", lambda: x1(V1).substitute({0: (1, (1,))}), ValueError,
+     "^substitution monomial has wrong width$"),
+    ("eval-values", lambda: x1(V1).eval_rational([1]), ValueError, "^wrong number of values$"),
+    ("truncate-bound", lambda: x1(V1).truncate_x(-1), ValueError,
+     "^degree bound must be nonnegative$"),
+    ("add-str", lambda: x1(V1) + "a", TypeError, "unsupported operand"),
+    ("sub-str", lambda: x1(V1) - "a", TypeError, "unsupported operand"),
+    ("mul-str", lambda: x1(V1) * "a", TypeError, "can't multiply sequence"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in BAD_CALLS],
+                         ids=[row[0] for row in BAD_CALLS])
+def test_bad_calls_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_zero_is_falsy_and_prints_as_0():
+    zero = LaurentPoly.zero(V2)
+    assert not zero
+    assert LaurentPoly.one(V2)
+    assert zero.to_text() == format_grouped(zero) == "0"
 
 
 def test_serialize_zero():

@@ -79,6 +79,9 @@ def test_compute_names_a_shape_flag_with_a_non_integer_part(flag, text, capsys):
      "--gamma does not fit --beta: containment fails: (3,) is not inside (2,)"),
     ("verify symmetry --beta 2;1 --gamma 0",
      "--gamma does not fit --beta: beta and gamma must have the same number of components"),
+    ("compute --beta 1 --gamma= --n 1", "--gamma parts must be integers, not ''"),
+    ("stats --beta 2 --gamma=", "--gamma parts must be integers, not ''"),
+    ("verify symmetry --gamma=", "--gamma parts must be integers, not ''"),
 ])
 def test_shape_flag_errors_name_their_flag(command, message, capsys):
     assert cli.main(command.split()) == 2

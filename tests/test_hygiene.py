@@ -2,16 +2,22 @@
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
-functools cache is bounded, and one function owns the rule that n is at
-least 1."""
+functools cache is bounded, one function owns the rule that n is at least 1,
+and every function of the package runs under the CLI or is listed with why
+it stays."""
 
 import ast
 import functools
 import gc
 import importlib
 import inspect
+import io
+import json
+import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import CodeType, FunctionType, ModuleType
 
 import pytest
 
@@ -87,22 +93,54 @@ def test_guard_sees_a_dead_helper():
     assert _unreferenced(sources, private=True) == ["a.py: _dead"]
 
 
-# Public functions and classes that no module of the package calls (its
-# __init__ only re-exports), each with why it stays: a lemma of the paper or
-# a library entry point.  References that only the tests compare against
-# live in tests/reference.py.
-UNCALLED_PUBLIC = {
-    "lattice.py: enumerate_configs": "lemma: the configurations partition_function counts",
-    "lattice.py: ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
-    "lattice.py: config_to_ssyt": "lemma: configurations back to tableau tuples",
-    "lattice.py: rotate_config": "lemma: the 180-degree rotation of box configurations",
-    "shapes.py: complement": "entry point: the box complement of a checked tuple",
-    "tableaux.py: complement_bijection": "lemma: the column-complement bijection",
-    "tableaux.py: schur": "entry point: one-component LLT polynomials are Schur polynomials",
-    "yangbaxter.py: r_weight": "entry point: the closed-form crossing weight",
-    "yangbaxter.py: ef_weight": "lemma: the single-color E, F, Etilde and Ftilde weights",
-    "yangbaxter.py: l_recursive": "lemma: the color recursion of the face weight",
-    "yangbaxter.py: r_recursive": "lemma: the color recursion of the crossing weight",
+# The functions of the package, as module.qualname, that the CLI trace of
+# test_every_function_runs_or_says_why never enters, each with why it stays:
+#   lemma         a statement of the paper that the tests check, not the CLI;
+#   entry point   a library call that no command makes;
+#   failure path  runs only when a check fails or a caller errs;
+#   import        runs once, when cli is imported, before the trace starts;
+#   bench         bench/spans.py wraps it by name;
+#   protocol      a Python protocol method that no command needs.
+# A new function that no command runs gets an entry here.  References that
+# only the tests compare against live in tests/reference.py.
+NEVER_RUN = {
+    "algebra.LaurentPoly.one": "lemma: the color recursion's table at k = 0",
+    "algebra.LaurentPoly.zero": "lemma: the color recursion's weight of a forbidden label",
+    "algebra.LaurentPoly.substitute": "lemma: the color recursion's x -> xt",
+    "lattice.LatticeConfig.faces": "lemma: the faces of one configuration",
+    "lattice.LatticeConfig.weight_exponents": "lemma: the weight of one configuration",
+    "lattice.LatticeConfig.weight": "lemma: the weight of one configuration as a polynomial",
+    "lattice.enumerate_configs": "lemma: the configurations partition_function counts",
+    "lattice.enumerate_configs.<locals>.rec": "lemma: the configurations, one row at a time",
+    "lattice.ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
+    "lattice.config_to_ssyt": "lemma: configurations back to tableau tuples",
+    "lattice.rotate_config": "lemma: the 180-degree rotation of box configurations",
+    "lattice._reverse_colors": "lemma: the color reversal of the rotation",
+    "tableaux.complement_bijection": "lemma: the column-complement bijection",
+    "tableaux._complement_one": "lemma: the column-complement bijection on one component",
+    "yangbaxter.ef_weight": "lemma: the single-color E, F, Etilde and Ftilde weights",
+    "yangbaxter.l_recursive": "lemma: the color recursion of the face weight",
+    "yangbaxter.r_recursive": "lemma: the color recursion of the crossing weight",
+    "yangbaxter._recursive_table": "lemma: the color recursion's table of k-color weights",
+    "yangbaxter._table_oracle": "lemma: the color recursion's weights as a function",
+    "yangbaxter._table_oracle.<locals>.weight": "lemma: one weight of the color recursion",
+    "algebra.LaurentPoly.__neg__": "entry point: -P, which P - Q takes",
+    "algebra.LaurentPoly.__sub__": "entry point: P - Q, as in the weight tables' 1 - y/x",
+    "algebra.LaurentPoly.const": "entry point: a constant polynomial",
+    "lattice.mask_of": "entry point: a 0/1-tuple edge label as a mask",
+    "shapes.complement": "entry point: the box complement of a checked tuple",
+    "tableaux.schur": "entry point: one-component LLT polynomials are Schur polynomials",
+    "yangbaxter.r_weight": "entry point: the closed-form crossing weight",
+    "algebra.LaurentPoly.__setattr__": "failure path: a polynomial refuses to change",
+    "algebra.LaurentPoly.eval_rational": "failure path: numeric YBE evaluates unequal sides only",
+    "identities.EngineMismatch.__init__": "failure path: the engines disagree (exit 3)",
+    "yangbaxter._witness": "failure path: the first boundary where the YBE fails",
+    "cli.build_parser": "import: the parser is built once, at import",
+    "cli._with_engine": "import: VERIFY's builders are wrapped at import",
+    "algebra.LaurentPoly.__add__": "bench: the algebra.add span",
+    "algebra.LaurentPoly.truncate_x": "bench: the algebra.truncate span",
+    "algebra.LaurentPoly.__bool__": "protocol: the zero polynomial is falsy",
+    "algebra.LaurentPoly.__repr__": "protocol: a polynomial in a failed assert",
 }
 
 
@@ -110,8 +148,10 @@ def test_uncalled_public_names_are_listed():
     # the verify identities name their verifiers by string
     verifiers = {verifier for _, verifier, _, _ in cli.VERIFY.values()}
     sources = {path.name: path.read_text() for path in MODULES}
-    assert sorted(_unreferenced(sources, private=False, named=verifiers)) == sorted(UNCALLED_PUBLIC)
-    kinds = {reason.partition(":")[0] for reason in UNCALLED_PUBLIC.values()}
+    uncalled = [entry.replace(".py: ", ".")
+                for entry in _unreferenced(sources, private=False, named=verifiers)]
+    assert set(uncalled) <= set(NEVER_RUN)
+    kinds = {NEVER_RUN[name].partition(":")[0] for name in uncalled}
     assert kinds <= {"lemma", "entry point"}
 
 
@@ -196,14 +236,19 @@ def test_guard_sees_an_import_inside_a_function():
 LRU_CACHE = type(functools.cache(lambda: None))
 
 
+def _live_caches(package: str) -> list:
+    """Every live functools cache that a module of package defines, found as
+    the benchmark child finds the caches it empties: among the garbage
+    collector's objects."""
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, LRU_CACHE) and obj.__module__.startswith(package)]
+
+
 def _caches(package: str) -> dict[str, int | None]:
-    """module.function -> maxsize of every live functools cache that a module
-    of package defines, found as the benchmark child finds the caches it
-    empties: among the garbage collector's objects."""
+    """module.function -> maxsize of every live functools cache of package."""
     return {
         f"{obj.__module__}.{obj.__qualname__}": obj.cache_parameters()["maxsize"]
-        for obj in gc.get_objects()
-        if isinstance(obj, LRU_CACHE) and obj.__module__.startswith(package)
+        for obj in _live_caches(package)
     }
 
 
@@ -244,3 +289,120 @@ def test_guard_sees_an_unbounded_cache():
     assert _decorated_caches({"guardcheck.caches": source}) == {
         "guardcheck.caches.loose", "guardcheck.caches.tight"
     }
+
+
+def _def_count(source: str) -> int:
+    return sum(isinstance(node, ast.FunctionDef) for node in ast.walk(ast.parse(source)))
+
+
+def _functions(module: ModuleType) -> dict[CodeType, str]:
+    """code -> module.qualname of every def in module's file: its functions
+    (a cached one through ``__wrapped__``), the methods, properties and
+    classmethods of its classes, and the defs nested in any of them, named
+    after their parent (``co_qualname`` is Python 3.11+).  Lambdas and
+    comprehensions are left out."""
+    stem = module.__name__.rpartition(".")[2]
+    found = {}
+
+    def add(code: CodeType, name: str):
+        # a lambda or comprehension is named <lambda>, <listcomp>, ...
+        if code.co_filename == module.__file__ and code.co_name[0] != "<" and code not in found:
+            found[code] = name
+            for const in code.co_consts:
+                if isinstance(const, CodeType):
+                    add(const, f"{name}.<locals>.{const.co_name}")
+
+    for obj in vars(module).values():
+        for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+            if isinstance(member, property):
+                funcs = [member.fget, member.fset, member.fdel]
+            else:
+                funcs = [getattr(member, "__func__", getattr(member, "__wrapped__", member))]
+            for func in funcs:
+                if isinstance(func, FunctionType):
+                    add(func.__code__, f"{stem}.{func.__qualname__}")
+    return found
+
+
+def _never_run(functions: dict[CodeType, str], run) -> list[str]:
+    """The sorted names of the functions whose code ``run()`` never enters.
+
+    The trace function sees each Python frame start and returns None, so no
+    line or return event follows; a profile function would also be called on
+    every C call and every return, which makes the trace slower."""
+    entered = set()
+
+    def enter(frame, event, arg):
+        entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return sorted(name for code, name in functions.items() if code not in entered)
+
+
+GOLDEN_EXIT_CODES = Path(__file__).resolve().parent / "golden" / "cli" / "exit_codes.json"
+TRACED_COMMANDS = {  # command -> exit code
+    **json.loads(GOLDEN_EXIT_CODES.read_text()),
+    "verify all": 0,
+    "verify all --quick --format json": 0,
+    "stats --beta 3,3;3,1 --gamma 2,1;1,0": 0,
+    "stats --beta 3;2": 0,
+    "stats --beta 2,1;1,0 --M 5": 0,
+}
+
+
+def _trace_cli() -> tuple[list[str], dict[str, int]]:
+    """The package's functions that ``cli.main`` never enters on
+    TRACED_COMMANDS, from empty caches (a cache hit skips its function), and
+    each command's exit code."""
+    for cached in _live_caches("lltlattice"):
+        cached.cache_clear()
+    functions = {}
+    for path in MODULES:
+        if path.name != "__main__.py":   # it runs the CLI
+            module = importlib.import_module(f"lltlattice.{path.stem}")
+            functions |= _functions(module)
+    assert len(functions) == sum(_def_count(path.read_text()) for path in MODULES)
+    codes = {}
+
+    def run():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            for command in TRACED_COMMANDS:
+                codes[command] = cli.main(command.split())
+
+    return _never_run(functions, run), codes
+
+
+def test_every_function_runs_or_says_why():
+    never_run, codes = _trace_cli()
+    assert codes == TRACED_COMMANDS
+    assert never_run == sorted(NEVER_RUN)
+    kinds = {reason.partition(":")[0] for reason in NEVER_RUN.values()}
+    assert kinds <= {"lemma", "entry point", "failure path", "import", "bench", "protocol"}
+
+
+def test_guard_sees_a_function_that_never_runs():
+    source = (
+        "import functools\n\n"
+        "@functools.lru_cache(maxsize=2)\ndef cached(k):\n    return k\n\n"
+        "square = lambda v: [w * w for w in v]\n\n"
+        "class Poly:\n"
+        "    @classmethod\n    def zero(cls):\n        return cls()\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "    def run(self):\n        def inner():\n            return square([1])\n"
+        "        return inner()\n\n"
+        "def skipped():\n    def nested():\n        pass\n"
+    )
+    module = ModuleType("guardcheck")
+    module.__file__ = "guardcheck.py"
+    exec(compile(source, module.__file__, "exec"), vars(module))
+    functions = _functions(module)
+    assert len(functions) == _def_count(source) == 7
+    assert _never_run(functions, lambda: module.Poly.zero().run()) == [
+        "guardcheck.Poly.size", "guardcheck.cached", "guardcheck.skipped",
+        "guardcheck.skipped.<locals>.nested",
+    ]

@@ -477,6 +477,16 @@ def test_skew_cauchy_rejects_oversized_mu():
         verify_skew_cauchy(((2, 2), (0, 0)), 2, 2, 3)
 
 
+def test_skew_cauchy_refuses_a_mu_of_another_k():
+    with pytest.raises(ValueError, match="^mu must have 2 components$"):
+        verify_skew_cauchy(((1, 0),), 2, 2, 3)
+
+
+def test_llt_refuses_an_unknown_engine():
+    with pytest.raises(ValueError, match="^unknown engine 'nope'$"):
+        llt(((1,),), 1, "nope")
+
+
 def test_fail_reports_witness():
     # engineered failure: compare polynomials of two different shapes
     from lltlattice.identities import _check_pairs

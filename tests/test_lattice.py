@@ -324,11 +324,20 @@ def test_right_labels_that_differ_by_row():
     ((-1, 0), (0, -1), (0,), "^bottom label -1 at column 0 is not a set of colors among 1..1$"),
     ((1, 0), (0, 1, 0), (0,), "differ in length"),
     ((1, 0), (0, 1), (1,), "color 1 is not conserved"),
-], ids=["color-2", "colors-1-2", "negative", "lengths", "conservation"])
+    ((1, 0), (0, 1), (), "^n must be at least 1$"),
+    ((1, 0), (1, 0), (), "^n must be at least 1$"),
+], ids=["color-2", "colors-1-2", "negative", "lengths", "conservation", "no-rows-step",
+        "no-rows"])
 def test_lattice_spec_refuses_bad_boundaries(bottom, top, right, message):
     # k = 1: a label naming color 2, or a negative label, is not a set of colors
     with pytest.raises(ValueError, match=message):
         LatticeSpec(k=1, r=0, bottom=bottom, top=top, right=right)
+
+
+def test_lattice_spec_with_no_label_to_name_refuses_a_negative_color_count():
+    # no label is bad on its own, so the spec re-raises the error of the whole
+    with pytest.raises(ValueError, match=r"^edge labels \(\) are not sets of colors among 1..-1$"):
+        LatticeSpec(k=-1, r=0, bottom=(), top=(), right=())
 
 
 @pytest.mark.parametrize("k, given, masks", [
@@ -493,9 +502,11 @@ _OFF_BOUNDARY = "^levels 0..2 do not run from the bottom boundary to the top$"
     (_STEP, ((1, 0), (1, 0), (1, 0)), _OFF_BOUNDARY),
     (_STEP, ((1, 0), (0, 1)), _OFF_BOUNDARY),
     (_EXIT, ((1, 0), (0, 0), (0, 0)), "^row 1 passes 1 out of the right edge, not its right label 0$"),
-], ids=["bottom", "top", "levels", "right-edge"])
+    (_STEP, ((1, 0), (1, 1), (0, 1)), "^inadmissible face at row 1, column 1$"),
+], ids=["bottom", "top", "levels", "right-edge", "face"])
 def test_configs_off_their_spec_are_refused(spec, verticals, message):
-    # every face of these is admissible: only the boundary is wrong
+    # every face of the first four is admissible: only the boundary is wrong;
+    # the last puts color 1 on top of row 1's column 1 with nothing entering
     config = LatticeConfig(spec, verticals)
     for read in (LatticeConfig.weight_exponents, config_to_ssyt):
         with pytest.raises(ValueError, match=message):
@@ -566,7 +577,7 @@ def test_rotate_config_coinv_difference():
         expected = d_stat(lam)
         for config in enumerate_configs(spec)[:4]:
             rotated = rotate_config(config)
-            assert config.coinv() - rotated.coinv() == expected
+            assert config.weight_exponents()[1] - rotated.weight_exponents()[1] == expected
             # horizontal steps stay horizontal: total x-degree is preserved
             assert sum(config.weight_exponents()[0]) == sum(rotated.weight_exponents()[0])
             checked += 1
@@ -584,3 +595,11 @@ def test_rotate_config_rejects_non_box():
     narrow = LatticeSpec(k=1, r=-1, bottom=(1,), top=(1,), right=(0, 0))
     with pytest.raises(ValueError, match="^top boundary is not a full box$"):
         rotate_config(LatticeConfig(narrow, ((1,),) * 3))
+
+
+def test_rotate_config_refuses_a_lattice_with_no_box_side():
+    # r = 1 - n and three columns, but neither side is the box's: the bottom
+    # is not empty and the top is not full
+    spec = LatticeSpec(k=1, r=-1, bottom=(1, 0, 0), top=(0, 1, 0), right=(0, 0))
+    with pytest.raises(ValueError, match="^top boundary is not a full box$"):
+        rotate_config(enumerate_configs(spec)[0])

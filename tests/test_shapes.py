@@ -61,6 +61,10 @@ def test_column_range_simple():
     assert column_range(SkewShapeTuple(((0,),), ((0,),))) == (0, 0)
 
 
+def test_column_range_of_components_with_no_parts():
+    assert column_range(SkewShapeTuple(((),), ((),))) == (0, 0)
+
+
 def test_m_examples():
     assert m_formula(((3,), (2,))) == 3
     assert m_formula(((1,), (1,))) == 1
