@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, permutations, product
-from operator import ge, lshift
+from operator import ge, index, lshift
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import build_box_lattice, build_lattice, gray_rows, partition_function
@@ -224,7 +224,10 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     (x^rho)^k t^(C(n,2)C(k,2)+d(lam)) L_lam, and differs from the top-exit
     gray lattice (box top boundary) by the displayed monomial.
     """
-    Ms = sorted(set(int(M) for M in Ms))
+    try:
+        Ms = sorted(set(map(index, Ms)))
+    except TypeError:
+        raise ValueError(f"every M must be an integer, not {Ms!r}") from None
     if not Ms:
         raise ValueError("the M list must hold at least one M")
     lam = check_box_tuple(lam, n, Ms[0])   # what fits the narrowest box fits all

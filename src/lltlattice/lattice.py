@@ -2,10 +2,11 @@
 
 A lattice is an n-row grid of faces, rows numbered 1..n bottom to top with
 variable x_i on row i, columns indexed r..s left to right.  Edge labels are
-subsets of the k colors, stored as bitmasks (bit i-1 is color i).  Paths
-enter a face from the bottom or left and leave via the top or right; a face
-is admissible when the colors entering equal the colors leaving and no color
-enters twice.  The weight of an admissible face is
+subsets of the k colors, as bitmasks (bit i-1 is color i) or, in a spec and
+the row DP, as each color's columns.  Paths enter a face from the bottom or
+left and leave via the top or right; a face is admissible when the colors
+entering equal the colors leaving and no color enters twice.  The weight of
+an admissible face is
 
     x^(# colors leaving right) * prod over colors i leaving right of
     t^(# colors larger than i present in the face)
@@ -21,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import lt, or_
 
-from .algebra import LaurentPoly, VarSet
+from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
     ShapeTuple,
     SkewShapeTuple,
@@ -37,11 +38,7 @@ from .tableaux import TableauTuple
 
 
 def mask_of(bits) -> int:
-    m = 0
-    for i, b in enumerate(bits):
-        if b:
-            m |= 1 << i
-    return m
+    return sum(1 << i for i, b in enumerate(bits) if b)
 
 
 def masks(k: int, *labels) -> tuple[int, ...]:
@@ -100,57 +97,50 @@ def gray_rows(P: LaurentPoly, k: int, faces: int) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Boundary data of a lattice: bottom and top labels of the columns
-    r, r+1, ..., and one right label per row (left labels are always empty)."""
+    """Boundary data of a lattice on the columns r..r+ncols-1: per color, the
+    columns, counted from r and increasing, where its paths cross the bottom
+    and the top (the row DP's first and last states), and per row the mask of
+    the colors leaving through the right edge.  Left labels are always empty."""
 
-    k: int
     r: int
-    bottom: tuple[int, ...]
-    top: tuple[int, ...]
+    ncols: int
+    bottom: tuple[tuple[int, ...], ...]
+    top: tuple[tuple[int, ...], ...]
     right: tuple[int, ...]
     n: int = field(init=False, compare=False)  # rows: one per right label, at least one
-    # per color, the columns of bottom and of top that carry it: the DP's
-    # first and last states
-    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        width = len(self.bottom)
-        if width != len(self.top):
-            raise ValueError("bottom and top boundaries differ in length")
-        given = (*self.bottom, *self.top, *self.right)
-        try:
-            ints = masks(self.k, *given)
-        except ValueError:  # name the side, and the column or row, of the first bad label
-            for side, place, first, labels in (("bottom", "column", self.r, self.bottom),
-                                               ("top", "column", self.r, self.top),
-                                               ("right", "row", 1, self.right)):
-                for at, label in enumerate(labels, first):
-                    try:
-                        masks(self.k, label)
-                    except ValueError:
-                        raise ValueError(f"{side} label {label} at {place} {at} is not a set of "
-                                         f"colors among 1..{self.k}") from None
-            raise
-        if ints != given:  # some labels were 0/1 tuples: keep their masks
-            vars(self).update(bottom=ints[:width], top=ints[width:2 * width], right=ints[2 * width:])
-        bottom, top = _color_columns(self.bottom, self.k), _color_columns(self.top, self.k)
-        for bit, (flow, out) in enumerate(zip(bottom, top)):
+        vars(self).update(bottom=tuple(map(tuple, self.bottom)), top=tuple(map(tuple, self.top)),
+                          right=tuple(self.right))
+        k, ncols = self.k, self.ncols
+        if len(self.top) != k:
+            raise ValueError(f"bottom and top name {k} and {len(self.top)} colors")
+        if not k:
+            raise ValueError("a lattice needs at least one color")
+        for side, columns in (("bottom", self.bottom), ("top", self.top)):
+            for color, cols in enumerate(columns, 1):
+                if not all(map(lt, (-1, *cols), (*cols, ncols))):
+                    raise ValueError(f"{side} columns {cols} of color {color} do not "
+                                     f"increase strictly within 0..{ncols - 1}")
+        for row, label in enumerate(self.right, 1):
+            if label >> k:  # nonzero for a negative label too
+                raise ValueError(f"right label {label} at row {row} is not a subset of 1..{k}")
+        for bit, (flow, out) in enumerate(zip(self.bottom, self.top)):
             if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):
                 raise ValueError(f"color {bit + 1} is not conserved by the boundary")
         object.__setattr__(self, "n", check_n(len(self.right)))
-        object.__setattr__(self, "columns", (bottom, top))
 
     @property
-    def ncols(self) -> int:
+    def k(self) -> int:
         return len(self.bottom)
 
 
-def _labels(columns, width: int, first: int = 0) -> tuple[int, ...]:
-    """Label masks of positions first..first+width-1 from each color's positions."""
+def _labels(columns, width: int) -> tuple[int, ...]:
+    """Label masks of columns 0..width-1 from each color's columns."""
     out = [0] * width
     for color, cols in enumerate(columns):
         for c in cols:
-            out[c - first] |= 1 << color
+            out[c] |= 1 << color
     return tuple(out)
 
 
@@ -159,13 +149,16 @@ def _color_columns(labels: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(c for c, m in enumerate(labels) if (m >> bit) & 1) for bit in range(k))
 
 
+def _columns(p, r: int) -> tuple[int, ...]:
+    """The label columns of partition p counted from r, increasing."""
+    return tuple(c - r for c in reversed(label_columns(p)))
+
+
 def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     """The lattice whose partition function is the LLT polynomial of shape."""
-    check_n(n)
     r, s = column_range(shape)
-    bottom, top = (_labels(map(label_columns, mu), s - r + 1, r)
-                   for mu in (shape.gamma, shape.beta))
-    return LatticeSpec(k=shape.k, r=r, bottom=bottom, top=top, right=(0,) * n)
+    bottom, top = (tuple(_columns(mu, r) for mu in side) for side in (shape.gamma, shape.beta))
+    return LatticeSpec(r=r, ncols=s - r + 1, bottom=bottom, top=top, right=(0,) * n)
 
 
 def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False) -> LatticeSpec:
@@ -175,17 +168,13 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False)
     otherwise the top boundary is the k-fold (M-n)^n box.
     """
     lam = check_box_tuple(lam, n, M)
-    k = len(lam)
-    r = 1 - n
-    bottom = _labels(map(label_columns, lam), M, r)
-    full = (1 << k) - 1
+    k, r = len(lam), 1 - n
+    bottom = tuple(_columns(p, r) for p in lam)
     if right_exit:
-        top = (0,) * M
-        right = (full,) * n
+        top, right = ((),) * k, ((1 << k) - 1,) * n
     else:
-        top = _labels([label_columns((M - n,) * n)] * k, M, r)
-        right = (0,) * n
-    return LatticeSpec(k=k, r=r, bottom=bottom, top=top, right=right)
+        top, right = (_columns((M - n,) * n, r),) * k, (0,) * n
+    return LatticeSpec(r=r, ncols=M, bottom=bottom, top=top, right=right)
 
 
 # -- row machinery -------------------------------------------------------------
@@ -234,7 +223,7 @@ def _row_transitions(spec: LatticeSpec):
     color's moves are computed once per step function, keyed by color,
     bottoms, exit bit and last row or not.
     """
-    ncols, caps = spec.ncols, spec.columns[1]
+    ncols, caps = spec.ncols, spec.top
     moves: dict[tuple, list] = {}
 
     def step(row: int, state: tuple[tuple[int, ...], ...]):
@@ -264,32 +253,25 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
     """Exact partition function by row-to-row dynamic programming.
 
     The DP state after row i is the vertical edge labels between rows i and
-    i+1, held as each color's occupied columns; values are polynomials in
-    x_1..x_i and t.
+    i+1, held as each color's occupied columns; values count monomials in
+    x_1..x_i and t as ``_Packing`` keys.  Row i's x field holds its right
+    steps: at most one per color and column, so at most k * ncols.
     """
-    vars = VarSet(nx=spec.n)
-    width = vars.total
-    tslot = vars.t_index
-    step = _row_transitions(spec)
-    bottom, top = spec.columns
-    states: dict[tuple, dict[tuple, int]] = {bottom: {(0,) * width: 1}}
-    for row in range(1, spec.n + 1):
-        xslot = row - 1
-        nxt: dict[tuple, dict[tuple, int]] = {}
+    packing = _Packing(VarSet(nx=spec.n), max(spec.k * spec.ncols, 1).bit_length())
+    step, top = _row_transitions(spec), packing.top
+    states: dict[tuple, dict[int, int]] = {spec.bottom: {0: 1}}
+    for row, xshift in enumerate(packing.shifts, 1):
+        nxt: dict[tuple, dict[int, int]] = {}
         for state, terms in states.items():
             for tops, xexp, texp in step(row, state):
+                shift = (xexp << xshift) + (texp << top)
                 bucket = nxt.setdefault(tops, {})
-                for e, c in terms.items():
-                    ne = list(e)
-                    ne[xslot] += xexp
-                    ne[tslot] += texp
-                    key = tuple(ne)
+                for key, c in terms.items():
+                    key += shift
                     bucket[key] = bucket.get(key, 0) + c
         states = nxt
-        if not states:
-            break
     # every coefficient counts configurations, so none is zero
-    return LaurentPoly._trusted(vars, states.get(top, {}))
+    return packing.poly(states.get(spec.top, {}))
 
 
 @dataclass(frozen=True)
@@ -316,7 +298,8 @@ class LatticeConfig:
         and n are the spec's bottom and top, every face is admissible and
         each row passes its right label out of the right edge."""
         spec = self.spec
-        if self.verticals[:1] + self.verticals[spec.n:] != (spec.bottom, spec.top):
+        ends = (_labels(spec.bottom, spec.ncols), _labels(spec.top, spec.ncols))
+        if self.verticals[:1] + self.verticals[spec.n:] != ends:
             raise ValueError(f"levels 0..{spec.n} do not run from the bottom boundary to the top")
         xexps, texp = [0] * spec.n, 0
         for row in range(1, spec.n + 1):
@@ -350,7 +333,7 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
         for tops, _, _ in step(row, state):
             rec(row + 1, tops, verts + (_labels(tops, ncols),))
 
-    rec(1, spec.columns[0], (spec.bottom,))
+    rec(1, spec.bottom, (_labels(spec.bottom, ncols),))
     return out
 
 
@@ -415,7 +398,7 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
     if any(spec.right):
         raise ValueError("rotation is defined for lattices with empty right edge")
     k, n, ncols = spec.k, spec.n, spec.ncols
-    if spec.r != 1 - n or ncols < n or not k:  # no box is narrower than n columns or colorless
+    if spec.r != 1 - n or ncols < n:  # no box is narrower than n columns
         raise ValueError("top boundary is not a full box")
     # accept both the (lam, box) family and its rotated (empty, complement)
     # image, so the map is an involution
@@ -424,5 +407,6 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
         raise ValueError("top boundary is not a full box")
     verts = tuple(tuple(_reverse_colors(m, k) for m in reversed(level))
                   for level in reversed(config.verticals))
-    new_spec = LatticeSpec(k=k, r=spec.r, bottom=verts[0], top=verts[n], right=(0,) * n)
+    new_spec = LatticeSpec(r=spec.r, ncols=ncols, bottom=_color_columns(verts[0], k),
+                           top=_color_columns(verts[n], k), right=(0,) * n)
     return LatticeConfig(new_spec, verts)

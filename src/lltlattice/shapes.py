@@ -18,14 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import ge, sub
+from operator import ge, index, sub
 
 Partition = tuple[int, ...]
 ShapeTuple = tuple[Partition, ...]
 
 
 def check_partition(parts) -> Partition:
-    p = tuple(map(int, parts))
+    try:
+        p = tuple(map(index, parts))
+    except TypeError:
+        raise ValueError(f"parts must be integers, not {parts!r}") from None
     if p and min(p) < 0:
         raise ValueError(f"negative part in {p}")
     if not all(map(ge, p, p[1:])):

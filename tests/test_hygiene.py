@@ -116,6 +116,8 @@ NEVER_RUN = {
     "lattice.config_to_ssyt": "lemma: configurations back to tableau tuples",
     "lattice.rotate_config": "lemma: the 180-degree rotation of box configurations",
     "lattice._reverse_colors": "lemma: the color reversal of the rotation",
+    "lattice._labels": "lemma: a configuration's boundary levels as label masks",
+    "lattice._color_columns": "lemma: label masks read back as each color's columns",
     "tableaux.complement_bijection": "lemma: the column-complement bijection",
     "tableaux._complement_one": "lemma: the column-complement bijection on one component",
     "yangbaxter.ef_weight": "lemma: the single-color E, F, Etilde and Ftilde weights",
@@ -128,6 +130,7 @@ NEVER_RUN = {
     "algebra.LaurentPoly.__sub__": "entry point: P - Q, as in the weight tables' 1 - y/x",
     "algebra.LaurentPoly.const": "entry point: a constant polynomial",
     "lattice.mask_of": "entry point: a 0/1-tuple edge label as a mask",
+    "lattice.masks": "entry point: edge labels as masks, which the YBE weight oracles take",
     "shapes.complement": "entry point: the box complement of a checked tuple",
     "tableaux.schur": "entry point: one-component LLT polynomials are Schur polynomials",
     "yangbaxter.r_weight": "entry point: the closed-form crossing weight",

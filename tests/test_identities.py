@@ -565,6 +565,14 @@ def test_lstar_refuses_an_empty_M_list():
         verify_lstar(((1, 0),), 2, ())
 
 
+def test_non_integer_parts_and_Ms_are_refused():
+    # int() would run these as x1^2 and as M = 4
+    with pytest.raises(ValueError, match=r"^parts must be integers, not \(2\.9,\)$"):
+        llt(((2.9,),), 1)
+    with pytest.raises(ValueError, match=r"^every M must be an integer, not \[4\.9\]$"):
+        verify_lstar(((1, 0),), 2, [4.9])
+
+
 @pytest.mark.parametrize("verify, args", [
     (verify_box_skew, (((1, 0),), 1, 2)),
     (verify_complement, (((1, 0),), 1, 2)),

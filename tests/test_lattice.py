@@ -9,7 +9,6 @@ from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.lattice import (
     LatticeConfig,
     LatticeSpec,
-    _color_columns,
     _labels,
     _row_transitions,
     build_box_lattice,
@@ -109,10 +108,8 @@ def test_build_lattice_worked_example():
     assert spec.n == 2
     spec1 = build_lattice(FIRST, 2)
     assert (spec1.r, spec1.r + spec1.ncols - 1) == (0, 3)
-    for bit in range(spec.k):
-        bottom = sum((m >> bit) & 1 for m in spec.bottom)
-        top = sum((m >> bit) & 1 for m in spec.top)
-        assert bottom == top
+    for bottom, top in zip(spec.bottom, spec.top, strict=True):
+        assert len(bottom) == len(top)
 
 
 def test_configuration_weight_golden():
@@ -198,7 +195,7 @@ def test_partition_function_equals_tableaux_property(shape, n):
 def _reachable_levels(spec):
     """DP states level by level, and the number of transitions made."""
     step = _row_transitions(spec)
-    levels, made = [{_color_columns(spec.bottom, spec.k)}], 0
+    levels, made = [{spec.bottom}], 0
     for row in range(1, spec.n + 1):
         nxt = set()
         for state in levels[-1]:
@@ -236,11 +233,10 @@ def test_anchor_reachable_levels():
 ], ids=["plain", "box", "right-exit"])
 def test_last_row_yields_only_the_top(spec):
     levels, _ = _reachable_levels(spec)
-    top = _color_columns(spec.top, spec.k)
-    assert levels[-1] == {top}
+    assert levels[-1] == {spec.top}
     step = _row_transitions(spec)
     for state in levels[-2]:
-        assert {t for t, _, _ in step(spec.n, state)} <= {top}
+        assert {t for t, _, _ in step(spec.n, state)} <= {spec.top}
 
 
 def _random_specs(rng, count):
@@ -285,7 +281,7 @@ def _reference_partition_function(spec):
     """Sum over every labelling, row by row and face by face, with
     face_weight_exponents as the only rule."""
     k, ncols, vars = spec.k, spec.ncols, VarSet(nx=spec.n)
-    states = {spec.bottom: LaurentPoly.one(vars)}
+    states = {_labels(spec.bottom, ncols): LaurentPoly.one(vars)}
     for row in range(1, spec.n + 1):
         nxt = {}
         for below, poly in states.items():
@@ -302,14 +298,14 @@ def _reference_partition_function(spec):
                     nxt[tops] = nxt.get(tops, LaurentPoly.zero(vars)) + poly * (
                         LaurentPoly.monomial(vars, 1, exps))
         states = nxt
-    return states.get(spec.top, LaurentPoly.zero(vars))
+    return states.get(_labels(spec.top, ncols), LaurentPoly.zero(vars))
 
 
 def test_right_labels_that_differ_by_row():
     # color 1 leaves through the right edge on row 1 and color 2 on row 3 of
     # 4; color 2 can keep its columns over rows 1-3, so a move memo keyed
     # without the exit bit would give row 3 the moves of row 1
-    spec = LatticeSpec(k=2, r=0, bottom=(3, 3, 0, 0), top=(0, 1, 2, 0), right=(1, 0, 2, 0))
+    spec = LatticeSpec(r=0, ncols=4, bottom=((0, 1), (0, 1)), top=((1,), (2,)), right=(1, 0, 2, 0))
     configs = enumerate_configs(spec)
     total = LaurentPoly.zero(VarSet(nx=4))
     for config in configs:
@@ -318,48 +314,65 @@ def test_right_labels_that_differ_by_row():
     assert total == partition_function(spec) == _reference_partition_function(spec)
 
 
+_COLUMNS = "do not increase strictly within 0..1$"
+
+
 @pytest.mark.parametrize("bottom, top, right, message", [
-    ((2, 0), (0, 2), (0,), "^bottom label 2 at column 0 is not a set of colors among 1..1$"),
-    ((3, 0), (0, 3), (0,), "^bottom label 3 at column 0 is not a set of colors among 1..1$"),
-    ((-1, 0), (0, -1), (0,), "^bottom label -1 at column 0 is not a set of colors among 1..1$"),
-    ((1, 0), (0, 1, 0), (0,), "differ in length"),
-    ((1, 0), (0, 1), (1,), "color 1 is not conserved"),
-    ((1, 0), (0, 1), (), "^n must be at least 1$"),
-    ((1, 0), (1, 0), (), "^n must be at least 1$"),
-], ids=["color-2", "colors-1-2", "negative", "lengths", "conservation", "no-rows-step",
-        "no-rows"])
+    (((0,),), ((1,),), (2,), r"^right label 2 at row 1 is not a subset of 1\.\.1$"),
+    (((0,),), ((1,),), (3,), r"^right label 3 at row 1 is not a subset of 1\.\.1$"),
+    (((-1,),), ((1,),), (0,), rf"^bottom columns \(-1,\) of color 1 {_COLUMNS}"),
+    (((0,),), ((2,),), (0,), rf"^top columns \(2,\) of color 1 {_COLUMNS}"),
+    (((0,), (1, 0)), ((1,), (0, 1)), (0,), rf"^bottom columns \(1, 0\) of color 2 {_COLUMNS}"),
+    (((0,), (0, 1)), ((1,), (1, 1)), (0,), rf"^top columns \(1, 1\) of color 2 {_COLUMNS}"),
+    (((0,),), ((1,), ()), (0,), "^bottom and top name 1 and 2 colors$"),
+    ((), (), (0,), "^a lattice needs at least one color$"),
+    (((0,),), ((1,),), (1,), "^color 1 is not conserved by the boundary$"),
+    (((0,),), ((1,),), (), "^n must be at least 1$"),
+    (((0,),), ((0,),), (), "^n must be at least 1$"),
+], ids=["color-2", "colors-1-2", "negative", "outside", "decreasing", "repeated", "lengths",
+        "no-colors", "conservation", "no-rows-step", "no-rows"])
 def test_lattice_spec_refuses_bad_boundaries(bottom, top, right, message):
-    # k = 1: a label naming color 2, or a negative label, is not a set of colors
+    # two columns: a right label naming color 2, a column off 0..1 or out of
+    # order, or mismatched colors is not a boundary
     with pytest.raises(ValueError, match=message):
-        LatticeSpec(k=1, r=0, bottom=bottom, top=top, right=right)
-
-
-def test_lattice_spec_with_no_label_to_name_refuses_a_negative_color_count():
-    # no label is bad on its own, so the spec re-raises the error of the whole
-    with pytest.raises(ValueError, match=r"^edge labels \(\) are not sets of colors among 1..-1$"):
-        LatticeSpec(k=-1, r=0, bottom=(), top=(), right=())
-
-
-@pytest.mark.parametrize("k, given, masks", [
-    (1, (((1,),), ((1,),), (0,)), ((1,), (1,), (0,))),
-    (2, (((1, 1), 0), (0, (0, 1)), ((1, 0),)), ((3, 0), (0, 2), (1,))),
-], ids=["one-color", "two-colors"])
-def test_lattice_spec_keeps_the_masks_of_0_1_tuple_labels(k, given, masks):
-    spec, plain = (LatticeSpec(k, 0, *labels) for labels in (given, masks))
-    assert (spec.bottom, spec.top, spec.right) == masks
-    assert spec == plain
-    assert partition_function(spec) == partition_function(plain) != 0
+        LatticeSpec(r=0, ncols=2, bottom=bottom, top=top, right=right)
 
 
 @pytest.mark.parametrize("bottom, top, right, message", [
-    ((3, 4, 0), (1, 2, 0), (0, 0), "bottom label 4 at column 3"),
-    ((3, 1, 0), (1, 2, 5), (0, 0), "top label 5 at column 4"),
-    ((3, 1, 0), (1, 2, 1), (0, 4), "right label 4 at row 2"),
+    (((0, 3), (1,)), ((1, 2), (2,)), (0, 0), r"bottom columns \(0, 3\) of color 1"),
+    (((0, 1), (1,)), ((1, 2), (2, 2)), (0, 0), r"top columns \(2, 2\) of color 2"),
+    (((0, 1), (1,)), ((1, 2), (2,)), (0, 4), r"right label 4 at row 2"),
 ], ids=["bottom", "top", "right"])
 def test_lattice_spec_names_the_side_and_place_of_a_bad_label(bottom, top, right, message):
-    # k = 2 and the columns start at r = 2: columns 2, 3, 4, rows 1, 2
-    with pytest.raises(ValueError, match=f"^{message} is not a set of colors among 1..2$"):
-        LatticeSpec(k=2, r=2, bottom=bottom, top=top, right=right)
+    # k = 2 on three columns from r = 2, counted 0, 1, 2; rows 1, 2
+    with pytest.raises(ValueError, match=f"^{message} "):
+        LatticeSpec(r=2, ncols=3, bottom=bottom, top=top, right=right)
+
+
+def test_lattice_spec_given_lists_keeps_tuples():
+    # one path from column 0 to column 1 over two rows: weight x1 + x2
+    listed = LatticeSpec(r=0, ncols=2, bottom=[[0]], top=[[1]], right=[0, 0])
+    spec = LatticeSpec(r=0, ncols=2, bottom=((0,),), top=((1,),), right=(0, 0))
+    assert listed == spec and hash(listed) == hash(spec)
+    assert (listed.bottom, listed.top, listed.right) == (((0,),), ((1,),), (0, 0))
+    total = LaurentPoly.zero(VarSet(nx=2))
+    for config in enumerate_configs(listed):
+        total = total + config.weight()
+    vars = VarSet(nx=2)
+    assert total == partition_function(listed) == (LaurentPoly.monomial(vars, 1, (1, 0, 0))
+                                                   + LaurentPoly.monomial(vars, 1, (0, 1, 0)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_packed_x_field_at_its_bound(k, M):
+    # every color steps right across all M columns of the one row: the x
+    # exponent is k * M, the bound its packed field must hold without
+    # carrying into t
+    spec = build_box_lattice(((0,),) * k, M, 1, right_exit=True)
+    assert spec.k * spec.ncols == k * M
+    expected = LaurentPoly.monomial(VarSet(nx=1), 1, (k * M, M * k * (k - 1) // 2))
+    assert partition_function(spec) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -492,8 +505,8 @@ def test_config_to_ssyt_rejects_malformed():
 
 # k = 1 on columns 0, 1 over two rows: _STEP's path steps right on some row,
 # and _EXIT's leaves through the right edge on row 2
-_STEP = LatticeSpec(k=1, r=0, bottom=(1, 0), top=(0, 1), right=(0, 0))
-_EXIT = LatticeSpec(k=1, r=0, bottom=(1, 0), top=(0, 0), right=(0, 1))
+_STEP = LatticeSpec(r=0, ncols=2, bottom=((0,),), top=((1,),), right=(0, 0))
+_EXIT = LatticeSpec(r=0, ncols=2, bottom=((0,),), top=((),), right=(0, 1))
 _OFF_BOUNDARY = "^levels 0..2 do not run from the bottom boundary to the top$"
 
 
@@ -592,7 +605,7 @@ def test_rotate_config_rejects_non_box():
     with pytest.raises(ValueError, match="empty right edge"):
         rotate_config(enumerate_configs(spec)[0])
     # one column at n = 2 and r = 1 - n: no (M - n)^n box is that narrow
-    narrow = LatticeSpec(k=1, r=-1, bottom=(1,), top=(1,), right=(0, 0))
+    narrow = LatticeSpec(r=-1, ncols=1, bottom=((0,),), top=((0,),), right=(0, 0))
     with pytest.raises(ValueError, match="^top boundary is not a full box$"):
         rotate_config(LatticeConfig(narrow, ((1,),) * 3))
 
@@ -600,6 +613,6 @@ def test_rotate_config_rejects_non_box():
 def test_rotate_config_refuses_a_lattice_with_no_box_side():
     # r = 1 - n and three columns, but neither side is the box's: the bottom
     # is not empty and the top is not full
-    spec = LatticeSpec(k=1, r=-1, bottom=(1, 0, 0), top=(0, 1, 0), right=(0, 0))
+    spec = LatticeSpec(r=-1, ncols=3, bottom=((0,),), top=((1,),), right=(0, 0))
     with pytest.raises(ValueError, match="^top boundary is not a full box$"):
         rotate_config(enumerate_configs(spec)[0])

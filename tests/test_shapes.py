@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -29,6 +30,13 @@ def test_partition_validation():
         check_partition((-1,))
     with pytest.raises(ValueError):
         SkewShapeTuple(((2, 1),), ((2, 2),))
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), ("2", 1)], ids=["float", "string"])
+def test_partition_refuses_parts_that_are_not_integers(parts):
+    # int() would truncate 2.7 and parse "2"; both are refused, by value
+    with pytest.raises(ValueError, match=f"^parts must be integers, not {re.escape(repr(parts))}$"):
+        check_partition(parts)
 
 
 def test_label_columns_zero_parts():
