@@ -2,11 +2,11 @@
 
 A lattice is an n-row grid of faces, rows numbered 1..n bottom to top with
 variable x_i on row i, columns indexed r..s left to right.  Edge labels are
-subsets of the k colors, as bitmasks (bit i-1 is color i) or, in a spec and
-the row DP, as each color's columns.  Paths enter a face from the bottom or
-left and leave via the top or right; a face is admissible when the colors
-entering equal the colors leaving and no color enters twice.  The weight of
-an admissible face is
+subsets of the k colors, held as each color's columns; bitmasks (bit i-1 is
+color i) appear only inside a face and in the YBE weight oracles.  Paths enter
+a face from the bottom or left and leave via the top or right; a face is
+admissible when the colors entering equal the colors leaving and no color
+enters twice.  The weight of an admissible face is
 
     x^(# colors leaving right) * prod over colors i leaving right of
     t^(# colors larger than i present in the face)
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import lt, or_
+from operator import index, lt, or_
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
@@ -30,6 +30,7 @@ from .shapes import (
     SkewShapeTuple,
     _binom2,
     check_box_tuple,
+    check_int,
     check_n,
     column_range,
     label_columns,
@@ -44,8 +45,7 @@ def mask_of(bits) -> int:
 def masks(k: int, *labels) -> tuple[int, ...]:
     """Edge labels as bitmasks; each label is a mask or a 0/1 tuple naming
     colors among 1..k, else ValueError."""
-    # from a list: tuple() of a generator resizes and piles spare tuples on free lists
-    out = tuple([v if isinstance(v, int) else mask_of(v) for v in labels])
+    out = tuple(v if isinstance(v, int) else mask_of(v) for v in labels)
     if k < 0 or reduce(or_, out, 0) >> k:  # a negative label makes the OR negative
         raise ValueError(f"edge labels {labels} are not sets of colors among 1..{k}")
     return out
@@ -95,6 +95,22 @@ def gray_rows(P: LaurentPoly, k: int, faces: int) -> LaurentPoly:
     return LaurentPoly._trusted(P.vars, out)
 
 
+def _check_columns(where: str, columns, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Each color's columns as a tuple of ints; ValueError, naming where and
+    the color, unless they are integers increasing strictly within 0..ncols-1."""
+    out = []
+    for color, cols in enumerate(columns, 1):
+        try:
+            cols = tuple(map(index, cols))
+        except TypeError:
+            raise ValueError(f"{where} columns {cols} of color {color} are not integers") from None
+        if not all(map(lt, (-1, *cols), (*cols, ncols))):
+            raise ValueError(f"{where} columns {cols} of color {color} do not "
+                             f"increase strictly within 0..{ncols - 1}")
+        out.append(cols)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Boundary data of a lattice on the columns r..r+ncols-1: per color, the
@@ -110,20 +126,16 @@ class LatticeSpec:
     n: int = field(init=False, compare=False)  # rows: one per right label, at least one
 
     def __post_init__(self):
-        vars(self).update(bottom=tuple(map(tuple, self.bottom)), top=tuple(map(tuple, self.top)),
-                          right=tuple(self.right))
-        k, ncols = self.k, self.ncols
+        ncols, k = check_int(self.ncols, "ncols"), len(self.bottom)
+        vars(self).update(r=check_int(self.r, "r"), ncols=ncols,
+                          bottom=_check_columns("bottom", self.bottom, ncols),
+                          top=_check_columns("top", self.top, ncols), right=tuple(self.right))
         if len(self.top) != k:
             raise ValueError(f"bottom and top name {k} and {len(self.top)} colors")
         if not k:
             raise ValueError("a lattice needs at least one color")
-        for side, columns in (("bottom", self.bottom), ("top", self.top)):
-            for color, cols in enumerate(columns, 1):
-                if not all(map(lt, (-1, *cols), (*cols, ncols))):
-                    raise ValueError(f"{side} columns {cols} of color {color} do not "
-                                     f"increase strictly within 0..{ncols - 1}")
         for row, label in enumerate(self.right, 1):
-            if label >> k:  # nonzero for a negative label too
+            if check_int(label, f"right label at row {row}") >> k:  # nonzero if negative too
                 raise ValueError(f"right label {label} at row {row} is not a subset of 1..{k}")
         for bit, (flow, out) in enumerate(zip(self.bottom, self.top)):
             if len(flow) != len(out) + sum((m >> bit) & 1 for m in self.right):
@@ -144,11 +156,6 @@ def _labels(columns, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _color_columns(labels: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """Per color, the columns whose label carries it: the DP's state form."""
-    return tuple(tuple(c for c, m in enumerate(labels) if (m >> bit) & 1) for bit in range(k))
-
-
 def _columns(p, r: int) -> tuple[int, ...]:
     """The label columns of partition p counted from r, increasing."""
     return tuple(c - r for c in reversed(label_columns(p)))
@@ -158,7 +165,7 @@ def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     """The lattice whose partition function is the LLT polynomial of shape."""
     r, s = column_range(shape)
     bottom, top = (tuple(_columns(mu, r) for mu in side) for side in (shape.gamma, shape.beta))
-    return LatticeSpec(r=r, ncols=s - r + 1, bottom=bottom, top=top, right=(0,) * n)
+    return LatticeSpec(r=r, ncols=s - r + 1, bottom=bottom, top=top, right=(0,) * check_n(n))
 
 
 def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False) -> LatticeSpec:
@@ -276,33 +283,34 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """A fully labelled lattice, held as its vertical labels on n+1 levels
-    (level 0 is the bottom boundary, level n the top).  They fix the
-    horizontal labels: the left edge is empty and every face conserves
-    colors, so each face passes right the colors that enter it and do not
-    leave through its top."""
+    """A fully labelled lattice, held as the row DP's levels 0..n (level 0 is
+    the bottom boundary, level n the top), each holding each color's columns.
+    They fix the horizontal labels, which `faces` reads as masks: the left
+    edge is empty and every face conserves colors, so each face passes right
+    the colors that enter it and do not leave through its top."""
 
     spec: LatticeSpec
-    verticals: tuple[tuple[int, ...], ...]
+    verticals: tuple[tuple[tuple[int, ...], ...], ...]
 
     def faces(self, row: int):
-        """(I, J, K, L) of each face of the 1-based row, left to right."""
+        """(I, J, K, L) of each face of the 1-based row, left to right, as masks."""
         J = 0
-        for I, K in zip(self.verticals[row - 1], self.verticals[row], strict=True):
+        for I, K in zip(*(_labels(self.verticals[h], self.spec.ncols) for h in (row - 1, row))):
             L = (I | J) & ~K
             yield I, J, K, L
             J = L
 
     def weight_exponents(self) -> tuple[list[int], int]:
         """Per-row x exponents and the t exponent; ValueError unless levels 0
-        and n are the spec's bottom and top, every face is admissible and
-        each row passes its right label out of the right edge."""
+        and n are the spec's bottom and top, every level's columns increase
+        strictly within the lattice, every face is admissible and each row
+        passes its right label out of the right edge."""
         spec = self.spec
-        ends = (_labels(spec.bottom, spec.ncols), _labels(spec.top, spec.ncols))
-        if self.verticals[:1] + self.verticals[spec.n:] != ends:
+        if self.verticals[:1] + self.verticals[spec.n:] != (spec.bottom, spec.top):
             raise ValueError(f"levels 0..{spec.n} do not run from the bottom boundary to the top")
         xexps, texp = [0] * spec.n, 0
         for row in range(1, spec.n + 1):
+            _check_columns(f"level {row}", self.verticals[row], spec.ncols)
             L = 0
             for c, (I, J, K, L) in enumerate(self.faces(row)):
                 data = face_weight_exponents(I, J, K, L)
@@ -316,24 +324,22 @@ class LatticeConfig:
         return xexps, texp
 
     def weight(self) -> LaurentPoly:
-        vars = VarSet(nx=self.spec.n)
         xexps, texp = self.weight_exponents()
-        return LaurentPoly.monomial(vars, 1, tuple(xexps) + (texp,))
+        return LaurentPoly.monomial(VarSet(nx=self.spec.n), 1, tuple(xexps) + (texp,))
 
 
 def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
     """Every lattice configuration exactly once, in the row step's order."""
-    out: list[LatticeConfig] = []
-    step, ncols = _row_transitions(spec), spec.ncols
+    out, step = [], _row_transitions(spec)
 
-    def rec(row: int, state, verts: tuple):
+    def rec(row: int, verts: tuple):
         if row > spec.n:  # the last row's caps end every path on spec.top
             out.append(LatticeConfig(spec, verts))
             return
-        for tops, _, _ in step(row, state):
-            rec(row + 1, tops, verts + (_labels(tops, ncols),))
+        for tops, _, _ in step(row, verts[-1]):
+            rec(row + 1, verts + (tops,))
 
-    rec(1, spec.bottom, (_labels(spec.bottom, ncols),))
+    rec(1, (spec.bottom,))
     return out
 
 
@@ -344,14 +350,12 @@ def ssyt_to_config(T, n: int) -> LatticeConfig:
     """Row-by-row path encoding of a tableau tuple: the path of a row of
     component i carries color i, and at level h it stands at its start
     column plus the number of the row's entries that are at most h."""
-    shape = T.shape
-    spec = build_lattice(shape, n)
-    vert = [[0] * spec.ncols for _ in range(n + 1)]
-    for i in range(shape.k):
-        for start, entries in zip(label_columns(shape.gamma[i]), T.rows[i], strict=True):
-            for h in range(n + 1):
-                vert[h][start - spec.r + sum(e <= h for e in entries)] |= 1 << i
-    return LatticeConfig(spec, tuple(map(tuple, vert)))
+    spec = build_lattice(T.shape, n)
+    return LatticeConfig(spec, tuple(
+        tuple(tuple(start - spec.r + sum(e <= h for e in entries)
+                    for start, entries in zip(label_columns(gamma), rows, strict=True))[::-1]
+              for gamma, rows in zip(T.shape.gamma, T.rows))
+        for h in range(n + 1)))
 
 
 def config_to_ssyt(config: LatticeConfig):
@@ -361,29 +365,19 @@ def config_to_ssyt(config: LatticeConfig):
     right on row h."""
     config.weight_exponents()
     spec, n = config.spec, config.spec.n
-    levels = [[cols[::-1] for cols in _color_columns(v, spec.k)] for v in config.verticals]
+    levels = [[cols[::-1] for cols in level] for level in config.verticals]
     # right to left, a color's bottom (top) columns are the labels of parts
     # 1, 2, ... of gamma (beta); part m is label + m - 1, as label_columns says
     beta, gamma = (tuple(tuple(spec.r + c + m for m, c in enumerate(cols)) for cols in level)
                    for level in (levels[n], levels[0]))
     shape = SkewShapeTuple(beta, gamma)
-    rows = []
-    for i in range(shape.k):
-        paths = zip(*(level[i] for level in levels), strict=True)  # each path's column per level
-        rows.append(tuple(tuple(h for h in range(1, n + 1) for _ in range(path[h] - path[h - 1]))
-                          for path in paths))
-    return TableauTuple(shape, tuple(rows))
+    rows = tuple(tuple(tuple(h for h in range(1, n + 1) for _ in range(path[h] - path[h - 1]))
+                       for path in zip(*(level[i] for level in levels), strict=True))
+                 for i in range(shape.k))
+    return TableauTuple(shape, rows)
 
 
 # -- 180-degree rotation of box configurations ---------------------------------
-
-
-def _reverse_colors(mask: int, k: int) -> int:
-    out = 0
-    for i in range(k):
-        if (mask >> i) & 1:
-            out |= 1 << (k - 1 - i)
-    return out
 
 
 def rotate_config(config: LatticeConfig) -> LatticeConfig:
@@ -392,21 +386,18 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
     The input must live on a box lattice (bottom lam, top the full box); the
     output lives on the box lattice with bottom empty and top the complement
     tuple.  Horizontal steps stay horizontal, so the total x-degree is
-    preserved (row i maps to row n+1-i).
+    preserved (row i maps to row n+1-i), and column c maps to ncols-1-c.
     """
     spec = config.spec
     if any(spec.right):
         raise ValueError("rotation is defined for lattices with empty right edge")
     k, n, ncols = spec.k, spec.n, spec.ncols
-    if spec.r != 1 - n or ncols < n:  # no box is narrower than n columns
+    # accept the (lam, box) family (top: every color on the last n columns)
+    # and its rotated image (bottom: on the first n), so the map is an involution
+    if spec.r != 1 - n or (spec.top != (tuple(range(ncols - n, ncols)),) * k
+                           and spec.bottom != (tuple(range(n)),) * k):
         raise ValueError("top boundary is not a full box")
-    # accept both the (lam, box) family and its rotated (empty, complement)
-    # image, so the map is an involution
-    empty = build_box_lattice(((0,) * n,) * k, ncols, n)
-    if spec.top != empty.top and spec.bottom != empty.bottom:
-        raise ValueError("top boundary is not a full box")
-    verts = tuple(tuple(_reverse_colors(m, k) for m in reversed(level))
+    verts = tuple(tuple(tuple(ncols - 1 - c for c in reversed(cols)) for cols in reversed(level))
                   for level in reversed(config.verticals))
-    new_spec = LatticeSpec(r=spec.r, ncols=ncols, bottom=_color_columns(verts[0], k),
-                           top=_color_columns(verts[n], k), right=(0,) * n)
+    new_spec = LatticeSpec(r=spec.r, ncols=ncols, bottom=verts[0], top=verts[n], right=(0,) * n)
     return LatticeConfig(new_spec, verts)

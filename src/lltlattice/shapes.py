@@ -36,9 +36,17 @@ def check_partition(parts) -> Partition:
     return p
 
 
+def check_int(value, name: str) -> int:
+    """value through operator.index, else ValueError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 def check_n(n: int) -> int:
-    """The one rule on a variable count: n is at least 1."""
-    if n < 1:
+    """The one rule on a variable count: n is an integer, at least 1."""
+    if (n := check_int(n, "n")) < 1:
         raise ValueError("n must be at least 1")
     return n
 
@@ -229,7 +237,7 @@ def check_box_tuple(lam, n: int | None = None, M: int | None = None) -> ShapeTup
     first), inside the (M - n)^n box when M is given; that box needs M >= n."""
     lam = check_shape_tuple(lam)
     n = check_n(len(lam[0]) if n is None else n)
-    if M is not None and M < n:
+    if M is not None and (M := check_int(M, "M")) < n:
         raise ValueError(f"M must be at least n, not M = {M} with n = {n}")
     for p in lam:
         if len(p) != n:

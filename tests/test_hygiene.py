@@ -3,8 +3,8 @@ every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
 functools cache is bounded, one function owns the rule that n is at least 1,
-and every function of the package runs under the CLI or is listed with why
-it stays."""
+one method reads a configuration's levels as label masks, and every function
+of the package runs under the CLI or is listed with why it stays."""
 
 import ast
 import functools
@@ -21,7 +21,7 @@ from types import CodeType, FunctionType, ModuleType
 
 import pytest
 
-from lltlattice import cli, shapes
+from lltlattice import cli, lattice, shapes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lltlattice"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -115,9 +115,7 @@ NEVER_RUN = {
     "lattice.ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
     "lattice.config_to_ssyt": "lemma: configurations back to tableau tuples",
     "lattice.rotate_config": "lemma: the 180-degree rotation of box configurations",
-    "lattice._reverse_colors": "lemma: the color reversal of the rotation",
-    "lattice._labels": "lemma: a configuration's boundary levels as label masks",
-    "lattice._color_columns": "lemma: label masks read back as each color's columns",
+    "lattice._labels": "lemma: the label masks of one configuration's faces",
     "tableaux.complement_bijection": "lemma: the column-complement bijection",
     "tableaux._complement_one": "lemma: the column-complement bijection on one component",
     "yangbaxter.ef_weight": "lemma: the single-color E, F, Etilde and Ftilde weights",
@@ -174,6 +172,15 @@ def test_variable_count_rule_has_one_owner():
     counts = {path.name: path.read_text().count(text) for path in SRC.glob("*.py")}
     assert {name: count for name, count in counts.items() if count} == {"shapes.py": 1}
     assert text in inspect.getsource(shapes.check_n)
+
+
+def test_label_masks_have_one_reader():
+    # a configuration holds each color's columns per level; only its faces
+    # read a level as label masks
+    counts = {path.name: _references(ast.parse(path.read_text()))["_labels"]
+              for path in SRC.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"lattice.py": 1}
+    assert "_labels(" in inspect.getsource(lattice.LatticeConfig.faces)
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -571,6 +571,22 @@ def test_non_integer_parts_and_Ms_are_refused():
         llt(((2.9,),), 1)
     with pytest.raises(ValueError, match=r"^every M must be an integer, not \[4\.9\]$"):
         verify_lstar(((1, 0),), 2, [4.9])
+    # M = 4.9 would give a box 2.9 wide, n = 2.0 or 2.5 a float row count and
+    # a float r or ncols a float shift in the row DP; each is named before any
+    # partition or lattice is derived from it
+    for call, message in (
+        (lambda: shapes.complement(((1, 0),), 4.9, 2), "M must be an integer, not 4.9"),
+        (lambda: shapes.check_box_tuple(((1, 0),), 2, 4.9), "M must be an integer, not 4.9"),
+        (lambda: verify_box_skew(((1, 0),), 4.9, 2), "M must be an integer, not 4.9"),
+        (lambda: lattice.build_box_lattice(((1, 0),), 4.9, 2), "M must be an integer, not 4.9"),
+        (lambda: llt(((2, 1),), 2.0, "lattice"), "n must be an integer, not 2.0"),
+        (lambda: shapes.check_n(2.5), "n must be an integer, not 2.5"),
+        (lambda: lattice.LatticeSpec(0.0, 2, ((0,),), ((1,),), (0,)), "r must be an integer, not 0.0"),
+        (lambda: lattice.LatticeSpec(0, 2.0, ((0,),), ((1,),), (0,)),
+         "ncols must be an integer, not 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$".replace(".", r"\.")):
+            call()
 
 
 @pytest.mark.parametrize("verify, args", [

@@ -329,11 +329,15 @@ _COLUMNS = "do not increase strictly within 0..1$"
     (((0,),), ((1,),), (1,), "^color 1 is not conserved by the boundary$"),
     (((0,),), ((1,),), (), "^n must be at least 1$"),
     (((0,),), ((0,),), (), "^n must be at least 1$"),
+    (((0.5,),), ((1,),), (0,), r"^bottom columns \(0\.5,\) of color 1 are not integers$"),
+    (((0,),), ((1,), (1.0,)), (0,), r"^top columns \(1\.0,\) of color 2 are not integers$"),
+    (((0,),), ((1,),), (0.0,), r"^right label at row 1 must be an integer, not 0\.0$"),
 ], ids=["color-2", "colors-1-2", "negative", "outside", "decreasing", "repeated", "lengths",
-        "no-colors", "conservation", "no-rows-step", "no-rows"])
+        "no-colors", "conservation", "no-rows-step", "no-rows", "float-bottom", "float-top",
+        "float-right"])
 def test_lattice_spec_refuses_bad_boundaries(bottom, top, right, message):
-    # two columns: a right label naming color 2, a column off 0..1 or out of
-    # order, or mismatched colors is not a boundary
+    # two columns: a right label naming color 2, a column off 0..1, out of
+    # order or not an integer, or mismatched colors is not a boundary
     with pytest.raises(ValueError, match=message):
         LatticeSpec(r=0, ncols=2, bottom=bottom, top=top, right=right)
 
@@ -497,7 +501,7 @@ def test_config_to_ssyt_rejects_malformed():
     config = ssyt_to_config(T, 2)
     broken = LatticeConfig(
         config.spec,
-        config.verticals[:1] + (tuple(0 for _ in config.verticals[1]),) + config.verticals[2:],
+        config.verticals[:1] + (tuple(() for _ in config.verticals[1]),) + config.verticals[2:],
     )
     with pytest.raises(ValueError):
         config_to_ssyt(broken)
@@ -508,18 +512,24 @@ def test_config_to_ssyt_rejects_malformed():
 _STEP = LatticeSpec(r=0, ncols=2, bottom=((0,),), top=((1,),), right=(0, 0))
 _EXIT = LatticeSpec(r=0, ncols=2, bottom=((0,),), top=((),), right=(0, 1))
 _OFF_BOUNDARY = "^levels 0..2 do not run from the bottom boundary to the top$"
+_LEVEL_1 = "^level 1 columns {} of color 1 do not increase strictly within 0..1$"
 
 
 @pytest.mark.parametrize("spec, verticals, message", [
-    (_STEP, ((0, 1), (0, 1), (0, 1)), _OFF_BOUNDARY),
-    (_STEP, ((1, 0), (1, 0), (1, 0)), _OFF_BOUNDARY),
-    (_STEP, ((1, 0), (0, 1)), _OFF_BOUNDARY),
-    (_EXIT, ((1, 0), (0, 0), (0, 0)), "^row 1 passes 1 out of the right edge, not its right label 0$"),
-    (_STEP, ((1, 0), (1, 1), (0, 1)), "^inadmissible face at row 1, column 1$"),
-], ids=["bottom", "top", "levels", "right-edge", "face"])
+    (_STEP, (((1,),), ((1,),), ((1,),)), _OFF_BOUNDARY),
+    (_STEP, (((0,),), ((0,),), ((0,),)), _OFF_BOUNDARY),
+    (_STEP, (((0,),), ((1,),)), _OFF_BOUNDARY),
+    (_EXIT, (((0,),), ((),), ((),)), "^row 1 passes 1 out of the right edge, not its right label 0$"),
+    (_STEP, (((0,),), ((0, 1),), ((1,),)), "^inadmissible face at row 1, column 1$"),
+    (_STEP, (((0,),), ((0, 0),), ((1,),)), _LEVEL_1.format(r"\(0, 0\)")),
+    (_STEP, (((0,),), ((1, 0),), ((1,),)), _LEVEL_1.format(r"\(1, 0\)")),
+    (_STEP, (((0,),), ((2,),), ((1,),)), _LEVEL_1.format(r"\(2,\)")),
+], ids=["bottom", "top", "levels", "right-edge", "face", "repeated", "decreasing", "outside"])
 def test_configs_off_their_spec_are_refused(spec, verticals, message):
     # every face of the first four is admissible: only the boundary is wrong;
-    # the last puts color 1 on top of row 1's column 1 with nothing entering
+    # the fifth puts color 1 on top of row 1's column 1 with nothing entering;
+    # the last three hold a level whose columns a mask would merge into {0},
+    # reorder or carry off the lattice
     config = LatticeConfig(spec, verticals)
     for read in (LatticeConfig.weight_exponents, config_to_ssyt):
         with pytest.raises(ValueError, match=message):
@@ -546,13 +556,9 @@ def test_rotate_config_small_example():
     assert configs
     for config in configs:
         rotated = rotate_config(config)
-        # bottom boundary of the image is the empty tuple's label set
-        k = spec.k
-        full = (1 << k) - 1
-        assert all(
-            m == (full if c < spec.n else 0)
-            for c, m in enumerate(rotated.verticals[0])
-        )
+        # bottom boundary of the image is the empty tuple's: every color on
+        # columns 0..n-1
+        assert rotated.verticals[0] == (tuple(range(spec.n)),) * spec.k
 
 
 def test_rotate_config_involution():
@@ -607,7 +613,7 @@ def test_rotate_config_rejects_non_box():
     # one column at n = 2 and r = 1 - n: no (M - n)^n box is that narrow
     narrow = LatticeSpec(r=-1, ncols=1, bottom=((0,),), top=((0,),), right=(0, 0))
     with pytest.raises(ValueError, match="^top boundary is not a full box$"):
-        rotate_config(LatticeConfig(narrow, ((1,),) * 3))
+        rotate_config(LatticeConfig(narrow, (((0,),),) * 3))
 
 
 def test_rotate_config_refuses_a_lattice_with_no_box_side():
