@@ -29,6 +29,7 @@ from .shapes import (
     _d_stat,
     _dtilde_stat,
     check_box_tuple,
+    check_int,
     check_n,
     check_partition,
     d_stat,
@@ -289,6 +290,7 @@ def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     no key and every coefficient is a positive count, so merging them gives
     the product's terms as they are.
     """
+    n, k, D = (check_int(value, name) for value, name in ((n, "n"), (k, "k"), (D, "D")))
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
     xy = _xy_packing(n, D)
@@ -339,7 +341,7 @@ def _check_cauchy_params(n: int, k: int, D: int) -> None:
     """The Cauchy drivers' one check, made before any work."""
     check_n(n)
     for name, value, low in (("k", k, 1), ("D", D, 0)):
-        if value < low:
+        if check_int(value, name) < low:
             raise ValueError(f"{name} must be at least {low}")
 
 

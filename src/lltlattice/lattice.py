@@ -188,19 +188,18 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False)
 
 
 def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
-                 exit_right: int, last: bool) -> list[tuple[tuple[int, ...], int, int]]:
-    """One color's moves across a row from which its paths can still finish,
-    as (tops, right, present).
+                 exit_right: int, left: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """One color's moves across a row with `left` rows above, from which its
+    paths can still finish, as (tops, right, present).
 
-    Paths pair up in order and move weakly right; consecutive paths may not
-    share a face, and only the rightmost path may leave through the right
-    edge.  So the j-th path never passes caps[j], the color's j-th top
-    column, and on the last row it ends there; paths beyond len(caps) leave
-    through the right edge in some row and are uncapped.  right and present
-    are column bitmasks of the faces where the color leaves right and where
-    it is present: [b, e) and [b, min(e, ncols-1)] for a path from bottom
-    column b to top column e, with e = ncols for the path that leaves right.
-    """
+    Paths pair up in order and move weakly right, each left of its right
+    neighbour's column below the row, and only the rightmost may leave right.
+    So path j ends within [caps[j - left] + left, caps[j]], each bound where
+    it exists: it never passes its top column, and path j - left must still
+    reach its own in `left` rows (at left = 0, path j ends on caps[j]).
+    right and present are column bitmasks of the faces where the color leaves
+    right and where it is present: [b, e) and [b, min(e, ncols-1)] for a path
+    from bottom column b to top column e, e = ncols if it leaves right."""
     m = len(bottoms) - exit_right  # >= 0: the spec conserves each color
     ends = bottoms[1:] + (ncols,)
     ranges = []
@@ -208,8 +207,8 @@ def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
         lo, hi = bottoms[j], ends[j] - 1
         if j < len(caps):
             hi = min(hi, caps[j])
-            if last:
-                lo = max(lo, caps[j])
+        if j >= left:
+            lo = max(lo, caps[j - left] + left)
         ranges.append(range(lo, hi + 1))
     moves = []
     for tops in product(*ranges):
@@ -228,19 +227,19 @@ def _row_transitions(spec: LatticeSpec):
     the weight is plain: x counts the right steps, and t, for each pair of
     colors i < j, the faces where i leaves right and j is present.  Each
     color's moves are computed once per step function, keyed by color,
-    bottoms, exit bit and last row or not.
-    """
+    bottoms, exit bit and the rows above capped at len(bottoms), past which
+    no lower bound applies."""
     ncols, caps = spec.ncols, spec.top
     moves: dict[tuple, list] = {}
 
     def step(row: int, state: tuple[tuple[int, ...], ...]):
-        exits, last = spec.right[row - 1], row == spec.n
+        exits, left = spec.right[row - 1], spec.n - row
         per_color = []
         for bit, bottoms in enumerate(state):
-            key = (bit, bottoms, (exits >> bit) & 1, last)
+            key = (bit, bottoms, (exits >> bit) & 1, min(left, len(bottoms)))
             choices = moves.get(key)
             if choices is None:
-                choices = moves[key] = _color_moves(bottoms, caps[bit], ncols, key[2], last)
+                choices = moves[key] = _color_moves(bottoms, caps[bit], ncols, key[2], left)
             if not choices:
                 return
             per_color.append(choices)
@@ -333,7 +332,7 @@ def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
     out, step = [], _row_transitions(spec)
 
     def rec(row: int, verts: tuple):
-        if row > spec.n:  # the last row's caps end every path on spec.top
+        if row > spec.n:  # the last row's bounds end every path on spec.top
             out.append(LatticeConfig(spec, verts))
             return
         for tops, _, _ in step(row, verts[-1]):

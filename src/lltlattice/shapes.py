@@ -52,7 +52,10 @@ def check_n(n: int) -> int:
 
 
 def check_shape_tuple(shapes) -> ShapeTuple:
-    tup = tuple(map(check_partition, shapes))
+    try:
+        tup = tuple(map(check_partition, shapes))
+    except TypeError:
+        raise ValueError(f"a shape tuple must be a sequence of partitions, not {shapes!r}") from None
     if not tup:
         raise ValueError("shape tuple must have at least one component")
     return tup
@@ -93,8 +96,8 @@ class SkewShapeTuple:
         """beta/0 for a tuple of partitions; a SkewShapeTuple is returned as is."""
         if isinstance(beta, cls):
             return beta
-        beta = tuple(map(tuple, beta))
-        return cls(beta, tuple((0,) * len(b) for b in beta))
+        beta = check_shape_tuple(beta)
+        return cls._trusted(beta, tuple((0,) * len(b) for b in beta))
 
     @property
     def k(self) -> int:

@@ -35,6 +35,7 @@ from itertools import product
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import _gray, face_weight_exponents, masks
+from .shapes import check_int
 
 YBE_VARS = VarSet(nx=1, ny=1)
 _X = 0
@@ -306,11 +307,11 @@ def _witness(k: int, boundary, gauche: str, droite: str) -> dict:
 
 
 def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bool) -> YbeReport:
-    if k < 0:
+    if check_int(k, "k") < 0:
         raise ValueError(f"k must be at least 0, not {k}")
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "numeric" and trials < 1:
+    if mode == "numeric" and check_int(trials, "trials") < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
     # block by block in sorted boundary order, keeping only the (boundary,
     # gauche, droite) triples that differ

@@ -277,7 +277,9 @@ def test_criterion_9_duality_suite():
         M = max((p[0] for p in lam), default=0) + n + rng.randint(0, 1)
         spec = build_box_lattice(lam, M, n)
         expected = d_stat(lam)
-        for config in enumerate_configs(spec)[:4]:
+        configs = enumerate_configs(spec)
+        assert configs  # a box lattice has a configuration; none would loop forever
+        for config in configs[:4]:
             assert config.weight_exponents()[1] - rotate_config(config).weight_exponents()[1] == expected
             checked += 1
 

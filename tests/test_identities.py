@@ -584,6 +584,17 @@ def test_non_integer_parts_and_Ms_are_refused():
         (lambda: lattice.LatticeSpec(0.0, 2, ((0,),), ((1,),), (0,)), "r must be an integer, not 0.0"),
         (lambda: lattice.LatticeSpec(0, 2.0, ((0,),), ((1,),), (0,)),
          "ncols must be an integer, not 2.0"),
+        # a float k, D or trials would reach range() or int.bit_length
+        (lambda: verify_cauchy(1, 1.5, 2), "k must be an integer, not 1.5"),
+        (lambda: verify_cauchy(1, "1", 2), "k must be an integer, not '1'"),
+        (lambda: verify_cauchy(1, 1, 2.5), "D must be an integer, not 2.5"),
+        (lambda: verify_cauchy_rot(1, 1, 2.5), "D must be an integer, not 2.5"),
+        (lambda: cauchy_kernel_truncated(1, 1, 2.5), "D must be an integer, not 2.5"),
+        (lambda: cauchy_kernel_truncated(1, 1.0, 2), "k must be an integer, not 1.0"),
+        (lambda: cauchy_kernel_truncated(1.0, 1, 2), "n must be an integer, not 1.0"),
+        # a bare partition where a tuple of them is expected (llt, straight
+        # and rotate: test_straight_rejects_bad_input)
+        (lambda: verify_symmetry((3,), 2), "parts must be integers, not 3"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$".replace(".", r"\.")):
             call()

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -215,15 +215,56 @@ def test_worst_criterion_3_shape():
     assert result == llt_coinv(shape, 3)
     assert len(result.terms) == 26
     levels, made = _reachable_levels(spec)
-    assert [len(level) for level in levels] == [1, 18, 45, 1]
-    assert made == 260
+    assert [len(level) for level in levels] == [1, 12, 8, 1]
+    assert made == 65
 
 
 def test_anchor_reachable_levels():
     spec = build_lattice(SkewShapeTuple.straight(((3, 2), (2, 1), (2, 0))), 7)
     levels, made = _reachable_levels(spec)
-    assert [len(level) for level in levels] == [1, 36, 135, 135, 135, 135, 135, 1]
-    assert made == 10_062
+    assert [len(level) for level in levels] == [1, 36, 135, 135, 135, 135, 72, 1]
+    assert made == 9_546
+
+
+def test_wide_shape_levels():
+    # the wide-shape cliff: a pin on the last row alone kept 68,796 states
+    # before it, and only these 2,560 can reach the top
+    shape = SkewShapeTuple.straight(((9, 6, 3), (8, 5, 1), (7, 7, 0)))
+    spec = build_lattice(shape, 3)
+    levels, made = _reachable_levels(spec)
+    assert [len(level) for level in levels] == [1, 448, 2_560, 1]
+    assert made == 210_368
+    assert partition_function(spec) == llt_coinv(shape, 3)
+
+
+def _assert_every_state_is_live(spec):
+    """Backwards from the top: each kept state has a row into the next
+    level's states, which are live, so it lies on some configuration."""
+    levels, _ = _reachable_levels(spec)
+    assert levels[-1] == {spec.top}
+    step = _row_transitions(spec)
+    for row in range(spec.n, 0, -1):
+        for state in levels[row - 1]:
+            assert any(tops in levels[row] for tops, _, _ in step(row, state)), (spec, row, state)
+
+
+def test_every_kept_state_reaches_the_top():
+    rng, live = random.Random(5), 0
+    for _ in range(300):
+        spec = build_lattice(random_skew_tuple(rng, max_k=3, max_rows=3, max_part=4),
+                             rng.randint(1, 4))
+        if partition_function(spec).terms:
+            _assert_every_state_is_live(spec)
+            live += 1
+    assert live == 270
+    # which moves a row has is decided color by color, so one order of each
+    # multiset of components stands for all of its orders
+    for k, n in product((1, 2, 3), (1, 2, 3)):
+        for M in range(n, n + 3):
+            parts = list(combinations_with_replacement(range(M - n, -1, -1), n))
+            for lam in combinations_with_replacement(parts, k):
+                for right_exit in (False, True):
+                    _assert_every_state_is_live(build_box_lattice(lam, M, n, right_exit))
 
 
 @pytest.mark.parametrize("spec", [
@@ -255,7 +296,7 @@ def test_row_weight_matches_face_weights():
     # row's faces, rebuilt from the vertical labels and the horizontal ones
     # that conservation gives them, from the empty left edge rightwards
     checked = 0
-    for spec in _random_specs(random.Random(47), 30):
+    for spec in _random_specs(random.Random(47), 150):
         step, ncols = _row_transitions(spec), spec.ncols
         levels, _ = _reachable_levels(spec)
         for row, states in enumerate(levels[:-1], start=1):
@@ -274,7 +315,7 @@ def test_row_weight_matches_face_weights():
                         xe, te = xe + face[0], te + face[1]
                     assert (xexp, texp) == (xe, te)
                     checked += 1
-    assert checked == 7_376
+    assert checked == 9_640
 
 
 def _reference_partition_function(spec):
@@ -302,16 +343,21 @@ def _reference_partition_function(spec):
 
 
 def test_right_labels_that_differ_by_row():
-    # color 1 leaves through the right edge on row 1 and color 2 on row 3 of
-    # 4; color 2 can keep its columns over rows 1-3, so a move memo keyed
-    # without the exit bit would give row 3 the moves of row 1
-    spec = LatticeSpec(r=0, ncols=4, bottom=((0, 1), (0, 1)), top=((1,), (2,)), right=(1, 0, 2, 0))
-    configs = enumerate_configs(spec)
-    total = LaurentPoly.zero(VarSet(nx=4))
-    for config in configs:
-        total = total + config.weight()
-    assert configs
-    assert total == partition_function(spec) == _reference_partition_function(spec)
+    # first: color 1 leaves through the right edge on row 1 and color 2 on
+    # row 3 of 4; color 2 can keep its columns over rows 1-3, so a move memo
+    # keyed without the exit bit would give row 3 the moves of row 1.
+    # second: the right path leaves on row 4, so on row 3 it must end right
+    # of column 3, which the left path still has to reach, and on rows 1-2
+    # it need not; a memo keyed by the rows left capped at the top paths (1)
+    # would give row 3's moves to later calls on rows 1-2 and drop 12 configs
+    for spec in (LatticeSpec(0, 4, ((0, 1), (0, 1)), ((1,), (2,)), (1, 0, 2, 0)),
+                 LatticeSpec(0, 5, ((0, 2),), ((3,),), (0, 0, 0, 1))):
+        configs = enumerate_configs(spec)
+        total = LaurentPoly.zero(VarSet(nx=4))
+        for config in configs:
+            total = total + config.weight()
+        assert len(configs) == 60
+        assert total == partition_function(spec) == _reference_partition_function(spec)
 
 
 _COLUMNS = "do not increase strictly within 0..1$"
@@ -594,7 +640,9 @@ def test_rotate_config_coinv_difference():
         M = max((p[0] for p in lam), default=0) + n + rng.randint(0, 1)
         spec = build_box_lattice(lam, M, n)
         expected = d_stat(lam)
-        for config in enumerate_configs(spec)[:4]:
+        configs = enumerate_configs(spec)
+        assert configs  # a box lattice has a configuration; none would loop forever
+        for config in configs[:4]:
             rotated = rotate_config(config)
             assert config.weight_exponents()[1] - rotated.weight_exponents()[1] == expected
             # horizontal steps stay horizontal: total x-degree is preserved

@@ -190,6 +190,8 @@ def test_straight_is_the_one_coercion():
     ((), "^shape tuple must have at least one component$"),
     (((1, 2),), r"^parts not weakly decreasing: \(1, 2\)$"),
     (((1, -1),), r"^negative part in \(1, -1\)$"),
+    ((3,), "^parts must be integers, not 3$"),
+    (5, "^a shape tuple must be a sequence of partitions, not 5$"),
 ])
 def test_straight_rejects_bad_input(bad, message):
     from lltlattice.identities import llt

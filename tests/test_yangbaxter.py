@@ -267,6 +267,9 @@ BAD_CHECKS = [
      "trials must be at least 1, not -3"),
     (ybe_check, {"k": -1}, "k must be at least 0, not -1"),
     (lstar_ybe_check, {"k": 1, "mode": "exact"}, "unknown mode 'exact'"),
+    (ybe_check, {"k": 1.5}, "k must be an integer, not 1.5"),
+    (ybe_check, {"k": 1, "mode": "numeric", "seed": 1, "trials": 1.5},
+     "trials must be an integer, not 1.5"),
 ]
 
 
