@@ -9,7 +9,8 @@ total x-degree bound D, which is exact because each summand is homogeneous.
 Their sides are int keys of one layout, ``_xy_packing``: x_1..x_n, y_1..y_n
 at ``max(D, 1).bit_length()`` bits each, t unbounded on top.  No x- or
 y-exponent of a side exceeds D, so no field carries and a product of two
-monomials is one int sum; each side is decoded to a polynomial once.
+monomials is one int sum.  The sides are compared packed, from the tableau
+count to the verdict, and decoded to polynomials only for a FAIL witness.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class IdentityReport:
 def _check_pairs(name: str, params: dict, pairs, details: dict | None = None,
                  decode=None) -> IdentityReport:
     """PASS iff every (context, lhs, rhs) pair is an exact equality; the two
-    sides are polynomials, integers, or packed counts that ``decode`` turns
-    into polynomials for a witness."""
+    sides are polynomials, integers, or packed counts that
+    ``decode(context, counts)`` turns into polynomials for a witness."""
     count = 0
     for context, lhs, rhs in pairs:
         count += 1
@@ -73,7 +74,7 @@ def _check_pairs(name: str, params: dict, pairs, details: dict | None = None,
             witness = {"context": context, "lhs": lhs, "rhs": rhs}
             for side in ("lhs", "rhs"):
                 if isinstance(witness[side], dict):
-                    witness[side] = decode(witness[side])
+                    witness[side] = decode(context, witness[side])
                 if isinstance(witness[side], LaurentPoly):
                     witness[side] = witness[side].to_json_dict()
             return IdentityReport(name, params, "FAIL", witness, details or {})
@@ -281,8 +282,9 @@ def _xy_sum(xy: _Packing, summands) -> dict:
     return acc
 
 
-def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
-    """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D.
+def _kernel_counts(xy: _Packing, k: int, D: int) -> dict:
+    """prod over i, j, m of 1/(1 - x_i y_j t^m) as counts of ``xy`` keys, cut
+    at x-degree D (at most the layout's own bound).
 
     ``graded[d]`` holds the running product's keys of x-degree d.  Times
     1/(1 - u), u = x_i y_j t^m, it becomes Q with Q[d] = P[d] + u Q[d - 1]:
@@ -290,10 +292,7 @@ def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     no key and every coefficient is a positive count, so merging them gives
     the product's terms as they are.
     """
-    n, k, D = (check_int(value, name) for value, name in ((n, "n"), (k, "k"), (D, "D")))
-    if D < 0:
-        raise ValueError("degree bound must be nonnegative")
-    xy = _xy_packing(n, D)
+    n = xy.vars.nx
     graded = [{0: 1}] + [{} for _ in range(D)]
     for x_at in xy.shifts[:n]:
         for y_at in xy.shifts[n:]:
@@ -303,7 +302,16 @@ def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
                     for e, c in below.items():
                         e += step
                         grade[e] = grade.get(e, 0) + c
-    return xy.poly({e: c for grade in graded for e, c in grade.items()})
+    return {e: c for grade in graded for e, c in grade.items()}
+
+
+def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
+    """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D."""
+    n, k, D = (check_int(value, name) for value, name in ((n, "n"), (k, "k"), (D, "D")))
+    if D < 0:
+        raise ValueError("degree bound must be nonnegative")
+    xy = _xy_packing(n, D)
+    return xy.poly(_kernel_counts(xy, k, D))
 
 
 def partitions_fixed_length(n: int, max_size: int):
@@ -350,10 +358,9 @@ def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityR
     _check_cauchy_params(n, k, D)
     xy = _xy_packing(n, D)
     lhs = _xy_sum(xy, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(xy, k, D, engine)])
-    rhs = cauchy_kernel_truncated(n, k, D)
-    return _check_pairs(
-        "cauchy", {"n": n, "k": k, "D": D, "engine": engine}, [("sum vs kernel", xy.poly(lhs), rhs)]
-    )
+    return _check_pairs("cauchy", {"n": n, "k": k, "D": D, "engine": engine},
+                        [("sum vs kernel", lhs, _kernel_counts(xy, k, D))],
+                        decode=lambda context, counts: xy.poly(counts))
 
 
 def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
@@ -366,22 +373,28 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     if size > D:
         raise ValueError("need |mu| <= D")
     xy = _xy_packing(n, D)
-    lhs = xy.poly(_xy_sum(xy, [
+    lhs = _xy_sum(xy, [
         (_d_stat(lam), P, _llt_counts(SkewShapeTuple._trusted(lam, mu), xy))
         for lam, _, P in _cauchy_terms(xy, k, D, mu=mu)
-    ]))
+    ])
     L_mu = _llt_counts(SkewShapeTuple.straight(mu), xy)
-    base = xy.poly(_xy_sum(xy, [(d_stat(mu), L_mu, {0: 1})]))
-    # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive
-    rhs = base * cauchy_kernel_truncated(n, k, D - size)
+    base = _xy_sum(xy, [(d_stat(mu), L_mu, {0: 1})])
+    # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive,
+    # and no product key's field carries (x-degree <= D, y-degree <= D - |mu|)
+    rhs: defaultdict[int, int] = defaultdict(int)
+    for kk, ck in _kernel_counts(xy, k, D - size).items():
+        for kb, cb in base.items():
+            rhs[kb + kk] += cb * ck
+    y_fields = (1 << xy.top) - (1 << xy.top // 2)
     pairs = [
         ("skew sum vs kernel", lhs, rhs),
-        ("y-degree-0 slice", lhs.truncate_y(0), base),
+        ("y-degree-0 slice", {key: c for key, c in lhs.items() if not key & y_fields}, base),
     ]
     return _check_pairs(
         "skew-cauchy",
         {"mu": [list(p) for p in mu], "n": n, "k": k, "D": D},
         pairs,
+        decode=lambda context, counts: xy.poly(counts),
     )
 
 
@@ -389,21 +402,21 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
     _check_cauchy_params(n, k, D)
     xy = _xy_packing(n, D)
-    rhs = cauchy_kernel_truncated(n, k, D)
     summands = []
     pairs = []
     for lam, shape, P in _cauchy_terms(xy, k, D):
-        R = _llt_counts(rotate(shape), xy)
+        R = _llt_counts(rot := rotate(shape), xy)
         summands.append((0, P, R))
-        width = max((p[0] for p in lam if p), default=0)
-        d_comp = _d_stat(_complement(lam, width))
+        d_comp = _d_stat(rot.gamma)   # rot.gamma is lam's complement in its box
         # the relation below shifts by d(comp), so its own check comes first
         pairs.append((f"d(comp)=d(lam) at {lam}", d_comp, _d_stat(lam)))
         shift = d_comp << xy.top
         pairs.append((f"rotation relation at {lam}", R, {key + shift: c for key, c in P.items()}))
-    pairs.insert(0, ("rotated sum vs kernel", xy.poly(_xy_sum(xy, summands)), rhs))
-    return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs, decode=lambda R: LaurentPoly(
-        VarSet(nx=n), {(*e[:n], e[-1]): c for e, c in xy.decode(R).items()}))  # in x and t
+    first = "rotated sum vs kernel"
+    pairs.insert(0, (first, _xy_sum(xy, summands), _kernel_counts(xy, k, D)))
+    return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs, decode=lambda context, R: (
+        xy.poly(R) if context == first    # the sum in x, y and t; a relation in x and t
+        else LaurentPoly(VarSet(nx=n), {(*e[:n], e[-1]): c for e, c in xy.decode(R).items()})))
 
 
 # -- engine equivalence ------------------------------------------------------------

@@ -290,7 +290,9 @@ def test_criterion_9_duality_suite():
         M = n + 2 + rng.randint(0, 1)
         shape = SkewShapeTuple.straight(lam)
         expected = dtilde_stat(lam, M)
-        for T in enumerate_ssyt(shape, n)[:4]:
+        tableaux = enumerate_ssyt(shape, n)
+        assert tableaux  # a straight shape has a filling; none would loop forever
+        for T in tableaux[:4]:
             assert coinv(T) - coinv(complement_bijection(T, M)) == expected
             checked += 1
 

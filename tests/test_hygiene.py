@@ -129,6 +129,8 @@ NEVER_RUN = {
     "algebra.LaurentPoly.const": "entry point: a constant polynomial",
     "lattice.mask_of": "entry point: a 0/1-tuple edge label as a mask",
     "lattice.masks": "entry point: edge labels as masks, which the YBE weight oracles take",
+    "identities.cauchy_kernel_truncated": "entry point: the truncated Cauchy kernel as a "
+                                           "polynomial; the drivers keep it packed",
     "shapes.complement": "entry point: the box complement of a checked tuple",
     "tableaux.schur": "entry point: one-component LLT polynomials are Schur polynomials",
     "yangbaxter.r_weight": "entry point: the closed-form crossing weight",
@@ -140,6 +142,7 @@ NEVER_RUN = {
     "cli._with_engine": "import: VERIFY's builders are wrapped at import",
     "algebra.LaurentPoly.__add__": "bench: the algebra.add span",
     "algebra.LaurentPoly.truncate_x": "bench: the algebra.truncate span",
+    "algebra.LaurentPoly.truncate_y": "bench: the algebra.truncate span",
     "algebra.LaurentPoly.__bool__": "protocol: the zero polynomial is falsy",
     "algebra.LaurentPoly.__repr__": "protocol: a polynomial in a failed assert",
 }

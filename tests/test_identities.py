@@ -5,7 +5,7 @@ from operator import add, ge
 import pytest
 
 from lltlattice import identities, lattice, shapes
-from lltlattice.algebra import LaurentPoly, VarSet
+from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.identities import (
     _llt_counts,
     _xy_packing,
@@ -239,11 +239,13 @@ def test_xy_sum_matches_embedded_products(n, k, D):
 
 def test_cauchy_multiplies_no_polynomials(monkeypatch):
     def refuse(self, other):
-        raise AssertionError("verify_cauchy multiplied two polynomials")
+        raise AssertionError("a Cauchy driver multiplied two polynomials")
 
     monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
     monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
     assert verify_cauchy(3, 2, 3).passed
+    assert verify_cauchy_rot(3, 2, 3).passed
+    assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
 
 
 @pytest.mark.parametrize("nkD", [(1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)])
@@ -273,16 +275,42 @@ def test_skew_cauchy_kernel_cut_matches_truncated_product(nkD):
 
 
 def test_skew_cauchy_cuts_kernel_at_remaining_degree(monkeypatch):
-    degrees = []
-    kernel = identities.cauchy_kernel_truncated
+    # the kernel is built in D's layout, cut at D - |mu|
+    cuts = []
+    kernel = identities._kernel_counts
 
-    def spy(n, k, D):
-        degrees.append(D)
-        return kernel(n, k, D)
+    def spy(xy, k, D):
+        cuts.append((xy.mask, D))
+        return kernel(xy, k, D)
 
-    monkeypatch.setattr(identities, "cauchy_kernel_truncated", spy)
+    monkeypatch.setattr(identities, "_kernel_counts", spy)
     assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
-    assert degrees == [2]
+    assert cuts == [(_xy_packing(2, 3).mask, 2)]
+
+
+@pytest.mark.parametrize("verify, args", [
+    (verify_cauchy, (3, 2, 3)),
+    (verify_cauchy_rot, (3, 2, 3)),
+    (verify_skew_cauchy, (((1, 0), (0, 0)), 2, 2, 3)),
+], ids=["cauchy", "cauchy-rot", "skew-cauchy"])
+def test_cauchy_drivers_decode_nothing_on_a_pass(verify, args, monkeypatch):
+    # the sides stay packed from the tableau count to the verdict, and each
+    # driver builds its kernel once
+    calls = {"decode": 0, "kernel": 0}
+    decode, kernel = _Packing.decode, identities._kernel_counts
+
+    def counting_decode(self, counts):
+        calls["decode"] += 1
+        return decode(self, counts)
+
+    def counting_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_Packing, "decode", counting_decode)
+    monkeypatch.setattr(identities, "_kernel_counts", counting_kernel)
+    assert verify(*args).passed
+    assert calls == {"decode": 0, "kernel": 1}
 
 
 def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
@@ -332,12 +360,15 @@ CAUCHY_CASES = [(1, 1, 0), (1, 1, 3), (1, 1, 4), (1, 2, 3), (1, 2, 4), (1, 3, 2)
 
 @pytest.fixture
 def first_sides(monkeypatch):
-    """The (lhs, rhs) of the first pair of every report built while it is live."""
+    """The (lhs, rhs) of the first pair of every report built while it is
+    live, packed sides decoded by the report's own ``decode``."""
     sides = []
     real = identities._check_pairs
 
     def spy(name, params, pairs, *args, **kwargs):
-        sides.append(pairs[0][1:])
+        context, *pair = pairs[0]
+        sides.append(tuple(kwargs["decode"](context, side) if isinstance(side, dict) else side
+                           for side in pair))
         return real(name, params, pairs, *args, **kwargs)
 
     monkeypatch.setattr(identities, "_check_pairs", spy)
@@ -386,22 +417,24 @@ def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
     n, k, D = 2, 2, 3
     lams = shape_tuples_bounded(k, n, D)
     extra = LaurentPoly.t(VarSet(nx=n, ny=n))   # not a term of any kernel
+    wrong = {cut: cauchy_kernel_truncated(n, k, cut) + extra for cut in (D, D - 1)}
+    kernel = identities._kernel_counts
 
-    def wrong(n, k, D):
-        return cauchy_kernel_truncated(n, k, D) + extra
+    def wrong_counts(xy, k, D):
+        return {**kernel(xy, k, D), 1 << xy.top: 1}   # plus t
 
-    monkeypatch.setattr(identities, "cauchy_kernel_truncated", wrong)
+    monkeypatch.setattr(identities, "_kernel_counts", wrong_counts)
     mu = ((1, 0), (0, 0))
     inside = [lam for lam in lams if all(map(ge, chain(*lam), chain(*mu)))]
     base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), LaurentPoly.one(VarSet(nx=n)))])
     expected = {
         verify_cauchy: ("sum vs kernel", [(d_stat(lam), llt(lam, n), llt(lam, n)) for lam in lams],
-                        wrong(n, k, D)),
+                        wrong[D]),
         verify_cauchy_rot: ("rotated sum vs kernel", [(0, llt(lam, n), llt(rotate(lam), n))
-                                                      for lam in lams], wrong(n, k, D)),
+                                                      for lam in lams], wrong[D]),
         verify_skew_cauchy: ("skew sum vs kernel", [
             (d_stat(lam), llt(lam, n), llt(SkewShapeTuple(lam, mu), n)) for lam in inside
-        ], base * wrong(n, k, D - 1)),
+        ], base * wrong[D - 1]),
     }
     for verify, (context, summands, rhs) in expected.items():
         report = verify(mu, n, k, D) if verify is verify_skew_cauchy else verify(n, k, D)
@@ -429,11 +462,13 @@ def test_cauchy_rot_relation_witness_is_in_x_and_t(monkeypatch):
 
 
 def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
-    # a wrong complement breaks d(comp) = d(lam) at the first lam; the
-    # witness holds both values, and no rotation relation is checked first
-    monkeypatch.setattr(identities, "_complement", lambda lam, width: ((0, 0), (1, 1)))
-    lam = shape_tuples_bounded(2, 2, 3)[0]
-    assert d_stat(lam) != d_stat(((0, 0), (1, 1))) == 1
+    # a wrong d of the complement breaks d(comp) = d(lam) at the first lam;
+    # the witness holds both values, and no rotation relation is checked first
+    real = identities._d_stat
+    lam, comp = shape_tuples_bounded(2, 2, 3)[0], ((3, 3), (3, 0))
+    assert lam == ((3, 0), (0, 0))   # comp is lam's complement in its 3-wide box
+    monkeypatch.setattr(identities, "_d_stat", lambda shape: 1 if shape == comp else real(shape))
+    assert real(comp) == d_stat(lam) != 1   # the true d(comp) agrees with d(lam)
     report = verify_cauchy_rot(2, 2, 3)
     assert report.status == "FAIL"
     assert report.witness == {"context": f"d(comp)=d(lam) at {lam}", "lhs": 1, "rhs": d_stat(lam)}

@@ -438,7 +438,9 @@ def test_complement_bijection_coinv_difference():
         M = n + 2 + rng.randint(0, 1)
         shape = SkewShapeTuple.straight(lam)
         expected = dtilde_stat(lam, M)
-        for T in enumerate_ssyt(shape, n)[:3]:
+        tableaux = enumerate_ssyt(shape, n)
+        assert tableaux  # a straight shape has a filling; none would loop forever
+        for T in tableaux[:3]:
             assert coinv(T) - coinv(complement_bijection(T, M)) == expected
             checked += 1
 
