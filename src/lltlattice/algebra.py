@@ -56,57 +56,46 @@ class _Packing:
 
     Field i, worth 2^(i * width), holds the i-th variable's exponent e_i: a
     monomial's key is the exact integer sum of e_i * 2^(i * width), so adding
-    keys multiplies monomials.  Every field but the last holds values in
-    [low, low + 2^width), with low = 0, or -2^(width - 1) when ``signed``; a
-    value outside would carry into the next field, so ``encode`` refuses it.
-    The last field takes whatever is left of the key and is unbounded.
+    keys multiplies monomials.  Every field but the last holds a digit in
+    [0, 2^width); a value outside would carry into or borrow from the next
+    field, so ``encode`` refuses it.  The last field takes whatever is left
+    of the key and is unbounded.
     """
 
-    __slots__ = ("vars", "shifts", "top", "mask", "low")
+    __slots__ = ("vars", "shifts", "top", "mask")
 
-    def __init__(self, vars: VarSet, width: int, signed: bool = False):
+    def __init__(self, vars: VarSet, width: int):
         self.vars = vars
         self.top = width * (vars.total - 1)
         self.shifts = range(0, self.top, width)
         self.mask = (1 << width) - 1
-        self.low = -(1 << width - 1) if signed else 0
 
     def encode(self, terms: Mapping[tuple, int], factors: int) -> dict[int, int]:
         """{key: coefficient} from {exponent tuple: coefficient}.  Every
         bounded exponent times ``factors`` must fit its field, else
         ValueError: then a product of ``factors`` such monomials cannot
         carry into the next field."""
-        low, high, shifts, top = self.low, self.low + self.mask, self.shifts, self.top
+        mask, shifts, top = self.mask, self.shifts, self.top
         out = {}
         for exps, coeff in terms.items():
             *bounded, last = exps
             if len(bounded) != len(shifts):
                 raise ValueError(f"expected {len(shifts) + 1} exponents, got {len(exps)}")
             for e in bounded:
-                if not low <= e * factors <= high:
+                if not 0 <= e * factors <= mask:
                     raise ValueError(
                         f"exponent {e} times {factors} does not fit a "
-                        f"{self.mask.bit_length()}-bit field"
+                        f"{mask.bit_length()}-bit field"
                     )
             out[sum(e << s for e, s in zip(bounded, shifts)) + (last << top)] = coeff
         return out
 
     def decode(self, counts: Mapping[int, int]) -> dict[tuple, int]:
         """{exponent tuple: coefficient} from {key: coefficient}."""
-        shifts, mask, low, top = self.shifts, self.mask, self.low, self.top
-        if not low:
-            # plain digits; the biased form below costs tableaux-ladder and
-            # cauchy-sweep about 6% (BENCH_ybe_contraction.json)
-            return {
-                (*[key >> s & mask for s in shifts], key >> top): coeff
-                for key, coeff in counts.items()
-            }
-        # -low in every bounded field (a geometric sum); adding it to a key
-        # turns each bounded field into a plain digit
-        bias = -low * ((1 << top) - 1) // mask
+        shifts, mask, top = self.shifts, self.mask, self.top
         return {
-            (*[(key >> s & mask) + low for s in shifts], key >> top): coeff
-            for key, coeff in zip(map(bias.__add__, counts), counts.values())
+            (*[key >> s & mask for s in shifts], key >> top): coeff
+            for key, coeff in counts.items()
         }
 
     def poly(self, counts: Mapping[int, int]) -> "LaurentPoly":

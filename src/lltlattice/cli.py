@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
 3 cross-engine mismatch.  Commands raise; only ``main`` maps a ``ValueError``
-to 2 and an ``EngineMismatch`` to 3.  Every case is fixed, and numeric YBE
-draws only from its --seed, so identical invocations give byte-identical
-output.  The parser is built once, at
-import; ``verify all`` parses its suite through it and runs the cases in order.
+or ``OverflowError`` to 2 and an ``EngineMismatch`` to 3.  Every case is
+fixed, and numeric YBE draws only from its --seed, so identical invocations
+give byte-identical output.  The parser is built once, at import; ``verify
+all`` parses its suite through it and runs the cases in order.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineMismatch as exc:

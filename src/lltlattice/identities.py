@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, product
 from operator import ge, index, lshift
 
 from .algebra import LaurentPoly, VarSet, _Packing
@@ -145,15 +145,20 @@ def verify_inv_coinv(shape, n: int) -> IdentityReport:
     )
 
 
+def _rearrangements(parts: tuple):
+    """Each distinct rearrangement of ``parts`` once, in ``permutations``' order."""
+    if not parts:
+        yield ()
+    for i in map(parts.index, dict.fromkeys(parts)):  # each value's first position
+        yield from ((parts[i], *rest) for rest in _rearrangements(parts[:i] + parts[i + 1:]))
+
+
 def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:
     """Single-row tuples recover transformed Hall-Littlewood polynomials."""
     mu = check_partition(mu)
     H = hl_transformed(mu, n)
     # one polynomial per distinct rearrangement; the reversed rows are one
-    L = {
-        beta: llt(tuple((p,) for p in beta), n, engine)
-        for beta in dict.fromkeys(permutations(mu))
-    }
+    L = {beta: llt(tuple((p,) for p in beta), n, engine) for beta in _rearrangements(mu)}
     pairs = [("reversed rows", L[mu[::-1]], H)]
     for beta, lhs in L.items():
         rhs = LaurentPoly.t(H.vars, inv_stat(beta)) * H

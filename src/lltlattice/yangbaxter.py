@@ -14,12 +14,13 @@ admissible patterns (I,J,K,L) and their factors are
 where d counts the colors above this one in type 1; the pattern (1,0,1,0)
 is forbidden.  One picture table per kind holds each single-color weight
 (d = 0): the crossing expansion, ``ef_weight`` and the color recursion all
-read it.  The checkers cover every boundary one block of incoming
-labels at a time, by a sparse contraction of the three-face sums on packed
-monomials over tables that hold each weight packed straight from the closed
-forms (`lattice`'s face exponents, the crossing expansion `r_weight` wraps).
-Each block's two sides are compared and dropped.  Numeric mode then
-evaluates the two sides at exact rational points, but only at the
+read it.  The checkers cover every boundary one block of incoming labels at
+a time, by a sparse contraction of the three-face sums on packed monomials
+over tables that hold each weight packed straight from the closed forms
+(`lattice`'s face exponents, the crossing expansion `r_weight` wraps); the
+crossing's is x^k R, so no packed exponent is negative, and each side
+carries that one x^k.  Each block's two sides are compared and dropped.
+Numeric mode then evaluates them at exact rational points, but only at the
 boundaries where they differ symbolically: at a point with nonzero x, y and
 t evaluation is a ring homomorphism, so equal sides have equal values, and
 the report is the one that evaluating every boundary would give.
@@ -38,7 +39,6 @@ from .lattice import _gray, face_weight_exponents, masks
 from .shapes import check_int
 
 YBE_VARS = VarSet(nx=1, ny=1)
-_X = 0
 
 
 # Each single-color picture (I, J, K, L) with its tabulated weight, as
@@ -136,7 +136,7 @@ def _recursive_table(k: int, kind: str) -> dict:
     bit = 1 << (k - 1)
     out: dict = {}
     for (I, J, K, L), w in _recursive_table(k - 1, kind).items():
-        shifted = w.substitute({_X: (1, (1, 0, 1))})
+        shifted = w._map_exponents(lambda e: (e[0], e[1], e[2] + e[0]))  # x -> xt
         for (i, j, kk, l), (f, shift) in _BRANCHES[kind].items():
             key = (I | (bit * i), J | (bit * j), K | (bit * kk), L | (bit * l))
             out[key] = (shifted if shift else w) * f
@@ -164,7 +164,13 @@ def r_recursive(k: int):
 
 # (x, y, t) in one int, 8 bits apiece for x and y; a side's term multiplies
 # three table weights, so every table exponent must fit three times over
-_PACKING = _Packing(YBE_VARS, 8, signed=True)
+_PACKING = _Packing(YBE_VARS, 8)
+
+
+def _unpack(k: int, counts) -> LaurentPoly:
+    """Packed terms that carry the crossing table's x^k as a polynomial: x's
+    exponent is lowered after decoding, as a key lowered would borrow from y."""
+    return _PACKING.poly(counts)._map_exponents(lambda e: (e[0] - k, e[1], e[2]))
 
 
 def _entry_rows(k: int, pictures, terms) -> dict:
@@ -192,7 +198,7 @@ def _entry_rows(k: int, pictures, terms) -> dict:
 def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
     """Entry rows of the x-line face, the y-line face and the crossing.
     Starred, the x-line face is gray and the crossing's x line carries
-    1/(x t^(k-1))."""
+    1/(x t^(k-1)).  The crossing's weights are packed times x^k."""
 
     def face(y_line: bool, gray: bool):
         def terms(*labels) -> dict:
@@ -205,7 +211,8 @@ def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
     return (
         _entry_rows(k, _L_PICTURES, face(False, starred)),
         _entry_rows(k, _L_PICTURES, face(True, False)),
-        _entry_rows(k, _R_PICTURES, lambda *labels: _crossing_terms(k, *labels, starred)),
+        _entry_rows(k, _R_PICTURES, lambda *labels: {
+            (x + k, *e): c for (x, *e), c in _crossing_terms(k, *labels, starred).items()}),
     )
 
 
@@ -314,14 +321,14 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
     if mode == "numeric" and check_int(trials, "trials") < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
     # block by block in sorted boundary order, keeping only the (boundary,
-    # gauche, droite) triples that differ
+    # gauche, droite) triples that differ, decoded
     tables = _tables(k, starred)
     differ = []
     for incoming in product(range(1 << k), repeat=3):
         gauche, droite = _gauche_block(*tables, *incoming), _droite_block(*tables, *incoming)
         if gauche != droite:
             differ += [
-                ((*incoming, *J), gauche.get(J, {}), droite.get(J, {}))
+                ((*incoming, *J), _unpack(k, gauche.get(J, {})), _unpack(k, droite.get(J, {})))
                 for J in sorted(gauche.keys() | droite.keys()) if gauche.get(J) != droite.get(J)
             ]
     checked = 1 << (6 * k)
@@ -329,17 +336,16 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
         first = None
         if differ:
             key, g, d = differ[0]
-            first = _witness(k, key, _PACKING.poly(g).to_text(), _PACKING.poly(d).to_text())
+            first = _witness(k, key, g.to_text(), d.to_text())
         return YbeReport(name, k, "symbolic", checked, len(differ), first)
     # Evaluation at a point with nonzero x, y and t is a ring homomorphism, so
     # sides that are equal symbolically are equal there: only the boundaries
     # in `differ` can fail at a point.
     rng = random.Random(seed)
     points = [_sample_point(rng) for _ in range(trials)]
-    sides = [(key, _PACKING.poly(g), _PACKING.poly(d)) for key, g, d in differ]
     failed, first = 0, None
     for point in points:
-        for key, g, d in sides:
+        for key, g, d in differ:
             gv, dv = g.eval_rational(point), d.eval_rational(point)
             if gv != dv:
                 failed += 1

@@ -18,7 +18,7 @@ from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.lattice import face_weight_exponents, gray_rows, masks
 from lltlattice.shapes import SkewShapeTuple
 from lltlattice.tableaux import INF, TableauTuple
-from lltlattice.yangbaxter import _PACKING, _droite_block, _gauche_block, _tables
+from lltlattice.yangbaxter import _droite_block, _gauche_block, _tables, _unpack
 
 
 # -- triples ------------------------------------------------------------------
@@ -136,9 +136,9 @@ def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
 def ybe_gauche(k: int, boundary) -> LaurentPoly:
     """Left side of the intertwining sum for one boundary, symbolically."""
     I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _PACKING.poly(_gauche_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
+    return _unpack(k, _gauche_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
 
 
 def ybe_droite(k: int, boundary) -> LaurentPoly:
     I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _PACKING.poly(_droite_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
+    return _unpack(k, _droite_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))

@@ -388,6 +388,20 @@ def test_verify_bad_parameters_exit_2(argv, err, capsys):
     assert captured.err == err
 
 
+# sizes too large for the machine raise OverflowError deep inside a command
+@pytest.mark.parametrize("command", [
+    "compute --beta 1 --n 99999999999999999999",
+    "verify cauchy --n 1 --k 1 -D 99999999999999999999",
+    "verify hl --mu 99999999999999999999 --n 1",
+    "verify lstar --lam 1,0 --n 2 --M-list 99999999999999999999",
+])
+def test_huge_size_exit_2(command, capsys):
+    assert cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, refused_by", [
     ("--foo compute --beta 1 --n 1", []),   # the top-level parser, not compute's
     ("verify --foo ybe", ["verify"]),

@@ -106,7 +106,6 @@ def test_guard_sees_a_dead_helper():
 NEVER_RUN = {
     "algebra.LaurentPoly.one": "lemma: the color recursion's table at k = 0",
     "algebra.LaurentPoly.zero": "lemma: the color recursion's weight of a forbidden label",
-    "algebra.LaurentPoly.substitute": "lemma: the color recursion's x -> xt",
     "lattice.LatticeConfig.faces": "lemma: the faces of one configuration",
     "lattice.LatticeConfig.weight_exponents": "lemma: the weight of one configuration",
     "lattice.LatticeConfig.weight": "lemma: the weight of one configuration as a polynomial",
@@ -138,9 +137,11 @@ NEVER_RUN = {
     "algebra.LaurentPoly.eval_rational": "failure path: numeric YBE evaluates unequal sides only",
     "identities.EngineMismatch.__init__": "failure path: the engines disagree (exit 3)",
     "yangbaxter._witness": "failure path: the first boundary where the YBE fails",
+    "yangbaxter._unpack": "failure path: a YBE side that differs, as a polynomial",
     "cli.build_parser": "import: the parser is built once, at import",
     "cli._with_engine": "import: VERIFY's builders are wrapped at import",
     "algebra.LaurentPoly.__add__": "bench: the algebra.add span",
+    "algebra.LaurentPoly.substitute": "bench: the algebra.substitute span",
     "algebra.LaurentPoly.truncate_x": "bench: the algebra.truncate span",
     "algebra.LaurentPoly.truncate_y": "bench: the algebra.truncate span",
     "algebra.LaurentPoly.__bool__": "protocol: the zero polynomial is falsy",

@@ -1,5 +1,7 @@
 import random
-from itertools import chain, product
+from collections import Counter
+from itertools import chain, permutations, product
+from math import factorial, prod
 from operator import add, ge
 
 import pytest
@@ -70,6 +72,29 @@ def test_inv_coinv_random():
     for _ in range(10):
         shape = random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3)
         assert verify_inv_coinv(shape, rng.randint(1, 3)).passed
+
+
+@pytest.mark.parametrize("mu", [(1,) * 11, (2, 2, 1, 1, 1, 0), (3, 1, 0, 0)])
+def test_hl_computes_each_distinct_rearrangement_once(mu, monkeypatch):
+    calls = []
+
+    def counting(shape, n, engine):
+        calls.append(tuple(part for (part,) in shape))
+        return llt(shape, n, engine)
+
+    monkeypatch.setattr(identities, "llt", counting)
+    assert verify_hl(mu, 2).passed
+    assert calls == list(dict.fromkeys(calls))
+    multiplicities = map(factorial, Counter(mu).values())
+    assert len(calls) == factorial(len(mu)) // prod(multiplicities)   # the distinct ones
+
+
+def test_rearrangements_keep_the_order_of_permutations():
+    # every partition of size at most 6 with at most 7 parts, zeros included
+    for length in range(8):
+        for mu in partitions_fixed_length(length, 6):
+            expected = list(dict.fromkeys(permutations(mu)))
+            assert list(identities._rearrangements(mu)) == expected, mu
 
 
 def test_hl_identities():

@@ -15,6 +15,7 @@ from lltlattice.yangbaxter import (
     _recursive_table,
     _sample_point,
     _tables,
+    _unpack,
     ef_weight,
     l_recursive,
     lstar_ybe_check,
@@ -120,7 +121,7 @@ def test_starred_crossing_is_substituted_r_weight(k):
     assert sum(map(len, rows.values())) == 5 ** k
     for (I, J), outs in rows.items():
         for (K, L), w in outs:
-            assert _decoded(w) == r_weight(k, I, J, K, L).substitute(xbar), (I, J, K, L)
+            assert _decoded(w, k) == r_weight(k, I, J, K, L).substitute(xbar), (I, J, K, L)
 
 
 # each entry point at k = 1 with a label that names color 2
@@ -284,16 +285,18 @@ def test_ybe_check_rejects_bad_parameters(monkeypatch, check, kwargs, message):
         check(**kwargs)
 
 
-def _decoded(weight):
-    """A packed table weight as a polynomial."""
-    return LaurentPoly(YBE_VARS, _PACKING.decode(dict(weight)))
+def _decoded(weight, k=0):
+    """A packed table weight as a polynomial; with ``k``, a crossing weight,
+    which the tables pack times x^k."""
+    return _unpack(k, dict(weight))
 
 
 def _decoded_tables(k, starred):
     """The checks' tables with every weight decoded, once per reference run."""
+    lx, ly, rr = yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
     return tuple(
-        {pair: {labels: _decoded(w) for labels, w in outs} for pair, outs in rows.items()}
-        for rows in yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
+        {pair: {labels: _decoded(w, shift) for labels, w in outs} for pair, outs in rows.items()}
+        for rows, shift in ((lx, 0), (ly, 0), (rr, k))
     )
 
 
@@ -332,8 +335,8 @@ def test_ybe_gauche_matches_sparse_contraction():
             for outgoing in _label_triples(k):
                 boundary = (*incoming, *outgoing)
                 gauche, droite = _one_boundary(reference, boundary)
-                assert gauche == _PACKING.poly(g.get(outgoing, {})), (k, starred, boundary)
-                assert droite == _PACKING.poly(d.get(outgoing, {})), (k, starred, boundary)
+                assert gauche == _unpack(k, g.get(outgoing, {})), (k, starred, boundary)
+                assert droite == _unpack(k, d.get(outgoing, {})), (k, starred, boundary)
                 if not starred:
                     assert ybe_gauche(k, boundary) == gauche, (k, boundary)
                     assert ybe_droite(k, boundary) == droite, (k, boundary)
@@ -365,6 +368,29 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
     for incoming in _label_triples(k):
         _gauche_block(*tables, *incoming)
         _droite_block(*tables, *incoming)
+
+
+@pytest.mark.parametrize("starred", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_every_table_exponent_is_a_digit(monkeypatch, k, starred):
+    # the crossing is packed times x^k, so every bounded field the tables
+    # pack (x and y; t is the unbounded last field) is an 8-bit digit, and
+    # the crossing's x lies in [0, 2k]
+    packed = []
+    encode = _Packing.encode
+
+    def recording(packing, terms, factors):
+        assert packing is _PACKING
+        packed.append(list(terms))
+        return encode(packing, terms, factors)
+
+    monkeypatch.setattr(_Packing, "encode", recording)
+    _tables.__wrapped__(k, starred)   # uncached: built here
+    monkeypatch.undo()
+    assert len(packed) == 3 * 5 ** k   # x-line face, y-line face, crossing
+    assert all(0 <= e <= 255 for terms in packed for x, y, _ in terms for e in (x, y))
+    crossing_x = {x for terms in packed[-5 ** k:] for x, _, _ in terms}
+    assert min(crossing_x) >= 0 and max(crossing_x) <= 2 * k
 
 
 def _reference_report(k, starred, points=None):
