@@ -54,38 +54,37 @@ class VarSet:
 class _Packing:
     """Exponent vectors of one ``VarSet`` packed into ints, for the hot loops.
 
-    Field i, worth 2^(i * width), holds the i-th variable's exponent e_i: a
-    monomial's key is the exact integer sum of e_i * 2^(i * width), so adding
-    keys multiplies monomials.  Every field but the last holds a digit in
-    [0, 2^width); a value outside would carry into or borrow from the next
-    field, so ``encode`` refuses it.  The last field takes whatever is left
-    of the key and is unbounded.
+    ``bound`` is the largest value any bounded field of any key the caller
+    forms can reach, and the width is derived from it here alone.  Field i,
+    worth 2^(i * width), holds the i-th variable's exponent e_i: a key is the
+    exact sum of e_i * 2^(i * width), so adding keys multiplies monomials
+    while no field passes the bound.  The last field is unbounded.
     """
 
-    __slots__ = ("vars", "shifts", "top", "mask")
+    __slots__ = ("vars", "bound", "shifts", "top", "mask")
 
-    def __init__(self, vars: VarSet, width: int):
-        self.vars = vars
+    def __init__(self, vars: VarSet, bound: int):
+        width = max(bound, 1).bit_length()
+        self.vars, self.bound = vars, bound
         self.top = width * (vars.total - 1)
         self.shifts = range(0, self.top, width)
         self.mask = (1 << width) - 1
 
     def encode(self, terms: Mapping[tuple, int], factors: int) -> dict[int, int]:
         """{key: coefficient} from {exponent tuple: coefficient}.  Every
-        bounded exponent times ``factors`` must fit its field, else
-        ValueError: then a product of ``factors`` such monomials cannot
-        carry into the next field."""
-        mask, shifts, top = self.mask, self.shifts, self.top
+        bounded exponent times ``factors`` must lie in [0, bound], else
+        ValueError: then a product of ``factors`` such monomials stays
+        within the bound the caller stated."""
+        bound, shifts, top = self.bound, self.shifts, self.top
         out = {}
         for exps, coeff in terms.items():
             *bounded, last = exps
             if len(bounded) != len(shifts):
                 raise ValueError(f"expected {len(shifts) + 1} exponents, got {len(exps)}")
             for e in bounded:
-                if not 0 <= e * factors <= mask:
+                if not 0 <= e * factors <= bound:
                     raise ValueError(
-                        f"exponent {e} times {factors} does not fit a "
-                        f"{mask.bit_length()}-bit field"
+                        f"exponent {e} times {factors} does not fit a field bounded by {bound}"
                     )
             out[sum(e << s for e, s in zip(bounded, shifts)) + (last << top)] = coeff
         return out

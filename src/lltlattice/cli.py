@@ -1,11 +1,11 @@
 """Command-line surface: compute, verify, stats.
 
 Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
-3 cross-engine mismatch.  Commands raise; only ``main`` maps a ``ValueError``
-or ``OverflowError`` to 2 and an ``EngineMismatch`` to 3.  Every case is
-fixed, and numeric YBE draws only from its --seed, so identical invocations
-give byte-identical output.  The parser is built once, at import; ``verify
-all`` parses its suite through it and runs the cases in order.
+3 cross-engine mismatch.  Commands raise; only ``main`` maps a ``ValueError``,
+``OverflowError`` or ``MemoryError`` to 2 and an ``EngineMismatch`` to 3.
+Every case is fixed, and numeric YBE draws only from its --seed, so identical
+invocations give byte-identical output.  The parser is built once, at import;
+``verify all`` parses its suite through it and runs the cases in order.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
     check_box_tuple,
+    check_size,
     column_range,
     d_stat,
     dtilde_stat,
@@ -101,7 +102,7 @@ def _at_least(args, name: str, low: int) -> int:
     value = getattr(args, name)
     if value < low:
         raise ValueError(f"--{name} must be at least {low}")
-    return value
+    return check_size(value, f"--{name}")
 
 
 def _ybe_kwargs(args) -> dict:
@@ -145,7 +146,7 @@ def _box_lam(args, M: int, M_flag: str, M_given: str):
 
 
 def _box_kwargs(args) -> dict:
-    lam, n = _box_lam(args, args.M, "--M", f"--M {args.M}")
+    lam, n = _box_lam(args, check_size(args.M, "--M"), "--M", f"--M {args.M}")
     return {"lam": lam, "M": args.M, "n": n}
 
 
@@ -154,6 +155,7 @@ def _lstar_kwargs(args) -> dict:
         Ms = tuple(int(v) for v in args.M_list.split(","))
     except ValueError:
         raise ValueError(f"--M-list values must be integers, not {args.M_list!r}") from None
+    check_size(max(Ms), "--M-list values")
     # what fits the narrowest box fits all
     lam, n = _box_lam(args, min(Ms), "--M-list values", f"--M-list {args.M_list}")
     return {"lam": lam, "n": n, "Ms": Ms}
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except EngineMismatch as exc:
         print("engine mismatch:", file=sys.stderr)

@@ -7,10 +7,10 @@ the two offending polynomials.  Inputs are fixed or enumerated, never drawn.
 The Cauchy-type identities are checked after truncating both sides at a
 total x-degree bound D, which is exact because each summand is homogeneous.
 Their sides are int keys of one layout, ``_xy_packing``: x_1..x_n, y_1..y_n
-at ``max(D, 1).bit_length()`` bits each, t unbounded on top.  No x- or
-y-exponent of a side exceeds D, so no field carries and a product of two
-monomials is one int sum.  The sides are compared packed, from the tableau
-count to the verdict, and decoded to polynomials only for a FAIL witness.
+in fields bounded by D, which no x- or y-exponent of a side exceeds, and t
+unbounded on top, so a product of two monomials is one int sum.  The sides
+are compared packed, from the tableau count to the verdict, and decoded to
+polynomials only for a FAIL witness.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, product
-from operator import ge, index, lshift
+from operator import ge, index
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import build_box_lattice, build_lattice, gray_rows, partition_function
@@ -261,7 +261,7 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
 
 def _xy_packing(n: int, D: int) -> _Packing:
     """The Cauchy drivers' key layout (see the module docstring)."""
-    return _Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())
+    return _Packing(VarSet(nx=n, ny=n), D)
 
 
 def _llt_counts(shape: SkewShapeTuple, xy: _Packing, engine: str = "tableaux") -> dict:
@@ -269,8 +269,9 @@ def _llt_counts(shape: SkewShapeTuple, xy: _Packing, engine: str = "tableaux") -
     ``llt``'s polynomial encoded (so "both" still raises EngineMismatch)."""
     if engine == "tableaux":
         return _coinv_counts(shape, xy)
-    return {sum(map(lshift, e[:-1], xy.shifts)) + (e[-1] << xy.top): c
-            for e, c in llt(shape, xy.vars.nx, engine).terms.items()}
+    n = xy.vars.nx   # every y exponent is 0
+    return xy.encode({e[:n] + (0,) * n + e[n:]: c
+                      for e, c in llt(shape, n, engine).terms.items()}, 1)
 
 
 def _xy_sum(xy: _Packing, summands) -> dict:
@@ -313,6 +314,9 @@ def _kernel_counts(xy: _Packing, k: int, D: int) -> dict:
 def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D."""
     n, k, D = (check_int(value, name) for value, name in ((n, "n"), (k, "k"), (D, "D")))
+    for name, value in (("n", n), ("k", k)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0")
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
     xy = _xy_packing(n, D)

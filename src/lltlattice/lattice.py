@@ -263,7 +263,7 @@ def partition_function(spec: LatticeSpec) -> LaurentPoly:
     x_1..x_i and t as ``_Packing`` keys.  Row i's x field holds its right
     steps: at most one per color and column, so at most k * ncols.
     """
-    packing = _Packing(VarSet(nx=spec.n), max(spec.k * spec.ncols, 1).bit_length())
+    packing = _Packing(VarSet(nx=spec.n), spec.k * spec.ncols)
     step, top = _row_transitions(spec), packing.top
     states: dict[tuple, dict[int, int]] = {spec.bottom: {0: 1}}
     for row, xshift in enumerate(packing.shifts, 1):

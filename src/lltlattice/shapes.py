@@ -15,6 +15,7 @@ coinversions among them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -42,6 +43,14 @@ def check_int(value, name: str) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+def check_size(value: int, name: str) -> int:
+    """A size read from the command line, refused above sys.maxsize: no
+    larger value is a length or an index, so none can be worked with."""
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}")
+    return value
 
 
 def check_n(n: int) -> int:
@@ -128,6 +137,7 @@ def parse_shape_text(text: str, flag: str) -> ShapeTuple:
         parts = tuple(tuple(map(int, c.split(","))) for c in text.split(";"))
     except ValueError:
         raise ValueError(f"{flag} parts must be integers, not {text!r}") from None
+    check_size(max(map(max, parts)), f"{flag} parts")
     try:
         return check_shape_tuple(parts)
     except ValueError as exc:

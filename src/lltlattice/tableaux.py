@@ -228,10 +228,9 @@ def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
 
 def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:
     """Coinversion LLT polynomial: sum of t^coinv(T) x^T, counted by
-    ``_coinv_counts`` with x_1..x_n at ``bits`` apiece and t above them."""
+    ``_coinv_counts`` with x_1..x_n in bounded fields and t above them."""
     check_n(n)
-    bits = (shape.cell_count() + 1).bit_length()   # an x-exponent is at most cells
-    packing = _Packing(VarSet(nx=n), bits)
+    packing = _Packing(VarSet(nx=n), shape.cell_count())   # an x-exponent is at most cells
     return packing.poly(_coinv_counts(shape, packing))
 
 

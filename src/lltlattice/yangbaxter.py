@@ -18,7 +18,7 @@ read it.  The checkers cover every boundary one block of incoming labels at
 a time, by a sparse contraction of the three-face sums on packed monomials
 over tables that hold each weight packed straight from the closed forms
 (`lattice`'s face exponents, the crossing expansion `r_weight` wraps); the
-crossing's is x^k R, so no packed exponent is negative, and each side
+crossing's is x^k R, so every packed exponent is in [0, 2k], and each side
 carries that one x^k.  Each block's two sides are compared and dropped.
 Numeric mode then evaluates them at exact rational points, but only at the
 boundaries where they differ symbolically: at a point with nonzero x, y and
@@ -162,15 +162,15 @@ def r_recursive(k: int):
 # -- both sides of the intertwining equation -----------------------------------
 
 
-# (x, y, t) in one int, 8 bits apiece for x and y; a side's term multiplies
-# three table weights, so every table exponent must fit three times over
-_PACKING = _Packing(YBE_VARS, 8)
+def _packing(k: int) -> _Packing:
+    # a side's term multiplies three table weights, each x or y exponent in [0, 2k]
+    return _Packing(YBE_VARS, 6 * k)
 
 
 def _unpack(k: int, counts) -> LaurentPoly:
     """Packed terms that carry the crossing table's x^k as a polynomial: x's
     exponent is lowered after decoding, as a key lowered would borrow from y."""
-    return _PACKING.poly(counts)._map_exponents(lambda e: (e[0] - k, e[1], e[2]))
+    return _packing(k).poly(counts)._map_exponents(lambda e: (e[0] - k, e[1], e[2]))
 
 
 def _entry_rows(k: int, pictures, terms) -> dict:
@@ -182,7 +182,7 @@ def _entry_rows(k: int, pictures, terms) -> dict:
     for i, j, kk, l in pictures:
         outs.setdefault((i, j), []).append((kk, l))
     rows: dict = {}
-    size = 1 << k
+    size, packing = 1 << k, _packing(k)
     for I in range(size):
         for J in range(size):
             per_color = [outs.get(((I >> i) & 1, (J >> i) & 1), ()) for i in range(k)]
@@ -190,7 +190,7 @@ def _entry_rows(k: int, pictures, terms) -> dict:
             for combo in product(*per_color):
                 K = sum(kk << i for i, (kk, _) in enumerate(combo))
                 L = sum(l << i for i, (_, l) in enumerate(combo))
-                row.append(((K, L), tuple(_PACKING.encode(terms(I, J, K, L), 3).items())))
+                row.append(((K, L), tuple(packing.encode(terms(I, J, K, L), 3).items())))
     return rows
 
 

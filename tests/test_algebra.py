@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.cli import format_grouped
-from lltlattice.yangbaxter import _PACKING as YBE_PACKING
+from lltlattice.yangbaxter import _packing as ybe_packing
 
 V2 = VarSet(nx=2)  # x1, x2, t
 V1 = VarSet(nx=1)
@@ -322,24 +322,25 @@ def test_no_result_stores_a_zero_coefficient(a, b):
 
 @st.composite
 def packings(draw):
-    """A packing at the widths its callers use: the YBE contraction's (x, y,
-    t), or ``llt_coinv``'s x_1..x_n under t for a shape of up to 60 cells."""
+    """A packing at the bounds its callers state: the YBE contraction's (x, y,
+    t) for k <= 6 colors, or x_1..x_n under t for a bound of up to 60."""
     if draw(st.booleans()):
-        return YBE_PACKING
-    n, cells = draw(st.integers(1, 6)), draw(st.integers(0, 60))
-    return _Packing(VarSet(nx=n), (cells + 1).bit_length())   # as llt_coinv builds it
+        return ybe_packing(draw(st.integers(0, 6)))
+    return _Packing(VarSet(nx=draw(st.integers(1, 6))), draw(st.integers(0, 60)))
 
 
 def exponent_vectors(packing, factors=1):
-    """Exponent vectors whose bounded fields fit ``factors`` times over; the
-    last field is unbounded."""
-    bounded = [st.integers(0, packing.mask // factors)] * len(packing.shifts)
+    """Exponent vectors whose bounded fields stay within the bound ``factors``
+    times over; the last field is unbounded."""
+    bounded = [st.integers(0, packing.bound // factors)] * len(packing.shifts)
     return st.tuples(*bounded, st.integers(-10**6, 10**6))
 
 
 def test_packing_field_ranges():
-    assert YBE_PACKING.mask == 255
-    assert _Packing(VarSet(nx=2), 4).mask == 15
+    # a field is the bound's bit length wide, at least one bit
+    masks = [_Packing(VarSet(nx=2), bound).mask for bound in (0, 1, 2, 3, 4, 7, 8)]
+    assert masks == [1, 1, 3, 3, 7, 7, 15]
+    assert (ybe_packing(1).mask, ybe_packing(2).mask) == (7, 15)   # bounds 6 and 12
 
 
 @given(st.data())
@@ -366,17 +367,17 @@ def test_exponent_outside_its_field_raises(data):
     factors = data.draw(st.sampled_from([1, 3]))
     e = list(data.draw(exponent_vectors(packing, factors)))
     field = data.draw(st.integers(0, len(packing.shifts) - 1))
-    over = data.draw(st.integers(packing.mask // factors + 1, packing.mask + 300))
+    over = data.draw(st.integers(packing.bound // factors + 1, packing.mask + 300))
     under = data.draw(st.integers(-300, -1))
     e[field] = data.draw(st.sampled_from([over, under]))
-    with pytest.raises(ValueError, match="does not fit"):
+    with pytest.raises(ValueError, match="does not fit a field bounded by"):
         packing.encode({tuple(e): 1}, factors)
-    if factors == 1:   # packed by hand, the value carries into or borrows from the next field
+    if not 0 <= e[field] <= packing.mask:   # packed by hand, it carries or borrows
         raw = sum(v << s for v, s in zip(e, packing.shifts)) + (e[-1] << packing.top)
         assert packing.decode({raw: 1}) != {tuple(e): 1}
 
 
 def test_packing_rejects_a_wrong_length():
     with pytest.raises(ValueError, match="expected 3 exponents, got 2"):
-        YBE_PACKING.encode({(1, 2): 1}, 1)
+        ybe_packing(1).encode({(1, 2): 1}, 1)
 

@@ -388,18 +388,28 @@ def test_verify_bad_parameters_exit_2(argv, err, capsys):
     assert captured.err == err
 
 
-# sizes too large for the machine raise OverflowError deep inside a command
-@pytest.mark.parametrize("command", [
-    "compute --beta 1 --n 99999999999999999999",
-    "verify cauchy --n 1 --k 1 -D 99999999999999999999",
-    "verify hl --mu 99999999999999999999 --n 1",
-    "verify lstar --lam 1,0 --n 2 --M-list 99999999999999999999",
-])
+# a size above sys.maxsize is refused by its flag, before any work; at
+# 2^63 - 1 a lattice row's column bitmask runs out of memory at once
+_HUGE_SIZES = {
+    "compute --beta 1 --n 99999999999999999999": f"--n must be at most {sys.maxsize}",
+    "verify cauchy --n 1 --k 1 -D 99999999999999999999":
+        f"--degree must be at most {sys.maxsize}",
+    "verify hl --mu 99999999999999999999 --n 1": f"--mu parts must be at most {sys.maxsize}",
+    "verify lstar --lam 1,0 --n 2 --M-list 99999999999999999999":
+        f"--M-list values must be at most {sys.maxsize}",
+    "verify lstar --lam 1,0 --n 2 --M-list 9223372036854775807": "out of memory",
+    "compute --beta 99999999999999999999 --n 1": f"--beta parts must be at most {sys.maxsize}",
+    "verify box-skew --lam 1,0;1,1 --M 99999999999999999999 --n 2":
+        f"--M must be at most {sys.maxsize}",
+}
+
+
+@pytest.mark.parametrize("command", list(_HUGE_SIZES))
 def test_huge_size_exit_2(command, capsys):
     assert cli.main(command.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: {_HUGE_SIZES[command]}\n"
 
 
 @pytest.mark.parametrize("command, refused_by", [

@@ -3,8 +3,9 @@ every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
 functools cache is bounded, one function owns the rule that n is at least 1,
-one method reads a configuration's levels as label masks, and every function
-of the package runs under the CLI or is listed with why it stays."""
+one method owns the packed field width, one method reads a configuration's
+levels as label masks, and every function of the package runs under the CLI
+or is listed with why it stays."""
 
 import ast
 import functools
@@ -21,7 +22,7 @@ from types import CodeType, FunctionType, ModuleType
 
 import pytest
 
-from lltlattice import cli, lattice, shapes
+from lltlattice import algebra, cli, lattice, shapes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lltlattice"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -176,6 +177,33 @@ def test_variable_count_rule_has_one_owner():
     counts = {path.name: path.read_text().count(text) for path in SRC.glob("*.py")}
     assert {name: count for name, count in counts.items() if count} == {"shapes.py": 1}
     assert text in inspect.getsource(shapes.check_n)
+
+
+def _calls(source: str, name: str) -> list[str]:
+    """Each call in source of a function or method named ``name``, as text."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_packing_width_rule_has_one_owner():
+    # _Packing derives every field width from the bound its caller states;
+    # the one other bit_length is lattice._t_exponent's bit index
+    sources = {path.name: path.read_text() for path in MODULES}
+    widths = {name: calls for name, source in sources.items()
+              if (calls := _calls(source, "bit_length"))}
+    assert widths == {"algebra.py": ["max(bound, 1).bit_length()"],
+                      "lattice.py": ["(L & -L).bit_length()"]}
+    assert widths["algebra.py"][0] in inspect.getsource(algebra._Packing.__init__)
+    assert widths["lattice.py"][0] in inspect.getsource(lattice._t_exponent)
+    packings = [call for name, source in sources.items() if name != "algebra.py"
+                for call in _calls(source, "_Packing")]
+    assert len(packings) == 4 and not any("bit_length" in call for call in packings)
+
+
+def test_guard_sees_a_packing_width_outside_algebra():
+    source = "xy = _Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())\n"
+    assert _calls(source, "bit_length") == ["max(D, 1).bit_length()"]
+    assert _calls(source, "_Packing") == ["_Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())"]
 
 
 def test_label_masks_have_one_reader():

@@ -222,6 +222,18 @@ def test_cauchy_kernel_rejects_negative_degree():
         cauchy_kernel_truncated(2, 2, -1)
 
 
+@pytest.mark.parametrize("nkD, message", [
+    ((1, -3, 2), "k must be at least 0"),
+    ((-1, 1, 2), "n must be at least 0"),
+    ((-1, -1, -1), "n must be at least 0"),
+])
+def test_cauchy_kernel_rejects_negative_sizes(monkeypatch, nkD, message):
+    # refused before any work, never an empty product read as 1
+    monkeypatch.setattr(identities, "_xy_packing", None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cauchy_kernel_truncated(*nkD)
+
+
 def test_cauchy_kernel_degree_zero_is_one():
     assert cauchy_kernel_truncated(3, 2, 0) == LaurentPoly.one(VarSet(3, 3))
 

@@ -8,7 +8,6 @@ import pytest
 from lltlattice import cli, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.yangbaxter import (
-    _PACKING,
     YBE_VARS,
     _droite_block,
     _gauche_block,
@@ -121,7 +120,8 @@ def test_starred_crossing_is_substituted_r_weight(k):
     assert sum(map(len, rows.values())) == 5 ** k
     for (I, J), outs in rows.items():
         for (K, L), w in outs:
-            assert _decoded(w, k) == r_weight(k, I, J, K, L).substitute(xbar), (I, J, K, L)
+            expected = r_weight(k, I, J, K, L).substitute(xbar)
+            assert _decoded(w, k, crossing=True) == expected, (I, J, K, L)
 
 
 # each entry point at k = 1 with a label that names color 2
@@ -285,18 +285,19 @@ def test_ybe_check_rejects_bad_parameters(monkeypatch, check, kwargs, message):
         check(**kwargs)
 
 
-def _decoded(weight, k=0):
-    """A packed table weight as a polynomial; with ``k``, a crossing weight,
-    which the tables pack times x^k."""
-    return _unpack(k, dict(weight))
+def _decoded(weight, k, crossing=False):
+    """A packed table weight of k colors as a polynomial; a crossing weight,
+    which the tables pack times x^k, through ``_unpack``."""
+    return _unpack(k, dict(weight)) if crossing else yangbaxter._packing(k).poly(dict(weight))
 
 
 def _decoded_tables(k, starred):
     """The checks' tables with every weight decoded, once per reference run."""
     lx, ly, rr = yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
     return tuple(
-        {pair: {labels: _decoded(w, shift) for labels, w in outs} for pair, outs in rows.items()}
-        for rows, shift in ((lx, 0), (ly, 0), (rr, k))
+        {pair: {labels: _decoded(w, k, crossing) for labels, w in outs}
+         for pair, outs in rows.items()}
+        for rows, crossing in ((lx, False), (ly, False), (rr, True))
     )
 
 
@@ -373,14 +374,15 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
 @pytest.mark.parametrize("starred", [False, True])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_every_table_exponent_is_a_digit(monkeypatch, k, starred):
-    # the crossing is packed times x^k, so every bounded field the tables
-    # pack (x and y; t is the unbounded last field) is an 8-bit digit, and
-    # the crossing's x lies in [0, 2k]
+    # every bounded field the tables pack (x and y; t is the unbounded last
+    # field) lies in [0, 2k], so a side's three weights stay within the
+    # stated bound 6k: the starred tables reach 2k, the plain ones k, and
+    # the crossing's x, packed times x^k, lies in [0, 2k]
     packed = []
     encode = _Packing.encode
 
     def recording(packing, terms, factors):
-        assert packing is _PACKING
+        assert (packing.bound, factors) == (6 * k, 3)
         packed.append(list(terms))
         return encode(packing, terms, factors)
 
@@ -388,7 +390,8 @@ def test_every_table_exponent_is_a_digit(monkeypatch, k, starred):
     _tables.__wrapped__(k, starred)   # uncached: built here
     monkeypatch.undo()
     assert len(packed) == 3 * 5 ** k   # x-line face, y-line face, crossing
-    assert all(0 <= e <= 255 for terms in packed for x, y, _ in terms for e in (x, y))
+    bounded = [e for terms in packed for x, y, _ in terms for e in (x, y)]
+    assert (min(bounded), max(bounded)) == (0, 2 * k if starred else k)
     crossing_x = {x for terms in packed[-5 ** k:] for x, _, _ in terms}
     assert min(crossing_x) >= 0 and max(crossing_x) <= 2 * k
 
