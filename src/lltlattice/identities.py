@@ -156,6 +156,8 @@ def _rearrangements(parts: tuple):
 def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:
     """Single-row tuples recover transformed Hall-Littlewood polynomials."""
     mu = check_partition(mu)
+    if not mu:
+        raise ValueError("mu must have at least one part")
     H = hl_transformed(mu, n)
     # one polynomial per distinct rearrangement; the reversed rows are one
     L = {beta: llt(tuple((p,) for p in beta), n, engine) for beta in _rearrangements(mu)}
@@ -169,6 +171,8 @@ def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:
 def verify_modified_hl(mu, n: int) -> IdentityReport:
     """Inversion polynomial of the row tuple = modified Hall-Littlewood."""
     mu = check_partition(mu)
+    if not mu:
+        raise ValueError("mu must have at least one part")
     rows = tuple((p,) for p in mu)
     lhs = llt_inv(SkewShapeTuple.straight(rows), n)
     rhs = hl_modified(mu, n)

@@ -11,13 +11,13 @@ admissible patterns (I,J,K,L) and their factors are
     type 4  (1,1,1,1)   y/(x t^d)
     type 5  (0,0,0,0)   1
 
-where d counts the colors above this one in type 1; the pattern (1,0,1,0)
-is forbidden.  One picture table per kind holds each single-color weight
-(d = 0): the crossing expansion, ``ef_weight`` and the color recursion all
-read it.  The checkers cover every boundary one block of incoming labels at
-a time, by a sparse contraction of the three-face sums on packed monomials
-over tables that hold each weight packed straight from the closed forms
-(`lattice`'s face exponents, the crossing expansion `r_weight` wraps); the
+where d counts the colors above this one in type 1; the pattern (1,0,1,0) is
+forbidden.  One picture table per kind holds each single-color weight (d = 0);
+the crossing expansion, ``ef_weight`` and the color recursion read it as
+(weight, shift) pairs.  The checkers cover every boundary one block of
+incoming labels at a time, by a sparse contraction of the three-face sums on
+packed monomials over tables that hold each weight packed straight from the
+closed forms (`lattice`'s face exponents, `r_weight`'s expansion); the
 crossing's is x^k R, so every packed exponent is in [0, 2k], and each side
 carries that one x^k.  Each block's two sides are compared and dropped.
 Numeric mode then evaluates them at exact rational points, but only at the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .algebra import LaurentPoly, VarSet, _Packing
@@ -59,36 +58,44 @@ _R_PICTURES = {  # crossings in type order 1..5, weights in y/x
     (1, 1, 1, 1): {(-1, 1, 0): 1},
     (0, 0, 0, 0): {(0, 0, 0): 1},
 }
-_TYPE_OF = {pic: ty for ty, pic in enumerate(_R_PICTURES, start=1)}
+
+# kind -> picture -> (its weight, whether the smaller colors see x -> xt): on
+# faces E keeps x and F shifts it, on crossings Etilde shifts x and Ftilde
+# keeps it.
+_BRANCHES = {
+    kind: {pic: (LaurentPoly(YBE_VARS, w), (i == 0) == (kind == "R"))
+           for i, (pic, w) in enumerate(pictures.items())}
+    for kind, pictures in (("L", _L_PICTURES), ("R", _R_PICTURES))
+}
 
 
 def _crossing_terms(k: int, I: int, J: int, K: int, L: int, bar: bool) -> dict:
     """{(x, y, t) exponents: coefficient} of R(I,J;K,L), the product of the
     colors' factors expanded; empty when some color breaks the type table.
-    A color's factor is its picture's weight with y/x read as y/(x t^d).
-    With ``bar`` the x line carries 1/(x t^(k-1)): y/(x t^d) becomes
-    x y t^(k-1-d)."""
+    A color's factor is its picture's weight with x read as x t^d, d the
+    colors above it whose picture shifts x.  With ``bar`` the x line carries
+    1/(x t^(k-1)): y/(x t^d) becomes x y t^(k-1-d)."""
     terms = {(0, 0, 0): 1}
-    delta = 0  # the type-1 colors above color i
+    delta = 0
     for i in reversed(range(k)):
         pic = ((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1)
-        factor = _R_PICTURES.get(pic)
-        if factor is None:
+        if pic not in _BRANCHES["R"]:
             return {}
+        factor, shift = _BRANCHES["R"][pic]
         above = i + 1
         alg = ((J >> above).bit_count() - (I >> above).bit_count()
                + (L >> above).bit_count() - (K >> above).bit_count())
         if alg != 2 * delta:
-            raise AssertionError("delta mismatch between type count and label algebra")
-        # y/(x t^delta); barred, through lattice's substitution
-        xe, te = _gray(k, 0, -1, -delta) if bar else (-1, -delta)
+            raise AssertionError("delta mismatch between shift count and label algebra")
         expanded: dict = {}
-        for (_, p, _), f in factor.items():  # f (y/x)^p
+        for (x, y, t), f in factor.terms.items():
+            # x -> x t^delta; barred, through lattice's substitution
+            x, t = _gray(k, 0, x, t + x * delta) if bar else (x, t + x * delta)
             for (a, b, c), coeff in terms.items():
-                exps = (a + p * xe, b + p, c + p * te)
+                exps = (a + x, b + y, c + t)
                 expanded[exps] = expanded.get(exps, 0) + coeff * f
         terms = expanded
-        delta += _TYPE_OF[pic] == 1
+        delta += shift
     return terms
 
 
@@ -101,15 +108,6 @@ def r_weight(k: int, I, J, K, L) -> LaurentPoly:
 
 _KINDS = {"E": "L", "F": "L", "Etilde": "R", "Ftilde": "R"}
 
-# kind -> picture -> (its weight, whether the smaller colors see x -> xt): on
-# faces E keeps x and F shifts it, on crossings Etilde shifts x and Ftilde
-# keeps it.
-_BRANCHES = {
-    kind: {pic: (LaurentPoly(YBE_VARS, w), (i == 0) == (kind == "R"))
-           for i, (pic, w) in enumerate(pictures.items())}
-    for kind, pictures in (("L", _L_PICTURES), ("R", _R_PICTURES))
-}
-
 
 def ef_weight(kind: str, picture) -> LaurentPoly:
     """Tabulated single-color weight for kind in E, F, Etilde, Ftilde."""
@@ -120,13 +118,10 @@ def ef_weight(kind: str, picture) -> LaurentPoly:
     if pic not in branches:
         what = "face" if _KINDS[kind] == "L" else "crossing"
         raise ValueError(f"unknown single-color {what} picture {pic}")
-    first = pic == next(iter(branches))
-    return branches[pic][0] if first == (kind in ("E", "Etilde")) else LaurentPoly.zero(YBE_VARS)
+    weight, shift = branches[pic]
+    return weight if shift == (kind in ("F", "Etilde")) else LaurentPoly.zero(YBE_VARS)
 
 
-# The two caches below hold one value per k (k <= 6 through the CLI) and per
-# kind or flavor, so these bounds keep every key the checks use.
-@lru_cache(maxsize=14)
 def _recursive_table(k: int, kind: str) -> dict:
     """All nonzero k-color face ("L") or crossing ("R") weights, built by the
     one-color-at-a-time rule: the new color k follows one single-color
@@ -163,7 +158,8 @@ def r_recursive(k: int):
 
 
 def _packing(k: int) -> _Packing:
-    # a side's term multiplies three table weights, each x or y exponent in [0, 2k]
+    # three table weights, each x or y exponent in [0, 2k], as encode(..., 3)
+    # proves per entry; a side's fields reach only 2k (measured for k <= 3)
     return _Packing(YBE_VARS, 6 * k)
 
 
@@ -173,13 +169,13 @@ def _unpack(k: int, counts) -> LaurentPoly:
     return _packing(k).poly(counts)._map_exponents(lambda e: (e[0] - k, e[1], e[2]))
 
 
-def _entry_rows(k: int, pictures, terms) -> dict:
+def _entry_rows(k: int, kind: str, terms) -> dict:
     """(I, J) -> [((K, L), weight)] over the labels whose colors each follow
-    one of the single-color pictures, all of which weigh nonzero.  A weight
-    is the tuple of (packed monomial, coefficient) pairs of the exponent
-    terms ``terms(I, J, K, L)``."""
+    one of the kind's single-color pictures, all of which weigh nonzero.  A
+    weight is the tuple of (packed monomial, coefficient) pairs of the
+    exponent terms ``terms(I, J, K, L)``."""
     outs: dict = {}
-    for i, j, kk, l in pictures:
+    for i, j, kk, l in _BRANCHES[kind]:
         outs.setdefault((i, j), []).append((kk, l))
     rows: dict = {}
     size, packing = 1 << k, _packing(k)
@@ -194,7 +190,6 @@ def _entry_rows(k: int, pictures, terms) -> dict:
     return rows
 
 
-@lru_cache(maxsize=14)
 def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
     """Entry rows of the x-line face, the y-line face and the crossing.
     Starred, the x-line face is gray and the crossing's x line carries
@@ -209,9 +204,9 @@ def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
         return terms
 
     return (
-        _entry_rows(k, _L_PICTURES, face(False, starred)),
-        _entry_rows(k, _L_PICTURES, face(True, False)),
-        _entry_rows(k, _R_PICTURES, lambda *labels: {
+        _entry_rows(k, "L", face(False, starred)),
+        _entry_rows(k, "L", face(True, False)),
+        _entry_rows(k, "R", lambda *labels: {
             (x + k, *e): c for (x, *e), c in _crossing_terms(k, *labels, starred).items()}),
     )
 

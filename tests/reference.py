@@ -133,12 +133,19 @@ def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
 # -- the two sides of the Yang-Baxter equation at one boundary ----------------
 
 
+# The package builds the YBE tables once per check; a reference that walks
+# the boundaries one at a time keeps them per k.
+@lru_cache(maxsize=4)
+def _plain_tables(k: int) -> tuple[dict, dict, dict]:
+    return _tables(k, False)
+
+
 def ybe_gauche(k: int, boundary) -> LaurentPoly:
     """Left side of the intertwining sum for one boundary, symbolically."""
     I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _unpack(k, _gauche_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
+    return _unpack(k, _gauche_block(*_plain_tables(k), I1, I2, I3).get(tuple(outgoing), {}))
 
 
 def ybe_droite(k: int, boundary) -> LaurentPoly:
     I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _unpack(k, _droite_block(*_tables(k, False), I1, I2, I3).get(tuple(outgoing), {}))
+    return _unpack(k, _droite_block(*_plain_tables(k), I1, I2, I3).get(tuple(outgoing), {}))

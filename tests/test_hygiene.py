@@ -2,10 +2,11 @@
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
-functools cache is bounded, one function owns the rule that n is at least 1,
-one method owns the packed field width, one method reads a configuration's
-levels as label masks, and every function of the package runs under the CLI
-or is listed with why it stays."""
+functools cache is bounded and listed with its measured reuse, one function
+owns the rule that n is at least 1, one method owns the packed field width,
+one method reads a configuration's levels as label masks, one assignment
+reads the single-color picture tables, and every function of the package
+runs under the CLI or is listed with why it stays."""
 
 import ast
 import functools
@@ -206,6 +207,39 @@ def test_guard_sees_a_packing_width_outside_algebra():
     assert _calls(source, "_Packing") == ["_Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())"]
 
 
+def _readers(source: str, name: str) -> list[str]:
+    """Each read of ``name`` in source, as the module-level name that the
+    statement holding it defines or assigns."""
+    found = []
+    for stmt in ast.parse(source).body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt]
+        where = ", ".join(getattr(target, "id", getattr(target, "name", "?")) for target in targets)
+        found += [where] * sum(
+            (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            for node in ast.walk(stmt))
+    return found
+
+
+def test_picture_tables_have_one_reader():
+    # each single-color weight is read once, into _BRANCHES' (weight, shift)
+    # pairs; the crossing expansion, ef_weight and the recursion read those
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    for table in ("_L_PICTURES", "_R_PICTURES"):
+        readers = {name: found for name, source in sources.items()
+                   if (found := _readers(source, table))}
+        assert readers == {"yangbaxter.py": ["_BRANCHES"]}, table
+
+
+def test_guard_sees_a_second_reader_of_a_picture_table():
+    source = (
+        "_R = {1: 2}\n_B = {k: v for k, v in _R.items()}\n\n"
+        "def f(pic):\n    return _R.get(pic)\n\n"
+        "class C:\n    r = yangbaxter._R\n"
+    )
+    assert _readers(source, "_R") == ["_B", "f", "C"]
+
+
 def test_label_masks_have_one_reader():
     # a configuration holds each color's columns per level; only its faces
     # read a level as label masks
@@ -316,6 +350,57 @@ def test_every_cache_is_bounded():
     sources = {f"lltlattice.{path.stem}": path.read_text() for path in modules}
     assert set(caches) == _decorated_caches(sources)
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+# The package's functools caches, each with its reuse measured in one
+# `verify all` from empty caches.  A new cache is listed here with its own.
+CACHES = {
+    "lltlattice.tableaux._component_fillings": "4,434 hits and 100 misses",
+    "lltlattice.shapes._pair_positions": "1,271 hits and 707 misses",
+}
+
+
+def _unreused_caches(package: str, run) -> list[str]:
+    """module.function of every live cache of package that ``run()``, from
+    empty caches, never hits."""
+    caches = _live_caches(package)
+    for cached in caches:
+        cached.cache_clear()
+    run()
+    return sorted(f"{obj.__module__}.{obj.__qualname__}"
+                  for obj in caches if obj.cache_info().hits == 0)
+
+
+def test_every_cache_is_listed_and_reused():
+    modules = [path for path in MODULES if path.name != "__main__.py"]   # it runs the CLI
+    sources = {f"lltlattice.{path.stem}": path.read_text() for path in modules}
+    assert _decorated_caches(sources) == set(CACHES)
+
+    def run():
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--quick"]) == 0
+
+    assert _unreused_caches("lltlattice", run) == []
+
+
+def test_guard_sees_an_unlisted_or_unreused_cache():
+    source = (
+        "import functools\n\n"
+        "@functools.lru_cache(maxsize=4)\ndef listed(k):\n    return k\n\n"
+        "@functools.lru_cache(maxsize=4)\ndef table(k):\n    return k\n"
+    )
+    namespace = {"__name__": "reusecheck.caches"}
+    exec(source, namespace)
+    sources = {"reusecheck.caches": source}
+    listed = {"reusecheck.caches.listed": "1 hit and 2 misses"}
+    assert _decorated_caches(sources) - set(listed) == {"reusecheck.caches.table"}
+
+    def run():
+        for k in (1, 2, 1):
+            namespace["listed"](k)
+        namespace["table"](3)
+
+    assert _unreused_caches("reusecheck", run) == ["reusecheck.caches.table"]
 
 
 def test_guard_sees_an_unbounded_cache():

@@ -106,6 +106,17 @@ def test_hl_identities():
     assert verify_modified_hl((3, 1), 3).passed
 
 
+@pytest.mark.parametrize("verify", [verify_hl, verify_modified_hl])
+def test_empty_mu_is_refused_before_any_polynomial(monkeypatch, verify):
+    # mu's rows would be an LLT tuple with no component
+    calls = []
+    for name in ("hl_transformed", "hl_modified", "llt", "llt_inv"):
+        monkeypatch.setattr(identities, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="^mu must have at least one part$"):
+        verify((), 2)
+    assert calls == []
+
+
 def test_box_skew():
     # the zero tuple: both sides are the rectangle tuple, d = 0
     assert verify_box_skew(((0, 0), (0, 0)), 4, 2).passed

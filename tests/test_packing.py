@@ -4,13 +4,16 @@ Each caller of ``_Packing`` states the largest value its fields reach, and
 ``_Packing`` derives the field width from it.  The tests here show that each
 stated maximum is reached, and that every packed verdict of the checks is
 unchanged with every field 8 bits wider, while one bit narrower breaks them.
-The YBE tables' maxima are checked in ``test_yangbaxter``.
+The YBE tables' maxima are checked in ``test_yangbaxter``.  Packed keys are
+a linear image of exponent vectors, so the sides of a correct model stay
+equal at any width: a carry can only merge distinct monomials of unequal
+sides.  So the YBE's widened run is made on a wrong crossing weight.
 """
 
 import pytest
 
 from lltlattice import cli, identities, tableaux, yangbaxter
-from lltlattice.algebra import VarSet, _Packing
+from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.identities import cauchy_kernel_truncated
 from lltlattice.lattice import build_box_lattice, partition_function
 from lltlattice.shapes import SkewShapeTuple
@@ -20,10 +23,8 @@ _CAUCHY_RUNS = [(1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)]
 
 
 def _clear_caches():
-    """Empty the caches the checks read: the YBE tables hold packed keys of
-    the layout they were built in, and empty fillings make the tableau
-    engine run in full under each layout."""
-    yangbaxter._tables.cache_clear()
+    """Empty the tableau engine's fillings, so that it runs in full under
+    each layout."""
     tableaux._component_fillings.cache_clear()
 
 
@@ -65,6 +66,25 @@ def test_verdicts_are_unchanged_with_every_field_8_bits_wider(capsys, relaid):
     relaid(lambda mask: mask << 8 | 0xFF)
     assert _Packing(VarSet(nx=1), 3).mask == 0x3FF   # 2 bits, widened to 10
     assert _verdicts(capsys) == normal
+
+
+def _ybe_failures():
+    reports = [check(2) for check in (yangbaxter.ybe_check, yangbaxter.lstar_ybe_check)]
+    return [(report.failed, report.first_failure) for report in reports]
+
+
+def test_failing_ybe_reports_are_unchanged_with_every_field_8_bits_wider(monkeypatch, relaid):
+    # the type-2 crossing weight times t: both checks fail, and a carry at
+    # the normal width would change a count or a witness
+    wrong = LaurentPoly(yangbaxter.YBE_VARS, {(-1, 1, 1): 1})
+    monkeypatch.setitem(yangbaxter._BRANCHES["R"], (0, 1, 1, 0), (wrong, False))
+    normal = _ybe_failures()
+    assert [failed for failed, _ in normal] == [124, 124]
+    relaid(lambda mask: mask << 8 | 0xFF)
+    assert _ybe_failures() == normal
+    # a side's fields reach 2k = 4, so two bits narrower carries, and is seen
+    relaid(lambda mask: mask >> 2)
+    assert _ybe_failures() != normal
 
 
 def test_one_bit_narrower_fails_every_verdict(capsys, relaid):

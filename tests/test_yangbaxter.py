@@ -361,7 +361,7 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
     monkeypatch.setattr(_Packing, "encode", counting)
     for op in ("__init__", "__mul__", "substitute"):
         monkeypatch.setattr(LaurentPoly, op, no_poly)
-    tables = _tables.__wrapped__(k, starred)   # uncached: built here
+    tables = _tables(k, starred)
     monkeypatch.undo()
     assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
     assert len(calls) == entries
@@ -387,7 +387,7 @@ def test_every_table_exponent_is_a_digit(monkeypatch, k, starred):
         return encode(packing, terms, factors)
 
     monkeypatch.setattr(_Packing, "encode", recording)
-    _tables.__wrapped__(k, starred)   # uncached: built here
+    _tables(k, starred)
     monkeypatch.undo()
     assert len(packed) == 3 * 5 ** k   # x-line face, y-line face, crossing
     bounded = [e for terms in packed for x, y, _ in terms for e in (x, y)]
