@@ -68,8 +68,13 @@ def cmd_compute(args) -> int:
 def cmd_stats(args) -> int:
     shape = _parse_shape(args)
     lengths = {len(p) for p in shape.beta}
-    if args.M is not None and not (shape.is_straight() and len(lengths) == 1):
-        raise ValueError("--M needs a straight shape with equal part counts")
+    if args.M is not None:  # refused before any statistic is computed
+        if not (shape.is_straight() and len(lengths) == 1):
+            raise ValueError("--M needs a straight shape with equal part counts")
+        (parts,) = lengths
+        if args.M < parts:
+            raise ValueError(f"--M must be at least the number of parts ({parts})")
+        dtilde = _fit("--beta", f"--M {args.M}", dtilde_stat, shape.beta, args.M)
     r, s = column_range(shape)
     out = {
         "shape": shape.text(),
@@ -87,10 +92,7 @@ def cmd_stats(args) -> int:
         if len(lengths) == 1:
             out["d"] = d_stat(shape.beta)
             if args.M is not None:
-                (parts,) = lengths
-                if args.M < parts:
-                    raise ValueError(f"--M must be at least the number of parts ({parts})")
-                out["dtilde"] = _fit("--beta", f"--M {args.M}", dtilde_stat, shape.beta, args.M)
+                out["dtilde"] = dtilde
     print(json.dumps(out, sort_keys=True))
     return 0
 

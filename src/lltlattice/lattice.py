@@ -11,7 +11,7 @@ enters twice.  The weight of an admissible face is
     x^(# colors leaving right) * prod over colors i leaving right of
     t^(# colors larger than i present in the face)
 
-so a configuration's weight is one monomial, tracked as an exponent vector.
+so a configuration's weight is one monomial; ``_exponents`` alone counts it.
 The gray face weight is x^k t^C(k,2) times the plain one at x -> 1/(x t^(k-1)),
 so a lattice of gray rows is not a second model: ``gray_rows`` maps the plain
 partition function onto it.
@@ -51,14 +51,16 @@ def masks(k: int, *labels) -> tuple[int, ...]:
     return out
 
 
-def _t_exponent(present: int, L: int) -> int:
-    """Sum over colors i leaving right of the colors larger than i present."""
+def _exponents(right: int, present: int, width: int) -> tuple[int, int]:
+    """The plain weight's (x, t) exponents of faces given as two color-major
+    masks, where each color leaves right and where it is present, with bit
+    i*width + c for color i + 1 at face c.  x counts the right steps; t, for
+    each pair of colors i < j, the faces where i leaves right and j is
+    present: shifting present down d*width bits puts color i + d over i."""
     texp = 0
-    while L:
-        b = (L & -L).bit_length() - 1
-        texp += (present >> (b + 1)).bit_count()
-        L &= L - 1
-    return texp
+    while present := present >> width:
+        texp += (right & present).bit_count()
+    return right.bit_count(), texp
 
 
 def face_weight_exponents(I: int, J: int, K: int, L: int):
@@ -68,7 +70,7 @@ def face_weight_exponents(I: int, J: int, K: int, L: int):
     present = I | J
     if (K | L) != present or (K & L):
         return None
-    return L.bit_count(), _t_exponent(present, L)
+    return _exponents(L, present, 1)
 
 
 def _gray(k: int, faces: int, xexp: int, texp: int) -> tuple[int, int]:
@@ -187,19 +189,20 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False)
 # -- row machinery -------------------------------------------------------------
 
 
-def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
+def _color_moves(bit: int, bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
                  exit_right: int, left: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """One color's moves across a row with `left` rows above, from which its
-    paths can still finish, as (tops, right, present).
+    """Color bit + 1's moves across a row with `left` rows above, from which
+    its paths can still finish, as (tops, right, present).
 
     Paths pair up in order and move weakly right, each left of its right
     neighbour's column below the row, and only the rightmost may leave right.
     So path j ends within [caps[j - left] + left, caps[j]], each bound where
     it exists: it never passes its top column, and path j - left must still
     reach its own in `left` rows (at left = 0, path j ends on caps[j]).
-    right and present are column bitmasks of the faces where the color leaves
-    right and where it is present: [b, e) and [b, min(e, ncols-1)] for a path
-    from bottom column b to top column e, e = ncols if it leaves right."""
+    right and present are the faces where the color leaves right and where
+    it is present, as `_exponents` reads them: column c at bit bit*ncols + c,
+    [b, e) and [b, min(e, ncols-1)] for a path from bottom column b to top
+    column e, e = ncols if it leaves right."""
     m = len(bottoms) - exit_right  # >= 0: the spec conserves each color
     ends = bottoms[1:] + (ncols,)
     ranges = []
@@ -216,7 +219,7 @@ def _color_moves(bottoms: tuple[int, ...], caps: tuple[int, ...], ncols: int,
         for b, e in zip(bottoms, tops + (ncols,)):
             right |= (1 << e) - (1 << b)
             present |= (1 << min(e + 1, ncols)) - (1 << b)
-        moves.append((tops, right, present))
+        moves.append((tops, right << bit * ncols, present << bit * ncols))
     return moves
 
 
@@ -224,11 +227,11 @@ def _row_transitions(spec: LatticeSpec):
     """The row step of spec: step(row, state) yields (tops, x-exp, t-exp)
     for every admissible row above state whose tops can still reach spec.top
     (on the last row, reach it).  States and tops hold each color's columns;
-    the weight is plain: x counts the right steps, and t, for each pair of
-    colors i < j, the faces where i leaves right and j is present.  Each
-    color's moves are computed once per step function, keyed by color,
-    bottoms, exit bit and the rows above capped at len(bottoms), past which
-    no lower bound applies."""
+    the weight is the plain one, `_exponents` of the row's color-major masks,
+    the sums of its colors' disjoint move masks.  Each color's moves are
+    computed once per step function, keyed by color, bottoms, exit bit and
+    the rows above capped at len(bottoms), past which no lower bound
+    applies."""
     ncols, caps = spec.ncols, spec.top
     moves: dict[tuple, list] = {}
 
@@ -239,18 +242,13 @@ def _row_transitions(spec: LatticeSpec):
             key = (bit, bottoms, (exits >> bit) & 1, min(left, len(bottoms)))
             choices = moves.get(key)
             if choices is None:
-                choices = moves[key] = _color_moves(bottoms, caps[bit], ncols, key[2], left)
+                choices = moves[key] = _color_moves(bit, bottoms, caps[bit], ncols, key[2], left)
             if not choices:
                 return
             per_color.append(choices)
         for combo in product(*per_color):
             tops, rights, presents = zip(*combo)
-            xexp = texp = 0
-            for i, right in enumerate(rights):
-                xexp += right.bit_count()
-                for present in presents[i + 1:]:
-                    texp += (right & present).bit_count()
-            yield tops, xexp, texp
+            yield tops, *_exponents(sum(rights), sum(presents), ncols)
 
     return step
 

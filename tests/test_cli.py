@@ -130,18 +130,31 @@ def test_stats_empty():
     assert data["m"] == 0 and data["band"] == 0
 
 
-@pytest.mark.parametrize("beta, M, message", [
+BAD_M = [
     ("2;1", "0", "--M must be at least the number of parts (1)"),
     ("2;1", "-3", "--M must be at least the number of parts (1)"),
     ("2,1;1,0", "1", "--M must be at least the number of parts (2)"),
     ("2;1", "1", "--beta does not fit --M 1: part 2 exceeds box width 0"),
     ("2,2;1,0", "3", "--beta does not fit --M 3: part 2 exceeds box width 1"),
-])
+]
+
+
+@pytest.mark.parametrize("beta, M, message", BAD_M)
 def test_stats_bad_M_exit_2(beta, M, message, capsys):
     assert cli.main(["stats", "--beta", beta, "--M", M]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("beta, M, message", BAD_M)
+def test_stats_refuses_bad_M_before_any_statistic(beta, M, message, monkeypatch, capsys):
+    # m_bruteforce is the costly statistic: 9 s on 300 parts of 300
+    calls = []
+    monkeypatch.setattr(cli, "m_bruteforce", calls.append)
+    assert cli.main(["stats", "--beta", beta, "--M", M]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,9 +4,10 @@ public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
 functools cache is bounded and listed with its measured reuse, one function
 owns the rule that n is at least 1, one method owns the packed field width,
-one method reads a configuration's levels as label masks, one assignment
-reads the single-color picture tables, and every function of the package
-runs under the CLI or is listed with why it stays."""
+one function counts the plain face weight's exponents, one method reads a
+configuration's levels as label masks, one assignment reads the
+single-color picture tables, and every function of the package runs under
+the CLI or is listed with why it stays."""
 
 import ast
 import functools
@@ -187,15 +188,12 @@ def _calls(source: str, name: str) -> list[str]:
 
 
 def test_packing_width_rule_has_one_owner():
-    # _Packing derives every field width from the bound its caller states;
-    # the one other bit_length is lattice._t_exponent's bit index
+    # _Packing derives every field width from the bound its caller states
     sources = {path.name: path.read_text() for path in MODULES}
     widths = {name: calls for name, source in sources.items()
               if (calls := _calls(source, "bit_length"))}
-    assert widths == {"algebra.py": ["max(bound, 1).bit_length()"],
-                      "lattice.py": ["(L & -L).bit_length()"]}
+    assert widths == {"algebra.py": ["max(bound, 1).bit_length()"]}
     assert widths["algebra.py"][0] in inspect.getsource(algebra._Packing.__init__)
-    assert widths["lattice.py"][0] in inspect.getsource(lattice._t_exponent)
     packings = [call for name, source in sources.items() if name != "algebra.py"
                 for call in _calls(source, "_Packing")]
     assert len(packings) == 4 and not any("bit_length" in call for call in packings)
@@ -205,6 +203,13 @@ def test_guard_sees_a_packing_width_outside_algebra():
     source = "xy = _Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())\n"
     assert _calls(source, "bit_length") == ["max(D, 1).bit_length()"]
     assert _calls(source, "_Packing") == ["_Packing(VarSet(nx=n, ny=n), max(D, 1).bit_length())"]
+
+
+def _calls_outside(source: str, owner: str, name: str) -> list[str]:
+    """Each call in source of a function or method named ``name`` that is not
+    inside the module-level def ``owner``, as text."""
+    return [call for stmt in ast.parse(source).body if getattr(stmt, "name", None) != owner
+            for call in _calls(ast.unparse(stmt), name)]
 
 
 def _readers(source: str, name: str) -> list[str]:
@@ -238,6 +243,30 @@ def test_guard_sees_a_second_reader_of_a_picture_table():
         "class C:\n    r = yangbaxter._R\n"
     )
     assert _readers(source, "_R") == ["_B", "f", "C"]
+
+
+def test_plain_weight_rule_has_one_owner():
+    # lattice._exponents alone counts the plain (x, t) of faces, and only the
+    # single face and the row step call it, so verify ybe checks the weight
+    # the row DP sums
+    source = (SRC / "lattice.py").read_text()
+    assert _calls_outside(source, "_exponents", "bit_count") == []
+    assert _calls(inspect.getsource(lattice._exponents), "bit_count") == [
+        "(right & present).bit_count()", "right.bit_count()"]
+    readers = {path.name: found for path in SRC.glob("*.py")
+               if (found := _readers(path.read_text(), "_exponents"))}
+    assert readers == {"lattice.py": ["face_weight_exponents", "_row_transitions"]}
+
+
+def test_guard_sees_a_second_plain_weight_rule():
+    source = (
+        "def _exponents(right, present, width):\n    return right.bit_count(), 0\n\n"
+        "def face(L):\n    return _exponents(L, L, 1)\n\n"
+        "def step(rights):\n    def inner():\n        return _exponents(1, 1, 1)\n"
+        "    return sum(r.bit_count() for r in rights)\n"
+    )
+    assert _calls_outside(source, "_exponents", "bit_count") == ["r.bit_count()"]
+    assert _readers(source, "_exponents") == ["face", "step"]
 
 
 def test_label_masks_have_one_reader():
@@ -524,12 +553,12 @@ def test_guard_sees_a_function_that_never_runs():
         "        return inner()\n\n"
         "def skipped():\n    def nested():\n        pass\n"
     )
-    module = ModuleType("guardcheck")
-    module.__file__ = "guardcheck.py"
+    module = ModuleType("tracecheck")
+    module.__file__ = "tracecheck.py"
     exec(compile(source, module.__file__, "exec"), vars(module))
     functions = _functions(module)
     assert len(functions) == _def_count(source) == 7
     assert _never_run(functions, lambda: module.Poly.zero().run()) == [
-        "guardcheck.Poly.size", "guardcheck.cached", "guardcheck.skipped",
-        "guardcheck.skipped.<locals>.nested",
+        "tracecheck.Poly.size", "tracecheck.cached", "tracecheck.skipped",
+        "tracecheck.skipped.<locals>.nested",
     ]
