@@ -1,8 +1,9 @@
 """Command-line surface: compute, verify, stats.
 
 Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
-3 cross-engine mismatch.  Commands raise; only ``main`` maps a ``ValueError``,
-``OverflowError`` or ``MemoryError`` to 2 and an ``EngineMismatch`` to 3.
+3 cross-engine mismatch, 141 stdout closed by its reader.  Commands raise; only ``main``
+maps a ``ValueError``, ``OverflowError`` or ``MemoryError`` to 2, an ``EngineMismatch`` to 3
+and a ``BrokenPipeError`` to 141.
 Every case is fixed, and numeric YBE draws only from its --seed, so identical
 invocations give byte-identical output.  The parser is built once, at import;
 ``verify all`` parses its suite through it and runs the cases in order.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import identities, yangbaxter
@@ -354,7 +356,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # 128 + SIGPIPE; with fd 1 on devnull the interpreter's flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,6 +144,13 @@ class LatticeSpec:
                 raise ValueError(f"color {bit + 1} is not conserved by the boundary")
         object.__setattr__(self, "n", check_n(len(self.right)))
 
+    @classmethod
+    def _trusted(cls, r: int, ncols: int, bottom, top, right: tuple[int, ...]) -> "LatticeSpec":
+        """A spec whose checks already hold: tuples of ints from a checked shape."""
+        spec = object.__new__(cls)
+        vars(spec).update(r=r, ncols=ncols, bottom=bottom, top=top, right=right, n=len(right))
+        return spec
+
     @property
     def k(self) -> int:
         return len(self.bottom)
@@ -167,7 +174,7 @@ def build_lattice(shape: SkewShapeTuple, n: int) -> LatticeSpec:
     """The lattice whose partition function is the LLT polynomial of shape."""
     r, s = column_range(shape)
     bottom, top = (tuple(_columns(mu, r) for mu in side) for side in (shape.gamma, shape.beta))
-    return LatticeSpec(r=r, ncols=s - r + 1, bottom=bottom, top=top, right=(0,) * check_n(n))
+    return LatticeSpec._trusted(r, s - r + 1, bottom, top, (0,) * check_n(n))
 
 
 def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False) -> LatticeSpec:
@@ -201,25 +208,25 @@ def _color_moves(bit: int, bottoms: tuple[int, ...], caps: tuple[int, ...], ncol
     reach its own in `left` rows (at left = 0, path j ends on caps[j]).
     right and present are the faces where the color leaves right and where
     it is present, as `_exponents` reads them: column c at bit bit*ncols + c,
-    [b, e) and [b, min(e, ncols-1)] for a path from bottom column b to top
-    column e, e = ncols if it leaves right."""
+    [b, e) and [b, e] for a path from bottom column b to top column e, e =
+    ncols (no face: `full` drops it) if it leaves right."""
     m = len(bottoms) - exit_right  # >= 0: the spec conserves each color
-    ends = bottoms[1:] + (ncols,)
+    walls = bottoms[1:] + (ncols,)
     ranges = []
     for j in range(m):
-        lo, hi = bottoms[j], ends[j] - 1
+        lo, hi = bottoms[j], walls[j] - 1
         if j < len(caps):
             hi = min(hi, caps[j])
         if j >= left:
             lo = max(lo, caps[j - left] + left)
         ranges.append(range(lo, hi + 1))
-    moves = []
+    moves, full = [], (1 << ncols) - 1
     for tops in product(*ranges):
-        right = present = 0
+        right = ends = 0
         for b, e in zip(bottoms, tops + (ncols,)):
             right |= (1 << e) - (1 << b)
-            present |= (1 << min(e + 1, ncols)) - (1 << b)
-        moves.append((tops, right << bit * ncols, present << bit * ncols))
+            ends |= 1 << e
+        moves.append((tops, right << bit * ncols, ((right | ends) & full) << bit * ncols))
     return moves
 
 

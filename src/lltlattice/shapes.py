@@ -85,7 +85,7 @@ class SkewShapeTuple:
         for b, g in zip(beta, gamma):
             if len(b) != len(g):
                 raise ValueError(f"{b} and {g} must have the same number of parts")
-            if any(gv > bv for bv, gv in zip(b, g)):
+            if not all(map(ge, b, g)):
                 raise ValueError(f"containment fails: {g} is not inside {b}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -500,6 +501,26 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["verify", "all", "--quick"],
+                                  ["compute", "--beta", "3,2;2,1;2,0", "--n", "2"]],
+                         ids=["verify", "compute"])
+def test_closed_stdout_exits_141_silently(argv, unbuffered):
+    # the reader of stdout is gone before the command starts, as in
+    # `lltlattice verify all --quick | head -1`: not a verification failure
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "lltlattice", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (141, "")
 
 
 def test_verify_failure_exit_1(monkeypatch, capsys):

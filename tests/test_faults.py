@@ -50,6 +50,31 @@ FAULTS = [
      "lo = max(lo, caps[j - left] + left)", "lo = max(lo, caps[j - left] + left - 1)", []),
     ("lower bound on the last row only", "lattice.py",
      "        if j >= left:", "        if not left:", []),
+    # a path that leaves right sets end bit ncols, which is no face of the
+    # row: unmasked, it marks the next color present at column 0
+    ("present mask leaks the exit bit", "lattice.py",
+     "((right | ends) & full) << bit * ncols", "(right | ends) << bit * ncols",
+     ["lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
+    # each caller's stated bound halved, so its field is one bit narrower;
+    # the YBE's 6 * k // 2 makes encode refuse (exit 2), and the narrower
+    # control of tests/test_packing.py covers it
+    ("row DP field one bit narrow", "lattice.py",
+     "spec.k * spec.ncols)", "spec.k * spec.ncols // 2)",
+     ["lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
+    ("Cauchy fields one bit narrow", "identities.py",
+     "_Packing(VarSet(nx=n, ny=n), D)", "_Packing(VarSet(nx=n, ny=n), D // 2)",
+     ["cauchy D=4 engine=tableaux k=1 n=1", "cauchy-rot D=3 k=2 n=1"]),
+    ("tableau field one bit narrow", "tableaux.py",
+     "shape.cell_count())", "shape.cell_count() // 2)",
+     ["symmetry engine=tableaux n=2 shape=3;2/0;0", "inv-coinv m=3 n=2 shape=3;2/0;0",
+      "symmetry engine=tableaux n=2 shape=3,3;3,1/2,1;1,0",
+      "inv-coinv m=3 n=2 shape=3,3;3,1/2,1;1,0",
+      "symmetry engine=tableaux n=2 shape=1;1/0;0", "inv-coinv m=1 n=2 shape=1;1/0;0",
+      "symmetry engine=tableaux n=2 shape=2,1/0,0", "inv-coinv m=0 n=2 shape=2,1/0,0",
+      "symmetry engine=tableaux n=2 shape=2/0", "inv-coinv m=0 n=2 shape=2/0",
+      "symmetry engine=tableaux n=2 shape=2,1;0,0;3,1/2,0;0,0;0,0",
+      "inv-coinv m=2 n=2 shape=2,1;0,0;3,1/2,0;0,0;0,0",
+      "hl engine=tableaux mu=[2, 1] n=2", "hl engine=tableaux mu=[3, 2] n=2"]),
 ]
 
 

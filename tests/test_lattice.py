@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet
+from lltlattice.identities import _family_tuples
 from lltlattice.lattice import (
     LatticeConfig,
     LatticeSpec,
@@ -411,6 +412,19 @@ def test_lattice_spec_given_lists_keeps_tuples():
     vars = VarSet(nx=2)
     assert total == partition_function(listed) == (LaurentPoly.monomial(vars, 1, (1, 0, 0))
                                                    + LaurentPoly.monomial(vars, 1, (0, 1, 0)))
+
+
+def test_build_lattice_spec_passes_the_full_check():
+    # build_lattice skips the spec's checks on a checked shape; the checked
+    # constructor must accept and reproduce every spec it builds
+    rng = random.Random(39)
+    shapes = [*_family_tuples(), *(random_skew_tuple(rng) for _ in range(300))]
+    for shape in shapes:
+        for n in (1, 2, 3):
+            spec = build_lattice(shape, n)
+            checked = LatticeSpec(r=spec.r, ncols=spec.ncols, bottom=spec.bottom,
+                                  top=spec.top, right=spec.right)
+            assert (checked, checked.n, repr(checked)) == (spec, spec.n, repr(spec)), shape
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
