@@ -61,7 +61,7 @@ class _Packing:
     while no field passes the bound.  The last field is unbounded.
     """
 
-    __slots__ = ("vars", "bound", "shifts", "top", "mask")
+    __slots__ = ("vars", "bound", "shifts", "top", "mask", "fields")
 
     def __init__(self, vars: VarSet, bound: int):
         width = max(bound, 1).bit_length()
@@ -69,6 +69,8 @@ class _Packing:
         self.top = width * (vars.total - 1)
         self.shifts = range(0, self.top, width)
         self.mask = (1 << width) - 1
+        # (shift, mask) of every field in order; -1 keeps the last one whole
+        self.fields = [(s, self.mask) for s in self.shifts] + [(self.top, -1)]
 
     def encode(self, terms: Mapping[tuple, int], factors: int) -> dict[int, int]:
         """{key: coefficient} from {exponent tuple: coefficient}.  Every
@@ -90,12 +92,12 @@ class _Packing:
         return out
 
     def decode(self, counts: Mapping[int, int]) -> dict[tuple, int]:
-        """{exponent tuple: coefficient} from {key: coefficient}."""
-        shifts, mask, top = self.shifts, self.mask, self.top
-        return {
-            (*[key >> s & mask for s in shifts], key >> top): coeff
-            for key, coeff in counts.items()
-        }
+        """{exponent tuple: coefficient} from {key: coefficient}, in the
+        order of ``counts``: every field of every key in one flat pass, then
+        cut into one tuple per key."""
+        fields = self.fields
+        flat = [key >> s & m for key in counts for s, m in fields]
+        return dict(zip(zip(*[iter(flat)] * len(fields)), counts.values()))
 
     def poly(self, counts: Mapping[int, int]) -> "LaurentPoly":
         """The polynomial of {key: coefficient}, every coefficient nonzero."""

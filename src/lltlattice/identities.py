@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations_with_replacement, product
 from operator import ge, index
 
@@ -66,11 +67,14 @@ def _check_pairs(name: str, params: dict, pairs, details: dict | None = None,
                  decode=None) -> IdentityReport:
     """PASS iff every (context, lhs, rhs) pair is an exact equality; the two
     sides are polynomials, integers, or packed counts that
-    ``decode(context, counts)`` turns into polynomials for a witness."""
+    ``decode(context, counts)`` turns into polynomials for a witness.  A
+    context is a string, or a callable that builds it for a failing pair."""
     count = 0
     for context, lhs, rhs in pairs:
         count += 1
         if lhs != rhs:
+            if callable(context):
+                context = context()
             witness = {"context": context, "lhs": lhs, "rhs": rhs}
             for side in ("lhs", "rhs"):
                 if isinstance(witness[side], dict):
@@ -421,10 +425,12 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
         R = _llt_counts(rot := rotate(shape), xy)
         summands.append((0, P, R))
         d_comp = _d_stat(rot.gamma)   # rot.gamma is lam's complement in its box
-        # the relation below shifts by d(comp), so its own check comes first
-        pairs.append((f"d(comp)=d(lam) at {lam}", d_comp, _d_stat(lam)))
+        # the relation below shifts by d(comp), so its own check comes first;
+        # each context is formatted only for a failing pair
+        pairs.append((partial("d(comp)=d(lam) at {}".format, lam), d_comp, _d_stat(lam)))
         shift = d_comp << xy.top
-        pairs.append((f"rotation relation at {lam}", R, {key + shift: c for key, c in P.items()}))
+        pairs.append((partial("rotation relation at {}".format, lam), R,
+                      {key + shift: c for key, c in P.items()}))
     first = "rotated sum vs kernel"
     pairs.insert(0, (first, _xy_sum(xy, summands), _kernel_counts(xy, k, D)))
     return _check_pairs("cauchy-rot", {"n": n, "k": k, "D": D}, pairs, decode=lambda context, R: (

@@ -85,7 +85,7 @@ def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tupl
                     fits[under] = [
                         row for row in rows if all(map(gt, row[start - lo:stop - lo], under))
                     ]
-                out += [f + row for row in fits[under]]
+                out += map(f.__add__, fits[under])
             fillings = out
         end, below_lo, below_hi = end + hi - lo, lo, hi
     return tuple(fillings)
@@ -157,9 +157,16 @@ def _fold(b: int, key: int, later: list[list[int]], tables: dict):
 
     ``later[c - b][j]`` is what filling j of component c adds to ``key``:
     its weight plus its table entries against the fillings already chosen.
+    The last two components are one level: a ``map`` per filling of the
+    next-to-last adds its key and its table row to the last one's steps.
     """
     if len(later) == 1:
         yield map(key.__add__, later[0])
+        return
+    if len(later) == 2:
+        last, row = later[1], tables.get((b, b + 1))
+        for j, key_j in enumerate(map(key.__add__, later[0])):
+            yield map(key_j.__add__, last if row is None else map(add, last, row[j]))
         return
     rows = [tables.get((b, c)) for c in range(b + 1, b + len(later))]
     for j, step in enumerate(later[0]):
@@ -178,13 +185,14 @@ _FEW_TUPLES = 8
 def _count_directly(fillings, pairs, weights, unit: int, n: int) -> Counter:
     """Packed keys of every tableau tuple, its coinversions counted one by one."""
     flat = [(a, b, *trip) for (a, b), trips in pairs.items() for trip in trips]
-    return Counter(
-        sum(ws) + unit * sum(
-            (fs[b][u] if u >= 0 else 1) <= fs[a][v] <= (fs[b][w] if w >= 0 else n)
-            for a, b, v, u, w in flat
-        )
-        for fs, ws in zip(product(*fillings), product(*weights))
-    )
+    counts = Counter()
+    for fs, ws in zip(product(*fillings), product(*weights)):
+        key = sum(ws)
+        for a, b, v, u, w in flat:
+            if (fs[b][u] if u >= 0 else 1) <= fs[a][v] <= (fs[b][w] if w >= 0 else n):
+                key += unit
+        counts[key] += 1
+    return counts
 
 
 def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:

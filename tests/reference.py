@@ -7,6 +7,7 @@ triples as flat positions from ``shapes._pair_triples``.  ``l_weight`` and
 ``lstar_weight`` are single plain and gray face weights as polynomials, and
 ``ybe_gauche`` and ``ybe_droite`` are one boundary's two sides of the
 Yang-Baxter equation, cut out of the block sums that ``ybe_check`` compares.
+``decode`` unpacks a ``_Packing``'s keys one key at a time.
 """
 
 from __future__ import annotations
@@ -149,3 +150,15 @@ def ybe_gauche(k: int, boundary) -> LaurentPoly:
 def ybe_droite(k: int, boundary) -> LaurentPoly:
     I1, I2, I3, *outgoing = masks(k, *boundary)
     return _unpack(k, _droite_block(*_plain_tables(k), I1, I2, I3).get(tuple(outgoing), {}))
+
+
+# -- the packed-monomial codec -----------------------------------------------
+
+
+def decode(packing, counts) -> dict[tuple, int]:
+    """{exponent tuple: coefficient} from {key: coefficient}, key by key:
+    every bounded field masked at its shift, the last field the rest."""
+    return {
+        (*[key >> s & packing.mask for s in packing.shifts], key >> packing.top): coeff
+        for key, coeff in counts.items()
+    }

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.cli import format_grouped
 from lltlattice.yangbaxter import _packing as ybe_packing
+from reference import decode as reference_decode
 
 V2 = VarSet(nx=2)  # x1, x2, t
 V1 = VarSet(nx=1)
@@ -381,3 +382,21 @@ def test_packing_rejects_a_wrong_length():
     with pytest.raises(ValueError, match="expected 3 exponents, got 2"):
         ybe_packing(1).encode({(1, 2): 1}, 1)
 
+
+@given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 60),
+       st.lists(st.tuples(st.lists(st.integers(0, 63), min_size=9, max_size=9),
+                          st.integers(-10**6, 10**6), coeffs.filter(bool)), max_size=6))
+@example(2, 1, 5, [])                                           # no terms
+@example(0, 0, 0, [([0] * 9, -3, 1)])                           # t alone, negative
+@example(3, 0, 12, [([1, 2, 3] + [0] * 6, -1, 2), ([0] * 9, 5, -1), ([12] * 9, 0, 4)])
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_the_per_key_reference(nx, ny, bound, terms):
+    # the same terms in the same order as the key-by-key formula; each
+    # bounded field takes any value its mask holds, the t field any sign
+    packing = _Packing(VarSet(nx=nx, ny=ny), bound)
+    counts = {
+        sum((e & packing.mask) << s for e, s in zip(fields, packing.shifts))
+        + (last << packing.top): coeff
+        for fields, last, coeff in terms
+    }
+    assert list(packing.decode(counts).items()) == list(reference_decode(packing, counts).items())

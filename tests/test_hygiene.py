@@ -6,8 +6,9 @@ functools cache is bounded and listed with its measured reuse, one function
 owns the rule that n is at least 1, one method owns the packed field width,
 one function counts the plain face weight's exponents, one method reads a
 configuration's levels as label masks, one assignment reads the
-single-color picture tables, and every function of the package runs under
-the CLI or is listed with why it stays."""
+single-color picture tables, every function of the package runs under
+the CLI or is listed with why it stays, and every committed BENCH_*.json
+record parses and has the keys that all of them share."""
 
 import ast
 import functools
@@ -562,3 +563,39 @@ def test_guard_sees_a_function_that_never_runs():
         "tracecheck.Poly.size", "tracecheck.cached", "tracecheck.skipped",
         "tracecheck.skipped.<locals>.nested",
     ]
+
+
+# -- the committed benchmark records -------------------------------------------
+
+ROOT = SRC.parents[1]
+BENCH_KEYS = {"layer", "change", "parent_commit", "harness", "machine", "claim", "workloads"}
+
+
+def _bench_record_faults(path: Path) -> list[str]:
+    """What keeps one BENCH_*.json from being a benchmark record: it does
+    not parse as a JSON object, or it lacks a key every record has."""
+    try:
+        record = json.loads(path.read_text())
+    except ValueError as error:
+        return [f"{path.name}: not JSON ({error})"]
+    if not isinstance(record, dict):
+        return [f"{path.name}: not a JSON object"]
+    return [f"{path.name}: no {key!r}" for key in sorted(BENCH_KEYS - record.keys())]
+
+
+def test_every_bench_record_parses_and_has_the_shared_keys():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    assert [fault for path in paths for fault in _bench_record_faults(path)] == []
+
+
+def test_guard_sees_a_broken_bench_record(tmp_path):
+    record = dict.fromkeys(BENCH_KEYS - {"claim"}, "")
+    (tmp_path / "BENCH_a.json").write_text(json.dumps(record))
+    (tmp_path / "BENCH_b.json").write_text("{")
+    (tmp_path / "BENCH_c.json").write_text("[]")
+    faults = [fault for path in sorted(tmp_path.glob("BENCH_*.json"))
+              for fault in _bench_record_faults(path)]
+    assert faults[0] == "BENCH_a.json: no 'claim'"
+    assert faults[1].startswith("BENCH_b.json: not JSON (")
+    assert faults[2:] == ["BENCH_c.json: not a JSON object"]

@@ -172,6 +172,32 @@ def test_llt_coinv_both_counting_paths(monkeypatch, few):
         assert llt_coinv(shape, n) == _reference_llt_coinv(shape, n)
 
 
+def _many_component_tuple(rng, k, n):
+    """k components of up to 2 rows and parts <= 2, each with at least two
+    fillings in [n] and at most 600 tuples in all."""
+    while True:
+        parts = []
+        while len(parts) < k:
+            part = random_skew_tuple(rng, max_k=1, max_rows=2, max_part=2)
+            if len(_component_fillings(part.beta[0], part.gamma[0], n)) >= 2:
+                parts.append(part)
+        if prod(len(_component_fillings(p.beta[0], p.gamma[0], n)) for p in parts) <= 600:
+            return SkewShapeTuple(tuple(p.beta[0] for p in parts), tuple(p.gamma[0] for p in parts))
+
+
+@pytest.mark.parametrize("few", [0, 10**9], ids=["tables", "direct"])
+def test_llt_coinv_four_and_five_components(monkeypatch, few):
+    # the fold recurses above its last level only from k = 4 on
+    monkeypatch.setattr(tableaux, "_FEW_TUPLES", few)
+    rng = random.Random(11)
+    for k in (4, 5) * 4:
+        n = rng.randint(2, 3)
+        shape = _many_component_tuple(rng, k, n)
+        P = llt_coinv(shape, n)
+        assert P == _reference_llt_coinv(shape, n)
+        assert P == partition_function(build_lattice(shape, n))
+
+
 def _reference_pair_triples(shape):
     """``triples(shape)`` as flat positions (pos_v in a, pos_u in b, pos_w
     in b), grouped by components a < b, from the Triple records."""
