@@ -15,13 +15,15 @@ where d counts the colors above this one in type 1; the pattern (1,0,1,0) is
 forbidden.  One picture table per kind holds each single-color weight (d = 0);
 the crossing expansion, ``ef_weight`` and the color recursion read it as
 (weight, shift) pairs.  The checkers cover every boundary one block of
-incoming labels at a time, by a sparse contraction of the three-face sums on
-packed monomials over tables that hold each weight packed straight from the
-closed forms (`lattice`'s face exponents, `r_weight`'s expansion); the
-crossing's is x^k R, so every packed exponent is in [0, 2k], and each side
-carries that one x^k.  Each block's two sides are compared and dropped.
-Numeric mode then evaluates them at exact rational points, but only at the
-boundaries where they differ symbolically: at a point with nonzero x, y and
+incoming labels at a time.  Tables built once per check hold each weight
+packed straight from the closed forms (`lattice`'s face exponents,
+`r_weight`'s expansion); the crossing's is x^k R, so every packed exponent
+is in [0, 2k], and each side carries that one x^k.  One sparse contraction
+adds the left side minus the right side of a block into one dict, keyed by
+packed monomial and outgoing labels together, and the block passes iff
+every value is 0.  Only a failing block is contracted again, one side at a
+time, to find and decode its differing boundaries.  Numeric mode then
+evaluates those at exact rational points: at a point with nonzero x, y and
 t evaluation is a ring homomorphism, so equal sides have equal values, and
 the report is the one that evaluating every boundary would give.
 """
@@ -169,88 +171,95 @@ def _unpack(k: int, counts) -> LaurentPoly:
     return _packing(k).poly(counts)._map_exponents(lambda e: (e[0] - k, e[1], e[2]))
 
 
-def _entry_rows(k: int, kind: str, terms) -> dict:
-    """(I, J) -> [((K, L), weight)] over the labels whose colors each follow
-    one of the kind's single-color pictures, all of which weigh nonzero.  A
-    weight is the tuple of (packed monomial, coefficient) pairs of the
-    exponent terms ``terms(I, J, K, L)``."""
+def _label_rows(k: int, kind: str) -> dict:
+    """(I, J) -> [(K, L)] over the labels whose colors each follow one of
+    the kind's single-color pictures, built one color at a time; an (I, J)
+    that no labels follow is absent."""
     outs: dict = {}
     for i, j, kk, l in _BRANCHES[kind]:
         outs.setdefault((i, j), []).append((kk, l))
-    rows: dict = {}
-    size, packing = 1 << k, _packing(k)
-    for I in range(size):
-        for J in range(size):
-            per_color = [outs.get(((I >> i) & 1, (J >> i) & 1), ()) for i in range(k)]
-            rows[(I, J)] = row = []
-            for combo in product(*per_color):
-                K = sum(kk << i for i, (kk, _) in enumerate(combo))
-                L = sum(l << i for i, (_, l) in enumerate(combo))
-                row.append(((K, L), tuple(packing.encode(terms(I, J, K, L), 3).items())))
+    rows = {(0, 0): [(0, 0)]}
+    for bit in (1 << i for i in range(k)):
+        rows = {(I | i * bit, J | j * bit): [(K | kk * bit, L | l * bit)
+                                             for K, L in row for kk, l in pics]
+                for (I, J), row in rows.items() for (i, j), pics in outs.items()}
     return rows
 
 
-def _tables(k: int, starred: bool) -> tuple[dict, dict, dict]:
-    """Entry rows of the x-line face, the y-line face and the crossing.
-    Starred, the x-line face is gray and the crossing's x line carries
-    1/(x t^(k-1)).  The crossing's weights are packed times x^k."""
-
-    def face(y_line: bool, gray: bool):
-        def terms(*labels) -> dict:
-            xe, te = face_weight_exponents(*labels)  # admissible by picture
-            xe, te = _gray(k, 1, xe, te) if gray else (xe, te)
-            return {(0, xe, te) if y_line else (xe, 0, te): 1}
-
-        return terms
-
-    return (
-        _entry_rows(k, "L", face(False, starred)),
-        _entry_rows(k, "L", face(True, False)),
-        _entry_rows(k, "R", lambda *labels: {
-            (x + k, *e): c for (x, *e), c in _crossing_terms(k, *labels, starred).items()}),
-    )
-
-
-def _add_shifted(sides: dict, boundary, terms, shift: int, scale: int):
-    """sides[boundary] += scale * m * terms, m the monomial of packed key
-    ``shift``; zero terms and an emptied boundary are dropped in place."""
-    side = sides.get(boundary)
-    if side is None:
-        sides[boundary] = {key + shift: c * scale for key, c in terms}
-        return
-    for key, c in terms:
-        key += shift
-        c = side.get(key, 0) + c * scale
-        if c:
-            side[key] = c
-        else:
-            del side[key]
-    if not side:
-        del sides[boundary]
+def _tables(k: int, starred: bool) -> tuple:
+    """The tables `_contract` reads, in the order the sides read them: the
+    gauche's crossing, x-line and y-line face, then the droite's y-line and
+    x-line face and crossing.  Row [I][J] of each is a list of entries (empty
+    rows shared), each weight packed once: the crossing times x^k; starred,
+    the x-line face gray and the crossing's x line barred.  Gauche is R(I2,I1; K2,K1) Lx(I3,K1; K3,J1) Ly(K3,K2; J3,J2),
+    droite Ly(I3,I2; L3,L2) Lx(L3,I1; J3,L1) R(L2,L1; J2,J1), and each
+    side's outgoing labels are folded into its keys: m 2^(3k) + J1 + J2 2^k
+    + J3 2^(2k), m the packed monomial (a bijection, negative m too).  The
+    crossing's terms carry the droite's J1 + J2 2^k, which the gauche's
+    faces take back (K1 + K2 2^k there), so both sides share those terms.  A
+    face weight is one monomial with coefficient 1: its key."""
+    encode, s, size = _packing(k).encode, 3 * k, 1 << k
+    rg, xg, yg, yd, xd, rd = ([[()] * size for _ in range(size)] for _ in range(6))
+    for (I, J), row in _label_rows(k, "L").items():
+        xg[I][J], yg[I][J], yd[I][J], xd[I][J] = gx, gy, dy, dx = [], [], [], []
+        for K, L in row:
+            xe, te = face_weight_exponents(I, J, K, L)  # admissible by picture
+            (m,) = encode({(0, xe, te): 1}, 3)
+            gy.append((m << s) + (L << k) + (K << 2 * k) - (J << k))
+            dy.append((K, L, m << s))
+            xe, te = _gray(k, 1, xe, te) if starred else (xe, te)
+            (m,) = encode({(xe, 0, te): 1}, 3)
+            gx.append((K, (m << s) + L - J))
+            dx.append((L, (m << s) + (K << 2 * k)))
+    for (I, J), row in _label_rows(k, "R").items():
+        rg[I][J], rd[I][J] = gr, dr = [], []
+        for K, L in row:
+            terms = [((m << s) + L + (K << k), c) for m, c in encode(
+                {(x + k, y, t): c for (x, y, t), c in
+                 _crossing_terms(k, I, J, K, L, starred).items()}, 3).items()]
+            gr.append((K, L, terms))
+            dr += terms
+    return rg, xg, yg, yd, xd, rd
 
 
-def _gauche_block(lx, ly, rr, I1: int, I2: int, I3: int) -> dict:
-    """The left side at incoming labels (I1, I2, I3): (J1, J2, J3) -> {packed
-    monomial: coefficient}, with no zero coefficient and no empty boundary.  A
-    face weight is one (key, coefficient) pair, shifting a crossing weight."""
+def _contract(tables, I1: int, I2: int, I3: int, gauche: int = 1, droite: int = -1) -> dict:
+    """gauche times the left side plus droite times the right side at incoming
+    labels (I1, I2, I3), {folded key: coefficient} with zero values kept:
+    with the default signs the block passes iff every value is 0."""
+    rg, xg, yg, yd, xd, rd = tables
     block: dict = {}
-    for (K2, K1), r_terms in rr[(I2, I1)]:
-        for (K3, J1), ((lkey, lc),) in lx[(I3, K1)]:
-            rl = [(key + lkey, c * lc) for key, c in r_terms]
-            for (J3, J2), ((ykey, yc),) in ly[(K3, K2)]:
-                _add_shifted(block, (J1, J2, J3), rl, ykey, yc)
+    get = block.get
+    if gauche:
+        for K2, K1, r_terms in rg[I2][I1]:
+            for K3, lkey in xg[I3][K1]:
+                ys = yg[K3][K2]
+                for shift, c in r_terms:
+                    shift, c = shift + lkey, c * gauche
+                    for key in ys:
+                        key += shift
+                        block[key] = get(key, 0) + c
+    if droite:
+        for L3, L2, ykey in yd[I3][I2]:
+            for L1, lkey in xd[L3][I1]:
+                shift = ykey + lkey
+                for key, c in rd[L2][L1]:
+                    key += shift
+                    block[key] = get(key, 0) + c * droite
     return block
 
 
-def _droite_block(lx, ly, rr, I1: int, I2: int, I3: int) -> dict:
-    """The right side at the same incoming labels, in the same form."""
-    block: dict = {}
-    for (L3, L2), ((ykey, yc),) in ly[(I3, I2)]:
-        for (J3, L1), ((lkey, lc),) in lx[(L3, I1)]:
-            shift, scale = ykey + lkey, yc * lc
-            for (J2, J1), r_terms in rr[(L2, L1)]:
-                _add_shifted(block, (J1, J2, J3), r_terms, shift, scale)
-    return block
+def _differing(k: int, tables, incoming) -> list:
+    """The (boundary, gauche, droite) triples of one failing block whose
+    sides differ, decoded, in sorted boundary order: each side is the
+    contraction again with the other side's sign 0, split by J."""
+    low, gauche, droite = (1 << k) - 1, {}, {}
+    for side, sign, signs in ((gauche, 1, {"droite": 0}), (droite, -1, {"gauche": 0})):
+        for key, c in _contract(tables, *incoming, **signs).items():
+            if c:
+                J = (key & low, key >> k & low, key >> 2 * k & low)
+                side.setdefault(J, {})[key >> 3 * k] = sign * c
+    return [((*incoming, *J), _unpack(k, gauche.get(J, {})), _unpack(k, droite.get(J, {})))
+            for J in sorted(gauche.keys() | droite.keys()) if gauche.get(J) != droite.get(J)]
 
 
 @dataclass
@@ -298,14 +307,10 @@ def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _witness(k: int, boundary, gauche: str, droite: str) -> dict:
-    return {
-        "boundary": {
-            name: list((boundary[idx] >> i) & 1 for i in range(k))
-            for idx, name in enumerate(("I1", "I2", "I3", "J1", "J2", "J3"))
-        },
-        "gauche": gauche,
-        "droite": droite,
-    }
+    names = ("I1", "I2", "I3", "J1", "J2", "J3")
+    return {"boundary": {name: [(label >> i) & 1 for i in range(k)]
+                         for name, label in zip(names, boundary)},
+            "gauche": gauche, "droite": droite}
 
 
 def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bool) -> YbeReport:
@@ -315,17 +320,11 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "numeric" and check_int(trials, "trials") < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
-    # block by block in sorted boundary order, keeping only the (boundary,
-    # gauche, droite) triples that differ, decoded
+    # block by block in sorted boundary order, the triples that differ
     tables = _tables(k, starred)
-    differ = []
-    for incoming in product(range(1 << k), repeat=3):
-        gauche, droite = _gauche_block(*tables, *incoming), _droite_block(*tables, *incoming)
-        if gauche != droite:
-            differ += [
-                ((*incoming, *J), _unpack(k, gauche.get(J, {})), _unpack(k, droite.get(J, {})))
-                for J in sorted(gauche.keys() | droite.keys()) if gauche.get(J) != droite.get(J)
-            ]
+    differ = [triple for incoming in product(range(1 << k), repeat=3)
+              if any(_contract(tables, *incoming).values())
+              for triple in _differing(k, tables, incoming)]
     checked = 1 << (6 * k)
     if mode == "symbolic":
         first = None

@@ -6,7 +6,9 @@ coinversion and inversion triples over them; the package itself reads its
 triples as flat positions from ``shapes._pair_triples``.  ``l_weight`` and
 ``lstar_weight`` are single plain and gray face weights as polynomials, and
 ``ybe_gauche`` and ``ybe_droite`` are one boundary's two sides of the
-Yang-Baxter equation, cut out of the block sums that ``ybe_check`` compares.
+Yang-Baxter equation, cut out of the signed block sum that ``ybe_check``
+contracts, with the other side's sign 0; ``split`` reads such a block's
+folded keys one at a time.
 ``decode`` unpacks a ``_Packing``'s keys one key at a time.
 """
 
@@ -19,7 +21,7 @@ from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.lattice import face_weight_exponents, gray_rows, masks
 from lltlattice.shapes import SkewShapeTuple
 from lltlattice.tableaux import INF, TableauTuple
-from lltlattice.yangbaxter import _droite_block, _gauche_block, _tables, _unpack
+from lltlattice.yangbaxter import _contract, _tables, _unpack
 
 
 # -- triples ------------------------------------------------------------------
@@ -137,19 +139,38 @@ def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:
 # The package builds the YBE tables once per check; a reference that walks
 # the boundaries one at a time keeps them per k.
 @lru_cache(maxsize=4)
-def _plain_tables(k: int) -> tuple[dict, dict, dict]:
+def _plain_tables(k: int) -> tuple:
     return _tables(k, False)
+
+
+def split(k: int, block: dict) -> dict:
+    """{(J1, J2, J3): {packed monomial: coefficient}} of a contracted block,
+    read key by key as monomial * 2^(3k) + J1 + J2 2^k + J3 2^(2k), zero
+    coefficients dropped."""
+    out: dict = {}
+    for key, c in block.items():
+        if c:
+            monomial, J = divmod(key, 1 << 3 * k)
+            labels = tuple(J >> shift & ((1 << k) - 1) for shift in (0, k, 2 * k))
+            out.setdefault(labels, {})[monomial] = c
+    return out
+
+
+def _side(k: int, boundary, gauche: int, droite: int) -> LaurentPoly:
+    """One side of one boundary: the block's signed contraction with the
+    other side's sign 0, split by outgoing labels."""
+    I1, I2, I3, *outgoing = masks(k, *boundary)
+    block = _contract(_plain_tables(k), I1, I2, I3, gauche, droite)
+    return _unpack(k, split(k, block).get(tuple(outgoing), {}))
 
 
 def ybe_gauche(k: int, boundary) -> LaurentPoly:
     """Left side of the intertwining sum for one boundary, symbolically."""
-    I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _unpack(k, _gauche_block(*_plain_tables(k), I1, I2, I3).get(tuple(outgoing), {}))
+    return _side(k, boundary, 1, 0)
 
 
 def ybe_droite(k: int, boundary) -> LaurentPoly:
-    I1, I2, I3, *outgoing = masks(k, *boundary)
-    return _unpack(k, _droite_block(*_plain_tables(k), I1, I2, I3).get(tuple(outgoing), {}))
+    return _side(k, boundary, 0, 1)
 
 
 # -- the packed-monomial codec -----------------------------------------------

@@ -12,7 +12,10 @@ rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
 JSON, and two at k = 3, n = 3 in text.  The last three commands give a flag
 that their parser does not declare: one the top-level parser refuses, and the
 seed and trial count that ``verify all`` and ``engine-equivalence`` no longer
-take.  Each prints nothing and exits 2.
+take.  Each prints nothing and exits 2.  Two more files,
+``verify_ybe_k_4.txt`` and ``verify_lstar_ybe_k_4.txt``, pin both YBE checks
+at k = 4 (exit 0); the tier-1 workflow diffs them, each under a 120-s
+timeout, rather than these tests.
 
 The parser is built once, at import, so the last two tests run many
 commands through it in one process and check that no call rebuilds it.

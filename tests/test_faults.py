@@ -32,6 +32,10 @@ FAULTS = [
      "(1, 0, 0, 1): {(0, 0, 1): 1},\n    (1, 1, 1, 1)", _YBE_CASES),
     ("type-4 crossing times t", "yangbaxter.py",
      "(1, 1, 1, 1): {(-1, 1, 0): 1}", "(1, 1, 1, 1): {(-1, 1, 1): 1}", _YBE_CASES),
+    # the signed contraction adds the right side instead of subtracting it;
+    # the failing blocks' reruns keep that sign, so no boundary's sides agree
+    ("right side added, not subtracted", "yangbaxter.py",
+     "droite: int = -1", "droite: int = 1", _YBE_CASES),
     # the one plain weight rule, which the row DP and the YBE faces both read
     ("plain t counts the colors below", "lattice.py",
      "    while present := present >> width:\n        texp += (right & present).bit_count()",

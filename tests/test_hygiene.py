@@ -142,6 +142,7 @@ NEVER_RUN = {
     "identities.EngineMismatch.__init__": "failure path: the engines disagree (exit 3)",
     "yangbaxter._witness": "failure path: the first boundary where the YBE fails",
     "yangbaxter._unpack": "failure path: a YBE side that differs, as a polynomial",
+    "yangbaxter._differing": "failure path: the boundaries of a failing YBE block",
     "cli.build_parser": "import: the parser is built once, at import",
     "cli._with_engine": "import: VERIFY's builders are wrapped at import",
     "algebra.LaurentPoly.__add__": "bench: the algebra.add span",

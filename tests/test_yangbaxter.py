@@ -9,8 +9,7 @@ from lltlattice import cli, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.yangbaxter import (
     YBE_VARS,
-    _droite_block,
-    _gauche_block,
+    _contract,
     _recursive_table,
     _sample_point,
     _tables,
@@ -22,7 +21,8 @@ from lltlattice.yangbaxter import (
     r_weight,
     ybe_check,
 )
-from reference import l_weight, lstar_weight, ybe_droite, ybe_gauche
+import reference
+from reference import l_weight, lstar_weight, split, ybe_droite, ybe_gauche
 
 
 def mono(xe=0, ye=0, te=0, c=1):
@@ -116,12 +116,12 @@ def test_starred_crossing_is_substituted_r_weight(k):
     # the tables bar the crossing's x line on each spectral monomial; the
     # polynomial substitution x -> 1/(x t^(k-1)) is the reference
     xbar = {0: (1, (-1, 0, -(k - 1)))}
-    rows = _tables(k, True)[2]
-    assert sum(map(len, rows.values())) == 5 ** k
-    for (I, J), outs in rows.items():
-        for (K, L), w in outs:
+    rows = _tables(k, True)[0]   # the gauche's crossing rows
+    assert sum(len(outs) for row in rows for outs in row) == 5 ** k
+    for (I, J), outs in _rows(rows):
+        for K, L, w in outs:
             expected = r_weight(k, I, J, K, L).substitute(xbar)
-            assert _decoded(w, k, crossing=True) == expected, (I, J, K, L)
+            assert _crossing(w, k) == expected, (I, J, K, L)
 
 
 # each entry point at k = 1 with a label that names color 2
@@ -285,19 +285,32 @@ def test_ybe_check_rejects_bad_parameters(monkeypatch, check, kwargs, message):
         check(**kwargs)
 
 
-def _decoded(weight, k, crossing=False):
-    """A packed table weight of k colors as a polynomial; a crossing weight,
-    which the tables pack times x^k, through ``_unpack``."""
-    return _unpack(k, dict(weight)) if crossing else yangbaxter._packing(k).poly(dict(weight))
+def _rows(table):
+    """((I, J), row) for each row [I][J] of a table of the checks."""
+    return (((I, J), outs) for I, row in enumerate(table) for J, outs in enumerate(row))
+
+
+def _crossing(weight, k):
+    """A crossing weight of k colors, [(folded key, coefficient)] packed
+    times x^k, as a polynomial: the folded labels lie below bit 3k."""
+    return _unpack(k, {key >> 3 * k: c for key, c in weight})
 
 
 def _decoded_tables(k, starred):
-    """The checks' tables with every weight decoded, once per reference run."""
-    lx, ly, rr = yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
-    return tuple(
-        {pair: {labels: _decoded(w, k, crossing) for labels, w in outs}
-         for pair, outs in rows.items()}
-        for rows, crossing in ((lx, False), (ly, False), (rr, True))
+    """The x-line face, y-line face and crossing rows, (I, J) -> {(K, L):
+    weight}, read back from the checks' tables once per reference run: the
+    faces from the droite's rows (the x-line face's K is the folded J3),
+    the crossing from the gauche's."""
+    rg, _, _, yd, xd, _ = yangbaxter._tables(k, starred)   # as patched by doubled_r_entry
+    low, packing = (1 << k) - 1, yangbaxter._packing(k)
+
+    def face(key):
+        return packing.poly({key >> 3 * k: 1})
+
+    return (
+        {pair: {(key >> 2 * k & low, L): face(key) for L, key in outs} for pair, outs in _rows(xd)},
+        {pair: {(K, L): face(key) for K, L, key in outs} for pair, outs in _rows(yd)},
+        {pair: {(K, L): _crossing(w, k) for K, L, w in outs} for pair, outs in _rows(rg)},
     )
 
 
@@ -330,9 +343,16 @@ def test_ybe_gauche_matches_sparse_contraction():
     for k, starred in itertools.product((1, 2), (False, True)):
         tables, reference = _tables(k, starred), _decoded_tables(k, starred)
         for incoming in _label_triples(k):
-            g, d = _gauche_block(*tables, *incoming), _droite_block(*tables, *incoming)
-            # no stored zero coefficient and no empty boundary
+            g = split(k, _contract(tables, *incoming, droite=0))
+            d = split(k, _contract(tables, *incoming, gauche=0, droite=1))
+            # the split stores no zero coefficient and no empty boundary
             assert all(side and 0 not in side.values() for side in (*g.values(), *d.values()))
+            # the signed block, split, is the per-boundary difference of the sides
+            difference = {J: {m: c for m in g.get(J, {}).keys() | d.get(J, {}).keys()
+                              if (c := g.get(J, {}).get(m, 0) - d.get(J, {}).get(m, 0))}
+                          for J in g.keys() | d.keys()}
+            assert split(k, _contract(tables, *incoming)) == {
+                J: side for J, side in difference.items() if side}
             for outgoing in _label_triples(k):
                 boundary = (*incoming, *outgoing)
                 gauche, droite = _one_boundary(reference, boundary)
@@ -363,12 +383,13 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
         monkeypatch.setattr(LaurentPoly, op, no_poly)
     tables = _tables(k, starred)
     monkeypatch.undo()
-    assert sum(len(outs) for rows in tables for outs in rows.values()) == entries
+    # the gauche's three tables hold one entry per weight
+    assert sum(len(outs) for rows in tables[:3] for row in rows for outs in row) == entries
     assert len(calls) == entries
     monkeypatch.setattr(_Packing, "encode", no_poly)
     for incoming in _label_triples(k):
-        _gauche_block(*tables, *incoming)
-        _droite_block(*tables, *incoming)
+        for signs in ((1, -1), (1, 0), (0, -1)):
+            _contract(tables, *incoming, *signs)
 
 
 @pytest.mark.parametrize("starred", [False, True])
@@ -396,12 +417,18 @@ def test_every_table_exponent_is_a_digit(monkeypatch, k, starred):
     assert min(crossing_x) >= 0 and max(crossing_x) <= 2 * k
 
 
-def _reference_report(k, starred, points=None):
+def _reference_report(k, starred, points=None, sides_of=None):
     """(failed, first failure) of walking the per-boundary reference over
     every boundary in order: comparing the polynomials, or with ``points``
-    their values at each point in turn."""
-    tables = _decoded_tables(k, starred)
-    sides = [(b, *_one_boundary(tables, b)) for b in itertools.product(range(1 << k), repeat=6)]
+    their values at each point in turn.  ``sides_of`` maps a boundary to
+    its two sides; by default they are summed face by face."""
+    if sides_of is None:
+        tables = _decoded_tables(k, starred)
+
+        def sides_of(boundary):
+            return _one_boundary(tables, boundary)
+
+    sides = [(b, *sides_of(b)) for b in itertools.product(range(1 << k), repeat=6)]
     failed, first = 0, None
     for point in [None] if points is None else points:
         for boundary, g, d in sides:
@@ -521,13 +548,52 @@ def doubled_r_entry(monkeypatch, request):
     row = getattr(request, "param", (1, 0))
 
     def broken(k, starred):
-        lx, ly, rr = original(k, starred)
+        rg, *faces, rd = original(k, starred)
         if k != 2:
-            return lx, ly, rr
-        ((out, w),) = rr[row]
-        return lx, ly, {**rr, row: [(out, tuple((key, 2 * c) for key, c in w))]}
+            return (rg, *faces, rd)
+        I, J = row
+        ((K, L, w),) = rg[I][J]
+        rg, rd = [list(r) for r in rg], [list(r) for r in rd]
+        # the row's one crossing entry holds all of the droite's row
+        rd[I][J] = doubled = [(key, 2 * c) for key, c in w]
+        rg[I][J] = [(K, L, doubled)]
+        return (rg, *faces, rd)
 
     monkeypatch.setattr(yangbaxter, "_tables", broken)
+
+
+@pytest.fixture
+def crossing_times_t(monkeypatch, request):
+    """The crossing weight at one label tuple (I, J, K, L), the fixture's
+    parameter, times t, in the checks' tables and the reference's alike."""
+    crossing = yangbaxter._crossing_terms
+
+    def wrong(k, I, J, K, L, bar):
+        terms = crossing(k, I, J, K, L, bar)
+        if (I, J, K, L) != request.param:
+            return terms
+        return {(x, y, t + 1): c for (x, y, t), c in terms.items()}
+
+    monkeypatch.setattr(yangbaxter, "_crossing_terms", wrong)
+    reference._plain_tables.cache_clear()
+    yield
+    reference._plain_tables.cache_clear()
+
+
+# at k = 2: both colors of type 1, and color 1 of type 3 with color 2 of type 4
+@pytest.mark.parametrize("crossing_times_t", [(0, 3, 0, 3), (3, 2, 2, 3)], indirect=True)
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_check_matches_the_reference_sides_boundary_by_boundary(crossing_times_t, mode):
+    # the signed sum finds the failing blocks and its one-side reruns their
+    # boundaries: the count and the first failure must be those of comparing
+    # ybe_gauche with ybe_droite at every boundary in order
+    rep = ybe_check(2, mode=mode, seed=5, trials=2)
+    rng = random.Random(5)
+    points = None if mode == "symbolic" else [_sample_point(rng) for _ in range(2)]
+    failed, first = _reference_report(
+        2, False, points, lambda boundary: (ybe_gauche(2, boundary), ybe_droite(2, boundary)))
+    assert failed > 0
+    assert (rep.failed, rep.first_failure) == (failed, first)
 
 
 _FIRST_BOUNDARY = {
