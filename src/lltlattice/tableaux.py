@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from itertools import accumulate, chain, combinations_with_replacement, product
-from operator import add, gt, sub
+from operator import add, gt, itemgetter, sub
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
@@ -128,7 +128,9 @@ def _coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:
 
     ``cols[pos_v][v][j]`` is unit times the number of triples at pos_v whose
     interval [u, w] (sentinels 1 and n) holds v when b holds fb[j]; a row of
-    the table sums one such column per pos_v.
+    the table sums one such column per pos_v.  Each distinct tuple of entries
+    at the v cells gets one row (with one v cell, the entry itself indexes
+    the column), shared by every filling of a that holds it.
     """
     cols: dict[int, list[list[int]]] = {}
     for pos_v, pos_u, pos_w in trips:
@@ -141,14 +143,12 @@ def _coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:
             for v in range(lo, hi + 1):
                 col[v][j] += unit
     positions, columns = list(cols), list(cols.values())
-    rows: dict[tuple[int, ...], list[int]] = {}   # by the entries at the v cells
-    table = []
-    for f in fa:
-        at_v = tuple(map(f.__getitem__, positions))
-        if at_v not in rows:
-            rows[at_v] = list(map(sum, zip(*map(list.__getitem__, columns, at_v))))
-        table.append(rows[at_v])
-    return table
+    at_v = list(map(itemgetter(*positions), fa))
+    rows = columns[0] if len(columns) == 1 else {
+        entries: list(map(sum, zip(*map(list.__getitem__, columns, entries))))
+        for entries in set(at_v)
+    }
+    return list(map(rows.__getitem__, at_v))
 
 
 def _fold(b: int, key: int, later: list[list[int]], tables: dict):

@@ -3,7 +3,9 @@
 ``triples`` lists the triples of a skew tuple as records, straight from the
 definition, and ``coinv`` and ``inv_triples`` count one tableau tuple's
 coinversion and inversion triples over them; the package itself reads its
-triples as flat positions from ``shapes._pair_triples``.  ``l_weight`` and
+triples as flat positions from ``shapes._pair_triples``, and
+``coinv_table`` counts such positions' coinversions for each pair of
+fillings of two components, one entry at a time.  ``l_weight`` and
 ``lstar_weight`` are single plain and gray face weights as polynomials, and
 ``ybe_gauche`` and ``ybe_droite`` are one boundary's two sides of the
 Yang-Baxter equation, cut out of the signed block sum that ``ybe_check``
@@ -113,6 +115,25 @@ def inv_triples(T: TableauTuple) -> int:
         if b < a <= c or a <= c < b:
             total += 1
     return total
+
+
+def coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:
+    """``unit`` times C_ab, entry by entry: entry (i, j) counts the triples
+    (pos_v, pos_u, pos_w) whose entries lo <= fa[i][pos_v] <= hi, with lo
+    and hi read from fb[j] (1 and n where u or w is outside, at -1)."""
+    table = []
+    for f_a in fa:
+        row = []
+        for f_b in fb:
+            count = 0
+            for pos_v, pos_u, pos_w in trips:
+                lo = f_b[pos_u] if pos_u >= 0 else 1
+                hi = f_b[pos_w] if pos_w >= 0 else n
+                if lo <= f_a[pos_v] <= hi:
+                    count += 1
+            row.append(unit * count)
+        table.append(row)
+    return table
 
 
 # -- face weights -------------------------------------------------------------

@@ -86,6 +86,13 @@ FAULTS = [
      "yield map(key_j.__add__, last)",
      ["inv-coinv m=3 n=2 shape=3;2/0;0", "inv-coinv m=3 n=2 shape=3,3;3,1/2,1;1,0",
       "hl engine=tableaux mu=[3, 2] n=2"]),
+    # the coinversion table's spread: every filling of a reads the row of
+    # the first filling's v-entries
+    ("table rows all read the first v-entries", "tableaux.py",
+     "return list(map(rows.__getitem__, at_v))", "return [rows[at_v[0]]] * len(at_v)",
+     ["symmetry engine=tableaux n=2 shape=3;2/0;0", "inv-coinv m=3 n=2 shape=3;2/0;0",
+      "symmetry engine=tableaux n=2 shape=3,3;3,1/2,1;1,0",
+      "inv-coinv m=3 n=2 shape=3,3;3,1/2,1;1,0", "hl engine=tableaux mu=[3, 2] n=2"]),
     # survivor: no t exponent that the quick run decodes is negative or
     # passes its field's mask; the decode tests of test_algebra.py fail
     ("decode masks the last field", "algebra.py",

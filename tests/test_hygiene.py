@@ -8,7 +8,8 @@ one function counts the plain face weight's exponents, one method reads a
 configuration's levels as label masks, one assignment reads the
 single-color picture tables, every function of the package runs under
 the CLI or is listed with why it stays, and every committed BENCH_*.json
-record parses and has the keys that all of them share."""
+record parses, has the keys that all of them share, and claims a gain in an
+end-to-end metric on a workload that BENCHMARK.json names."""
 
 import ast
 import functools
@@ -17,6 +18,7 @@ import importlib
 import inspect
 import io
 import json
+import re
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -588,6 +590,43 @@ def test_every_bench_record_parses_and_has_the_shared_keys():
     paths = sorted(ROOT.glob("BENCH_*.json"))
     assert paths
     assert [fault for path in paths for fault in _bench_record_faults(path)] == []
+
+
+def _bench_claim_faults(path: Path, benchmark: dict) -> list[str]:
+    """What keeps one record's claim from naming what it claims: it does not
+    start with ``<metric> on <workload>``, or the benchmark has no such
+    end-to-end metric or no such workload."""
+    claim = json.loads(path.read_text())["claim"]
+    named = re.match(r"(\S+) on ([\w-]+)", claim)
+    if named is None:
+        return [f"{path.name}: claim does not start with '<metric> on <workload>'"]
+    metric, workload = named.groups()
+    faults = []
+    if metric not in {entry["name"] for entry in benchmark["end_to_end"]}:
+        faults.append(f"{path.name}: no end-to-end metric {metric!r}")
+    if workload not in {entry["name"] for entry in benchmark["workloads"]}:
+        faults.append(f"{path.name}: no workload {workload!r}")
+    return faults
+
+
+def test_every_bench_claim_names_a_metric_and_a_workload():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert [fault for path in paths for fault in _bench_claim_faults(path, benchmark)] == []
+
+
+def test_guard_sees_a_claim_that_names_nothing(tmp_path):
+    benchmark = {"end_to_end": [{"name": "wall_s"}], "workloads": [{"name": "cauchy-sweep"}]}
+    claims = {"a": "wall_s on cauchy-sweep: better in 9 of 10 pairs",
+              "b": "op_p50 on cauchy-sweep: better", "c": "wall_s on cauchy_sweep: better",
+              "d": "faster everywhere"}
+    for name, claim in claims.items():
+        (tmp_path / f"BENCH_{name}.json").write_text(json.dumps({"claim": claim}))
+    faults = [fault for path in sorted(tmp_path.glob("BENCH_*.json"))
+              for fault in _bench_claim_faults(path, benchmark)]
+    assert faults == ["BENCH_b.json: no end-to-end metric 'op_p50'",
+                      "BENCH_c.json: no workload 'cauchy_sweep'",
+                      "BENCH_d.json: claim does not start with '<metric> on <workload>'"]
 
 
 def test_guard_sees_a_broken_bench_record(tmp_path):

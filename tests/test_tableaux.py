@@ -25,7 +25,7 @@ from lltlattice.tableaux import (
     llt_inv,
     schur,
 )
-from reference import coinv, inv_triples, triples
+from reference import coinv, coinv_table, inv_triples, triples
 from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
@@ -228,6 +228,36 @@ def test_pair_positions_match_triples(shape):
         pair: Counter(trips) for pair, trips in reference.items()
     }
     assert m_bruteforce(shape) == len(triples(shape))
+
+
+# one v cell, so each row of the table is keyed by a plain entry
+ONE_V_CELL = SkewShapeTuple(((1,), (1,)), ((0,), (0,)))
+# v cells 0 and 1 of a's three cells: its 8 fillings at n = 3 hold 5 distinct
+# pairs of v-entries, so some of them share a row
+SHARED_V_ENTRIES = SkewShapeTuple(((2, 1), (1,)), ((0, 0), (0,)))
+
+
+@pytest.mark.parametrize("unit", [1, 2**9])
+def test_coinv_table_matches_entry_by_entry_count(unit):
+    rng = random.Random(31)
+    drawn = [(random_skew_tuple(rng, max_k=3, max_rows=2, max_part=3), rng.randint(1, 4))
+             for _ in range(60)]
+    v_cells, shared, checked = set(), False, 0
+    for shape, n in [(ONE_V_CELL, 3), (SHARED_V_ENTRIES, 3), *drawn]:
+        reference_trips = _reference_pair_triples(shape)
+        for (a, b), trips in _pair_triples(shape).items():
+            fa = _component_fillings(shape.beta[a], shape.gamma[a], n)
+            fb = _component_fillings(shape.beta[b], shape.gamma[b], n)
+            table = tableaux._coinv_table(fa, fb, trips, n, unit)
+            assert table == coinv_table(fa, fb, reference_trips[a, b], n, unit)
+            positions = sorted({pos_v for pos_v, _, _ in trips})
+            v_cells.add(len(positions))
+            at_v = {tuple(f[pos] for pos in positions) for f in fa}
+            shared |= len(positions) > 1 and len(at_v) < len(fa)
+            checked += len(fa) > 1
+    # the inputs reach both kinds of row key, shared rows, and enough pairs
+    # with two or more fillings of a, where a shifted spread shows
+    assert 1 in v_cells and max(v_cells) > 1 and shared and checked >= 20
 
 
 def test_llt_coinv_golden_without_triple_records():
