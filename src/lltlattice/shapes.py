@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat, starmap
 from operator import ge, index, sub
 
 Partition = tuple[int, ...]
@@ -197,22 +197,18 @@ def _pair_positions(beta_a: Partition, gamma_a: Partition,
     return tuple(out)
 
 
-def _pair_triples(shape: SkewShapeTuple) -> dict[tuple[int, int], tuple[tuple[int, int, int], ...]]:
-    """All triples of the tuple as flat cell positions, grouped by the
-    components a < b that share at least one triple (see ``_pair_positions``)."""
+def _pair_triples(shape: SkewShapeTuple) -> list[tuple[int, int, tuple[tuple[int, int, int], ...]]]:
+    """All triples of the tuple as flat cell positions, one (a, b, positions)
+    per pair of components a < b that share at least one triple (see
+    ``_pair_positions``)."""
     comps = list(zip(shape.beta, shape.gamma))
-    pairs = {}
-    for b, (beta_b, gamma_b) in enumerate(comps):
-        for a, (beta_a, gamma_a) in enumerate(comps[:b]):
-            trips = _pair_positions(beta_a, gamma_a, beta_b, gamma_b)
-            if trips:
-                pairs[a, b] = trips
-    return pairs
+    return [(a, b, trips) for b, comp_b in enumerate(comps) for a, comp_a in enumerate(comps[:b])
+            if (trips := _pair_positions(*comp_a, *comp_b))]
 
 
 def m_bruteforce(shape: SkewShapeTuple) -> int:
     """Total number of triples, by direct enumeration."""
-    return sum(map(len, _pair_triples(shape).values()))
+    return sum(len(trips) for _, _, trips in _pair_triples(shape))
 
 
 def m_formula(beta: ShapeTuple) -> int:
@@ -268,8 +264,14 @@ def complement(lam: ShapeTuple, M: int, n: int) -> ShapeTuple:
 
 def _complement(lam: ShapeTuple, width: int) -> ShapeTuple:
     """The complement inside a box ``width`` columns wide of partitions that
-    fit it: components reversed, each partition reversed, width - part."""
-    return tuple(tuple(width - v for v in reversed(p)) for p in reversed(lam))
+    fit it: components reversed, each one complemented by ``_complement_part``."""
+    return tuple(map(_complement_part, reversed(lam), repeat(width)))
+
+
+@lru_cache(maxsize=1024)
+def _complement_part(p: Partition, width: int) -> Partition:
+    """The box-complement formula for one partition: reversed, width - part."""
+    return tuple(width - v for v in reversed(p))
 
 
 def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
@@ -295,16 +297,18 @@ def d_stat(lam: ShapeTuple) -> int:
 
 
 def _d_stat(lam: ShapeTuple) -> int:
-    """``d_stat`` of a box tuple known to be valid."""
-    k, n = len(lam), len(lam[0])
-    count = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if lam[b][i - 1] - i < lam[a][j - 1] - j:
-                        count += 1
-    return _binom2(n) * _binom2(k) - count
+    """``d_stat`` of a box tuple known to be valid: C(n,2) C(k,2) less the
+    ``_d_pair`` count of every pair of components a < b."""
+    return _binom2(len(lam[0])) * _binom2(len(lam)) - sum(starmap(_d_pair, combinations(lam, 2)))
+
+
+@lru_cache(maxsize=1024)
+def _d_pair(lam_a: Partition, lam_b: Partition) -> int:
+    """How many (i, j) have lam_b[i] - i < lam_a[j] - j: the pair a < b's
+    count in ``_d_stat``."""
+    labels_a = list(map(sub, lam_a, range(len(lam_a))))
+    return sum(label_b < label_a for label_b in map(sub, lam_b, range(len(lam_b)))
+               for label_a in labels_a)
 
 
 def dtilde_stat(lam: ShapeTuple, M: int) -> int:

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from itertools import accumulate, chain, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations_with_replacement, product, repeat
 from operator import add, gt, itemgetter, sub
 
 from .algebra import LaurentPoly, VarSet, _Packing
@@ -184,13 +184,14 @@ _FEW_TUPLES = 8
 
 def _count_directly(fillings, pairs, weights, unit: int, n: int) -> Counter:
     """Packed keys of every tableau tuple, its coinversions counted one by one."""
-    flat = [(a, b, *trip) for (a, b), trips in pairs.items() for trip in trips]
     counts = Counter()
     for fs, ws in zip(product(*fillings), product(*weights)):
         key = sum(ws)
-        for a, b, v, u, w in flat:
-            if (fs[b][u] if u >= 0 else 1) <= fs[a][v] <= (fs[b][w] if w >= 0 else n):
-                key += unit
+        for a, b, trips in pairs:
+            fa, fb = fs[a], fs[b]
+            for v, u, w in trips:
+                if (fb[u] if u >= 0 else 1) <= fa[v] <= (fb[w] if w >= 0 else n):
+                    key += unit
         counts[key] += 1
     return counts
 
@@ -202,12 +203,20 @@ def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:
     order = sorted(range(len(fillings)), key=lambda i: len(fillings[i]))
     at = {c: pos for pos, c in enumerate(order)}
     tables = {}
-    for (a, b), trips in pairs.items():
+    for a, b, trips in pairs:
         table = _coinv_table(fillings[a], fillings[b], trips, n, unit)
         if at[a] > at[b]:
             a, b, table = b, a, [list(col) for col in zip(*table)]
         tables[at[a], at[b]] = table
     return Counter(chain.from_iterable(_fold(0, 0, [weights[c] for c in order], tables)))
+
+
+@lru_cache(maxsize=1024)
+def _filling_weights(beta: Partition, gamma: Partition, n: int, width: int) -> tuple[int, ...]:
+    """The packed x-weight of each of ``_component_fillings(beta, gamma, n)``,
+    x_i in the field worth 2^((i - 1) width); cached per component and layout."""
+    power = [0, *(1 << i * width for i in range(n))]
+    return tuple(map(sum, map(map, repeat(power.__getitem__), _component_fillings(beta, gamma, n))))
 
 
 def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
@@ -223,11 +232,11 @@ def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
     ``_FEW_TUPLES`` tuples skips the tables and counts each tuple directly.
     """
     n = packing.vars.nx
-    fillings = [_component_fillings(b, g, n) for b, g in zip(shape.beta, shape.gamma)]
+    comps = list(zip(shape.beta, shape.gamma))
+    fillings = [_component_fillings(b, g, n) for b, g in comps]
     if not all(fillings):
         return Counter()
-    power = [0] + [1 << s for s in packing.shifts[:n]]
-    weights = [[sum(map(power.__getitem__, f)) for f in fs] for fs in fillings]
+    weights = [_filling_weights(b, g, n, packing.shifts.step) for b, g in comps]
     few = prod(map(len, fillings)) <= _FEW_TUPLES
     return (_count_directly if few else _count_by_tables)(
         fillings, _pair_triples(shape), weights, 1 << packing.top, n

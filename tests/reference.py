@@ -12,6 +12,8 @@ Yang-Baxter equation, cut out of the signed block sum that ``ybe_check``
 contracts, with the other side's sign 0; ``split`` reads such a block's
 folded keys one at a time.
 ``decode`` unpacks a ``_Packing``'s keys one key at a time.
+``d_stat`` is the rotation offset d(lam) as one loop over every pair of
+components and every pair of rows, where the package sums cached pair counts.
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ def coinv_table(fa, fb, trips, n: int, unit: int) -> list[list[int]]:
             row.append(unit * count)
         table.append(row)
     return table
+
+
+def d_stat(lam) -> int:
+    """d(lam) of a box tuple: C(n,2) C(k,2) less the (a < b, i, j) with
+    lam_b[i] - i < lam_a[j] - j."""
+    k, n = len(lam), len(lam[0])
+    count = 0
+    for a in range(k):
+        for b in range(a + 1, k):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if lam[b][i - 1] - i < lam[a][j - 1] - j:
+                        count += 1
+    return n * (n - 1) // 2 * (k * (k - 1) // 2) - count
 
 
 # -- face weights -------------------------------------------------------------

@@ -9,7 +9,9 @@ are 2 and 3, and the JSON form of the skew one.  The next four pin YBE runs that
 both checks at k = 3 symbolically, numeric ``lstar-ybe`` with three trials
 in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
 rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
-JSON, and two at k = 3, n = 3 in text.  The last three commands give a flag
+JSON, and two at k = 3, n = 3 in text.  The next two pin Cauchy runs of the
+``cauchy-sweep`` benchmark workload: the rotated identity at k = 3, and the
+JSON form, with its ``equalities_checked``, at n = 3.  The last three commands give a flag
 that their parser does not declare: one the top-level parser refuses, and the
 seed and trial count that ``verify all`` and ``engine-equivalence`` no longer
 take.  Each prints nothing and exits 2.  Two more files,
@@ -50,6 +52,8 @@ COMMANDS = [
     "verify ybe --k 0 --mode numeric",
     "verify lstar --lam 2,1;1,0 --n 2 --M-list 4,5,6 --format json",
     "verify lstar --lam 1,1,0;1,0,0 --n 3 --M-list 4,5",
+    "verify cauchy-rot --n 1 --k 3 -D 5",
+    "verify cauchy --n 3 --k 2 -D 3 --format json",
     "--foo compute --beta 1 --n 1",
     "verify all --seed 5",
     "verify engine-equivalence --trials 3",

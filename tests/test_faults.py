@@ -93,6 +93,21 @@ FAULTS = [
      ["symmetry engine=tableaux n=2 shape=3;2/0;0", "inv-coinv m=3 n=2 shape=3;2/0;0",
       "symmetry engine=tableaux n=2 shape=3,3;3,1/2,1;1,0",
       "inv-coinv m=3 n=2 shape=3,3;3,1/2,1;1,0", "hl engine=tableaux mu=[3, 2] n=2"]),
+    # one pair of components' share of the rotation offset d(lam), which
+    # counts ties as well
+    ("pair d-count counts ties", "shapes.py", "label_b < label_a", "label_b <= label_a",
+     ["box-skew M=4 engine=tableaux lam=[[1, 0], [1, 1]] n=2",
+      "lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2", "cauchy-rot D=3 k=2 n=1"]),
+    # the weights cache keyed by component and n only: every later layout
+    # reads the weights packed for the first field width seen
+    ("weights cache key without the field width", "tableaux.py",
+     "@lru_cache(maxsize=1024)\ndef _filling_weights(",
+     "@lambda weights: lambda *key, first={}: first.setdefault(key[:3], weights(*key))\n"
+     "def _filling_weights(",
+     ["symmetry engine=tableaux n=2 shape=2/0", "inv-coinv m=0 n=2 shape=2/0",
+      "hl engine=tableaux mu=[2, 1] n=2", "box-skew M=4 engine=tableaux lam=[[1, 0], [1, 1]] n=2",
+      "complement M=4 engine=tableaux lam=[[2, 1], [1, 0]] n=2",
+      "lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
     # survivor: no t exponent that the quick run decodes is negative or
     # passes its field's mask; the decode tests of test_algebra.py fail
     ("decode masks the last field", "algebra.py",

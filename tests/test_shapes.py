@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from lltlattice.identities import shape_tuples_bounded
 from lltlattice.shapes import (
     SkewShapeTuple,
     check_partition,
@@ -18,7 +19,8 @@ from lltlattice.shapes import (
     n_stat,
     rotate,
 )
-from reference import triples
+from reference import d_stat as reference_d_stat, triples
+from shapegen import random_straight_tuple
 
 WORKED_SKEW = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
 
@@ -220,6 +222,19 @@ def test_dtilde_values():
     assert dtilde_stat(((0, 0), (0, 0)), M=5) == -2 * 3 * 1
     assert dtilde_stat(((2, 1),), M=5) == 0  # k = 1
     assert dtilde_stat(((1,), (1,)), M=3) == 2 - 2
+
+
+def test_d_stat_pair_sum_matches_the_double_loop():
+    # seeded box tuples with k, n <= 4, and every lam of cauchy-sweep's runs
+    rng = random.Random(53)
+    tuples = [random_straight_tuple(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 5))
+              for _ in range(300)]
+    tuples += [lam for n, k, D in [(3, 2, 3), (2, 2, 4), (1, 3, 5)]
+               for lam in shape_tuples_bounded(k, n, D)]
+    assert len(tuples) == 300 + 18 + 30 + 56
+    values = [d_stat(lam) for lam in tuples]
+    assert values == [reference_d_stat(lam) for lam in tuples]
+    assert min(values) < 0 < max(values)
 
 
 def test_d_stat_invariant_under_complement():

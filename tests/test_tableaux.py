@@ -9,8 +9,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lltlattice import shapes, tableaux
-from lltlattice.algebra import LaurentPoly, VarSet
-from lltlattice.identities import shape_tuples_bounded
+from lltlattice.algebra import LaurentPoly, VarSet, _Packing
+from lltlattice.identities import _xy_packing, shape_tuples_bounded
 from lltlattice.lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from lltlattice.shapes import SkewShapeTuple, _pair_triples, inv_stat, m_bruteforce
 from lltlattice.tableaux import (
@@ -25,7 +25,7 @@ from lltlattice.tableaux import (
     llt_inv,
     schur,
 )
-from reference import coinv, coinv_table, inv_triples, triples
+from reference import coinv, coinv_table, decode, inv_triples, triples
 from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
@@ -224,7 +224,8 @@ def _reference_pair_triples(shape):
 def test_pair_positions_match_triples(shape):
     pairs = _pair_triples(shape)
     reference = _reference_pair_triples(shape)
-    assert {pair: Counter(trips) for pair, trips in pairs.items()} == {
+    assert [(a, b) for a, b, _ in pairs] == sorted(reference, key=lambda pair: pair[::-1])
+    assert {(a, b): Counter(trips) for a, b, trips in pairs} == {
         pair: Counter(trips) for pair, trips in reference.items()
     }
     assert m_bruteforce(shape) == len(triples(shape))
@@ -245,7 +246,7 @@ def test_coinv_table_matches_entry_by_entry_count(unit):
     v_cells, shared, checked = set(), False, 0
     for shape, n in [(ONE_V_CELL, 3), (SHARED_V_ENTRIES, 3), *drawn]:
         reference_trips = _reference_pair_triples(shape)
-        for (a, b), trips in _pair_triples(shape).items():
+        for a, b, trips in _pair_triples(shape):
             fa = _component_fillings(shape.beta[a], shape.gamma[a], n)
             fb = _component_fillings(shape.beta[b], shape.gamma[b], n)
             table = tableaux._coinv_table(fa, fb, trips, n, unit)
@@ -261,7 +262,8 @@ def test_coinv_table_matches_entry_by_entry_count(unit):
 
 
 def test_llt_coinv_golden_without_triple_records():
-    for cached in (tableaux._component_fillings, shapes._pair_positions):
+    for cached in (tableaux._component_fillings, tableaux._filling_weights,
+                   shapes._pair_positions):
         cached.cache_clear()
     P = llt_coinv(SkewShapeTuple.straight(((3, 2), (2, 1), (2, 0))), 5)
     assert len(P.terms) == 4958
@@ -290,7 +292,8 @@ def test_memoized_values_survive_a_sweep():
     # every value computed on warm caches equals the value computed cold,
     # also for a shape repeated after the sweep: no cached value is mutated
     def cold(shape, n):
-        for cached in (tableaux._component_fillings, shapes._pair_positions):
+        for cached in (tableaux._component_fillings, tableaux._filling_weights,
+                       shapes._pair_positions):
             cached.cache_clear()
         return llt_coinv(shape, n)
 
@@ -302,6 +305,24 @@ def test_memoized_values_survive_a_sweep():
     assert [llt_coinv(shape, n) for shape, n in sweep] == expected
     assert llt_coinv(*sweep[0]) == expected[0]
     assert isinstance(_component_fillings((2, 1), (0, 0), 3), tuple)
+
+
+@pytest.mark.parametrize("shape, n", [
+    (SkewShapeTuple.straight(((2, 1), (1, 0))), 2),          # 4 tuples: counted directly
+    (SkewShapeTuple.straight(((3, 1), (2, 2))), 3),          # 90 tuples: by the tables
+])
+def test_weights_are_cached_per_field_width(shape, n):
+    # llt_coinv's layout (bound: the cell count) and the Cauchy drivers'
+    # (bound: D) give the x fields different widths; each count, with no
+    # cache emptied between them, is the reference count
+    cells = _Packing(VarSet(nx=n), shape.cell_count())
+    xy = _xy_packing(n, 16)
+    assert cells.shifts.step != xy.shifts.step
+    reference = Counter((*T.weight_exponents(n), coinv(T)) for T in enumerate_ssyt(shape, n))
+    expected = {cells: reference,
+                xy: Counter({(*e[:-1], *(0,) * n, e[-1]): c for e, c in reference.items()})}
+    for packing in (cells, xy, cells):
+        assert decode(packing, tableaux._coinv_counts(shape, packing)) == expected[packing]
 
 
 def _jacobi_trudi_count(beta, gamma, n):
