@@ -11,7 +11,8 @@ in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
 rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
 JSON, and two at k = 3, n = 3 in text.  The next two pin Cauchy runs of the
 ``cauchy-sweep`` benchmark workload: the rotated identity at k = 3, and the
-JSON form, with its ``equalities_checked``, at n = 3.  The last three commands give a flag
+JSON form, with its ``equalities_checked``, at n = 3.  The last three
+commands give a flag
 that their parser does not declare: one the top-level parser refuses, and the
 seed and trial count that ``verify all`` and ``engine-equivalence`` no longer
 take.  Each prints nothing and exits 2.  Two more files,
