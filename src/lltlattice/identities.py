@@ -186,18 +186,13 @@ def verify_modified_hl(mu, n: int) -> IdentityReport:
 # -- box and complement dualities ------------------------------------------------
 
 
-def _box_skew_shape(lam: ShapeTuple, M: int, n: int) -> SkewShapeTuple:
-    width = M - n
-    box = tuple((width,) * n for _ in lam)
-    return SkewShapeTuple(box, lam)
-
-
 def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityReport:
     """Box-over-lam equals t^d(lam) times the complement tuple."""
     lam = check_box_tuple(lam, n, M)
     comp = _complement(lam, M - n)
     d, d_comp = _d_stat(lam), _d_stat(comp)
-    lhs = llt(_box_skew_shape(lam, M, n), n, engine)
+    # check_box_tuple has fitted lam to the box, so box/lam holds its checks
+    lhs = llt(SkewShapeTuple._trusted(((M - n,) * n,) * len(lam), lam), n, engine)
     rhs = LaurentPoly.t(lhs.vars, d) * llt(comp, n, engine)
     report = _check_pairs(
         "box-skew",
@@ -296,18 +291,20 @@ def _xy_sum(xy: _Packing, summands) -> dict:
     return acc
 
 
-def _kernel_counts(xy: _Packing, k: int, D: int) -> dict:
-    """prod over i, j, m of 1/(1 - x_i y_j t^m) as counts of ``xy`` keys, cut
-    at x-degree D (at most the layout's own bound).
+def _kernel_counts(xy: _Packing, k: int, D: int, start: dict | None = None,
+                   degree: int = 0) -> dict:
+    """``start`` times prod over i, j, m of 1/(1 - x_i y_j t^m) as counts of
+    ``xy`` keys, cut at x-degree D (at most the layout's own bound); start
+    holds counts of x-degree ``degree`` and y-degree 0, by default 1.
 
-    ``graded[d]`` holds the running product's keys of x-degree d.  Times
+    ``graded[d]`` holds the running product's keys of x-degree degree + d.  Times
     1/(1 - u), u = x_i y_j t^m, it becomes Q with Q[d] = P[d] + u Q[d - 1]:
     only key shifts, and no term above D is ever formed.  The grades share
     no key and every coefficient is a positive count, so merging them gives
     the product's terms as they are.
     """
     n = xy.vars.nx
-    graded = [{0: 1}] + [{} for _ in range(D)]
+    graded = [{0: 1} if start is None else start] + [{} for _ in range(D - degree)]
     for x_at in xy.shifts[:n]:
         for y_at in xy.shifts[n:]:
             for m in range(k):
@@ -394,17 +391,11 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
         (_d_stat(lam), P, _llt_counts(SkewShapeTuple._trusted(lam, mu), xy))
         for lam, _, P in _cauchy_terms(xy, k, D, mu=mu)
     ])
-    L_mu = _llt_counts(SkewShapeTuple.straight(mu), xy)
-    base = _xy_sum(xy, [(d_stat(mu), L_mu, {0: 1})])
-    # base is homogeneous of x-degree |mu|: only kernel grades up to D - |mu| survive,
-    # and no product key's field carries (x-degree <= D, y-degree <= D - |mu|)
-    rhs: defaultdict[int, int] = defaultdict(int)
-    for kk, ck in _kernel_counts(xy, k, D - size).items():
-        for kb, cb in base.items():
-            rhs[kb + kk] += cb * ck
+    shift = d_stat(mu) << xy.top
+    base = {key + shift: c for key, c in _llt_counts(SkewShapeTuple.straight(mu), xy).items()}
     y_fields = (1 << xy.top) - (1 << xy.top // 2)
     pairs = [
-        ("skew sum vs kernel", lhs, rhs),
+        ("skew sum vs kernel", lhs, _kernel_counts(xy, k, D, base, size)),
         ("y-degree-0 slice", {key: c for key, c in lhs.items() if not key & y_fields}, base),
     ]
     return _check_pairs(

@@ -396,10 +396,11 @@ def rotate_config(config: LatticeConfig) -> LatticeConfig:
     if any(spec.right):
         raise ValueError("rotation is defined for lattices with empty right edge")
     k, n, ncols = spec.k, spec.n, spec.ncols
-    # accept the (lam, box) family (top: every color on the last n columns)
-    # and its rotated image (bottom: on the first n), so the map is an involution
-    if spec.r != 1 - n or (spec.top != (tuple(range(ncols - n, ncols)),) * k
-                           and spec.bottom != (tuple(range(n)),) * k):
+    # accept the (lam, box) family (top: every color on the box's columns, as
+    # build_box_lattice builds them) and its rotated image (bottom: on the
+    # empty partition's), so the map is an involution
+    if spec.r != 1 - n or (spec.top != (_columns((ncols - n,) * n, spec.r),) * k
+                           and spec.bottom != (_columns((0,) * n, spec.r),) * k):
         raise ValueError("top boundary is not a full box")
     verts = tuple(tuple(tuple(ncols - 1 - c for c in reversed(cols)) for cols in reversed(level))
                   for level in reversed(config.verticals))

@@ -149,7 +149,7 @@ def parse_shape_text(text: str, flag: str) -> ShapeTuple:
 
 def label_columns(p: Partition) -> tuple[int, ...]:
     """Columns p_m - m + 1 over all declared parts; strictly decreasing."""
-    return tuple(p[m - 1] - m + 1 for m in range(1, len(p) + 1))
+    return tuple(map(sub, p, range(len(p))))
 
 
 def column_range(shape: SkewShapeTuple) -> tuple[int, int]:
@@ -157,7 +157,7 @@ def column_range(shape: SkewShapeTuple) -> tuple[int, int]:
     if not any(shape.gamma):
         return (0, 0)
     # labels strictly decrease along a partition: its last is its least
-    return (min(g[-1] - len(g) + 1 for g in shape.gamma if g),
+    return (min(label_columns(g)[-1] for g in shape.gamma if g),
             max(b[0] for b in shape.beta if b))
 
 
@@ -214,16 +214,11 @@ def m_bruteforce(shape: SkewShapeTuple) -> int:
 def m_formula(beta: ShapeTuple) -> int:
     """Closed form for the triple count of a tuple of partitions."""
     beta = check_shape_tuple(beta)
-    k = len(beta)
     total = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            for i in range(1, len(beta[a]) + 1):
-                for j in range(1, len(beta[b]) + 1):
-                    bi, bj = beta[a][i - 1], beta[b][j - 1]
-                    if 0 <= bj - j + i < bi:
-                        total += 1
-                    total += max(min(bi - i, bj - j) + min(i, j), 0)
+    for beta_a, beta_b in combinations(beta, 2):
+        for i, (bi, label_i) in enumerate(zip(beta_a, label_columns(beta_a)), 1):
+            for j, label_j in enumerate(label_columns(beta_b), 1):
+                total += (0 < label_j + i <= bi) + max(min(label_i, label_j) + min(i, j) - 1, 0)
     return total
 
 
@@ -304,11 +299,10 @@ def _d_stat(lam: ShapeTuple) -> int:
 
 @lru_cache(maxsize=1024)
 def _d_pair(lam_a: Partition, lam_b: Partition) -> int:
-    """How many (i, j) have lam_b[i] - i < lam_a[j] - j: the pair a < b's
-    count in ``_d_stat``."""
-    labels_a = list(map(sub, lam_a, range(len(lam_a))))
-    return sum(label_b < label_a for label_b in map(sub, lam_b, range(len(lam_b)))
-               for label_a in labels_a)
+    """How many (i, j) have label i of lam_b left of label j of lam_a (see
+    ``label_columns``): the pair a < b's count in ``_d_stat``."""
+    labels_a = label_columns(lam_a)
+    return sum(label_b < label_a for label_b in label_columns(lam_b) for label_a in labels_a)
 
 
 def dtilde_stat(lam: ShapeTuple, M: int) -> int:

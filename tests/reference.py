@@ -14,6 +14,9 @@ folded keys one at a time.
 ``decode`` unpacks a ``_Packing``'s keys one key at a time.
 ``d_stat`` is the rotation offset d(lam) as one loop over every pair of
 components and every pair of rows, where the package sums cached pair counts.
+``skew_cauchy_rhs`` is skew Cauchy's right side t^d(mu) L_mu(X) times the
+kernel as a double loop over the two factors' keys, where the package grows
+the kernel from t^d(mu) L_mu(X) itself.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from lltlattice.algebra import LaurentPoly, VarSet
+from lltlattice.identities import _kernel_counts, _llt_counts, _xy_packing, _xy_sum
 from lltlattice.lattice import face_weight_exponents, gray_rows, masks
 from lltlattice.shapes import SkewShapeTuple
 from lltlattice.tableaux import INF, TableauTuple
@@ -150,6 +154,19 @@ def d_stat(lam) -> int:
                     if lam[b][i - 1] - i < lam[a][j - 1] - j:
                         count += 1
     return n * (n - 1) // 2 * (k * (k - 1) // 2) - count
+
+
+def skew_cauchy_rhs(mu, n: int, k: int, D: int) -> dict:
+    """t^d(mu) L_mu(X) times the Cauchy kernel, cut at x-degree D, as counts
+    of ``_xy_packing(n, D)`` keys: every key of the base plus every key of
+    the kernel cut at D - |mu|, the base being homogeneous of x-degree |mu|."""
+    xy = _xy_packing(n, D)
+    base = _xy_sum(xy, [(d_stat(mu), _llt_counts(SkewShapeTuple.straight(mu), xy), {0: 1})])
+    rhs: dict[int, int] = {}
+    for kk, ck in _kernel_counts(xy, k, D - sum(map(sum, mu))).items():
+        for kb, cb in base.items():
+            rhs[kb + kk] = rhs.get(kb + kk, 0) + cb * ck
+    return rhs
 
 
 # -- face weights -------------------------------------------------------------

@@ -33,3 +33,11 @@ def random_straight_tuple(rng: random.Random, k: int, n: int, max_part: int) -> 
         tuple(sorted((rng.randint(0, max_part) for _ in range(n)), reverse=True))
         for _ in range(k)
     )
+
+
+def random_box_case(rng: random.Random) -> tuple[ShapeTuple, int, int]:
+    """(lam, M, n): one or two components of n <= 2 parts each at most 2, in
+    a box of 2 or 3 columns."""
+    k, n = rng.randint(1, 2), rng.randint(1, 2)
+    lam = random_straight_tuple(rng, k, n, 2)
+    return lam, n + 2 + rng.randint(0, 1), n

@@ -42,7 +42,7 @@ from lltlattice.shapes import (
 from lltlattice.tableaux import complement_bijection, enumerate_ssyt, llt_coinv
 from lltlattice.yangbaxter import l_recursive, r_recursive, r_weight, ybe_check
 from reference import coinv, l_weight, ybe_droite, ybe_gauche
-from shapegen import random_skew_tuple, random_straight_tuple
+from shapegen import random_box_case, random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -264,9 +264,7 @@ def test_criterion_9_duality_suite():
     started = time.time()
     rng = random.Random(7777)
     for _ in range(6):
-        k, n = rng.randint(1, 2), rng.randint(1, 2)
-        lam = random_straight_tuple(rng, k, n, 2)
-        M = n + 2 + rng.randint(0, 1)
+        lam, M, n = random_box_case(rng)
         assert verify_box_skew(lam, M, n).passed
         assert verify_complement(lam, M, n).passed
 

@@ -11,8 +11,10 @@ in JSON, and the k = 0 edge case in numeric mode.  The last two pin gray
 rows on larger boxes than ``verify all`` uses: three widths at k = 2 in
 JSON, and two at k = 3, n = 3 in text.  The next two pin Cauchy runs of the
 ``cauchy-sweep`` benchmark workload: the rotated identity at k = 3, and the
-JSON form, with its ``equalities_checked``, at n = 3.  The last three
-commands give a flag
+JSON form, with its ``equalities_checked``, at n = 3.  The next two pin the
+k = 3 cases of skew Cauchy (μ of one box, D = 4, n = 3) and of the box-skew
+duality (λ of three rows in a 5-column box, both engines), each in JSON.
+The last three commands give a flag
 that their parser does not declare: one the top-level parser refuses, and the
 seed and trial count that ``verify all`` and ``engine-equivalence`` no longer
 take.  Each prints nothing and exits 2.  Two more files,
@@ -55,6 +57,8 @@ COMMANDS = [
     "verify lstar --lam 1,1,0;1,0,0 --n 3 --M-list 4,5",
     "verify cauchy-rot --n 1 --k 3 -D 5",
     "verify cauchy --n 3 --k 2 -D 3 --format json",
+    "verify skew-cauchy --mu 1,0,0;0,0,0;0,0,0 --n 3 --k 3 -D 4 --format json",
+    "verify box-skew --lam 2,1;1,0;0,0 --M 5 --n 2 --engine both --format json",
     "--foo compute --beta 1 --n 1",
     "verify all --seed 5",
     "verify engine-equivalence --trials 3",

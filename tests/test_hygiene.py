@@ -4,7 +4,8 @@ public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
 functools cache is bounded and listed with its measured reuse, one function
 owns the rule that n is at least 1, one method owns the packed field width,
-one function counts the plain face weight's exponents, one method reads a
+one function counts the plain face weight's exponents, one function turns
+a partition's parts into label columns, one method reads a
 configuration's levels as label masks, one assignment reads the
 single-color picture tables, every function of the package runs under
 the CLI or is listed with why it stays, and every committed BENCH_*.json
@@ -271,6 +272,92 @@ def test_guard_sees_a_second_plain_weight_rule():
     )
     assert _calls_outside(source, "_exponents", "bit_count") == ["r.bit_count()"]
     assert _readers(source, "_exponents") == ["face", "step"]
+
+
+def _names(node) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _bare_names(node) -> set[str]:
+    """The names that node reads outside any subscript."""
+    if isinstance(node, ast.Subscript):
+        return set()
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set().union(*map(_bare_names, ast.iter_child_nodes(node)))
+
+
+def _label_rules(source: str) -> list[tuple[str, str]]:
+    """Each expression in source that subtracts a part's index from the part,
+    as (the module-level definition holding it, its text): ``p[..i..] - i``
+    or ``p[..] - len(p)``, also through a name bound to ``p[..]`` or to
+    ``enumerate``'s v in (i, v), and ``map(sub, p, range(..))``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        parts = {}   # a name bound to a part: (its partition, its index names)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                bound = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple) else [(target, value)])
+                parts |= {name.id: (ast.unparse(part.value), _names(part.slice))
+                          for name, part in bound
+                          if isinstance(name, ast.Name) and isinstance(part, ast.Subscript)}
+            elif (isinstance(node, (ast.For, ast.comprehension))
+                  and isinstance(node.iter, ast.Call) and _names(node.iter.func) == {"enumerate"}
+                  and isinstance(node.target, ast.Tuple)
+                  and all(isinstance(name, ast.Name) for name in node.target.elts)):
+                index, name = node.target.elts
+                parts[name.id] = (ast.unparse(node.iter.args[0]), {index.id})
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and _names(node.func) == {"map"}:
+                hit = (ast.unparse(node.args[0]) in ("sub", "operator.sub")
+                       and any(isinstance(arg, ast.Call) and _names(arg.func) == {"range"}
+                               for arg in node.args[1:]))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                left = node.left
+                if isinstance(left, ast.Subscript):
+                    part = (ast.unparse(left.value), _names(left.slice))
+                else:
+                    part = parts.get(getattr(left, "id", None))
+                lens = {ast.unparse(call.args[0]) for call in ast.walk(node.right)
+                        if isinstance(call, ast.Call) and _names(call.func) == {"len"}}
+                hit = part is not None and bool(_bare_names(node.right) & part[1]
+                                                or part[0] in lens)
+            else:
+                continue
+            if hit:
+                found.append((getattr(stmt, "name", "?"), ast.unparse(node)))
+    return found
+
+
+def test_label_rule_has_one_owner():
+    # shapes.label_columns alone turns parts into label columns p_m - m + 1;
+    # _d_pair, column_range, m_formula and the lattice read it
+    found = {path.name: rules for path in SRC.glob("*.py")
+             if (rules := _label_rules(path.read_text()))}
+    assert found == {"shapes.py": [("label_columns", "map(sub, p, range(len(p)))")]}
+    assert "map(sub, p, range(len(p)))" in inspect.getsource(shapes.label_columns)
+
+
+def test_guard_sees_a_second_label_rule():
+    source = (
+        "def a(p):\n    return tuple(p[m - 1] - m + 1 for m in range(1, len(p) + 1))\n\n"
+        "def b(g):\n    return g[-1] - len(g) + 1\n\n"
+        "def c(lam):\n    return list(map(sub, lam, range(len(lam))))\n\n"
+        "def d(p):\n    return [v - i for i, v in enumerate(p)]\n\n"
+        "def e(beta, a, b, i, j):\n    bi, bj = beta[a][i - 1], beta[b][j - 1]\n"
+        "    return bj - j + i < bi\n\n"
+        # not rules: _row_starts' beta - gamma and config_to_ssyt's inverse,
+        # the step between two levels, and a column less a part
+        "def f(beta, gamma, ends):\n    d = map(sub, beta, gamma)\n"
+        "    return [end - g - 1 for end, g in zip(ends, gamma)]\n\n"
+        "def g(r, cols, path, h, col, gamma):\n"
+        "    return [r + c + m for m, c in enumerate(cols)], path[h] - path[h - 1], col - gamma[h]\n"
+    )
+    assert _label_rules(source) == [
+        ("a", "p[m - 1] - m"), ("b", "g[-1] - len(g)"), ("c", "map(sub, lam, range(len(lam)))"),
+        ("d", "v - i"), ("e", "bj - j")]
 
 
 def test_label_masks_have_one_reader():

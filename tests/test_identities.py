@@ -38,7 +38,8 @@ from lltlattice.tableaux import (
     llt_inv,
     schur,
 )
-from shapegen import random_skew_tuple, random_straight_tuple
+import reference
+from shapegen import random_box_case, random_skew_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -133,11 +134,33 @@ def test_complement_identity():
 def test_complement_random():
     rng = random.Random(23)
     for _ in range(6):
-        k, n = rng.randint(1, 2), rng.randint(1, 2)
-        lam = random_straight_tuple(rng, k, n, 2)
-        M = n + 2 + rng.randint(0, 1)
+        lam, M, n = random_box_case(rng)
         assert verify_complement(lam, M, n).passed
         assert verify_box_skew(lam, M, n).passed
+
+
+def _box_skew_cases():
+    """(lam, M, n) of every box-skew check that passes in the tests: the
+    fixed ones, the CLI goldens' and the random draws of
+    test_complement_random and acceptance criterion 9."""
+    cases = [(((0, 0), (0, 0)), 4, 2), (((1, 0), (1, 1)), 4, 2), (((2, 1), (1, 0), (0, 0)), 5, 2)]
+    for seed in (23, 7777):
+        rng = random.Random(seed)
+        cases += [random_box_case(rng) for _ in range(6)]
+    return cases
+
+
+def test_box_skew_trusted_shape_is_the_checked_one(monkeypatch):
+    # box/lam is built unchecked, check_box_tuple having fitted lam to the
+    # box: it is the shape that the checked constructor gives
+    shapes_seen = []
+    real = identities.llt
+    monkeypatch.setattr(identities, "llt",
+                        lambda shape, *args: shapes_seen.append(shape) or real(shape, *args))
+    for lam, M, n in _box_skew_cases():
+        shapes_seen.clear()
+        assert verify_box_skew(lam, M, n).passed
+        assert shapes_seen[0] == SkewShapeTuple(((M - n,) * n,) * len(lam), lam), (lam, M, n)
 
 
 def test_lstar():
@@ -221,6 +244,9 @@ def test_cauchy_kernel_matches_reference(n, k):
     for D in range(5):
         assert cauchy_kernel_truncated(n, k, D) == _reference_kernel(n, k, D)
         assert cauchy_kernel_truncated(n, k, D) == _tuple_kernel(n, k, D)
+        # the default start is 1 at grade 0
+        xy = _xy_packing(n, D)
+        assert identities._kernel_counts(xy, k, D, {0: 1}, 0) == identities._kernel_counts(xy, k, D)
 
 
 @pytest.mark.parametrize("nkD, count", [((3, 2, 3), 527), ((2, 2, 4), 225), ((1, 3, 5), 36)])
@@ -323,17 +349,46 @@ def test_skew_cauchy_kernel_cut_matches_truncated_product(nkD):
 
 
 def test_skew_cauchy_cuts_kernel_at_remaining_degree(monkeypatch):
-    # the kernel is built in D's layout, cut at D - |mu|
-    cuts = []
+    # the kernel is built in D's layout, grown from t^d(mu) L_mu(X) at grade
+    # |mu|, so no product key passes x-degree D
+    calls = []
     kernel = identities._kernel_counts
 
-    def spy(xy, k, D):
-        cuts.append((xy.mask, D))
-        return kernel(xy, k, D)
+    def spy(xy, k, D, start, degree):
+        calls.append((xy.mask, D, degree, kernel(xy, k, D, start, degree)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(identities, "_kernel_counts", spy)
     assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
-    assert cuts == [(_xy_packing(2, 3).mask, 2)]
+    xy = _xy_packing(2, 3)
+    [(mask, D, degree, counts)] = calls
+    assert (mask, D, degree) == (xy.mask, 3, 1)
+    assert max(sum(e[:2]) for e in xy.decode(counts)) == 3
+
+
+# every (n, k, D) with n, k <= 3, D <= 5 and n^2 k D <= 60: 695 mu in all
+SKEW_GRID = {(n, k): [D for D in range(6) if n * n * k * D <= 60]
+             for n in (1, 2, 3) for k in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("n, k", SKEW_GRID)
+def test_seeded_kernel_matches_skew_reference(n, k, monkeypatch):
+    # the kernel grown from t^d(mu) L_mu(X) at grade |mu| is that base times
+    # the kernel cut at D - |mu|, key for key
+    kernels = []
+    kernel = identities._kernel_counts
+    monkeypatch.setattr(identities, "_kernel_counts",
+                        lambda *args: kernels.append(kernel(*args)) or kernels[-1])
+    for D in SKEW_GRID[n, k]:
+        for mu in shape_tuples_bounded(k, n, D):
+            kernels.clear()
+            assert verify_skew_cauchy(mu, n, k, D).passed
+            assert kernels == [reference.skew_cauchy_rhs(mu, n, k, D)], (mu, D)
+
+
+def test_skew_grid_has_695_cases():
+    assert sum(len(shape_tuples_bounded(k, n, D)) for (n, k), Ds in SKEW_GRID.items()
+               for D in Ds) == 695
 
 
 @pytest.mark.parametrize("verify, args", [
@@ -465,11 +520,12 @@ def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
     n, k, D = 2, 2, 3
     lams = shape_tuples_bounded(k, n, D)
     extra = LaurentPoly.t(VarSet(nx=n, ny=n))   # not a term of any kernel
-    wrong = {cut: cauchy_kernel_truncated(n, k, cut) + extra for cut in (D, D - 1)}
+    wrong = cauchy_kernel_truncated(n, k, D) + extra
+    cut = cauchy_kernel_truncated(n, k, D - 1)   # base times it is the seeded kernel
     kernel = identities._kernel_counts
 
-    def wrong_counts(xy, k, D):
-        return {**kernel(xy, k, D), 1 << xy.top: 1}   # plus t
+    def wrong_counts(xy, k, D, *start):
+        return {**kernel(xy, k, D, *start), 1 << xy.top: 1}   # plus t
 
     monkeypatch.setattr(identities, "_kernel_counts", wrong_counts)
     mu = ((1, 0), (0, 0))
@@ -477,12 +533,12 @@ def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
     base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), LaurentPoly.one(VarSet(nx=n)))])
     expected = {
         verify_cauchy: ("sum vs kernel", [(d_stat(lam), llt(lam, n), llt(lam, n)) for lam in lams],
-                        wrong[D]),
+                        wrong),
         verify_cauchy_rot: ("rotated sum vs kernel", [(0, llt(lam, n), llt(rotate(lam), n))
-                                                      for lam in lams], wrong[D]),
+                                                      for lam in lams], wrong),
         verify_skew_cauchy: ("skew sum vs kernel", [
             (d_stat(lam), llt(lam, n), llt(SkewShapeTuple(lam, mu), n)) for lam in inside
-        ], base * wrong[D - 1]),
+        ], base * cut + extra),
     }
     for verify, (context, summands, rhs) in expected.items():
         report = verify(mu, n, k, D) if verify is verify_skew_cauchy else verify(n, k, D)
