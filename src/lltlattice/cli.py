@@ -21,6 +21,7 @@ from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
     check_box_tuple,
+    check_int,
     check_size,
     column_range,
     d_stat,
@@ -102,18 +103,13 @@ def cmd_stats(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _at_least(args, name: str, low: int) -> int:
-    value = getattr(args, name)
-    if value < low:
-        raise ValueError(f"--{name} must be at least {low}")
-    return check_size(value, f"--{name}")
+def _at_least(args, name: str, low: int, high: int = sys.maxsize) -> int:
+    return check_int(getattr(args, name), f"--{name}", low, high)
 
 
 def _ybe_kwargs(args) -> dict:
-    k = _at_least(args, "k", 0)
-    if k > 6:  # 2^(6k) boundaries: k = 4, 5, 6 take about 0.2 s, 1.1 s and 22 s (34 MB)
-        raise ValueError("--k must be at most 6")
-    kwargs = {"k": k, "mode": args.mode}
+    # 2^(6k) boundaries: k = 4, 5, 6 take about 0.2 s, 1.1 s and 22 s (34 MB)
+    kwargs = {"k": _at_least(args, "k", 0, 6), "mode": args.mode}
     if args.mode == "numeric":
         kwargs.update(seed=args.seed, trials=_at_least(args, "trials", 1))
     return kwargs

@@ -318,12 +318,7 @@ def _kernel_counts(xy: _Packing, k: int, D: int, start: dict | None = None,
 
 def cauchy_kernel_truncated(n: int, k: int, D: int) -> LaurentPoly:
     """prod over i, j, m of 1/(1 - x_i y_j t^m), truncated to x-degree <= D."""
-    n, k, D = (check_int(value, name) for value, name in ((n, "n"), (k, "k"), (D, "D")))
-    for name, value in (("n", n), ("k", k)):
-        if value < 0:
-            raise ValueError(f"{name} must be at least 0")
-    if D < 0:
-        raise ValueError("degree bound must be nonnegative")
+    n, k, D = (check_int(value, name, 0) for value, name in ((n, "n"), (k, "k"), (D, "D")))
     xy = _xy_packing(n, D)
     return xy.poly(_kernel_counts(xy, k, D))
 
@@ -362,9 +357,8 @@ def _cauchy_terms(xy: _Packing, k: int, D: int, engine: str = "tableaux", mu=Non
 def _check_cauchy_params(n: int, k: int, D: int) -> None:
     """The Cauchy drivers' one check, made before any work."""
     check_n(n)
-    for name, value, low in (("k", k, 1), ("D", D, 0)):
-        if check_int(value, name) < low:
-            raise ValueError(f"{name} must be at least {low}")
+    check_int(k, "k", 1)
+    check_int(D, "D", 0)
 
 
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:

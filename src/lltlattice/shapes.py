@@ -37,27 +37,29 @@ def check_partition(parts) -> Partition:
     return p
 
 
-def check_int(value, name: str) -> int:
-    """value through operator.index, else ValueError naming it."""
+def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value through operator.index, at least ``low`` and at most ``high``
+    when given, else ValueError naming it: the one integer range rule."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}")
+    return value
 
 
 def check_size(value: int, name: str) -> int:
     """A size read from the command line, refused above sys.maxsize: no
     larger value is a length or an index, so none can be worked with."""
-    if value > sys.maxsize:
-        raise ValueError(f"{name} must be at most {sys.maxsize}")
-    return value
+    return check_int(value, name, high=sys.maxsize)
 
 
 def check_n(n: int) -> int:
     """The one rule on a variable count: n is an integer, at least 1."""
-    if (n := check_int(n, "n")) < 1:
-        raise ValueError("n must be at least 1")
-    return n
+    return check_int(n, "n", 1)
 
 
 def check_shape_tuple(shapes) -> ShapeTuple:

@@ -374,6 +374,8 @@ BAD_VERIFY = [
     (["verify", "skew-cauchy", "-D", "0"], "--degree must be at least 1 when --mu is not given"),
     (["verify", "ybe", "--k", "7"], "--k must be at most 6"),
     (["verify", "lstar-ybe", "--k", "7"], "--k must be at most 6"),
+    # a huge --k meets the cap before the size rule
+    (["verify", "ybe", "--k", "99999999999999999999"], "--k must be at most 6"),
     (["verify", "box-skew", "--M", "1"], "--M must be at least --n"),
     (["verify", "complement", "--M", "1"], "--M must be at least --n"),
     (["verify", "lstar", "--M-list", "4,1"], "--M-list values must be at least --n"),

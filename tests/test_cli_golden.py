@@ -126,7 +126,7 @@ def test_no_call_rebuilds_the_parser(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", rebuild)
     for command in [
         "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2",
-    "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2 --format json",
+        "compute --beta 3,3;3,1 --gamma 2,1;1,0 --n 2 --format json",
         "verify ybe --k 2 --mode symbolic",
         "verify all --quick",
     ]:

@@ -3,14 +3,15 @@ every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
 functools cache is bounded and listed with its measured reuse, one function
-owns the rule that n is at least 1, one method owns the packed field width,
-one function counts the plain face weight's exponents, one function turns
-a partition's parts into label columns, one method reads a
-configuration's levels as label masks, one assignment reads the
-single-color picture tables, every function of the package runs under
-the CLI or is listed with why it stays, and every committed BENCH_*.json
-record parses, has the keys that all of them share, and claims a gain in an
-end-to-end metric on a workload that BENCHMARK.json names."""
+owns the integer range rule, one method owns the packed field width, one
+function counts the plain face weight's exponents, one function turns a
+partition's parts into label columns, one method reads a configuration's
+levels as label masks, one assignment reads the single-color picture
+tables, every file parses as the oldest supported Python, every function
+of the package runs under the CLI or is listed with why it stays, and every
+committed BENCH_*.json record parses, has the keys that all of them share,
+and claims a gain in an end-to-end metric on a workload that BENCHMARK.json
+names."""
 
 import ast
 import functools
@@ -178,12 +179,78 @@ def test_guard_sees_an_uncalled_public_name():
     assert _unreferenced(sources, private=False) == ["a.py: lemma", "a.py: verify_x"]
 
 
-def test_variable_count_rule_has_one_owner():
-    # every check that n is at least 1 calls shapes.check_n
-    text = '"n must be at least 1"'
-    counts = {path.name: path.read_text().count(text) for path in SRC.glob("*.py")}
-    assert {name: count for name, count in counts.items() if count} == {"shapes.py": 1}
-    assert text in inspect.getsource(shapes.check_n)
+def _texts(node) -> list[str]:
+    """Each string literal under node, an f-string's fields written as "…"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(part.value if isinstance(part, ast.Constant) else "…"
+                        for part in node.values)]
+    return [text for child in ast.iter_child_nodes(node) for text in _texts(child)]
+
+
+def _range_raises(source: str, owner: str | None = None) -> list[str]:
+    """The message of each ``raise ValueError`` in source that says "must be
+    at least" or "must be at most", outside the module-level def ``owner``."""
+    return [text for stmt in ast.parse(source).body if getattr(stmt, "name", None) != owner
+            for node in ast.walk(stmt) if isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "ValueError"
+            for text in _texts(node.exc) if re.search("must be at (least|most)", text)]
+
+
+# the checks that compare two parameters, which no single range can state
+_RELATIONAL = [
+    ("cli.py", "--M must be at least the number of parts (…)"),
+    ("cli.py", "… must be at least --n"),
+    ("cli.py", "--degree must be at least 1 when --mu is not given"),
+    ("shapes.py", "M must be at least n, not M = … with n = …"),
+]
+
+
+def test_range_rule_has_one_owner():
+    # every integer range check, n >= 1 among them, calls shapes.check_int
+    found = [(path.name, text) for path in SRC.glob("*.py") for text in _range_raises(
+        path.read_text(), "check_int" if path.name == "shapes.py" else None)]
+    assert sorted(found) == sorted(_RELATIONAL)
+    assert _range_raises(inspect.getsource(shapes.check_int)) == [
+        "… must be at least …", "… must be at most …"]
+    assert 'check_int(n, "n", 1)' in inspect.getsource(shapes.check_n)
+
+
+def test_guard_sees_a_second_range_rule():
+    source = (
+        "def _run_check(name, k, mode, seed, trials, starred):\n"
+        "    if check_int(k, 'k') < 0:\n"
+        "        raise ValueError(f'k must be at least 0, not {k}')\n"
+        "    if mode == 'numeric' and check_int(trials, 'trials') < 1:\n"
+        "        raise ValueError(f'trials must be at least 1, not {trials}')\n"
+        "def cauchy_kernel_truncated(n, k, D):\n"
+        "    for name, value in (('n', n), ('k', k)):\n"
+        "        if value < 0:\n"
+        "            raise ValueError(f'{name} must be at least 0')\n"
+    )
+    assert _range_raises(source) == [
+        "k must be at least 0, not …", "trials must be at least 1, not …", "… must be at least 0"]
+    assert _range_raises(source, "_run_check") == ["… must be at least 0"]
+    relational = (
+        "def f(args, M_flag, parts, M, n, mu):\n"
+        "    raise ValueError(f'--M must be at least the number of parts ({parts})')\n"
+        "    raise ValueError(f'{M_flag} must be at least --n')\n"
+        "    raise ValueError('--degree must be at least 1 when --mu is not given'\n"
+        "                     if mu is None else '--mu must have size at most --degree')\n"
+        "    raise ValueError(f'M must be at least n, not M = {M} with n = {n}')\n"
+    )
+    assert _range_raises(relational) == [text for _, text in _RELATIONAL]
+
+
+def test_every_file_parses_as_the_oldest_supported_python():
+    # pyproject.toml requires Python >= 3.10; this checks the grammar only,
+    # not which standard library names each file uses
+    root = SRC.parents[1]
+    paths = sorted(path for folder in ("src", "tests", "bench") for path in (root / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def _calls(source: str, name: str) -> list[str]:

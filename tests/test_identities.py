@@ -255,7 +255,7 @@ def test_cauchy_kernel_term_counts(nkD, count):
 
 
 def test_cauchy_kernel_rejects_negative_degree():
-    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+    with pytest.raises(ValueError, match="^D must be at least 0$"):
         cauchy_kernel_truncated(2, 2, -1)
 
 

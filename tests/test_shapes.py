@@ -4,9 +4,16 @@ from itertools import permutations
 
 import pytest
 
-from lltlattice.identities import shape_tuples_bounded
+from lltlattice.identities import (
+    cauchy_kernel_truncated,
+    shape_tuples_bounded,
+    verify_cauchy,
+    verify_cauchy_rot,
+    verify_skew_cauchy,
+)
 from lltlattice.shapes import (
     SkewShapeTuple,
+    check_n,
     check_partition,
     column_range,
     complement,
@@ -19,6 +26,7 @@ from lltlattice.shapes import (
     n_stat,
     rotate,
 )
+from lltlattice.yangbaxter import lstar_ybe_check, ybe_check
 from reference import d_stat as reference_d_stat, triples
 from shapegen import random_straight_tuple
 
@@ -302,3 +310,39 @@ def test_part_count_rule_is_shared():
     for call in calls:
         with pytest.raises(ValueError, match=r"^\(1,\) must have exactly 2 parts$"):
             call()
+
+
+# (entry, one parameter as a call of its value, its name, its least value):
+# every entry reads its range through shapes.check_int
+RANGE_RULES = [
+    ("check_n", check_n, "n", 1),
+    ("verify_cauchy", lambda k: verify_cauchy(1, k, 1), "k", 1),
+    ("verify_cauchy", lambda D: verify_cauchy(1, 1, D), "D", 0),
+    ("verify_skew_cauchy", lambda k: verify_skew_cauchy(((0,),), 1, k, 0), "k", 1),
+    ("verify_skew_cauchy", lambda D: verify_skew_cauchy(((0,),), 1, 1, D), "D", 0),
+    ("verify_cauchy_rot", lambda k: verify_cauchy_rot(1, k, 1), "k", 1),
+    ("verify_cauchy_rot", lambda D: verify_cauchy_rot(1, 1, D), "D", 0),
+    ("cauchy_kernel_truncated", lambda n: cauchy_kernel_truncated(n, 1, 1), "n", 0),
+    ("cauchy_kernel_truncated", lambda k: cauchy_kernel_truncated(1, k, 1), "k", 0),
+    ("cauchy_kernel_truncated", lambda D: cauchy_kernel_truncated(1, 1, D), "D", 0),
+    ("ybe_check", ybe_check, "k", 0),
+    ("ybe_check", lambda trials: ybe_check(1, "numeric", trials=trials), "trials", 1),
+    ("lstar_ybe_check", lstar_ybe_check, "k", 0),
+    ("lstar_ybe_check", lambda trials: lstar_ybe_check(1, "numeric", trials=trials), "trials", 1),
+]
+
+
+@pytest.mark.parametrize("call, name, low", [row[1:] for row in RANGE_RULES],
+                         ids=[f"{entry}-{name}" for entry, _, name, _ in RANGE_RULES])
+def test_range_rule_boundaries(call, name, low):
+    assert getattr(call(low), "passed", True)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {low}$"):
+        call(low - 1)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, not 1\.5$"):
+        call(1.5)
+
+
+def test_symbolic_check_ignores_trials():
+    # trials counts the numeric check's random points; the symbolic one has none
+    assert ybe_check(1, trials=0).passed
+    assert lstar_ybe_check(1, trials=0).passed
