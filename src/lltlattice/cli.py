@@ -189,6 +189,8 @@ def _with_engine(build):
     return lambda args: {**build(args), "engine": args.engine}
 
 
+_ENGINES = ("tableaux", "lattice", "both")  # the --engine choices of compute and verify
+
 # Every verify flag, by its dest: its option strings and argparse keywords.
 _VERIFY_FLAGS = {
     "k": (["--k"], dict(type=int, default=2)),
@@ -200,7 +202,7 @@ _VERIFY_FLAGS = {
     "gamma": (["--gamma"], dict()),
     "mu": (["--mu"], dict(help="hl, modified-hl: default 2,1; skew-cauchy: default one box")),
     "lam": (["--lam"], dict(default="1,0;1,1")),
-    "engine": (["--engine"], dict(choices=("tableaux", "lattice", "both"), default="tableaux")),
+    "engine": (["--engine"], dict(choices=_ENGINES, default="tableaux")),
     "mode": (["--mode"], dict(choices=("symbolic", "numeric"), default="symbolic")),
     "trials": (["--trials"], dict(type=int, default=3)),
     "seed": (["--seed"], dict(type=int, default=1, help="seed of the numeric trials")),
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--beta", required=True, help='e.g. "3,3;3,1"')
     pc.add_argument("--gamma", default=None, help='e.g. "2,1;1,0" (default: zeros)')
     pc.add_argument("--n", type=int, required=True, help="number of x variables")
-    pc.add_argument("--engine", choices=("tableaux", "lattice", "both"), default="both")
+    pc.add_argument("--engine", choices=_ENGINES, default="both")
     pc.add_argument("--format", choices=("json", "text"), default="text")
     pc.set_defaults(func=cmd_compute)
 

@@ -2,11 +2,13 @@
 
 A lattice is an n-row grid of faces, rows numbered 1..n bottom to top with
 variable x_i on row i, columns indexed r..s left to right.  Edge labels are
-subsets of the k colors, held as each color's columns; bitmasks (bit i-1 is
-color i) appear only inside a face and in the YBE weight oracles.  Paths enter
-a face from the bottom or left and leave via the top or right; a face is
-admissible when the colors entering equal the colors leaving and no color
-enters twice.  The weight of an admissible face is
+subsets of the k colors: the bottom and top hold each color's columns, while a
+face's labels, a row's right label and the YBE weight oracles' labels are
+bitmasks (bit i-1 is color i), and the row DP reads color-major row masks (bit
+(i-1)*ncols + c is color i at face c).  Paths enter a face from the bottom or
+left and leave via the top or right; a face is admissible when the colors
+entering equal the colors leaving and no color enters twice.  The weight of an
+admissible face is
 
     x^(# colors leaving right) * prod over colors i leaving right of
     t^(# colors larger than i present in the face)

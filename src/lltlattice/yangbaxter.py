@@ -13,19 +13,20 @@ admissible patterns (I,J,K,L) and their factors are
 
 where d counts the colors above this one in type 1; the pattern (1,0,1,0) is
 forbidden.  One picture table per kind holds each single-color weight (d = 0);
-the crossing expansion, ``ef_weight`` and the color recursion read it as
-(weight, shift) pairs.  The checkers cover every boundary one block of
-incoming labels at a time.  Tables built once per check hold each weight
-packed straight from the closed forms (`lattice`'s face exponents,
-`r_weight`'s expansion); the crossing's is x^k R, so every packed exponent
-is in [0, 2k], and each side carries that one x^k.  One sparse contraction
-adds the left side minus the right side of a block into one dict, keyed by
-packed monomial and outgoing labels together, and the block passes iff
-every value is 0.  Only a failing block is contracted again, one side at a
-time, to find and decode its differing boundaries.  Numeric mode then
-evaluates those at exact rational points: at a point with nonzero x, y and
-t evaluation is a ring homomorphism, so equal sides have equal values, and
-the report is the one that evaluating every boundary would give.
+``ef_weight`` and the color recursion read it with its shift flag, and the
+crossing expansion reads the weight alone and counts d from the labels.  The
+checkers cover every boundary one block of incoming labels at a time.  Tables
+built once per check hold each weight packed straight from the closed forms
+(`lattice`'s face exponents, `r_weight`'s expansion, its x line barred when
+starred); the crossing's is x^k R, so every packed exponent is in [0, 2k], and
+each side carries that one x^k.  One sparse contraction adds the left side
+minus the right side of a block into one dict, keyed by packed monomial and
+outgoing labels together, and the block passes iff every value is 0.  Only a
+failing block is contracted again, one side at a time, to find and decode its
+differing boundaries.  Numeric mode then evaluates those at exact rational
+points: at a point with nonzero x, y and t evaluation is a ring homomorphism,
+so equal sides have equal values, and the report is the one that evaluating
+every boundary would give.
 """
 
 from __future__ import annotations
@@ -71,39 +72,29 @@ _BRANCHES = {
 }
 
 
-def _crossing_terms(k: int, I: int, J: int, K: int, L: int, bar: bool) -> dict:
+def _crossing_terms(k: int, I: int, J: int, K: int, L: int) -> dict:
     """{(x, y, t) exponents: coefficient} of R(I,J;K,L), the product of the
     colors' factors expanded; empty when some color breaks the type table.
     A color's factor is its picture's weight with x read as x t^d, d the
-    colors above it whose picture shifts x.  With ``bar`` the x line carries
-    1/(x t^(k-1)): y/(x t^d) becomes x y t^(k-1-d)."""
+    type-1 colors above it, counted from the labels."""
     terms = {(0, 0, 0): 1}
-    delta = 0
     for i in reversed(range(k)):
         pic = ((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1)
         if pic not in _BRANCHES["R"]:
             return {}
-        factor, shift = _BRANCHES["R"][pic]
-        above = i + 1
-        alg = ((J >> above).bit_count() - (I >> above).bit_count()
-               + (L >> above).bit_count() - (K >> above).bit_count())
-        if alg != 2 * delta:
-            raise AssertionError("delta mismatch between shift count and label algebra")
+        d = ((J & L & ~(I | K)) >> i + 1).bit_count()
         expanded: dict = {}
-        for (x, y, t), f in factor.terms.items():
-            # x -> x t^delta; barred, through lattice's substitution
-            x, t = _gray(k, 0, x, t + x * delta) if bar else (x, t + x * delta)
+        for (x, y, t), f in _BRANCHES["R"][pic][0].terms.items():
             for (a, b, c), coeff in terms.items():
-                exps = (a + x, b + y, c + t)
+                exps = (a + x, b + y, c + t + x * d)
                 expanded[exps] = expanded.get(exps, 0) + coeff * f
         terms = expanded
-        delta += shift
     return terms
 
 
 def r_weight(k: int, I, J, K, L) -> LaurentPoly:
     """Closed-form crossing weight; 0 when some color breaks the type table."""
-    return LaurentPoly(YBE_VARS, _crossing_terms(k, *masks(k, I, J, K, L), bar=False))
+    return LaurentPoly(YBE_VARS, _crossing_terms(k, *masks(k, I, J, K, L)))
 
 
 # -- the E/F tables and the color recursion ------------------------------------
@@ -214,9 +205,11 @@ def _tables(k: int, starred: bool) -> tuple:
     for (I, J), row in _label_rows(k, "R").items():
         rg[I][J], rd[I][J] = gr, dr = [], []
         for K, L in row:
-            terms = [((m << s) + L + (K << k), c) for m, c in encode(
-                {(x + k, y, t): c for (x, y, t), c in
-                 _crossing_terms(k, I, J, K, L, starred).items()}, 3).items()]
+            crossing = {}
+            for (x, y, t), c in _crossing_terms(k, I, J, K, L).items():
+                x, t = _gray(k, 0, x, t) if starred else (x, t)  # the x line barred
+                crossing[x + k, y, t] = c
+            terms = [((m << s) + L + (K << k), c) for m, c in encode(crossing, 3).items()]
             gr.append((K, L, terms))
             dr += terms
     return rg, xg, yg, yd, xd, rd

@@ -17,10 +17,11 @@ duality (λ of three rows in a 5-column box, both engines), each in JSON.
 The last three commands give a flag
 that their parser does not declare: one the top-level parser refuses, and the
 seed and trial count that ``verify all`` and ``engine-equivalence`` no longer
-take.  Each prints nothing and exits 2.  Two more files,
-``verify_ybe_k_4.txt`` and ``verify_lstar_ybe_k_4.txt``, pin both YBE checks
-at k = 4 (exit 0); the tier-1 workflow diffs them, each under a 120-s
-timeout, rather than these tests.
+take.  Each prints nothing and exits 2.  Four more files,
+``verify_ybe_k_4.txt``, ``verify_lstar_ybe_k_4.txt`` and their ``k_5``
+twins, pin both YBE checks at k = 4 and at k = 5, the first k where a
+crossing's d reaches 4 (exit 0); the tier-1 workflow diffs them, each under
+a 120-s timeout, rather than these tests.
 
 The parser is built once, at import, so the last two tests run many
 commands through it in one process and check that no call rebuilds it.

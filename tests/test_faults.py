@@ -32,6 +32,10 @@ FAULTS = [
      "(1, 0, 0, 1): {(0, 0, 1): 1},\n    (1, 1, 1, 1)", _YBE_CASES),
     ("type-4 crossing times t", "yangbaxter.py",
      "(1, 1, 1, 1): {(-1, 1, 0): 1}", "(1, 1, 1, 1): {(-1, 1, 1): 1}", _YBE_CASES),
+    # d counts the type-1 colors below the color instead of above it; the
+    # picture weights and the recursion's shift flags stay as they are
+    ("crossing d counts the colors below", "yangbaxter.py",
+     ">> i + 1", "& ((1 << i) - 1)", ["ybe k=2", "ybe k=3", "lstar-ybe k=2"]),
     # the signed contraction adds the right side instead of subtracting it;
     # the failing blocks' reruns keep that sign, so no boundary's sides agree
     ("right side added, not subtracted", "yangbaxter.py",

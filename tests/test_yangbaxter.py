@@ -190,6 +190,16 @@ def test_r_recursion_matches_closed_form(k):
     assert set(table) == _nonzero_closed_form(k, r_weight)
 
 
+@pytest.mark.parametrize("k", [4, 5])
+def test_r_recursion_matches_closed_form_at_larger_k(k):
+    # the closed form counts each color's d from the labels and the recursion
+    # from the pictures' shift flags; at k = 5 type-1 colors reach d = 4
+    table = _recursive_table(k, "R")
+    assert len(table) == 5 ** k
+    for (I, J, K, L), w in table.items():
+        assert w == r_weight(k, I, J, K, L), (I, J, K, L)
+
+
 def test_recursion_base_case():
     assert l_recursive(1)((1,), (0,), (0,), (1,)) == mono(1)
     assert r_recursive(1)((0,), (1,), (0,), (1,)) == one() - mono(-1, 1)
@@ -567,8 +577,8 @@ def crossing_times_t(monkeypatch, request):
     parameter, times t, in the checks' tables and the reference's alike."""
     crossing = yangbaxter._crossing_terms
 
-    def wrong(k, I, J, K, L, bar):
-        terms = crossing(k, I, J, K, L, bar)
+    def wrong(k, I, J, K, L):
+        terms = crossing(k, I, J, K, L)
         if (I, J, K, L) != request.param:
             return terms
         return {(x, y, t + 1): c for (x, y, t), c in terms.items()}
