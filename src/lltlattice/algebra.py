@@ -150,12 +150,8 @@ class LaurentPoly:
         return cls(vars)
 
     @classmethod
-    def const(cls, vars: VarSet, c: int) -> "LaurentPoly":
-        return cls(vars, {(0,) * vars.total: c})
-
-    @classmethod
     def one(cls, vars: VarSet) -> "LaurentPoly":
-        return cls.const(vars, 1)
+        return cls(vars, {(0,) * vars.total: 1})
 
     @classmethod
     def monomial(cls, vars: VarSet, coeff: int, exps: Sequence[int]) -> "LaurentPoly":
@@ -195,7 +191,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(self.vars, other)
+            other = LaurentPoly(self.vars, {(0,) * self.vars.total: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
@@ -206,19 +202,7 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(self.vars, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)

@@ -15,7 +15,7 @@ polynomials only for a FAIL witness.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations_with_replacement, product
@@ -149,12 +149,12 @@ def verify_inv_coinv(shape, n: int) -> IdentityReport:
     )
 
 
-def _rearrangements(parts: tuple):
-    """Each distinct rearrangement of ``parts`` once, in ``permutations``' order."""
-    if not parts:
-        yield ()
-    for i in map(parts.index, dict.fromkeys(parts)):  # each value's first position
-        yield from ((parts[i], *rest) for rest in _rearrangements(parts[:i] + parts[i + 1:]))
+def _rearrangements(parts: tuple) -> list:
+    """Each distinct rearrangement of a partition once, in ``permutations``' order."""
+    level = [((), Counter(parts))]
+    for _ in parts:
+        level = [(head + (v,), left - Counter((v,))) for head, left in level for v in left]
+    return [head for head, _ in level]
 
 
 def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:

@@ -159,7 +159,15 @@ def _fold(b: int, key: int, later: list[list[int]], tables: dict):
     its weight plus its table entries against the fillings already chosen.
     The last two components are one level: a ``map`` per filling of the
     next-to-last adds its key and its table row to the last one's steps.
+    A leading level with one filling is stepped through in place, so the
+    recursion is one level deep per component with two or more fillings.
     """
+    while len(later) > 2 and len(later[0]) == 1:
+        rows = [tables.get((b, c)) for c in range(b + 1, b + len(later))]
+        b, key, later = b + 1, key + later[0][0], [
+            keys if row is None else list(map(add, keys, row[0]))
+            for keys, row in zip(later[1:], rows)
+        ]
     if len(later) == 1:
         yield map(key.__add__, later[0])
         return

@@ -12,6 +12,8 @@ Yang-Baxter equation, cut out of the signed block sum that ``ybe_check``
 contracts, with the other side's sign 0; ``split`` reads such a block's
 folded keys one at a time.
 ``decode`` unpacks a ``_Packing``'s keys one key at a time.
+``minus`` is p - q for expected values, which the package's polynomials,
+adding and multiplying only, do not spell.
 ``d_stat`` is the rotation offset d(lam) as one loop over every pair of
 components and every pair of rows, where the package sums cached pair counts.
 ``skew_cauchy_rhs`` is skew Cauchy's right side t^d(mu) L_mu(X) times the
@@ -167,6 +169,11 @@ def skew_cauchy_rhs(mu, n: int, k: int, D: int) -> dict:
         for kb, cb in base.items():
             rhs[kb + kk] = rhs.get(kb + kk, 0) + cb * ck
     return rhs
+
+
+def minus(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p + q with every coefficient of q negated."""
+    return p + LaurentPoly(q.vars, {e: -c for e, c in q.terms.items()})
 
 
 # -- face weights -------------------------------------------------------------

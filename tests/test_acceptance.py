@@ -41,7 +41,7 @@ from lltlattice.shapes import (
 )
 from lltlattice.tableaux import complement_bijection, enumerate_ssyt, llt_coinv
 from lltlattice.yangbaxter import l_recursive, r_recursive, r_weight, ybe_check
-from reference import coinv, l_weight, ybe_droite, ybe_gauche
+from reference import coinv, l_weight, minus, ybe_droite, ybe_gauche
 from shapegen import random_box_case, random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
@@ -126,13 +126,14 @@ def test_criterion_2_face_weight_goldens():
     one = LaurentPoly.one(v)
     e = LaurentPoly.monomial(v, 1, (-1, 1, 0))
     u = LaurentPoly.monomial(v, 1, (-1, 1, -1))
+    ome, omu = minus(one, e), minus(one, u)  # 1 - y/x, 1 - y/(x t)
     states_r = ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1))
     table_r = [
-        [one, one - e, one, e, e],
-        [one - e, (one - e) * (one - u), one - e, e * (one - e), e * (one - e)],
-        [one, one - e, one, e, e],
-        [e, u * (one - e), e, e * e, e * e],
-        [e, u * (one - e), e, e * e, e * e],
+        [one, ome, one, e, e],
+        [ome, ome * omu, ome, e * ome, e * ome],
+        [one, ome, one, e, e],
+        [e, u * ome, e, e * e, e * e],
+        [e, u * ome, e, e * e, e * e],
     ]
     nr = 0
     for bi, blue in enumerate(states_r):

@@ -477,14 +477,25 @@ def test_abbreviated_flag_exit_2(command, unread, capsys):
     assert captured.err.startswith(f"usage: lltlattice {command.split()[0]} [-h] --beta BETA")
 
 
-def test_readme_cli_lines_parse():
+def _readme_cli_lines() -> list[list[str]]:
+    """The arguments of each ``lltlattice ...`` line of the README's CLI block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("lltlattice ")]
     assert len(lines) >= 10
-    for line in lines:
-        args = cli._PARSER.parse_args(shlex.split(line, comments=True)[1:])
-        assert args.func in (cli.cmd_compute, cli.cmd_stats, cli.cmd_verify), line
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_cli_lines_parse():
+    for argv in _readme_cli_lines():
+        args = cli._PARSER.parse_args(argv)
+        assert args.func in (cli.cmd_compute, cli.cmd_stats, cli.cmd_verify), argv
+
+
+def test_readme_cli_lines_run(capsys):
+    for argv in _readme_cli_lines():
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_verify_workers_flag_is_gone(capsys):

@@ -2,7 +2,8 @@
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, every
-functools cache is bounded and listed with its measured reuse, one function
+functools cache is bounded and listed with its measured reuse, every
+function that calls itself is listed with what bounds its depth, one function
 owns the integer range rule, one method owns the packed field width, one
 function counts the plain face weight's exponents, one function turns a
 partition's parts into label columns, one method reads a configuration's
@@ -131,9 +132,6 @@ NEVER_RUN = {
     "yangbaxter._recursive_table": "lemma: the color recursion's table of k-color weights",
     "yangbaxter._table_oracle": "lemma: the color recursion's weights as a function",
     "yangbaxter._table_oracle.<locals>.weight": "lemma: one weight of the color recursion",
-    "algebra.LaurentPoly.__neg__": "entry point: -P, which P - Q takes",
-    "algebra.LaurentPoly.__sub__": "entry point: P - Q, as in the weight tables' 1 - y/x",
-    "algebra.LaurentPoly.const": "entry point: a constant polynomial",
     "lattice.mask_of": "entry point: a 0/1-tuple edge label as a mask",
     "lattice.masks": "entry point: edge labels as masks, which the YBE weight oracles take",
     "identities.cauchy_kernel_truncated": "entry point: the truncated Cauchy kernel as a "
@@ -494,6 +492,91 @@ def test_guard_sees_an_import_inside_a_function():
         "    return build_lattice(shape)\n"
     )
     assert _function_imports(source) == ["line 4: llt"]
+
+
+# Every function of the package that calls itself, as module.qualname, with
+# what bounds its depth: Python stops a recursion at about 1,000 frames.
+RECURSIONS = {
+    "tableaux._fold": "components with two or more fillings",
+    "yangbaxter._recursive_table": "k, which the CLI caps at 6 (a lemma)",
+    "lattice.enumerate_configs.<locals>.rec": "n rows (a lemma)",
+}
+
+
+def _own_calls(func):
+    """The calls in func's body, not in the defs, lambdas or classes it holds."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _calls_itself(func) -> bool:
+    """Whether func calls its own name, bare or as an attribute; a
+    ``super().name(...)`` call reaches another function."""
+    for call in _own_calls(func):
+        target = call.func
+        if isinstance(target, ast.Name) and target.id == func.name:
+            return True
+        if isinstance(target, ast.Attribute) and target.attr == func.name:
+            via = target.value
+            if not (isinstance(via, ast.Call) and getattr(via.func, "id", None) == "super"):
+                return True
+    return False
+
+
+def _recursions(sources: dict[str, str]) -> list[str]:
+    """module.qualname of every def in ``sources`` that calls itself."""
+    found = []
+    for name, source in sources.items():
+        scopes = [(ast.parse(source), name.removesuffix(".py") + ".")]
+        while scopes:
+            node, prefix = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if _calls_itself(child):
+                        found.append(prefix + child.name)
+                    scopes.append((child, f"{prefix}{child.name}.<locals>."))
+                elif isinstance(child, ast.ClassDef):
+                    scopes.append((child, f"{prefix}{child.name}."))
+                else:
+                    scopes.append((child, prefix))
+    return sorted(found)
+
+
+def test_every_recursion_states_its_bound():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert _recursions(sources) == sorted(RECURSIONS)
+
+
+def test_guard_sees_a_new_recursion():
+    sources = {
+        "identities.py": (
+            "def _rearrangements(parts: tuple):\n"
+            "    if not parts:\n"
+            "        yield ()\n"
+            "    for i in map(parts.index, dict.fromkeys(parts)):\n"
+            "        yield from ((parts[i], *rest)\n"
+            "                    for rest in _rearrangements(parts[:i] + parts[i + 1:]))\n"
+        ),
+        "a.py": (
+            "class Report(dict):\n"
+            "    def copy(self):\n"
+            "        return super().copy()\n\n"
+            "    def walk(self, depth):\n"
+            "        return [] if not depth else self.walk(depth - 1)\n\n"
+            "def count(xs):\n"
+            "    def step(k):\n"
+            "        return step(k - 1) if k else 0\n"
+            "    return step(len(xs))\n"
+        ),
+    }
+    assert _recursions(sources) == [
+        "a.Report.walk", "a.count.<locals>.step", "identities._rearrangements",
+    ]
 
 
 LRU_CACHE = type(functools.cache(lambda: None))

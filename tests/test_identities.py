@@ -98,6 +98,11 @@ def test_rearrangements_keep_the_order_of_permutations():
             assert list(identities._rearrangements(mu)) == expected, mu
 
 
+def test_hl_with_600_parts():
+    # one rearrangement, found without a recursion per part
+    assert verify_hl((1,) * 600, 1).passed
+
+
 def test_hl_identities():
     assert verify_hl((3, 2), 2).passed
     assert verify_hl((1,), 2).passed

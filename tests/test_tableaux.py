@@ -26,7 +26,7 @@ from lltlattice.tableaux import (
     schur,
 )
 from reference import coinv, coinv_table, decode, inv_triples, triples
-from shapegen import random_skew_tuple, random_straight_tuple
+from shapegen import random_partition, random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -193,6 +193,38 @@ def test_llt_coinv_four_and_five_components(monkeypatch, few):
     for k in (4, 5) * 4:
         n = rng.randint(2, 3)
         shape = _many_component_tuple(rng, k, n)
+        P = llt_coinv(shape, n)
+        assert P == _reference_llt_coinv(shape, n)
+        assert P == partition_function(build_lattice(shape, n))
+
+
+def test_many_empty_components_match_the_lattice():
+    # 1,100 components with one filling each, stepped through without
+    # recursing; each adds one coinversion against the row of 3
+    shape = SkewShapeTuple.straight(((3,), *[(0,)] * 1100))
+    P = llt_coinv(shape, 3)
+    assert P == partition_function(build_lattice(shape, 3))
+    assert P == LaurentPoly.t(P.vars, 1100) * llt_coinv(SkewShapeTuple.straight(((3,),)), 3)
+
+
+def test_one_filling_components_among_others():
+    # 3 to 5 components, at least one with a single filling (empty, or a
+    # column of n cells), more than _FEW_TUPLES tuples: the tables count
+    # them, and the fold steps through the single fillings first
+    rng = random.Random(13)
+    for _ in range(12):
+        k, n = rng.randint(3, 5), rng.randint(2, 3)
+        single = rng.randint(1, k - 2)
+        comps = []
+        while prod(len(_component_fillings(b, g, n)) for b, g in comps) <= tableaux._FEW_TUPLES:
+            shape = _many_component_tuple(rng, k - single, n)
+            comps = list(zip(shape.beta, shape.gamma))
+        for _ in range(single):
+            part = random_partition(rng, 2, 2)
+            one = rng.choice([(part, part), ((1,) * n, (0,) * n)])
+            assert len(_component_fillings(*one, n)) == 1
+            comps.insert(rng.randint(0, len(comps)), one)
+        shape = SkewShapeTuple(*map(tuple, zip(*comps)))
         P = llt_coinv(shape, n)
         assert P == _reference_llt_coinv(shape, n)
         assert P == partition_function(build_lattice(shape, n))

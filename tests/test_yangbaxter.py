@@ -22,7 +22,7 @@ from lltlattice.yangbaxter import (
     ybe_check,
 )
 import reference
-from reference import l_weight, lstar_weight, split, ybe_droite, ybe_gauche
+from reference import l_weight, lstar_weight, minus, split, ybe_droite, ybe_gauche
 
 
 def mono(xe=0, ye=0, te=0, c=1):
@@ -54,12 +54,13 @@ def _u():
 
 def _rtable():
     e, u = _e(), _u()
+    ome, omu = minus(one(), e), minus(one(), u)  # 1 - y/x, 1 - y/(x t)
     return [
-        [one(), one() - e, one(), e, e],
-        [one() - e, (one() - e) * (one() - u), one() - e, e * (one() - e), e * (one() - e)],
-        [one(), one() - e, one(), e, e],
-        [e, u * (one() - e), e, e * e, e * e],
-        [e, u * (one() - e), e, e * e, e * e],
+        [one(), ome, one(), e, e],
+        [ome, ome * omu, ome, e * ome, e * ome],
+        [one(), ome, one(), e, e],
+        [e, u * ome, e, e * e, e * e],
+        [e, u * ome, e, e * e, e * e],
     ]
 
 
@@ -103,7 +104,7 @@ def test_r_weight_factorizes_over_colors():
             for i, s in enumerate(states):
                 delta = sum(1 for j in range(i + 1, k) if states[j] == (0, 1, 0, 1))
                 if s == (0, 1, 0, 1):
-                    prod = prod * (one() - mono(-1, 1, -delta))
+                    prod = prod * minus(one(), mono(-1, 1, -delta))
                 elif s in ((0, 1, 1, 0), (1, 1, 1, 1)):
                     prod = prod * mono(-1, 1, -delta)
             assert total == prod
@@ -148,7 +149,7 @@ def test_ef_weight_tables():
     assert ef_weight("F", (0, 1, 0, 1)) == mono(1)
     assert ef_weight("F", (0, 0, 0, 0)).is_zero()
     assert ef_weight("Ftilde", (0, 1, 0, 1)).is_zero()
-    assert ef_weight("Etilde", (0, 1, 0, 1)) == one() - mono(-1, 1)
+    assert ef_weight("Etilde", (0, 1, 0, 1)) == minus(one(), _e())
     assert ef_weight("Ftilde", (0, 1, 1, 0)) == mono(-1, 1)
     with pytest.raises(ValueError):
         ef_weight("E", (1, 1, 0, 0))
@@ -202,7 +203,7 @@ def test_r_recursion_matches_closed_form_at_larger_k(k):
 
 def test_recursion_base_case():
     assert l_recursive(1)((1,), (0,), (0,), (1,)) == mono(1)
-    assert r_recursive(1)((0,), (1,), (0,), (1,)) == one() - mono(-1, 1)
+    assert r_recursive(1)((0,), (1,), (0,), (1,)) == minus(one(), _e())
 
 
 # -- the intertwining relation ---------------------------------------------------
