@@ -10,7 +10,9 @@ Their sides are int keys of one layout, ``_xy_packing``: x_1..x_n, y_1..y_n
 in fields bounded by D, which no x- or y-exponent of a side exceeds, and t
 unbounded on top, so a product of two monomials is one int sum.  The sides
 are compared packed, from the tableau count to the verdict, and decoded to
-polynomials only for a FAIL witness.
+polynomials only for a FAIL witness.  Each call walks its shape tuples as
+tuples of int ids into one ``tableaux._ComponentTable`` of the components
+it meets.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from .shapes import (
     d_stat,
     inv_stat,
     m_bruteforce,
-    rotate,
 )
-from .tableaux import _coinv_counts, hl_modified, hl_transformed, llt_coinv, llt_inv
+from .tableaux import _ComponentTable, hl_modified, hl_transformed, llt_coinv, llt_inv
 
 
 @dataclass
@@ -267,16 +268,6 @@ def _xy_packing(n: int, D: int) -> _Packing:
     return _Packing(VarSet(nx=n, ny=n), D)
 
 
-def _llt_counts(shape: SkewShapeTuple, xy: _Packing, engine: str = "tableaux") -> dict:
-    """L_shape as counts of ``xy`` keys in the x fields: the tableau engine's own, or
-    ``llt``'s polynomial encoded (so "both" still raises EngineMismatch)."""
-    if engine == "tableaux":
-        return _coinv_counts(shape, xy)
-    n = xy.vars.nx   # every y exponent is 0
-    return xy.encode({e[:n] + (0,) * n + e[n:]: c
-                      for e, c in llt(shape, n, engine).terms.items()}, 1)
-
-
 def _xy_sum(xy: _Packing, summands) -> dict:
     """Sum of t^a P(X) Q(Y) over ``(a, P, Q)``, P and Q counted by ``_llt_counts``;
     a Q key moves to the y fields by adding its x fields times 2^(n w) - 1."""
@@ -343,15 +334,27 @@ def shape_tuples_bounded(k: int, n: int, D: int):
     return [lam for lam, _ in sized]
 
 
-def _cauchy_terms(xy: _Packing, k: int, D: int, engine: str = "tableaux", mu=None):
-    """(lam, lam/0, L_lam counts) for each lam of ``shape_tuples_bounded(k, n, D)``
-    (each lam containing ``mu`` when given): the Cauchy drivers' one loop.
-    Each lam/0 is built once, unchecked, as every such lam is valid."""
-    zero = ((0,) * xy.vars.nx,) * k
-    for lam in shape_tuples_bounded(k, xy.vars.nx, D):
+def _llt_counts(table: _ComponentTable, ids: tuple, engine: str = "tableaux") -> dict:
+    """L of the table's components ``ids`` as counts of its keys in the x
+    fields, the one seam of every L the Cauchy drivers take: the table's
+    count, or ``llt``'s polynomial encoded (so "both" still raises
+    EngineMismatch)."""
+    if engine == "tableaux":
+        return table.counts(ids)
+    n = table.n   # every y exponent is 0
+    shape = SkewShapeTuple._trusted(*zip(*map(table.comps.__getitem__, ids)))
+    return table.packing.encode({e[:n] + (0,) * n + e[n:]: c
+                                 for e, c in llt(shape, n, engine).terms.items()}, 1)
+
+
+def _cauchy_terms(table: _ComponentTable, k: int, D: int, engine: str = "tableaux", mu=None):
+    """(lam, lam/0's ids, d(lam), L_lam counts) for each lam of
+    ``shape_tuples_bounded(k, n, D)`` (each lam containing ``mu`` when
+    given): the Cauchy drivers' one loop, over tuples of the table's ids."""
+    for lam in shape_tuples_bounded(k, table.n, D):
         if mu is None or all(map(ge, chain(*lam), chain(*mu))):
-            shape = SkewShapeTuple._trusted(lam, zero)
-            yield lam, shape, _llt_counts(shape, xy, engine)
+            ids = tuple(map(table.straight.__getitem__, lam))
+            yield lam, ids, _d_stat(lam), _llt_counts(table, ids, engine)
 
 
 def _check_cauchy_params(n: int, k: int, D: int) -> None:
@@ -364,8 +367,8 @@ def _check_cauchy_params(n: int, k: int, D: int) -> None:
 def verify_cauchy(n: int, k: int, D: int, engine: str = "tableaux") -> IdentityReport:
     """Sum of t^d(lam) L_lam(X) L_lam(Y) against the product kernel."""
     _check_cauchy_params(n, k, D)
-    xy = _xy_packing(n, D)
-    lhs = _xy_sum(xy, [(_d_stat(lam), P, P) for lam, _, P in _cauchy_terms(xy, k, D, engine)])
+    table = _ComponentTable(xy := _xy_packing(n, D))
+    lhs = _xy_sum(xy, [(d, P, P) for _, _, d, P in _cauchy_terms(table, k, D, engine)])
     return _check_pairs("cauchy", {"n": n, "k": k, "D": D, "engine": engine},
                         [("sum vs kernel", lhs, _kernel_counts(xy, k, D))],
                         decode=lambda context, counts: xy.poly(counts))
@@ -380,13 +383,12 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
     size = sum(sum(p) for p in mu)
     if size > D:
         raise ValueError("need |mu| <= D")
-    xy = _xy_packing(n, D)
-    lhs = _xy_sum(xy, [
-        (_d_stat(lam), P, _llt_counts(SkewShapeTuple._trusted(lam, mu), xy))
-        for lam, _, P in _cauchy_terms(xy, k, D, mu=mu)
-    ])
+    table = _ComponentTable(xy := _xy_packing(n, D))
+    mu_ids = tuple(map(table.straight.__getitem__, mu))
+    lhs = _xy_sum(xy, [(d, P, _llt_counts(table, table.skew(ids, mu_ids)))
+                       for _, ids, d, P in _cauchy_terms(table, k, D, mu=mu)])
     shift = d_stat(mu) << xy.top
-    base = {key + shift: c for key, c in _llt_counts(SkewShapeTuple.straight(mu), xy).items()}
+    base = {key + shift: c for key, c in _llt_counts(table, mu_ids).items()}
     y_fields = (1 << xy.top) - (1 << xy.top // 2)
     pairs = [
         ("skew sum vs kernel", lhs, _kernel_counts(xy, k, D, base, size)),
@@ -403,16 +405,17 @@ def verify_skew_cauchy(mu, n: int, k: int, D: int) -> IdentityReport:
 def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
     """Rotated Cauchy identity plus the rotation/complement relation."""
     _check_cauchy_params(n, k, D)
-    xy = _xy_packing(n, D)
+    table = _ComponentTable(xy := _xy_packing(n, D))
     summands = []
     pairs = []
-    for lam, shape, P in _cauchy_terms(xy, k, D):
-        R = _llt_counts(rot := rotate(shape), xy)
+    for lam, ids, d, P in _cauchy_terms(table, k, D):
+        R = _llt_counts(table, rot := table.rotation(lam, ids))
         summands.append((0, P, R))
-        d_comp = _d_stat(rot.gamma)   # rot.gamma is lam's complement in its box
+        # the rotation's gammas are lam's complement in its box
+        d_comp = _d_stat(tuple(table.comps[c][1] for c in rot))
         # the relation below shifts by d(comp), so its own check comes first;
         # each context is formatted only for a failing pair
-        pairs.append((partial("d(comp)=d(lam) at {}".format, lam), d_comp, _d_stat(lam)))
+        pairs.append((partial("d(comp)=d(lam) at {}".format, lam), d_comp, d))
         shift = d_comp << xy.top
         pairs.append((partial("rotation relation at {}".format, lam), R,
                       {key + shift: c for key, c in P.items()}))

@@ -8,9 +8,11 @@ col - row, and columns strictly increase going up.
 
 A triple of components a < b is a pair of adjacent positions u, w in one row
 of b (either may lie just outside the shape) with a cell v of a on the
-content line of w.  ``_pair_triples`` is the package's one enumeration of
-triples: ``m_bruteforce`` counts them, and the tableau engine counts the
-coinversions among them.
+content line of w.  ``_pair_positions`` is the package's one enumeration of
+triples, one pair of components at a time, and ``_pair_triples`` gathers
+them for a tuple: ``m_bruteforce`` counts them, and the tableau engine (and
+the Cauchy drivers' component table, pair by pair) counts the coinversions
+among them.
 """
 
 from __future__ import annotations
@@ -265,7 +267,6 @@ def _complement(lam: ShapeTuple, width: int) -> ShapeTuple:
     return tuple(map(_complement_part, reversed(lam), repeat(width)))
 
 
-@lru_cache(maxsize=1024)
 def _complement_part(p: Partition, width: int) -> Partition:
     """The box-complement formula for one partition: reversed, width - part."""
     return tuple(width - v for v in reversed(p))
@@ -280,8 +281,20 @@ def rotate(shape: SkewShapeTuple | ShapeTuple) -> SkewShapeTuple:
     straight tuple exactly.
     """
     shape = SkewShapeTuple.straight(shape)
-    w = max((p[0] for p in shape.beta if p), default=0)
-    return SkewShapeTuple._trusted(_complement(shape.gamma, w), _complement(shape.beta, w))
+    beta, gamma = zip(*map(_rotated_component, reversed(shape.beta), reversed(shape.gamma),
+                           repeat(_box_width(shape.beta))))
+    return SkewShapeTuple._trusted(beta, gamma)
+
+
+def _box_width(beta: ShapeTuple) -> int:
+    """The width of the smallest box that holds every partition of beta."""
+    return max((p[0] for p in beta if p), default=0)
+
+
+def _rotated_component(beta: Partition, gamma: Partition, w: int) -> tuple[Partition, Partition]:
+    """One component beta/gamma rotated in a box ``w`` columns wide: the
+    complement of gamma over the complement of beta."""
+    return _complement_part(gamma, w), _complement_part(beta, w)
 
 
 def d_stat(lam: ShapeTuple) -> int:

@@ -13,9 +13,12 @@ component's fillings once, reads each pair of components' triples from
 ``shapes._pair_triples`` (the package's one enumeration of triples),
 tabulates their coinversions over pairs of fillings, and counts packed
 monomials while it folds the components (a shape with only a handful of
-tuples counts each tuple's triples directly instead).  ``enumerate_ssyt``
-and ``llt_inv`` work tableau by tableau; ``llt_inv`` is the independent
-route that the inv/coinv relation is checked against.
+tuples counts each tuple's triples directly instead).  ``_coinv_counts``
+resolves a shape into those lists and ``_count_fillings`` counts them, the
+one core that ``_ComponentTable`` (many tuples over shared components, as
+in one Cauchy driver call) also calls.
+``enumerate_ssyt`` and ``llt_inv`` work tableau by tableau; ``llt_inv`` is
+the independent route that the inv/coinv relation is checked against.
 """
 
 from __future__ import annotations
@@ -24,15 +27,18 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from itertools import accumulate, chain, combinations_with_replacement, product, repeat
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product, repeat
 from operator import add, gt, itemgetter, sub
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
     Partition,
     SkewShapeTuple,
+    _box_width,
     _complement,
+    _pair_positions,
     _pair_triples,
+    _rotated_component,
     check_box_tuple,
     check_n,
     check_partition,
@@ -190,9 +196,9 @@ def _fold(b: int, key: int, later: list[list[int]], tables: dict):
 _FEW_TUPLES = 8
 
 
-def _count_directly(fillings, pairs, weights, unit: int, n: int) -> Counter:
+def _count_directly(fillings, pairs, weights, unit: int, n: int) -> dict:
     """Packed keys of every tableau tuple, its coinversions counted one by one."""
-    counts = Counter()
+    counts: dict[int, int] = {}
     for fs, ws in zip(product(*fillings), product(*weights)):
         key = sum(ws)
         for a, b, trips in pairs:
@@ -200,7 +206,7 @@ def _count_directly(fillings, pairs, weights, unit: int, n: int) -> Counter:
             for v, u, w in trips:
                 if (fb[u] if u >= 0 else 1) <= fa[v] <= (fb[w] if w >= 0 else n):
                     key += unit
-        counts[key] += 1
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -227,10 +233,12 @@ def _filling_weights(beta: Partition, gamma: Partition, n: int, width: int) -> t
     return tuple(map(sum, map(map, repeat(power.__getitem__), _component_fillings(beta, gamma, n))))
 
 
-def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
-    """Keys of ``packing`` for t^coinv(T) x^T, one per tableau tuple T with
-    entries in [n], n = ``packing.vars.nx``, counted: x_i sits in the i-th
-    field of ``packing`` and t in its top field.
+def _count_fillings(fillings, pairs, weights, unit: int, n: int) -> dict:
+    """Keys of t^coinv(T) x^T, one per tableau tuple T, counted: T takes one
+    of ``fillings[c]`` for each component c, ``weights[c]`` are their packed
+    x-weights, ``pairs`` are the tuple's (a, b, triple positions) and t is
+    worth ``unit``.  The one counting core of ``_coinv_counts`` and of
+    ``_ComponentTable``.
 
     A tableau tuple is one filling per component, and every triple couples
     a cell of an earlier component a with cells of a later component b, so
@@ -239,16 +247,77 @@ def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> Counter:
     running key, and counts the keys of full tuples.  A shape with at most
     ``_FEW_TUPLES`` tuples skips the tables and counts each tuple directly.
     """
+    if not all(fillings):
+        return {}
+    few = prod(map(len, fillings)) <= _FEW_TUPLES
+    return (_count_directly if few else _count_by_tables)(fillings, pairs, weights, unit, n)
+
+
+def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> dict:
+    """Keys of ``packing`` for t^coinv(T) x^T, one per tableau tuple T with
+    entries in [n], n = ``packing.vars.nx``, counted: x_i sits in the i-th
+    field of ``packing`` and t in its top field.  Resolves the shape's
+    components and pairs, and counts them with ``_count_fillings``."""
     n = packing.vars.nx
     comps = list(zip(shape.beta, shape.gamma))
-    fillings = [_component_fillings(b, g, n) for b, g in comps]
-    if not all(fillings):
-        return Counter()
-    weights = [_filling_weights(b, g, n, packing.shifts.step) for b, g in comps]
-    few = prod(map(len, fillings)) <= _FEW_TUPLES
-    return (_count_directly if few else _count_by_tables)(
-        fillings, _pair_triples(shape), weights, 1 << packing.top, n
-    )
+    return _count_fillings([_component_fillings(b, g, n) for b, g in comps], _pair_triples(shape),
+                           [_filling_weights(b, g, n, packing.shifts.step) for b, g in comps],
+                           1 << packing.top, n)
+
+
+class _Lazy(dict):
+    """A dict that builds a missing key's value once, as ``make(key)``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _ComponentTable:
+    """Counts of many tuples of shared components in one packing, such as
+    one Cauchy driver call's: each distinct beta/gamma gets an int id once,
+    with its fillings and packed weights (built when first counted), and
+    each ordered pair of ids its triples once, so a tuple of ids goes
+    straight to ``_count_fillings``.  ``comps[id]`` is a component's
+    (beta, gamma), and ids are reached by small keys: ``straight[p]`` is
+    p/0, ``boxed[c, w]`` is component c rotated in a box w wide, and
+    ``skewed[c, m]`` is the beta of c over the beta of m."""
+
+    def __init__(self, packing: _Packing):
+        n, width = packing.vars.nx, packing.shifts.step
+        self.packing, self.n = packing, n
+        # the makers close over locals, not self: no cycle keeps a table alive
+        comps = self.comps = []
+        ids = _Lazy(lambda comp: comps.append(comp) or len(comps) - 1)   # (beta, gamma) -> id
+        self.fillings = _Lazy(lambda c: _component_fillings(*comps[c], n))
+        self.weights = _Lazy(lambda c: _filling_weights(*comps[c], n, width))
+        zero = (0,) * n
+        self.straight = _Lazy(lambda p: ids[p, zero])
+        self.boxed = _Lazy(lambda cw: ids[_rotated_component(*comps[cw[0]], cw[1])])
+        self.skewed = _Lazy(lambda cm: ids[comps[cm[0]][0], comps[cm[1]][0]])
+        self.pairs = _Lazy(lambda ab: _pair_positions(*comps[ab[0]], *comps[ab[1]]))
+        self.positions = _Lazy(lambda k: list(combinations(range(k), 2)))   # each a < b of k
+
+    def counts(self, ids: tuple) -> dict:
+        """``_coinv_counts`` of the tuple of components ``ids``."""
+        pairs = [(a, b, trips) for a, b in self.positions[len(ids)]
+                 if (trips := self.pairs[ids[a], ids[b]])]
+        return _count_fillings(list(map(self.fillings.__getitem__, ids)), pairs,
+                               list(map(self.weights.__getitem__, ids)), 1 << self.packing.top,
+                               self.n)
+
+    def skew(self, ids: tuple, mu_ids: tuple) -> tuple:
+        """The ids of lam/mu from those of lam/0 and mu/0."""
+        return tuple(map(self.skewed.__getitem__, zip(ids, mu_ids)))
+
+    def rotation(self, lam, ids: tuple) -> tuple:
+        """The ids of ``shapes.rotate(lam)`` from those of lam/0."""
+        w = _box_width(lam)
+        return tuple(self.boxed[c, w] for c in reversed(ids))
 
 
 def llt_coinv(shape: SkewShapeTuple, n: int) -> LaurentPoly:

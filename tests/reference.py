@@ -27,10 +27,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from lltlattice.algebra import LaurentPoly, VarSet
-from lltlattice.identities import _kernel_counts, _llt_counts, _xy_packing, _xy_sum
+from lltlattice.identities import _kernel_counts, _xy_packing, _xy_sum
 from lltlattice.lattice import face_weight_exponents, gray_rows, masks
 from lltlattice.shapes import SkewShapeTuple
-from lltlattice.tableaux import INF, TableauTuple
+from lltlattice.tableaux import INF, TableauTuple, _coinv_counts
 from lltlattice.yangbaxter import _contract, _tables, _unpack
 
 
@@ -163,7 +163,7 @@ def skew_cauchy_rhs(mu, n: int, k: int, D: int) -> dict:
     of ``_xy_packing(n, D)`` keys: every key of the base plus every key of
     the kernel cut at D - |mu|, the base being homogeneous of x-degree |mu|."""
     xy = _xy_packing(n, D)
-    base = _xy_sum(xy, [(d_stat(mu), _llt_counts(SkewShapeTuple.straight(mu), xy), {0: 1})])
+    base = _xy_sum(xy, [(d_stat(mu), _coinv_counts(SkewShapeTuple.straight(mu), xy), {0: 1})])
     rhs: dict[int, int] = {}
     for kk, ck in _kernel_counts(xy, k, D - sum(map(sum, mu))).items():
         for kb, cb in base.items():

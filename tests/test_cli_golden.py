@@ -21,7 +21,10 @@ take.  Each prints nothing and exits 2.  Four more files,
 ``verify_ybe_k_4.txt``, ``verify_lstar_ybe_k_4.txt`` and their ``k_5``
 twins, pin both YBE checks at k = 4 and at k = 5, the first k where a
 crossing's d reaches 4 (exit 0); the tier-1 workflow diffs them, each under
-a 120-s timeout, rather than these tests.
+a 120-s timeout, rather than these tests.  It also diffs two Cauchy files
+under a 60-s timeout: ``verify_cauchy_n_3_k_3_D_8.txt`` (about 1 s) and
+``verify_cauchy_rot_n_3_k_3_D_6_format_json.txt``, with its
+``equalities_checked``.
 
 The parser is built once, at import, so the last two tests run many
 commands through it in one process and check that no call rebuilds it.

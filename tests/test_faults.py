@@ -112,6 +112,27 @@ FAULTS = [
       "hl engine=tableaux mu=[2, 1] n=2", "box-skew M=4 engine=tableaux lam=[[1, 0], [1, 1]] n=2",
       "complement M=4 engine=tableaux lam=[[2, 1], [1, 0]] n=2",
       "lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
+    # the Cauchy component table interns a rotated component under its
+    # partition alone, rotated in its own box, not in lam's box w wide
+    ("rotated component interned without its box width", "tableaux.py",
+     "self.boxed[c, w] for c", "self.boxed[c, self.comps[c][0][0]] for c",
+     ["cauchy-rot D=3 k=2 n=1"]),
+    # x^rho read from exponent n on down, not n - 1: both the gray row's
+    # target and the top-exit factor carry one more x_i^k
+    ("x^rho one too high", "identities.py",
+     "(n - i) * k + extra_all for i in range(1, n + 1)",
+     "(n - i) * k + extra_all for i in range(n)",
+     ["lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
+    # each gray row takes the plain t exponent, not the t that the rows
+    # below it have already shifted
+    ("gray rows read the plain t slot", "lattice.py",
+     "_gray(k, faces, e[i], new[tslot])", "_gray(k, faces, e[i], e[tslot])",
+     ["lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
+    # survivor: every pair of the quick run is an equality, so a check that
+    # compares only the first pair still passes it;
+    # test_cauchy_rot_reports_a_d_mismatch fails (its failing pair is not the first)
+    ("only the first pair compared", "identities.py",
+     "        if lhs != rhs:", "        if count == 1 and lhs != rhs:", []),
     # survivor: the quick run has no skew-Cauchy case, and the other Cauchy
     # drivers start the kernel at 1, grade 0; the seeded kernel then runs past
     # x-degree D, which test_seeded_kernel_matches_skew_reference fails

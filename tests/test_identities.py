@@ -6,10 +6,9 @@ from operator import add, ge
 
 import pytest
 
-from lltlattice import identities, lattice, shapes
+from lltlattice import identities, lattice, shapes, tableaux
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.identities import (
-    _llt_counts,
     _xy_packing,
     _xy_sum,
     cauchy_kernel_truncated,
@@ -31,6 +30,7 @@ from lltlattice.identities import (
 from lltlattice.shapes import SkewShapeTuple, d_stat, rotate
 from lltlattice.tableaux import (
     TableauTuple,
+    _coinv_counts,
     enumerate_ssyt,
     hl_modified,
     hl_transformed,
@@ -308,7 +308,7 @@ def test_xy_sum_matches_embedded_products(n, k, D):
         other = rotate(lam) if i % 2 else shape
         P, Q = llt(shape, n), llt(other, n)
         a = d_stat(lam) - i     # negative and positive shifts both
-        summands.append((a, _llt_counts(shape, xy), _llt_counts(other, xy)))
+        summands.append((a, _coinv_counts(shape, xy), _coinv_counts(other, xy)))
         expected = expected + LaurentPoly.t(big, a) * _reference_embed(
             P, big, False
         ) * _reference_embed(Q, big, True)
@@ -422,8 +422,9 @@ def test_cauchy_drivers_decode_nothing_on_a_pass(verify, args, monkeypatch):
 
 
 def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
-    # the driver builds every lam itself: llt, rotate, complement and d_stat
-    # take it (and its rotation and complement) without checking it again
+    # the driver builds every lam itself and walks it as a tuple of component
+    # ids: it checks no tuple, rotation or complement again, and builds no
+    # shape tuple for any of them
     calls = []
     check = shapes.check_shape_tuple
 
@@ -432,30 +433,56 @@ def test_cauchy_rot_checks_each_generated_tuple_at_most_once(monkeypatch):
         return check(shape)
 
     monkeypatch.setattr(shapes, "check_shape_tuple", spy)
+    monkeypatch.setattr(identities, "SkewShapeTuple", None)
     assert verify_cauchy_rot(2, 2, 3).passed
-    assert len(calls) <= len(shape_tuples_bounded(2, 2, 3))
+    assert calls == []
 
 
 @pytest.mark.parametrize("verify, args, calls", [
     (verify_cauchy, (2, 2, 3), 16),  # L_lam once for each of the 16 lam
     (verify_cauchy_rot, (2, 2, 3), 32),  # L_lam and its rotation
-    # L_lam and L_lam/mu for the 10 lam containing mu, then L_mu
+    # L_mu, then L_lam and L_lam/mu for the 10 lam containing mu
     (verify_skew_cauchy, (((1, 0), (0, 0)), 2, 2, 3), 21),
 ], ids=["cauchy", "cauchy-rot", "skew-cauchy"])
 def test_cauchy_drivers_llt_calls(verify, args, calls, monkeypatch):
     # the shared shape loop computes L_lam only where a driver needs it, and
-    # every L the drivers take comes through the one per-lam seam
-    seen = []
-    real = identities._llt_counts
+    # every L the drivers count comes through the one per-lam seam, as a
+    # tuple of the component table's ids
+    seen, counted = [], []
+    real, count = identities._llt_counts, tableaux._count_fillings
 
-    def spy(*a, **kw):
-        seen.append(a)
-        return real(*a, **kw)
+    def spy(table, ids, *engine):
+        seen.append(ids)
+        return real(table, ids, *engine)
 
     monkeypatch.setattr(identities, "_llt_counts", spy)
+    monkeypatch.setattr(tableaux, "_count_fillings", lambda *a: counted.append(a) or count(*a))
     monkeypatch.setattr(identities, "llt", None)   # the tableau route never calls it
     assert verify(*args).passed
-    assert len(seen) == calls
+    assert len(seen) == len(counted) == calls
+    assert all(isinstance(c, int) for ids in seen for c in ids)
+
+
+@pytest.mark.parametrize("n, k", SKEW_GRID)
+def test_component_table_counts_as_the_shape_built_whole(n, k):
+    # the table's L of each lam/0, of its rotation and of lam/mu for each mu
+    # of the grid is _coinv_counts of that shape tuple, and the walk's d(lam)
+    # is the reference's
+    for D in SKEW_GRID[n, k]:
+        table = tableaux._ComponentTable(xy := _xy_packing(n, D))
+        lams = shape_tuples_bounded(k, n, D)
+        walked = []
+        for lam, ids, d, P in identities._cauchy_terms(table, k, D):
+            walked.append(lam)
+            assert P == _coinv_counts(SkewShapeTuple._trusted(lam, ((0,) * n,) * k), xy)
+            assert d == reference.d_stat(lam)
+            assert table.counts(table.rotation(lam, ids)) == _coinv_counts(rotate(lam), xy)
+            for mu in lams:
+                if all(map(ge, chain(*lam), chain(*mu))):
+                    skew = table.skew(ids, tuple(map(table.straight.__getitem__, mu)))
+                    assert table.counts(skew) == _coinv_counts(SkewShapeTuple(lam, mu), xy)
+        assert walked == lams
+        assert len(table.comps) == len(set(table.comps))   # each component once
 
 
 # Every (n, k, D) that this file runs a Cauchy driver or kernel at.  The
