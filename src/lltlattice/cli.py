@@ -6,7 +6,7 @@ maps a ``ValueError``, ``OverflowError`` or ``MemoryError`` to 2, an ``EngineMis
 and a ``BrokenPipeError`` to 141.
 Every case is fixed, and numeric YBE draws only from its --seed, so identical
 invocations give byte-identical output.  The parser is built once, at import;
-``verify all`` parses its suite through it and runs the cases in order.
+``verify all`` checks its whole suite first, then prints each report as its case returns.
 """
 
 from __future__ import annotations
@@ -293,11 +293,11 @@ def cmd_verify(args) -> int:
     runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.quick)]
             if args.identity == "all" else [args])
     cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
-    reports = [_verify_case(case) for case in cases]
-    for report in reports:
+    n_failed = 0
+    for report in map(_verify_case, cases):   # each printed as its case returns
         _emit_report(report, args.format)
-    n_failed = sum(0 if r.passed else 1 for r in reports)
-    print(f"summary: {len(reports) - n_failed}/{len(reports)} passed")
+        n_failed += not report.passed
+    print(f"summary: {len(cases) - n_failed}/{len(cases)} passed")
     return 1 if n_failed else 0
 
 

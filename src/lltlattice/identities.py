@@ -12,7 +12,8 @@ unbounded on top, so a product of two monomials is one int sum.  The sides
 are compared packed, from the tableau count to the verdict, and decoded to
 polynomials only for a FAIL witness.  Each call walks its shape tuples as
 tuples of int ids into one ``tableaux._ComponentTable`` of the components
-it meets.
+it meets, whose memo of ``shapes._d_pair`` gives each d; engine equivalence
+counts its tableau side through one table per n.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def _cauchy_terms(table: _ComponentTable, k: int, D: int, engine: str = "tableau
     for lam in shape_tuples_bounded(k, table.n, D):
         if mu is None or all(map(ge, chain(*lam), chain(*mu))):
             ids = tuple(map(table.straight.__getitem__, lam))
-            yield lam, ids, _d_stat(lam), _llt_counts(table, ids, engine)
+            yield lam, ids, _d_stat(lam, table.d_pairs.__getitem__), _llt_counts(table, ids, engine)
 
 
 def _check_cauchy_params(n: int, k: int, D: int) -> None:
@@ -412,7 +413,7 @@ def verify_cauchy_rot(n: int, k: int, D: int) -> IdentityReport:
         R = _llt_counts(table, rot := table.rotation(lam, ids))
         summands.append((0, P, R))
         # the rotation's gammas are lam's complement in its box
-        d_comp = _d_stat(tuple(table.comps[c][1] for c in rot))
+        d_comp = _d_stat(tuple(table.comps[c][1] for c in rot), table.d_pairs.__getitem__)
         # the relation below shifts by d(comp), so its own check comes first;
         # each context is formatted only for a failing pair
         pairs.append((partial("d(comp)=d(lam) at {}".format, lam), d_comp, d))
@@ -450,9 +451,13 @@ def _family_tuples():
 
 def verify_engine_equivalence() -> IdentityReport:
     """Tableau and lattice engines agree on every tuple of the fixed family."""
-    pairs = ((f"{shape.text()}, n={n}", llt_coinv(shape, n),
-              partition_function(build_lattice(shape, n)))
-             for shape in _family_tuples() for n in _FAMILY_N)
+    cells = max(_FAMILY_COMPONENTS) * _FAMILY_MAX_ROWS * _FAMILY_MAX_PART   # bounds an x-exponent
+    tables = [_ComponentTable(_Packing(VarSet(nx=n), cells)) for n in _FAMILY_N]
+    pairs = ((f"{shape.text()}, n={table.n}",
+              table.packing.poly(table.counts(tuple(map(table.ids.__getitem__,
+                                                        zip(shape.beta, shape.gamma))))),
+              partition_function(build_lattice(shape, table.n)))
+             for shape in _family_tuples() for table in tables)
     params = {"components": list(_FAMILY_COMPONENTS), "max_part": _FAMILY_MAX_PART,
               "max_rows": _FAMILY_MAX_ROWS, "n": list(_FAMILY_N)}
     return _check_pairs("engine-equivalence", params, pairs)

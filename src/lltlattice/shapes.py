@@ -10,17 +10,15 @@ A triple of components a < b is a pair of adjacent positions u, w in one row
 of b (either may lie just outside the shape) with a cell v of a on the
 content line of w.  ``_pair_positions`` is the package's one enumeration of
 triples, one pair of components at a time, and ``_pair_triples`` gathers
-them for a tuple: ``m_bruteforce`` counts them, and the tableau engine (and
-the Cauchy drivers' component table, pair by pair) counts the coinversions
-among them.
+them for a tuple, each distinct pair once per call: ``m_bruteforce`` counts
+them, and the tableau engine counts the coinversions among them.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, combinations, repeat, starmap
+from itertools import accumulate, combinations, repeat
 from operator import ge, index, sub
 
 Partition = tuple[int, ...]
@@ -174,7 +172,6 @@ def _row_starts(beta: Partition, gamma: Partition) -> list[int]:
     return [end - g - 1 for end, g in zip(ends, gamma)]
 
 
-@lru_cache(maxsize=1024)
 def _pair_positions(beta_a: Partition, gamma_a: Partition,
                     beta_b: Partition, gamma_b: Partition) -> tuple[tuple[int, int, int], ...]:
     """The triples of components a < b as (pos_v in a, pos_u in b, pos_w in
@@ -201,13 +198,26 @@ def _pair_positions(beta_a: Partition, gamma_a: Partition,
     return tuple(out)
 
 
+class _Lazy(dict):
+    """A dict that builds a missing key's value once, as ``make(key)``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _pair_triples(shape: SkewShapeTuple) -> list[tuple[int, int, tuple[tuple[int, int, int], ...]]]:
     """All triples of the tuple as flat cell positions, one (a, b, positions)
     per pair of components a < b that share at least one triple (see
-    ``_pair_positions``)."""
+    ``_pair_positions``; a tuple may repeat a component)."""
     comps = list(zip(shape.beta, shape.gamma))
+    found = _Lazy(lambda pair: _pair_positions(*pair[0], *pair[1]))
     return [(a, b, trips) for b, comp_b in enumerate(comps) for a, comp_a in enumerate(comps[:b])
-            if (trips := _pair_positions(*comp_a, *comp_b))]
+            if (trips := found[comp_a, comp_b])]
 
 
 def m_bruteforce(shape: SkewShapeTuple) -> int:
@@ -306,18 +316,17 @@ def d_stat(lam: ShapeTuple) -> int:
     return _d_stat(check_box_tuple(lam))
 
 
-def _d_stat(lam: ShapeTuple) -> int:
-    """``d_stat`` of a box tuple known to be valid: C(n,2) C(k,2) less the
-    ``_d_pair`` count of every pair of components a < b."""
-    return _binom2(len(lam[0])) * _binom2(len(lam)) - sum(starmap(_d_pair, combinations(lam, 2)))
-
-
-@lru_cache(maxsize=1024)
-def _d_pair(lam_a: Partition, lam_b: Partition) -> int:
+def _d_pair(pair: tuple[Partition, Partition]) -> int:
     """How many (i, j) have label i of lam_b left of label j of lam_a (see
-    ``label_columns``): the pair a < b's count in ``_d_stat``."""
-    labels_a = label_columns(lam_a)
-    return sum(label_b < label_a for label_b in label_columns(lam_b) for label_a in labels_a)
+    ``label_columns``), for ``pair`` = (lam_a, lam_b) of components a < b."""
+    labels_a, labels_b = map(label_columns, pair)
+    return sum(label_b < label_a for label_b in labels_b for label_a in labels_a)
+
+
+def _d_stat(lam: ShapeTuple, d_pair=_d_pair) -> int:
+    """``d_stat`` of a box tuple known to be valid: C(n,2) C(k,2) less the
+    ``d_pair`` (``_d_pair`` or a memo of it) of every pair of components a < b."""
+    return _binom2(len(lam[0])) * _binom2(len(lam)) - sum(map(d_pair, combinations(lam, 2)))
 
 
 def dtilde_stat(lam: ShapeTuple, M: int) -> int:

@@ -15,8 +15,8 @@ tabulates their coinversions over pairs of fillings, and counts packed
 monomials while it folds the components (a shape with only a handful of
 tuples counts each tuple's triples directly instead).  ``_coinv_counts``
 resolves a shape into those lists and ``_count_fillings`` counts them, the
-one core that ``_ComponentTable`` (many tuples over shared components, as
-in one Cauchy driver call) also calls.
+one core that ``_ComponentTable`` also calls for many tuples over shared
+components; a table lives for one call, as every memo of the package does.
 ``enumerate_ssyt`` and ``llt_inv`` work tableau by tableau; ``llt_inv`` is
 the independent route that the inv/coinv relation is checked against.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from itertools import accumulate, chain, combinations, combinations_with_replacement, product, repeat
 from operator import add, gt, itemgetter, sub
@@ -34,8 +33,10 @@ from .algebra import LaurentPoly, VarSet, _Packing
 from .shapes import (
     Partition,
     SkewShapeTuple,
+    _Lazy,
     _box_width,
     _complement,
+    _d_pair,
     _pair_positions,
     _pair_triples,
     _rotated_component,
@@ -66,14 +67,12 @@ class TableauTuple:
         return out
 
 
-@lru_cache(maxsize=1024)
-def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tuple[int, ...], ...]:
+def _component_fillings(beta: Partition, gamma: Partition, n: int) -> list[tuple[int, ...]]:
     """All SSYT fillings of one skew component, each a flat tuple of entries
     in ``SkewShapeTuple.cells`` order (rows bottom to top, left to right).
 
     Built row by row: each weakly increasing row goes on top of the
-    fillings whose top row it exceeds strictly, column by column.  Cached
-    per component, so the value is a tuple that no caller can change.
+    fillings whose top row it exceeds strictly, column by column.
     """
     fillings: list[tuple[int, ...]] = [()]
     end = below_lo = below_hi = 0     # end: flat position after the row below
@@ -94,7 +93,7 @@ def _component_fillings(beta: Partition, gamma: Partition, n: int) -> tuple[tupl
                 out += map(f.__add__, fits[under])
             fillings = out
         end, below_lo, below_hi = end + hi - lo, lo, hi
-    return tuple(fillings)
+    return fillings
 
 
 def enumerate_ssyt(shape: SkewShapeTuple, n: int) -> list[TableauTuple]:
@@ -225,12 +224,10 @@ def _count_by_tables(fillings, pairs, weights, unit: int, n: int) -> Counter:
     return Counter(chain.from_iterable(_fold(0, 0, [weights[c] for c in order], tables)))
 
 
-@lru_cache(maxsize=1024)
-def _filling_weights(beta: Partition, gamma: Partition, n: int, width: int) -> tuple[int, ...]:
-    """The packed x-weight of each of ``_component_fillings(beta, gamma, n)``,
-    x_i in the field worth 2^((i - 1) width); cached per component and layout."""
+def _filling_weights(fillings, n: int, width: int) -> list[int]:
+    """The packed x-weight of each filling, x_i in the field worth 2^((i - 1) width)."""
     power = [0, *(1 << i * width for i in range(n))]
-    return tuple(map(sum, map(map, repeat(power.__getitem__), _component_fillings(beta, gamma, n))))
+    return list(map(sum, map(map, repeat(power.__getitem__), fillings)))
 
 
 def _count_fillings(fillings, pairs, weights, unit: int, n: int) -> dict:
@@ -258,49 +255,38 @@ def _coinv_counts(shape: SkewShapeTuple, packing: _Packing) -> dict:
     entries in [n], n = ``packing.vars.nx``, counted: x_i sits in the i-th
     field of ``packing`` and t in its top field.  Resolves the shape's
     components and pairs, and counts them with ``_count_fillings``."""
-    n = packing.vars.nx
-    comps = list(zip(shape.beta, shape.gamma))
-    return _count_fillings([_component_fillings(b, g, n) for b, g in comps], _pair_triples(shape),
-                           [_filling_weights(b, g, n, packing.shifts.step) for b, g in comps],
-                           1 << packing.top, n)
-
-
-class _Lazy(dict):
-    """A dict that builds a missing key's value once, as ``make(key)``."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+    n, width = packing.vars.nx, packing.shifts.step
+    fillings = [_component_fillings(b, g, n) for b, g in zip(shape.beta, shape.gamma)]
+    return _count_fillings(fillings, _pair_triples(shape),
+                           [_filling_weights(f, n, width) for f in fillings], 1 << packing.top, n)
 
 
 class _ComponentTable:
     """Counts of many tuples of shared components in one packing, such as
-    one Cauchy driver call's: each distinct beta/gamma gets an int id once,
+    one Cauchy driver call's, kept for that call and no longer.
+    Each distinct beta/gamma gets an int id once (``ids[beta, gamma]``),
     with its fillings and packed weights (built when first counted), and
     each ordered pair of ids its triples once, so a tuple of ids goes
     straight to ``_count_fillings``.  ``comps[id]`` is a component's
-    (beta, gamma), and ids are reached by small keys: ``straight[p]`` is
-    p/0, ``boxed[c, w]`` is component c rotated in a box w wide, and
-    ``skewed[c, m]`` is the beta of c over the beta of m."""
+    (beta, gamma); ``straight[p]`` is the id of p/0, ``boxed[c, w]`` of
+    component c rotated in a box w wide, ``skewed[c, m]`` of the beta of c
+    over the beta of m, and ``d_pairs`` memoizes ``shapes._d_pair``."""
 
     def __init__(self, packing: _Packing):
         n, width = packing.vars.nx, packing.shifts.step
         self.packing, self.n = packing, n
         # the makers close over locals, not self: no cycle keeps a table alive
         comps = self.comps = []
-        ids = _Lazy(lambda comp: comps.append(comp) or len(comps) - 1)   # (beta, gamma) -> id
-        self.fillings = _Lazy(lambda c: _component_fillings(*comps[c], n))
-        self.weights = _Lazy(lambda c: _filling_weights(*comps[c], n, width))
+        ids = self.ids = _Lazy(lambda comp: comps.append(comp) or len(comps) - 1)
+        fillings = self.fillings = _Lazy(lambda c: _component_fillings(*comps[c], n))
+        self.weights = _Lazy(lambda c: _filling_weights(fillings[c], n, width))
         zero = (0,) * n
         self.straight = _Lazy(lambda p: ids[p, zero])
         self.boxed = _Lazy(lambda cw: ids[_rotated_component(*comps[cw[0]], cw[1])])
         self.skewed = _Lazy(lambda cm: ids[comps[cm[0]][0], comps[cm[1]][0]])
         self.pairs = _Lazy(lambda ab: _pair_positions(*comps[ab[0]], *comps[ab[1]]))
         self.positions = _Lazy(lambda k: list(combinations(range(k), 2)))   # each a < b of k
+        self.d_pairs = _Lazy(_d_pair)   # (lam_a, lam_b) -> _d_pair of it
 
     def counts(self, ids: tuple) -> dict:
         """``_coinv_counts`` of the tuple of components ``ids``."""

@@ -266,6 +266,21 @@ def test_verify_all_output_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "verify_all.txt").read_text()
 
 
+def test_verify_all_prints_each_report_before_a_case_raises(monkeypatch, capsys):
+    # every case is built first, then each report is printed as its case
+    # returns: the 24 cases before complement are on stdout as the golden
+    # has them, and no summary follows the case that raises
+    def broken(**kwargs):
+        raise RuntimeError("complement broke")
+
+    monkeypatch.setattr(identities, "verify_complement", broken)
+    with pytest.raises(RuntimeError, match="^complement broke$"):
+        cli.main(["verify", "all", "--quick"])
+    golden = (GOLDEN / "verify_all_quick.txt").read_text().splitlines()
+    assert golden[24].startswith("PASS complement ")
+    assert capsys.readouterr().out.splitlines() == golden[:24]
+
+
 def _identity_parsers(parser=cli._PARSER) -> dict[str, argparse.ArgumentParser]:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     verify = sub.choices["verify"]
@@ -593,13 +608,17 @@ def test_verify_engine_mismatch_exit_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["verify", "symmetry"], ["verify", "all", "--quick"]])
 def test_verify_error_after_the_builders_exit_2(argv, monkeypatch, capsys):
+    # stdout holds the reports of the cases before the first symmetry case:
+    # none for one identity, the five YBE reports of the quick suite
     def boom(shape, n, engine="tableaux"):
         raise ValueError("boom")
 
     monkeypatch.setattr(identities, "verify_symmetry", boom)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    golden = (GOLDEN / "verify_all_quick.txt").read_text().splitlines(keepends=True)
+    assert golden[5].startswith("PASS symmetry ")
+    assert captured.out == "".join(golden[:5 if "all" in argv else 0])
     assert captured.err == "error: boom\n"
 
 

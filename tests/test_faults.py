@@ -102,16 +102,11 @@ FAULTS = [
     ("pair d-count counts ties", "shapes.py", "label_b < label_a", "label_b <= label_a",
      ["box-skew M=4 engine=tableaux lam=[[1, 0], [1, 1]] n=2",
       "lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2", "cauchy-rot D=3 k=2 n=1"]),
-    # the weights cache keyed by component and n only: every later layout
-    # reads the weights packed for the first field width seen
-    ("weights cache key without the field width", "tableaux.py",
-     "@lru_cache(maxsize=1024)\ndef _filling_weights(",
-     "@lambda weights: lambda *key, first={}: first.setdefault(key[:3], weights(*key))\n"
-     "def _filling_weights(",
-     ["symmetry engine=tableaux n=2 shape=2/0", "inv-coinv m=0 n=2 shape=2/0",
-      "hl engine=tableaux mu=[2, 1] n=2", "box-skew M=4 engine=tableaux lam=[[1, 0], [1, 1]] n=2",
-      "complement M=4 engine=tableaux lam=[[2, 1], [1, 0]] n=2",
-      "lstar M=[3, 4, 5] engine=tableaux lam=[[1, 0], [0, 0]] n=2"]),
+    # the component table's d memo reads each pair of partitions swapped,
+    # (lam_b, lam_a) for (lam_a, lam_b): d(lam) and d(comp) are wrong alike,
+    # so their check passes and the rotation relation fails
+    ("d memo reads its pair swapped", "tableaux.py",
+     "_Lazy(_d_pair)", "_Lazy(lambda pair: _d_pair(pair[::-1]))", ["cauchy-rot D=3 k=2 n=1"]),
     # the Cauchy component table interns a rotated component under its
     # partition alone, rotated in its own box, not in lam's box w wide
     ("rotated component interned without its box width", "tableaux.py",

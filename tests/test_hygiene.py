@@ -1,8 +1,8 @@
 """Every module-level import in the package's modules is used by the module,
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
-function imports anything, no module imports the tests' helpers, every
-functools cache is bounded and listed with its measured reuse, every
+function imports anything, no module imports the tests' helpers, no module
+decorates a function with a functools cache (nothing is kept between calls), every
 function that calls itself is listed with what bounds its depth, one function
 owns the integer range rule, one method owns the packed field width, one
 function counts the plain face weight's exponents, one function turns a
@@ -15,8 +15,6 @@ and claims a gain in an end-to-end metric on a workload that BENCHMARK.json
 names."""
 
 import ast
-import functools
-import gc
 import importlib
 import inspect
 import io
@@ -268,7 +266,7 @@ def test_packing_width_rule_has_one_owner():
     assert widths["algebra.py"][0] in inspect.getsource(algebra._Packing.__init__)
     packings = [call for name, source in sources.items() if name != "algebra.py"
                 for call in _calls(source, "_Packing")]
-    assert len(packings) == 4 and not any("bit_length" in call for call in packings)
+    assert len(packings) == 5 and not any("bit_length" in call for call in packings)
 
 
 def test_guard_sees_a_packing_width_outside_algebra():
@@ -581,129 +579,46 @@ def test_guard_sees_a_new_recursion():
     ]
 
 
-LRU_CACHE = type(functools.cache(lambda: None))
+CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
 
 
-def _live_caches(package: str) -> list:
-    """Every live functools cache that a module of package defines, found as
-    the benchmark child finds the caches it empties: among the garbage
-    collector's objects."""
-    return [obj for obj in gc.get_objects()
-            if isinstance(obj, LRU_CACHE) and obj.__module__.startswith(package)]
-
-
-def _caches(package: str) -> dict[str, int | None]:
-    """module.function -> maxsize of every live functools cache of package."""
-    return {
-        f"{obj.__module__}.{obj.__qualname__}": obj.cache_parameters()["maxsize"]
-        for obj in _live_caches(package)
-    }
-
-
-def _decorated_caches(sources: dict[str, str]) -> set[str]:
+def _cache_decorators(sources: dict[str, str]) -> list[str]:
     """module.function of every function the sources decorate with
-    ``functools.cache`` or ``lru_cache``."""
-    found = set()
+    ``functools.cache``, ``lru_cache`` or ``cached_property``, sorted."""
+    found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
                     dec = dec.func if isinstance(dec, ast.Call) else dec
-                    if getattr(dec, "id", getattr(dec, "attr", None)) in ("cache", "lru_cache"):
-                        found.add(f"{module}.{node.name}")
-    return found
+                    if getattr(dec, "id", getattr(dec, "attr", None)) in CACHE_DECORATORS:
+                        found.append(f"{module}.{node.name}")
+    return sorted(found)
 
 
-def test_every_cache_is_bounded():
-    modules = [path for path in MODULES if path.name != "__main__.py"]   # it runs the CLI
-    for path in modules:
-        importlib.import_module(f"lltlattice.{path.stem}")
-    caches = _caches("lltlattice")
-    sources = {f"lltlattice.{path.stem}": path.read_text() for path in modules}
-    assert set(caches) == _decorated_caches(sources)
-    assert [name for name, maxsize in caches.items() if maxsize is None] == []
+def test_no_module_keeps_a_cache():
+    # nothing is kept from one call to the next: a tableaux._ComponentTable
+    # and the pairs of shapes._pair_triples each live for one call
+    sources = {f"lltlattice.{path.stem}": path.read_text() for path in SRC.glob("*.py")}
+    assert len(sources) == len(MODULES) + 1 and _cache_decorators(sources) == []
 
 
-# The package's functools caches, each with its reuse in one `verify all
-# --quick` from empty caches, which test_every_cache_is_listed_and_reused
-# reads again, so no figure here can go stale.  A new cache is listed here
-# with its own.
-CACHES = {
-    "lltlattice.tableaux._component_fillings": "82 hits and 24 misses",
-    "lltlattice.tableaux._filling_weights": "25 hits and 32 misses",
-    "lltlattice.shapes._pair_positions": "19 hits and 29 misses",
-    "lltlattice.shapes._d_pair": "10 hits and 13 misses",
-}
-
-
-def _reuse(package: str, run) -> dict[str, str]:
-    """module.function -> "H hits and M misses" of every live cache of
-    package in one ``run()`` from empty caches."""
-    caches = _live_caches(package)
-    for cached in caches:
-        cached.cache_clear()
-    run()
-    out = {}
-    for obj in caches:
-        hits, misses = obj.cache_info()[:2]
-        out[f"{obj.__module__}.{obj.__qualname__}"] = (
-            f"{hits:,} hit{'s' * (hits != 1)} and {misses:,} miss{'es' * (misses != 1)}")
-    return out
-
-
-def _unreused(reuse: dict[str, str]) -> list[str]:
-    return sorted(name for name, text in reuse.items() if text.startswith("0 hits"))
-
-
-def test_every_cache_is_listed_and_reused():
-    modules = [path for path in MODULES if path.name != "__main__.py"]   # it runs the CLI
-    sources = {f"lltlattice.{path.stem}": path.read_text() for path in modules}
-    assert _decorated_caches(sources) == set(CACHES)
-
-    def run():
-        with redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "all", "--quick"]) == 0
-
-    reuse = _reuse("lltlattice", run)
-    assert reuse == CACHES
-    assert _unreused(reuse) == []
-
-
-def test_guard_sees_an_unlisted_or_unreused_cache():
-    source = (
-        "import functools\n\n"
-        "@functools.lru_cache(maxsize=4)\ndef listed(k):\n    return k\n\n"
-        "@functools.lru_cache(maxsize=4)\ndef table(k):\n    return k\n"
-    )
-    namespace = {"__name__": "reusecheck.caches"}
-    exec(source, namespace)
-    sources = {"reusecheck.caches": source}
-    listed = {"reusecheck.caches.listed": "1 hit and 2 misses"}
-    assert _decorated_caches(sources) - set(listed) == {"reusecheck.caches.table"}
-
-    def run():
-        for k in (1, 2, 1):
-            namespace["listed"](k)
-        namespace["table"](3)
-
-    reuse = _reuse("reusecheck", run)
-    assert reuse == {**listed, "reusecheck.caches.table": "0 hits and 1 miss"}
-    assert _unreused(reuse) == ["reusecheck.caches.table"]
-
-
-def test_guard_sees_an_unbounded_cache():
+def test_guard_sees_a_cache_decorator():
     source = (
         "import functools\n"
-        "from functools import cache, lru_cache\n\n"
+        "from functools import cache, cached_property, lru_cache\n\n"
         "@cache\ndef loose(k):\n    return k\n\n"
-        "@functools.lru_cache(maxsize=4)\ndef tight(k):\n    return k\n"
+        "@functools.lru_cache(maxsize=4)\ndef tight(k):\n    return k\n\n"
+        "@lru_cache\ndef bare(k):\n    return k\n\n"
+        "class Shape:\n"
+        "    @functools.cached_property\n    def cells(self):\n        return ()\n\n"
+        "    @property\n    def k(self):\n        return 1\n\n"
+        "def plain(k):\n    return k\n"
     )
-    namespace = {"__name__": "guardcheck.caches"}
-    exec(source, namespace)
-    assert _caches("guardcheck") == {"guardcheck.caches.loose": None, "guardcheck.caches.tight": 4}
-    assert _decorated_caches({"guardcheck.caches": source}) == {
-        "guardcheck.caches.loose", "guardcheck.caches.tight"
-    }
+    assert _cache_decorators({"guardcheck.caches": source}) == [
+        "guardcheck.caches.bare", "guardcheck.caches.cells",
+        "guardcheck.caches.loose", "guardcheck.caches.tight",
+    ]
 
 
 def _def_count(source: str) -> int:
@@ -772,10 +687,7 @@ TRACED_COMMANDS = {  # command -> exit code
 
 def _trace_cli() -> tuple[list[str], dict[str, int]]:
     """The package's functions that ``cli.main`` never enters on
-    TRACED_COMMANDS, from empty caches (a cache hit skips its function), and
-    each command's exit code."""
-    for cached in _live_caches("lltlattice"):
-        cached.cache_clear()
+    TRACED_COMMANDS, and each command's exit code."""
     functions = {}
     for path in MODULES:
         if path.name != "__main__.py":   # it runs the CLI

@@ -583,9 +583,9 @@ def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
 def test_cauchy_rot_relation_witness_is_in_x_and_t(monkeypatch):
     # d(comp) and d(lam) both one too high: their check passes and the
     # rotation relation fails at the first lam; its witness is decoded in
-    # x_1..x_n and t, as L_lam is
+    # x_1..x_n and t, as L_lam is; both d's take the component table's memo
     real = identities._d_stat
-    monkeypatch.setattr(identities, "_d_stat", lambda lam: real(lam) + 1)
+    monkeypatch.setattr(identities, "_d_stat", lambda lam, d_pair: real(lam, d_pair) + 1)
     n, lam = 2, shape_tuples_bounded(2, 2, 3)[0]
     P = llt(lam, n)
     report = verify_cauchy_rot(n, 2, 3)
@@ -599,11 +599,13 @@ def test_cauchy_rot_relation_witness_is_in_x_and_t(monkeypatch):
 
 def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
     # a wrong d of the complement breaks d(comp) = d(lam) at the first lam;
-    # the witness holds both values, and no rotation relation is checked first
+    # the witness holds both values, and no rotation relation is checked first;
+    # both d's take the component table's memo
     real = identities._d_stat
     lam, comp = shape_tuples_bounded(2, 2, 3)[0], ((3, 3), (3, 0))
     assert lam == ((3, 0), (0, 0))   # comp is lam's complement in its 3-wide box
-    monkeypatch.setattr(identities, "_d_stat", lambda shape: 1 if shape == comp else real(shape))
+    monkeypatch.setattr(identities, "_d_stat",
+                        lambda shape, d_pair: 1 if shape == comp else real(shape, d_pair))
     assert real(comp) == d_stat(lam) != 1   # the true d(comp) agrees with d(lam)
     report = verify_cauchy_rot(2, 2, 3)
     assert report.status == "FAIL"
@@ -702,6 +704,32 @@ def test_engine_equivalence_driver():
     assert report.passed
     assert report.params == {"components": [1, 2], "max_part": 2, "max_rows": 2, "n": [1, 2, 3]}
     assert report.details == {"equalities_checked": 2106}
+
+
+def test_engine_equivalence_tables_count_as_llt_coinv(monkeypatch):
+    # the tableau side is counted through one component table per n, which
+    # interns each of the family's 26 components once and packs with fields
+    # wider than llt_coinv's; every count decodes to llt_coinv's polynomial
+    counted = []
+    real = tableaux._ComponentTable.counts
+
+    def spy(table, ids):
+        counted.append((table, ids, real(table, ids)))
+        return counted[-1][2]
+
+    monkeypatch.setattr(tableaux._ComponentTable, "counts", spy)
+    assert verify_engine_equivalence().passed
+    tables = {id(table): table for table, _, _ in counted}.values()
+    assert sorted(table.n for table in tables) == [1, 2, 3]
+    assert all(len(table.comps) == 26 for table in tables)
+    shapes_at = [(SkewShapeTuple(*zip(*map(table.comps.__getitem__, ids))), table.n)
+                 for table, ids, _ in counted]
+    assert shapes_at == [(shape, n) for shape in identities._family_tuples() for n in (1, 2, 3)]
+    wider = 0
+    for (shape, n), (table, _, counts) in zip(shapes_at, counted):
+        assert table.packing.poly(counts) == llt_coinv(shape, n)
+        wider += table.packing.shifts.step > _Packing(VarSet(nx=n), shape.cell_count()).shifts.step
+    assert wider == 2103   # all but 2,2;2,2 at each n, whose 8 cells are the tables' bound
 
 
 def test_engine_equivalence_names_the_failing_tuple(monkeypatch):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from lltlattice import shapes, tableaux
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
-from lltlattice.identities import _xy_packing, shape_tuples_bounded
+from lltlattice.identities import (
+    _xy_packing,
+    shape_tuples_bounded,
+    verify_cauchy,
+    verify_cauchy_rot,
+    verify_skew_cauchy,
+)
 from lltlattice.lattice import build_box_lattice, build_lattice, gray_rows, partition_function
 from lltlattice.shapes import SkewShapeTuple, _pair_triples, inv_stat, m_bruteforce
 from lltlattice.tableaux import (
@@ -263,6 +269,20 @@ def test_pair_positions_match_triples(shape):
     assert m_bruteforce(shape) == len(triples(shape))
 
 
+def test_pair_triples_reads_each_distinct_pair_once_per_call(monkeypatch):
+    # a tuple may repeat a component (hl's rows, compute's empty components):
+    # each distinct ordered pair is enumerated once in a call, and again in
+    # the next call, which starts from nothing
+    real, calls = shapes._pair_positions, []
+    monkeypatch.setattr(shapes, "_pair_positions", lambda *comps: calls.append(comps) or real(*comps))
+    shape = SkewShapeTuple.straight(((3,),) + ((0,),) * 40)
+    expected = [(0, b, real((3,), (0,), (0,), (0,))) for b in range(1, 41)]
+    assert real((0,), (0,), (0,), (0,)) == () and expected[0][2]
+    assert _pair_triples(shape) == expected
+    assert calls == [((3,), (0,), (0,), (0,)), ((0,), (0,), (0,), (0,))]
+    assert _pair_triples(shape) == expected and len(calls) == 4
+
+
 # one v cell, so each row of the table is keyed by a plain entry
 ONE_V_CELL = SkewShapeTuple(((1,), (1,)), ((0,), (0,)))
 # v cells 0 and 1 of a's three cells: its 8 fillings at n = 3 hold 5 distinct
@@ -294,9 +314,6 @@ def test_coinv_table_matches_entry_by_entry_count(unit):
 
 
 def test_llt_coinv_golden_without_triple_records():
-    for cached in (tableaux._component_fillings, tableaux._filling_weights,
-                   shapes._pair_positions):
-        cached.cache_clear()
     P = llt_coinv(SkewShapeTuple.straight(((3, 2), (2, 1), (2, 0))), 5)
     assert len(P.terms) == 4958
     assert sum(P.terms.values()) == 175 * 40 * 15
@@ -321,22 +338,22 @@ def test_trusted_results_equal_checked_construction():
 
 
 def test_memoized_values_survive_a_sweep():
-    # every value computed on warm caches equals the value computed cold,
-    # also for a shape repeated after the sweep: no cached value is mutated
-    def cold(shape, n):
-        for cached in (tableaux._component_fillings, tableaux._filling_weights,
-                       shapes._pair_positions):
-            cached.cache_clear()
-        return llt_coinv(shape, n)
-
+    # no value is kept from one call to the next: a shuffled sweep of
+    # llt_coinv and the three Cauchy drivers, run twice in one process in two
+    # different orders, gives the same results both times
     rng = random.Random(43)
-    sweep = [(SkewShapeTuple.straight(lam), 2) for lam in shape_tuples_bounded(3, 2, 3)]
-    sweep += [(random_skew_tuple(rng), rng.randint(1, 3)) for _ in range(40)]
-    expected = [cold(shape, n) for shape, n in sweep]
-    cold(*sweep[0])
-    assert [llt_coinv(shape, n) for shape, n in sweep] == expected
-    assert llt_coinv(*sweep[0]) == expected[0]
-    assert isinstance(_component_fillings((2, 1), (0, 0), 3), tuple)
+    sweep = [(llt_coinv, SkewShapeTuple.straight(lam), 2) for lam in shape_tuples_bounded(3, 2, 3)]
+    sweep += [(llt_coinv, random_skew_tuple(rng), rng.randint(1, 3)) for _ in range(40)]
+    sweep += [(verify, n, k, D) for verify in (verify_cauchy, verify_cauchy_rot)
+              for n, k, D in [(1, 2, 4), (2, 2, 3)]]
+    sweep += [(verify_skew_cauchy, ((1, 0), (0, 0)), 2, 2, 3)]
+    orders, results = [], []
+    for seed in (1, 2):
+        orders.append(random.Random(seed).sample(range(len(sweep)), len(sweep)))
+        results.append({i: sweep[i][0](*sweep[i][1:]) for i in orders[-1]})
+    assert orders[0] != orders[1]
+    assert results[0] == results[1]
+    assert all(results[0][i].passed for i in range(len(sweep) - 5, len(sweep)))
 
 
 @pytest.mark.parametrize("shape, n", [
@@ -345,16 +362,22 @@ def test_memoized_values_survive_a_sweep():
 ])
 def test_weights_are_cached_per_field_width(shape, n):
     # llt_coinv's layout (bound: the cell count) and the Cauchy drivers'
-    # (bound: D) give the x fields different widths; each count, with no
-    # cache emptied between them, is the reference count
+    # (bound: D) give the x fields different widths; each count is the
+    # reference count, by _coinv_counts and by a component table of the
+    # layout, whose weights memo the third count reads again
     cells = _Packing(VarSet(nx=n), shape.cell_count())
     xy = _xy_packing(n, 16)
     assert cells.shifts.step != xy.shifts.step
     reference = Counter((*T.weight_exponents(n), coinv(T)) for T in enumerate_ssyt(shape, n))
     expected = {cells: reference,
                 xy: Counter({(*e[:-1], *(0,) * n, e[-1]): c for e, c in reference.items()})}
+    tables = {packing: tableaux._ComponentTable(packing) for packing in expected}
     for packing in (cells, xy, cells):
+        table = tables[packing]
+        ids = tuple(map(table.ids.__getitem__, zip(shape.beta, shape.gamma)))
         assert decode(packing, tableaux._coinv_counts(shape, packing)) == expected[packing]
+        assert decode(packing, table.counts(ids)) == expected[packing]
+        assert sorted(table.weights) == sorted(set(ids))
 
 
 def _jacobi_trudi_count(beta, gamma, n):
