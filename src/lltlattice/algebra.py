@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 
@@ -267,9 +267,12 @@ class LaurentPoly:
         return self._map_exponents(lambda e: (*e[:-1], -e[-1]))  # t is the last variable
 
     def swap_vars(self, slot_a: int, slot_b: int) -> "LaurentPoly":
-        slots = range(self.vars.total)  # indexing it checks and normalizes a slot
-        swap = {slots[slot_a]: slot_b, slots[slot_b]: slot_a}
-        return self._map_exponents(lambda e: tuple(e[swap.get(i, i)] for i in slots))
+        order = list(range(self.vars.total))
+        a, b = order[slot_a], order[slot_b]  # indexing checks and normalizes a slot
+        if a == b:  # so itemgetter below picks at least two slots and returns a tuple
+            return self
+        order[a], order[b] = b, a
+        return self._map_exponents(itemgetter(*order))
 
     def invert_x(self) -> "LaurentPoly":
         """Apply x_i -> 1/x_i for every x-variable."""

@@ -5,8 +5,12 @@ Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
 maps a ``ValueError``, ``OverflowError`` or ``MemoryError`` to 2, an ``EngineMismatch`` to 3
 and a ``BrokenPipeError`` to 141.
 Every case is fixed, and numeric YBE draws only from its --seed, so identical
-invocations give byte-identical output.  The parser is built once, at import;
-``verify all`` checks its whole suite first, then prints each report as its case returns.
+invocations give byte-identical output.  The parser is built once, at import,
+with a table of each command's own parser (``compute``, ``stats``, ``verify
+<identity>``): ``main``, and ``verify all`` for each case of its suite, hand a
+command's arguments straight to its parser, and the root parser reads anything
+else.  ``verify all`` checks its whole suite first, then prints each report as
+its case returns.
 """
 
 from __future__ import annotations
@@ -290,7 +294,7 @@ def _emit_report(report, fmt: str):
 
 
 def cmd_verify(args) -> int:
-    runs = ([_PARSER.parse_args(["verify", *c.split()]) for c in _suite(args.quick)]
+    runs = ([_parse(["verify", *c.split()]) for c in _suite(args.quick)]
             if args.identity == "all" else [args])
     cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
     n_failed = 0
@@ -325,32 +329,60 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True, help="number of x variables")
     pc.add_argument("--engine", choices=_ENGINES, default="both")
     pc.add_argument("--format", choices=("json", "text"), default="text")
-    pc.set_defaults(func=cmd_compute)
+    pc.set_defaults(command="compute", func=cmd_compute)
 
     ps = sub.add_parser("stats", help="combinatorial statistics of a shape", allow_abbrev=False)
     ps.add_argument("--beta", required=True)
     ps.add_argument("--gamma", default=None)
     ps.add_argument("--M", type=int, default=None, help="box columns for dtilde")
-    ps.set_defaults(func=cmd_stats)
+    ps.set_defaults(command="stats", func=cmd_stats)
 
     pv = sub.add_parser("verify", help="machine-verify an identity")
-    pv.set_defaults(func=cmd_verify)
     identity = pv.add_subparsers(dest="identity", required=True)
     flags = {name: entry[3] for name, entry in VERIFY.items()} | {"all": "quick"}
     for name, dests in flags.items():
         pi = identity.add_parser(name, allow_abbrev=False)
+        pi.set_defaults(command="verify", identity=name, func=cmd_verify)
         for names, kwargs in (_VERIFY_FLAGS[dest] for dest in [*dests.split(), "format"]):
             pi.add_argument(*names, **kwargs)
 
     return parser
 
 
+def _leaf_parsers(parser: argparse.ArgumentParser) -> dict:
+    """{command words: parser} for each parser under ``parser`` that takes no
+    subcommand, such as ("verify", "ybe"), walked with a stack of the parsers
+    still to visit."""
+    leaves, pending = {}, [((), parser)]
+    while pending:
+        words, p = pending.pop()
+        sub = next((a for a in p._actions if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None:
+            leaves[words] = p
+        else:
+            pending += [((*words, name), child) for name, child in sub.choices.items()]
+    return leaves
+
+
 _PARSER = build_parser()
+_LEAVES = _leaf_parsers(_PARSER)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv read by the parser of the command that its leading words name,
+    which is what the levels above it would hand it, with the defaults they
+    would set; anything else (help, an unknown command, a flag before the
+    command) goes to the root parser.  A command is one or two words."""
+    for depth in (2, 1):
+        words = tuple(argv[:depth])
+        if words in _LEAVES:
+            return _LEAVES[words].parse_args(argv[len(words):])
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -186,13 +186,14 @@ def build_box_lattice(lam: ShapeTuple, M: int, n: int, right_exit: bool = False)
     otherwise the top boundary is the k-fold (M-n)^n box.
     """
     lam = check_box_tuple(lam, n, M)
+    M, n = index(M), index(n)  # checked above; plain ints, as LatticeSpec makes them
     k, r = len(lam), 1 - n
     bottom = tuple(_columns(p, r) for p in lam)
     if right_exit:
         top, right = ((),) * k, ((1 << k) - 1,) * n
     else:
         top, right = (_columns((M - n,) * n, r),) * k, (0,) * n
-    return LatticeSpec(r=r, ncols=M, bottom=bottom, top=top, right=right)
+    return LatticeSpec._trusted(r, M, bottom, top, right)
 
 
 # -- row machinery -------------------------------------------------------------

@@ -18,15 +18,15 @@ crossing expansion reads the weight alone and counts d from the labels.  The
 checkers cover every boundary one block of incoming labels at a time.  Tables
 built once per check hold each weight packed straight from the closed forms
 (`lattice`'s face exponents, `r_weight`'s expansion, its x line barred when
-starred); the crossing's is x^k R, so every packed exponent is in [0, 2k], and
-each side carries that one x^k.  One sparse contraction adds the left side
-minus the right side of a block into one dict, keyed by packed monomial and
-outgoing labels together, and the block passes iff every value is 0.  Only a
-failing block is contracted again, one side at a time, to find and decode its
-differing boundaries.  Numeric mode then evaluates those at exact rational
-points: at a point with nonzero x, y and t evaluation is a ring homomorphism,
-so equal sides have equal values, and the report is the one that evaluating
-every boundary would give.
+starred), each distinct monomial packed once; the crossing's is x^k R, so
+every packed exponent is in [0, 2k], and each side carries that one x^k.  One
+sparse contraction adds the left side minus the right side of a block into one
+dict, keyed by packed monomial and outgoing labels together, and the block
+passes iff every value is 0.  Only a failing block is contracted again, one
+side at a time, to find and decode its differing boundaries.  Numeric mode then
+evaluates those at exact rational points: at a point with nonzero x, y and t
+evaluation is a ring homomorphism, so equal sides have equal values, and the
+report is the one that evaluating every boundary would give.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from itertools import product
 
 from .algebra import LaurentPoly, VarSet, _Packing
 from .lattice import _gray, face_weight_exponents, masks
-from .shapes import check_int
+from .shapes import _Lazy, check_int
 
 YBE_VARS = VarSet(nx=1, ny=1)
 
@@ -181,7 +181,8 @@ def _tables(k: int, starred: bool) -> tuple:
     """The tables `_contract` reads, in the order the sides read them: the
     gauche's crossing, x-line and y-line face, then the droite's y-line and
     x-line face and crossing.  Row [I][J] of each is a list of entries (empty
-    rows shared), each weight packed once: the crossing times x^k; starred,
+    rows shared), each distinct monomial packed once per call and each entry
+    its key plus the entry's label shifts: the crossing times x^k; starred,
     the x-line face gray and the crossing's x line barred.  Gauche is R(I2,I1; K2,K1) Lx(I3,K1; K3,J1) Ly(K3,K2; J3,J2),
     droite Ly(I3,I2; L3,L2) Lx(L3,I1; J3,L1) R(L2,L1; J2,J1), and each
     side's outgoing labels are folded into its keys: m 2^(3k) + J1 + J2 2^k
@@ -190,26 +191,27 @@ def _tables(k: int, starred: bool) -> tuple:
     faces take back (K1 + K2 2^k there), so both sides share those terms.  A
     face weight is one monomial with coefficient 1: its key."""
     encode, s, size = _packing(k).encode, 3 * k, 1 << k
+    # {(x, y, t) exponents: packed key}, shifted past the folded labels
+    packed = _Lazy(lambda exps: next(iter(encode({exps: 1}, 3))) << s)
     rg, xg, yg, yd, xd, rd = ([[()] * size for _ in range(size)] for _ in range(6))
     for (I, J), row in _label_rows(k, "L").items():
         xg[I][J], yg[I][J], yd[I][J], xd[I][J] = gx, gy, dy, dx = [], [], [], []
         for K, L in row:
             xe, te = face_weight_exponents(I, J, K, L)  # admissible by picture
-            (m,) = encode({(0, xe, te): 1}, 3)
-            gy.append((m << s) + (L << k) + (K << 2 * k) - (J << k))
-            dy.append((K, L, m << s))
+            m = packed[0, xe, te]
+            gy.append(m + (L << k) + (K << 2 * k) - (J << k))
+            dy.append((K, L, m))
             xe, te = _gray(k, 1, xe, te) if starred else (xe, te)
-            (m,) = encode({(xe, 0, te): 1}, 3)
-            gx.append((K, (m << s) + L - J))
-            dx.append((L, (m << s) + (K << 2 * k)))
+            m = packed[xe, 0, te]
+            gx.append((K, m + L - J))
+            dx.append((L, m + (K << 2 * k)))
     for (I, J), row in _label_rows(k, "R").items():
         rg[I][J], rd[I][J] = gr, dr = [], []
         for K, L in row:
-            crossing = {}
+            terms = []
             for (x, y, t), c in _crossing_terms(k, I, J, K, L).items():
                 x, t = _gray(k, 0, x, t) if starred else (x, t)  # the x line barred
-                crossing[x + k, y, t] = c
-            terms = [((m << s) + L + (K << k), c) for m, c in encode(crossing, 3).items()]
+                terms.append((packed[x + k, y, t] + L + (K << k), c))
             gr.append((K, L, terms))
             dr += terms
     return rg, xg, yg, yd, xd, rd

@@ -78,30 +78,39 @@ def test_substitute_swap():
 
 
 V_XY = VarSet(nx=2, ny=2)  # x1, x2, y1, y2, t
-laurent_xy = st.dictionaries(
-    st.tuples(*[st.integers(min_value=-2, max_value=2)] * V_XY.total),
-    st.sampled_from([-3, -1, 1, 2]),
-    max_size=6,
-).map(lambda d: LaurentPoly(V_XY, d))
 
 
-def _unit(slot: int, power: int = 1) -> tuple[int, tuple]:
-    exps = [0] * V_XY.total
+def _laurent(vars: VarSet):
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * vars.total),
+        st.sampled_from([-3, -1, 1, 2]),
+        max_size=6,
+    ).map(lambda d: LaurentPoly(vars, d))
+
+
+def _unit(vars: VarSet, slot: int, power: int = 1) -> tuple[int, tuple]:
+    exps = [0] * vars.total
     exps[slot] = power
     return 1, tuple(exps)
 
 
-@given(laurent_xy)
+@given(st.one_of(_laurent(V_XY), _laurent(VarSet(nx=0))))
 @settings(max_examples=60, deadline=None)
 def test_exponent_maps_match_substitute(p):
     # invert_t, invert_x and swap_vars move exponents directly; substitute is
-    # the general route they must agree with
-    ti = V_XY.t_index
-    assert p.invert_t() == p.substitute({ti: _unit(ti, -1)})
-    assert p.invert_x() == p.substitute({i: _unit(i, -1) for i in range(V_XY.nx)})
-    for a in range(V_XY.total):
-        for b in range(V_XY.total):
-            assert p.swap_vars(a, b) == p.substitute({a: _unit(b), b: _unit(a)})
+    # the general route they must agree with.  VarSet(nx=0) holds t alone, so
+    # its one swap is of t with itself; a negative slot counts from the end
+    vars, total = p.vars, p.vars.total
+    ti = vars.t_index
+    assert p.invert_t() == p.substitute({ti: _unit(vars, ti, -1)})
+    assert p.invert_x() == p.substitute({i: _unit(vars, i, -1) for i in range(vars.nx)})
+    for a in range(-total, total):
+        for b in range(-total, total):
+            sa, sb = a % total, b % total
+            assert p.swap_vars(a, b) == p.substitute({sa: _unit(vars, sb), sb: _unit(vars, sa)})
+    for slot in (-total - 1, total):
+        with pytest.raises(IndexError):
+            p.swap_vars(slot, 0)
 
 
 def test_substitute_signed_monomial():

@@ -12,6 +12,7 @@ import pytest
 from lltlattice import cli, identities
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import EngineMismatch, IdentityReport
+from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
 
 
 def run_cli(*args):
@@ -281,10 +282,12 @@ def test_verify_all_prints_each_report_before_a_case_raises(monkeypatch, capsys)
     assert capsys.readouterr().out.splitlines() == golden[:24]
 
 
+def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _identity_parsers(parser=cli._PARSER) -> dict[str, argparse.ArgumentParser]:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    verify = sub.choices["verify"]
-    return next(a for a in verify._actions if a.dest == "identity").choices
+    return _subcommands(_subcommands(parser)["verify"])
 
 
 def test_verify_registry_is_complete():
@@ -340,8 +343,7 @@ def _refusal(command, flag_args) -> str:
     parser, then the arguments."""
     parser = cli._PARSER
     for name in command:
-        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-                      ).choices[name]
+        parser = _subcommands(parser)[name]
     return (f"{parser.format_usage()}"
             f"{parser.prog}: error: unrecognized arguments: {' '.join(flag_args)}\n")
 
@@ -511,6 +513,50 @@ def test_readme_cli_lines_run(capsys):
     for argv in _readme_cli_lines():
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(the namespace, or ("exit", code) of a SystemExit, stdout, stderr) of
+    parse(argv)."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# help, errors and commands with no identity, beside the golden commands and
+# `verify all`'s suites
+LEAF_PARSE_EDGES = [
+    "verify", "verify nope", "compute", "stats --gam 0", "verify ybe --k x",
+    "verify cauchy-rot --engine both", "verify lstar --M 6", "verify ybe -h",
+    "-h", "verify -h", "compute --beta 1 --n 1 --he",
+]
+
+
+def _suite_commands() -> list[str]:
+    return [f"verify {c}" for quick in (False, True) for c in cli._suite(quick)]
+
+
+def test_leaf_parse_matches_the_root_parser(capsys):
+    # main reads a command with its own parser; the namespace, exit code and
+    # output are those of the root parser handing the command down
+    for command in [*GOLDEN_COMMANDS, *_suite_commands(), *LEAF_PARSE_EDGES]:
+        argv = command.split()
+        leaf = _parse_outcome(cli._parse, argv, capsys)
+        assert leaf == _parse_outcome(cli._PARSER.parse_args, argv, capsys), command
+
+
+def test_a_command_is_read_by_its_own_parser_alone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser above the command's own ran")
+
+    for parser in (cli._PARSER, _subcommands(cli._PARSER)["verify"]):
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+    commands = ["compute --beta 1 --n 1", "stats --beta 3;2", *_suite_commands()]
+    for command in commands:
+        assert cli._parse(command.split()).command == command.split()[0]
 
 
 def test_verify_workers_flag_is_gone(capsys):

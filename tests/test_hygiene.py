@@ -131,6 +131,9 @@ NEVER_RUN = {
     "yangbaxter._table_oracle": "lemma: the color recursion's weights as a function",
     "yangbaxter._table_oracle.<locals>.weight": "lemma: one weight of the color recursion",
     "lattice.mask_of": "entry point: a 0/1-tuple edge label as a mask",
+    "lattice.LatticeSpec.__post_init__": "entry point: the checks of a hand-built spec; "
+                                         "both builders trust the specs they build",
+    "lattice._check_columns": "entry point: the column rule of a hand-built spec",
     "lattice.masks": "entry point: edge labels as masks, which the YBE weight oracles take",
     "identities.cauchy_kernel_truncated": "entry point: the truncated Cauchy kernel as a "
                                            "polynomial; the drivers keep it packed",
@@ -146,6 +149,7 @@ NEVER_RUN = {
     "yangbaxter._unpack": "failure path: a YBE side that differs, as a polynomial",
     "yangbaxter._differing": "failure path: the boundaries of a failing YBE block",
     "cli.build_parser": "import: the parser is built once, at import",
+    "cli._leaf_parsers": "import: the table of each command's own parser is built once, at import",
     "cli._with_engine": "import: VERIFY's builders are wrapped at import",
     "algebra.LaurentPoly.__add__": "bench: the algebra.add span",
     "algebra.LaurentPoly.substitute": "bench: the algebra.substitute span",

@@ -415,16 +415,22 @@ def test_lattice_spec_given_lists_keeps_tuples():
 
 
 def test_build_lattice_spec_passes_the_full_check():
-    # build_lattice skips the spec's checks on a checked shape; the checked
-    # constructor must accept and reproduce every spec it builds
+    # build_lattice and build_box_lattice skip the spec's checks on a checked
+    # shape; the checked constructor must accept and reproduce every spec
+    # they build, box lattices with either right edge
     rng = random.Random(39)
     shapes = [*_family_tuples(), *(random_skew_tuple(rng) for _ in range(300))]
-    for shape in shapes:
-        for n in (1, 2, 3):
-            spec = build_lattice(shape, n)
-            checked = LatticeSpec(r=spec.r, ncols=spec.ncols, bottom=spec.bottom,
-                                  top=spec.top, right=spec.right)
-            assert (checked, checked.n, repr(checked)) == (spec, spec.n, repr(spec)), shape
+    specs = [(shape, build_lattice(shape, n)) for shape in shapes for n in (1, 2, 3)]
+    for k, n in product((1, 2, 3), (1, 2, 3)):
+        for M in range(n, n + 3):
+            parts = list(combinations_with_replacement(range(M - n, -1, -1), n))
+            for lam in combinations_with_replacement(parts, k):
+                specs += [((lam, M, n, right_exit), build_box_lattice(lam, M, n, right_exit))
+                          for right_exit in (False, True)]
+    for built_from, spec in specs:
+        checked = LatticeSpec(r=spec.r, ncols=spec.ncols, bottom=spec.bottom,
+                              top=spec.top, right=spec.right)
+        assert (checked, checked.n, repr(checked)) == (spec, spec.n, repr(spec)), built_from
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -373,16 +373,26 @@ def test_ybe_gauche_matches_sparse_contraction():
                     assert ybe_droite(k, boundary) == droite, (k, boundary)
 
 
+def _packed_monomials(tables, k):
+    """The packed monomials that the droite's face tables and its crossing
+    table hold, as two sets: the labels folded into a key lie below bit 3k."""
+    _, _, _, yd, xd, rd = tables
+    faces = {key >> 3 * k for _, outs in _rows(yd) for _, _, key in outs}
+    faces |= {key >> 3 * k for _, outs in _rows(xd) for _, key in outs}
+    return faces, {key >> 3 * k for _, outs in _rows(rd) for key, _ in outs}
+
+
 @pytest.mark.parametrize("starred", [False, True])
 @pytest.mark.parametrize("k, entries", [(1, 15), (2, 75), (3, 375)])
 def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred):
-    # building the tables packs each weight once, and the contraction packs
-    # nothing; the weights come from exponent terms, never from polynomials
+    # building the tables packs each distinct monomial once, one per call,
+    # and the contraction packs nothing; the weights come from exponent
+    # terms, never from polynomials
     calls = []
     encode = _Packing.encode
 
     def counting(packing, terms, factors):
-        calls.append(terms)
+        calls.append(list(terms))
         return encode(packing, terms, factors)
 
     def no_poly(*args):
@@ -395,7 +405,12 @@ def test_contraction_converts_each_weight_once(monkeypatch, k, entries, starred)
     monkeypatch.undo()
     # the gauche's three tables hold one entry per weight
     assert sum(len(outs) for rows in tables[:3] for row in rows for outs in row) == entries
-    assert len(calls) == entries
+    assert all(len(terms) == 1 for terms in calls)
+    packed = [exps for (exps,) in calls]
+    assert len(set(packed)) == len(packed) < entries
+    faces, crossing = _packed_monomials(tables, k)
+    held = yangbaxter._packing(k).decode(dict.fromkeys(faces | crossing, 1))
+    assert set(packed) == set(held)
     monkeypatch.setattr(_Packing, "encode", no_poly)
     for incoming in _label_triples(k):
         for signs in ((1, -1), (1, 0), (0, -1)):
@@ -414,16 +429,16 @@ def test_every_table_exponent_is_a_digit(monkeypatch, k, starred):
 
     def recording(packing, terms, factors):
         assert (packing.bound, factors) == (6 * k, 3)
-        packed.append(list(terms))
+        packed.extend(terms)
         return encode(packing, terms, factors)
 
     monkeypatch.setattr(_Packing, "encode", recording)
-    _tables(k, starred)
+    tables = _tables(k, starred)
     monkeypatch.undo()
-    assert len(packed) == 3 * 5 ** k   # x-line face, y-line face, crossing
-    bounded = [e for terms in packed for x, y, _ in terms for e in (x, y)]
+    bounded = [e for x, y, _ in packed for e in (x, y)]
     assert (min(bounded), max(bounded)) == (0, 2 * k if starred else k)
-    crossing_x = {x for terms in packed[-5 ** k:] for x, _, _ in terms}
+    _, crossing = _packed_monomials(tables, k)
+    crossing_x = {x for x, _, _ in yangbaxter._packing(k).decode(dict.fromkeys(crossing, 1))}
     assert min(crossing_x) >= 0 and max(crossing_x) <= 2 * k
 
 
