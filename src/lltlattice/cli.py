@@ -5,12 +5,13 @@ Exit codes: 0 success, 1 verification failed, 2 bad parameters or parse error,
 maps a ``ValueError``, ``OverflowError`` or ``MemoryError`` to 2, an ``EngineMismatch`` to 3
 and a ``BrokenPipeError`` to 141.
 Every case is fixed, and numeric YBE draws only from its --seed, so identical
-invocations give byte-identical output.  The parser is built once, at import,
-with a table of each command's own parser (``compute``, ``stats``, ``verify
-<identity>``): ``main``, and ``verify all`` for each case of its suite, hand a
-command's arguments straight to its parser, and the root parser reads anything
-else.  ``verify all`` checks its whole suite first, then prints each report as
-its case returns.
+invocations give byte-identical output.  The parser is built once, at import:
+``build_parser`` records each command's own parser (``compute``, ``stats``,
+``verify <identity>``) as it makes it, and no code walks the parser tree.
+``main``, and ``verify all`` for each case of its suite, hand a command's
+arguments straight to its parser, and the root parser reads anything else.
+``verify all`` checks its whole suite first, then prints each report as its
+case returns.
 """
 
 from __future__ import annotations
@@ -315,15 +316,18 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser, and each command's own parser by its words, such as ("verify", "ybe")."""
     parser = argparse.ArgumentParser(
         prog="lltlattice",
         description="Coinversion LLT polynomials and their verified identities",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    leaves = {}
 
     # no command takes abbreviations: --M on lstar is not --M-list
-    pc = sub.add_parser("compute", help="compute one LLT polynomial", allow_abbrev=False)
+    pc = leaves[("compute",)] = sub.add_parser(
+        "compute", help="compute one LLT polynomial", allow_abbrev=False)
     pc.add_argument("--beta", required=True, help='e.g. "3,3;3,1"')
     pc.add_argument("--gamma", default=None, help='e.g. "2,1;1,0" (default: zeros)')
     pc.add_argument("--n", type=int, required=True, help="number of x variables")
@@ -331,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--format", choices=("json", "text"), default="text")
     pc.set_defaults(command="compute", func=cmd_compute)
 
-    ps = sub.add_parser("stats", help="combinatorial statistics of a shape", allow_abbrev=False)
+    ps = leaves[("stats",)] = sub.add_parser(
+        "stats", help="combinatorial statistics of a shape", allow_abbrev=False)
     ps.add_argument("--beta", required=True)
     ps.add_argument("--gamma", default=None)
     ps.add_argument("--M", type=int, default=None, help="box columns for dtilde")
@@ -341,31 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     identity = pv.add_subparsers(dest="identity", required=True)
     flags = {name: entry[3] for name, entry in VERIFY.items()} | {"all": "quick"}
     for name, dests in flags.items():
-        pi = identity.add_parser(name, allow_abbrev=False)
+        pi = leaves["verify", name] = identity.add_parser(name, allow_abbrev=False)
         pi.set_defaults(command="verify", identity=name, func=cmd_verify)
         for names, kwargs in (_VERIFY_FLAGS[dest] for dest in [*dests.split(), "format"]):
             pi.add_argument(*names, **kwargs)
 
-    return parser
+    return parser, leaves
 
 
-def _leaf_parsers(parser: argparse.ArgumentParser) -> dict:
-    """{command words: parser} for each parser under ``parser`` that takes no
-    subcommand, such as ("verify", "ybe"), walked with a stack of the parsers
-    still to visit."""
-    leaves, pending = {}, [((), parser)]
-    while pending:
-        words, p = pending.pop()
-        sub = next((a for a in p._actions if isinstance(a, argparse._SubParsersAction)), None)
-        if sub is None:
-            leaves[words] = p
-        else:
-            pending += [((*words, name), child) for name, child in sub.choices.items()]
-    return leaves
-
-
-_PARSER = build_parser()
-_LEAVES = _leaf_parsers(_PARSER)
+_PARSER, _LEAVES = build_parser()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

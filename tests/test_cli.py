@@ -286,17 +286,17 @@ def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _identity_parsers(parser=cli._PARSER) -> dict[str, argparse.ArgumentParser]:
-    return _subcommands(_subcommands(parser)["verify"])
+def _identity_parsers(leaves=cli._LEAVES) -> dict[str, argparse.ArgumentParser]:
+    return {words[1]: parser for words, parser in leaves.items() if words[0] == "verify"}
 
 
 def test_verify_registry_is_complete():
     for module, verifier, build, flags in cli.VERIFY.values():
         assert callable(getattr(module, verifier)) and callable(build)
         assert set(flags.split()) <= set(cli._VERIFY_FLAGS)
-    assert list(_identity_parsers(cli.build_parser())) == [*cli.VERIFY, "all"]
+    assert list(_identity_parsers(cli.build_parser()[1])) == [*cli.VERIFY, "all"]
     assert set(DEFAULT_VERIFY_LINES) == set(cli.VERIFY)
-    parse = cli.build_parser().parse_args
+    parse = cli.build_parser()[0].parse_args
     for quick in (False, True):
         runs = [parse(["verify", *c.split()]) for c in cli._suite(quick)]
         if not quick:
@@ -341,9 +341,8 @@ def _refusal(command, flag_args) -> str:
     """argparse's stderr for flag arguments that the command (such as
     ["verify", "ybe"]) does not declare: the usage of the command's own
     parser, then the arguments."""
-    parser = cli._PARSER
-    for name in command:
-        parser = _subcommands(parser)[name]
+    parsers = {(): cli._PARSER, ("verify",): _subcommands(cli._PARSER)["verify"], **cli._LEAVES}
+    parser = parsers[tuple(command)]
     return (f"{parser.format_usage()}"
             f"{parser.prog}: error: unrecognized arguments: {' '.join(flag_args)}\n")
 

@@ -2,9 +2,10 @@
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, no module
-decorates a function with a functools cache (nothing is kept between calls), every
-function that calls itself is listed with what bounds its depth, one function
-owns the integer range rule, one method owns the packed field width, one
+reads argparse's private parser tree, no module decorates a function with a
+functools cache (nothing is kept between calls), every function that calls
+itself is listed with what bounds its depth, one function owns the integer
+range rule, one method owns the packed field width, one
 function counts the plain face weight's exponents, one function turns a
 partition's parts into label columns, one method reads a configuration's
 levels as label masks, one assignment reads the single-color picture
@@ -149,7 +150,6 @@ NEVER_RUN = {
     "yangbaxter._unpack": "failure path: a YBE side that differs, as a polynomial",
     "yangbaxter._differing": "failure path: the boundaries of a failing YBE block",
     "cli.build_parser": "import: the parser is built once, at import",
-    "cli._leaf_parsers": "import: the table of each command's own parser is built once, at import",
     "cli._with_engine": "import: VERIFY's builders are wrapped at import",
     "algebra.LaurentPoly.__add__": "bench: the algebra.add span",
     "algebra.LaurentPoly.substitute": "bench: the algebra.substitute span",
@@ -469,6 +469,55 @@ def test_guard_sees_a_random_import():
                    "def f():\n    import random.x as r\n"):
         assert _imported_modules(source) == {"random"}
     assert _imported_modules("from . import random\nfrom .shapes import rotate\n") == set()
+
+
+ARGPARSE_INTERNALS = ("_actions", "_SubParsersAction")
+
+
+def _argparse_internals(source: str) -> list[str]:
+    """Each name, attribute, imported name or string in source that is one of
+    the private argparse members a walk of the parser tree reads, in line
+    order, as "line N: name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "attr", "name", "value"):
+            name = getattr(node, field, None)
+            if isinstance(name, str) and name in ARGPARSE_INTERNALS:
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_module_walks_the_parser_tree():
+    # cli.build_parser records each command's own parser as it makes it, so
+    # nothing reads argparse's private actions to find them again
+    found = {path.name: hits for path in sorted(SRC.glob("*.py"))
+             if (hits := _argparse_internals(path.read_text()))}
+    assert found == {}
+
+
+def test_guard_sees_a_walk_of_the_parser_tree():
+    source = (
+        "import argparse\n"
+        "from argparse import _SubParsersAction as Sub\n\n"
+        "def _leaf_parsers(parser):\n"
+        "    leaves, pending = {}, [((), parser)]\n"
+        "    while pending:\n"
+        "        words, p = pending.pop()\n"
+        "        sub = next((a for a in p._actions if isinstance(a, argparse._SubParsersAction)),\n"
+        "                   None)\n"
+        "        if sub is None:\n"
+        "            leaves[words] = p\n"
+        "        else:\n"
+        "            pending += [((*words, n), c) for n, c in sub.choices.items()]\n"
+        "    return leaves, getattr(parser, '_actions')\n\n"
+        # not internals: the public calls, and names that only contain one
+        "def build(parser, _actions_seen):\n"
+        "    sub = parser.add_subparsers(dest='actions')\n"
+        "    return sub.add_parser('x'), _actions_seen, parser.actions\n"
+    )
+    assert _argparse_internals(source) == [
+        "line 2: _SubParsersAction", "line 8: _SubParsersAction", "line 8: _actions",
+        "line 14: _actions"]
 
 
 def _function_imports(source: str) -> list[str]:
