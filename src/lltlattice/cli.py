@@ -10,6 +10,7 @@ invocations give byte-identical output.  The parser is built once, at import:
 ``verify <identity>``) as it makes it, and no code walks the parser tree.
 ``main``, and ``verify all`` for each case of its suite, hand a command's
 arguments straight to its parser, and the root parser reads anything else.
+Every parser is argparse's own and refuses, by name, each argument it cannot place.
 ``verify all`` checks its whole suite first, then prints each report as its
 case returns.
 """
@@ -306,23 +307,13 @@ def cmd_verify(args) -> int:
     return 1 if n_failed else 0
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """Refuses, with its own usage, the arguments it does not declare itself."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extra = super().parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return namespace, extra
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The root parser, and each command's own parser by its words, such as ("verify", "ybe")."""
     parser = argparse.ArgumentParser(
         prog="lltlattice",
         description="Coinversion LLT polynomials and their verified identities",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     leaves = {}
 
     # no command takes abbreviations: --M on lstar is not --M-list

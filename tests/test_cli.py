@@ -341,8 +341,7 @@ def _refusal(command, flag_args) -> str:
     """argparse's stderr for flag arguments that the command (such as
     ["verify", "ybe"]) does not declare: the usage of the command's own
     parser, then the arguments."""
-    parsers = {(): cli._PARSER, ("verify",): _subcommands(cli._PARSER)["verify"], **cli._LEAVES}
-    parser = parsers[tuple(command)]
+    parser = cli._LEAVES[tuple(command)]
     return (f"{parser.format_usage()}"
             f"{parser.prog}: error: unrecognized arguments: {' '.join(flag_args)}\n")
 
@@ -444,15 +443,20 @@ def test_huge_size_exit_2(command, capsys):
     assert captured.err == f"error: {_HUGE_SIZES[command]}\n"
 
 
-@pytest.mark.parametrize("command, refused_by", [
-    ("--foo compute --beta 1 --n 1", []),   # the top-level parser, not compute's
-    ("verify --foo ybe", ["verify"]),
+# a flag before the command, or between verify and its identity, reaches the
+# top-level parser, which names every argument of the line that it refuses
+@pytest.mark.parametrize("command, refused", [
+    ("--foo compute --beta 1 --n 1", "--foo"),
+    ("--foo compute --beta 1 --n 1 --bar", "--foo --bar"),
+    ("verify --foo ybe", "--foo"),
+    ("verify --foo ybe --engine both", "--foo --engine both"),
 ])
-def test_flag_before_the_command_is_refused_above_it(command, refused_by, capsys):
+def test_flag_before_the_command_is_refused_above_it(command, refused, capsys):
     assert cli.main(command.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == _refusal(refused_by, ["--foo"])
+    assert captured.err == ("usage: lltlattice [-h] {compute,stats,verify} ...\n"
+                            f"lltlattice: error: unrecognized arguments: {refused}\n")
 
 
 def test_verify_refusal_stderr(capsys):
@@ -483,6 +487,7 @@ def test_verify_flag_of_another_identity_exit_2(command, unread, capsys):
 @pytest.mark.parametrize("command, unread", [
     ("compute --beta 2,1 --n 2 --form json --eng tableaux", "--form json --eng tableaux"),
     ("stats --beta 2 --gam 0", "--gam 0"),
+    ("compute --beta 1 --n 1 --he", "--he"),  # no abbreviation of --help
 ])
 def test_abbreviated_flag_exit_2(command, unread, capsys):
     # compute and stats spell their flags in full, as verify does
@@ -525,13 +530,17 @@ def _parse_outcome(parse, argv, capsys):
     return result, captured.out, captured.err
 
 
-# help, errors and commands with no identity, beside the golden commands and
-# `verify all`'s suites
+# help, errors inside a command (missing, malformed, an invalid choice) and
+# commands with no identity, beside the golden commands and `verify all`'s
+# suites.  An argument that a command does not declare is read by that
+# command's own parser alone, which refuses it with its own usage where the
+# root parser would print the top-level one; so the goldens that carry one
+# are left out, and test_verify_bad_parameters_exit_2 pins such refusals.
 LEAF_PARSE_EDGES = [
-    "verify", "verify nope", "compute", "stats --gam 0", "verify ybe --k x",
-    "verify cauchy-rot --engine both", "verify lstar --M 6", "verify ybe -h",
-    "-h", "verify -h", "compute --beta 1 --n 1 --he",
+    "verify", "verify nope", "compute", "stats --gam 0", "verify ybe --k x", "verify ybe -h",
+    "-h", "verify -h",
 ]
+UNDECLARED_GOLDENS = ["verify all --seed 5", "verify engine-equivalence --trials 3"]
 
 
 def _suite_commands() -> list[str]:
@@ -541,7 +550,9 @@ def _suite_commands() -> list[str]:
 def test_leaf_parse_matches_the_root_parser(capsys):
     # main reads a command with its own parser; the namespace, exit code and
     # output are those of the root parser handing the command down
-    for command in [*GOLDEN_COMMANDS, *_suite_commands(), *LEAF_PARSE_EDGES]:
+    assert set(UNDECLARED_GOLDENS) <= set(GOLDEN_COMMANDS)
+    goldens = [command for command in GOLDEN_COMMANDS if command not in UNDECLARED_GOLDENS]
+    for command in [*goldens, *_suite_commands(), *LEAF_PARSE_EDGES]:
         argv = command.split()
         leaf = _parse_outcome(cli._parse, argv, capsys)
         assert leaf == _parse_outcome(cli._PARSER.parse_args, argv, capsys), command

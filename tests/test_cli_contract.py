@@ -3,7 +3,8 @@
 Seeded random argv are drawn from the flags that each command's own parser
 (``cli._LEAVES``) declares, with well-formed, malformed, negative, huge
 (above ``sys.maxsize``) and non-ASCII values, flags of other commands from
-``cli._VERIFY_FLAGS``, stray words, missing values and ``-h``.  Each runs
+``cli._VERIFY_FLAGS``, stray words (some before the command's last word,
+where the top-level parser reads them), missing values and ``-h``.  Each runs
 through ``cli.main`` in process: it exits 0, 1, 2 or 3, no exception escapes,
 an exit 0 writes nothing to stderr, and an exit 2 writes one ``error:`` line
 or argparse's usage and error line.  Every case is cheap: the well-formed
@@ -75,7 +76,9 @@ def _draw(rng: random.Random, ran: set) -> list[str]:
     if roll < 0.1 and other:
         argv += [rng.choice(other), rng.choice(CHEAP["n"])]
     elif roll < 0.15:
-        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["foo", "ybe", "ü", "-x"]))
+        # half go before the command's last word, where the top-level parser reads them
+        at = rng.choice([rng.randrange(len(words)), rng.randrange(len(words), len(argv) + 1)])
+        argv.insert(at, rng.choice(["foo", "ybe", "ü", "-x", "--foo"]))
     elif roll < 0.2 and len(argv) > len(words):
         argv.pop()   # the last flag loses its value, or a switch goes
     elif roll < 0.22:
@@ -101,6 +104,7 @@ def _breach(code: int, err: str) -> str | None:
 
 def test_random_argv_keep_the_cli_contract(capsys):
     rng, ran, breaches, codes = random.Random(2012_02376), set(), [], set()
+    refused_above = 0
     for _ in range(300):
         argv = _draw(rng, ran)
         try:
@@ -110,10 +114,14 @@ def test_random_argv_keep_the_cli_contract(capsys):
             breaches.append((argv, f"{type(exc).__name__}: {exc}"))
             continue
         codes.add(code)
-        if breach := _breach(code, capsys.readouterr().err):
+        err = capsys.readouterr().err
+        refused_above += (err.startswith(cli._PARSER.format_usage())
+                          and "lltlattice: error: unrecognized arguments: " in err)
+        if breach := _breach(code, err):
             breaches.append((argv, breach))
     assert breaches == []
     assert {0, 2} <= codes   # the draws reach both a run and a refusal
+    assert refused_above   # and the top-level parser's refusal of a flag
 
 
 def test_contract_check_sees_a_breach():

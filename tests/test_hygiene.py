@@ -2,18 +2,18 @@
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, no module
-reads argparse's private parser tree, no module decorates a function with a
-functools cache (nothing is kept between calls), every function that calls
-itself is listed with what bounds its depth, one function owns the integer
-range rule, one method owns the packed field width, one
-function counts the plain face weight's exponents, one function turns a
-partition's parts into label columns, one method reads a configuration's
-levels as label masks, one assignment reads the single-color picture
-tables, every file parses as the oldest supported Python, every function
-of the package runs under the CLI or is listed with why it stays, and every
-committed BENCH_*.json record parses, has the keys that all of them share,
-and claims a gain in an end-to-end metric on a workload that BENCHMARK.json
-names."""
+reads argparse's private parser tree or derives its own parser class, no
+module decorates a function with a functools cache (nothing is kept between
+calls), every function that calls itself is listed with what bounds its
+depth, one function owns the integer range rule, one method owns the packed
+field width, one function counts the plain face weight's exponents, one
+function turns a partition's parts into label columns, one method reads a
+configuration's levels as label masks, one assignment reads the
+single-color picture tables, every file parses as the oldest supported
+Python, every function of the package runs under the CLI or is listed with
+why it stays, and every committed BENCH_*.json record parses, has the keys
+that all of them share, and claims a gain in an end-to-end metric on a
+workload that BENCHMARK.json names."""
 
 import ast
 import importlib
@@ -518,6 +518,60 @@ def test_guard_sees_a_walk_of_the_parser_tree():
     assert _argparse_internals(source) == [
         "line 2: _SubParsersAction", "line 8: _SubParsersAction", "line 8: _actions",
         "line 14: _actions"]
+
+
+def _own_parser_classes(source: str) -> list[str]:
+    """Each class in source that derives from argparse's ``ArgumentParser``,
+    and each ``add_subparsers`` call that passes a ``parser_class``, as
+    "line N: " and the class or the call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                "ArgumentParser" in (getattr(base, "id", None), getattr(base, "attr", None))
+                for base in node.bases):
+            found.append((node.lineno, f"class {node.name}"))
+        elif (isinstance(node, ast.Call) and any(kw.arg == "parser_class" for kw in node.keywords)
+              and "add_subparsers" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_every_parser_is_argparses_own():
+    # each command's own parser refuses what it does not declare, and the
+    # root parser names every argument it cannot place, so argparse alone
+    # refuses arguments
+    found = {path.name: hits for path in sorted(SRC.glob("*.py"))
+             if (hits := _own_parser_classes(path.read_text()))}
+    assert found == {}
+
+
+def test_guard_sees_a_parser_subclass():
+    source = (
+        "import argparse\n"
+        "from argparse import ArgumentParser\n\n"
+        "class _CommandParser(argparse.ArgumentParser):\n"
+        '    """Refuses, with its own usage, the arguments it does not declare itself."""\n\n'
+        "    def parse_known_args(self, args=None, namespace=None):\n"
+        "        namespace, extra = super().parse_known_args(args, namespace)\n"
+        "        if extra:\n"
+        "            self.error(f\"unrecognized arguments: {' '.join(extra)}\")\n"
+        "        return namespace, extra\n\n"
+        "class _Quiet(ArgumentParser):\n"
+        "    pass\n\n"
+        # not a parser subclass, nor a parser_class: a namespace, and subparsers
+        # of argparse's own parser
+        "class _Args(argparse.Namespace):\n"
+        "    pass\n\n"
+        "def build_parser():\n"
+        "    parser = argparse.ArgumentParser(prog='lltlattice')\n"
+        "    sub = parser.add_subparsers(dest='command', required=True, parser_class=_CommandParser)\n"
+        "    return parser, sub.add_parser('verify').add_subparsers(dest='identity')\n"
+    )
+    assert _own_parser_classes(source) == [
+        "line 4: class _CommandParser", "line 13: class _Quiet",
+        "line 21: parser.add_subparsers(dest='command', required=True, "
+        "parser_class=_CommandParser)"]
 
 
 def _function_imports(source: str) -> list[str]:
