@@ -114,7 +114,7 @@ def _at_least(args, name: str, low: int, high: int = sys.maxsize) -> int:
 
 
 def _ybe_kwargs(args) -> dict:
-    # 2^(6k) boundaries: k = 4, 5, 6 take about 0.2 s, 1.1 s and 22 s (34 MB)
+    # 2^(6k) boundaries: k = 4, 5, 6 take about 0.14 s, 1.0 s and 19 s (35 MB)
     kwargs = {"k": _at_least(args, "k", 0, 6), "mode": args.mode}
     if args.mode == "numeric":
         kwargs.update(seed=args.seed, trials=_at_least(args, "trials", 1))

@@ -13,20 +13,25 @@ admissible patterns (I,J,K,L) and their factors are
 
 where d counts the colors above this one in type 1; the pattern (1,0,1,0) is
 forbidden.  One picture table per kind holds each single-color weight (d = 0);
-``ef_weight`` and the color recursion read it with its shift flag, and the
-crossing expansion reads the weight alone and counts d from the labels.  The
-checkers cover every boundary one block of incoming labels at a time.  Tables
-built once per check hold each weight packed straight from the closed forms
-(`lattice`'s face exponents, `r_weight`'s expansion, its x line barred when
-starred), each distinct monomial packed once; the crossing's is x^k R, so
-every packed exponent is in [0, 2k], and each side carries that one x^k.  One
-sparse contraction adds the left side minus the right side of a block into one
-dict, keyed by packed monomial and outgoing labels together, and the block
-passes iff every value is 0.  Only a failing block is contracted again, one
-side at a time, to find and decode its differing boundaries.  Numeric mode then
-evaluates those at exact rational points: at a point with nonzero x, y and t
-evaluation is a ring homomorphism, so equal sides have equal values, and the
-report is the one that evaluating every boundary would give.
+``ef_weight`` and the color recursion read it with its shift flag.  The
+crossing expansion reads the weight alone: one routine multiplies in one
+color's factor with x read as x t^d, and one expression counts d from the
+labels.  ``r_weight`` expands one crossing from the top color down; the
+checks' tables grow every crossing's labels from the top color down, so each
+label prefix is expanded once and its new color reads d off the colors
+already placed.  The checkers cover every boundary one block of incoming
+labels at a time.  Tables built once per check hold each weight packed
+straight from the closed forms (`lattice`'s face exponents, the crossing
+expansion, its x line barred when starred), each distinct monomial packed
+once; the crossing's is x^k R, so every packed exponent is in [0, 2k], and
+each side carries that one x^k.  One sparse contraction adds the left side
+minus the right side of a block into one dict, keyed by packed monomial and
+outgoing labels together, and the block passes iff every value is 0.  Only a
+failing block is contracted again, one side at a time, to find and decode its
+differing boundaries.  Numeric mode then evaluates those at exact rational
+points, drawn only when some boundary differs: at a point with nonzero x, y
+and t evaluation is a ring homomorphism, so equal sides have equal values, and
+the report is the one that evaluating every boundary would give.
 """
 
 from __future__ import annotations
@@ -72,29 +77,52 @@ _BRANCHES = {
 }
 
 
-def _crossing_terms(k: int, I: int, J: int, K: int, L: int) -> dict:
-    """{(x, y, t) exponents: coefficient} of R(I,J;K,L), the product of the
-    colors' factors expanded; empty when some color breaks the type table.
-    A color's factor is its picture's weight with x read as x t^d, d the
-    type-1 colors above it, counted from the labels."""
+def _type1_above(i: int, I: int, J: int, K: int, L: int) -> int:
+    """d of color i: the type-1 colors above it, counted from the labels
+    (labels that name only the colors placed so far give the same count)."""
+    return ((J & L & ~(I | K)) >> i + 1).bit_count()
+
+
+def _times_color(terms: dict, weight: LaurentPoly, d: int) -> dict:
+    """{(x, y, t) exponents: coefficient} of terms times one color's picture
+    weight with x read as x t^d."""
+    expanded: dict = {}
+    for (x, y, t), f in weight.terms.items():
+        for (a, b, c), coeff in terms.items():
+            exps = (a + x, b + y, c + t + x * d)
+            expanded[exps] = expanded.get(exps, 0) + coeff * f
+    return expanded
+
+
+def r_weight(k: int, I, J, K, L) -> LaurentPoly:
+    """Closed-form crossing weight, the product of the colors' factors
+    expanded from the top color down; 0 when some color breaks the type
+    table.  A color's factor is its picture's weight with x read as x t^d."""
+    I, J, K, L = masks(k, I, J, K, L)
     terms = {(0, 0, 0): 1}
     for i in reversed(range(k)):
         pic = ((I >> i) & 1, (J >> i) & 1, (K >> i) & 1, (L >> i) & 1)
         if pic not in _BRANCHES["R"]:
-            return {}
-        d = ((J & L & ~(I | K)) >> i + 1).bit_count()
-        expanded: dict = {}
-        for (x, y, t), f in _BRANCHES["R"][pic][0].terms.items():
-            for (a, b, c), coeff in terms.items():
-                exps = (a + x, b + y, c + t + x * d)
-                expanded[exps] = expanded.get(exps, 0) + coeff * f
-        terms = expanded
-    return terms
+            return LaurentPoly(YBE_VARS, {})
+        terms = _times_color(terms, _BRANCHES["R"][pic][0], _type1_above(i, I, J, K, L))
+    return LaurentPoly(YBE_VARS, terms)
 
 
-def r_weight(k: int, I, J, K, L) -> LaurentPoly:
-    """Closed-form crossing weight; 0 when some color breaks the type table."""
-    return LaurentPoly(YBE_VARS, _crossing_terms(k, *masks(k, I, J, K, L)))
+def _crossing_rows(k: int) -> dict:
+    """(I, J) -> [(K, L, terms)] over every crossing that no color breaks,
+    terms those `r_weight` expands, built from the top color down: each label
+    prefix is expanded once, its new color reading d off the colors above."""
+    rows = {(0, 0): [(0, 0, {(0, 0, 0): 1})]}
+    for i in reversed(range(k)):
+        bit, grown = 1 << i, {}
+        for (I, J), row in rows.items():
+            for K, L, terms in row:
+                d = _type1_above(i, I, J, K, L)
+                for (a, b, c, e), (weight, _) in _BRANCHES["R"].items():
+                    grown.setdefault((I | a * bit, J | b * bit), []).append(
+                        (K | c * bit, L | e * bit, _times_color(terms, weight, d)))
+        rows = grown
+    return rows
 
 
 # -- the E/F tables and the color recursion ------------------------------------
@@ -162,12 +190,12 @@ def _unpack(k: int, counts) -> LaurentPoly:
     return _packing(k).poly(counts)._map_exponents(lambda e: (e[0] - k, e[1], e[2]))
 
 
-def _label_rows(k: int, kind: str) -> dict:
-    """(I, J) -> [(K, L)] over the labels whose colors each follow one of
-    the kind's single-color pictures, built one color at a time; an (I, J)
-    that no labels follow is absent."""
+def _label_rows(k: int) -> dict:
+    """(I, J) -> [(K, L)] over the face labels whose colors each follow one
+    of the face pictures, built one color at a time; an (I, J) that no labels
+    follow is absent."""
     outs: dict = {}
-    for i, j, kk, l in _BRANCHES[kind]:
+    for i, j, kk, l in _BRANCHES["L"]:
         outs.setdefault((i, j), []).append((kk, l))
     rows = {(0, 0): [(0, 0)]}
     for bit in (1 << i for i in range(k)):
@@ -194,7 +222,7 @@ def _tables(k: int, starred: bool) -> tuple:
     # {(x, y, t) exponents: packed key}, shifted past the folded labels
     packed = _Lazy(lambda exps: next(iter(encode({exps: 1}, 3))) << s)
     rg, xg, yg, yd, xd, rd = ([[()] * size for _ in range(size)] for _ in range(6))
-    for (I, J), row in _label_rows(k, "L").items():
+    for (I, J), row in _label_rows(k).items():
         xg[I][J], yg[I][J], yd[I][J], xd[I][J] = gx, gy, dy, dx = [], [], [], []
         for K, L in row:
             xe, te = face_weight_exponents(I, J, K, L)  # admissible by picture
@@ -205,11 +233,13 @@ def _tables(k: int, starred: bool) -> tuple:
             m = packed[xe, 0, te]
             gx.append((K, m + L - J))
             dx.append((L, m + (K << 2 * k)))
-    for (I, J), row in _label_rows(k, "R").items():
+    rows = _crossing_rows(k)
+    while rows:  # each row's expanded terms are dropped once it is packed
+        (I, J), row = rows.popitem()
         rg[I][J], rd[I][J] = gr, dr = [], []
-        for K, L in row:
+        for K, L, crossing in row:
             terms = []
-            for (x, y, t), c in _crossing_terms(k, I, J, K, L).items():
+            for (x, y, t), c in crossing.items():
                 x, t = _gray(k, 0, x, t) if starred else (x, t)  # the x line barred
                 terms.append((packed[x + k, y, t] + L + (K << k), c))
             gr.append((K, L, terms))
@@ -328,9 +358,9 @@ def _run_check(name: str, k: int, mode: str, seed: int, trials: int, starred: bo
         return YbeReport(name, k, "symbolic", checked, len(differ), first)
     # Evaluation at a point with nonzero x, y and t is a ring homomorphism, so
     # sides that are equal symbolically are equal there: only the boundaries
-    # in `differ` can fail at a point.
+    # in `differ` can fail at a point, and with none no point is drawn.
     rng = random.Random(seed)
-    points = [_sample_point(rng) for _ in range(trials)]
+    points = [_sample_point(rng) for _ in range(trials)] if differ else []
     failed, first = 0, None
     for point in points:
         for key, g, d in differ:

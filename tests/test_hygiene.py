@@ -147,6 +147,8 @@ NEVER_RUN = {
     "algebra.LaurentPoly.eval_rational": "failure path: numeric YBE evaluates unequal sides only",
     "identities.EngineMismatch.__init__": "failure path: the engines disagree (exit 3)",
     "yangbaxter._witness": "failure path: the first boundary where the YBE fails",
+    "yangbaxter._sample_point": "failure path: numeric YBE draws its points only when some "
+                                "boundary's sides differ",
     "yangbaxter._unpack": "failure path: a YBE side that differs, as a polynomial",
     "yangbaxter._differing": "failure path: the boundaries of a failing YBE block",
     "cli.build_parser": "import: the parser is built once, at import",
@@ -341,6 +343,42 @@ def test_guard_sees_a_second_plain_weight_rule():
     )
     assert _calls_outside(source, "_exponents", "bit_count") == ["r.bit_count()"]
     assert _readers(source, "_exponents") == ["face", "step"]
+
+
+def _complement_counts(source: str) -> list[tuple[str, str]]:
+    """(module-level name, text) of each ``bit_count`` call in source whose
+    receiver takes a complement (``~``), as a count of one type's colors does."""
+    return [(getattr(stmt, "name", "?"), ast.unparse(node)) for stmt in ast.parse(source).body
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "bit_count"
+            and any(isinstance(sub, ast.UnaryOp) and isinstance(sub.op, ast.Invert)
+                    for sub in ast.walk(node.func.value))]
+
+
+def test_type1_count_has_one_owner():
+    # yangbaxter._type1_above alone counts the type-1 colors above a color,
+    # its crossing factor's d, and both crossing expansions call it, so
+    # verify ybe checks the crossing weight that r_weight gives
+    counts = {path.name: found for path in SRC.glob("*.py")
+              if (found := _complement_counts(path.read_text()))}
+    assert counts == {"yangbaxter.py": [("_type1_above", "((J & L & ~(I | K)) >> i + 1).bit_count()")]}
+    readers = {path.name: found for path in SRC.glob("*.py")
+               if (found := _readers(path.read_text(), "_type1_above"))}
+    assert readers == {"yangbaxter.py": ["r_weight", "_crossing_rows"]}
+
+
+def test_guard_sees_a_second_type1_count():
+    source = (
+        "def _type1_above(i, I, J, K, L):\n    return ((J & L & ~(I | K)) >> i + 1).bit_count()\n\n"
+        "def rows(k, I, J, K, L):\n    for i in range(k):\n"
+        "        d = (J & L & ~(I | K) & -(2 << i)).bit_count()\n\n"
+        "def weight(i, I, J, K, L):\n    return _type1_above(i, I, J, K, L)\n\n"
+        "def face(right, present):\n    return (right & present).bit_count()\n"
+    )
+    assert _complement_counts(source) == [
+        ("_type1_above", "((J & L & ~(I | K)) >> i + 1).bit_count()"),
+        ("rows", "(J & L & ~(I | K) & -(2 << i)).bit_count()")]
+    assert _readers(source, "_type1_above") == ["weight"]
 
 
 def _names(node) -> set[str]:

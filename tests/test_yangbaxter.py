@@ -125,6 +125,20 @@ def test_starred_crossing_is_substituted_r_weight(k):
             assert _crossing(w, k) == expected, (I, J, K, L)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_crossing_rows_are_r_weight_times_x_to_the_k(k):
+    # the tables expand each label prefix once, from the top color down, and
+    # r_weight one crossing at a time: every crossing entry is x^k R, with
+    # the droite's labels L + K 2^k folded below bit 3k
+    rows, packing, low = _tables(k, False)[0], yangbaxter._packing(k), (1 << 3 * k) - 1
+    assert sum(len(outs) for row in rows for outs in row) == 5 ** k
+    for (I, J), outs in _rows(rows):
+        for K, L, w in outs:
+            assert {key & low for key, _ in w} == {L + (K << k)}, (I, J, K, L)
+            expected = r_weight(k, I, J, K, L) * mono(k)
+            assert packing.poly({key >> 3 * k: c for key, c in w}) == expected, (I, J, K, L)
+
+
 # each entry point at k = 1 with a label that names color 2
 @pytest.mark.parametrize("weigh", [
     pytest.param(lambda: r_weight(1, 2, 0, 2, 0), id="r_weight"),
@@ -590,16 +604,16 @@ def doubled_r_entry(monkeypatch, request):
 @pytest.fixture
 def crossing_times_t(monkeypatch, request):
     """The crossing weight at one label tuple (I, J, K, L), the fixture's
-    parameter, times t, in the checks' tables and the reference's alike."""
-    crossing = yangbaxter._crossing_terms
+    parameter, times t, in the checks' tables and the reference's alike:
+    both build their crossings through yangbaxter._crossing_rows."""
+    crossing_rows = yangbaxter._crossing_rows
 
-    def wrong(k, I, J, K, L):
-        terms = crossing(k, I, J, K, L)
-        if (I, J, K, L) != request.param:
-            return terms
-        return {(x, y, t + 1): c for (x, y, t), c in terms.items()}
+    def wrong(k):
+        return {(I, J): [(K, L, {(x, y, t + 1): c for (x, y, t), c in terms.items()}
+                          if (I, J, K, L) == request.param else terms) for K, L, terms in row]
+                for (I, J), row in crossing_rows(k).items()}
 
-    monkeypatch.setattr(yangbaxter, "_crossing_terms", wrong)
+    monkeypatch.setattr(yangbaxter, "_crossing_rows", wrong)
     reference._plain_tables.cache_clear()
     yield
     reference._plain_tables.cache_clear()
