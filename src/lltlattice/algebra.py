@@ -347,3 +347,18 @@ class LaurentPoly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+    def to_grouped_text(self) -> str:
+        """Human-readable form with the t-degree outermost: what ``compute`` prints."""
+        if self.is_zero():
+            return "0"
+        ti = self.vars.t_index  # t is the last variable
+        groups: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            groups.setdefault(e[ti], {})[(*e[:ti], 0)] = c  # t^0 is not printed
+        chunks = []
+        for texp in sorted(groups):
+            inner = LaurentPoly(self.vars, groups[texp]).to_text()
+            prefix = "" if texp == 0 else "t*" if texp == 1 else f"t^{texp}*"
+            chunks.append(f"{prefix}({inner})")
+        return " + ".join(chunks)

@@ -12,7 +12,9 @@ invocations give byte-identical output.  The parser is built once, at import:
 arguments straight to its parser, and the root parser reads anything else.
 Every parser is argparse's own and refuses, by name, each argument it cannot place.
 ``verify all`` checks its whole suite first, then prints each report as its
-case returns.
+case returns.  The CLI parses, dispatches and prints what reports and
+polynomials render (``to_text()`` or ``to_json_dict()``, ``to_grouped_text()``
+or ``serialize()``) and reads none of their fields.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 import sys
 
 from . import identities, yangbaxter
-from .algebra import LaurentPoly
 from .shapes import (
     SkewShapeTuple,
     check_box_tuple,
@@ -41,22 +42,6 @@ from .shapes import (
 from .identities import EngineMismatch, llt
 
 
-def format_grouped(p: LaurentPoly) -> str:
-    """Render with the t-degree outermost, monomials in canonical order."""
-    if p.is_zero():
-        return "0"
-    ti = p.vars.t_index  # t is the last variable
-    groups: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        groups.setdefault(e[ti], {})[(*e[:ti], 0)] = c  # t^0 is not printed
-    chunks = []
-    for texp in sorted(groups):
-        inner = LaurentPoly(p.vars, groups[texp]).to_text()
-        prefix = "" if texp == 0 else "t*" if texp == 1 else f"t^{texp}*"
-        chunks.append(f"{prefix}({inner})")
-    return " + ".join(chunks)
-
-
 def _parse_shape(args) -> SkewShapeTuple:
     beta = parse_shape_text(args.beta, "--beta")
     if args.gamma is not None:
@@ -67,10 +52,7 @@ def _parse_shape(args) -> SkewShapeTuple:
 
 def cmd_compute(args) -> int:
     poly = llt(**_shape_kwargs(args), engine=args.engine)
-    if args.format == "json":
-        print(poly.serialize())
-    else:
-        print(format_grouped(poly))
+    print(poly.serialize() if args.format == "json" else poly.to_grouped_text())
     return 0
 
 
@@ -276,32 +258,14 @@ def _suite(quick: bool) -> list[str]:
     return commands + ["engine-equivalence"]
 
 
-def _emit_report(report, fmt: str):
-    if fmt == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
-        return
-    if hasattr(report, "checked"):
-        line = f"{report.status} {report.name} k={report.k} mode={report.mode} checked={report.checked}"
-        if report.failed:
-            line += f" failed={report.failed}"
-        print(line)
-        if report.first_failure:
-            print(f"  first failure: {json.dumps(report.first_failure, sort_keys=True)}")
-    else:
-        print(f"{report.status} {report.name} {json.dumps(report.params, sort_keys=True)}")
-        if report.witness:
-            print(f"  context: {report.witness['context']}")
-            print(f"  lhs: {json.dumps(report.witness['lhs'], sort_keys=True)}")
-            print(f"  rhs: {json.dumps(report.witness['rhs'], sort_keys=True)}")
-
-
 def cmd_verify(args) -> int:
     runs = ([_parse(["verify", *c.split()]) for c in _suite(args.quick)]
             if args.identity == "all" else [args])
     cases = [(run.identity, VERIFY[run.identity][2](run)) for run in runs]
     n_failed = 0
     for report in map(_verify_case, cases):   # each printed as its case returns
-        _emit_report(report, args.format)
+        print(json.dumps(report.to_json_dict(), sort_keys=True)
+              if args.format == "json" else report.to_text())
         n_failed += not report.passed
     print(f"summary: {len(cases) - n_failed}/{len(cases)} passed")
     return 1 if n_failed else 0

@@ -18,6 +18,7 @@ counts its tableau side through one table per n.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,6 +47,8 @@ from .tableaux import _ComponentTable, hl_modified, hl_transformed, llt_coinv, l
 
 @dataclass
 class IdentityReport:
+    """One identity's verdict; it renders its own text and JSON forms."""
+
     name: str
     params: dict
     status: str
@@ -63,6 +66,13 @@ class IdentityReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+    def to_text(self) -> str:
+        lines = [f"{self.status} {self.name} {json.dumps(self.params, sort_keys=True)}"]
+        if witness := self.witness:
+            lines.append(f"  context: {witness['context']}")
+            lines += [f"  {s}: {json.dumps(witness[s], sort_keys=True)}" for s in ("lhs", "rhs")]
+        return "\n".join(lines)
 
 
 def _check_pairs(name: str, params: dict, pairs, details: dict | None = None,

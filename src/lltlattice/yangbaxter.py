@@ -36,6 +36,7 @@ the report is the one that evaluating every boundary would give.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -289,6 +290,8 @@ def _differing(k: int, tables, incoming) -> list:
 
 @dataclass
 class YbeReport:
+    """One YBE check's verdict; it renders its own text and JSON forms."""
+
     name: str
     k: int
     mode: str
@@ -319,6 +322,14 @@ class YbeReport:
         if self.first_failure is not None:
             out["first_failure"] = self.first_failure
         return out
+
+    def to_text(self) -> str:
+        line = f"{self.status} {self.name} k={self.k} mode={self.mode} checked={self.checked}"
+        if self.failed:
+            line += f" failed={self.failed}"
+        if self.first_failure:
+            line += f"\n  first failure: {json.dumps(self.first_failure, sort_keys=True)}"
+        return line
 
 
 def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
-from lltlattice.cli import format_grouped
 from lltlattice.yangbaxter import _packing as ybe_packing
 from reference import decode as reference_decode, minus
 
@@ -214,7 +213,7 @@ def test_zero_is_falsy_and_prints_as_0():
     zero = LaurentPoly.zero(V2)
     assert not zero
     assert LaurentPoly.one(V2)
-    assert zero.to_text() == format_grouped(zero) == "0"
+    assert zero.to_text() == zero.to_grouped_text() == "0"
 
 
 def test_serialize_zero():

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from lltlattice import cli, identities
+from lltlattice import cli, identities, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import EngineMismatch, IdentityReport
+from lltlattice.yangbaxter import YbeReport
 from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
 
 
@@ -632,6 +633,56 @@ def test_verify_failure_exit_1(monkeypatch, capsys):
         "identity": "symmetry", "params": {"n": 2}, "status": "FAIL", "witness": witness(),
     }
     assert summary == "summary: 0/1 passed"
+
+
+def _failing_reports() -> dict:
+    """command -> (module, verifier, the FAIL report it returns, every line
+    of the command's text output)."""
+    vars = VarSet(nx=2)
+    x1, t = LaurentPoly.variable(vars, 0), LaurentPoly.t(vars)
+    poly = IdentityReport(
+        "symmetry", {"engine": "tableaux", "n": 2, "shape": "2;1/0;0"}, "FAIL",
+        {"context": "x1 <-> x2", "lhs": (x1 * x1 + t * x1).to_json_dict(),
+         "rhs": (x1 * x1).to_json_dict()})
+    # box-skew's d-mismatch form: the two sides are the d statistics
+    ints = IdentityReport(
+        "box-skew", {"lam": [[1, 0], [1, 1]], "M": 4, "n": 2, "engine": "tableaux"}, "FAIL",
+        {"context": "d(complement) != d(lam)", "lhs": 1, "rhs": 0}, {"d": 0, "d_complement": 1})
+    ybe = YbeReport(
+        "ybe", 2, "numeric", 12288, 4,
+        {"boundary": {"I1": [1, 0], "I2": [0, 1], "I3": [0, 0], "J1": [1, 1], "J2": [0, 0],
+                      "J3": [0, 0]},
+         "gauche": "3/4", "droite": "-1/2", "point": {"x": "2/3", "y": "5", "t": "7/2"}},
+        params={"seed": 1, "trials": 3})
+    return {
+        "verify symmetry": (identities, "verify_symmetry", poly, [
+            'FAIL symmetry {"engine": "tableaux", "n": 2, "shape": "2;1/0;0"}',
+            "  context: x1 <-> x2",
+            '  lhs: {"terms": [{"c": "1", "e": [2, 0, 0]}, {"c": "1", "e": [1, 0, 1]}], '
+            '"vars": {"nx": 2, "ny": 0, "t": true}}',
+            '  rhs: {"terms": [{"c": "1", "e": [2, 0, 0]}], "vars": {"nx": 2, "ny": 0, "t": true}}',
+        ]),
+        "verify box-skew": (identities, "verify_box_skew", ints, [
+            'FAIL box-skew {"M": 4, "engine": "tableaux", "lam": [[1, 0], [1, 1]], "n": 2}',
+            "  context: d(complement) != d(lam)",
+            "  lhs: 1",
+            "  rhs: 0",
+        ]),
+        "verify ybe --mode numeric": (yangbaxter, "ybe_check", ybe, [
+            "FAIL ybe k=2 mode=numeric checked=12288 failed=4",
+            '  first failure: {"boundary": {"I1": [1, 0], "I2": [0, 1], "I3": [0, 0], '
+            '"J1": [1, 1], "J2": [0, 0], "J3": [0, 0]}, "droite": "-1/2", "gauche": "3/4", '
+            '"point": {"t": "7/2", "x": "2/3", "y": "5"}}',
+        ]),
+    }
+
+
+@pytest.mark.parametrize("command", list(_failing_reports()))
+def test_verify_failure_text_every_line(monkeypatch, capsys, command):
+    module, verifier, report, lines = _failing_reports()[command]
+    monkeypatch.setattr(module, verifier, lambda **kwargs: report)
+    assert cli.main(command.split()) == 1
+    assert capsys.readouterr().out == "\n".join([*lines, "summary: 0/1 passed", ""])
 
 
 def test_compute_engine_mismatch_exit_3(monkeypatch, capsys):

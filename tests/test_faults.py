@@ -38,6 +38,13 @@ FAULTS = [
     # shift flags stay as they are
     ("crossing d counts the colors below", "yangbaxter.py",
      ">> i + 1", "& ((1 << i) - 1)", ["ybe k=2", "ybe k=3", "lstar-ybe k=2"]),
+    # d skips the type-1 color just above the color and counts from two
+    # above: the checks' tables place the colors from the top down, so that
+    # color is the one a correct d sees first.  (Counting the color itself,
+    # ">> i", is no row: the tables read d before the color is placed, so
+    # only r_weight changes, which the r_weight tests of tier-1 catch.)
+    ("crossing d skips the color just above", "yangbaxter.py",
+     ">> i + 1", ">> i + 2", ["ybe k=2", "ybe k=3", "lstar-ybe k=2"]),
     # the signed contraction adds the right side instead of subtracting it;
     # the failing blocks' reruns keep that sign, so no boundary's sides agree
     ("right side added, not subtracted", "yangbaxter.py",

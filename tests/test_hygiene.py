@@ -2,8 +2,8 @@
 every private module-level function or class is used by the package, every
 public one that the package does not use is listed with its reason, no
 function imports anything, no module imports the tests' helpers, no module
-reads argparse's private parser tree or derives its own parser class, no
-module decorates a function with a functools cache (nothing is kept between
+reads argparse's private parser tree or derives its own parser class, the
+CLI reads no report's fields and no polynomial's terms, no module decorates a function with a functools cache (nothing is kept between
 calls), every function that calls itself is listed with what bounds its
 depth, one function owns the integer range rule, one method owns the packed
 field width, one function counts the plain face weight's exponents, one
@@ -556,6 +556,63 @@ def test_guard_sees_a_walk_of_the_parser_tree():
     assert _argparse_internals(source) == [
         "line 2: _SubParsersAction", "line 8: _SubParsersAction", "line 8: _actions",
         "line 14: _actions"]
+
+
+# what only one report kind, or a polynomial's inside, has: the CLI prints
+# what reports and polynomials render, and reads none of it
+REPORT_INTERNALS = ("checked", "failed", "first_failure", "witness", "terms", "t_index")
+
+
+def _report_internals(source: str) -> list[str]:
+    """Each name or import of ``LaurentPoly``, each ``hasattr`` call, and each
+    read of an attribute in REPORT_INTERNALS (by a dot or by ``getattr`` with
+    the name as a string), in line order, as "line N: name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "LaurentPoly":
+            found.append((node.lineno, "import LaurentPoly"))
+        elif "LaurentPoly" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((node.lineno, "LaurentPoly"))
+        elif isinstance(node, ast.Attribute) and node.attr in REPORT_INTERNALS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr":
+            found.append((node.lineno, "hasattr"))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and getattr(node.args[1], "value", None) in REPORT_INTERNALS):
+            found.append((node.lineno, node.args[1].value))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_cli_prints_what_reports_and_polynomials_render():
+    # each report renders its own text and JSON, and LaurentPoly its grouped
+    # text, so the CLI neither tells the report kinds apart nor reads a field
+    assert _report_internals((SRC / "cli.py").read_text()) == []
+
+
+def test_guard_sees_the_cli_read_a_report():
+    source = (
+        "import json\n"
+        "from .algebra import LaurentPoly, VarSet\n\n"
+        "def _emit_report(report, fmt):\n"
+        "    if hasattr(report, 'checked'):\n"
+        "        line = f'{report.status} {report.name} checked={report.checked}'\n"
+        "        if report.failed:\n"
+        "            line += f' failed={report.failed}'\n"
+        "        print(line, json.dumps(report.first_failure))\n"
+        "    elif report.witness:\n"
+        "        print(getattr(report, 'witness')['context'])\n\n"
+        "def format_grouped(p: LaurentPoly) -> str:\n"
+        "    ti = p.vars.t_index\n"
+        "    return ' + '.join(str(e[ti]) for e in p.terms)\n\n"
+        # not internals: the shared protocol, and the names of the parsed arguments
+        "def cmd_verify(args, report):\n"
+        "    print(report.to_text() if args.format == 'text' else report.to_json_dict())\n"
+        "    return getattr(args, 'k'), report.passed, args.checked_flag\n"
+    )
+    assert _report_internals(source) == [
+        "line 2: import LaurentPoly", "line 5: hasattr", "line 6: checked", "line 7: failed",
+        "line 8: failed", "line 9: first_failure", "line 10: witness", "line 11: witness",
+        "line 13: LaurentPoly", "line 14: t_index", "line 15: terms"]
 
 
 def _own_parser_classes(source: str) -> list[str]:
