@@ -336,17 +336,15 @@ class LatticeConfig:
 
 
 def enumerate_configs(spec: LatticeSpec) -> list[LatticeConfig]:
-    """Every lattice configuration exactly once, in the row step's order."""
-    out, step = [], _row_transitions(spec)
-
-    def rec(row: int, verts: tuple):
-        if row > spec.n:  # the last row's bounds end every path on spec.top
+    """Every lattice configuration exactly once, in the row step's order: depth
+    first, by a loop over a stack of partial ones (levels so far), at any n."""
+    out, step, stack = [], _row_transitions(spec), [(spec.bottom,)]
+    while stack:
+        verts = stack.pop()
+        if len(verts) > spec.n:  # the last row's bounds end every path on spec.top
             out.append(LatticeConfig(spec, verts))
-            return
-        for tops, _, _ in step(row, verts[-1]):
-            rec(row + 1, verts + (tops,))
-
-    rec(1, (spec.bottom,))
+        else:
+            stack += reversed([verts + (tops,) for tops, _, _ in step(len(verts), verts[-1])])
     return out
 
 

@@ -145,19 +145,18 @@ def ef_weight(kind: str, picture) -> LaurentPoly:
 
 
 def _recursive_table(k: int, kind: str) -> dict:
-    """All nonzero k-color face ("L") or crossing ("R") weights, built by the
-    one-color-at-a-time rule: the new color k follows one single-color
+    """All nonzero k-color face ("L") or crossing ("R") weights, grown from the
+    k = 0 table a color per pass: the new color follows one single-color
     picture and the colors below it see x or xt."""
-    if k == 0:
-        return {(0, 0, 0, 0): LaurentPoly.one(YBE_VARS)}
-    bit = 1 << (k - 1)
-    out: dict = {}
-    for (I, J, K, L), w in _recursive_table(k - 1, kind).items():
-        shifted = w._map_exponents(lambda e: (e[0], e[1], e[2] + e[0]))  # x -> xt
-        for (i, j, kk, l), (f, shift) in _BRANCHES[kind].items():
-            key = (I | (bit * i), J | (bit * j), K | (bit * kk), L | (bit * l))
-            out[key] = (shifted if shift else w) * f
-    return out
+    table = {(0, 0, 0, 0): LaurentPoly.one(YBE_VARS)}
+    for bit in (1 << color for color in range(k)):
+        table, below = {}, table
+        for (I, J, K, L), w in below.items():
+            shifted = w._map_exponents(lambda e: (e[0], e[1], e[2] + e[0]))  # x -> xt
+            for (i, j, kk, l), (f, shift) in _BRANCHES[kind].items():
+                key = (I | (bit * i), J | (bit * j), K | (bit * kk), L | (bit * l))
+                table[key] = (shifted if shift else w) * f
+    return table
 
 
 def _table_oracle(k: int, table: dict):

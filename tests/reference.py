@@ -12,6 +12,8 @@ Yang-Baxter equation, cut out of the signed block sum that ``ybe_check``
 contracts, with the other side's sign 0; ``split`` reads such a block's
 folded keys one at a time.
 ``decode`` unpacks a ``_Packing``'s keys one key at a time.
+``configs`` lists a lattice's configurations as their levels, by a recursion
+over the rows that takes each row step's extensions in order.
 ``minus`` is p - q for expected values, which the package's polynomials,
 adding and multiplying only, do not spell.
 ``d_stat`` is the rotation offset d(lam) as one loop over every pair of
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import _kernel_counts, _xy_packing, _xy_sum
-from lltlattice.lattice import face_weight_exponents, gray_rows, masks
+from lltlattice.lattice import _row_transitions, face_weight_exponents, gray_rows, masks
 from lltlattice.shapes import SkewShapeTuple
 from lltlattice.tableaux import INF, TableauTuple, _coinv_counts
 from lltlattice.yangbaxter import _contract, _tables, _unpack
@@ -244,3 +246,21 @@ def decode(packing, counts) -> dict[tuple, int]:
         (*[key >> s & packing.mask for s in packing.shifts], key >> packing.top): coeff
         for key, coeff in counts.items()
     }
+
+
+# -- lattice configurations ---------------------------------------------------
+
+
+def configs(spec) -> list[tuple]:
+    """The levels of every configuration of spec, depth first: each extension
+    of a partial configuration is completed, in the row step's order, before
+    the next is begun."""
+    step = _row_transitions(spec)
+
+    def rec(row: int, levels: tuple) -> list[tuple]:
+        if row > spec.n:
+            return [levels]
+        return [done for tops, _, _ in step(row, levels[-1])
+                for done in rec(row + 1, levels + (tops,))]
+
+    return rec(1, (spec.bottom,))

@@ -118,7 +118,6 @@ NEVER_RUN = {
     "lattice.LatticeConfig.weight_exponents": "lemma: the weight of one configuration",
     "lattice.LatticeConfig.weight": "lemma: the weight of one configuration as a polynomial",
     "lattice.enumerate_configs": "lemma: the configurations partition_function counts",
-    "lattice.enumerate_configs.<locals>.rec": "lemma: the configurations, one row at a time",
     "lattice.ssyt_to_config": "lemma: tableau tuples to configurations, weight kept",
     "lattice.config_to_ssyt": "lemma: configurations back to tableau tuples",
     "lattice.rotate_config": "lemma: the 180-degree rotation of box configurations",
@@ -699,9 +698,7 @@ def test_guard_sees_an_import_inside_a_function():
 # Every function of the package that calls itself, as module.qualname, with
 # what bounds its depth: Python stops a recursion at about 1,000 frames.
 RECURSIONS = {
-    "tableaux._fold": "components with two or more fillings",
-    "yangbaxter._recursive_table": "k, which the CLI caps at 6 (a lemma)",
-    "lattice.enumerate_configs.<locals>.rec": "n rows (a lemma)",
+    "tableaux._fold": "components with two or more fillings: at least 2^depth tuples",
 }
 
 

@@ -26,6 +26,7 @@ from lltlattice.lattice import (
 from lltlattice.shapes import SkewShapeTuple, d_stat
 from lltlattice.tableaux import TableauTuple, enumerate_ssyt, llt_coinv
 from reference import coinv, l_weight, lstar_weight
+from reference import configs as reference_configs
 from shapegen import random_skew_tuple, random_straight_tuple
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
@@ -151,10 +152,9 @@ def test_enumerate_configs_counts():
     assert len(enumerate_configs(empty)) == 1
 
 
-def test_enumeration_sums_to_partition_function():
-    # plain lattices, then box lattices whose paths leave through the top or
-    # through the right edge, where weight() checks each row's derived right
-    # label against spec.right
+def _summed_specs():
+    """Plain lattices, then box lattices whose paths leave through the top or
+    through the right edge."""
     rng = random.Random(31)
     specs = []
     for _ in range(20):
@@ -165,8 +165,14 @@ def test_enumeration_sums_to_partition_function():
         lam = random_straight_tuple(rng, k, n, 2)
         M = max((p[0] for p in lam), default=0) + n + rng.randint(0, 1)
         specs += [build_box_lattice(lam, M, n, right_exit=e) for e in (False, True)]
+    return specs
+
+
+def test_enumeration_sums_to_partition_function():
+    # on the right-exit lattices weight() checks each row's derived right
+    # label against spec.right
     exits = 0
-    for spec in specs:
+    for spec in _summed_specs():
         total = LaurentPoly.zero(VarSet(nx=spec.n))
         for config in enumerate_configs(spec):
             total = total + config.weight()
@@ -343,6 +349,10 @@ def _reference_partition_function(spec):
     return states.get(_labels(spec.top, ncols), LaurentPoly.zero(vars))
 
 
+_RIGHT_LABEL_SPECS = (LatticeSpec(0, 4, ((0, 1), (0, 1)), ((1,), (2,)), (1, 0, 2, 0)),
+                      LatticeSpec(0, 5, ((0, 2),), ((3,),), (0, 0, 0, 1)))
+
+
 def test_right_labels_that_differ_by_row():
     # first: color 1 leaves through the right edge on row 1 and color 2 on
     # row 3 of 4; color 2 can keep its columns over rows 1-3, so a move memo
@@ -351,8 +361,7 @@ def test_right_labels_that_differ_by_row():
     # of column 3, which the left path still has to reach, and on rows 1-2
     # it need not; a memo keyed by the rows left capped at the top paths (1)
     # would give row 3's moves to later calls on rows 1-2 and drop 12 configs
-    for spec in (LatticeSpec(0, 4, ((0, 1), (0, 1)), ((1,), (2,)), (1, 0, 2, 0)),
-                 LatticeSpec(0, 5, ((0, 2),), ((3,),), (0, 0, 0, 1))):
+    for spec in _RIGHT_LABEL_SPECS:
         configs = enumerate_configs(spec)
         total = LaurentPoly.zero(VarSet(nx=4))
         for config in configs:
@@ -687,9 +696,44 @@ def test_rotate_config_rejects_non_box():
         rotate_config(LatticeConfig(narrow, (((0,),),) * 3))
 
 
+# r = 1 - n and three columns, but neither side is the box's: the bottom is
+# not empty and the top is not full
+_NO_BOX_SIDE = LatticeSpec(r=-1, ncols=3, bottom=((0,),), top=((1,),), right=(0, 0))
+
+
 def test_rotate_config_refuses_a_lattice_with_no_box_side():
-    # r = 1 - n and three columns, but neither side is the box's: the bottom
-    # is not empty and the top is not full
-    spec = LatticeSpec(r=-1, ncols=3, bottom=((0,),), top=((1,),), right=(0, 0))
     with pytest.raises(ValueError, match="^top boundary is not a full box$"):
-        rotate_config(enumerate_configs(spec)[0])
+        rotate_config(enumerate_configs(_NO_BOX_SIDE)[0])
+
+
+# -- enumeration order ----------------------------------------------------------
+
+
+def _box_family():
+    """Every box lattice of one to three components of at most two parts, each
+    at most 2, in the narrowest box or one column wider, with either exit."""
+    for k, n in product((1, 2, 3), (1, 2)):
+        for lam in product(combinations_with_replacement((2, 1, 0), n), repeat=k):
+            narrowest = max(p[0] for p in lam) + n
+            for M, right_exit in product((narrowest, narrowest + 1), (False, True)):
+                yield build_box_lattice(lam, M, n, right_exit)
+
+
+def test_enumeration_order_is_the_reference():
+    # every spec the tests above enumerate: the box family holds every random
+    # and hand-picked box of two rows or fewer, the rest are listed
+    empty = build_lattice(SkewShapeTuple(((0,),), ((0,),)), 2)
+    specs = [build_lattice(FIRST, 2), build_lattice(SECOND, 2), empty, *_RIGHT_LABEL_SPECS,
+             _STEP, _NO_BOX_SIDE, build_box_lattice(((1, 0, 0), (0, 0, 0)), 5, 3),
+             *_summed_specs(), *_box_family()]
+    for spec in specs:
+        levels = [config.verticals for config in enumerate_configs(spec)]
+        assert levels == reference_configs(spec), spec
+
+
+@pytest.mark.parametrize("beta", [((0,),), ((0, 0), (0,))])
+def test_enumerate_configs_on_a_tall_lattice(beta):
+    # more rows than Python allows nested calls; the shape has one configuration
+    spec = build_lattice(SkewShapeTuple.straight(beta), 1_100)
+    [config] = enumerate_configs(spec)
+    assert config.weight() == partition_function(spec)
