@@ -146,26 +146,8 @@ class LaurentPoly:
         return poly
 
     @classmethod
-    def zero(cls, vars: VarSet) -> "LaurentPoly":
-        return cls(vars)
-
-    @classmethod
-    def one(cls, vars: VarSet) -> "LaurentPoly":
-        return cls(vars, {(0,) * vars.total: 1})
-
-    @classmethod
     def monomial(cls, vars: VarSet, coeff: int, exps: Sequence[int]) -> "LaurentPoly":
         return cls(vars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, vars: VarSet, slot: int, power: int = 1) -> "LaurentPoly":
-        exps = [0] * vars.total
-        exps[slot] = power
-        return cls(vars, {tuple(exps): 1})
-
-    @classmethod
-    def t(cls, vars: VarSet, power: int = 1) -> "LaurentPoly":
-        return cls.variable(vars, vars.t_index, power)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -262,6 +244,12 @@ class LaurentPoly:
     def _map_exponents(self, move) -> "LaurentPoly":
         """The polynomial whose terms are ``move(e): c``; ``move`` must be one-to-one."""
         return LaurentPoly._trusted(self.vars, {move(e): c for e, c in self.terms.items()})
+
+    def shifted(self, exps: Sequence[int]) -> "LaurentPoly":
+        """This polynomial times the monomial with exponent vector ``exps``."""
+        if len(exps) != self.vars.total:
+            raise ValueError(f"shift {exps} has length {len(exps)}, expected {self.vars.total}")
+        return self._map_exponents(lambda e: tuple(map(add, e, exps)))
 
     def invert_t(self) -> "LaurentPoly":
         return self._map_exponents(lambda e: (*e[:-1], -e[-1]))  # t is the last variable

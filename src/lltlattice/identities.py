@@ -4,6 +4,9 @@
 lattice partition function, or runs both and raises ``EngineMismatch`` when
 they differ.  Every verifier returns an IdentityReport; FAIL always carries
 the two offending polynomials.  Inputs are fixed or enumerated, never drawn.
+Each single-shape identity's right side is a monomial times a polynomial,
+that polynomial possibly at 1/t or 1/x: the monomial is an exponent shift
+(``LaurentPoly.shifted``), and no driver multiplies two polynomials.
 The Cauchy-type identities are checked after truncating both sides at a
 total x-degree bound D, which is exact because each summand is homogeneous.
 Their sides are int keys of one layout, ``_xy_packing``: x_1..x_n, y_1..y_n
@@ -153,7 +156,7 @@ def verify_inv_coinv(shape, n: int) -> IdentityReport:
     L = llt_coinv(shape, n)
     G = llt_inv(shape, n)
     m = m_bruteforce(shape)
-    rhs = LaurentPoly.t(L.vars, m) * G.invert_t()
+    rhs = G.invert_t().shifted((0,) * n + (m,))
     return _check_pairs(
         "inv-coinv",
         {"shape": shape.text(), "n": n, "m": m},
@@ -179,8 +182,7 @@ def verify_hl(mu, n: int, engine: str = "tableaux") -> IdentityReport:
     L = {beta: llt(tuple((p,) for p in beta), n, engine) for beta in _rearrangements(mu)}
     pairs = [("reversed rows", L[mu[::-1]], H)]
     for beta, lhs in L.items():
-        rhs = LaurentPoly.t(H.vars, inv_stat(beta)) * H
-        pairs.append((f"rearrangement {beta}", lhs, rhs))
+        pairs.append((f"rearrangement {beta}", lhs, H.shifted((0,) * n + (inv_stat(beta),))))
     return _check_pairs("hl", {"mu": list(mu), "n": n, "engine": engine}, pairs)
 
 
@@ -205,7 +207,7 @@ def verify_box_skew(lam, M: int, n: int, engine: str = "tableaux") -> IdentityRe
     d, d_comp = _d_stat(lam), _d_stat(comp)
     # check_box_tuple has fitted lam to the box, so box/lam holds its checks
     lhs = llt(SkewShapeTuple._trusted(((M - n,) * n,) * len(lam), lam), n, engine)
-    rhs = LaurentPoly.t(lhs.vars, d) * llt(comp, n, engine)
+    rhs = llt(comp, n, engine).shifted((0,) * n + (d,))
     report = _check_pairs(
         "box-skew",
         {"lam": [list(p) for p in lam], "M": M, "n": n, "engine": engine},
@@ -224,8 +226,7 @@ def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> Identity
     dtilde = _dtilde_stat(lam, M)
     lhs = llt(lam, n, engine)
     inverted = llt(_complement(lam, M - n), n, engine).invert_x()
-    exps = [len(lam) * (M - n)] * n + [dtilde]
-    rhs = LaurentPoly.monomial(lhs.vars, 1, exps) * inverted
+    rhs = inverted.shifted([len(lam) * (M - n)] * n + [dtilde])
     return _check_pairs(
         "complement",
         {"lam": [list(p) for p in lam], "M": M, "n": n, "engine": engine},
@@ -234,9 +235,9 @@ def verify_complement(lam, M: int, n: int, engine: str = "tableaux") -> Identity
     )
 
 
-def _x_rho_power(vars: VarSet, n: int, k: int, extra_all: int = 0, textra: int = 0) -> LaurentPoly:
-    exps = [(n - i) * k + extra_all for i in range(1, n + 1)] + [textra]
-    return LaurentPoly.monomial(vars, 1, exps)
+def _x_rho_power(n: int, k: int, extra_all: int = 0, textra: int = 0) -> list:
+    """Exponents of (x^rho)^k (x_1 ... x_n)^extra_all t^textra, rho = (n - 1, ..., 1, 0)."""
+    return [(n - i) * k + extra_all for i in range(1, n + 1)] + [textra]
 
 
 def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
@@ -255,17 +256,15 @@ def verify_lstar(lam, n: int, Ms, engine: str = "tableaux") -> IdentityReport:
     lam = check_box_tuple(lam, n, Ms[0])   # what fits the narrowest box fits all
     k = len(lam)
     d = _d_stat(lam)
-    base = llt(lam, n, engine)
-    vars = base.vars
-    target = _x_rho_power(vars, n, k, textra=_binom2(n) * _binom2(k) + d) * base
+    target = llt(lam, n, engine).shifted(_x_rho_power(n, k, textra=_binom2(n) * _binom2(k) + d))
     shift_t = -_binom2(n + 1) * _binom2(k)
-    factor = _x_rho_power(vars, n, k, extra_all=-n * k, textra=shift_t)
+    factor = _x_rho_power(n, k, extra_all=-n * k, textra=shift_t)
     pairs = []
     for M in Ms:
         zright, ztop = (gray_rows(partition_function(build_box_lattice(lam, M, n, right)), k, M)
                         for right in (True, False))
         pairs.append((f"right-exit gray row, M={M}", zright, target))
-        pairs.append((f"top-exit vs right-exit, M={M}", zright, ztop * factor))
+        pairs.append((f"top-exit vs right-exit, M={M}", zright, ztop.shifted(factor)))
     return _check_pairs(
         "lstar", {"lam": [list(p) for p in lam], "n": n, "M": Ms, "engine": engine}, pairs, {"d": d}
     )

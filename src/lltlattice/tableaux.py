@@ -361,9 +361,7 @@ def hl_transformed(mu: Partition, n: int) -> LaurentPoly:
 
 def hl_modified(mu: Partition, n: int) -> LaurentPoly:
     """Modified Hall-Littlewood polynomial t^{n(mu)} H_mu(X; 1/t)."""
-    H = hl_transformed(mu, n)
-    shift = LaurentPoly.t(H.vars, n_stat(mu))
-    return shift * H.invert_t()
+    return hl_transformed(mu, n).invert_t().shifted((0,) * n + (n_stat(mu),))
 
 
 # -- the column-complement bijection ------------------------------------------

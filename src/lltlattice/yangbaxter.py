@@ -12,14 +12,16 @@ admissible patterns (I,J,K,L) and their factors are
     type 5  (0,0,0,0)   1
 
 where d counts the colors above this one in type 1; the pattern (1,0,1,0) is
-forbidden.  One picture table per kind holds each single-color weight (d = 0);
-``ef_weight`` and the color recursion read it with its shift flag.  The
-crossing expansion reads the weight alone: one routine multiplies in one
-color's factor with x read as x t^d, and one expression counts d from the
-labels.  ``r_weight`` expands one crossing from the top color down; the
-checks' tables grow every crossing's labels from the top color down, so each
-label prefix is expanded once and its new color reads d off the colors
-already placed.  The checkers cover every boundary one block of incoming
+forbidden.  One picture table per kind holds each single-color weight's
+terms (d = 0); ``ef_weight`` and the color recursion read it with its shift
+flag.  One routine multiplies two term dicts, the second one's x read as
+x t^d, and no polynomial is multiplied: the crossing expansion multiplies in
+one color's factor at the d that one expression counts from the labels, and
+the color recursion multiplies the new color's weight by the colors below,
+which see x t (d = 1) or x (d = 0).  ``r_weight`` expands one crossing from
+the top color down; the checks' tables grow every crossing's labels from the
+top color down, so each label prefix is expanded once and its new color
+reads d off the colors already placed.  The checkers cover every boundary one block of incoming
 labels at a time.  Tables built once per check hold each weight packed
 straight from the closed forms (`lattice`'s face exponents, the crossing
 expansion, its x line barred when starred), each distinct monomial packed
@@ -72,7 +74,7 @@ _R_PICTURES = {  # crossings in type order 1..5, weights in y/x
 # faces E keeps x and F shifts it, on crossings Etilde shifts x and Ftilde
 # keeps it.
 _BRANCHES = {
-    kind: {pic: (LaurentPoly(YBE_VARS, w), (i == 0) == (kind == "R"))
+    kind: {pic: (w, (i == 0) == (kind == "R"))
            for i, (pic, w) in enumerate(pictures.items())}
     for kind, pictures in (("L", _L_PICTURES), ("R", _R_PICTURES))
 }
@@ -84,11 +86,11 @@ def _type1_above(i: int, I: int, J: int, K: int, L: int) -> int:
     return ((J & L & ~(I | K)) >> i + 1).bit_count()
 
 
-def _times_color(terms: dict, weight: LaurentPoly, d: int) -> dict:
-    """{(x, y, t) exponents: coefficient} of terms times one color's picture
-    weight with x read as x t^d."""
+def _times_color(terms: dict, weight: dict, d: int) -> dict:
+    """{(x, y, t) exponents: coefficient} of terms times weight with weight's
+    x read as x t^d, both as {(x, y, t) exponents: coefficient}."""
     expanded: dict = {}
-    for (x, y, t), f in weight.terms.items():
+    for (x, y, t), f in weight.items():
         for (a, b, c), coeff in terms.items():
             exps = (a + x, b + y, c + t + x * d)
             expanded[exps] = expanded.get(exps, 0) + coeff * f
@@ -141,27 +143,26 @@ def ef_weight(kind: str, picture) -> LaurentPoly:
         what = "face" if _KINDS[kind] == "L" else "crossing"
         raise ValueError(f"unknown single-color {what} picture {pic}")
     weight, shift = branches[pic]
-    return weight if shift == (kind in ("F", "Etilde")) else LaurentPoly.zero(YBE_VARS)
+    return LaurentPoly(YBE_VARS, weight if shift == (kind in ("F", "Etilde")) else {})
 
 
 def _recursive_table(k: int, kind: str) -> dict:
-    """All nonzero k-color face ("L") or crossing ("R") weights, grown from the
-    k = 0 table a color per pass: the new color follows one single-color
-    picture and the colors below it see x or xt."""
-    table = {(0, 0, 0, 0): LaurentPoly.one(YBE_VARS)}
+    """The terms of every nonzero k-color face ("L") or crossing ("R") weight,
+    grown from the k = 0 table a color per pass: the new color follows one
+    single-color picture and the colors below it see x or xt."""
+    table = {(0, 0, 0, 0): {(0, 0, 0): 1}}
     for bit in (1 << color for color in range(k)):
         table, below = {}, table
         for (I, J, K, L), w in below.items():
-            shifted = w._map_exponents(lambda e: (e[0], e[1], e[2] + e[0]))  # x -> xt
             for (i, j, kk, l), (f, shift) in _BRANCHES[kind].items():
                 key = (I | (bit * i), J | (bit * j), K | (bit * kk), L | (bit * l))
-                table[key] = (shifted if shift else w) * f
+                table[key] = _times_color(f, w, 1 if shift else 0)
     return table
 
 
 def _table_oracle(k: int, table: dict):
     def weight(I, J, K, L) -> LaurentPoly:
-        return table.get(masks(k, I, J, K, L), LaurentPoly.zero(YBE_VARS))
+        return LaurentPoly(YBE_VARS, table.get(masks(k, I, J, K, L)))
 
     return weight
 

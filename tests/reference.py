@@ -15,7 +15,9 @@ folded keys one at a time.
 ``configs`` lists a lattice's configurations as their levels, by a recursion
 over the rows that takes each row step's extensions in order.
 ``minus`` is p - q for expected values, which the package's polynomials,
-adding and multiplying only, do not spell.
+adding and multiplying only, do not spell; ``one``, ``variable`` and ``t``
+build the polynomials that the tests multiply, which the package, shifting
+exponents instead, does not build.
 ``d_stat`` is the rotation offset d(lam) as one loop over every pair of
 components and every pair of rows, where the package sums cached pair counts.
 ``skew_cauchy_rhs`` is skew Cauchy's right side t^d(mu) L_mu(X) times the
@@ -178,6 +180,21 @@ def minus(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return p + LaurentPoly(q.vars, {e: -c for e, c in q.terms.items()})
 
 
+def one(vars: VarSet) -> LaurentPoly:
+    return LaurentPoly.monomial(vars, 1, (0,) * vars.total)
+
+
+def variable(vars: VarSet, slot: int, power: int = 1) -> LaurentPoly:
+    """The variable at ``slot`` to ``power``."""
+    exps = [0] * vars.total
+    exps[slot] = power
+    return LaurentPoly.monomial(vars, 1, exps)
+
+
+def t(vars: VarSet, power: int = 1) -> LaurentPoly:
+    return variable(vars, vars.t_index, power)
+
+
 # -- face weights -------------------------------------------------------------
 
 
@@ -188,7 +205,7 @@ def l_weight(k: int, I, J, K, L) -> LaurentPoly:
     """
     vars = VarSet(nx=1)
     data = face_weight_exponents(*masks(k, I, J, K, L))
-    return LaurentPoly.zero(vars) if data is None else LaurentPoly.monomial(vars, 1, data)
+    return LaurentPoly(vars) if data is None else LaurentPoly.monomial(vars, 1, data)
 
 
 def lstar_weight(k: int, I, J, K, L) -> LaurentPoly:

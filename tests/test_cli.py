@@ -13,6 +13,7 @@ from lltlattice import cli, identities, yangbaxter
 from lltlattice.algebra import LaurentPoly, VarSet
 from lltlattice.identities import EngineMismatch, IdentityReport
 from lltlattice.yangbaxter import YbeReport
+import reference
 from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
 
 
@@ -266,6 +267,13 @@ def test_verify_all_output_golden(capsys):
     # engine-equivalence, none of which the quick suite runs
     assert cli.main(["verify", "all"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify_all.txt").read_text()
+
+
+def test_verify_all_json_output_golden(capsys):
+    # the full suite's details, which its text does not print: d, d_complement,
+    # dtilde and equalities_checked of every case
+    assert cli.main(["verify", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_all.jsonl").read_text()
 
 
 def test_verify_all_prints_each_report_before_a_case_raises(monkeypatch, capsys):
@@ -614,8 +622,8 @@ def test_verify_failure_exit_1(monkeypatch, capsys):
     def witness():
         return {
             "context": "forced",
-            "lhs": LaurentPoly.one(vars).to_json_dict(),
-            "rhs": LaurentPoly.zero(vars).to_json_dict(),
+            "lhs": reference.one(vars).to_json_dict(),
+            "rhs": LaurentPoly(vars).to_json_dict(),
         }
 
     def failing(shape, n, engine="tableaux"):
@@ -639,7 +647,7 @@ def _failing_reports() -> dict:
     """command -> (module, verifier, the FAIL report it returns, every line
     of the command's text output)."""
     vars = VarSet(nx=2)
-    x1, t = LaurentPoly.variable(vars, 0), LaurentPoly.t(vars)
+    x1, t = reference.variable(vars, 0), reference.t(vars)
     poly = IdentityReport(
         "symmetry", {"engine": "tableaux", "n": 2, "shape": "2;1/0;0"}, "FAIL",
         {"context": "x1 <-> x2", "lhs": (x1 * x1 + t * x1).to_json_dict(),
@@ -687,7 +695,7 @@ def test_verify_failure_text_every_line(monkeypatch, capsys, command):
 
 def test_compute_engine_mismatch_exit_3(monkeypatch, capsys):
     def mismatch(shape, n, engine):
-        one = LaurentPoly.one(VarSet(nx=n))
+        one = reference.one(VarSet(nx=n))
         raise EngineMismatch(shape, n, one, one + one)
 
     monkeypatch.setattr(cli, "llt", mismatch)
@@ -699,7 +707,7 @@ def test_compute_engine_mismatch_exit_3(monkeypatch, capsys):
 
 def test_verify_engine_mismatch_exit_3(monkeypatch, capsys):
     def mismatch(shape, n, engine):
-        one = LaurentPoly.one(VarSet(nx=n))
+        one = reference.one(VarSet(nx=n))
         raise EngineMismatch(shape, n, one, one + one)
 
     monkeypatch.setattr(cli, "llt", mismatch)

@@ -1,12 +1,14 @@
+import json
 import random
 from collections import Counter
 from itertools import chain, permutations, product
 from math import factorial, prod
 from operator import add, ge
+from pathlib import Path
 
 import pytest
 
-from lltlattice import identities, lattice, shapes, tableaux
+from lltlattice import cli, identities, lattice, shapes, tableaux
 from lltlattice.algebra import LaurentPoly, VarSet, _Packing
 from lltlattice.identities import (
     _xy_packing,
@@ -28,6 +30,7 @@ from lltlattice.identities import (
     verify_symmetry,
 )
 from lltlattice.shapes import SkewShapeTuple, d_stat, rotate
+from lltlattice.yangbaxter import l_recursive, r_recursive
 from lltlattice.tableaux import (
     TableauTuple,
     _coinv_counts,
@@ -40,6 +43,8 @@ from lltlattice.tableaux import (
 )
 import reference
 from shapegen import random_box_case, random_skew_tuple
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FIRST = SkewShapeTuple(((3,), (2,)), ((0,), (0,)))
 SECOND = SkewShapeTuple(((3, 3), (3, 1)), ((2, 1), (1, 0)))
@@ -194,14 +199,14 @@ def _reference_kernel(n, k, D):
     """The kernel as plain LaurentPoly products of geometric series, each
     product truncated with truncate_x: no code shared with the graded one."""
     vars = VarSet(nx=n, ny=n)
-    out = LaurentPoly.one(vars)
+    out = reference.one(vars)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for m in range(k):
-                unit = (LaurentPoly.variable(vars, i - 1) * LaurentPoly.variable(vars, n + j - 1)
-                        * LaurentPoly.t(vars, m))
-                series = LaurentPoly.one(vars)
-                power = LaurentPoly.one(vars)
+                unit = (reference.variable(vars, i - 1) * reference.variable(vars, n + j - 1)
+                        * reference.t(vars, m))
+                series = reference.one(vars)
+                power = reference.one(vars)
                 for _ in range(D):
                     power = (power * unit).truncate_x(D)
                     series = series + power
@@ -277,11 +282,11 @@ def test_cauchy_kernel_rejects_negative_sizes(monkeypatch, nkD, message):
 
 
 def test_cauchy_kernel_degree_zero_is_one():
-    assert cauchy_kernel_truncated(3, 2, 0) == LaurentPoly.one(VarSet(3, 3))
+    assert cauchy_kernel_truncated(3, 2, 0) == reference.one(VarSet(3, 3))
 
 
 def test_cauchy_kernel_k_zero_is_one():
-    assert cauchy_kernel_truncated(2, 0, 4) == LaurentPoly.one(VarSet(2, 2))
+    assert cauchy_kernel_truncated(2, 0, 4) == reference.one(VarSet(2, 2))
 
 
 def _reference_embed(p: LaurentPoly, big: VarSet, into_y: bool) -> LaurentPoly:
@@ -302,29 +307,35 @@ def test_xy_sum_matches_embedded_products(n, k, D):
     big = VarSet(nx=n, ny=n)
     xy = _xy_packing(n, D)
     summands = []
-    expected = LaurentPoly.zero(big)
+    expected = LaurentPoly(big)
     for i, lam in enumerate(shape_tuples_bounded(k, n, D)):
         shape = SkewShapeTuple.straight(lam)
         other = rotate(lam) if i % 2 else shape
         P, Q = llt(shape, n), llt(other, n)
         a = d_stat(lam) - i     # negative and positive shifts both
         summands.append((a, _coinv_counts(shape, xy), _coinv_counts(other, xy)))
-        expected = expected + LaurentPoly.t(big, a) * _reference_embed(
+        expected = expected + reference.t(big, a) * _reference_embed(
             P, big, False
         ) * _reference_embed(Q, big, True)
     assert xy.poly(_xy_sum(xy, summands)) == expected
-    assert xy.poly(_xy_sum(xy, [])) == LaurentPoly.zero(big)
+    assert xy.poly(_xy_sum(xy, [])) == LaurentPoly(big)
 
 
-def test_cauchy_multiplies_no_polynomials(monkeypatch):
+def test_cauchy_multiplies_no_polynomials(monkeypatch, capsys):
+    # nor does any other driver: each monomial factor is an exponent shift,
+    # and the color recursion multiplies term dicts
     def refuse(self, other):
-        raise AssertionError("a Cauchy driver multiplied two polynomials")
+        raise AssertionError("the package multiplied two polynomials")
 
     monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
     monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
     assert verify_cauchy(3, 2, 3).passed
     assert verify_cauchy_rot(3, 2, 3).passed
     assert verify_skew_cauchy(((1, 0), (0, 0)), 2, 2, 3).passed
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_all.txt").read_text()
+    assert hl_modified((3, 1), 3) == llt_inv(SkewShapeTuple.straight(((3,), (1,))), 3)
+    l_recursive(3), r_recursive(3)   # each builds its whole table here
 
 
 @pytest.mark.parametrize("nkD", [(1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 3)])
@@ -347,7 +358,7 @@ def test_skew_cauchy_kernel_cut_matches_truncated_product(nkD):
     n, k, D = nkD
     for mu in shape_tuples_bounded(k, n, D):
         L_mu = llt(mu, n)
-        base = _tuple_xy_sum(n, [(d_stat(mu), L_mu, LaurentPoly.one(L_mu.vars))])
+        base = _tuple_xy_sum(n, [(d_stat(mu), L_mu, reference.one(L_mu.vars))])
         full = (base * cauchy_kernel_truncated(n, k, D)).truncate_x(D)
         size = sum(map(sum, mu))
         assert base * cauchy_kernel_truncated(n, k, D - size) == full
@@ -517,7 +528,7 @@ def test_cauchy_sides_match_tuple_reference(n, k, D, first_sides):
     kernel = _tuple_kernel(n, k, D)
     mu = shape_tuples_bounded(k, n, min(D, 1))[0]   # one box, or none at D = 0
     inside = [lam for lam in lams if all(map(ge, chain(*lam), chain(*mu)))]
-    base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), LaurentPoly.one(VarSet(nx=n)))])
+    base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), reference.one(VarSet(nx=n)))])
     assert verify_cauchy(n, k, D).passed
     assert verify_cauchy_rot(n, k, D).passed
     assert verify_skew_cauchy(mu, n, k, D).passed
@@ -551,7 +562,7 @@ def test_cauchy_both_engines_still_raise_a_mismatch(monkeypatch):
 def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
     n, k, D = 2, 2, 3
     lams = shape_tuples_bounded(k, n, D)
-    extra = LaurentPoly.t(VarSet(nx=n, ny=n))   # not a term of any kernel
+    extra = reference.t(VarSet(nx=n, ny=n))   # not a term of any kernel
     wrong = cauchy_kernel_truncated(n, k, D) + extra
     cut = cauchy_kernel_truncated(n, k, D - 1)   # base times it is the seeded kernel
     kernel = identities._kernel_counts
@@ -562,7 +573,7 @@ def test_cauchy_wrong_kernel_fails_with_both_sides_decoded(monkeypatch):
     monkeypatch.setattr(identities, "_kernel_counts", wrong_counts)
     mu = ((1, 0), (0, 0))
     inside = [lam for lam in lams if all(map(ge, chain(*lam), chain(*mu)))]
-    base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), LaurentPoly.one(VarSet(nx=n)))])
+    base = _tuple_xy_sum(n, [(d_stat(mu), llt(mu, n), reference.one(VarSet(nx=n)))])
     expected = {
         verify_cauchy: ("sum vs kernel", [(d_stat(lam), llt(lam, n), llt(lam, n)) for lam in lams],
                         wrong),
@@ -593,7 +604,7 @@ def test_cauchy_rot_relation_witness_is_in_x_and_t(monkeypatch):
     assert report.witness == {
         "context": f"rotation relation at {lam}",
         "lhs": llt(rotate(lam), n).to_json_dict(),
-        "rhs": (LaurentPoly.t(P.vars, d_stat(lam) + 1) * P).to_json_dict(),
+        "rhs": (reference.t(P.vars, d_stat(lam) + 1) * P).to_json_dict(),
     }
 
 
@@ -610,6 +621,34 @@ def test_cauchy_rot_reports_a_d_mismatch(monkeypatch):
     report = verify_cauchy_rot(2, 2, 3)
     assert report.status == "FAIL"
     assert report.witness == {"context": f"d(comp)=d(lam) at {lam}", "lhs": 1, "rhs": d_stat(lam)}
+
+
+# Each driver whose right side is a monomial times a polynomial, with the
+# statistic in its exponent one too high, and that FAIL report's text and
+# JSON as pinned in golden/fail_reports.json.  Box-skew's d of lam and of the
+# complement are both one too high, so they agree and the polynomials differ.
+SHIFTED_RIGHT_SIDES = {
+    "inv-coinv": (identities, "m_bruteforce", lambda: verify_inv_coinv(((3, 1), (2,)), 2)),
+    "hl": (identities, "inv_stat", lambda: verify_hl((2, 1), 2)),
+    "modified-hl": (tableaux, "n_stat", lambda: verify_modified_hl((2, 1), 2)),
+    "complement": (identities, "_dtilde_stat",
+                   lambda: verify_complement(((1, 0), (1, 1)), 4, 2)),
+    "lstar": (identities, "_d_stat", lambda: verify_lstar(((1, 0), (0, 0)), 2, [3, 4])),
+    "box-skew": (identities, "_d_stat", lambda: verify_box_skew(((1, 0), (1, 1)), 4, 2)),
+}
+
+
+@pytest.mark.parametrize("identity", SHIFTED_RIGHT_SIDES)
+def test_shifted_right_side_fail_report_is_pinned(monkeypatch, identity):
+    module, stat, verify = SHIFTED_RIGHT_SIDES[identity]
+    real = getattr(module, stat)
+    monkeypatch.setattr(module, stat, lambda *args: real(*args) + 1)
+    report = verify()
+    pinned = json.loads((GOLDEN / "fail_reports.json").read_text())[identity]
+    assert report.status == "FAIL"
+    assert report.to_text() == pinned["text"]
+    assert json.dumps(report.to_json_dict(), sort_keys=True) == json.dumps(pinned["json"],
+                                                                            sort_keys=True)
 
 
 def test_complement_checks_lam_once(monkeypatch):

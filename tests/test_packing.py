@@ -66,8 +66,7 @@ def _ybe_failures():
 def test_failing_ybe_reports_are_unchanged_with_every_field_8_bits_wider(monkeypatch, relaid):
     # the type-2 crossing weight times t: both checks fail, and a carry at
     # the normal width would change a count or a witness
-    wrong = LaurentPoly(yangbaxter.YBE_VARS, {(-1, 1, 1): 1})
-    monkeypatch.setitem(yangbaxter._BRANCHES["R"], (0, 1, 1, 0), (wrong, False))
+    monkeypatch.setitem(yangbaxter._BRANCHES["R"], (0, 1, 1, 0), ({(-1, 1, 1): 1}, False))
     normal = _ybe_failures()
     assert [failed for failed, _ in normal] == [124, 124]
     relaid(lambda mask: mask << 8 | 0xFF)

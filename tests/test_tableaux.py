@@ -31,6 +31,7 @@ from lltlattice.tableaux import (
     llt_inv,
     schur,
 )
+import reference
 from reference import coinv, coinv_table, decode, inv_triples, triples
 from shapegen import random_partition, random_skew_tuple, random_straight_tuple
 
@@ -210,7 +211,7 @@ def test_many_empty_components_match_the_lattice():
     shape = SkewShapeTuple.straight(((3,), *[(0,)] * 1100))
     P = llt_coinv(shape, 3)
     assert P == partition_function(build_lattice(shape, 3))
-    assert P == LaurentPoly.t(P.vars, 1100) * llt_coinv(SkewShapeTuple.straight(((3,),)), 3)
+    assert P == reference.t(P.vars, 1100) * llt_coinv(SkewShapeTuple.straight(((3,),)), 3)
 
 
 def test_one_filling_components_among_others():
@@ -411,7 +412,7 @@ def test_llt_coinv_does_not_enumerate(monkeypatch):
     monkeypatch.setattr(TableauTuple, "__init__", refuse)
     P = llt_coinv(SECOND, 2)
     assert P == golden_second(P.vars)
-    assert llt_coinv(EX2, 3) != LaurentPoly.zero(VarSet(nx=3))
+    assert llt_coinv(EX2, 3) != LaurentPoly(VarSet(nx=3))
 
 
 def test_llt_coinv_two_cells():
@@ -432,7 +433,7 @@ def test_llt_inv_relation_on_worked_shapes():
         L = llt_coinv(shape, 2)
         G = llt_inv(shape, 2)
         m = m_bruteforce(shape)
-        assert L == LaurentPoly.t(L.vars, m) * G.invert_t()
+        assert L == reference.t(L.vars, m) * G.invert_t()
 
 
 def test_llt_single_color_is_schur():
@@ -447,7 +448,7 @@ def test_llt_single_color_is_schur():
 
 def test_llt_empty_shape():
     shape = SkewShapeTuple(((0,),), ((0,),))
-    assert llt_inv(shape, 2) == LaurentPoly.one(VarSet(nx=2))
+    assert llt_inv(shape, 2) == reference.one(VarSet(nx=2))
 
 
 def test_llt_at_t_one_is_product_of_skew_schurs():
@@ -457,7 +458,7 @@ def test_llt_at_t_one_is_product_of_skew_schurs():
         n = 2
         P = llt_coinv(shape, n)
         ones = {P.vars.t_index: (1, (0,) * P.vars.total)}
-        prod = LaurentPoly.one(P.vars)
+        prod = reference.one(P.vars)
         for i in range(shape.k):
             single = SkewShapeTuple((shape.beta[i],), (shape.gamma[i],))
             prod = prod * llt_coinv(single, n)
@@ -475,14 +476,14 @@ def test_llt_symmetric():
 
 def test_hl_one_box():
     H = hl_transformed((1,), 1)
-    assert H == LaurentPoly.variable(VarSet(nx=1), 0)
+    assert H == reference.variable(VarSet(nx=1), 0)
 
 
 def test_hl_from_worked_polynomial():
     # L_{((3),(2))} = t^{inv(3,2)} H_{(3,2)} with inv = 1
     H = hl_transformed((3, 2), 2)
     L = llt_coinv(FIRST, 2)
-    assert L == LaurentPoly.t(H.vars, 1) * H
+    assert L == reference.t(H.vars, 1) * H
 
 
 def test_hl_reversed_rows():
@@ -497,7 +498,7 @@ def test_hl_rearrangements():
     H = hl_transformed(mu, 3)
     for beta in set(permutations(mu)):
         rows = SkewShapeTuple.straight(tuple((p,) for p in beta))
-        assert llt_coinv(rows, 3) == LaurentPoly.t(H.vars, inv_stat(beta)) * H
+        assert llt_coinv(rows, 3) == reference.t(H.vars, inv_stat(beta)) * H
 
 
 def test_hl_at_t_one():
